@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use febim_bayes::GaussianNaiveBayes;
 use febim_core::{compile, EngineConfig, FebimEngine};
-use febim_crossbar::{CrossbarArray, ProgrammingMode};
+use febim_crossbar::{ProgrammingMode, TileGrid, TilePlan};
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
@@ -59,7 +59,12 @@ fn programming_benches(c: &mut Criterion) {
     ] {
         group.bench_function(label, |b| {
             b.iter_batched(
-                || CrossbarArray::new(*program.layout(), array_programmer.clone()),
+                || {
+                    TileGrid::new(
+                        TilePlan::monolithic(*program.layout()),
+                        array_programmer.clone(),
+                    )
+                },
                 |mut array| {
                     array
                         .program_matrix(program.levels(), mode)

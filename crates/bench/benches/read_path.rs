@@ -5,15 +5,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use febim_crossbar::{Activation, CrossbarArray, CrossbarLayout, ProgrammingMode};
+use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
 use febim_device::LevelProgrammer;
 
 /// Builds a fully programmed crossbar with a deterministic staggered level
 /// pattern (the same scheme the Fig. 6 sweeps use).
-fn programmed_array(rows: usize, nodes: usize, levels_per_node: usize) -> CrossbarArray {
+fn programmed_array(rows: usize, nodes: usize, levels_per_node: usize) -> TileGrid {
     let layout = CrossbarLayout::new(rows, nodes, levels_per_node, false).expect("layout");
     let programmer = LevelProgrammer::febim_default(10).expect("programmer");
-    let mut array = CrossbarArray::new(layout, programmer);
+    let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
     for row in 0..rows {
         for column in 0..array.layout().columns() {
             let level = (row + column) % 10;

@@ -5,10 +5,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use febim_circuit::SensingChain;
 use febim_core::measure_geometry;
-use febim_crossbar::{Activation, CrossbarArray, CrossbarLayout, ProgrammingMode};
+use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
 use febim_device::{FeFetParams, LevelProgrammer};
 
-fn build_array(rows: usize, columns: usize) -> CrossbarArray {
+fn build_array(rows: usize, columns: usize) -> TileGrid {
     let layout = CrossbarLayout::new(rows, columns, 1, false).expect("layout");
     let programmer = LevelProgrammer::new(
         FeFetParams::febim_calibrated(),
@@ -17,7 +17,7 @@ fn build_array(rows: usize, columns: usize) -> CrossbarArray {
         febim_device::programming::DEFAULT_MAX_READ_CURRENT,
     )
     .expect("programmer");
-    let mut array = CrossbarArray::new(layout, programmer);
+    let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
     for row in 0..rows {
         for column in 0..columns {
             array

@@ -29,9 +29,7 @@ use febim_compare::FabricComparison;
 use febim_core::{
     variation_sweep_with_backend, EngineConfig, EvaluationReport, FebimEngine, TiledFabricBackend,
 };
-use febim_crossbar::{
-    Activation, CrossbarArray, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan, TileShape,
-};
+use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan, TileShape};
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
@@ -91,13 +89,13 @@ struct FabricRecord {
 /// The Fig. 6-scale stress pair: a 64×512 model programmed identically onto
 /// one monolithic array and onto a 2×4 grid of 32×128 tiles (the model
 /// exceeds the tile in both dimensions).
-fn fig6_scale_pair() -> (CrossbarArray, TileGrid) {
+fn fig6_scale_pair() -> (TileGrid, TileGrid) {
     let layout = CrossbarLayout::new(64, 32, 16, false).expect("layout");
     let programmer = LevelProgrammer::febim_default(10).expect("programmer");
     let shape = TileShape::new(32, 128).expect("shape");
     let plan = TilePlan::new(layout, shape).expect("plan");
     assert!(plan.row_tiles() >= 2 && plan.col_tiles() >= 2);
-    let mut array = CrossbarArray::new(layout, programmer.clone());
+    let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer.clone());
     let mut grid = TileGrid::new(plan, programmer);
     let levels: Vec<Vec<Option<usize>>> = (0..layout.rows())
         .map(|row| {

@@ -40,6 +40,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use rand::Rng;
 use serde::Serialize;
 
+use febim_bench::load_budget;
 use febim_core::{
     EngineConfig, FebimEngine, ReplicaHealth, ScrubPolicy, ScrubScheduler, ServingConfig,
     ServingPool,
@@ -164,19 +165,6 @@ fn measure_pool(pool: &ServingPool, requests: &[Vec<f64>]) -> f64 {
         "every timed request must be answered"
     );
     elapsed
-}
-
-/// Extracts `"<key>": <number>` from the checked-in budget file
-/// (hand-parsed; the vendored serde shim serializes only).
-fn load_budget(path: &str, key: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let quoted = format!("\"{key}\"");
-    let after_key = &text[text.find(&quoted)? + quoted.len()..];
-    let value = after_key.trim_start().strip_prefix(':')?.trim_start();
-    let end = value
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(value.len());
-    value[..end].parse().ok()
 }
 
 fn main() {

@@ -5,7 +5,7 @@
 use febim_bench::{emit, eng};
 use febim_circuit::{SensingChain, TransientConfig};
 use febim_core::Table;
-use febim_crossbar::{Activation, CrossbarArray, CrossbarLayout, ProgrammingMode};
+use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
 use febim_device::LevelProgrammer;
 use febim_quant::UniformQuantizer;
 
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut worst_error = 0.0f64;
     for level_a in 0..levels {
         for level_b in 0..levels {
-            let mut array = CrossbarArray::new(layout, programmer.clone());
+            let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer.clone());
             array.program_cell(0, level_a, level_a, ProgrammingMode::Ideal)?;
             array.program_cell(0, levels + level_b, level_b, ProgrammingMode::Ideal)?;
             let activation =

@@ -37,6 +37,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde::Serialize;
 
+use febim_bench::load_budget;
 use febim_core::{EngineConfig, FebimEngine, InferenceBackend, Table};
 use febim_data::rng::seeded_rng;
 use febim_data::split::{stratified_split, TrainTestSplit};
@@ -188,19 +189,6 @@ fn measure_point(
         modeled_energy_j,
         energy_ratio: modeled_energy_j / baseline_energy,
     }
-}
-
-/// Extracts `"<key>": <number>` from the checked-in budget file
-/// (hand-parsed; the vendored serde shim serializes only).
-fn load_budget(path: &str, key_name: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let key = format!("\"{key_name}\"");
-    let after_key = &text[text.find(key.as_str())? + key.len()..];
-    let value = after_key.trim_start().strip_prefix(':')?.trim_start();
-    let end = value
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(value.len());
-    value[..end].parse().ok()
 }
 
 fn main() {

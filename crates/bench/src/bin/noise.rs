@@ -35,6 +35,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde::Serialize;
 
+use febim_bench::load_budget;
 use febim_compare::ResilienceComparison;
 use febim_core::{noise_campaign, EngineConfig, FebimEngine, InferenceBackend, NoiseScenario};
 use febim_data::rng::seeded_rng;
@@ -105,19 +106,6 @@ fn request_stream(test: &Dataset, count: usize) -> Vec<Vec<f64>> {
                 .to_vec()
         })
         .collect()
-}
-
-/// Extracts `"ideal_ns_per_inference_budget": <number>` from the checked-in
-/// budget file (hand-parsed; the vendored serde shim serializes only).
-fn load_budget(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let key = "\"ideal_ns_per_inference_budget\"";
-    let after_key = &text[text.find(key)? + key.len()..];
-    let value = after_key.trim_start().strip_prefix(':')?.trim_start();
-    let end = value
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(value.len());
-    value[..end].parse().ok()
 }
 
 fn main() {
@@ -213,7 +201,7 @@ fn main() {
     // Throughput gate: the ideal read path is the product's hot loop, so it
     // must hold the checked-in ns/inference budget. Re-measure with fresh
     // passes before failing a noisy run on a loaded host.
-    let budget = load_budget(&budget_path).unwrap_or_else(|| {
+    let budget = load_budget(&budget_path, "ideal_ns_per_inference_budget").unwrap_or_else(|| {
         eprintln!(
             "could not read ideal_ns_per_inference_budget from {budget_path}; \
              regenerate NOISE_BUDGET.json or pass --budget PATH"

@@ -23,7 +23,7 @@ use serde::Serialize;
 
 use febim_bench::{eng, measure_min_ns as measure};
 use febim_core::{EngineConfig, FebimEngine};
-use febim_crossbar::{Activation, CrossbarArray, CrossbarLayout, ProgrammingMode};
+use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
@@ -61,10 +61,10 @@ struct PerfRecord {
 /// Builds the Fig. 6-scale stress array: 64 wordlines, 32 evidence nodes of
 /// 16 levels each (512 bitlines), programmed with the staggered pattern of
 /// the scalability sweeps.
-fn fig6_array() -> CrossbarArray {
+fn fig6_array() -> TileGrid {
     let layout = CrossbarLayout::new(64, 32, 16, false).expect("layout");
     let programmer = LevelProgrammer::febim_default(10).expect("programmer");
-    let mut array = CrossbarArray::new(layout, programmer);
+    let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
     for row in 0..64 {
         for column in 0..array.layout().columns() {
             array

@@ -47,6 +47,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde::Serialize;
 
+use febim_bench::load_budget;
 use febim_compare::{RegistryComparison, TenantMeasurement};
 use febim_core::{
     EngineConfig, FebimEngine, InferenceStep, ModelRegistry, RegistryConfig, RegistryReport,
@@ -160,19 +161,6 @@ fn measure_registry(registry: &ModelRegistry, tenant: &Tenant, passes: usize) ->
         }
     }
     (best_ns, identical)
-}
-
-/// Extracts `"registry_ns_per_request_budget": <number>` from the
-/// checked-in budget file (parsed by hand, same as the other bench bins).
-fn load_budget(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let key = "\"registry_ns_per_request_budget\"";
-    let after_key = &text[text.find(key)? + key.len()..];
-    let value = after_key.trim_start().strip_prefix(':')?.trim_start();
-    let end = value
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(value.len());
-    value[..end].parse().ok()
 }
 
 fn main() {
@@ -319,7 +307,7 @@ fn main() {
     // Budget gate: the best per-tenant registry ns/request must hold the
     // checked-in budget. Re-measure the fastest tenant with fresh passes
     // before failing a noisy sweep.
-    let budget = load_budget(&budget_path).unwrap_or_else(|| {
+    let budget = load_budget(&budget_path, "registry_ns_per_request_budget").unwrap_or_else(|| {
         eprintln!(
             "could not read registry_ns_per_request_budget from {budget_path}; \
              regenerate REGISTRY_BUDGET.json or pass --budget PATH"

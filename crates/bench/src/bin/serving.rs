@@ -54,6 +54,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde::Serialize;
 
+use febim_bench::load_budget;
 use febim_compare::{ServingComparison, ServingMeasurement};
 use febim_core::{
     CrossbarBackend, EngineConfig, FebimEngine, InferenceBackend, ServingConfig, ServingPool,
@@ -320,20 +321,6 @@ fn best_overhead_ratio(comparison: &ServingComparison, min_batch: usize) -> Opti
         })
 }
 
-/// Extracts `"pool_ns_per_request_budget": <number>` from the checked-in
-/// budget file. Parsed by hand — the vendored serde shim serializes only, so
-/// the budget record stays a plain JSON object anything can read.
-fn load_budget(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let key = "\"pool_ns_per_request_budget\"";
-    let after_key = &text[text.find(key)? + key.len()..];
-    let value = after_key.trim_start().strip_prefix(':')?.trim_start();
-    let end = value
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(value.len());
-    value[..end].parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -517,7 +504,7 @@ fn main() {
     // Budget gate: the iris-scale pool floor — where messaging, not
     // inference, is the cost — must hold the checked-in ns/request budget.
     // Re-measure the floor configuration with fresh passes before failing.
-    let budget = load_budget(&budget_path).unwrap_or_else(|| {
+    let budget = load_budget(&budget_path, "pool_ns_per_request_budget").unwrap_or_else(|| {
         eprintln!(
             "could not read pool_ns_per_request_budget from {budget_path}; \
              regenerate SERVING_BUDGET.json or pass --budget PATH"

@@ -65,6 +65,21 @@ pub fn measure_min_ns<F: FnMut()>(mut routine: F, target: Duration) -> f64 {
     best
 }
 
+/// Reads `"<key>": <number>` from a checked-in `*_BUDGET.json` file, or
+/// `None` when the file, the key or a number after it is missing. Parsed by
+/// hand — the vendored serde shim serializes only, so the budget files stay
+/// plain JSON objects anything can read. Shared by every gated record bin.
+pub fn load_budget(path: &str, key: &str) -> Option<f64> {
+    let text = std::fs::read_to_string(path).ok()?;
+    let quoted = format!("\"{key}\"");
+    let after_key = &text[text.find(&quoted)? + quoted.len()..];
+    let value = after_key.trim_start().strip_prefix(':')?.trim_start();
+    let end = value
+        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
+        .unwrap_or(value.len());
+    value[..end].parse().ok()
+}
+
 /// Prints a table to the console and persists it as CSV under the default
 /// experiment directory, reporting where it was written.
 pub fn emit(table: &Table) {

@@ -8,15 +8,19 @@
 //! * [`SoftwareBackend`] — the exact FP64 [`GaussianNaiveBayes`] reference:
 //!   no quantization, no devices, zero delay/energy. The ground truth every
 //!   physical backend is compared against.
-//! * [`CrossbarBackend`] — the paper's single-array engine: one
-//!   conductance-cached [`CrossbarArray`] plus the current-mirror / WTA
-//!   [`SensingChain`].
+//! * [`CrossbarBackend`] — the paper's single-array engine: the program on
+//!   a one-tile [`TileGrid`] plus the current-mirror / WTA
+//!   [`SensingChain`], priced as one monolithic array
+//!   ([`MonolithicPricing`]).
 //! * [`TiledFabricBackend`] — a model sharded across a grid of fixed-size
-//!   crossbar tiles ([`TileGrid`]): row-wise class sharding × column-wise
-//!   evidence splitting, per-tile conductance caches, and a partial-sum
-//!   aggregator that merges per-tile wordline currents before the fabric WTA.
-//!   Reads are bit-identical to the monolithic backend holding the same
-//!   program; only delay and energy reflect the tiling.
+//!   crossbar tiles: row-wise class sharding × column-wise evidence
+//!   splitting, priced with parallel tile settling, a partial-sum merge bus
+//!   and per-tile drivers ([`TiledPricing`]).
+//!
+//! The two physical backends are one implementation, [`FabricBackend`],
+//! instantiated with two [`ReadPricing`] rules: they program, read, age,
+//! recalibrate, scrub and decide identically — reads are bit-identical for
+//! the same program — and only the delay and energy of a read differ.
 //!
 //! `FebimEngine<B>` dispatches through the trait, so swapping the physics —
 //! or serving a model bigger than one physical array — is a type parameter,
@@ -26,12 +30,12 @@ use std::sync::Arc;
 
 use febim_bayes::{argmax, GaussianNaiveBayes};
 use febim_circuit::{
-    fabric_wordline_driver_energy, wordline_driver_energy, CircuitError, DelayBreakdown,
-    InferenceEnergy, ReadGroup, SensingChain, TileGeometry,
+    fabric_wordline_driver_energy, merge_plane_sums_into, wordline_driver_energy, CircuitError,
+    DelayBreakdown, InferenceEnergy, ReadGroup, SensingChain, TileGeometry,
 };
 use febim_crossbar::{
-    apply_scheduled_fault, apply_scheduled_grid_fault, Activation, CrossbarArray, CrossbarLayout,
-    FaultSchedule, LevelLadder, ProgrammingMode, RefreshOutcome, ScrubOutcome, TileGrid, TileShape,
+    apply_scheduled_fault, Activation, FaultSchedule, LevelLadder, ProgrammingMode, RefreshOutcome,
+    ScrubOutcome, TileGrid, TilePlan, TileShape,
 };
 use febim_device::{LevelProgrammer, VariationModel};
 use febim_quant::{bit_offset_of, QuantizedGnbc};
@@ -336,26 +340,6 @@ pub trait InferenceBackend {
     }
 }
 
-/// Discretizes every sample of a batch into one activation per read,
-/// reusing (and growing on demand) the scratch's activation pool. Shared by
-/// the grouped-read paths of the physical backends.
-fn fill_batch_activations(
-    quantized: &QuantizedGnbc,
-    layout: &CrossbarLayout,
-    samples: &[Vec<f64>],
-    scratch: &mut EvalScratch,
-) -> Result<()> {
-    if scratch.batch_activations.len() < samples.len() {
-        let template = Activation::empty(layout);
-        scratch.batch_activations.resize(samples.len(), template);
-    }
-    for (index, sample) in samples.iter().enumerate() {
-        quantized.discretize_sample_into(sample, &mut scratch.evidence)?;
-        scratch.batch_activations[index].set_observation(layout, &scratch.evidence)?;
-    }
-    Ok(())
-}
-
 /// Builds the level programmer shared by the physical backends.
 fn level_programmer(config: &EngineConfig, state_count: usize) -> Result<LevelProgrammer> {
     Ok(LevelProgrammer::new(
@@ -366,8 +350,8 @@ fn level_programmer(config: &EngineConfig, state_count: usize) -> Result<LevelPr
     )?)
 }
 
-/// Precomputed geometry of the bit-plane read path, shared by both physical
-/// backends. `None` on a backend means it reads one-hot.
+/// Precomputed geometry of the bit-plane read path. `None` on a backend
+/// means it reads one-hot.
 #[derive(Debug, Clone)]
 struct PackedRead {
     /// Bins packed into one multi-bit cell (`r = bits / Q_l`).
@@ -514,14 +498,216 @@ impl InferenceBackend for SoftwareBackend {
     }
 }
 
-/// The paper's single-array in-memory backend: one conductance-cached
-/// crossbar plus the current-mirror / WTA sensing chain.
+/// How a physical backend prices one read: the only thing that tells the
+/// paper's monolithic array apart from a tiled fabric.
+///
+/// Decisions never depend on the rule — every read senses the same merged
+/// currents through the same mirror and WTA — only the modeled delay and
+/// energy do. The rule is a property of the backend, not of its tile plan:
+/// priced as a fabric, even a one-tile plan pays the merge bus that the
+/// paper's single array does not have.
+pub trait ReadPricing: Clone + std::fmt::Debug {
+    /// Backend family reported by [`InferenceBackend::info`].
+    const KIND: BackendKind;
+    /// Stable backend name reported by [`InferenceBackend::info`].
+    const NAME: &'static str;
+
+    /// The rule for a model programmed onto `plan`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tile-plan errors.
+    fn for_plan(plan: &TilePlan) -> Result<Self>;
+
+    /// Worst-case delay and energy of one read of `activation`: `currents`
+    /// holds the merged wordline currents and `mirrored` their mirror copy;
+    /// `planes` is `Some((planes, cell_bits))` for a bit-plane read. `tiles`
+    /// is scratch for whatever per-read geometry the rule needs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates delay- and energy-model errors.
+    fn price(
+        &self,
+        sensing: &SensingChain,
+        activation: &Activation,
+        planes: Option<(usize, usize)>,
+        currents: &[f64],
+        mirrored: &[f64],
+        tiles: &mut Vec<TileGeometry>,
+    ) -> febim_circuit::Result<(DelayBreakdown, InferenceEnergy)>;
+
+    /// Wordline-driver energy of one read of `rows` merged wordlines: the
+    /// share a grouped read pays only once.
+    fn driver_share(&self, sensing: &SensingChain, rows: usize) -> f64;
+}
+
+/// The paper's pricing: one array settling all wordlines, no merge bus
+/// ([`SensingChain::sense_into`] and [`SensingChain::shift_add_delay`] /
+/// [`SensingChain::shift_add_energy`]). Needs no per-read geometry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MonolithicPricing;
+
+impl ReadPricing for MonolithicPricing {
+    const KIND: BackendKind = BackendKind::Crossbar;
+    const NAME: &'static str = "crossbar-single-array";
+
+    fn for_plan(_plan: &TilePlan) -> Result<Self> {
+        Ok(Self)
+    }
+
+    fn price(
+        &self,
+        sensing: &SensingChain,
+        activation: &Activation,
+        planes: Option<(usize, usize)>,
+        currents: &[f64],
+        mirrored: &[f64],
+        _tiles: &mut Vec<TileGeometry>,
+    ) -> febim_circuit::Result<(DelayBreakdown, InferenceEnergy)> {
+        let activated = activation.len();
+        let Some((planes, cell_bits)) = planes else {
+            let delay = sensing.delay_model().worst_case(
+                currents.len(),
+                activated.max(1),
+                sensing.wta(),
+                sensing.mirror().gain,
+            )?;
+            let energy = sensing.energy_model().inference_with_mirrored(
+                currents,
+                mirrored,
+                activated,
+                delay.total(),
+                sensing.mirror(),
+                sensing.wta(),
+            )?;
+            return Ok((delay, energy));
+        };
+        let delay = sensing.shift_add_delay(currents.len(), activated, planes)?;
+        let energy = sensing.shift_add_energy(
+            currents,
+            mirrored,
+            activated,
+            planes,
+            cell_bits,
+            delay.total(),
+        )?;
+        Ok((delay, energy))
+    }
+
+    fn driver_share(&self, sensing: &SensingChain, rows: usize) -> f64 {
+        wordline_driver_energy(sensing.energy_model().params(), rows)
+    }
+}
+
+/// Fabric pricing: tiles settle in parallel, a merge bus collects the tile
+/// columns' partial sums and every tile row re-drives its activated
+/// bitlines ([`SensingChain::sense_fabric_into`] and the `shift_add_fabric`
+/// helpers). Each read fills one [`TileGeometry`] per tile.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TiledPricing {
+    /// Occupied geometry of every tile (grid row-major), with
+    /// `activated_columns` zeroed.
+    base_tiles: Vec<TileGeometry>,
+    /// Tile columns of the grid.
+    col_tiles: usize,
+    /// The tile column of every logical column: a lookup, because a
+    /// division per activated column would cost more than the rest of the
+    /// per-read geometry together.
+    tile_col_of: Vec<usize>,
+}
+
+impl TiledPricing {
+    /// Fills `tiles` with the per-tile geometry of one read: the activated
+    /// columns counted per tile column, repeated down every tile row.
+    fn fill_tiles(&self, activation: &Activation, tiles: &mut Vec<TileGeometry>) {
+        tiles.clear();
+        tiles.extend_from_slice(&self.base_tiles);
+        for &column in activation.active_columns() {
+            tiles[self.tile_col_of[column]].activated_columns += 1;
+        }
+        let (first_row, other_rows) = tiles.split_at_mut(self.col_tiles);
+        for tile_row in other_rows.chunks_mut(self.col_tiles) {
+            for (tile, first) in tile_row.iter_mut().zip(&*first_row) {
+                tile.activated_columns = first.activated_columns;
+            }
+        }
+    }
+}
+
+impl ReadPricing for TiledPricing {
+    const KIND: BackendKind = BackendKind::TiledFabric;
+    const NAME: &'static str = "tiled-fabric";
+
+    fn for_plan(plan: &TilePlan) -> Result<Self> {
+        let mut base_tiles = Vec::with_capacity(plan.tile_count());
+        for tile_row in 0..plan.row_tiles() {
+            for tile_col in 0..plan.col_tiles() {
+                let (rows, columns) = plan.tile_dims(tile_row, tile_col)?;
+                base_tiles.push(TileGeometry {
+                    rows,
+                    columns,
+                    activated_columns: 0,
+                });
+            }
+        }
+        let width = plan.shape().columns;
+        Ok(Self {
+            base_tiles,
+            col_tiles: plan.col_tiles(),
+            tile_col_of: (0..plan.layout().columns()).map(|c| c / width).collect(),
+        })
+    }
+
+    fn price(
+        &self,
+        sensing: &SensingChain,
+        activation: &Activation,
+        planes: Option<(usize, usize)>,
+        currents: &[f64],
+        mirrored: &[f64],
+        tiles: &mut Vec<TileGeometry>,
+    ) -> febim_circuit::Result<(DelayBreakdown, InferenceEnergy)> {
+        self.fill_tiles(activation, tiles);
+        let Some((planes, cell_bits)) = planes else {
+            let delay = sensing.fabric_delay(tiles, self.col_tiles, currents.len())?;
+            let energy =
+                sensing.fabric_energy(currents, mirrored, tiles, self.col_tiles, delay.total())?;
+            return Ok((delay, energy));
+        };
+        let delay =
+            sensing.shift_add_fabric_delay(tiles, self.col_tiles, currents.len(), planes)?;
+        let energy = sensing.shift_add_fabric_energy(
+            currents,
+            mirrored,
+            tiles,
+            self.col_tiles,
+            planes,
+            cell_bits,
+            delay.total(),
+        )?;
+        Ok((delay, energy))
+    }
+
+    fn driver_share(&self, sensing: &SensingChain, _rows: usize) -> f64 {
+        fabric_wordline_driver_energy(sensing.energy_model().params(), &self.base_tiles)
+    }
+}
+
+/// A physical in-memory backend: a compiled program on a [`TileGrid`], read
+/// through the current-mirror / WTA [`SensingChain`] and priced by `P`.
+///
+/// [`CrossbarBackend`] and [`TiledFabricBackend`] are its two
+/// instantiations. Both program, read, age, recalibrate, scrub and decide
+/// through the same code, so their reads are bit-identical for the same
+/// program; they differ only in their [`ReadPricing`] rule.
 #[derive(Debug, Clone)]
-pub struct CrossbarBackend {
+pub struct FabricBackend<P: ReadPricing> {
     quantized: Arc<QuantizedGnbc>,
-    program: CrossbarProgram,
-    array: CrossbarArray,
+    tiled: TiledProgram,
+    grid: TileGrid,
     sensing: SensingChain,
+    pricing: P,
     programming_mode: ProgrammingMode,
     variation: VariationModel,
     variation_seed: u64,
@@ -531,422 +717,25 @@ pub struct CrossbarBackend {
     fault_schedule: Option<FaultSchedule>,
 }
 
+/// The paper's single-array in-memory backend: the program on one
+/// monolithic array (a one-tile [`TileGrid`]), priced as that array.
+pub type CrossbarBackend = FabricBackend<MonolithicPricing>;
+
+/// The tiled multi-array fabric backend: the program sharded across a
+/// [`TileGrid`] of fixed-size tiles, priced as a fabric.
+pub type TiledFabricBackend = FabricBackend<TiledPricing>;
+
 impl CrossbarBackend {
     /// Compiles the quantized model into a crossbar program and programs a
-    /// (possibly variation-affected) array.
+    /// (possibly variation-affected) monolithic array.
     ///
     /// # Errors
     ///
     /// Propagates compilation and programming errors.
     pub fn new(quantized: Arc<QuantizedGnbc>, config: &EngineConfig) -> Result<Self> {
         let program = compile(&quantized, config.force_prior_column, config.encoding)?;
-        let programmer = level_programmer(config, program.state_count())?;
-        let packed = PackedRead::for_config(config, program.state_count())?;
-        let array = CrossbarArray::with_non_idealities(
-            *program.layout(),
-            programmer,
-            config.non_idealities,
-        )?;
-        let mut backend = Self {
-            quantized,
-            program,
-            array,
-            sensing: SensingChain::febim_calibrated(),
-            programming_mode: config.programming_mode,
-            variation: config.variation,
-            variation_seed: config.variation_seed,
-            packed,
-            fault_schedule: None,
-        };
-        backend.reprogram()?;
-        Ok(backend)
+        Self::with_program(quantized, config, TiledProgram::monolithic(program))
     }
-
-    /// The compiled crossbar program.
-    pub fn program(&self) -> &CrossbarProgram {
-        &self.program
-    }
-
-    /// The programmed crossbar array.
-    pub fn array(&self) -> &CrossbarArray {
-        &self.array
-    }
-
-    /// The sensing chain (mirrors, WTA, delay and energy models).
-    pub fn sensing(&self) -> &SensingChain {
-        &self.sensing
-    }
-
-    /// Replaces the sensing chain (e.g. to study mirror mismatch).
-    pub fn set_sensing(&mut self, sensing: SensingChain) {
-        self.sensing = sensing;
-    }
-
-    /// Resolves one read whose wordline currents are already in the scratch:
-    /// the shared tail of the sequential and grouped inference paths, so
-    /// both decide (and price a single read) identically.
-    fn sense_step(&self, activated: usize, scratch: &mut EvalScratch) -> Result<InferenceStep> {
-        match self
-            .sensing
-            .sense_into(&scratch.currents, activated, &mut scratch.mirrored)
-        {
-            Ok(readout) => Ok(InferenceStep {
-                prediction: readout.winner,
-                delay: readout.delay,
-                energy: readout.energy,
-                tie_broken: false,
-            }),
-            Err(CircuitError::AmbiguousWinner { .. }) => {
-                // Quantized posteriors can tie exactly; physical mismatch
-                // would break the tie, we do it deterministically instead.
-                let winner = argmax(&scratch.currents).expect("at least one wordline");
-                let delay = self.sensing.delay_model().worst_case(
-                    scratch.currents.len(),
-                    activated.max(1),
-                    self.sensing.wta(),
-                    self.sensing.mirror().gain,
-                )?;
-                // `sense_into` leaves the scratch unspecified on error, so
-                // re-mirror the currents before pricing the energy.
-                self.sensing
-                    .mirror()
-                    .copy_all_into(&scratch.currents, &mut scratch.mirrored)?;
-                let energy = self.sensing.energy_model().inference_with_mirrored(
-                    &scratch.currents,
-                    &scratch.mirrored,
-                    activated,
-                    delay.total(),
-                    self.sensing.mirror(),
-                    self.sensing.wta(),
-                )?;
-                Ok(InferenceStep {
-                    prediction: winner,
-                    delay,
-                    energy,
-                    tie_broken: true,
-                })
-            }
-            Err(err) => Err(err.into()),
-        }
-    }
-
-    /// Resolves one packed read whose plane partial sums are already in the
-    /// scratch: merges them on the shift-add bus into `scratch.currents`
-    /// (so [`EvalScratch::wordline_currents`] reports the merged scores as
-    /// currents, exactly like a one-hot read) and prices the packed read.
-    /// Integer packed scores tie far more often than analog sums, so the
-    /// deterministic argmax tie-break is part of the expected path here.
-    fn sense_packed_step(
-        &self,
-        packed: &PackedRead,
-        activated: usize,
-        scratch: &mut EvalScratch,
-    ) -> Result<InferenceStep> {
-        match self.sensing.sense_shift_add_into(
-            &scratch.plane_sums,
-            packed.planes,
-            packed.cell_bits(),
-            packed.lsb_current,
-            packed.floor_current,
-            activated,
-            &mut scratch.currents,
-            &mut scratch.mirrored,
-        ) {
-            Ok(readout) => Ok(InferenceStep {
-                prediction: readout.winner,
-                delay: readout.delay,
-                energy: readout.energy,
-                tie_broken: false,
-            }),
-            Err(CircuitError::AmbiguousWinner { .. }) => {
-                // The merge ran before the WTA, so `scratch.currents` holds
-                // the merged currents; break the tie deterministically and
-                // price the read with the packed helpers.
-                let winner = argmax(&scratch.currents).expect("at least one wordline");
-                let delay = self.sensing.shift_add_delay(
-                    scratch.currents.len(),
-                    activated,
-                    packed.planes,
-                )?;
-                self.sensing
-                    .mirror()
-                    .copy_all_into(&scratch.currents, &mut scratch.mirrored)?;
-                let energy = self.sensing.shift_add_energy(
-                    &scratch.currents,
-                    &scratch.mirrored,
-                    activated,
-                    packed.planes,
-                    packed.cell_bits(),
-                    delay.total(),
-                )?;
-                Ok(InferenceStep {
-                    prediction: winner,
-                    delay,
-                    energy,
-                    tie_broken: true,
-                })
-            }
-            Err(err) => Err(err.into()),
-        }
-    }
-}
-
-impl InferenceBackend for CrossbarBackend {
-    fn info(&self) -> BackendInfo {
-        BackendInfo {
-            kind: BackendKind::Crossbar,
-            name: "crossbar-single-array",
-            events: self.array.layout().rows(),
-            columns: self.array.layout().columns(),
-            tiles: 1,
-        }
-    }
-
-    fn make_scratch(&self) -> EvalScratch {
-        EvalScratch {
-            evidence: Vec::with_capacity(self.quantized.n_features()),
-            activation: Some(Activation::empty(self.array.layout())),
-            currents: Vec::with_capacity(self.array.layout().rows()),
-            mirrored: Vec::with_capacity(self.array.layout().rows()),
-            ..EvalScratch::default()
-        }
-    }
-
-    fn infer_into(&self, sample: &[f64], scratch: &mut EvalScratch) -> Result<InferenceStep> {
-        self.quantized
-            .discretize_sample_into(sample, &mut scratch.evidence)?;
-        if let Some(packed) = &self.packed {
-            let activated;
-            {
-                let EvalScratch {
-                    evidence,
-                    activation,
-                    packed_evidence,
-                    bit_offsets,
-                    plane_sums,
-                    level_scratch,
-                    ..
-                } = scratch;
-                let activation =
-                    activation.get_or_insert_with(|| Activation::empty(self.array.layout()));
-                bit_offsets.clear();
-                packed.fill_observation(
-                    evidence,
-                    self.array.layout().has_prior(),
-                    packed_evidence,
-                    bit_offsets,
-                );
-                activation.set_observation(self.array.layout(), packed_evidence)?;
-                self.array.plane_partial_sums_into(
-                    activation,
-                    bit_offsets,
-                    packed.planes,
-                    &packed.ladder,
-                    level_scratch,
-                    plane_sums,
-                )?;
-                activated = activation.len();
-            }
-            return self.sense_packed_step(packed, activated, scratch);
-        }
-        let activation = scratch
-            .activation
-            .get_or_insert_with(|| Activation::empty(self.array.layout()));
-        activation.set_observation(self.array.layout(), &scratch.evidence)?;
-        self.array
-            .wordline_currents_into(activation, &mut scratch.currents)?;
-        let activated = activation.len();
-        self.sense_step(activated, scratch)
-    }
-
-    fn infer_batch_into(
-        &self,
-        samples: &[Vec<f64>],
-        scratch: &mut EvalScratch,
-        steps: &mut Vec<InferenceStep>,
-    ) -> Result<BatchTelemetry> {
-        steps.clear();
-        if samples.is_empty() {
-            return Ok(BatchTelemetry::empty(true));
-        }
-        if let [sample] = samples {
-            // Singleton fall-through: skip the batch scratch machinery and
-            // price the plain sequential read as a group of one, so batching
-            // is never slower than sequential at `max_batch == 1`.
-            let step = self.infer_into(sample, scratch)?;
-            let share = wordline_driver_energy(
-                self.sensing.energy_model().params(),
-                self.array.layout().rows(),
-            );
-            let mut group = ReadGroup::new();
-            group.add(&step.delay, &step.energy, share)?;
-            steps.push(step);
-            return Ok(BatchTelemetry::from_group(&group));
-        }
-        if let Some(packed) = &self.packed {
-            // Packed grouped read: one batched bit-plane kernel pass, then
-            // per-read shift-add sensing — bit-identical to sequential
-            // packed reads, priced as one amortized group.
-            let layout = self.array.layout();
-            if scratch.batch_activations.len() < samples.len() {
-                let template = Activation::empty(layout);
-                scratch.batch_activations.resize(samples.len(), template);
-            }
-            scratch.bit_offsets.clear();
-            for (index, sample) in samples.iter().enumerate() {
-                self.quantized
-                    .discretize_sample_into(sample, &mut scratch.evidence)?;
-                let EvalScratch {
-                    evidence,
-                    packed_evidence,
-                    bit_offsets,
-                    batch_activations,
-                    ..
-                } = scratch;
-                packed.fill_observation(evidence, layout.has_prior(), packed_evidence, bit_offsets);
-                batch_activations[index].set_observation(layout, packed_evidence)?;
-            }
-            {
-                let EvalScratch {
-                    bit_offsets,
-                    batch_activations,
-                    batch_currents,
-                    level_scratch,
-                    ..
-                } = scratch;
-                self.array.plane_partial_sums_batch_into(
-                    &batch_activations[..samples.len()],
-                    bit_offsets,
-                    packed.planes,
-                    &packed.ladder,
-                    level_scratch,
-                    batch_currents,
-                )?;
-            }
-            let rows = layout.rows();
-            let stride = rows * packed.planes;
-            let share = wordline_driver_energy(self.sensing.energy_model().params(), rows);
-            let mut group = ReadGroup::new();
-            for read in 0..samples.len() {
-                scratch.plane_sums.clear();
-                scratch
-                    .plane_sums
-                    .extend_from_slice(&scratch.batch_currents[read * stride..(read + 1) * stride]);
-                let activated = scratch.batch_activations[read].len();
-                let step = self.sense_packed_step(packed, activated, scratch)?;
-                group.add(&step.delay, &step.energy, share)?;
-                steps.push(step);
-            }
-            return Ok(BatchTelemetry::from_group(&group));
-        }
-        fill_batch_activations(&self.quantized, self.array.layout(), samples, scratch)?;
-        self.array.wordline_currents_batch_into(
-            &scratch.batch_activations[..samples.len()],
-            &mut scratch.batch_currents,
-        )?;
-        let rows = self.array.layout().rows();
-        let share = wordline_driver_energy(self.sensing.energy_model().params(), rows);
-        let mut group = ReadGroup::new();
-        for read in 0..samples.len() {
-            scratch.currents.clear();
-            scratch
-                .currents
-                .extend_from_slice(&scratch.batch_currents[read * rows..(read + 1) * rows]);
-            let activated = scratch.batch_activations[read].len();
-            let step = self.sense_step(activated, scratch)?;
-            group.add(&step.delay, &step.energy, share)?;
-            steps.push(step);
-        }
-        Ok(BatchTelemetry::from_group(&group))
-    }
-
-    fn reprogram(&mut self) -> Result<()> {
-        self.array
-            .program_matrix(self.program.levels(), self.programming_mode)?;
-        if self.variation.sigma_vth > 0.0 {
-            let mut rng = VariationModel::seeded_rng(self.variation_seed);
-            self.array.apply_variation(&self.variation, &mut rng);
-        }
-        Ok(())
-    }
-
-    fn current_map_into(&self, out: &mut Vec<f64>) -> Result<()> {
-        self.array.current_map_into(out);
-        Ok(())
-    }
-
-    fn advance_time(&mut self, ticks: u64) {
-        self.array.advance_time(ticks);
-        if let Some(schedule) = self.fault_schedule.as_mut() {
-            let now = self.array.clock();
-            for event in schedule.take_due(now) {
-                // A schedule drawn for a different geometry can carry
-                // out-of-range coordinates; dropping those events beats
-                // panicking mid-serving.
-                let _ = apply_scheduled_fault(
-                    &mut self.array,
-                    event.row,
-                    event.column,
-                    event.kind,
-                    event.permanent,
-                );
-            }
-        }
-    }
-
-    fn clock(&self) -> u64 {
-        self.array.clock()
-    }
-
-    fn state_epoch(&self) -> u64 {
-        self.array.state_epoch()
-    }
-
-    fn worst_effective_shift(&self) -> f64 {
-        self.array.worst_effective_shift()
-    }
-
-    fn recalibrate(&mut self, max_vth_shift: f64) -> Result<RefreshOutcome> {
-        Ok(self
-            .array
-            .recalibrate(max_vth_shift, self.programming_mode)?)
-    }
-
-    fn scrub(&mut self, max_vth_shift: f64) -> Result<ScrubOutcome> {
-        Ok(self.array.scrub(max_vth_shift, self.programming_mode)?)
-    }
-
-    fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.fault_schedule = Some(schedule);
-    }
-
-    fn pending_faults(&self) -> usize {
-        self.fault_schedule
-            .as_ref()
-            .map_or(0, FaultSchedule::pending)
-    }
-}
-
-/// The tiled multi-array fabric backend: the compiled program sharded across
-/// a [`TileGrid`] of fixed-size tiles, read through the fabric partial-sum
-/// aggregation of the sensing chain.
-#[derive(Debug, Clone)]
-pub struct TiledFabricBackend {
-    quantized: Arc<QuantizedGnbc>,
-    tiled: TiledProgram,
-    grid: TileGrid,
-    sensing: SensingChain,
-    /// Occupied geometry of every tile (grid row-major), with
-    /// `activated_columns` zeroed; cloned into the scratch and filled per
-    /// read.
-    base_tiles: Vec<TileGeometry>,
-    programming_mode: ProgrammingMode,
-    variation: VariationModel,
-    variation_seed: u64,
-    /// Bit-plane read geometry (`None` for one-hot programs).
-    packed: Option<PackedRead>,
-    /// Pending chaos events delivered by [`InferenceBackend::advance_time`].
-    fault_schedule: Option<FaultSchedule>,
 }
 
 impl TiledFabricBackend {
@@ -969,9 +758,11 @@ impl TiledFabricBackend {
         )?;
         Self::with_program(quantized, config, tiled)
     }
+}
 
-    /// Builds the fabric around an **already compiled** tiled program — the
-    /// snapshot-restore path: a program deserialized from bytes is
+impl<P: ReadPricing> FabricBackend<P> {
+    /// Builds the backend around an **already compiled** program and plan —
+    /// the snapshot-restore path: a program deserialized from bytes is
     /// programmed straight onto a fresh grid, no recompilation (and no
     /// training data) required. The caller owns the contract that `tiled`
     /// was compiled from `quantized` under the same encoding as `config`.
@@ -985,42 +776,33 @@ impl TiledFabricBackend {
         tiled: TiledProgram,
     ) -> Result<Self> {
         let programmer = level_programmer(config, tiled.state_count())?;
-        let packed = PackedRead::for_config(config, tiled.state_count())?;
-        let grid = TileGrid::with_non_idealities(*tiled.plan(), programmer, config.non_idealities)?;
-        let plan = tiled.plan();
-        let mut base_tiles = Vec::with_capacity(plan.tile_count());
-        for tile_row in 0..plan.row_tiles() {
-            for tile_col in 0..plan.col_tiles() {
-                let (rows, columns) = plan.tile_dims(tile_row, tile_col)?;
-                base_tiles.push(TileGeometry {
-                    rows,
-                    columns,
-                    activated_columns: 0,
-                });
-            }
-        }
         let mut backend = Self {
+            packed: PackedRead::for_config(config, tiled.state_count())?,
+            pricing: P::for_plan(tiled.plan())?,
+            grid: TileGrid::with_non_idealities(*tiled.plan(), programmer, config.non_idealities)?,
             quantized,
             tiled,
-            grid,
             sensing: SensingChain::febim_calibrated(),
-            base_tiles,
             programming_mode: config.programming_mode,
             variation: config.variation,
             variation_seed: config.variation_seed,
-            packed,
             fault_schedule: None,
         };
         backend.reprogram()?;
         Ok(backend)
     }
 
-    /// The compiled tiled program.
+    /// The compiled crossbar program.
+    pub fn program(&self) -> &CrossbarProgram {
+        self.tiled.program()
+    }
+
+    /// The compiled program together with its tile plan.
     pub fn tiled_program(&self) -> &TiledProgram {
         &self.tiled
     }
 
-    /// The programmed tile grid.
+    /// The programmed grid.
     pub fn grid(&self) -> &TileGrid {
         &self.grid
     }
@@ -1035,139 +817,59 @@ impl TiledFabricBackend {
         self.sensing = sensing;
     }
 
-    /// Fills the caller's tile-geometry buffers with the activated-bitline
-    /// counts of one read: per-tile-column counts first, then one
-    /// [`TileGeometry`] per tile in grid row-major order.
-    fn fill_tile_geometries(
+    /// Decides and prices one read of `activation` whose wordline currents
+    /// are in `currents` — or, for a packed read, whose plane partial sums
+    /// are in `plane_sums` and get merged on the shift-add bus into
+    /// `currents` first, so [`EvalScratch::wordline_currents`] reports the
+    /// merged scores exactly like a one-hot read. The shared tail of the
+    /// sequential and grouped inference paths.
+    fn sense(
         &self,
         activation: &Activation,
+        plane_sums: &[f64],
+        currents: &mut Vec<f64>,
+        mirrored: &mut Vec<f64>,
         tiles: &mut Vec<TileGeometry>,
-        tile_activated: &mut Vec<usize>,
-    ) {
-        let plan = self.tiled.plan();
-        let tile_columns = plan.shape().columns;
-        tile_activated.clear();
-        tile_activated.resize(plan.col_tiles(), 0);
-        for &column in activation.active_columns() {
-            tile_activated[column / tile_columns] += 1;
-        }
-        tiles.clear();
-        tiles.extend_from_slice(&self.base_tiles);
-        for (index, tile) in tiles.iter_mut().enumerate() {
-            tile.activated_columns = tile_activated[index % plan.col_tiles()];
-        }
-    }
-
-    /// Resolves one fabric read whose merged currents and tile geometries
-    /// are already in the scratch: the shared tail of the sequential and
-    /// grouped inference paths.
-    fn sense_fabric_step(&self, scratch: &mut EvalScratch) -> Result<InferenceStep> {
-        let col_tiles = self.tiled.plan().col_tiles();
-        match self.sensing.sense_fabric_into(
-            &scratch.currents,
-            &scratch.tiles,
-            col_tiles,
-            &mut scratch.mirrored,
-        ) {
-            Ok(readout) => Ok(InferenceStep {
-                prediction: readout.winner,
-                delay: readout.delay,
-                energy: readout.energy,
-                tie_broken: false,
-            }),
-            Err(CircuitError::AmbiguousWinner { .. }) => {
-                // Same deterministic tie-break as the monolithic backend: the
-                // merged currents are bit-identical to a single array's, so
-                // the broken tie lands on the same winner.
-                let winner = argmax(&scratch.currents).expect("at least one wordline");
-                let delay =
-                    self.sensing
-                        .fabric_delay(&scratch.tiles, col_tiles, scratch.currents.len())?;
-                self.sensing
-                    .mirror()
-                    .copy_all_into(&scratch.currents, &mut scratch.mirrored)?;
-                let energy = self.sensing.fabric_energy(
-                    &scratch.currents,
-                    &scratch.mirrored,
-                    &scratch.tiles,
-                    col_tiles,
-                    delay.total(),
-                )?;
-                Ok(InferenceStep {
-                    prediction: winner,
-                    delay,
-                    energy,
-                    tie_broken: true,
-                })
-            }
-            Err(err) => Err(err.into()),
-        }
-    }
-
-    /// Resolves one packed fabric read whose plane partial sums and tile
-    /// geometries are already in the scratch: the fabric counterpart of the
-    /// monolithic backend's packed sense step, with the same deterministic
-    /// tie-break over the merged currents.
-    fn sense_packed_fabric_step(
-        &self,
-        packed: &PackedRead,
-        scratch: &mut EvalScratch,
     ) -> Result<InferenceStep> {
-        let col_tiles = self.tiled.plan().col_tiles();
-        match self.sensing.sense_shift_add_fabric_into(
-            &scratch.plane_sums,
-            packed.planes,
-            packed.cell_bits(),
-            packed.lsb_current,
-            packed.floor_current,
-            &scratch.tiles,
-            col_tiles,
-            &mut scratch.currents,
-            &mut scratch.mirrored,
-        ) {
-            Ok(readout) => Ok(InferenceStep {
-                prediction: readout.winner,
-                delay: readout.delay,
-                energy: readout.energy,
-                tie_broken: false,
-            }),
-            Err(CircuitError::AmbiguousWinner { .. }) => {
-                let winner = argmax(&scratch.currents).expect("at least one wordline");
-                let delay = self.sensing.shift_add_fabric_delay(
-                    &scratch.tiles,
-                    col_tiles,
-                    scratch.currents.len(),
-                    packed.planes,
-                )?;
-                self.sensing
-                    .mirror()
-                    .copy_all_into(&scratch.currents, &mut scratch.mirrored)?;
-                let energy = self.sensing.shift_add_fabric_energy(
-                    &scratch.currents,
-                    &scratch.mirrored,
-                    &scratch.tiles,
-                    col_tiles,
-                    packed.planes,
-                    packed.cell_bits(),
-                    delay.total(),
-                )?;
-                Ok(InferenceStep {
-                    prediction: winner,
-                    delay,
-                    energy,
-                    tie_broken: true,
-                })
-            }
-            Err(err) => Err(err.into()),
+        let mut planes = None;
+        if let Some(packed) = &self.packed {
+            merge_plane_sums_into(
+                plane_sums,
+                packed.planes,
+                packed.lsb_current,
+                packed.floor_current,
+                currents,
+            )?;
+            planes = Some((packed.planes, packed.cell_bits()));
         }
+        self.sensing.mirror().copy_all_into(currents, mirrored)?;
+        let (prediction, tie_broken) = match self.sensing.wta().resolve(mirrored) {
+            Ok(decision) => (decision.winner, false),
+            // Quantized posteriors can tie exactly (integer packed scores
+            // far more often than analog sums); physical mismatch would
+            // break the tie, we do it deterministically instead.
+            Err(CircuitError::AmbiguousWinner { .. }) => {
+                (argmax(currents).expect("at least one wordline"), true)
+            }
+            Err(err) => return Err(err.into()),
+        };
+        let (delay, energy) =
+            self.pricing
+                .price(&self.sensing, activation, planes, currents, mirrored, tiles)?;
+        Ok(InferenceStep {
+            prediction,
+            delay,
+            energy,
+            tie_broken,
+        })
     }
 }
 
-impl InferenceBackend for TiledFabricBackend {
+impl<P: ReadPricing> InferenceBackend for FabricBackend<P> {
     fn info(&self) -> BackendInfo {
         BackendInfo {
-            kind: BackendKind::TiledFabric,
-            name: "tiled-fabric",
+            kind: P::KIND,
+            name: P::NAME,
             events: self.grid.layout().rows(),
             columns: self.grid.layout().columns(),
             tiles: self.tiled.plan().tile_count(),
@@ -1175,13 +877,13 @@ impl InferenceBackend for TiledFabricBackend {
     }
 
     fn make_scratch(&self) -> EvalScratch {
+        let rows = self.grid.layout().rows();
         EvalScratch {
             evidence: Vec::with_capacity(self.quantized.n_features()),
             activation: Some(Activation::empty(self.grid.layout())),
-            currents: Vec::with_capacity(self.grid.layout().rows()),
-            mirrored: Vec::with_capacity(self.grid.layout().rows()),
-            tiles: Vec::with_capacity(self.base_tiles.len()),
-            tile_activated: Vec::with_capacity(self.tiled.plan().col_tiles()),
+            currents: Vec::with_capacity(rows),
+            mirrored: Vec::with_capacity(rows),
+            tiles: Vec::with_capacity(self.tiled.plan().tile_count()),
             ..EvalScratch::default()
         }
     }
@@ -1189,29 +891,25 @@ impl InferenceBackend for TiledFabricBackend {
     fn infer_into(&self, sample: &[f64], scratch: &mut EvalScratch) -> Result<InferenceStep> {
         self.quantized
             .discretize_sample_into(sample, &mut scratch.evidence)?;
-        if let Some(packed) = &self.packed {
-            {
-                let EvalScratch {
-                    evidence,
-                    activation,
-                    packed_evidence,
-                    bit_offsets,
-                    plane_sums,
-                    level_scratch,
-                    tiles,
-                    tile_activated,
-                    ..
-                } = scratch;
-                let activation =
-                    activation.get_or_insert_with(|| Activation::empty(self.grid.layout()));
+        let layout = self.grid.layout();
+        let EvalScratch {
+            evidence,
+            activation,
+            currents,
+            mirrored,
+            tiles,
+            packed_evidence,
+            bit_offsets,
+            plane_sums,
+            level_scratch,
+            ..
+        } = scratch;
+        let activation = activation.get_or_insert_with(|| Activation::empty(layout));
+        match &self.packed {
+            Some(packed) => {
                 bit_offsets.clear();
-                packed.fill_observation(
-                    evidence,
-                    self.grid.layout().has_prior(),
-                    packed_evidence,
-                    bit_offsets,
-                );
-                activation.set_observation(self.grid.layout(), packed_evidence)?;
+                packed.fill_observation(evidence, layout.has_prior(), packed_evidence, bit_offsets);
+                activation.set_observation(layout, packed_evidence)?;
                 self.grid.plane_partial_sums_into(
                     activation,
                     bit_offsets,
@@ -1220,26 +918,13 @@ impl InferenceBackend for TiledFabricBackend {
                     level_scratch,
                     plane_sums,
                 )?;
-                self.fill_tile_geometries(activation, tiles, tile_activated);
             }
-            return self.sense_packed_fabric_step(packed, scratch);
+            None => {
+                activation.set_observation(layout, evidence)?;
+                self.grid.wordline_currents_into(activation, currents)?;
+            }
         }
-        {
-            let EvalScratch {
-                evidence,
-                activation,
-                currents,
-                tiles,
-                tile_activated,
-                ..
-            } = scratch;
-            let activation =
-                activation.get_or_insert_with(|| Activation::empty(self.grid.layout()));
-            activation.set_observation(self.grid.layout(), evidence)?;
-            self.grid.wordline_currents_into(activation, currents)?;
-            self.fill_tile_geometries(activation, tiles, tile_activated);
-        }
-        self.sense_fabric_step(scratch)
+        self.sense(activation, plane_sums, currents, mirrored, tiles)
     }
 
     fn infer_batch_into(
@@ -1252,110 +937,86 @@ impl InferenceBackend for TiledFabricBackend {
         if samples.is_empty() {
             return Ok(BatchTelemetry::empty(true));
         }
+        let layout = self.grid.layout();
+        let share = self.pricing.driver_share(&self.sensing, layout.rows());
+        let mut group = ReadGroup::new();
         if let [sample] = samples {
-            // Singleton fall-through: same contract as the monolithic
-            // backend — a group of one read prices exactly like the read
-            // itself, with none of the batch-scratch copies.
+            // Singleton fall-through: skip the batch scratch machinery and
+            // price the plain sequential read as a group of one, so batching
+            // is never slower than sequential at `max_batch == 1`.
             let step = self.infer_into(sample, scratch)?;
-            let share = fabric_wordline_driver_energy(
-                self.sensing.energy_model().params(),
-                &self.base_tiles,
-            );
-            let mut group = ReadGroup::new();
             group.add(&step.delay, &step.energy, share)?;
             steps.push(step);
             return Ok(BatchTelemetry::from_group(&group));
         }
-        if let Some(packed) = &self.packed {
-            // Packed grouped fabric read: same shape as the monolithic
-            // packed batch, with the fabric kernel and fabric pricing.
-            let layout = self.grid.layout();
-            if scratch.batch_activations.len() < samples.len() {
-                let template = Activation::empty(layout);
-                scratch.batch_activations.resize(samples.len(), template);
-            }
-            scratch.bit_offsets.clear();
-            for (index, sample) in samples.iter().enumerate() {
-                self.quantized
-                    .discretize_sample_into(sample, &mut scratch.evidence)?;
-                let EvalScratch {
-                    evidence,
-                    packed_evidence,
-                    bit_offsets,
-                    batch_activations,
-                    ..
-                } = scratch;
-                packed.fill_observation(evidence, layout.has_prior(), packed_evidence, bit_offsets);
-                batch_activations[index].set_observation(layout, packed_evidence)?;
-            }
-            {
-                let EvalScratch {
-                    bit_offsets,
-                    batch_activations,
-                    batch_currents,
-                    level_scratch,
-                    ..
-                } = scratch;
+        if scratch.batch_activations.len() < samples.len() {
+            let template = Activation::empty(layout);
+            scratch.batch_activations.resize(samples.len(), template);
+        }
+        scratch.bit_offsets.clear();
+        for (index, sample) in samples.iter().enumerate() {
+            self.quantized
+                .discretize_sample_into(sample, &mut scratch.evidence)?;
+            let EvalScratch {
+                evidence,
+                packed_evidence,
+                bit_offsets,
+                batch_activations,
+                ..
+            } = scratch;
+            let observation = match &self.packed {
+                Some(packed) => {
+                    packed.fill_observation(
+                        evidence,
+                        layout.has_prior(),
+                        packed_evidence,
+                        bit_offsets,
+                    );
+                    packed_evidence
+                }
+                None => evidence,
+            };
+            batch_activations[index].set_observation(layout, observation)?;
+        }
+        let EvalScratch {
+            batch_activations,
+            batch_currents,
+            bit_offsets,
+            level_scratch,
+            currents,
+            mirrored,
+            tiles,
+            ..
+        } = scratch;
+        let activations = &batch_activations[..samples.len()];
+        // One grouped kernel pass, then per-read sensing — bit-identical to
+        // sequential reads, priced as one amortized group.
+        let stride = match &self.packed {
+            Some(packed) => {
                 self.grid.plane_partial_sums_batch_into(
-                    &batch_activations[..samples.len()],
+                    activations,
                     bit_offsets,
                     packed.planes,
                     &packed.ladder,
                     level_scratch,
                     batch_currents,
                 )?;
+                layout.rows() * packed.planes
             }
-            let rows = layout.rows();
-            let stride = rows * packed.planes;
-            let share = fabric_wordline_driver_energy(
-                self.sensing.energy_model().params(),
-                &self.base_tiles,
-            );
-            let mut group = ReadGroup::new();
-            for read in 0..samples.len() {
-                scratch.plane_sums.clear();
-                scratch
-                    .plane_sums
-                    .extend_from_slice(&scratch.batch_currents[read * stride..(read + 1) * stride]);
-                {
-                    let EvalScratch {
-                        batch_activations,
-                        tiles,
-                        tile_activated,
-                        ..
-                    } = scratch;
-                    self.fill_tile_geometries(&batch_activations[read], tiles, tile_activated);
-                }
-                let step = self.sense_packed_fabric_step(packed, scratch)?;
-                group.add(&step.delay, &step.energy, share)?;
-                steps.push(step);
+            None => {
+                self.grid
+                    .wordline_currents_batch_into(activations, batch_currents)?;
+                layout.rows()
             }
-            return Ok(BatchTelemetry::from_group(&group));
-        }
-        fill_batch_activations(&self.quantized, self.grid.layout(), samples, scratch)?;
-        self.grid.wordline_currents_batch_into(
-            &scratch.batch_activations[..samples.len()],
-            &mut scratch.batch_currents,
-        )?;
-        let rows = self.grid.layout().rows();
-        let share =
-            fabric_wordline_driver_energy(self.sensing.energy_model().params(), &self.base_tiles);
-        let mut group = ReadGroup::new();
-        for read in 0..samples.len() {
-            scratch.currents.clear();
-            scratch
-                .currents
-                .extend_from_slice(&scratch.batch_currents[read * rows..(read + 1) * rows]);
-            {
-                let EvalScratch {
-                    batch_activations,
-                    tiles,
-                    tile_activated,
-                    ..
-                } = scratch;
-                self.fill_tile_geometries(&batch_activations[read], tiles, tile_activated);
+        };
+        // `read` is one read's wordline currents, or its plane partial sums
+        // for a packed program (which `sense` merges into `currents`).
+        for (activation, read) in activations.iter().zip(batch_currents.chunks(stride)) {
+            if self.packed.is_none() {
+                currents.clear();
+                currents.extend_from_slice(read);
             }
-            let step = self.sense_fabric_step(scratch)?;
+            let step = self.sense(activation, read, currents, mirrored, tiles)?;
             group.add(&step.delay, &step.energy, share)?;
             steps.push(step);
         }
@@ -1375,18 +1036,16 @@ impl InferenceBackend for TiledFabricBackend {
     fn program_cost(&self) -> Option<SwapCost> {
         let programmer = self.grid.programmer();
         let mut cost = SwapCost::default();
-        for row in self.tiled.program().levels() {
-            for level in row.iter().flatten() {
-                let state = programmer.state_for_level(*level).ok()?;
-                cost.pulses += u64::from(state.write_config.pulse_count) + 1;
-                cost.energy_j += programmer.write_energy(*level).ok()?;
-            }
+        for level in self.tiled.program().levels().iter().flatten().flatten() {
+            let state = programmer.state_for_level(*level).ok()?;
+            cost.pulses += u64::from(state.write_config.pulse_count) + 1;
+            cost.energy_j += programmer.write_energy(*level).ok()?;
         }
         Some(cost)
     }
 
     fn decommission(&mut self) -> Result<Option<SwapCost>> {
-        let layout = *self.tiled.plan().layout();
+        let layout = *self.grid.layout();
         let outcome = self
             .grid
             .erase_region(0..layout.rows(), 0..layout.columns())?;
@@ -1406,8 +1065,10 @@ impl InferenceBackend for TiledFabricBackend {
         if let Some(schedule) = self.fault_schedule.as_mut() {
             let now = self.grid.clock();
             for event in schedule.take_due(now) {
-                // Same out-of-range tolerance as the monolithic backend.
-                let _ = apply_scheduled_grid_fault(
+                // A schedule drawn for a different geometry can carry
+                // out-of-range coordinates; dropping those events beats
+                // panicking mid-serving.
+                let _ = apply_scheduled_fault(
                     &mut self.grid,
                     event.row,
                     event.column,
@@ -1527,6 +1188,45 @@ mod tests {
         crossbar.current_map_into(&mut flat_array).unwrap();
         fabric.current_map_into(&mut flat_grid).unwrap();
         assert_eq!(flat_array, flat_grid);
+    }
+
+    #[test]
+    fn pricing_belongs_to_the_backend_not_the_plan() {
+        // A fabric whose one tile is exactly the layout holds the same grid
+        // as the paper's array and decides identically, yet still pays the
+        // merge bus and fabric drivers of its pricing rule.
+        let (_, quantized, test) = trained();
+        let config = EngineConfig::febim_default();
+        let crossbar = CrossbarBackend::new(quantized.clone(), &config).unwrap();
+        let layout = *crossbar.grid().layout();
+        let shape = TileShape::new(layout.rows(), layout.columns()).unwrap();
+        let fabric = TiledFabricBackend::new(quantized, &config, shape).unwrap();
+        assert_eq!(
+            fabric.tiled_program().plan(),
+            crossbar.tiled_program().plan()
+        );
+        let mut crossbar_scratch = crossbar.make_scratch();
+        let mut fabric_scratch = fabric.make_scratch();
+        for index in 0..test.n_samples() {
+            let sample = test.sample(index).unwrap();
+            let a = crossbar.infer_into(sample, &mut crossbar_scratch).unwrap();
+            let b = fabric.infer_into(sample, &mut fabric_scratch).unwrap();
+            assert_eq!((a.prediction, a.tie_broken), (b.prediction, b.tie_broken));
+            assert_eq!(
+                crossbar_scratch.wordline_currents(),
+                fabric_scratch.wordline_currents()
+            );
+            assert!(b.delay.total() > a.delay.total());
+            assert!(b.energy.total() > a.energy.total());
+        }
+        // Monolithic pricing reads no tile geometry, on single and grouped
+        // reads alike.
+        let mut steps = Vec::new();
+        crossbar
+            .infer_batch_into(&batch_of(&test), &mut crossbar_scratch, &mut steps)
+            .unwrap();
+        assert!(crossbar_scratch.tiles.is_empty());
+        assert_eq!(fabric_scratch.tiles.len(), 1);
     }
 
     #[test]

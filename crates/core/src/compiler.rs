@@ -131,6 +131,13 @@ pub struct TiledProgram {
 }
 
 impl TiledProgram {
+    /// Places a program on one array of its own size
+    /// ([`TilePlan::monolithic`]).
+    pub(crate) fn monolithic(program: CrossbarProgram) -> Self {
+        let plan = TilePlan::monolithic(*program.layout());
+        Self { program, plan }
+    }
+
     /// The underlying (tile-agnostic) crossbar program.
     pub fn program(&self) -> &CrossbarProgram {
         &self.program

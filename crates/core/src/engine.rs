@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use febim_circuit::{DelayBreakdown, InferenceEnergy, SensingChain, TileGeometry};
 use febim_crossbar::{
-    Activation, CrossbarArray, FaultSchedule, RefreshOutcome, ScrubOutcome, TileGrid, TileShape,
+    Activation, FaultSchedule, RefreshOutcome, ScrubOutcome, TileGrid, TileShape,
 };
 
 use febim_bayes::GaussianNaiveBayes;
@@ -17,8 +17,8 @@ use febim_data::Dataset;
 use febim_quant::QuantizedGnbc;
 
 use crate::backend::{
-    BackendInfo, BatchTelemetry, CrossbarBackend, InferenceBackend, SoftwareBackend,
-    TiledFabricBackend,
+    BackendInfo, BatchTelemetry, CrossbarBackend, FabricBackend, InferenceBackend, ReadPricing,
+    SoftwareBackend, TiledFabricBackend,
 };
 use crate::compiler::{CrossbarProgram, TiledProgram};
 use crate::config::EngineConfig;
@@ -58,8 +58,8 @@ pub struct InferenceStep {
 
 /// Reusable buffers for the batched inference path: discretized evidence,
 /// the activation pattern, the accumulated wordline currents, the mirrored
-/// currents of the sensing chain, and (for the tiled fabric) the per-tile
-/// read geometries. One scratch serves any number of sequential
+/// currents of the sensing chain, and (for fabric pricing) the per-tile read
+/// geometries. One scratch serves any number of sequential
 /// [`FebimEngine::infer_into`] calls without allocating.
 ///
 /// Create with [`FebimEngine::make_scratch`]; a scratch can be reused across
@@ -72,11 +72,8 @@ pub struct EvalScratch {
     pub(crate) currents: Vec<f64>,
     pub(crate) mirrored: Vec<f64>,
     /// Per-tile occupied geometry + activated-bitline count of the current
-    /// read (tiled fabric backend only, grid row-major).
+    /// read (fabric pricing only, grid row-major).
     pub(crate) tiles: Vec<TileGeometry>,
-    /// Activated-bitline count per tile column of the current read (tiled
-    /// fabric backend only).
-    pub(crate) tile_activated: Vec<usize>,
     /// One activation per in-flight read of a batched inference (physical
     /// backends only).
     pub(crate) batch_activations: Vec<Activation>,
@@ -189,40 +186,10 @@ impl FebimEngine<CrossbarBackend> {
         build_engine(Arc::new(model), train_data, config, CrossbarBackend::new)
     }
 
-    /// The compiled crossbar program.
-    pub fn program(&self) -> &CrossbarProgram {
-        self.backend.program()
-    }
-
-    /// The programmed crossbar array.
-    pub fn array(&self) -> &CrossbarArray {
-        self.backend.array()
-    }
-
-    /// The sensing chain (mirrors, WTA, delay and energy models).
-    pub fn sensing(&self) -> &SensingChain {
-        self.backend.sensing()
-    }
-
-    /// Replaces the sensing chain (e.g. to study mirror mismatch).
-    pub fn set_sensing(&mut self, sensing: SensingChain) {
-        self.backend.set_sensing(sensing);
-    }
-
-    /// Read-current map of the programmed crossbar (the data behind the
-    /// Fig. 8(b) state map), in amperes.
-    ///
-    /// This is the allocating convenience wrapper around
-    /// [`FebimEngine::current_map_into`], which reuses an [`EvalScratch`]
-    /// buffer and reads through the conductance cache.
-    pub fn current_map(&self) -> Vec<Vec<f64>> {
-        let mut scratch = EvalScratch::default();
-        let flat = self
-            .current_map_into(&mut scratch)
-            .expect("crossbar backend has a state map");
-        flat.chunks(self.array().layout().columns())
-            .map(<[f64]>::to_vec)
-            .collect()
+    /// The programmed crossbar array: a one-tile [`TileGrid`] (the same as
+    /// [`FebimEngine::grid`]).
+    pub fn array(&self) -> &TileGrid {
+        self.backend.grid()
     }
 }
 
@@ -254,13 +221,20 @@ impl FebimEngine<TiledFabricBackend> {
             TiledFabricBackend::new(quantized, config, shape)
         })
     }
+}
 
-    /// The compiled tiled program (levels + tile plan).
+impl<P: ReadPricing> FebimEngine<FabricBackend<P>> {
+    /// The compiled crossbar program.
+    pub fn program(&self) -> &CrossbarProgram {
+        self.backend.program()
+    }
+
+    /// The compiled program together with its tile plan.
     pub fn tiled_program(&self) -> &TiledProgram {
         self.backend.tiled_program()
     }
 
-    /// The programmed tile grid.
+    /// The programmed grid.
     pub fn grid(&self) -> &TileGrid {
         self.backend.grid()
     }
@@ -275,14 +249,17 @@ impl FebimEngine<TiledFabricBackend> {
         self.backend.set_sensing(sensing);
     }
 
-    /// Read-current map of the programmed fabric in global row-major order,
-    /// in amperes (allocating wrapper around
-    /// [`FebimEngine::current_map_into`]).
+    /// Read-current map of the programmed cells in logical row-major order,
+    /// in amperes (the data behind the Fig. 8(b) state map).
+    ///
+    /// This is the allocating convenience wrapper around
+    /// [`FebimEngine::current_map_into`], which reuses an [`EvalScratch`]
+    /// buffer and reads through the conductance cache.
     pub fn current_map(&self) -> Vec<Vec<f64>> {
         let mut scratch = EvalScratch::default();
         let flat = self
             .current_map_into(&mut scratch)
-            .expect("fabric backend has a state map");
+            .expect("physical backend has a state map");
         flat.chunks(self.grid().layout().columns())
             .map(<[f64]>::to_vec)
             .collect()

@@ -1,9 +1,10 @@
 //! Replica health tracking and online scrub scheduling.
 //!
 //! Self-healing happens in two layers. The crossbar layer detects and
-//! repairs defects (`CrossbarArray::scrub` / `TileGrid::scrub`: BIST-style
-//! signature reads, in-place refresh for transient faults, spare-row
-//! remapping for stuck cells). This module adds the *policy* layer on top:
+//! repairs defects (`TileGrid::scrub`, on a single array and a sharded
+//! fabric alike: BIST-style signature reads, in-place refresh for transient
+//! faults, spare-row remapping for stuck cells). This module adds the
+//! *policy* layer on top:
 //!
 //! * [`ReplicaHealth`] — the three-state machine a serving replica moves
 //!   through: `Healthy` → `Degraded` (defects found, all repaired) →

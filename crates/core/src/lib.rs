@@ -45,8 +45,8 @@ pub mod scheduler;
 pub mod serving;
 
 pub use backend::{
-    BackendInfo, BackendKind, BatchTelemetry, CrossbarBackend, InferenceBackend, SoftwareBackend,
-    SwapCost, TiledFabricBackend,
+    BackendInfo, BackendKind, BatchTelemetry, CrossbarBackend, FabricBackend, InferenceBackend,
+    MonolithicPricing, ReadPricing, SoftwareBackend, SwapCost, TiledFabricBackend, TiledPricing,
 };
 pub use compiler::{compile, compile_tiled, CrossbarProgram, TiledProgram};
 pub use config::EngineConfig;

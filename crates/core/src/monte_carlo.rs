@@ -4,10 +4,10 @@
 //! All sweeps are generic over the engine's [`InferenceBackend`]: the
 //! `*_with_backend` entry points accept a builder closure, so the same
 //! epoch-parallel harness drives the single-array crossbar, the tiled
-//! multi-array fabric (whose per-tile conductance caches are rebuilt
-//! independently inside each epoch worker — tiles parallelize across the
-//! epoch grid) or the exact software reference. The non-suffixed entry
-//! points keep the paper's single-array default.
+//! multi-array fabric (each epoch worker builds and caches its own fabric,
+//! so fabrics parallelize across the epoch grid) or the exact software
+//! reference. The non-suffixed entry points keep the paper's single-array
+//! default.
 
 use serde::{Deserialize, Serialize};
 

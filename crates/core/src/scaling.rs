@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 use febim_circuit::SensingChain;
-use febim_crossbar::{Activation, CrossbarArray, CrossbarLayout, ProgrammingMode};
+use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
 use febim_device::{FeFetParams, LevelProgrammer};
 
 use crate::errors::Result;
@@ -60,7 +60,7 @@ pub fn measure_geometry(
         febim_device::programming::DEFAULT_MIN_READ_CURRENT,
         febim_device::programming::DEFAULT_MAX_READ_CURRENT,
     )?;
-    let mut array = CrossbarArray::new(layout, programmer);
+    let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
     for row in 0..rows {
         for column in 0..columns {
             let level = (row + column) % levels;

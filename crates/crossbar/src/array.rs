@@ -1,36 +1,29 @@
-//! The FeFET crossbar array: programming, variation injection, time-varying
-//! non-idealities and wordline current accumulation.
+//! Cell- and wordline-granular programming and cache bookkeeping.
+//!
+//! The paper's monolithic FeFET crossbar is a [`TileGrid`](crate::TileGrid)
+//! over a one-tile plan ([`TilePlan::monolithic`](crate::TilePlan::monolithic)),
+//! so one implementation programs, reads, ages, recalibrates and scrubs both
+//! the single array and a sharded fabric. This module holds the pieces that
+//! concern cells and wordlines rather than tiles: the programming mode, the
+//! outcome of a recalibration pass and the bookkeeping of the conductance
+//! cache.
 //!
 //! ## Epoch-versioned conductance cache
 //!
 //! Conductances are functions of time and read history once a
-//! [`NonIdealityStack`] is configured: retention drift depends on the array
-//! clock, read disturb on per-wordline read counters, IR-drop on the cell's
-//! position. The array therefore versions its derived state with a
-//! monotonic `state_epoch` — bumped by every write, drift tick and
-//! disturb-tier crossing — and keeps a dirty set describing *which* cells
-//! changed since the cache last matched the epoch. Bringing the cache
-//! current re-evaluates only the dirty cells (plus their rows' off-sums,
-//! re-accumulated in full column order so a partial refresh is bit-identical
-//! to a full rebuild); the dirty set degrades to a full rebuild when the
-//! sparse work would approach the cost of one.
+//! [`NonIdealityStack`](febim_device::NonIdealityStack) is configured:
+//! retention drift depends on the clock, read disturb on per-wordline read
+//! counters, IR-drop on the cell's position. A fabric therefore versions its
+//! derived state with a monotonic `state_epoch` — bumped by every write,
+//! drift tick and disturb-tier crossing — and keeps a dirty set describing
+//! *which* cells and wordlines changed since the cache last matched the
+//! epoch.
+//! Bringing the cache current re-evaluates only the dirty cells (plus their
+//! rows' off-sums, re-accumulated in full column order so a partial refresh
+//! is bit-identical to a full rebuild); the dirty set degrades to a full
+//! rebuild when the sparse work would approach the cost of one.
 
-use std::cell::RefCell;
-
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-use febim_device::{
-    CellContext, DeviceError, LevelProgrammer, NonIdealityStack, ProgrammedState, VariationModel,
-};
-
-use crate::cache::{lane_delta_sum, row_plane_partials, ConductanceCache};
-use crate::cell::Cell;
-use crate::errors::{CrossbarError, Result};
-use crate::fault::{FaultKind, FaultReport, ScrubOutcome};
-use crate::layout::CrossbarLayout;
-use crate::read::{Activation, LevelLadder, ReadCounters};
-use crate::write::WriteScheme;
 
 /// How cells are programmed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -47,7 +40,7 @@ pub enum ProgrammingMode {
 ///
 /// `cells_recomputed` counts device-model evaluations (the expensive part of
 /// a rebuild); the regression tests pin that a single-cell mutation
-/// recomputes a single cell, not the whole array.
+/// recomputes a single cell, not the whole array or tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct RebuildStats {
     /// Times the whole cache was rebuilt from scratch.
@@ -58,9 +51,9 @@ pub struct RebuildStats {
     pub cells_recomputed: u64,
 }
 
-/// Outcome of one recalibration pass over the array (see
-/// [`CrossbarArray::recalibrate`]): how much was checked, refreshed, and
-/// what the refresh cost in pulses and energy.
+/// Outcome of one recalibration pass (see
+/// [`TileGrid::recalibrate`](crate::TileGrid::recalibrate)): how much was
+/// checked, refreshed, and what the refresh cost in pulses and energy.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 #[must_use = "maintenance outcomes carry repair counters and energy costs that must be merged into reports"]
 pub struct RefreshOutcome {
@@ -96,7 +89,7 @@ pub(crate) enum DirtyState {
     Sparse {
         /// Row-major cell indices with stale conductances.
         cells: Vec<usize>,
-        /// Rows whose every cell is stale (disturb-tier crossings).
+        /// Rows whose every cell is stale (disturb-tier crossings, refreshes).
         rows: Vec<usize>,
     },
     /// Everything is stale (or the sparse set overflowed its budget).
@@ -104,1199 +97,76 @@ pub(crate) enum DirtyState {
 }
 
 impl Default for DirtyState {
-    /// A deserialized array arrives without its conductance cache (the cache
-    /// fields are `#[serde(skip)]`), so the bookkeeping starts fully stale.
+    /// A deserialized fabric arrives without its conductance cache (the
+    /// cache fields are `#[serde(skip)]`), so the bookkeeping starts fully
+    /// stale.
     fn default() -> Self {
         DirtyState::All
     }
 }
 
 impl DirtyState {
-    fn sparse_work(cells: &[usize], rows: &[usize], columns: usize) -> usize {
-        cells.len() + rows.len() * columns
-    }
-
-    /// Marks one cell stale, degrading to `All` when the sparse set would
-    /// cost a significant fraction of a full rebuild.
-    pub(crate) fn mark_cell(&mut self, index: usize, total_cells: usize, columns: usize) {
+    /// Marks one cell (`cell = Some(index)`) or one whole row
+    /// (`row = Some(row)`) stale, degrading to `All` when the sparse set
+    /// would cost a significant fraction of a full rebuild.
+    fn mark(
+        &mut self,
+        cell: Option<usize>,
+        row: Option<usize>,
+        total_cells: usize,
+        columns: usize,
+    ) {
         let overflow = match self {
             DirtyState::All => false,
             DirtyState::Clean => {
                 *self = DirtyState::Sparse {
-                    cells: vec![index],
-                    rows: Vec::new(),
+                    cells: cell.into_iter().collect(),
+                    rows: row.into_iter().collect(),
                 };
                 false
             }
             DirtyState::Sparse { cells, rows } => {
-                cells.push(index);
-                Self::sparse_work(cells, rows, columns) * 2 >= total_cells
+                cells.extend(cell);
+                rows.extend(row);
+                (cells.len() + rows.len() * columns) * 2 >= total_cells
             }
         };
         if overflow {
             *self = DirtyState::All;
         }
+    }
+
+    /// Marks one row-major cell index stale.
+    pub(crate) fn mark_cell(&mut self, index: usize, total_cells: usize, columns: usize) {
+        self.mark(Some(index), None, total_cells, columns);
     }
 
     /// Marks one whole row stale (same overflow rule as
     /// [`DirtyState::mark_cell`]).
     pub(crate) fn mark_row(&mut self, row: usize, total_cells: usize, columns: usize) {
-        let overflow = match self {
-            DirtyState::All => false,
-            DirtyState::Clean => {
-                *self = DirtyState::Sparse {
-                    cells: Vec::new(),
-                    rows: vec![row],
-                };
-                false
-            }
-            DirtyState::Sparse { cells, rows } => {
-                rows.push(row);
-                Self::sparse_work(cells, rows, columns) * 2 >= total_cells
-            }
-        };
-        if overflow {
-            *self = DirtyState::All;
-        }
-    }
-}
-
-/// A programmed FeFET crossbar.
-///
-/// Reads go through an epoch-versioned conductance cache: the device I-V
-/// model is evaluated per cell only when that cell's state changed
-/// (programming, variation injection, direct cell access, retention-drift
-/// ticks or read-disturb tier crossings), and every
-/// [`CrossbarArray::wordline_currents`] call is a sparse accumulation over
-/// the activated columns only. The uncached
-/// [`CrossbarArray::wordline_currents_reference`] path re-evaluates the
-/// device model — including the configured [`NonIdealityStack`] — on every
-/// call and serves as the equivalence oracle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CrossbarArray {
-    layout: CrossbarLayout,
-    programmer: LevelProgrammer,
-    write_scheme: WriteScheme,
-    cells: Vec<Cell>,
-    write_energy: f64,
-    /// Composable time-varying non-ideality models.
-    stack: NonIdealityStack,
-    /// Array clock in retention ticks (advanced by
-    /// [`CrossbarArray::advance_time`]).
-    clock: u64,
-    /// Per-wordline read counters (read history is physical state once a
-    /// disturb model is configured). Skipped by serialization.
-    #[serde(skip)]
-    row_reads: ReadCounters,
-    /// Monotonic version of the physical state; bumped by every mutation
-    /// that can change a read current.
-    #[serde(skip)]
-    state_epoch: std::cell::Cell<u64>,
-    /// The state epoch the cache was last brought up to date with.
-    #[serde(skip)]
-    cache_epoch: std::cell::Cell<u64>,
-    /// Which cells changed between `cache_epoch` and `state_epoch`.
-    #[serde(skip)]
-    dirty: RefCell<DirtyState>,
-    /// Cache maintenance counters.
-    #[serde(skip)]
-    stats: std::cell::Cell<RebuildStats>,
-    /// Derived state: `None` means never built. Skipped by serialization and
-    /// ignored by equality.
-    #[serde(skip)]
-    cache: RefCell<Option<ConductanceCache>>,
-}
-
-impl PartialEq for CrossbarArray {
-    fn eq(&self, other: &Self) -> bool {
-        // The conductance cache, dirty set and epochs are derived state; two
-        // arrays are equal when their physical state (cells, clock, read
-        // history, non-ideality configuration, bookkeeping) is.
-        self.layout == other.layout
-            && self.programmer == other.programmer
-            && self.write_scheme == other.write_scheme
-            && self.cells == other.cells
-            && self.write_energy == other.write_energy
-            && self.stack == other.stack
-            && self.clock == other.clock
-            && self.row_reads == other.row_reads
-    }
-}
-
-impl CrossbarArray {
-    /// Creates an erased, ideal (no non-idealities) crossbar with the given
-    /// layout and level programmer.
-    pub fn new(layout: CrossbarLayout, programmer: LevelProgrammer) -> Self {
-        // Build one template cell and clone it, instead of cloning the device
-        // parameter struct once per cell.
-        let template = Cell::new(programmer.params().clone());
-        let cells = vec![template; layout.cells()];
-        Self {
-            layout,
-            programmer,
-            write_scheme: WriteScheme::febim_default(),
-            cells,
-            write_energy: 0.0,
-            stack: NonIdealityStack::ideal(),
-            clock: 0,
-            row_reads: ReadCounters::new(layout.rows()),
-            state_epoch: std::cell::Cell::new(0),
-            cache_epoch: std::cell::Cell::new(0),
-            dirty: RefCell::new(DirtyState::All),
-            stats: std::cell::Cell::new(RebuildStats::default()),
-            cache: RefCell::new(None),
-        }
-    }
-
-    /// Creates an erased crossbar with a configured non-ideality stack.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::Device`] when the stack parameters are
-    /// unphysical (see [`NonIdealityStack::validate`]).
-    pub fn with_non_idealities(
-        layout: CrossbarLayout,
-        programmer: LevelProgrammer,
-        stack: NonIdealityStack,
-    ) -> Result<Self> {
-        stack.validate()?;
-        let mut array = Self::new(layout, programmer);
-        array.stack = stack;
-        Ok(array)
-    }
-
-    /// Replaces the write scheme (half-bias configuration).
-    pub fn set_write_scheme(&mut self, scheme: WriteScheme) {
-        self.write_scheme = scheme;
-    }
-
-    /// Borrow the layout.
-    pub fn layout(&self) -> &CrossbarLayout {
-        &self.layout
-    }
-
-    /// Borrow the level programmer.
-    pub fn programmer(&self) -> &LevelProgrammer {
-        &self.programmer
-    }
-
-    /// Total write energy spent programming the array so far, in joules.
-    pub fn write_energy(&self) -> f64 {
-        self.write_energy
-    }
-
-    /// The configured non-ideality stack.
-    pub fn non_idealities(&self) -> &NonIdealityStack {
-        &self.stack
-    }
-
-    /// Replaces the non-ideality stack; every cached conductance is stale
-    /// afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::Device`] when the stack parameters are
-    /// unphysical.
-    pub fn set_non_idealities(&mut self, stack: NonIdealityStack) -> Result<()> {
-        stack.validate()?;
-        self.stack = stack;
-        self.mark_all();
-        Ok(())
-    }
-
-    /// Current array clock, in retention ticks.
-    pub fn clock(&self) -> u64 {
-        self.clock
-    }
-
-    /// Advances the array clock by `ticks`. With a retention-drift model
-    /// configured this ages every cell, so the whole cache goes stale (one
-    /// epoch bump, one full rebuild on the next read); without one the clock
-    /// still advances but no conductance changes.
-    pub fn advance_time(&mut self, ticks: u64) {
-        if ticks == 0 {
-            return;
-        }
-        self.clock = self.clock.saturating_add(ticks);
-        if self.stack.is_time_varying() {
-            self.mark_all();
-        }
-    }
-
-    /// Monotonic version of the array's physical state. Two equal epochs
-    /// guarantee no read-current-affecting mutation happened in between.
-    pub fn state_epoch(&self) -> u64 {
-        self.state_epoch.get()
-    }
-
-    /// Cache maintenance counters accumulated since construction.
-    pub fn rebuild_stats(&self) -> RebuildStats {
-        self.stats.get()
-    }
-
-    /// Reads accumulated by one wordline since its last refresh (zero unless
-    /// a read-disturb model is configured).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::IndexOutOfBounds`] for a bad row.
-    pub fn row_reads(&self, row: usize) -> Result<u64> {
-        self.check_row(row)?;
-        Ok(self.row_reads.get(row))
-    }
-
-    fn bump_epoch(&self) {
-        self.state_epoch.set(self.state_epoch.get() + 1);
-    }
-
-    fn mark_all(&mut self) {
-        *self.dirty.get_mut() = DirtyState::All;
-        self.bump_epoch();
-    }
-
-    fn mark_cell(&mut self, index: usize) {
-        self.dirty
-            .get_mut()
-            .mark_cell(index, self.layout.cells(), self.layout.columns());
-        self.bump_epoch();
-    }
-
-    /// Registers one read of `row` for the disturb model; a tier crossing
-    /// makes the row's conductances stale.
-    fn note_row_read(&self, row: usize) {
-        if !self.stack.tracks_reads() {
-            return;
-        }
-        let (before, after) = self.row_reads.bump(row);
-        if self.stack.read_tier(before) != self.stack.read_tier(after) {
-            self.dirty
-                .borrow_mut()
-                .mark_row(row, self.layout.cells(), self.layout.columns());
-            self.bump_epoch();
-        }
-    }
-
-    /// The non-ideality evaluation context of one cell.
-    fn cell_context(&self, row: usize, column: usize, cell: &Cell) -> CellContext {
-        CellContext {
-            row,
-            column,
-            rows: self.layout.rows(),
-            columns: self.layout.columns(),
-            age_ticks: self.clock.saturating_sub(cell.programmed_at()),
-            disturb_pulses: cell.disturb_pulses(),
-            row_reads: self.row_reads.get(row),
-        }
-    }
-
-    /// The single per-cell evaluation point: `(on, off)` read currents under
-    /// the configured non-ideality stack. Cache builds, partial refreshes
-    /// and the uncached reference oracles all funnel through this function,
-    /// so cached and reference reads can never diverge. An ideal stack takes
-    /// the unshifted fast path, which is bit-identical to evaluating with a
-    /// zero shift and a unit current factor.
-    fn evaluate_cell(&self, row: usize, column: usize) -> (f64, f64) {
-        let cell = &self.cells[row * self.layout.columns() + column];
-        if self.stack.is_ideal() {
-            return (cell.read_current_on(), cell.read_current_off());
-        }
-        let ctx = self.cell_context(row, column, cell);
-        let shift = self.stack.vth_shift(&ctx);
-        let v_drain = self.programmer.params().v_drain_read;
-        let on = cell.device().read_current_on_shifted(shift);
-        let off = cell.device().read_current_off_shifted(shift);
-        (
-            on * self.stack.current_factor(&ctx, on, v_drain),
-            off * self.stack.current_factor(&ctx, off, v_drain),
-        )
-    }
-
-    /// Brings the conductance cache up to the current state epoch: a sparse
-    /// patch when the dirty set is sparse (recompute the dirty cells, then
-    /// re-accumulate the touched rows' off-sums in full column order — bit
-    /// identical to a full rebuild), a full rebuild otherwise.
-    fn ensure_cache(&self) {
-        if self.cache_epoch.get() == self.state_epoch.get() && self.cache.borrow().is_some() {
-            return;
-        }
-        let columns = self.layout.columns();
-        let mut slot = self.cache.borrow_mut();
-        let mut dirty = self.dirty.borrow_mut();
-        let mut stats = self.stats.get();
-        let patched = match (slot.as_mut(), &mut *dirty) {
-            (Some(cache), DirtyState::Sparse { cells, rows }) => {
-                rows.sort_unstable();
-                rows.dedup();
-                cells.sort_unstable();
-                cells.dedup();
-                let mut recomputed = 0u64;
-                let mut touched_rows = rows.clone();
-                for &row in rows.iter() {
-                    for column in 0..columns {
-                        let (on, off) = self.evaluate_cell(row, column);
-                        cache.refresh_cell(row, column, on, off);
-                        recomputed += 1;
-                    }
-                }
-                for &index in cells.iter() {
-                    let row = index / columns;
-                    if rows.binary_search(&row).is_ok() {
-                        continue; // already refreshed with its whole row
-                    }
-                    let column = index % columns;
-                    let (on, off) = self.evaluate_cell(row, column);
-                    cache.refresh_cell(row, column, on, off);
-                    recomputed += 1;
-                    touched_rows.push(row);
-                }
-                touched_rows.sort_unstable();
-                touched_rows.dedup();
-                for &row in &touched_rows {
-                    cache.recompute_row_off_sum(row);
-                }
-                stats.partial_refreshes += 1;
-                stats.cells_recomputed += recomputed;
-                true
-            }
-            _ => false,
-        };
-        if !patched {
-            *slot = Some(ConductanceCache::build_with(
-                self.layout.rows(),
-                columns,
-                |row, column| self.evaluate_cell(row, column),
-            ));
-            stats.full_rebuilds += 1;
-            stats.cells_recomputed += self.layout.cells() as u64;
-        }
-        self.stats.set(stats);
-        *dirty = DirtyState::Clean;
-        self.cache_epoch.set(self.state_epoch.get());
-    }
-
-    /// Runs `reader` against an up-to-date conductance cache.
-    fn with_cache<T>(&self, reader: impl FnOnce(&ConductanceCache) -> T) -> T {
-        self.ensure_cache();
-        let slot = self.cache.borrow();
-        reader(slot.as_ref().expect("cache ensured"))
-    }
-
-    fn cell_index(&self, row: usize, column: usize) -> Result<usize> {
-        if row >= self.layout.rows() || column >= self.layout.columns() {
-            return Err(CrossbarError::IndexOutOfBounds {
-                row,
-                column,
-                rows: self.layout.rows(),
-                columns: self.layout.columns(),
-            });
-        }
-        Ok(row * self.layout.columns() + column)
-    }
-
-    /// Borrow a cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::IndexOutOfBounds`] for coordinates outside
-    /// the array.
-    pub fn cell(&self, row: usize, column: usize) -> Result<&Cell> {
-        let index = self.cell_index(row, column)?;
-        Ok(&self.cells[index])
-    }
-
-    /// Mutably borrow a cell.
-    ///
-    /// Only the touched cell is marked stale, so the next read recomputes
-    /// one cell (plus its row's off-sum), not the whole array.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::IndexOutOfBounds`] for coordinates outside
-    /// the array.
-    pub fn cell_mut(&mut self, row: usize, column: usize) -> Result<&mut Cell> {
-        let index = self.cell_index(row, column)?;
-        self.mark_cell(index);
-        Ok(&mut self.cells[index])
-    }
-
-    /// Programs one cell to a multi-level state.
-    ///
-    /// With [`ProgrammingMode::PulseTrain`] the other cells of the same column
-    /// absorb half-bias disturb pulses, mirroring the physical write scheme.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::IndexOutOfBounds`] for bad coordinates and
-    /// propagates device errors for unreachable levels.
-    pub fn program_cell(
-        &mut self,
-        row: usize,
-        column: usize,
-        level: usize,
-        mode: ProgrammingMode,
-    ) -> Result<()> {
-        let index = self.cell_index(row, column)?;
-        let state = match mode {
-            ProgrammingMode::Ideal => {
-                let state = if self.cells[index].is_stuck() {
-                    // A stuck stack does not respond to the write; the target
-                    // state is still resolved for bookkeeping and energy.
-                    self.programmer.state_for_level(level)?
-                } else {
-                    self.programmer
-                        .program_ideal(self.cells[index].device_mut(), level)?
-                };
-                self.mark_cell(index);
-                state
-            }
-            ProgrammingMode::PulseTrain => {
-                let state = if self.cells[index].is_stuck() {
-                    // The train is still driven onto the wordline (so the
-                    // column neighbours absorb disturb below), but the stuck
-                    // stack's polarization does not move.
-                    self.programmer.state_for_level(level)?
-                } else {
-                    self.programmer
-                        .program_with_pulses(self.cells[index].device_mut(), level)?
-                };
-                // Unselected rows of the same column see V_w/2 pulses.
-                let scheme = self.write_scheme;
-                let pulses = u64::from(state.write_config.pulse_count) + 1;
-                for other_row in 0..self.layout.rows() {
-                    if other_row == row {
-                        continue;
-                    }
-                    let other_index = self.cell_index(other_row, column)?;
-                    scheme.apply_disturb(&mut self.cells[other_index], pulses);
-                    self.mark_cell(other_index);
-                }
-                self.mark_cell(index);
-                state
-            }
-        };
-        let clock = self.clock;
-        self.cells[index].set_programmed_level(level);
-        self.cells[index].reset_disturb();
-        self.cells[index].set_programmed_at(clock);
-        self.write_energy += self.programmer.write_energy(state.level)?;
-        Ok(())
-    }
-
-    /// Programs the whole array from a level matrix
-    /// (`levels[row][column] = Some(level)` or `None` to leave the cell erased).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::IndexOutOfBounds`] when the matrix shape does
-    /// not match the layout, and propagates programming errors.
-    pub fn program_matrix(
-        &mut self,
-        levels: &[Vec<Option<usize>>],
-        mode: ProgrammingMode,
-    ) -> Result<()> {
-        if levels.len() != self.layout.rows() {
-            return Err(CrossbarError::IndexOutOfBounds {
-                row: levels.len(),
-                column: 0,
-                rows: self.layout.rows(),
-                columns: self.layout.columns(),
-            });
-        }
-        for (row, row_levels) in levels.iter().enumerate() {
-            if row_levels.len() != self.layout.columns() {
-                return Err(CrossbarError::IndexOutOfBounds {
-                    row,
-                    column: row_levels.len(),
-                    rows: self.layout.rows(),
-                    columns: self.layout.columns(),
-                });
-            }
-            for (column, level) in row_levels.iter().enumerate() {
-                if let Some(level) = level {
-                    self.program_cell(row, column, *level, mode)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies threshold-voltage variation to every cell.
-    pub fn apply_variation<R: Rng + ?Sized>(&mut self, variation: &VariationModel, rng: &mut R) {
-        self.mark_all();
-        for cell in &mut self.cells {
-            let offset = variation.sample_offset(rng);
-            cell.device_mut().set_vth_offset(offset);
-        }
-    }
-
-    fn check_activation(&self, activation: &Activation) -> Result<()> {
-        if activation.total_columns() != self.layout.columns() {
-            return Err(CrossbarError::ActivationLengthMismatch {
-                expected: self.layout.columns(),
-                found: activation.total_columns(),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_row(&self, row: usize) -> Result<()> {
-        if row >= self.layout.rows() {
-            return Err(CrossbarError::IndexOutOfBounds {
-                row,
-                column: 0,
-                rows: self.layout.rows(),
-                columns: self.layout.columns(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Accumulated current of one wordline for an activation pattern, in
-    /// amperes: the row's off-state leakage plus the on/off delta of every
-    /// activated column, served from the conductance cache. Counts as one
-    /// read of the wordline for the disturb model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::ActivationLengthMismatch`] when the activation
-    /// was built for a different layout and
-    /// [`CrossbarError::IndexOutOfBounds`] for a bad row.
-    pub fn wordline_current(&self, row: usize, activation: &Activation) -> Result<f64> {
-        self.check_activation(activation)?;
-        self.check_row(row)?;
-        self.note_row_read(row);
-        Ok(self.with_cache(|cache| cache.wordline_current(row, activation)))
-    }
-
-    /// Accumulated currents of every wordline for an activation pattern,
-    /// written into `out` (cleared first). This is the allocation-free read
-    /// used by the batched inference path; it counts as one read of every
-    /// wordline for the disturb model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::ActivationLengthMismatch`] when the activation
-    /// was built for a different layout.
-    pub fn wordline_currents_into(
-        &self,
-        activation: &Activation,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        self.check_activation(activation)?;
-        out.clear();
-        out.reserve(self.layout.rows());
-        for row in 0..self.layout.rows() {
-            self.note_row_read(row);
-        }
-        self.with_cache(|cache| {
-            for row in 0..self.layout.rows() {
-                out.push(cache.wordline_current(row, activation));
-            }
-        });
-        Ok(())
-    }
-
-    /// Accumulated wordline currents for a whole group of activation
-    /// patterns, written into `out` (cleared first) read after read:
-    /// `out[read * rows + row]` is the current of `row` under
-    /// `activations[read]`. Without a read-disturb model the conductance
-    /// cache is borrowed **once** for the whole group; with one, each read
-    /// registers its wordline reads and re-checks the cache first, so a
-    /// mid-batch tier crossing is reflected exactly as it would be by
-    /// sequential [`CrossbarArray::wordline_currents_into`] calls — batched
-    /// and sequential reads stay bit-identical in every configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::ActivationLengthMismatch`] when any
-    /// activation was built for a different layout (before any current is
-    /// written).
-    pub fn wordline_currents_batch_into(
-        &self,
-        activations: &[Activation],
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        for activation in activations {
-            self.check_activation(activation)?;
-        }
-        let rows = self.layout.rows();
-        out.clear();
-        out.reserve(rows * activations.len());
-        if !self.stack.tracks_reads() {
-            self.with_cache(|cache| {
-                for activation in activations {
-                    for row in 0..rows {
-                        out.push(cache.wordline_current(row, activation));
-                    }
-                }
-            });
-            return Ok(());
-        }
-        for activation in activations {
-            for row in 0..rows {
-                self.note_row_read(row);
-            }
-            self.with_cache(|cache| {
-                for row in 0..rows {
-                    out.push(cache.wordline_current(row, activation));
-                }
-            });
-        }
-        Ok(())
-    }
-
-    /// Accumulated currents of every wordline for an activation pattern.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`CrossbarArray::wordline_currents_into`].
-    pub fn wordline_currents(&self, activation: &Activation) -> Result<Vec<f64>> {
-        let mut currents = Vec::with_capacity(self.layout.rows());
-        self.wordline_currents_into(activation, &mut currents)?;
-        Ok(currents)
-    }
-
-    /// Uncached single-wordline read: evaluates the FeFET I-V model — with
-    /// the configured non-ideality stack — for every cell of the row on
-    /// every call, accumulating in the exact same order as the cached sparse
-    /// path: off-state leakage in column order, then the activated deltas in
-    /// the committed 4-lane order (see [`crate::cache`]'s module docs). This
-    /// is the reference oracle for the equivalence property tests; it does
-    /// **not** register wordline reads, so calling it right after a cached
-    /// read observes the same read history and returns bit-identical
-    /// currents.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CrossbarArray::wordline_current`].
-    pub fn wordline_current_reference(&self, row: usize, activation: &Activation) -> Result<f64> {
-        self.check_activation(activation)?;
-        self.check_row(row)?;
-        let columns = self.layout.columns();
-        let mut current = 0.0;
-        let mut deltas = Vec::with_capacity(columns);
-        for column in 0..columns {
-            let (on, off) = self.evaluate_cell(row, column);
-            current += off;
-            deltas.push(on - off);
-        }
-        Ok(current + lane_delta_sum(&deltas, activation.active_columns()))
-    }
-
-    /// Uncached all-wordline read (see
-    /// [`CrossbarArray::wordline_current_reference`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CrossbarArray::wordline_currents`].
-    pub fn wordline_currents_reference(&self, activation: &Activation) -> Result<Vec<f64>> {
-        (0..self.layout.rows())
-            .map(|row| self.wordline_current_reference(row, activation))
-            .collect()
-    }
-
-    /// Validates the per-slot bit offsets of a packed read against the
-    /// activation they annotate.
-    fn check_bit_offsets(activation: &Activation, bit_offsets: &[u8]) -> Result<()> {
-        if bit_offsets.len() != activation.len() {
-            return Err(CrossbarError::ActivationLengthMismatch {
-                expected: activation.len(),
-                found: bit_offsets.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Per-plane partial sums of one packed bit-plane read, written into
-    /// `out` (cleared first) as `out[row * planes + plane]`: each activated
-    /// column's effective on-current is digitized through `ladder` into its
-    /// multi-level state, and plane `q` counts the activated columns whose
-    /// state has bit `bit_offsets[slot] + q` set, in the committed 4-lane
-    /// summation order (see [`crate::cache`]'s module docs).
-    /// `bit_offsets[slot]` annotates `activation.active_columns()[slot]`
-    /// with the bit position of that column's selected digit.
-    ///
-    /// `level_scratch` is the caller's reusable digitizing buffer; the
-    /// partials are exact integers in `f64`, ready for the sensing chain's
-    /// shift-add merge. Counts as one read of every wordline for the
-    /// disturb model, exactly like
-    /// [`CrossbarArray::wordline_currents_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::ActivationLengthMismatch`] when the
-    /// activation was built for a different layout or `bit_offsets` does not
-    /// annotate every activated column.
-    pub fn plane_partial_sums_into(
-        &self,
-        activation: &Activation,
-        bit_offsets: &[u8],
-        planes: usize,
-        ladder: &LevelLadder,
-        level_scratch: &mut Vec<usize>,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        self.check_activation(activation)?;
-        Self::check_bit_offsets(activation, bit_offsets)?;
-        let rows = self.layout.rows();
-        out.clear();
-        out.reserve(rows * planes);
-        for row in 0..rows {
-            self.note_row_read(row);
-        }
-        self.with_cache(|cache| {
-            for row in 0..rows {
-                row_plane_partials(
-                    |column| cache.on_current(row, column),
-                    activation.active_columns(),
-                    bit_offsets,
-                    planes,
-                    ladder,
-                    level_scratch,
-                    out,
-                );
-            }
-        });
-        Ok(())
-    }
-
-    /// Uncached packed read: evaluates the FeFET I-V model — with the
-    /// configured non-ideality stack — for every activated cell on every
-    /// call and digitizes through the same ladder and summation order as
-    /// [`CrossbarArray::plane_partial_sums_into`]. The reference oracle for
-    /// the packed-read equivalence tests; does **not** register wordline
-    /// reads.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CrossbarArray::plane_partial_sums_into`].
-    pub fn plane_partial_sums_reference(
-        &self,
-        activation: &Activation,
-        bit_offsets: &[u8],
-        planes: usize,
-        ladder: &LevelLadder,
-    ) -> Result<Vec<f64>> {
-        self.check_activation(activation)?;
-        Self::check_bit_offsets(activation, bit_offsets)?;
-        let rows = self.layout.rows();
-        let mut out = Vec::with_capacity(rows * planes);
-        let mut level_scratch = Vec::with_capacity(activation.len());
-        for row in 0..rows {
-            row_plane_partials(
-                |column| self.evaluate_cell(row, column).0,
-                activation.active_columns(),
-                bit_offsets,
-                planes,
-                ladder,
-                &mut level_scratch,
-                &mut out,
-            );
-        }
-        Ok(out)
-    }
-
-    /// Packed partial sums for a whole group of reads, written into `out`
-    /// (cleared first) read after read:
-    /// `out[(read * rows + row) * planes + plane]`. `bit_offsets` holds the
-    /// per-read offset slices concatenated in read order. The cache-borrow
-    /// and disturb-registration split mirrors
-    /// [`CrossbarArray::wordline_currents_batch_into`], so batched packed
-    /// reads stay bit-identical to sequential
-    /// [`CrossbarArray::plane_partial_sums_into`] calls in every
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::ActivationLengthMismatch`] when any
-    /// activation was built for a different layout or `bit_offsets` does
-    /// not annotate exactly the activated columns of every read (before any
-    /// partial is written).
-    pub fn plane_partial_sums_batch_into(
-        &self,
-        activations: &[Activation],
-        bit_offsets: &[u8],
-        planes: usize,
-        ladder: &LevelLadder,
-        level_scratch: &mut Vec<usize>,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        let mut total = 0usize;
-        for activation in activations {
-            self.check_activation(activation)?;
-            total += activation.len();
-        }
-        if bit_offsets.len() != total {
-            return Err(CrossbarError::ActivationLengthMismatch {
-                expected: total,
-                found: bit_offsets.len(),
-            });
-        }
-        let rows = self.layout.rows();
-        out.clear();
-        out.reserve(rows * planes * activations.len());
-        if !self.stack.tracks_reads() {
-            self.with_cache(|cache| {
-                let mut cursor = 0usize;
-                for activation in activations {
-                    let offsets = &bit_offsets[cursor..cursor + activation.len()];
-                    cursor += activation.len();
-                    for row in 0..rows {
-                        row_plane_partials(
-                            |column| cache.on_current(row, column),
-                            activation.active_columns(),
-                            offsets,
-                            planes,
-                            ladder,
-                            level_scratch,
-                            out,
-                        );
-                    }
-                }
-            });
-            return Ok(());
-        }
-        let mut cursor = 0usize;
-        for activation in activations {
-            let offsets = &bit_offsets[cursor..cursor + activation.len()];
-            cursor += activation.len();
-            for row in 0..rows {
-                self.note_row_read(row);
-            }
-            self.with_cache(|cache| {
-                for row in 0..rows {
-                    row_plane_partials(
-                        |column| cache.on_current(row, column),
-                        activation.active_columns(),
-                        offsets,
-                        planes,
-                        ladder,
-                        level_scratch,
-                        out,
-                    );
-                }
-            });
-        }
-        Ok(())
-    }
-
-    fn level_state<'a>(
-        programmer: &LevelProgrammer,
-        states: &'a mut Vec<Option<ProgrammedState>>,
-        level: usize,
-    ) -> Result<&'a ProgrammedState> {
-        if level >= states.len() {
-            states.resize(level + 1, None);
-        }
-        if states[level].is_none() {
-            states[level] = Some(programmer.state_for_level(level)?);
-        }
-        Ok(states[level].as_ref().expect("just filled"))
-    }
-
-    /// Effective threshold error of one programmed cell, in volts: the
-    /// stack's time/history-dependent shift plus the polarization deviation
-    /// from the level target expressed through the threshold window.
-    fn effective_shift(
-        &self,
-        row: usize,
-        column: usize,
-        target: &ProgrammedState,
-        window: f64,
-    ) -> f64 {
-        let cell = &self.cells[row * self.layout.columns() + column];
-        let ctx = self.cell_context(row, column, cell);
-        let pol_error =
-            (target.polarization.value() - cell.device().polarization().value()) * window;
-        self.stack.vth_shift(&ctx) + pol_error
-    }
-
-    /// The largest effective threshold error (volts) over all programmed
-    /// cells — the quantity a recalibration scheduler compares against its
-    /// tolerance. Cells already classified as stuck are excluded: their
-    /// error is permanent by definition and belongs to the scrub/repair
-    /// subsystem ([`CrossbarArray::scrub`]), not to drift recalibration.
-    pub fn worst_effective_shift(&self) -> f64 {
-        let window = self.programmer.params().vth_window();
-        let mut states: Vec<Option<ProgrammedState>> = Vec::new();
-        let mut worst = 0.0f64;
-        for row in 0..self.layout.rows() {
-            for column in 0..self.layout.columns() {
-                let index = row * self.layout.columns() + column;
-                if self.cells[index].is_stuck() {
-                    continue;
-                }
-                let Some(level) = self.cells[index].programmed_level() else {
-                    continue;
-                };
-                let target = Self::level_state(&self.programmer, &mut states, level)
-                    .expect("programmed level was validated at program time")
-                    .clone();
-                worst = worst.max(self.effective_shift(row, column, &target, window).abs());
-            }
-        }
-        worst
-    }
-
-    /// One recalibration pass: every programmed cell's effective threshold
-    /// error (drift + disturb + polarization relaxation) is checked against
-    /// `max_vth_shift` (volts), and any wordline holding an out-of-tolerance
-    /// cell is rewritten whole — with minimal Preisach top-up pulse trains
-    /// under [`ProgrammingMode::PulseTrain`] (full erase + retrain only when
-    /// a cell overshot its target), or a direct state install priced at the
-    /// full train under [`ProgrammingMode::Ideal`]. Refreshed rows restart
-    /// their retention age, disturb counters and read counters.
-    ///
-    /// Recalibration writes are modelled disturb-free: a refresh pass is
-    /// assumed to use a sequencing that does not half-bias neighbouring
-    /// rows, so one pass cannot create the drift it is correcting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::Device`] for a non-positive or non-finite
-    /// tolerance, and propagates programming errors.
-    pub fn recalibrate(
-        &mut self,
-        max_vth_shift: f64,
-        mode: ProgrammingMode,
-    ) -> Result<RefreshOutcome> {
-        if !max_vth_shift.is_finite() || max_vth_shift <= 0.0 {
-            return Err(CrossbarError::Device(DeviceError::InvalidParameter {
-                name: "max_vth_shift",
-                reason: "recalibration tolerance must be positive and finite".to_string(),
-            }));
-        }
-        let rows = self.layout.rows();
-        let columns = self.layout.columns();
-        let window = self.programmer.params().vth_window();
-        let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
-        let mut states: Vec<Option<ProgrammedState>> = Vec::new();
-        let mut outcome = RefreshOutcome::default();
-        for row in 0..rows {
-            let mut refresh_row = false;
-            for column in 0..columns {
-                let index = row * columns + column;
-                if self.cells[index].is_stuck() {
-                    continue;
-                }
-                let Some(level) = self.cells[index].programmed_level() else {
-                    continue;
-                };
-                outcome.cells_checked += 1;
-                let target = Self::level_state(&self.programmer, &mut states, level)?.clone();
-                if self.effective_shift(row, column, &target, window).abs() > max_vth_shift {
-                    refresh_row = true;
-                    break;
-                }
-            }
-            if !refresh_row {
-                continue;
-            }
-            outcome.rows_refreshed += 1;
-            let clock = self.clock;
-            for column in 0..columns {
-                let index = row * columns + column;
-                if self.cells[index].is_stuck() {
-                    continue;
-                }
-                let Some(level) = self.cells[index].programmed_level() else {
-                    continue;
-                };
-                let pulses = match mode {
-                    ProgrammingMode::Ideal => {
-                        let target =
-                            Self::level_state(&self.programmer, &mut states, level)?.clone();
-                        self.cells[index]
-                            .device_mut()
-                            .set_polarization(target.polarization);
-                        u64::from(target.write_config.pulse_count) + 1
-                    }
-                    ProgrammingMode::PulseTrain => u64::from(
-                        self.programmer
-                            .refresh_with_pulses(self.cells[index].device_mut(), level)?,
-                    ),
-                };
-                outcome.cells_refreshed += 1;
-                outcome.pulses_applied += pulses;
-                let energy = energy_per_pulse * pulses as f64;
-                outcome.energy_joules += energy;
-                self.write_energy += energy;
-                self.cells[index].set_programmed_at(clock);
-                self.cells[index].reset_disturb();
-            }
-            self.row_reads.reset_row(row);
-            self.dirty
-                .get_mut()
-                .mark_row(row, self.layout.cells(), columns);
-            self.bump_epoch();
-        }
-        Ok(outcome)
-    }
-
-    /// One BIST-style scrub pass: every programmed cell's effective
-    /// threshold error is read back and compared against the program's
-    /// expected signature (the memoized per-level target states — the same
-    /// oracle the epoch-versioned cache is built from). A cell out of
-    /// signature gets one in-place rewrite attempt and is re-read; a cell
-    /// that still misses its target after the rewrite is classified as
-    /// permanently stuck (latching [`Cell::is_stuck`]) and reported through
-    /// a [`FaultReport`] with `repaired == false`.
-    ///
-    /// Unlike [`CrossbarArray::recalibrate`] — which corrects *recoverable*
-    /// drift row-wise and skips known-stuck cells — the scrub is purely
-    /// read-driven: it checks every programmed cell including already-stuck
-    /// ones, so detection never depends on the fault injector having
-    /// annotated the cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::Device`] for a non-positive or non-finite
-    /// tolerance, and propagates programming errors.
-    pub fn scrub(&mut self, max_vth_shift: f64, mode: ProgrammingMode) -> Result<ScrubOutcome> {
-        if !max_vth_shift.is_finite() || max_vth_shift <= 0.0 {
-            return Err(CrossbarError::Device(DeviceError::InvalidParameter {
-                name: "max_vth_shift",
-                reason: "scrub tolerance must be positive and finite".to_string(),
-            }));
-        }
-        let rows = self.layout.rows();
-        let columns = self.layout.columns();
-        let window = self.programmer.params().vth_window();
-        let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
-        let mut states: Vec<Option<ProgrammedState>> = Vec::new();
-        let mut outcome = ScrubOutcome::default();
-        for row in 0..rows {
-            let mut row_touched = false;
-            for column in 0..columns {
-                let index = row * columns + column;
-                let Some(level) = self.cells[index].programmed_level() else {
-                    continue;
-                };
-                outcome.cells_checked += 1;
-                let target = Self::level_state(&self.programmer, &mut states, level)?.clone();
-                if self.effective_shift(row, column, &target, window).abs() <= max_vth_shift {
-                    continue;
-                }
-                // Out of signature: classify the observed state, then try one
-                // in-place rewrite. A stuck stack does not respond, so the
-                // guard in the device mutation is the physics, not the logic.
-                let kind = if self.cells[index].device().polarization().value() >= 0.5 {
-                    FaultKind::StuckProgrammed
-                } else {
-                    FaultKind::StuckErased
-                };
-                if !self.cells[index].is_stuck() {
-                    let clock = self.clock;
-                    let pulses = match mode {
-                        ProgrammingMode::Ideal => {
-                            self.cells[index]
-                                .device_mut()
-                                .set_polarization(target.polarization);
-                            u64::from(target.write_config.pulse_count) + 1
-                        }
-                        ProgrammingMode::PulseTrain => u64::from(
-                            self.programmer
-                                .refresh_with_pulses(self.cells[index].device_mut(), level)?,
-                        ),
-                    };
-                    outcome.pulses_applied += pulses;
-                    let energy = energy_per_pulse * pulses as f64;
-                    outcome.energy_joules += energy;
-                    self.write_energy += energy;
-                    self.cells[index].set_programmed_at(clock);
-                    self.cells[index].reset_disturb();
-                    // A rewrite re-settles the wordline's read history the
-                    // same way a recalibration refresh does.
-                    self.row_reads.reset_row(row);
-                    row_touched = true;
-                }
-                // Re-read after the repair attempt.
-                if self.effective_shift(row, column, &target, window).abs() <= max_vth_shift {
-                    outcome.cells_repaired += 1;
-                    outcome.reports.push(FaultReport {
-                        row,
-                        column,
-                        kind,
-                        repaired: true,
-                    });
-                } else {
-                    outcome.stuck_cells += 1;
-                    self.cells[index].set_stuck(true);
-                    outcome.reports.push(FaultReport {
-                        row,
-                        column,
-                        kind,
-                        repaired: false,
-                    });
-                }
-            }
-            if row_touched {
-                self.dirty
-                    .get_mut()
-                    .mark_row(row, self.layout.cells(), columns);
-                self.bump_epoch();
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// The programmed level of every cell as a matrix (for Fig. 8(b)-style
-    /// state maps).
-    pub fn level_map(&self) -> Vec<Vec<Option<usize>>> {
-        (0..self.layout.rows())
-            .map(|row| {
-                (0..self.layout.columns())
-                    .map(|column| {
-                        self.cell(row, column)
-                            .expect("in-range indices")
-                            .programmed_level()
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// The read current of every cell as a matrix, in amperes (diagnostic
-    /// state map; does not count as wordline reads).
-    pub fn current_map(&self) -> Vec<Vec<f64>> {
-        self.with_cache(|cache| {
-            (0..self.layout.rows())
-                .map(|row| {
-                    (0..self.layout.columns())
-                        .map(|column| cache.on_current(row, column))
-                        .collect()
-                })
-                .collect()
-        })
-    }
-
-    /// The cached read current of every cell, flattened row-major into `out`
-    /// (cleared first) — the allocation-reusing variant of
-    /// [`CrossbarArray::current_map`].
-    pub fn current_map_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.layout.cells());
-        self.with_cache(|cache| {
-            for row in 0..self.layout.rows() {
-                for column in 0..self.layout.columns() {
-                    out.push(cache.on_current(row, column));
-                }
-            }
-        });
+        self.mark(None, Some(row), total_cells, columns);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! The paper's single array is a one-tile grid: these tests pin its
+    //! cell- and row-granular behaviour through [`TilePlan::monolithic`].
+
     use super::*;
+    use crate::{
+        Activation, CrossbarError, CrossbarLayout, FaultKind, FaultReport, LevelLadder, TileGrid,
+        TilePlan,
+    };
     use febim_device::{
-        NonIdealityStack, ReadDisturb, RetentionDrift, VariationModel, WireResistance,
+        LevelProgrammer, NonIdealityStack, ReadDisturb, RetentionDrift, VariationModel,
+        WireResistance,
     };
 
-    fn small_array() -> CrossbarArray {
+    fn small_array() -> TileGrid {
         let layout = CrossbarLayout::new(2, 2, 4, true).unwrap();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
-        CrossbarArray::new(layout, programmer)
+        TileGrid::new(TilePlan::monolithic(layout), programmer)
     }
 
     fn noisy_stack() -> NonIdealityStack {
@@ -1414,9 +284,11 @@ mod tests {
             .program_matrix(&levels, ProgrammingMode::Ideal)
             .unwrap();
         assert_eq!(array.level_map(), levels);
-        let currents = array.current_map();
-        assert!(currents[0][0] > currents[0][1]);
-        assert!(currents[1][8] > currents[1][7]);
+        let mut currents = Vec::new();
+        array.current_map_into(&mut currents);
+        let columns = array.layout().columns();
+        assert!(currents[0] > currents[1]);
+        assert!(currents[columns + 8] > currents[columns + 7]);
     }
 
     #[test]
@@ -1435,8 +307,8 @@ mod tests {
     fn pulse_train_and_ideal_agree_closely() {
         let layout = CrossbarLayout::new(1, 1, 4, false).unwrap();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
-        let mut ideal = CrossbarArray::new(layout, programmer.clone());
-        let mut pulsed = CrossbarArray::new(layout, programmer);
+        let mut ideal = TileGrid::new(TilePlan::monolithic(layout), programmer.clone());
+        let mut pulsed = TileGrid::new(TilePlan::monolithic(layout), programmer);
         ideal.program_cell(0, 0, 6, ProgrammingMode::Ideal).unwrap();
         pulsed
             .program_cell(0, 0, 6, ProgrammingMode::PulseTrain)
@@ -1554,7 +426,8 @@ mod tests {
         let layout = CrossbarLayout::new(1, 1, 4, false).unwrap();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
         let stack = NonIdealityStack::ideal().with_drift(RetentionDrift::new(0.010, 100));
-        let mut array = CrossbarArray::with_non_idealities(layout, programmer, stack).unwrap();
+        let mut array =
+            TileGrid::with_non_idealities(TilePlan::monolithic(layout), programmer, stack).unwrap();
         array.program_cell(0, 0, 9, ProgrammingMode::Ideal).unwrap();
         let activation = Activation::from_columns(array.layout(), &[0]).unwrap();
         let fresh = array.wordline_current(0, &activation).unwrap();
@@ -1573,7 +446,8 @@ mod tests {
         let layout = CrossbarLayout::new(2, 1, 4, false).unwrap();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
         let stack = NonIdealityStack::ideal().with_disturb(ReadDisturb::new(5, 0.005));
-        let mut array = CrossbarArray::with_non_idealities(layout, programmer, stack).unwrap();
+        let mut array =
+            TileGrid::with_non_idealities(TilePlan::monolithic(layout), programmer, stack).unwrap();
         array.program_cell(0, 0, 9, ProgrammingMode::Ideal).unwrap();
         let activation = Activation::from_columns(array.layout(), &[0]).unwrap();
         let first = array.wordline_current(0, &activation).unwrap();
@@ -1597,7 +471,7 @@ mod tests {
         let layout = CrossbarLayout::new(1, 2, 8, false).unwrap();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
         let ideal = {
-            let mut array = CrossbarArray::new(layout, programmer.clone());
+            let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer.clone());
             array
                 .program_cell(0, 15, 9, ProgrammingMode::Ideal)
                 .unwrap();
@@ -1605,7 +479,9 @@ mod tests {
         };
         let resistive = {
             let stack = NonIdealityStack::ideal().with_wire(WireResistance::uniform(200.0));
-            let mut array = CrossbarArray::with_non_idealities(layout, programmer, stack).unwrap();
+            let mut array =
+                TileGrid::with_non_idealities(TilePlan::monolithic(layout), programmer, stack)
+                    .unwrap();
             array
                 .program_cell(0, 15, 9, ProgrammingMode::Ideal)
                 .unwrap();
@@ -1628,7 +504,8 @@ mod tests {
         let layout = CrossbarLayout::new(2, 2, 4, false).unwrap();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
         let stack = NonIdealityStack::ideal().with_disturb(ReadDisturb::new(3, 0.002));
-        let mut batched = CrossbarArray::with_non_idealities(layout, programmer, stack).unwrap();
+        let mut batched =
+            TileGrid::with_non_idealities(TilePlan::monolithic(layout), programmer, stack).unwrap();
         let mut levels = vec![vec![None; layout.columns()]; layout.rows()];
         for (row, row_levels) in levels.iter_mut().enumerate() {
             for (column, level) in row_levels.iter_mut().enumerate() {
@@ -1665,7 +542,8 @@ mod tests {
         let layout = CrossbarLayout::new(2, 1, 4, false).unwrap();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
         let stack = NonIdealityStack::ideal().with_drift(RetentionDrift::new(0.012, 100));
-        let mut array = CrossbarArray::with_non_idealities(layout, programmer, stack).unwrap();
+        let mut array =
+            TileGrid::with_non_idealities(TilePlan::monolithic(layout), programmer, stack).unwrap();
         // Program every cell: recalibration can only restore programmed
         // cells (erased cells have no target level to refresh towards).
         let levels = vec![
@@ -1710,7 +588,7 @@ mod tests {
     fn pulse_train_recalibration_uses_minimal_topups() {
         let layout = CrossbarLayout::new(1, 1, 4, false).unwrap();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
-        let mut array = CrossbarArray::new(layout, programmer);
+        let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
         array
             .program_cell(0, 0, 8, ProgrammingMode::PulseTrain)
             .unwrap();
@@ -1756,7 +634,9 @@ mod tests {
             wordline_ohm_per_cell: f64::NAN,
             bitline_ohm_per_cell: 0.0,
         });
-        assert!(CrossbarArray::with_non_idealities(layout, programmer, bad).is_err());
+        assert!(
+            TileGrid::with_non_idealities(TilePlan::monolithic(layout), programmer, bad).is_err()
+        );
     }
 
     #[test]
@@ -1764,7 +644,8 @@ mod tests {
         let layout = CrossbarLayout::new(3, 2, 4, true).unwrap();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
         let mut array =
-            CrossbarArray::with_non_idealities(layout, programmer, noisy_stack()).unwrap();
+            TileGrid::with_non_idealities(TilePlan::monolithic(layout), programmer, noisy_stack())
+                .unwrap();
         let mut levels = vec![vec![None; layout.columns()]; layout.rows()];
         for (row, row_levels) in levels.iter_mut().enumerate() {
             for (column, level) in row_levels.iter_mut().enumerate() {
@@ -1917,7 +798,7 @@ mod tests {
     /// A 2-row array with 16-level cells, programmed so each column stores a
     /// known packed state, plus the flash-ADC ladder matching the
     /// programmer's current window.
-    fn packed_array(levels: &[Vec<Option<usize>>]) -> (CrossbarArray, LevelLadder) {
+    fn packed_array(levels: &[Vec<Option<usize>>]) -> (TileGrid, LevelLadder) {
         let layout = CrossbarLayout::new(2, 2, 2, false).unwrap();
         let programmer = LevelProgrammer::febim_default(16).unwrap();
         let ladder = LevelLadder::new(
@@ -1926,7 +807,7 @@ mod tests {
             programmer.levels(),
         )
         .unwrap();
-        let mut array = CrossbarArray::new(layout, programmer);
+        let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
         array
             .program_matrix(levels, ProgrammingMode::Ideal)
             .unwrap();
@@ -2026,7 +907,8 @@ mod tests {
         )
         .unwrap();
         let mut array =
-            CrossbarArray::with_non_idealities(layout, programmer, noisy_stack()).unwrap();
+            TileGrid::with_non_idealities(TilePlan::monolithic(layout), programmer, noisy_stack())
+                .unwrap();
         let levels = vec![
             vec![Some(3), Some(12), Some(7), Some(15)],
             vec![Some(8), Some(1), Some(14), Some(5)],
@@ -2074,10 +956,15 @@ mod tests {
                 programmer.levels(),
             )
             .unwrap();
-            let mut batched =
-                CrossbarArray::with_non_idealities(layout, programmer.clone(), stack).unwrap();
+            let mut batched = TileGrid::with_non_idealities(
+                TilePlan::monolithic(layout),
+                programmer.clone(),
+                stack,
+            )
+            .unwrap();
             let mut sequential =
-                CrossbarArray::with_non_idealities(layout, programmer, stack).unwrap();
+                TileGrid::with_non_idealities(TilePlan::monolithic(layout), programmer, stack)
+                    .unwrap();
             let levels = vec![
                 vec![Some(9), Some(2), Some(13), Some(6)],
                 vec![Some(4), Some(11), Some(0), Some(15)],

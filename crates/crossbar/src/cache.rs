@@ -13,8 +13,10 @@
 //! ```
 //!
 //! so one inference is O(rows × activated columns) with no device-model
-//! calls. [`crate::CrossbarArray`] rebuilds the cache lazily after any
-//! mutation (programming, variation injection, direct cell access).
+//! calls. [`crate::TileGrid`] keeps one cache in logical coordinates and
+//! brings it current lazily after any mutation (programming, variation
+//! injection, direct cell access, ageing), re-evaluating only the cells
+//! that changed.
 //!
 //! ## The committed summation order
 //!
@@ -29,9 +31,9 @@
 //!
 //! and finally added onto `row_off_sum`. Floating-point addition is not
 //! associative, so this order **is** the bit-exactness contract: the cached
-//! kernel, the tiled fabric's merged read and the uncached reference oracles
-//! all evaluate it identically, and the crate's property tests pin every
-//! remainder case (0–3 trailing columns).
+//! kernel and the uncached reference oracles evaluate it identically on
+//! every tile plan, and the crate's property tests pin every remainder case
+//! (0–3 trailing columns).
 
 use crate::read::{Activation, LevelLadder};
 
@@ -62,9 +64,8 @@ pub(crate) fn lane_delta_sum(deltas: &[f64], active_columns: &[usize]) -> f64 {
 /// Bit-plane variant of [`lane_delta_sum`]: sums `bit(slot)` for slots
 /// `0..count` in the committed 4-lane striping and
 /// `((lane0 + lane1) + (lane2 + lane3)) + tail` combine. The closure lets
-/// the monolithic array and the tiled fabric plug in their own per-slot
-/// bit extraction (cache-backed or uncached-oracle) while guaranteeing the
-/// identical summation structure — the same contract [`lane_delta_sum`]
+/// the cached kernel and the uncached oracle plug in their own per-slot
+/// bit extraction while guaranteeing the identical summation structure — the same contract [`lane_delta_sum`]
 /// pins for analog reads. The summands are exact 0.0/1.0 values, so the
 /// partial sums are exact integers in `f64`.
 #[inline]
@@ -94,9 +95,9 @@ pub(crate) fn lane_bit_sum(count: usize, mut bit: impl FnMut(usize) -> f64) -> f
 /// keeps the per-plane loops free of ladder arithmetic); plane `q` then
 /// counts, in the committed 4-lane order, the activated columns whose
 /// effective level has bit `bit_offsets[slot] + q` set. Both the cached
-/// kernels and the uncached reference oracles — monolithic and tiled —
-/// funnel through this one function with their own `on_current` accessor,
-/// so packed partial sums can never diverge between them.
+/// kernel and the uncached reference oracle funnel through this one
+/// function with their own `on_current` accessor, so packed partial sums
+/// can never diverge between them.
 pub(crate) fn row_plane_partials(
     mut on_current: impl FnMut(usize) -> f64,
     active_columns: &[usize],
@@ -137,10 +138,10 @@ impl ConductanceCache {
     /// Builds a cache from an arbitrary per-cell evaluation point
     /// `(row, column) -> (on, off)`, visiting cells in row-major order.
     ///
-    /// This is the entry point the non-ideality-aware owners use: the same
-    /// closure that builds the cache also drives the uncached reference
-    /// oracles and the partial-refresh path, so all three see identical
-    /// per-cell currents bit for bit.
+    /// This is the entry point the non-ideality-aware owner uses: the same
+    /// evaluation point that builds the cache also drives the uncached
+    /// reference oracles and the partial-refresh path, so all three see
+    /// identical per-cell currents bit for bit.
     pub(crate) fn build_with(
         rows: usize,
         columns: usize,
@@ -178,7 +179,7 @@ impl ConductanceCache {
 
     /// Overwrites the snapshot of one cell with freshly evaluated currents.
     ///
-    /// The owning array must call
+    /// The owning fabric must call
     /// [`ConductanceCache::recompute_row_off_sum`] for the touched row
     /// afterwards; until then the row's off-sum is stale.
     pub(crate) fn refresh_cell(&mut self, row: usize, column: usize, on: f64, off: f64) {
@@ -206,6 +207,16 @@ impl ConductanceCache {
         self.on[row * self.columns + column]
     }
 
+    /// Cached `V_on` read currents of every cell, row-major.
+    pub(crate) fn on_currents(&self) -> &[f64] {
+        &self.on
+    }
+
+    /// Cached `V_off` (inhibited) read current of one cell.
+    pub(crate) fn off_current(&self, row: usize, column: usize) -> f64 {
+        self.off[row * self.columns + column]
+    }
+
     /// On/off current delta of one cell (the contribution an activated
     /// column adds on top of the row's off-state leakage).
     pub(crate) fn delta(&self, row: usize, column: usize) -> f64 {
@@ -217,22 +228,6 @@ impl ConductanceCache {
     pub(crate) fn row_deltas(&self, row: usize) -> &[f64] {
         let base = row * self.columns;
         &self.delta[base..base + self.columns]
-    }
-
-    /// Accumulated off-state leakage of one row (summed in column order).
-    pub(crate) fn row_off_sum(&self, row: usize) -> f64 {
-        self.row_off_sums[row]
-    }
-
-    /// Adds the row's off currents into `accumulator`, cell by cell in
-    /// column order. The tiled fabric uses this to build fabric-level row
-    /// off-sums whose floating-point accumulation order is identical to a
-    /// monolithic array's, so merged reads stay bit-exact.
-    pub(crate) fn accumulate_row_off(&self, row: usize, accumulator: &mut f64) {
-        let base = row * self.columns;
-        for column in 0..self.columns {
-            *accumulator += self.off[base + column];
-        }
     }
 
     /// Accumulated current of one wordline: the row's full off-state leakage

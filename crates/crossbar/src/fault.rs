@@ -8,29 +8,27 @@
 //!
 //! Two injection surfaces exist:
 //!
-//! * **Program-time** — [`FaultModel::inject`] / [`FaultModel::inject_grid`]
-//!   defect the array once, right after programming (the PR 4 surface; its
-//!   RNG draw order is frozen).
+//! * **Program-time** — [`FaultModel::inject`] defects a fabric once, right
+//!   after programming (its RNG draw order is frozen).
 //! * **Time-indexed** — [`FaultModel::draw_schedule`] produces a seeded
 //!   [`FaultSchedule`] of faults stamped with the array-clock tick at which
 //!   they strike, so a serving pool can be chaos-tested with defects landing
 //!   *mid-traffic*. Scheduled faults may be **transient** (the polarization
 //!   is corrupted but the cell still accepts write pulses — a refresh heals
-//!   it) or **permanent** (the cell is [`Cell::is_stuck`] afterwards and
+//!   it) or **permanent** (the cell is
+//!   [`Cell::is_stuck`](crate::Cell::is_stuck) afterwards and
 //!   only spare-row remapping can route around it).
 //!
-//! Detection and repair live next door: [`CrossbarArray::scrub`] and
-//! [`TileGrid::scrub`](crate::TileGrid::scrub) classify defective cells
-//! against the program's expected conductance pattern and report the
-//! unrepairable ones as typed [`FaultReport`]s inside a [`ScrubOutcome`].
+//! Detection and repair live next door: [`TileGrid::scrub`] classifies
+//! defective cells against the program's expected conductance pattern and
+//! reports the unrepairable ones as typed [`FaultReport`]s inside a
+//! [`ScrubOutcome`].
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use febim_device::Polarization;
 
-use crate::array::CrossbarArray;
-use crate::cell::Cell;
 use crate::errors::{CrossbarError, Result};
 use crate::tiling::TileGrid;
 
@@ -97,47 +95,19 @@ impl FaultModel {
         }
     }
 
-    /// Injects faults into every cell of the array independently with the
+    /// Injects faults into every cell of a fabric independently with the
     /// configured probability and returns the list of injected defects.
+    /// Cells are drawn in **logical row-major order**, whatever the tile
+    /// plan, so a shared seed defects exactly the same logical coordinates
+    /// on a single array and on any sharded fabric.
     pub fn inject<R: Rng + ?Sized>(
-        &self,
-        array: &mut CrossbarArray,
-        rng: &mut R,
-    ) -> Result<Vec<InjectedFault>> {
-        let rows = array.layout().rows();
-        let columns = array.layout().columns();
-        self.draw_faults(rows, columns, rng, |row, column, kind| {
-            apply_fault(array, row, column, kind)
-        })
-    }
-
-    /// Injects faults into every occupied cell of a tiled fabric, drawing in
-    /// **global row-major order** — the same RNG consumption order as
-    /// [`FaultModel::inject`] on a monolithic array, so a shared seed defects
-    /// exactly the same global coordinates on both deployments.
-    pub fn inject_grid<R: Rng + ?Sized>(
         &self,
         grid: &mut TileGrid,
         rng: &mut R,
     ) -> Result<Vec<InjectedFault>> {
-        let rows = grid.layout().rows();
-        let columns = grid.layout().columns();
-        self.draw_faults(rows, columns, rng, |row, column, kind| {
-            apply_grid_fault(grid, row, column, kind)
-        })
-    }
-
-    /// Shared row-major fault-drawing loop of the two deployments.
-    fn draw_faults<R: Rng + ?Sized>(
-        &self,
-        rows: usize,
-        columns: usize,
-        rng: &mut R,
-        mut apply: impl FnMut(usize, usize, FaultKind) -> Result<()>,
-    ) -> Result<Vec<InjectedFault>> {
         let mut faults = Vec::new();
-        for row in 0..rows {
-            for column in 0..columns {
+        for row in 0..grid.layout().rows() {
+            for column in 0..grid.layout().columns() {
                 if self.cell_fault_rate == 0.0 || rng.gen::<f64>() >= self.cell_fault_rate {
                     continue;
                 }
@@ -146,7 +116,7 @@ impl FaultModel {
                 } else {
                     FaultKind::StuckProgrammed
                 };
-                apply(row, column, kind)?;
+                apply_fault(grid, row, column, kind)?;
                 faults.push(InjectedFault { row, column, kind });
             }
         }
@@ -231,8 +201,8 @@ impl FaultModel {
     /// `permanent_fraction`.
     ///
     /// This is a **new** RNG consumption order — the frozen program-time
-    /// order of [`FaultModel::inject`] / [`FaultModel::inject_grid`] is
-    /// untouched, so old call sites keep drawing byte-identical faults.
+    /// order of [`FaultModel::inject`] is untouched, so old call sites keep
+    /// drawing byte-identical faults.
     ///
     /// # Errors
     ///
@@ -349,74 +319,27 @@ impl ScrubOutcome {
     }
 }
 
-/// Applies a single hard fault to one cell.
-///
-/// # Errors
-///
-/// Returns [`CrossbarError::IndexOutOfBounds`] for coordinates outside the
-/// array.
-pub fn apply_fault(
-    array: &mut CrossbarArray,
-    row: usize,
-    column: usize,
-    kind: FaultKind,
-) -> Result<()> {
-    fault_cell(array.cell_mut(row, column)?, kind);
-    Ok(())
-}
-
-/// Applies a single hard fault to one cell of a tiled fabric, addressed by
-/// its **global** coordinates (the defect lands in whichever tile owns the
-/// cell). The defective device state is identical to [`apply_fault`] on a
-/// monolithic array, so a fabric with the same faulty global cells degrades
-/// identically.
+/// Applies a single hard fault to one cell, addressed by its logical
+/// coordinates (the defect lands in whichever tile owns the cell).
 ///
 /// # Errors
 ///
 /// Returns [`CrossbarError::IndexOutOfBounds`] for coordinates outside the
 /// fabric's logical layout.
-pub fn apply_grid_fault(
-    grid: &mut TileGrid,
-    row: usize,
-    column: usize,
-    kind: FaultKind,
-) -> Result<()> {
-    fault_cell(grid.cell_mut(row, column)?, kind);
-    Ok(())
+pub fn apply_fault(grid: &mut TileGrid, row: usize, column: usize, kind: FaultKind) -> Result<()> {
+    apply_scheduled_fault(grid, row, column, kind, false)
 }
 
-/// Applies one [`ScheduledFault`] (minus its timestamp) to a monolithic
-/// array: the transient device corruption of [`apply_fault`], plus the
-/// permanent [`Cell::is_stuck`] latch when the fault is permanent.
+/// Applies one [`ScheduledFault`] (minus its timestamp): the transient
+/// device corruption of [`apply_fault`], plus the permanent
+/// [`Cell::is_stuck`](crate::Cell::is_stuck) latch when the fault is
+/// permanent.
 ///
 /// # Errors
 ///
 /// Returns [`CrossbarError::IndexOutOfBounds`] for coordinates outside the
-/// array.
+/// fabric's logical layout.
 pub fn apply_scheduled_fault(
-    array: &mut CrossbarArray,
-    row: usize,
-    column: usize,
-    kind: FaultKind,
-    permanent: bool,
-) -> Result<()> {
-    let cell = array.cell_mut(row, column)?;
-    fault_cell(cell, kind);
-    if permanent {
-        cell.set_stuck(true);
-    }
-    Ok(())
-}
-
-/// Applies one [`ScheduledFault`] (minus its timestamp) to a tiled fabric,
-/// addressed by global coordinates — the grid analogue of
-/// [`apply_scheduled_fault`].
-///
-/// # Errors
-///
-/// Returns [`CrossbarError::IndexOutOfBounds`] for coordinates outside the
-/// fabric's logical layout.
-pub fn apply_scheduled_grid_fault(
     grid: &mut TileGrid,
     row: usize,
     column: usize,
@@ -424,21 +347,16 @@ pub fn apply_scheduled_grid_fault(
     permanent: bool,
 ) -> Result<()> {
     let cell = grid.cell_mut(row, column)?;
-    fault_cell(cell, kind);
-    if permanent {
-        cell.set_stuck(true);
-    }
-    Ok(())
-}
-
-/// The defective device state shared by both deployments.
-fn fault_cell(cell: &mut Cell, kind: FaultKind) {
     let polarization = match kind {
         FaultKind::StuckErased => Polarization::ERASED,
         FaultKind::StuckProgrammed => Polarization::SATURATED,
     };
     cell.device_mut().set_polarization(polarization);
     cell.device_mut().set_vth_offset(0.0);
+    if permanent {
+        cell.set_stuck(true);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -447,12 +365,14 @@ mod tests {
     use crate::array::ProgrammingMode;
     use crate::layout::CrossbarLayout;
     use crate::read::Activation;
+    use crate::tiling::{TilePlan, TileShape};
     use febim_device::{LevelProgrammer, VariationModel};
 
-    fn programmed_array() -> CrossbarArray {
+    /// A programmed monolithic array (a one-tile grid).
+    fn programmed_array() -> TileGrid {
         let layout = CrossbarLayout::new(2, 4, 4, false).unwrap();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
-        let mut array = CrossbarArray::new(layout, programmer);
+        let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
         for row in 0..2 {
             for column in 0..16 {
                 array
@@ -474,11 +394,13 @@ mod tests {
     #[test]
     fn zero_rate_injects_nothing() {
         let mut array = programmed_array();
-        let before = array.current_map();
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        array.current_map_into(&mut before);
         let mut rng = VariationModel::seeded_rng(1);
         let faults = FaultModel::none().inject(&mut array, &mut rng).unwrap();
         assert!(faults.is_empty());
-        assert_eq!(array.current_map(), before);
+        array.current_map_into(&mut after);
+        assert_eq!(after, before);
     }
 
     #[test]
@@ -523,12 +445,11 @@ mod tests {
 
     #[test]
     fn grid_injection_matches_monolithic_injection_per_seed() {
-        use crate::tiling::{TilePlan, TileShape};
         let layout = CrossbarLayout::new(3, 4, 4, false).unwrap();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
         let plan = TilePlan::new(layout, TileShape::new(2, 9).unwrap()).unwrap();
-        let mut array = CrossbarArray::new(layout, programmer.clone());
-        let mut grid = crate::tiling::TileGrid::new(plan, programmer);
+        let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer.clone());
+        let mut grid = TileGrid::new(plan, programmer);
         let levels: Vec<Vec<Option<usize>>> = (0..layout.rows())
             .map(|row| {
                 (0..layout.columns())
@@ -546,7 +467,7 @@ mod tests {
             .inject(&mut array, &mut VariationModel::seeded_rng(9))
             .unwrap();
         let grid_faults = model
-            .inject_grid(&mut grid, &mut VariationModel::seeded_rng(9))
+            .inject(&mut grid, &mut VariationModel::seeded_rng(9))
             .unwrap();
         // Same seed, same row-major draw order → same defects, and the two
         // faulty deployments read identically everywhere.
@@ -557,7 +478,7 @@ mod tests {
             array.wordline_currents(&activation).unwrap(),
             grid.wordline_currents(&activation).unwrap()
         );
-        assert!(apply_grid_fault(&mut grid, 9, 0, FaultKind::StuckErased).is_err());
+        assert!(apply_fault(&mut grid, 9, 0, FaultKind::StuckErased).is_err());
     }
 
     #[test]

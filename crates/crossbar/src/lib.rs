@@ -4,19 +4,21 @@
 //! multi-level FeFET per cell, wordlines accumulating the drain currents of
 //! the activated cells, a half-bias write scheme with disturb tracking, and
 //! activation patterns that select the prior column plus one likelihood
-//! column per evidence node.
+//! column per evidence node. One type, [`TileGrid`], models both the
+//! paper's single array (over [`TilePlan::monolithic`]) and a model sharded
+//! across fixed-size tiles.
 //!
 //! # Example
 //!
 //! ```
-//! use febim_crossbar::{Activation, CrossbarArray, CrossbarLayout, ProgrammingMode};
+//! use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
 //! use febim_device::LevelProgrammer;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // 2 events, 1 evidence node with 4 levels, no prior column.
+//! // 2 events, 1 evidence node with 4 levels, no prior column, on one array.
 //! let layout = CrossbarLayout::new(2, 1, 4, false)?;
 //! let programmer = LevelProgrammer::febim_default(10)?;
-//! let mut array = CrossbarArray::new(layout, programmer);
+//! let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
 //! array.program_cell(0, 2, 9, ProgrammingMode::Ideal)?;
 //! array.program_cell(1, 2, 3, ProgrammingMode::Ideal)?;
 //!
@@ -51,19 +53,19 @@ pub mod read;
 pub mod tiling;
 pub mod write;
 
-pub use array::{CrossbarArray, ProgrammingMode, RebuildStats, RefreshOutcome};
+pub use array::{ProgrammingMode, RebuildStats, RefreshOutcome};
 pub use cell::Cell;
 pub use errors::{CrossbarError, Result};
 pub use fault::{
-    apply_fault, apply_grid_fault, apply_scheduled_fault, apply_scheduled_grid_fault, FaultKind,
-    FaultModel, FaultReport, FaultSchedule, InjectedFault, ScheduledFault, ScrubOutcome,
+    apply_fault, apply_scheduled_fault, FaultKind, FaultModel, FaultReport, FaultSchedule,
+    InjectedFault, ScheduledFault, ScrubOutcome,
 };
 pub use layout::{ColumnRole, CrossbarLayout};
 pub use read::{Activation, LevelLadder};
-pub use tiling::{GridRebuildStats, RegionWriteOutcome, TileGrid, TilePlan, TileShape};
+pub use tiling::{RegionWriteOutcome, TileGrid, TilePlan, TileShape};
 pub use write::WriteScheme;
 
-// Re-exported so downstream crates can configure arrays without a direct
+// Re-exported so downstream crates can configure fabrics without a direct
 // `febim-device` dependency on the non-ideality types.
 pub use febim_device::{NonIdealityStack, ReadDisturb, RetentionDrift, WireResistance};
 
@@ -76,7 +78,7 @@ mod proptests {
 
     /// Programs a random level matrix (with random erased holes) drawn from
     /// the given RNG.
-    fn program_random<R: Rng>(array: &mut CrossbarArray, rng: &mut R) {
+    fn program_random<R: Rng>(array: &mut TileGrid, rng: &mut R) {
         let rows = array.layout().rows();
         let columns = array.layout().columns();
         let levels: Vec<Vec<Option<usize>>> = (0..rows)
@@ -102,7 +104,7 @@ mod proptests {
     /// pattern, and for every activation prefix length up to nine columns —
     /// the latter walks the 4-lane kernel through every `chunks_exact(4)`
     /// remainder case (0–3 trailing columns) on both full and partial lanes.
-    fn assert_reads_match<R: Rng>(array: &CrossbarArray, rng: &mut R) {
+    fn assert_reads_match<R: Rng>(array: &TileGrid, rng: &mut R) {
         let nodes = array.layout().evidence_nodes();
         let levels = array.layout().evidence_levels();
         let evidence: Vec<usize> = (0..nodes)
@@ -163,8 +165,8 @@ mod proptests {
         fn higher_levels_give_higher_currents(level_low in 0usize..9) {
             let layout = CrossbarLayout::new(1, 1, 2, false).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
-            let mut low = CrossbarArray::new(layout, programmer.clone());
-            let mut high = CrossbarArray::new(layout, programmer);
+            let mut low = TileGrid::new(TilePlan::monolithic(layout), programmer.clone());
+            let mut high = TileGrid::new(TilePlan::monolithic(layout), programmer);
             low.program_cell(0, 0, level_low, ProgrammingMode::Ideal).unwrap();
             high.program_cell(0, 0, level_low + 1, ProgrammingMode::Ideal).unwrap();
             let activation = Activation::from_columns(low.layout(), &[0]).unwrap();
@@ -182,7 +184,7 @@ mod proptests {
             let nodes = levels.len();
             let layout = CrossbarLayout::new(1, nodes, 1, false).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
-            let mut array = CrossbarArray::new(layout, programmer);
+            let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
             let mut expected = 0.0;
             for (column, &level) in levels.iter().enumerate() {
                 array.program_cell(0, column, level, ProgrammingMode::Ideal).unwrap();
@@ -208,7 +210,7 @@ mod proptests {
         ) {
             let layout = CrossbarLayout::new(events, nodes, levels_per_node, has_prior).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
-            let mut array = CrossbarArray::new(layout, programmer);
+            let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
             let mut rng = VariationModel::seeded_rng(program_seed);
 
             // Freshly programmed array.
@@ -252,7 +254,7 @@ mod proptests {
         ) {
             let layout = CrossbarLayout::new(events, nodes, levels_per_node, has_prior).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
-            let mut array = CrossbarArray::new(layout, programmer);
+            let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
             let mut rng = VariationModel::seeded_rng(program_seed);
             program_random(&mut array, &mut rng);
             let variation = VariationModel::from_millivolts(sigma_mv);
@@ -316,7 +318,7 @@ mod proptests {
             let plan = TilePlan::new(layout, shape).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
             let mut grid = TileGrid::new(plan, programmer.clone());
-            let mut array = CrossbarArray::new(layout, programmer);
+            let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
 
             // Identical random program on both fabrics.
             let mut rng = VariationModel::seeded_rng(program_seed);
@@ -401,8 +403,12 @@ mod proptests {
                 .with_drift(RetentionDrift::new(drift_millivolts * 1e-3, 50))
                 .with_disturb(ReadDisturb::new(reads_per_tier, disturb_millivolts * 1e-3));
             let programmer = LevelProgrammer::febim_default(10).unwrap();
-            let mut array =
-                CrossbarArray::with_non_idealities(layout, programmer.clone(), stack).unwrap();
+            let mut array = TileGrid::with_non_idealities(
+                TilePlan::monolithic(layout),
+                programmer.clone(),
+                stack,
+            )
+            .unwrap();
             let plan =
                 TilePlan::new(layout, TileShape::new(tile_rows, tile_columns).unwrap()).unwrap();
             let mut grid = TileGrid::with_non_idealities(plan, programmer, stack).unwrap();
@@ -520,7 +526,7 @@ mod proptests {
                 } else {
                     FaultKind::StuckProgrammed
                 };
-                apply_scheduled_grid_fault(&mut grid, row, column, kind, true).unwrap();
+                apply_scheduled_fault(&mut grid, row, column, kind, true).unwrap();
             }
 
             // A tight tolerance: healthy cells sit exactly on target under
@@ -574,8 +580,12 @@ mod proptests {
             .unwrap();
             let planes = planes_hint.min(bits as usize);
             let stack = NonIdealityStack::ideal().with_wire(WireResistance::uniform(wire_ohm));
-            let mut array =
-                CrossbarArray::with_non_idealities(layout, programmer.clone(), stack).unwrap();
+            let mut array = TileGrid::with_non_idealities(
+                TilePlan::monolithic(layout),
+                programmer.clone(),
+                stack,
+            )
+            .unwrap();
             let shape = TileShape::new(tile_rows, tile_columns)
                 .unwrap()
                 .with_spare_rows(tile_rows);
@@ -585,7 +595,7 @@ mod proptests {
             // An ideal-stack twin whose cell currents are publicly readable:
             // the independent unpack oracle below digitizes those directly,
             // keeping the check decoupled from the shared kernel helper.
-            let mut ideal = CrossbarArray::new(layout, programmer);
+            let mut ideal = TileGrid::new(TilePlan::monolithic(layout), programmer);
 
             let mut rng = VariationModel::seeded_rng(program_seed);
             let levels: Vec<Vec<Option<usize>>> = (0..layout.rows())
@@ -603,7 +613,7 @@ mod proptests {
             // the fabric through a spare row; packed reads must not notice.
             let fault_row = (rng.gen::<u64>() as usize) % layout.rows();
             let fault_col = (rng.gen::<u64>() as usize) % layout.columns();
-            apply_scheduled_grid_fault(
+            apply_scheduled_fault(
                 &mut grid,
                 fault_row,
                 fault_col,

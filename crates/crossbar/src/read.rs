@@ -255,9 +255,9 @@ impl Activation {
 
 /// Per-wordline read counters with interior mutability.
 ///
-/// Read paths take `&self` on the owning array, so the counters live in
-/// [`std::cell::Cell`]s; both [`crate::CrossbarArray`] and
-/// [`crate::TileGrid`] use this to drive the read-disturb tier model. The
+/// Read paths take `&self` on the owning fabric, so the counters live in
+/// [`std::cell::Cell`]s; [`crate::TileGrid`] uses them to drive the
+/// read-disturb tier model. The
 /// counters are derived read-history state: they are skipped by
 /// serialization but participate in equality (read history is physical
 /// state once a disturb model is configured).

@@ -1,4 +1,5 @@
-//! Tiled multi-array crossbar fabric.
+//! Tiled multi-array crossbar fabric — and, over a one-tile plan, the
+//! paper's monolithic array.
 //!
 //! A physical FeFET macro has a fixed tile size; a Bayesian model whose
 //! logical layout exceeds it must be sharded across a grid of tiles —
@@ -7,40 +8,37 @@
 //! module provides:
 //!
 //! * [`TileShape`] — the fixed physical tile geometry,
-//! * [`TilePlan`] — the mapping of a [`CrossbarLayout`] onto a tile grid,
-//! * [`TileGrid`] — the programmed fabric itself: one cell bank and one
-//!   conductance cache per tile, plus a fabric-level partial-sum path that
-//!   merges per-tile wordline currents.
+//! * [`TilePlan`] — the mapping of a [`CrossbarLayout`] onto a tile grid
+//!   ([`TilePlan::monolithic`] maps it onto one tile of its own size: the
+//!   paper's single array),
+//! * [`TileGrid`] — the programmed fabric itself: one cell bank per tile
+//!   behind one conductance cache kept in logical coordinates.
 //!
 //! ## Bit-exactness
 //!
-//! The fabric read path is floating-point identical to a monolithic
-//! [`CrossbarArray`](crate::CrossbarArray) holding the same program **and
-//! the same non-ideality stack**: cells are programmed identically (so
-//! per-cell on/off currents match), non-idealities are evaluated in global
-//! coordinates (the fabric models the stitched logical array, so a cell's
-//! IR-drop position, retention age and wordline read count are the same
-//! whether the array is monolithic or sharded), the fabric-level row
-//! off-sums are accumulated cell by cell in global column order (the exact
-//! order the monolithic conductance cache uses), and the activated-column
-//! deltas are gathered from a fabric-level delta matrix (assembled in
-//! global column order from the per-tile caches) through the exact same
-//! committed 4-lane reduction as the monolithic kernel (see
-//! [`crate::cache`]'s module docs). Equivalence is proptest-enforced in
-//! this crate and at engine level.
+//! A read does not depend on the plan, bit for bit: cells are programmed
+//! identically (so per-cell on/off currents match), non-idealities are
+//! evaluated in logical coordinates (a cell's IR-drop position, retention
+//! age and wordline read count are the same whether the model sits on one
+//! tile or many), and the conductance cache is kept in logical row-major
+//! order, so a wordline's off-sum accumulates in global column order and
+//! the activated deltas go through the committed 4-lane reduction (see
+//! [`crate::cache`]'s module docs) whatever the tile boundaries.
+//! Equivalence is proptest-enforced in this crate and at engine level.
 //!
-//! ## Tile-granular cache epochs
+//! ## Cell-granular cache epochs
 //!
-//! The fabric versions its derived state like the monolithic array does,
-//! but dirtiness is tracked **per tile**: mutating one cell (or crossing a
-//! read-disturb tier on one wordline) only marks the owning tiles stale, so
-//! bringing the fabric cache current rebuilds those tiles and re-stitches
-//! their global rows — one drifted tile does not invalidate the whole grid.
+//! The cache is versioned as described in [`crate::array`]: mutating one
+//! cell marks that cell stale, a read-disturb tier crossing or a refresh
+//! marks its wordline, so bringing the cache current re-evaluates only
+//! those cells — one drifted cell invalidates neither its tile nor the
+//! grid.
 //!
-//! The one intentional divergence is [`ProgrammingMode::PulseTrain`]
-//! disturb: half-bias inhibit pulses only reach the rows of the tile being
-//! written — tiles are physically separate arrays — whereas a monolithic
-//! array disturbs every other row of the column.
+//! The one intentional divergence between plans is
+//! [`ProgrammingMode::PulseTrain`] disturb: half-bias inhibit pulses only
+//! reach the rows of the tile being written — tiles are physically separate
+//! arrays — so a one-tile plan disturbs every other row of the column, as
+//! the paper's single array does, while a sharded fabric does not.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -52,7 +50,7 @@ use febim_device::{
     CellContext, DeviceError, LevelProgrammer, NonIdealityStack, ProgrammedState, VariationModel,
 };
 
-use crate::array::{ProgrammingMode, RefreshOutcome};
+use crate::array::{DirtyState, ProgrammingMode, RebuildStats, RefreshOutcome};
 use crate::cache::{lane_delta_sum, row_plane_partials, ConductanceCache};
 use crate::cell::Cell;
 use crate::errors::{CrossbarError, Result};
@@ -143,6 +141,21 @@ impl TilePlan {
             row_tiles,
             col_tiles,
         })
+    }
+
+    /// Plans `layout` onto one tile of exactly its size: the paper's
+    /// monolithic array, a 1×1 grid with no spare rows.
+    pub fn monolithic(layout: CrossbarLayout) -> Self {
+        Self {
+            layout,
+            shape: TileShape {
+                rows: layout.rows(),
+                columns: layout.columns(),
+                spare_rows: 0,
+            },
+            row_tiles: 1,
+            col_tiles: 1,
+        }
     }
 
     /// The logical layout being sharded.
@@ -245,19 +258,7 @@ impl TilePlan {
     }
 }
 
-/// Cache maintenance counters of a tiled fabric (the tile-granular analogue
-/// of [`crate::RebuildStats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub struct GridRebuildStats {
-    /// Times the whole fabric cache was rebuilt from scratch.
-    pub full_rebuilds: u64,
-    /// Individual tiles rebuilt by partial refreshes.
-    pub tile_rebuilds: u64,
-    /// Total cells whose on/off currents were re-evaluated.
-    pub cells_recomputed: u64,
-}
-
-/// Cost of one region-scoped fabric write ([`TileGrid::program_region`] /
+/// Cost of one region-scoped write ([`TileGrid::program_region`] /
 /// [`TileGrid::erase_region`]): the pulse trains applied and their energy,
 /// priced through the Preisach programming model like every other write.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
@@ -303,10 +304,22 @@ struct Tile {
 impl Tile {
     /// Physical cell index of a **logical** local coordinate, routed through
     /// the remap table. Every programming, variation, refresh and read path
-    /// addresses cells through this one function, so a repaired wordline is
+    /// addresses cells through the remap table, so a repaired wordline is
     /// transparently served by its spare.
     fn index(&self, local_row: usize, local_col: usize) -> usize {
         self.remap[local_row] * self.columns + local_col
+    }
+
+    /// The cells backing one logical local row, in column order.
+    fn row(&self, local_row: usize) -> &[Cell] {
+        let start = self.index(local_row, 0);
+        &self.cells[start..start + self.columns]
+    }
+
+    /// Mutable [`Tile::row`].
+    fn row_mut(&mut self, local_row: usize) -> &mut [Cell] {
+        let start = self.index(local_row, 0);
+        &mut self.cells[start..start + self.columns]
     }
 
     /// Whether an unused spare wordline remains.
@@ -315,85 +328,33 @@ impl Tile {
     }
 }
 
-/// Which tiles changed since the fabric cache last matched the state epoch.
-#[derive(Debug, Clone, PartialEq)]
-enum GridDirty {
-    /// Nothing: the cache (if built) is current.
-    Clean,
-    /// Only the listed tile indices hold stale conductances.
-    Tiles(Vec<usize>),
-    /// Every tile is stale.
-    All,
+/// The tiles holding one logical wordline, in tile-column order, and the
+/// wordline's local row inside them.
+fn row_tiles(plan: &TilePlan, row: usize) -> (Range<usize>, usize) {
+    let (shape, col_tiles) = (plan.shape(), plan.col_tiles());
+    let tile_row = row / shape.rows;
+    (
+        tile_row * col_tiles..(tile_row + 1) * col_tiles,
+        row % shape.rows,
+    )
 }
 
-impl Default for GridDirty {
-    /// A deserialized grid arrives without its fabric cache (the cache
-    /// fields are `#[serde(skip)]`), so the bookkeeping starts fully stale.
-    fn default() -> Self {
-        GridDirty::All
-    }
-}
-
-impl GridDirty {
-    /// Marks one tile stale, degrading to `All` when at least half the grid
-    /// is already dirty (re-stitching then costs as much as a full build).
-    ///
-    /// Only **distinct** tiles count towards the degradation threshold:
-    /// re-marking an already-dirty tile (per-cell programming loops hit the
-    /// same tile hundreds of times) must not force a full fabric rebuild
-    /// while the rest of the grid is clean.
-    fn mark_tile(&mut self, index: usize, tile_count: usize) {
-        let overflow = match self {
-            GridDirty::All => false,
-            GridDirty::Clean => {
-                *self = GridDirty::Tiles(vec![index]);
-                tile_count <= 1
-            }
-            GridDirty::Tiles(tiles) => {
-                if !tiles.contains(&index) {
-                    tiles.push(index);
-                }
-                tiles.len() * 2 >= tile_count
-            }
-        };
-        if overflow {
-            *self = GridDirty::All;
-        }
-    }
-}
-
-/// Derived read state of the fabric: one conductance cache per tile, the
-/// fabric-level row off-sums (accumulated in global column order so merged
-/// reads are bit-identical to a monolithic array's), and a fabric-level
-/// on/off delta matrix in global row-major order — the contiguous gather
-/// target that lets a merged read run the exact same 4-lane kernel as a
-/// monolithic array, with no per-column tile translation on the hot path.
-#[derive(Debug, Clone)]
-struct FabricCache {
-    tiles: Vec<ConductanceCache>,
-    row_off_sums: Vec<f64>,
-    /// `delta[row * layout.columns() + column]`, bit-identical per cell to
-    /// the monolithic cache's deltas (same device-model evaluations).
-    delta: Vec<f64>,
-    columns: usize,
-}
-
-impl FabricCache {
-    /// The global-order delta slice of one fabric row.
-    fn row_deltas(&self, row: usize) -> &[f64] {
-        let base = row * self.columns;
-        &self.delta[base..base + self.columns]
-    }
-}
-
-/// A programmed tiled crossbar fabric.
+/// A programmed crossbar fabric: a model's logical layout sharded over the
+/// tiles of a [`TilePlan`] — or, over [`TilePlan::monolithic`], the paper's
+/// single array.
 ///
 /// Rows are sharded across tile rows (each tile row senses a subset of the
 /// events), columns across tile columns (each tile accumulates a partial
-/// sum over its evidence columns). The fabric read path merges the per-tile
-/// partial wordline currents into full log-posterior currents; see the
-/// module docs for the bit-exactness guarantee and the tile-granular cache
-/// epoch scheme.
+/// sum over its evidence columns). Reads go through an epoch-versioned
+/// conductance cache in logical coordinates: the device I-V model is
+/// evaluated per cell only when that cell's state changed (programming,
+/// variation injection, direct cell access, retention-drift ticks or
+/// read-disturb tier crossings), and every [`TileGrid::wordline_currents`]
+/// call is a sparse accumulation over the activated columns only. The
+/// uncached [`TileGrid::wordline_currents_reference`] path re-evaluates the
+/// device model — including the configured [`NonIdealityStack`] — on every
+/// call and serves as the equivalence oracle. See the module docs for the
+/// bit-exactness guarantee.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TileGrid {
     plan: TilePlan,
@@ -402,34 +363,39 @@ pub struct TileGrid {
     /// Tiles in grid row-major order (`tile_row * col_tiles + tile_col`).
     tiles: Vec<Tile>,
     write_energy: f64,
-    /// Composable time-varying non-ideality models, evaluated in global
-    /// coordinates (the fabric models the stitched logical array).
+    /// Composable time-varying non-ideality models, evaluated in logical
+    /// coordinates.
     stack: NonIdealityStack,
     /// Fabric clock in retention ticks.
     clock: u64,
-    /// Per-global-wordline read counters. Skipped by serialization.
+    /// Per-logical-wordline read counters (read history is physical state
+    /// once a disturb model is configured). Skipped by serialization.
     #[serde(skip)]
     row_reads: ReadCounters,
-    /// Monotonic version of the fabric's physical state.
+    /// Monotonic version of the physical state; bumped by every mutation
+    /// that can change a read current.
     #[serde(skip)]
     state_epoch: std::cell::Cell<u64>,
     /// The state epoch the cache was last brought up to date with.
     #[serde(skip)]
     cache_epoch: std::cell::Cell<u64>,
-    /// Which tiles changed between `cache_epoch` and `state_epoch`.
+    /// Which cells changed between `cache_epoch` and `state_epoch`.
     #[serde(skip)]
-    dirty: RefCell<GridDirty>,
+    dirty: RefCell<DirtyState>,
     /// Cache maintenance counters.
     #[serde(skip)]
-    stats: std::cell::Cell<GridRebuildStats>,
-    /// Derived state: `None` means never built. Skipped by serialization and
-    /// ignored by equality.
+    stats: std::cell::Cell<RebuildStats>,
+    /// Derived state in logical row-major order: `None` means never built.
+    /// Skipped by serialization and ignored by equality.
     #[serde(skip)]
-    cache: RefCell<Option<FabricCache>>,
+    cache: RefCell<Option<ConductanceCache>>,
 }
 
 impl PartialEq for TileGrid {
     fn eq(&self, other: &Self) -> bool {
+        // The conductance cache, dirty set and epochs are derived state; two
+        // fabrics are equal when their physical state (cells, clock, read
+        // history, non-ideality configuration, bookkeeping) is.
         self.plan == other.plan
             && self.programmer == other.programmer
             && self.write_scheme == other.write_scheme
@@ -445,6 +411,8 @@ impl TileGrid {
     /// Creates an erased, ideal (no non-idealities) fabric for the given
     /// plan and level programmer.
     pub fn new(plan: TilePlan, programmer: LevelProgrammer) -> Self {
+        // Build one template cell and clone it, instead of cloning the
+        // device parameter struct once per cell.
         let template = Cell::new(programmer.params().clone());
         let tiles = (0..plan.row_tiles())
             .flat_map(|tile_row| (0..plan.col_tiles()).map(move |tile_col| (tile_row, tile_col)))
@@ -472,8 +440,8 @@ impl TileGrid {
             row_reads: ReadCounters::new(plan.layout().rows()),
             state_epoch: std::cell::Cell::new(0),
             cache_epoch: std::cell::Cell::new(0),
-            dirty: RefCell::new(GridDirty::All),
-            stats: std::cell::Cell::new(GridRebuildStats::default()),
+            dirty: RefCell::new(DirtyState::All),
+            stats: std::cell::Cell::new(RebuildStats::default()),
             cache: RefCell::new(None),
         }
     }
@@ -544,8 +512,10 @@ impl TileGrid {
         self.clock
     }
 
-    /// Advances the fabric clock by `ticks` (ages every cell when a
-    /// retention-drift model is configured).
+    /// Advances the fabric clock by `ticks`. With a retention-drift model
+    /// configured this ages every cell, so the whole cache goes stale (one
+    /// epoch bump, one full rebuild on the next read); without one the clock
+    /// still advances but no conductance changes.
     pub fn advance_time(&mut self, ticks: u64) {
         if ticks == 0 {
             return;
@@ -556,30 +526,25 @@ impl TileGrid {
         }
     }
 
-    /// Monotonic version of the fabric's physical state.
+    /// Monotonic version of the fabric's physical state. Two equal epochs
+    /// guarantee no read-current-affecting mutation happened in between.
     pub fn state_epoch(&self) -> u64 {
         self.state_epoch.get()
     }
 
     /// Cache maintenance counters accumulated since construction.
-    pub fn rebuild_stats(&self) -> GridRebuildStats {
+    pub fn rebuild_stats(&self) -> RebuildStats {
         self.stats.get()
     }
 
-    /// Reads accumulated by one global wordline since its last refresh.
+    /// Reads accumulated by one logical wordline since its last refresh
+    /// (zero unless a read-disturb model is configured).
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::IndexOutOfBounds`] for a bad row.
     pub fn row_reads(&self, row: usize) -> Result<u64> {
-        if row >= self.plan.layout().rows() {
-            return Err(CrossbarError::IndexOutOfBounds {
-                row,
-                column: 0,
-                rows: self.plan.layout().rows(),
-                columns: self.plan.layout().columns(),
-            });
-        }
+        self.check_row(row)?;
         Ok(self.row_reads.get(row))
     }
 
@@ -588,41 +553,47 @@ impl TileGrid {
     }
 
     fn mark_all(&mut self) {
-        *self.dirty.get_mut() = GridDirty::All;
+        *self.dirty.get_mut() = DirtyState::All;
         self.bump_epoch();
     }
 
-    fn mark_tile(&mut self, tile_index: usize) {
+    fn mark_cell(&mut self, row: usize, column: usize) {
+        let layout = *self.plan.layout();
+        self.dirty.get_mut().mark_cell(
+            row * layout.columns() + column,
+            layout.cells(),
+            layout.columns(),
+        );
+        self.bump_epoch();
+    }
+
+    fn mark_row(&mut self, row: usize) {
+        let layout = *self.plan.layout();
         self.dirty
             .get_mut()
-            .mark_tile(tile_index, self.plan.tile_count());
+            .mark_row(row, layout.cells(), layout.columns());
         self.bump_epoch();
     }
 
-    /// Registers one read of a global wordline; a disturb-tier crossing
-    /// makes every tile of the row's tile row stale.
+    /// Registers one read of a logical wordline for the disturb model; a
+    /// tier crossing makes the row's conductances stale.
     fn note_row_read(&self, row: usize) {
         if !self.stack.tracks_reads() {
             return;
         }
         let (before, after) = self.row_reads.bump(row);
         if self.stack.read_tier(before) != self.stack.read_tier(after) {
-            let tile_row = row / self.plan.shape().rows;
-            let mut dirty = self.dirty.borrow_mut();
-            for tile_col in 0..self.plan.col_tiles() {
-                dirty.mark_tile(
-                    tile_row * self.plan.col_tiles() + tile_col,
-                    self.plan.tile_count(),
-                );
-            }
-            drop(dirty);
+            let layout = self.plan.layout();
+            self.dirty
+                .borrow_mut()
+                .mark_row(row, layout.cells(), layout.columns());
             self.bump_epoch();
         }
     }
 
-    /// The non-ideality evaluation context of one cell, in **global**
-    /// coordinates — a sharded fabric reads exactly like the monolithic
-    /// logical array it implements.
+    /// The non-ideality evaluation context of one cell, in **logical**
+    /// coordinates — a sharded fabric reads exactly like the single array
+    /// it implements.
     fn cell_context(&self, row: usize, column: usize, cell: &Cell) -> CellContext {
         CellContext {
             row,
@@ -635,12 +606,14 @@ impl TileGrid {
         }
     }
 
-    /// The single per-cell evaluation point (global coordinates), shared by
-    /// tile cache builds, partial tile refreshes and the uncached reference
-    /// oracle — bit-identical to
-    /// [`CrossbarArray`](crate::CrossbarArray)'s under the same stack.
-    fn evaluate_cell(&self, row: usize, column: usize) -> (f64, f64) {
-        let cell = self.cell(row, column).expect("in-range indices");
+    /// The single per-cell evaluation point: `(on, off)` read currents of
+    /// the cell at logical `(row, column)` under the configured non-ideality
+    /// stack. Cache builds, partial refreshes and the uncached reference
+    /// oracles all funnel through this function, so cached and reference
+    /// reads can never diverge. An ideal stack takes the unshifted fast
+    /// path, which is bit-identical to evaluating with a zero shift and a
+    /// unit current factor.
+    fn evaluate(&self, row: usize, column: usize, cell: &Cell) -> (f64, f64) {
         if self.stack.is_ideal() {
             return (cell.read_current_on(), cell.read_current_off());
         }
@@ -655,116 +628,107 @@ impl TileGrid {
         )
     }
 
-    /// Builds one tile's conductance cache by evaluating the shared
-    /// per-cell evaluation point at the tile's global coordinates.
-    fn build_tile_cache(&self, tile_index: usize) -> ConductanceCache {
-        let col_tiles = self.plan.col_tiles();
-        let shape = self.plan.shape();
-        let row_base = (tile_index / col_tiles) * shape.rows;
-        let col_base = (tile_index % col_tiles) * shape.columns;
-        let tile = &self.tiles[tile_index];
-        ConductanceCache::build_with(tile.rows, tile.columns, |local_row, local_col| {
-            self.evaluate_cell(row_base + local_row, col_base + local_col)
-        })
+    /// The cells of one logical wordline in column order, each read through
+    /// its tile's remap table.
+    fn row_cells(&self, row: usize) -> impl Iterator<Item = &Cell> + '_ {
+        let (tiles, local_row) = row_tiles(&self.plan, row);
+        self.tiles[tiles]
+            .iter()
+            .flat_map(move |tile| tile.row(local_row))
     }
 
-    /// Re-stitches the fabric-level off-sum and delta row of one global row
-    /// from the per-tile caches, in global column order — the exact
-    /// accumulation a full stitch uses, so a partial re-stitch is
-    /// bit-identical.
-    fn restitch_row(&self, cache: &mut FabricCache, row: usize) {
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
-        let tile_row = row / shape.rows;
-        let local_row = row % shape.rows;
-        let mut accumulator = 0.0;
-        let mut base = row * cache.columns;
-        for tile_col in 0..col_tiles {
-            let tile = &cache.tiles[tile_row * col_tiles + tile_col];
-            tile.accumulate_row_off(local_row, &mut accumulator);
-            let deltas = tile.row_deltas(local_row);
-            cache.delta[base..base + deltas.len()].copy_from_slice(deltas);
-            base += deltas.len();
-        }
-        cache.row_off_sums[row] = accumulator;
-    }
-
-    /// Brings the fabric cache up to the current state epoch: dirty tiles
-    /// are rebuilt and their global rows re-stitched; a full rebuild runs
-    /// when everything is stale (or nothing is cached yet).
+    /// Brings the conductance cache up to the current state epoch: a sparse
+    /// patch when the dirty set is sparse (recompute the dirty cells, then
+    /// re-accumulate the touched rows' off-sums in full column order — bit
+    /// identical to a full rebuild), a full rebuild otherwise.
     fn ensure_cache(&self) {
         if self.cache_epoch.get() == self.state_epoch.get() && self.cache.borrow().is_some() {
             return;
         }
+        let layout = *self.plan.layout();
+        let columns = layout.columns();
         let mut slot = self.cache.borrow_mut();
         let mut dirty = self.dirty.borrow_mut();
         let mut stats = self.stats.get();
         let patched = match (slot.as_mut(), &mut *dirty) {
-            (Some(cache), GridDirty::Tiles(tiles)) => {
-                tiles.sort_unstable();
-                tiles.dedup();
-                let mut tile_rows: Vec<usize> = Vec::with_capacity(tiles.len());
-                for &tile_index in tiles.iter() {
-                    cache.tiles[tile_index] = self.build_tile_cache(tile_index);
-                    stats.tile_rebuilds += 1;
-                    let tile = &self.tiles[tile_index];
-                    stats.cells_recomputed += (tile.rows * tile.columns) as u64;
-                    tile_rows.push(tile_index / self.plan.col_tiles());
-                }
-                tile_rows.sort_unstable();
-                tile_rows.dedup();
-                for &tile_row in &tile_rows {
-                    for row in self.plan.tile_row_range(tile_row).expect("in-grid tile") {
-                        self.restitch_row(cache, row);
+            (Some(cache), DirtyState::Sparse { cells, rows }) => {
+                rows.sort_unstable();
+                rows.dedup();
+                cells.sort_unstable();
+                cells.dedup();
+                let mut touched_rows = rows.clone();
+                for &row in rows.iter() {
+                    for (column, cell) in self.row_cells(row).enumerate() {
+                        let (on, off) = self.evaluate(row, column, cell);
+                        cache.refresh_cell(row, column, on, off);
                     }
+                    stats.cells_recomputed += columns as u64;
                 }
+                for &index in cells.iter() {
+                    let row = index / columns;
+                    if rows.binary_search(&row).is_ok() {
+                        continue; // already refreshed with its whole row
+                    }
+                    let column = index % columns;
+                    let cell = self.cell(row, column).expect("in-range indices");
+                    let (on, off) = self.evaluate(row, column, cell);
+                    cache.refresh_cell(row, column, on, off);
+                    stats.cells_recomputed += 1;
+                    touched_rows.push(row);
+                }
+                touched_rows.sort_unstable();
+                touched_rows.dedup();
+                for &row in &touched_rows {
+                    cache.recompute_row_off_sum(row);
+                }
+                stats.partial_refreshes += 1;
                 true
             }
             _ => false,
         };
         if !patched {
-            let tile_caches: Vec<ConductanceCache> = (0..self.tiles.len())
-                .map(|tile_index| self.build_tile_cache(tile_index))
-                .collect();
-            // Fabric row off-sums accumulate across tile columns cell by
-            // cell, in global column order — the same floating-point
-            // accumulation order as a monolithic array's conductance cache.
-            // The fabric delta matrix is stitched together in the same
-            // global order, so per-cell deltas are the very values a
-            // monolithic cache would hold.
-            let layout = *self.plan.layout();
-            let mut row_off_sums = Vec::with_capacity(layout.rows());
-            let mut delta = Vec::with_capacity(layout.cells());
-            for row in 0..layout.rows() {
-                let tile_row = row / self.plan.shape().rows;
-                let local_row = row % self.plan.shape().rows;
-                let mut accumulator = 0.0;
-                for tile_col in 0..self.plan.col_tiles() {
-                    let tile = &tile_caches[tile_row * self.plan.col_tiles() + tile_col];
-                    tile.accumulate_row_off(local_row, &mut accumulator);
-                    delta.extend_from_slice(tile.row_deltas(local_row));
-                }
-                row_off_sums.push(accumulator);
-            }
-            *slot = Some(FabricCache {
-                tiles: tile_caches,
-                row_off_sums,
-                delta,
-                columns: layout.columns(),
-            });
+            let mut cells = (0..layout.rows()).flat_map(|row| self.row_cells(row));
+            *slot = Some(ConductanceCache::build_with(
+                layout.rows(),
+                columns,
+                |row, column| {
+                    let cell = cells.next().expect("one cell per logical coordinate");
+                    self.evaluate(row, column, cell)
+                },
+            ));
             stats.full_rebuilds += 1;
             stats.cells_recomputed += layout.cells() as u64;
         }
         self.stats.set(stats);
-        *dirty = GridDirty::Clean;
+        *dirty = DirtyState::Clean;
         self.cache_epoch.set(self.state_epoch.get());
     }
 
-    /// Runs `reader` against an up-to-date fabric cache.
-    fn with_cache<T>(&self, reader: impl FnOnce(&FabricCache) -> T) -> T {
+    /// Runs `reader` against an up-to-date conductance cache.
+    fn with_cache<T>(&self, reader: impl FnOnce(&ConductanceCache) -> T) -> T {
         self.ensure_cache();
         let slot = self.cache.borrow();
         reader(slot.as_ref().expect("cache ensured"))
+    }
+
+    /// Runs `read` for each of `reads` reads of every wordline, in order,
+    /// against an up-to-date cache. Without a read-disturb model the cache
+    /// is borrowed **once** for the whole group; with one, each read
+    /// registers its wordline reads and re-checks the cache first, so a
+    /// mid-group tier crossing is reflected exactly as it would be by
+    /// sequential reads — grouped and sequential reads stay bit-identical
+    /// in every configuration.
+    fn read_group(&self, reads: usize, mut read: impl FnMut(&ConductanceCache, usize)) {
+        if !self.stack.tracks_reads() {
+            self.with_cache(|cache| (0..reads).for_each(|index| read(cache, index)));
+            return;
+        }
+        for index in 0..reads {
+            for row in 0..self.plan.layout().rows() {
+                self.note_row_read(row);
+            }
+            self.with_cache(|cache| read(cache, index));
+        }
     }
 
     fn tile_index_of(&self, row: usize, column: usize) -> Result<usize> {
@@ -772,7 +736,7 @@ impl TileGrid {
         Ok(tile_row * self.plan.col_tiles() + tile_col)
     }
 
-    /// Borrow a cell by its global coordinates.
+    /// Borrow a cell by its logical coordinates.
     ///
     /// # Errors
     ///
@@ -787,29 +751,31 @@ impl TileGrid {
         Ok(&tile.cells[local])
     }
 
-    /// Mutably borrow a cell by its global coordinates; marks the owning
-    /// tile stale up front, so the next read rebuilds only that tile.
+    /// Mutably borrow a cell by its logical coordinates.
+    ///
+    /// Only the touched cell is marked stale, so the next read recomputes
+    /// one cell (plus its row's off-sum), not its tile or the grid.
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::IndexOutOfBounds`] outside the layout.
     pub fn cell_mut(&mut self, row: usize, column: usize) -> Result<&mut Cell> {
         let tile_index = self.tile_index_of(row, column)?;
-        self.mark_tile(tile_index);
+        self.mark_cell(row, column);
         let shape = self.plan.shape();
         let tile = &mut self.tiles[tile_index];
         let local = tile.index(row % shape.rows, column % shape.columns);
         Ok(&mut tile.cells[local])
     }
 
-    /// Programs one cell (global coordinates) to a multi-level state and
+    /// Programs one cell (logical coordinates) to a multi-level state and
     /// returns the write pulses applied (the Preisach train length, also
     /// counted under [`ProgrammingMode::Ideal`] for cost bookkeeping).
     ///
-    /// With [`ProgrammingMode::PulseTrain`] the half-bias disturb pulses
-    /// reach the *other rows of the same tile* only — tiles are physically
-    /// separate arrays, so inhibit disturbance does not cross tile
-    /// boundaries (unlike a monolithic array spanning all events).
+    /// With [`ProgrammingMode::PulseTrain`] the other rows of the same tile
+    /// column absorb half-bias disturb pulses, mirroring the physical write
+    /// scheme — tiles are physically separate arrays, so inhibit disturbance
+    /// does not cross tile boundaries.
     ///
     /// # Errors
     ///
@@ -823,55 +789,70 @@ impl TileGrid {
         mode: ProgrammingMode,
     ) -> Result<u64> {
         let tile_index = self.tile_index_of(row, column)?;
-        self.mark_tile(tile_index);
         let shape = self.plan.shape();
-        let clock = self.clock;
-        let tile = &mut self.tiles[tile_index];
-        let local_row = row % shape.rows;
-        let local_col = column % shape.columns;
-        let local = tile.index(local_row, local_col);
-        let state = match mode {
-            ProgrammingMode::Ideal => {
-                if tile.cells[local].is_stuck() {
-                    // A stuck stack does not respond to the write; the
-                    // target state is still resolved for bookkeeping.
-                    self.programmer.state_for_level(level)?
-                } else {
-                    self.programmer
-                        .program_ideal(tile.cells[local].device_mut(), level)?
-                }
-            }
-            ProgrammingMode::PulseTrain => {
-                let state = if tile.cells[local].is_stuck() {
-                    // The train still drives the tile column (neighbours
-                    // absorb disturb below) but the stuck cell stays put.
-                    self.programmer.state_for_level(level)?
-                } else {
-                    self.programmer
-                        .program_with_pulses(tile.cells[local].device_mut(), level)?
-                };
-                let scheme = self.write_scheme;
-                let pulses = u64::from(state.write_config.pulse_count) + 1;
-                for other_row in 0..tile.rows {
-                    if other_row == local_row {
-                        continue;
-                    }
-                    let other = tile.index(other_row, local_col);
-                    scheme.apply_disturb(&mut tile.cells[other], pulses);
-                }
-                state
-            }
-        };
-        tile.cells[local].set_programmed_level(level);
-        tile.cells[local].reset_disturb();
-        tile.cells[local].set_programmed_at(clock);
-        self.write_energy += self.programmer.write_energy(state.level)?;
-        Ok(u64::from(state.write_config.pulse_count) + 1)
+        self.program_in_tile(
+            tile_index,
+            (row % shape.rows, column % shape.columns),
+            (row, column),
+            level,
+            mode,
+        )
     }
 
-    /// Programs the whole fabric from a global level matrix (same shape
-    /// contract as
-    /// [`CrossbarArray::program_matrix`](crate::CrossbarArray::program_matrix)).
+    /// [`TileGrid::program_cell`] with the owning tile and the local
+    /// coordinates already resolved.
+    fn program_in_tile(
+        &mut self,
+        tile_index: usize,
+        (local_row, local_col): (usize, usize),
+        (row, column): (usize, usize),
+        level: usize,
+        mode: ProgrammingMode,
+    ) -> Result<u64> {
+        let clock = self.clock;
+        let scheme = self.write_scheme;
+        let tile = &mut self.tiles[tile_index];
+        let local = tile.index(local_row, local_col);
+        let state = if tile.cells[local].is_stuck() {
+            // A stuck stack does not respond to the write; the target state
+            // is still resolved for bookkeeping and energy.
+            self.programmer.state_for_level(level)?
+        } else {
+            match mode {
+                ProgrammingMode::Ideal => self
+                    .programmer
+                    .program_ideal(tile.cells[local].device_mut(), level)?,
+                ProgrammingMode::PulseTrain => self
+                    .programmer
+                    .program_with_pulses(tile.cells[local].device_mut(), level)?,
+            }
+        };
+        let pulses = u64::from(state.write_config.pulse_count) + 1;
+        let disturbed = match mode {
+            ProgrammingMode::Ideal => 0..0,
+            ProgrammingMode::PulseTrain => 0..tile.rows,
+        };
+        // Unselected rows of the same tile column see V_w/2 pulses, even
+        // when the selected stack is stuck and does not move.
+        for other_row in disturbed.clone().filter(|&other| other != local_row) {
+            let other = tile.index(other_row, local_col);
+            scheme.apply_disturb(&mut tile.cells[other], pulses);
+        }
+        let cell = &mut tile.cells[local];
+        cell.set_programmed_level(level);
+        cell.reset_disturb();
+        cell.set_programmed_at(clock);
+        for other_row in disturbed.filter(|&other| other != local_row) {
+            self.mark_cell(row - local_row + other_row, column);
+        }
+        self.mark_cell(row, column);
+        self.write_energy += self.programmer.write_energy(state.level)?;
+        Ok(pulses)
+    }
+
+    /// Programs the whole fabric from a logical level matrix
+    /// (`levels[row][column] = Some(level)` or `None` to leave the cell
+    /// erased).
     ///
     /// # Errors
     ///
@@ -891,6 +872,7 @@ impl TileGrid {
                 columns: layout.columns(),
             });
         }
+        let shape = self.plan.shape();
         for (row, row_levels) in levels.iter().enumerate() {
             if row_levels.len() != layout.columns() {
                 return Err(CrossbarError::IndexOutOfBounds {
@@ -900,9 +882,21 @@ impl TileGrid {
                     columns: layout.columns(),
                 });
             }
-            for (column, level) in row_levels.iter().enumerate() {
-                if let Some(level) = level {
-                    self.program_cell(row, column, *level, mode)?;
+            let (tiles, local_row) = row_tiles(&self.plan, row);
+            // Walk the row tile by tile so no cell pays a coordinate
+            // division.
+            for (tile_index, tile_levels) in tiles.zip(row_levels.chunks(shape.columns)) {
+                let col0 = (tile_index % self.plan.col_tiles()) * shape.columns;
+                for (local_col, level) in tile_levels.iter().enumerate() {
+                    if let Some(level) = level {
+                        self.program_in_tile(
+                            tile_index,
+                            (local_row, local_col),
+                            (row, col0 + local_col),
+                            *level,
+                            mode,
+                        )?;
+                    }
                 }
             }
         }
@@ -910,12 +904,11 @@ impl TileGrid {
     }
 
     /// Programs a rectangular **region** of the fabric from a level block
-    /// whose top-left corner lands on global `(row0, col0)`, pricing the
+    /// whose top-left corner lands on logical `(row0, col0)`, pricing the
     /// Preisach pulse trains, and returns the accumulated write cost.
     ///
-    /// Only the tiles the region touches are invalidated; caches of every
-    /// other tile survive the reprogramming (the hot-swap path relies on
-    /// this so co-resident tenants keep their read caches).
+    /// Only the written cells are invalidated; the cached conductances of
+    /// every other cell survive the reprogramming.
     ///
     /// # Errors
     ///
@@ -953,12 +946,12 @@ impl TileGrid {
         Ok(outcome)
     }
 
-    /// Erases every cell of a rectangular **region** (global coordinate
+    /// Erases every cell of a rectangular **region** (logical coordinate
     /// ranges): one nominal Preisach erase pulse per non-stuck cell, the
     /// programmed level forgotten either way. Erase pulses are priced like
     /// write pulses and accumulated into [`TileGrid::write_energy`].
     ///
-    /// Invalidation is scoped to the touched tiles, exactly like
+    /// Invalidation is scoped to the erased cells, exactly like
     /// [`TileGrid::program_region`].
     ///
     /// # Errors
@@ -978,15 +971,13 @@ impl TileGrid {
                 columns: layout.columns(),
             });
         }
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
         let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
         let clock = self.clock;
         let mut outcome = RegionWriteOutcome::default();
-        let mut touched: Vec<usize> = Vec::new();
-        for row in rows.clone() {
+        for row in rows {
             for column in columns.clone() {
-                let tile_index = (row / shape.rows) * col_tiles + column / shape.columns;
+                let tile_index = self.tile_index_of(row, column)?;
+                let shape = self.plan.shape();
                 let tile = &mut self.tiles[tile_index];
                 let local = tile.index(row % shape.rows, column % shape.columns);
                 let cell = &mut tile.cells[local];
@@ -1001,36 +992,27 @@ impl TileGrid {
                 cell.set_programmed_at(clock);
                 outcome.cells_erased += 1;
                 outcome.pulses_applied += 1;
-                let energy = energy_per_pulse;
-                outcome.energy_joules += energy;
-                self.write_energy += energy;
-                if !touched.contains(&tile_index) {
-                    touched.push(tile_index);
-                }
+                outcome.energy_joules += energy_per_pulse;
+                self.write_energy += energy_per_pulse;
+                self.mark_cell(row, column);
             }
-        }
-        for tile_index in touched {
-            self.mark_tile(tile_index);
         }
         Ok(outcome)
     }
 
     /// Applies threshold-voltage variation to every occupied cell, drawing
-    /// offsets in global row-major order — the same RNG consumption order
-    /// as a monolithic array, so a shared seed produces identical per-cell
-    /// offsets.
+    /// offsets in logical row-major order — the same RNG consumption order
+    /// whatever the plan, so a shared seed produces identical per-cell
+    /// offsets on every fabric.
     pub fn apply_variation<R: Rng + ?Sized>(&mut self, variation: &VariationModel, rng: &mut R) {
         self.mark_all();
-        let layout = *self.plan.layout();
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
-        for row in 0..layout.rows() {
-            for column in 0..layout.columns() {
-                let offset = variation.sample_offset(rng);
-                let tile_index = (row / shape.rows) * col_tiles + column / shape.columns;
-                let tile = &mut self.tiles[tile_index];
-                let local = tile.index(row % shape.rows, column % shape.columns);
-                tile.cells[local].device_mut().set_vth_offset(offset);
+        for row in 0..self.plan.layout().rows() {
+            let (tiles, local_row) = row_tiles(&self.plan, row);
+            for tile in &mut self.tiles[tiles] {
+                for cell in tile.row_mut(local_row) {
+                    cell.device_mut()
+                        .set_vth_offset(variation.sample_offset(rng));
+                }
             }
         }
     }
@@ -1045,12 +1027,40 @@ impl TileGrid {
         Ok(())
     }
 
-    /// Merged wordline currents of the whole fabric for a global activation
-    /// pattern, written into `out` (cleared first): fabric row off-sums plus
-    /// the activated columns' deltas gathered from the fabric delta matrix
-    /// through the committed 4-lane reduction. Bit-identical to a monolithic
-    /// array holding the same program and stack. Counts as one read of every
-    /// global wordline for the disturb model.
+    fn check_row(&self, row: usize) -> Result<()> {
+        let layout = self.plan.layout();
+        if row >= layout.rows() {
+            return Err(CrossbarError::IndexOutOfBounds {
+                row,
+                column: 0,
+                rows: layout.rows(),
+                columns: layout.columns(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Accumulated current of one wordline for an activation pattern, in
+    /// amperes: the row's off-state leakage plus the on/off delta of every
+    /// activated column, served from the conductance cache. Counts as one
+    /// read of that wordline only for the disturb model.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrossbarError::ActivationLengthMismatch`] when the
+    /// activation was built for a different layout and
+    /// [`CrossbarError::IndexOutOfBounds`] for a bad row.
+    pub fn wordline_current(&self, row: usize, activation: &Activation) -> Result<f64> {
+        self.check_activation(activation)?;
+        self.check_row(row)?;
+        self.note_row_read(row);
+        Ok(self.with_cache(|cache| cache.wordline_current(row, activation)))
+    }
+
+    /// Accumulated currents of every wordline for an activation pattern,
+    /// written into `out` (cleared first). This is the allocation-free read
+    /// of the sequential inference path; it counts as one read of every
+    /// wordline for the disturb model.
     ///
     /// # Errors
     ///
@@ -1061,32 +1071,17 @@ impl TileGrid {
         activation: &Activation,
         out: &mut Vec<f64>,
     ) -> Result<()> {
-        self.check_activation(activation)?;
-        let rows = self.plan.layout().rows();
-        out.clear();
-        out.reserve(rows);
-        for row in 0..rows {
-            self.note_row_read(row);
-        }
-        self.with_cache(|cache| {
-            for row in 0..rows {
-                out.push(
-                    cache.row_off_sums[row]
-                        + lane_delta_sum(cache.row_deltas(row), activation.active_columns()),
-                );
-            }
-        });
-        Ok(())
+        self.wordline_currents_batch_into(std::slice::from_ref(activation), out)
     }
 
-    /// Merged wordline currents of the whole fabric for a group of
-    /// activation patterns, written into `out` (cleared first) read after
-    /// read: `out[read * rows + row]` is the merged current of global `row`
-    /// under `activations[read]`. Without a read-disturb model the fabric
-    /// cache is borrowed **once** for the whole group; with one, each read
-    /// registers its wordline reads and re-checks the cache first, so a
-    /// mid-batch tier crossing is reflected exactly as it would be by
-    /// sequential [`TileGrid::wordline_currents_into`] calls.
+    /// Accumulated wordline currents for a whole group of activation
+    /// patterns, written into `out` (cleared first) read after read:
+    /// `out[read * rows + row]` is the current of `row` under
+    /// `activations[read]`. Without a read-disturb model the cache is
+    /// borrowed once for the whole group; with one, each read registers its
+    /// wordline reads and re-checks the cache first, so grouped reads are
+    /// bit-identical to sequential [`TileGrid::wordline_currents_into`]
+    /// calls in every configuration.
     ///
     /// # Errors
     ///
@@ -1104,40 +1099,16 @@ impl TileGrid {
         let rows = self.plan.layout().rows();
         out.clear();
         out.reserve(rows * activations.len());
-        if !self.stack.tracks_reads() {
-            self.with_cache(|cache| {
-                for activation in activations {
-                    for row in 0..rows {
-                        out.push(
-                            cache.row_off_sums[row]
-                                + lane_delta_sum(
-                                    cache.row_deltas(row),
-                                    activation.active_columns(),
-                                ),
-                        );
-                    }
-                }
-            });
-            return Ok(());
-        }
-        for activation in activations {
+        self.read_group(activations.len(), |cache, read| {
             for row in 0..rows {
-                self.note_row_read(row);
+                out.push(cache.wordline_current(row, &activations[read]));
             }
-            self.with_cache(|cache| {
-                for row in 0..rows {
-                    out.push(
-                        cache.row_off_sums[row]
-                            + lane_delta_sum(cache.row_deltas(row), activation.active_columns()),
-                    );
-                }
-            });
-        }
+        });
         Ok(())
     }
 
-    /// Merged wordline currents of the whole fabric (allocating wrapper of
-    /// [`TileGrid::wordline_currents_into`]).
+    /// Accumulated currents of every wordline for an activation pattern
+    /// (allocating wrapper of [`TileGrid::wordline_currents_into`]).
     ///
     /// # Errors
     ///
@@ -1148,13 +1119,13 @@ impl TileGrid {
         Ok(currents)
     }
 
-    /// Partial wordline currents of one tile for a global activation
-    /// pattern, written into `out` (cleared first): the tile's local row
-    /// off-sums plus the deltas of the activated columns that fall inside
-    /// the tile. Summing a tile row's partials across its tile columns
-    /// reconstructs the merged currents up to floating-point reassociation;
-    /// the merged path above avoids even that. Does not count as wordline
-    /// reads (it is a diagnostic sub-read of the same cycle).
+    /// Partial wordline currents of one tile for a logical activation
+    /// pattern, written into `out` (cleared first): the tile's row off-sums
+    /// over its own columns plus the deltas of the activated columns that
+    /// fall inside the tile. Summing a tile row's partials across its tile
+    /// columns reconstructs the merged currents up to floating-point
+    /// reassociation. Does not count as wordline reads (it is a diagnostic
+    /// sub-read of the same cycle).
     ///
     /// # Errors
     ///
@@ -1170,17 +1141,18 @@ impl TileGrid {
     ) -> Result<()> {
         self.check_activation(activation)?;
         let columns = self.plan.tile_column_range(tile_col)?;
-        let rows = self.plan.tile_row_range(tile_row)?.len();
-        let tile_index = tile_row * self.plan.col_tiles() + tile_col;
+        let rows = self.plan.tile_row_range(tile_row)?;
         out.clear();
-        out.reserve(rows);
+        out.reserve(rows.len());
         self.with_cache(|cache| {
-            let tile = &cache.tiles[tile_index];
-            for local_row in 0..rows {
-                let mut current = tile.row_off_sum(local_row);
+            for row in rows {
+                let mut current = 0.0;
+                for column in columns.clone() {
+                    current += cache.off_current(row, column);
+                }
                 for &column in activation.active_columns() {
                     if columns.contains(&column) {
-                        current += tile.delta(local_row, column - columns.start);
+                        current += cache.delta(row, column);
                     }
                 }
                 out.push(current);
@@ -1209,63 +1181,80 @@ impl TileGrid {
             .count())
     }
 
-    /// Uncached merged read: evaluates the FeFET I-V model — with the
-    /// configured non-ideality stack — of every occupied cell on every
-    /// call, accumulating in the exact same order as the cached fabric path
-    /// (and as a monolithic array). This is the reference oracle for the
-    /// fabric equivalence property tests; it does **not** register wordline
-    /// reads.
+    /// Uncached single-wordline read: evaluates the FeFET I-V model — with
+    /// the configured non-ideality stack — for every cell of the row on
+    /// every call, accumulating in the exact same order as the cached sparse
+    /// path: off-state leakage in column order, then the activated deltas in
+    /// the committed 4-lane order (see [`crate::cache`]'s module docs). This
+    /// is the reference oracle for the equivalence property tests; it does
+    /// **not** register wordline reads, so calling it right after a cached
+    /// read observes the same read history and returns bit-identical
+    /// currents.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`TileGrid::wordline_current`].
+    pub fn wordline_current_reference(&self, row: usize, activation: &Activation) -> Result<f64> {
+        self.check_activation(activation)?;
+        self.check_row(row)?;
+        let mut current = 0.0;
+        let mut deltas = Vec::with_capacity(self.plan.layout().columns());
+        for (column, cell) in self.row_cells(row).enumerate() {
+            let (on, off) = self.evaluate(row, column, cell);
+            current += off;
+            deltas.push(on - off);
+        }
+        Ok(current + lane_delta_sum(&deltas, activation.active_columns()))
+    }
+
+    /// Uncached all-wordline read (see
+    /// [`TileGrid::wordline_current_reference`]).
     ///
     /// # Errors
     ///
     /// Same as [`TileGrid::wordline_currents`].
     pub fn wordline_currents_reference(&self, activation: &Activation) -> Result<Vec<f64>> {
-        self.check_activation(activation)?;
-        let layout = *self.plan.layout();
-        let mut currents = Vec::with_capacity(layout.rows());
-        let mut deltas = Vec::with_capacity(layout.columns());
-        for row in 0..layout.rows() {
-            let mut current = 0.0;
-            deltas.clear();
-            for column in 0..layout.columns() {
-                let (on, off) = self.evaluate_cell(row, column);
-                current += off;
-                deltas.push(on - off);
-            }
-            currents.push(current + lane_delta_sum(&deltas, activation.active_columns()));
-        }
-        Ok(currents)
+        (0..self.plan.layout().rows())
+            .map(|row| self.wordline_current_reference(row, activation))
+            .collect()
     }
 
     /// Validates the per-slot bit offsets of a packed read against the
-    /// activation they annotate.
-    fn check_bit_offsets(activation: &Activation, bit_offsets: &[u8]) -> Result<()> {
-        if bit_offsets.len() != activation.len() {
+    /// activations they annotate (concatenated in read order).
+    fn check_bit_offsets(&self, activations: &[Activation], bit_offsets: &[u8]) -> Result<()> {
+        let mut total = 0usize;
+        for activation in activations {
+            self.check_activation(activation)?;
+            total += activation.len();
+        }
+        if bit_offsets.len() != total {
             return Err(CrossbarError::ActivationLengthMismatch {
-                expected: activation.len(),
+                expected: total,
                 found: bit_offsets.len(),
             });
         }
         Ok(())
     }
 
-    /// Per-plane partial sums of one packed bit-plane read across the whole
-    /// fabric, written into `out` (cleared first) as
-    /// `out[row * planes + plane]`. Each activated column's effective
-    /// on-current is gathered from its owning tile's conductance cache and
-    /// digitized through `ladder`; plane `q` counts the activated columns
-    /// whose multi-level state has bit `bit_offsets[slot] + q` set, in the
-    /// committed 4-lane summation order. Because the per-cell on-currents
-    /// are bit-identical to a monolithic
-    /// [`CrossbarArray`](crate::CrossbarArray)'s under the same program and
-    /// stack, so are the digitized states and therefore the partials.
-    /// Counts as one read of every global wordline for the disturb model.
+    /// Per-plane partial sums of one packed bit-plane read, written into
+    /// `out` (cleared first) as `out[row * planes + plane]`: each activated
+    /// column's effective on-current is digitized through `ladder` into its
+    /// multi-level state, and plane `q` counts the activated columns whose
+    /// state has bit `bit_offsets[slot] + q` set, in the committed 4-lane
+    /// summation order (see [`crate::cache`]'s module docs).
+    /// `bit_offsets[slot]` annotates `activation.active_columns()[slot]`
+    /// with the bit position of that column's selected digit.
+    ///
+    /// `level_scratch` is the caller's reusable digitizing buffer; the
+    /// partials are exact integers in `f64`, ready for the sensing chain's
+    /// shift-add merge. Counts as one read of every wordline for the
+    /// disturb model, exactly like [`TileGrid::wordline_currents_into`].
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::ActivationLengthMismatch`] when the
-    /// activation was built for a different layout or `bit_offsets` does
-    /// not annotate every activated column.
+    /// activation was built for a different layout or `bit_offsets` does not
+    /// annotate every activated column.
     pub fn plane_partial_sums_into(
         &self,
         activation: &Activation,
@@ -1275,43 +1264,21 @@ impl TileGrid {
         level_scratch: &mut Vec<usize>,
         out: &mut Vec<f64>,
     ) -> Result<()> {
-        self.check_activation(activation)?;
-        Self::check_bit_offsets(activation, bit_offsets)?;
-        let rows = self.plan.layout().rows();
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
-        out.clear();
-        out.reserve(rows * planes);
-        for row in 0..rows {
-            self.note_row_read(row);
-        }
-        self.with_cache(|cache| {
-            for row in 0..rows {
-                let tile_base = (row / shape.rows) * col_tiles;
-                let local_row = row % shape.rows;
-                row_plane_partials(
-                    |column| {
-                        cache.tiles[tile_base + column / shape.columns]
-                            .on_current(local_row, column % shape.columns)
-                    },
-                    activation.active_columns(),
-                    bit_offsets,
-                    planes,
-                    ladder,
-                    level_scratch,
-                    out,
-                );
-            }
-        });
-        Ok(())
+        self.plane_partial_sums_batch_into(
+            std::slice::from_ref(activation),
+            bit_offsets,
+            planes,
+            ladder,
+            level_scratch,
+            out,
+        )
     }
 
-    /// Uncached packed read over the fabric: evaluates the FeFET I-V model —
-    /// with the configured non-ideality stack — for every activated cell on
-    /// every call and digitizes through the same ladder and summation order
-    /// as [`TileGrid::plane_partial_sums_into`]. The reference oracle for
-    /// the fabric packed-read equivalence tests; does **not** register
-    /// wordline reads.
+    /// Uncached packed read: evaluates the FeFET I-V model — with the
+    /// configured non-ideality stack — for every activated cell on every
+    /// call and digitizes through the same ladder and summation order as
+    /// [`TileGrid::plane_partial_sums_into`]. The reference oracle for the
+    /// packed-read equivalence tests; does **not** register wordline reads.
     ///
     /// # Errors
     ///
@@ -1323,8 +1290,7 @@ impl TileGrid {
         planes: usize,
         ladder: &LevelLadder,
     ) -> Result<Vec<f64>> {
-        self.check_activation(activation)?;
-        Self::check_bit_offsets(activation, bit_offsets)?;
+        self.check_bit_offsets(std::slice::from_ref(activation), bit_offsets)?;
         let rows = self.plan.layout().rows();
         let mut out = Vec::with_capacity(rows * planes);
         let mut level_scratch = Vec::with_capacity(activation.len());
@@ -1345,11 +1311,11 @@ impl TileGrid {
     /// Packed partial sums for a whole group of reads, written into `out`
     /// (cleared first) read after read:
     /// `out[(read * rows + row) * planes + plane]`. `bit_offsets` holds the
-    /// per-read offset slices concatenated in read order. The cache-borrow
-    /// and disturb-registration split mirrors
-    /// [`TileGrid::wordline_currents_batch_into`], so batched packed reads
-    /// stay bit-identical to sequential
-    /// [`TileGrid::plane_partial_sums_into`] calls in every configuration.
+    /// per-read offset slices concatenated in read order. Grouped packed
+    /// reads register disturb like grouped wordline reads (see
+    /// [`TileGrid::wordline_currents_batch_into`]), so they stay
+    /// bit-identical to sequential [`TileGrid::plane_partial_sums_into`]
+    /// calls in every configuration.
     ///
     /// # Errors
     ///
@@ -1366,91 +1332,38 @@ impl TileGrid {
         level_scratch: &mut Vec<usize>,
         out: &mut Vec<f64>,
     ) -> Result<()> {
-        let mut total = 0usize;
-        for activation in activations {
-            self.check_activation(activation)?;
-            total += activation.len();
-        }
-        if bit_offsets.len() != total {
-            return Err(CrossbarError::ActivationLengthMismatch {
-                expected: total,
-                found: bit_offsets.len(),
-            });
-        }
+        self.check_bit_offsets(activations, bit_offsets)?;
         let rows = self.plan.layout().rows();
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
         out.clear();
         out.reserve(rows * planes * activations.len());
-        if !self.stack.tracks_reads() {
-            self.with_cache(|cache| {
-                let mut cursor = 0usize;
-                for activation in activations {
-                    let offsets = &bit_offsets[cursor..cursor + activation.len()];
-                    cursor += activation.len();
-                    for row in 0..rows {
-                        let tile_base = (row / shape.rows) * col_tiles;
-                        let local_row = row % shape.rows;
-                        row_plane_partials(
-                            |column| {
-                                cache.tiles[tile_base + column / shape.columns]
-                                    .on_current(local_row, column % shape.columns)
-                            },
-                            activation.active_columns(),
-                            offsets,
-                            planes,
-                            ladder,
-                            level_scratch,
-                            out,
-                        );
-                    }
-                }
-            });
-            return Ok(());
-        }
         let mut cursor = 0usize;
-        for activation in activations {
+        self.read_group(activations.len(), |cache, read| {
+            let activation = &activations[read];
             let offsets = &bit_offsets[cursor..cursor + activation.len()];
             cursor += activation.len();
             for row in 0..rows {
-                self.note_row_read(row);
+                row_plane_partials(
+                    |column| cache.on_current(row, column),
+                    activation.active_columns(),
+                    offsets,
+                    planes,
+                    ladder,
+                    level_scratch,
+                    out,
+                );
             }
-            self.with_cache(|cache| {
-                for row in 0..rows {
-                    let tile_base = (row / shape.rows) * col_tiles;
-                    let local_row = row % shape.rows;
-                    row_plane_partials(
-                        |column| {
-                            cache.tiles[tile_base + column / shape.columns]
-                                .on_current(local_row, column % shape.columns)
-                        },
-                        activation.active_columns(),
-                        offsets,
-                        planes,
-                        ladder,
-                        level_scratch,
-                        out,
-                    );
-                }
-            });
-        }
+        });
         Ok(())
     }
 
-    /// Effective threshold error of one programmed cell (see
-    /// [`CrossbarArray::recalibrate`](crate::CrossbarArray::recalibrate)).
-    fn effective_shift(
-        &self,
-        row: usize,
-        column: usize,
-        target: &ProgrammedState,
-        window: f64,
-    ) -> f64 {
-        let cell = self.cell(row, column).expect("in-range indices");
-        let ctx = self.cell_context(row, column, cell);
-        let pol_error =
-            (target.polarization.value() - cell.device().polarization().value()) * window;
-        self.stack.vth_shift(&ctx) + pol_error
+    /// The cell at logical `(row, column)` through its tile's remap table:
+    /// the evaluation point of [`TileGrid::evaluate`] for one coordinate.
+    fn evaluate_cell(&self, row: usize, column: usize) -> (f64, f64) {
+        self.evaluate(
+            row,
+            column,
+            self.cell(row, column).expect("in-range indices"),
+        )
     }
 
     fn level_state<'a>(
@@ -1467,17 +1380,34 @@ impl TileGrid {
         Ok(states[level].as_ref().expect("just filled"))
     }
 
+    /// Effective threshold error of one programmed cell, in volts: the
+    /// stack's time/history-dependent shift plus the polarization deviation
+    /// from the level target expressed through the threshold window.
+    fn effective_shift(
+        &self,
+        row: usize,
+        column: usize,
+        cell: &Cell,
+        target: &ProgrammedState,
+        window: f64,
+    ) -> f64 {
+        let ctx = self.cell_context(row, column, cell);
+        let pol_error =
+            (target.polarization.value() - cell.device().polarization().value()) * window;
+        self.stack.vth_shift(&ctx) + pol_error
+    }
+
     /// The largest effective threshold error (volts) over all programmed
-    /// cells of the fabric. Cells already classified as stuck are excluded
-    /// (their error is permanent and belongs to [`TileGrid::scrub`]).
+    /// cells — the quantity a recalibration scheduler compares against its
+    /// tolerance. Cells already classified as stuck are excluded: their
+    /// error is permanent by definition and belongs to the scrub/repair
+    /// subsystem ([`TileGrid::scrub`]), not to drift recalibration.
     pub fn worst_effective_shift(&self) -> f64 {
-        let layout = *self.plan.layout();
         let window = self.programmer.params().vth_window();
         let mut states: Vec<Option<ProgrammedState>> = Vec::new();
         let mut worst = 0.0f64;
-        for row in 0..layout.rows() {
-            for column in 0..layout.columns() {
-                let cell = self.cell(row, column).expect("in-range indices");
+        for row in 0..self.plan.layout().rows() {
+            for (column, cell) in self.row_cells(row).enumerate() {
                 if cell.is_stuck() {
                     continue;
                 }
@@ -1485,20 +1415,29 @@ impl TileGrid {
                     continue;
                 };
                 let target = Self::level_state(&self.programmer, &mut states, level)
-                    .expect("programmed level was validated at program time")
-                    .clone();
-                worst = worst.max(self.effective_shift(row, column, &target, window).abs());
+                    .expect("programmed level was validated at program time");
+                worst = worst.max(
+                    self.effective_shift(row, column, cell, target, window)
+                        .abs(),
+                );
             }
         }
         worst
     }
 
-    /// One recalibration pass over the whole fabric: the tile-granular
-    /// analogue of
-    /// [`CrossbarArray::recalibrate`](crate::CrossbarArray::recalibrate).
-    /// Global wordlines holding an out-of-tolerance programmed cell are
-    /// rewritten whole; refreshed rows restart their retention age, disturb
-    /// counters and read counters, and only the touched tiles go stale.
+    /// One recalibration pass: every programmed cell's effective threshold
+    /// error (drift + disturb + polarization relaxation) is checked against
+    /// `max_vth_shift` (volts), and any wordline holding an out-of-tolerance
+    /// cell is rewritten whole — with minimal Preisach top-up pulse trains
+    /// under [`ProgrammingMode::PulseTrain`] (full erase + retrain only when
+    /// a cell overshot its target), or a direct state install priced at the
+    /// full train under [`ProgrammingMode::Ideal`]. Refreshed rows restart
+    /// their retention age, disturb counters and read counters, and only
+    /// their cells go stale in the cache.
+    ///
+    /// Recalibration writes are modelled disturb-free: a refresh pass is
+    /// assumed to use a sequencing that does not half-bias neighbouring
+    /// rows, so one pass cannot create the drift it is correcting.
     ///
     /// # Errors
     ///
@@ -1509,23 +1448,14 @@ impl TileGrid {
         max_vth_shift: f64,
         mode: ProgrammingMode,
     ) -> Result<RefreshOutcome> {
-        if !max_vth_shift.is_finite() || max_vth_shift <= 0.0 {
-            return Err(CrossbarError::Device(DeviceError::InvalidParameter {
-                name: "max_vth_shift",
-                reason: "recalibration tolerance must be positive and finite".to_string(),
-            }));
-        }
-        let layout = *self.plan.layout();
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
+        check_tolerance(max_vth_shift, "recalibration")?;
         let window = self.programmer.params().vth_window();
         let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
         let mut states: Vec<Option<ProgrammedState>> = Vec::new();
         let mut outcome = RefreshOutcome::default();
-        for row in 0..layout.rows() {
+        for row in 0..self.plan.layout().rows() {
             let mut refresh_row = false;
-            for column in 0..layout.columns() {
-                let cell = self.cell(row, column).expect("in-range indices");
+            for (column, cell) in self.row_cells(row).enumerate() {
                 if cell.is_stuck() {
                     continue;
                 }
@@ -1533,8 +1463,12 @@ impl TileGrid {
                     continue;
                 };
                 outcome.cells_checked += 1;
-                let target = Self::level_state(&self.programmer, &mut states, level)?.clone();
-                if self.effective_shift(row, column, &target, window).abs() > max_vth_shift {
+                let target = Self::level_state(&self.programmer, &mut states, level)?;
+                if self
+                    .effective_shift(row, column, cell, target, window)
+                    .abs()
+                    > max_vth_shift
+                {
                     refresh_row = true;
                     break;
                 }
@@ -1544,46 +1478,38 @@ impl TileGrid {
             }
             outcome.rows_refreshed += 1;
             let clock = self.clock;
-            let tile_row = row / shape.rows;
-            let local_row = row % shape.rows;
-            for column in 0..layout.columns() {
-                let tile_index = tile_row * col_tiles + column / shape.columns;
-                let local = self.tiles[tile_index].index(local_row, column % shape.columns);
-                if self.tiles[tile_index].cells[local].is_stuck() {
+            let (tiles, local_row) = row_tiles(&self.plan, row);
+            for cell in self.tiles[tiles]
+                .iter_mut()
+                .flat_map(|tile| tile.row_mut(local_row))
+            {
+                if cell.is_stuck() {
                     continue;
                 }
-                let Some(level) = self.tiles[tile_index].cells[local].programmed_level() else {
+                let Some(level) = cell.programmed_level() else {
                     continue;
                 };
                 let pulses = match mode {
                     ProgrammingMode::Ideal => {
-                        let target =
-                            Self::level_state(&self.programmer, &mut states, level)?.clone();
-                        self.tiles[tile_index].cells[local]
-                            .device_mut()
-                            .set_polarization(target.polarization);
+                        let target = Self::level_state(&self.programmer, &mut states, level)?;
+                        cell.device_mut().set_polarization(target.polarization);
                         u64::from(target.write_config.pulse_count) + 1
                     }
-                    ProgrammingMode::PulseTrain => u64::from(self.programmer.refresh_with_pulses(
-                        self.tiles[tile_index].cells[local].device_mut(),
-                        level,
-                    )?),
+                    ProgrammingMode::PulseTrain => u64::from(
+                        self.programmer
+                            .refresh_with_pulses(cell.device_mut(), level)?,
+                    ),
                 };
                 outcome.cells_refreshed += 1;
                 outcome.pulses_applied += pulses;
                 let energy = energy_per_pulse * pulses as f64;
                 outcome.energy_joules += energy;
                 self.write_energy += energy;
-                self.tiles[tile_index].cells[local].set_programmed_at(clock);
-                self.tiles[tile_index].cells[local].reset_disturb();
+                cell.set_programmed_at(clock);
+                cell.reset_disturb();
             }
             self.row_reads.reset_row(row);
-            for tile_col in 0..col_tiles {
-                self.dirty
-                    .get_mut()
-                    .mark_tile(tile_row * col_tiles + tile_col, self.plan.tile_count());
-            }
-            self.bump_epoch();
+            self.mark_row(row);
         }
         Ok(outcome)
     }
@@ -1604,114 +1530,110 @@ impl TileGrid {
         if row >= self.plan.layout().rows() {
             return false;
         }
-        let shape = self.plan.shape();
-        let tile_row = row / shape.rows;
-        let local_row = row % shape.rows;
-        (0..self.plan.col_tiles()).any(|tile_col| {
-            let tile = &self.tiles[tile_row * self.plan.col_tiles() + tile_col];
-            local_row < tile.rows && tile.remap[local_row] != local_row
-        })
+        let (tiles, local_row) = row_tiles(&self.plan, row);
+        self.tiles[tiles]
+            .iter()
+            .any(|tile| tile.remap[local_row] != local_row)
     }
 
-    /// One BIST-style scrub pass over the fabric — the tile-granular,
-    /// spare-row-repairing analogue of
-    /// [`CrossbarArray::scrub`](crate::CrossbarArray::scrub).
-    ///
-    /// Every programmed cell is read back against the program's expected
-    /// signature. A cell out of signature gets one in-place rewrite attempt
-    /// and a re-read; a cell that still misses its target is unrepairable in
-    /// place, and its wordline *segment* (the logical row within the owning
-    /// tile) is repaired by reprogramming the segment's contents onto a free
-    /// spare physical row — the minimal Preisach train from the erased spare
+    /// One BIST-style scrub pass: every programmed cell's effective
+    /// threshold error is read back and compared against the program's
+    /// expected signature (the memoized per-level target states — the same
+    /// oracle the epoch-versioned cache is built from). A cell out of
+    /// signature gets one in-place rewrite attempt and a re-read; a cell
+    /// that still misses its target is unrepairable in place, and its
+    /// wordline *segment* (the logical row within the owning tile) is
+    /// repaired by reprogramming the segment's contents onto a free spare
+    /// physical row — the minimal Preisach train from the erased spare
     /// under [`ProgrammingMode::PulseTrain`] — and rewiring the tile's remap
     /// table. Reads through the remap stay bit-identical to the pre-fault
     /// reference because non-idealities are evaluated in logical
     /// coordinates. When the tile has no free spare, the defective cells are
-    /// latched stuck and reported with `repaired == false`; the caller
-    /// decides whether the fabric must be quarantined.
+    /// latched stuck ([`Cell::is_stuck`]) and reported with
+    /// `repaired == false`; the caller decides whether the fabric must be
+    /// quarantined.
     ///
-    /// Like recalibration, repair writes are modelled disturb-free.
+    /// Unlike [`TileGrid::recalibrate`] — which corrects *recoverable*
+    /// drift row-wise and skips known-stuck cells — the scrub is purely
+    /// read-driven: it checks every programmed cell including already-stuck
+    /// ones, so detection never depends on the fault injector having
+    /// annotated the cell. Like recalibration, repair writes are modelled
+    /// disturb-free.
     ///
     /// # Errors
     ///
     /// Returns [`CrossbarError::Device`] for a non-positive or non-finite
     /// tolerance, and propagates programming errors.
     pub fn scrub(&mut self, max_vth_shift: f64, mode: ProgrammingMode) -> Result<ScrubOutcome> {
-        if !max_vth_shift.is_finite() || max_vth_shift <= 0.0 {
-            return Err(CrossbarError::Device(DeviceError::InvalidParameter {
-                name: "max_vth_shift",
-                reason: "scrub tolerance must be positive and finite".to_string(),
-            }));
-        }
+        check_tolerance(max_vth_shift, "scrub")?;
         let layout = *self.plan.layout();
         let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
         let window = self.programmer.params().vth_window();
         let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
         let mut states: Vec<Option<ProgrammedState>> = Vec::new();
         let mut outcome = ScrubOutcome::default();
         for row in 0..layout.rows() {
-            let tile_row = row / shape.rows;
-            let local_row = row % shape.rows;
+            let (tiles, local_row) = row_tiles(&self.plan, row);
             let clock = self.clock;
             let mut row_touched = false;
             // Cells still out of signature after the in-place attempt, in
             // ascending column order (so tile groups are contiguous).
             let mut unrepaired: Vec<(usize, FaultKind)> = Vec::new();
             for column in 0..layout.columns() {
-                let Some(level) = self
-                    .cell(row, column)
-                    .expect("in-range indices")
-                    .programmed_level()
-                else {
+                let tile_index = tiles.start + column / shape.columns;
+                let local = self.tiles[tile_index].index(local_row, column % shape.columns);
+                let cell = &self.tiles[tile_index].cells[local];
+                let Some(level) = cell.programmed_level() else {
                     continue;
                 };
                 outcome.cells_checked += 1;
-                let target = Self::level_state(&self.programmer, &mut states, level)?.clone();
-                if self.effective_shift(row, column, &target, window).abs() <= max_vth_shift {
+                let target = Self::level_state(&self.programmer, &mut states, level)?;
+                if self
+                    .effective_shift(row, column, cell, target, window)
+                    .abs()
+                    <= max_vth_shift
+                {
                     continue;
                 }
                 // Out of signature: classify the observed state, then try
-                // one in-place rewrite (a stuck stack does not respond).
-                let observed = self
-                    .cell(row, column)
-                    .expect("in-range indices")
-                    .device()
-                    .polarization()
-                    .value();
-                let kind = if observed >= 0.5 {
+                // one in-place rewrite. A stuck stack does not respond, so
+                // the guard in the device mutation is the physics, not the
+                // logic.
+                let kind = if cell.device().polarization().value() >= 0.5 {
                     FaultKind::StuckProgrammed
                 } else {
                     FaultKind::StuckErased
                 };
-                let tile_index = tile_row * col_tiles + column / shape.columns;
-                let local = self.tiles[tile_index].index(local_row, column % shape.columns);
-                if !self.tiles[tile_index].cells[local].is_stuck() {
+                if !cell.is_stuck() {
+                    let cell = &mut self.tiles[tile_index].cells[local];
                     let pulses = match mode {
                         ProgrammingMode::Ideal => {
-                            self.tiles[tile_index].cells[local]
-                                .device_mut()
-                                .set_polarization(target.polarization);
+                            cell.device_mut().set_polarization(target.polarization);
                             u64::from(target.write_config.pulse_count) + 1
                         }
-                        ProgrammingMode::PulseTrain => {
-                            u64::from(self.programmer.refresh_with_pulses(
-                                self.tiles[tile_index].cells[local].device_mut(),
-                                level,
-                            )?)
-                        }
+                        ProgrammingMode::PulseTrain => u64::from(
+                            self.programmer
+                                .refresh_with_pulses(cell.device_mut(), level)?,
+                        ),
                     };
+                    cell.set_programmed_at(clock);
+                    cell.reset_disturb();
                     outcome.pulses_applied += pulses;
                     let energy = energy_per_pulse * pulses as f64;
                     outcome.energy_joules += energy;
                     self.write_energy += energy;
-                    self.tiles[tile_index].cells[local].set_programmed_at(clock);
-                    self.tiles[tile_index].cells[local].reset_disturb();
+                    // A rewrite re-settles the wordline's read history the
+                    // same way a recalibration refresh does.
                     self.row_reads.reset_row(row);
                     row_touched = true;
                 }
                 // Re-read after the repair attempt.
-                if self.effective_shift(row, column, &target, window).abs() <= max_vth_shift {
+                let cell = &self.tiles[tile_index].cells[local];
+                if self
+                    .effective_shift(row, column, cell, target, window)
+                    .abs()
+                    <= max_vth_shift
+                {
                     outcome.cells_repaired += 1;
                     outcome.reports.push(FaultReport {
                         row,
@@ -1724,20 +1646,13 @@ impl TileGrid {
                 }
             }
             // Spare-row repair, one tile segment at a time.
-            let mut start = 0;
-            while start < unrepaired.len() {
-                let tile_col = unrepaired[start].0 / shape.columns;
-                let mut end = start;
-                while end < unrepaired.len() && unrepaired[end].0 / shape.columns == tile_col {
-                    end += 1;
-                }
-                let group = &unrepaired[start..end];
-                start = end;
-                let tile_index = tile_row * col_tiles + tile_col;
-                if !self.tiles[tile_index].has_free_spare() {
+            for group in unrepaired.chunk_by(|a, b| a.0 / shape.columns == b.0 / shape.columns) {
+                let tile_index = tiles.start + group[0].0 / shape.columns;
+                let tile = &mut self.tiles[tile_index];
+                if !tile.has_free_spare() {
                     for &(column, kind) in group {
-                        let local = self.tiles[tile_index].index(local_row, column % shape.columns);
-                        self.tiles[tile_index].cells[local].set_stuck(true);
+                        let local = tile.index(local_row, column % shape.columns);
+                        tile.cells[local].set_stuck(true);
                         outcome.stuck_cells += 1;
                         outcome.reports.push(FaultReport {
                             row,
@@ -1750,35 +1665,30 @@ impl TileGrid {
                 }
                 // Reprogram the whole logical row segment onto the spare
                 // physical row, then rewire the remap table.
-                let spare_phys = self.tiles[tile_index].rows + self.tiles[tile_index].spares_used;
-                let columns_in_tile = self.tiles[tile_index].columns;
-                for local_col in 0..columns_in_tile {
-                    let old = self.tiles[tile_index].index(local_row, local_col);
-                    let Some(level) = self.tiles[tile_index].cells[old].programmed_level() else {
+                let spare_phys = tile.rows + tile.spares_used;
+                for local_col in 0..tile.columns {
+                    let old = tile.index(local_row, local_col);
+                    let Some(level) = tile.cells[old].programmed_level() else {
                         continue;
                     };
-                    let spare_index = spare_phys * columns_in_tile + local_col;
+                    let spare = &mut tile.cells[spare_phys * tile.columns + local_col];
                     let state = match mode {
-                        ProgrammingMode::Ideal => self.programmer.program_ideal(
-                            self.tiles[tile_index].cells[spare_index].device_mut(),
-                            level,
-                        )?,
-                        ProgrammingMode::PulseTrain => self.programmer.program_with_pulses(
-                            self.tiles[tile_index].cells[spare_index].device_mut(),
-                            level,
-                        )?,
+                        ProgrammingMode::Ideal => {
+                            self.programmer.program_ideal(spare.device_mut(), level)?
+                        }
+                        ProgrammingMode::PulseTrain => self
+                            .programmer
+                            .program_with_pulses(spare.device_mut(), level)?,
                     };
+                    spare.set_programmed_level(level);
+                    spare.reset_disturb();
+                    spare.set_programmed_at(clock);
                     let pulses = u64::from(state.write_config.pulse_count) + 1;
                     outcome.pulses_applied += pulses;
                     let energy = energy_per_pulse * pulses as f64;
                     outcome.energy_joules += energy;
                     self.write_energy += energy;
-                    let cell = &mut self.tiles[tile_index].cells[spare_index];
-                    cell.set_programmed_level(level);
-                    cell.reset_disturb();
-                    cell.set_programmed_at(clock);
                 }
-                let tile = &mut self.tiles[tile_index];
                 tile.remap[local_row] = spare_phys;
                 tile.spares_used += 1;
                 outcome.rows_remapped += 1;
@@ -1795,58 +1705,43 @@ impl TileGrid {
                 }
             }
             if row_touched {
-                for tile_col in 0..col_tiles {
-                    self.dirty
-                        .get_mut()
-                        .mark_tile(tile_row * col_tiles + tile_col, self.plan.tile_count());
-                }
-                self.bump_epoch();
+                self.mark_row(row);
             }
         }
         Ok(outcome)
     }
 
-    /// The programmed level of every occupied cell as a global matrix.
+    /// The programmed level of every cell as a logical matrix (for
+    /// Fig. 8(b)-style state maps).
     pub fn level_map(&self) -> Vec<Vec<Option<usize>>> {
-        let layout = *self.plan.layout();
-        (0..layout.rows())
-            .map(|row| {
-                (0..layout.columns())
-                    .map(|column| {
-                        self.cell(row, column)
-                            .expect("in-range indices")
-                            .programmed_level()
-                    })
-                    .collect()
-            })
+        (0..self.plan.layout().rows())
+            .map(|row| self.row_cells(row).map(Cell::programmed_level).collect())
             .collect()
     }
 
-    /// The cached read current of every occupied cell, flattened row-major
-    /// into `out` (cleared first) — the allocation-reusing fabric state map.
+    /// The cached read current of every cell, flattened logical row-major
+    /// into `out` (cleared first): the allocation-reusing state map. Does
+    /// not count as wordline reads.
     pub fn current_map_into(&self, out: &mut Vec<f64>) {
-        let layout = *self.plan.layout();
-        let shape = self.plan.shape();
-        let col_tiles = self.plan.col_tiles();
         out.clear();
-        out.reserve(layout.cells());
-        self.with_cache(|cache| {
-            for row in 0..layout.rows() {
-                let tile_row = row / shape.rows;
-                let local_row = row % shape.rows;
-                for column in 0..layout.columns() {
-                    let tile = &cache.tiles[tile_row * col_tiles + column / shape.columns];
-                    out.push(tile.on_current(local_row, column % shape.columns));
-                }
-            }
-        });
+        self.with_cache(|cache| out.extend_from_slice(cache.on_currents()));
     }
+}
+
+/// Rejects a non-positive or non-finite maintenance tolerance.
+fn check_tolerance(max_vth_shift: f64, pass: &str) -> Result<()> {
+    if !max_vth_shift.is_finite() || max_vth_shift <= 0.0 {
+        return Err(CrossbarError::Device(DeviceError::InvalidParameter {
+            name: "max_vth_shift",
+            reason: format!("{pass} tolerance must be positive and finite"),
+        }));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::CrossbarArray;
     use febim_device::{ReadDisturb, RetentionDrift, WireResistance};
 
     fn plan_2x2() -> TilePlan {
@@ -1866,11 +1761,12 @@ mod tests {
         levels
     }
 
-    fn grid_and_array() -> (TileGrid, CrossbarArray) {
+    /// The same program on the 2×2 grid and on a one-tile monolithic array.
+    fn grid_and_array() -> (TileGrid, TileGrid) {
         let plan = plan_2x2();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
         let mut grid = TileGrid::new(plan, programmer.clone());
-        let mut array = CrossbarArray::new(*plan.layout(), programmer);
+        let mut array = TileGrid::new(TilePlan::monolithic(*plan.layout()), programmer);
         let levels = checker_levels(plan.layout());
         grid.program_matrix(&levels, ProgrammingMode::Ideal)
             .unwrap();
@@ -1887,13 +1783,17 @@ mod tests {
             .with_disturb(ReadDisturb::new(7, 0.001))
     }
 
-    fn noisy_grid_and_array() -> (TileGrid, CrossbarArray) {
+    fn noisy_grid_and_array() -> (TileGrid, TileGrid) {
         let plan = plan_2x2();
         let programmer = LevelProgrammer::febim_default(10).unwrap();
         let mut grid =
             TileGrid::with_non_idealities(plan, programmer.clone(), noisy_stack()).unwrap();
-        let mut array =
-            CrossbarArray::with_non_idealities(*plan.layout(), programmer, noisy_stack()).unwrap();
+        let mut array = TileGrid::with_non_idealities(
+            TilePlan::monolithic(*plan.layout()),
+            programmer,
+            noisy_stack(),
+        )
+        .unwrap();
         let levels = checker_levels(plan.layout());
         grid.program_matrix(&levels, ProgrammingMode::Ideal)
             .unwrap();
@@ -2115,7 +2015,7 @@ mod tests {
     }
 
     #[test]
-    fn single_cell_mutation_rebuilds_a_single_tile() {
+    fn single_cell_mutation_refreshes_a_single_fabric_cell() {
         let (mut grid, _) = grid_and_array();
         let activation = Activation::all_columns(grid.layout());
         grid.wordline_currents(&activation).unwrap(); // warm: one full build
@@ -2130,11 +2030,11 @@ mod tests {
         grid.wordline_currents(&activation).unwrap();
         let after = grid.rebuild_stats();
         assert_eq!(after.full_rebuilds, 1, "no second full rebuild");
-        assert_eq!(after.tile_rebuilds, before.tile_rebuilds + 1);
+        assert_eq!(after.partial_refreshes, before.partial_refreshes + 1);
         assert_eq!(
             after.cells_recomputed,
-            before.cells_recomputed + 7,
-            "only the 1x7 edge tile re-evaluated"
+            before.cells_recomputed + 1,
+            "only the mutated cell re-evaluated, not its tile"
         );
         assert_eq!(
             grid.wordline_currents(&activation).unwrap(),
@@ -2144,10 +2044,10 @@ mod tests {
 
     #[test]
     fn repeated_programs_into_one_tile_keep_other_tile_caches() {
-        // Regression: `GridDirty::mark_tile` used to push duplicate indices,
-        // so per-cell programming loops confined to ONE tile degraded the
-        // dirty set to `All` after two writes and forced full fabric
-        // rebuilds even though every other tile was untouched.
+        // Regression: the dirty set once counted duplicate marks, so
+        // per-cell programming loops confined to ONE tile degraded it to
+        // `All` after two writes and forced full fabric rebuilds even though
+        // every other tile was untouched.
         let (mut grid, _) = grid_and_array();
         let activation = Activation::all_columns(grid.layout());
         grid.wordline_currents(&activation).unwrap(); // warm: one full build
@@ -2165,7 +2065,7 @@ mod tests {
         grid.wordline_currents(&activation).unwrap();
         let after = grid.rebuild_stats();
         assert_eq!(after.full_rebuilds, 1, "no spurious full rebuild");
-        assert_eq!(after.tile_rebuilds, before.tile_rebuilds + 1);
+        assert_eq!(after.partial_refreshes, before.partial_refreshes + 1);
         assert_eq!(
             after.cells_recomputed,
             before.cells_recomputed + 18,
@@ -2202,7 +2102,10 @@ mod tests {
         grid.wordline_currents(&activation).unwrap();
         let stats_after = grid.rebuild_stats();
         assert_eq!(stats_after.full_rebuilds, stats_before.full_rebuilds);
-        assert_eq!(stats_after.tile_rebuilds, stats_before.tile_rebuilds + 1);
+        assert_eq!(
+            stats_after.partial_refreshes,
+            stats_before.partial_refreshes + 1
+        );
         assert_eq!(
             grid.wordline_currents(&activation).unwrap(),
             grid.wordline_currents_reference(&activation).unwrap()
@@ -2238,7 +2141,10 @@ mod tests {
         grid.wordline_currents(&activation).unwrap();
         let stats_after = grid.rebuild_stats();
         assert_eq!(stats_after.full_rebuilds, stats_before.full_rebuilds);
-        assert_eq!(stats_after.tile_rebuilds, stats_before.tile_rebuilds + 1);
+        assert_eq!(
+            stats_after.partial_refreshes,
+            stats_before.partial_refreshes + 1
+        );
         assert_eq!(
             grid.wordline_currents(&activation).unwrap(),
             grid.wordline_currents_reference(&activation).unwrap()
@@ -2319,11 +2225,13 @@ mod tests {
         let mut flat = vec![9.9; 3];
         grid.current_map_into(&mut flat);
         assert_eq!(flat.len(), grid.layout().cells());
-        let reference = array.current_map();
+        let mut reference = Vec::new();
+        array.current_map_into(&mut reference);
+        assert_eq!(flat, reference);
         for (index, value) in flat.iter().enumerate() {
             let row = index / grid.layout().columns();
             let column = index % grid.layout().columns();
-            assert_eq!(*value, reference[row][column]);
+            assert_eq!(*value, grid.cell(row, column).unwrap().read_current_on());
         }
     }
 
@@ -2388,7 +2296,7 @@ mod tests {
         let mut grid = spare_grid(1);
         let activation = Activation::all_columns(grid.layout());
         let reference = grid.wordline_currents(&activation).unwrap();
-        crate::fault::apply_scheduled_grid_fault(&mut grid, 2, 10, FaultKind::StuckErased, false)
+        crate::fault::apply_scheduled_fault(&mut grid, 2, 10, FaultKind::StuckErased, false)
             .unwrap();
         assert_ne!(grid.wordline_currents(&activation).unwrap(), reference);
 
@@ -2405,14 +2313,8 @@ mod tests {
         let mut grid = spare_grid(1);
         let activation = Activation::all_columns(grid.layout());
         let reference = grid.wordline_currents(&activation).unwrap();
-        crate::fault::apply_scheduled_grid_fault(
-            &mut grid,
-            2,
-            10,
-            FaultKind::StuckProgrammed,
-            true,
-        )
-        .unwrap();
+        crate::fault::apply_scheduled_fault(&mut grid, 2, 10, FaultKind::StuckProgrammed, true)
+            .unwrap();
         assert_ne!(grid.wordline_currents(&activation).unwrap(), reference);
 
         let outcome = grid.scrub(0.05, ProgrammingMode::Ideal).unwrap();
@@ -2447,7 +2349,7 @@ mod tests {
     #[test]
     fn grid_scrub_without_spares_reports_unrepairable_cells() {
         let mut grid = spare_grid(0);
-        crate::fault::apply_scheduled_grid_fault(&mut grid, 2, 10, FaultKind::StuckErased, true)
+        crate::fault::apply_scheduled_fault(&mut grid, 2, 10, FaultKind::StuckErased, true)
             .unwrap();
         let outcome = grid.scrub(0.05, ProgrammingMode::Ideal).unwrap();
         assert!(!outcome.fully_repaired());
@@ -2467,9 +2369,9 @@ mod tests {
     fn grid_scrub_exhausts_spares_then_degrades() {
         let mut grid = spare_grid(1);
         // Rows 0 and 1 share tile (0, 1): the single spare covers only one.
-        crate::fault::apply_scheduled_grid_fault(&mut grid, 0, 10, FaultKind::StuckErased, true)
+        crate::fault::apply_scheduled_fault(&mut grid, 0, 10, FaultKind::StuckErased, true)
             .unwrap();
-        crate::fault::apply_scheduled_grid_fault(&mut grid, 1, 10, FaultKind::StuckErased, true)
+        crate::fault::apply_scheduled_fault(&mut grid, 1, 10, FaultKind::StuckErased, true)
             .unwrap();
         let outcome = grid.scrub(0.05, ProgrammingMode::Ideal).unwrap();
         assert_eq!(outcome.rows_remapped, 1);
@@ -2622,14 +2524,8 @@ mod tests {
         let reference = grid
             .plane_partial_sums_reference(&activation, &bit_offsets, 2, &ladder)
             .unwrap();
-        crate::fault::apply_scheduled_grid_fault(
-            &mut grid,
-            2,
-            10,
-            FaultKind::StuckProgrammed,
-            true,
-        )
-        .unwrap();
+        crate::fault::apply_scheduled_fault(&mut grid, 2, 10, FaultKind::StuckProgrammed, true)
+            .unwrap();
         let outcome = grid.scrub(0.05, ProgrammingMode::Ideal).unwrap();
         assert_eq!(outcome.rows_remapped, 1);
         assert!(grid.is_row_remapped(2));

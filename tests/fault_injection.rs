@@ -4,7 +4,7 @@
 //! and on individual tiles of a tiled fabric, which must degrade
 //! identically when the same global cells are defective.
 
-use febim_suite::crossbar::{apply_grid_fault, Activation, FaultKind, FaultModel};
+use febim_suite::crossbar::{apply_fault, Activation, FaultKind, FaultModel};
 use febim_suite::prelude::*;
 
 #[test]
@@ -73,7 +73,7 @@ fn tile_faults_degrade_the_fabric_identically_to_the_monolithic_array() {
         .inject(&mut faulty_array, &mut seeded_rng(177))
         .expect("inject array");
     let grid_faults = model
-        .inject_grid(&mut faulty_grid, &mut seeded_rng(177))
+        .inject(&mut faulty_grid, &mut seeded_rng(177))
         .expect("inject grid");
     assert_eq!(array_faults, grid_faults, "defect maps must match per seed");
     assert!(!grid_faults.is_empty(), "expected some injected faults");
@@ -144,8 +144,7 @@ fn targeted_tile_fault_biases_the_fabric_like_the_array() {
             FaultKind::StuckProgrammed,
         )
         .expect("array fault");
-        apply_grid_fault(&mut faulty_grid, 2, column, FaultKind::StuckProgrammed)
-            .expect("grid fault");
+        apply_fault(&mut faulty_grid, 2, column, FaultKind::StuckProgrammed).expect("grid fault");
     }
     let activation =
         Activation::from_observation(faulty_array.layout(), &bins).expect("activation");
