@@ -10,7 +10,11 @@
 //! reprogrammed in place — the erase and programming pulse trains are
 //! priced through the Preisach programmer, and the swap runs strictly
 //! between batches on the target bank only, so other tenants never stall.
-//! Evicted models stay in the registry's catalog and fault back in
+//! Every tenant is a slot in its bank's serving loop, so the
+//! [`ServingConfig`] recalibration and scrub policies of
+//! [`RegistryConfig::with_serving`] age, refresh and repair each tenant on
+//! its own schedule, and a tenant quarantined by an unrepairable fault
+//! answers through its exact software twin. Evicted models stay in the registry's catalog and fault back in
 //! transparently on their next request. [`ModelRegistry::snapshot`] /
 //! [`ModelRegistry::restore`] round-trip a tenant's compiled program (the
 //! trained model, the quantized tables and the tiled program) through JSON,
@@ -36,8 +40,8 @@ use crate::config::EngineConfig;
 use crate::engine::FebimEngine;
 use crate::errors::CoreError;
 use crate::serving::{
-    PoolStats, ServeOutcome, ServingConfig, ServingError, ServingPool, SwapReport, SwapTicket,
-    Ticket,
+    PoolStats, ServeOutcome, ServingConfig, ServingError, ServingPool, SwapQueue, SwapReport,
+    SwapTicket, Ticket,
 };
 
 /// Requests that race a concurrent eviction of their model retry the
@@ -279,6 +283,9 @@ struct ModelSnapshot {
 pub struct ModelRegistry {
     config: RegistryConfig,
     pool: ServingPool,
+    /// The routed pool's typed hot-swap queue: every eviction and install
+    /// is posted through it to the target bank's worker.
+    swaps: SwapQueue<TiledFabricBackend>,
     state: Mutex<RegistryState>,
 }
 
@@ -301,11 +308,12 @@ impl ModelRegistry {
         config.validate()?;
         let banks: Vec<Vec<(u64, FebimEngine<TiledFabricBackend>)>> =
             (0..config.banks).map(|_| Vec::new()).collect();
-        let pool = ServingPool::new_routed(banks, config.serving)?;
+        let (pool, swaps) = ServingPool::new_routed(banks, config.serving)?;
         let used = vec![0; config.banks];
         Ok(Self {
             config,
             pool,
+            swaps,
             state: Mutex::new(RegistryState {
                 catalog: HashMap::new(),
                 resident: HashMap::new(),
@@ -336,7 +344,7 @@ impl ModelRegistry {
         shape: TileShape,
     ) -> Result<TenantPlacement, RegistryError> {
         let engine = FebimEngine::fit_tiled(train_data, config, shape)?;
-        self.admit(id, engine)
+        self.register_engine(id, engine)
     }
 
     /// Registers a pre-built tiled engine under `id` and places it.
@@ -349,35 +357,37 @@ impl ModelRegistry {
         id: u64,
         engine: FebimEngine<TiledFabricBackend>,
     ) -> Result<TenantPlacement, RegistryError> {
-        self.admit(id, engine)
-    }
-
-    fn admit(
-        &self,
-        id: u64,
-        engine: FebimEngine<TiledFabricBackend>,
-    ) -> Result<TenantPlacement, RegistryError> {
-        let program = engine.tiled_program().clone();
-        let tiles = program.plan().tile_count();
-        if tiles > self.config.tiles_per_bank {
-            return Err(RegistryError::Capacity {
-                tiles,
-                budget: self.config.tiles_per_bank,
-            });
-        }
         let stored = StoredModel {
             config: engine.config().clone(),
             model: engine.shared_model(),
             quantized: engine.shared_quantized(),
-            program,
-            tiles,
+            tiles: engine.tiled_program().plan().tile_count(),
+            program: engine.tiled_program().clone(),
         };
+        self.admit(id, stored, Some(engine))
+    }
+
+    /// Catalogs a new model under `id` and places it. `engine` carries the
+    /// pre-built engine of a registration; a restore rebuilds it from the
+    /// catalog.
+    fn admit(
+        &self,
+        id: u64,
+        stored: StoredModel,
+        engine: Option<FebimEngine<TiledFabricBackend>>,
+    ) -> Result<TenantPlacement, RegistryError> {
+        if stored.tiles > self.config.tiles_per_bank {
+            return Err(RegistryError::Capacity {
+                tiles: stored.tiles,
+                budget: self.config.tiles_per_bank,
+            });
+        }
         let mut state = self.lock_state();
         if state.catalog.contains_key(&id) {
             return Err(RegistryError::DuplicateModel { model: id });
         }
         state.catalog.insert(id, stored);
-        let result = self.install(&mut state, id, Some(engine));
+        let result = self.install(&mut state, id, engine);
         Self::finish_install(state, result)
     }
 
@@ -454,11 +464,7 @@ impl ModelRegistry {
             return Ok(None);
         };
         state.used[placement.bank] -= placement.tiles;
-        let ticket = self.pool.post_swap(
-            placement.bank,
-            vec![model],
-            None::<(u64, FebimEngine<TiledFabricBackend>)>,
-        );
+        let ticket = self.swaps.post(placement.bank, vec![model], None);
         drop(state);
         Ok(Some(ticket.wait()?))
     }
@@ -497,28 +503,14 @@ impl ModelRegistry {
     pub fn restore(&self, text: &str) -> Result<TenantPlacement, RegistryError> {
         let snapshot: ModelSnapshot =
             json::from_str(text).map_err(|err| RegistryError::Snapshot(err.to_string()))?;
-        let tiles = snapshot.program.plan().tile_count();
-        if tiles > self.config.tiles_per_bank {
-            return Err(RegistryError::Capacity {
-                tiles,
-                budget: self.config.tiles_per_bank,
-            });
-        }
-        let id = snapshot.id;
         let stored = StoredModel {
             config: snapshot.config,
             model: Arc::new(snapshot.model),
             quantized: Arc::new(snapshot.quantized),
+            tiles: snapshot.program.plan().tile_count(),
             program: snapshot.program,
-            tiles,
         };
-        let mut state = self.lock_state();
-        if state.catalog.contains_key(&id) {
-            return Err(RegistryError::DuplicateModel { model: id });
-        }
-        state.catalog.insert(id, stored);
-        let result = self.install(&mut state, id, None);
-        Self::finish_install(state, result)
+        self.admit(snapshot.id, stored, None)
     }
 
     /// Occupancy snapshot (banks, budgets, residents).
@@ -552,9 +544,6 @@ impl ModelRegistry {
     /// and reprogramming its engine) if it was evicted.
     fn ensure_resident(&self, model: u64) -> Result<TenantPlacement, RegistryError> {
         let mut state = self.lock_state();
-        if !state.catalog.contains_key(&model) {
-            return Err(RegistryError::UnknownModel { model });
-        }
         let result = self.install(&mut state, model, None);
         Self::finish_install(state, result)
     }
@@ -669,8 +658,8 @@ impl ModelRegistry {
             },
         );
         let ticket = self
-            .pool
-            .post_swap(bank, evicted.clone(), Some((model, engine)));
+            .swaps
+            .post(bank, evicted.clone(), Some((model, engine)));
         Ok((
             TenantPlacement {
                 model,

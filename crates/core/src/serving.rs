@@ -1,40 +1,62 @@
 //! Concurrent batch-serving engine pool.
 //!
-//! The engine answers one query at a time; a serving workload is many
-//! independent clients querying the *same* compiled model. This module
-//! turns N engine replicas (any [`InferenceBackend`], all programmed from
-//! one compiled/tiled program) into a [`ServingPool`]:
+//! A [`ServingPool`] serves batched inference from a set of engines (any
+//! [`InferenceBackend`]). Every worker runs **one loop** over a bank of
+//! **tenant slots**:
 //!
 //! ```text
-//!  clients ──submit()──▶ ring 0 (lock-free) ──▶ worker 0 ─ engine replica 0
-//!     │      round-robin  ring 1 (lock-free) ──▶ worker 1 ─ engine replica 1
-//!     │      + overflow      ⋮        ▲  steal      ⋮            ⋮
-//!     │      to any ring  ring N-1 ───┴──────▶ worker N-1 ─ replica N-1
-//!     ◀──Ticket::wait()── per-request publish cell ◀─ batched completion
+//!  clients ─submit()──────▶ ring 0 ──▶ worker 0 ─ bank [slot][slot]…
+//!     │  replica: any ring    ring 1 ──▶ worker 1 ─ bank [slot]
+//!     │  routed: the model's    ⋮   ▲ steal (replica pools only)
+//!     ◀─Ticket::wait()── per-request publish cell ◀── batched completion
+//!
+//!  owner ─SwapQueue::post()─▶ swap inbox[w] ─┐
+//!  request_recalibration() ───────────────────┼─▶ control bits[w]
+//!  request_scrub() ───────────────────────────┘   SWAP│RECALIBRATE│SCRUB
+//!
+//!  worker w: ┌▶ take control bits: service swaps, run forced checks
+//!            │  park while every tenant is quarantined and another
+//!            │    replica can take the jobs
+//!            │  fill a batch (own ring first)
+//!            │  dispatch each tenant's group on its engine, or — once
+//!            │    quarantined — on its software twin
+//!            └─ age every tenant: recalibrate, scrub, update health
 //! ```
 //!
-//! Submission is sharded: each worker owns a bounded lock-free ring buffer
-//! (sequence-numbered slots, atomic head/tail), and a submitter places each
-//! request round-robin, overflowing into any ring with space before
-//! reporting [`ServingError::QueueFull`]. Workers drain their own ring
-//! first and **steal** from the others, so a slow replica can never strand
-//! queued requests. Each worker pops a **batch** of queued requests (up to
-//! [`ServingConfig::max_batch`], waiting at most
-//! [`ServingConfig::max_wait_ticks`] queue polls for stragglers — ticks,
-//! not wall-clock, so tests are deterministic), runs it through the
-//! backend's grouped-read path ([`InferenceBackend::infer_batch_into`]) with
-//! a per-worker reused [`EvalScratch`](crate::engine::EvalScratch), and
-//! answers every request with its prediction plus the per-batch amortized
-//! delay/energy telemetry.
+//! A **tenant slot** owns one engine, its scratch, its
+//! [`RecalibrationScheduler`] and [`ScrubScheduler`] and, once a scrub
+//! quarantines it, its exact software twin
+//! ([`FebimEngine::software_fallback`]). A *replica* pool
+//! ([`ServingPool::new`]) has one slot per worker, each a replica of the
+//! shared model, with work stealing and failover between workers. A
+//! *routed* pool (the [`ModelRegistry`](crate::ModelRegistry)'s) has a bank
+//! of tenants per worker, keyed by model id; a request is pinned to the
+//! bank hosting its model, so there is neither stealing nor failover.
+//! Maintenance follows the tenant, not the pool mode. So does quarantine:
+//! a worker whose tenants are all quarantined parks while another worker
+//! can take its jobs (a replica pool with a serving replica left);
+//! otherwise its quarantined tenants answer through their software twins —
+//! on a routed bank at once, because its tenants live nowhere else.
 //!
-//! Completion is batched and wake-free on the fast path: each request's
-//! answer is published into its [`Ticket`]'s cell with a single
-//! release-swap, and a waiting client is unparked only if it actually
-//! parked (it first spins on the cell). No per-request mutex or condvar
-//! round-trip remains anywhere on the submit → serve → complete path; the
-//! only blocking primitives left are the idle-worker parking lot and the
-//! blocking-backpressure waiters, both gated behind counters so the
-//! uncontended path never touches them.
+//! **Control.** Each worker has a control word of request bits. A
+//! requester sets bits and wakes parked workers; the worker takes them
+//! between batches, or as soon as it wakes. A bit stays set until taken, so
+//! no request is lost — not even one posted before the worker starts — and
+//! one kind of request never triggers another. Hot swaps travel typed on a
+//! `SwapQueue`, which the routed constructor hands to the pool's owner.
+//!
+//! **Batching.** Each worker owns a bounded lock-free ring (sequence-
+//! numbered slots, atomic head/tail). It pops a batch of up to
+//! [`ServingConfig::max_batch`] requests, waiting at most
+//! [`ServingConfig::max_wait_ticks`] queue polls for stragglers (ticks, not
+//! wall-clock, so tests are deterministic), runs each tenant's share
+//! through the grouped-read path ([`InferenceBackend::infer_batch_into`])
+//! and answers every request with its prediction plus the batch's
+//! amortized delay/energy telemetry. Completion is wake-free on the fast
+//! path: one release-swap publishes each answer, and a client is unparked
+//! only if it actually parked. The only blocking primitives are the idle
+//! and quarantine parking lots and the backpressure waiters, all gated
+//! behind counters so a busy pool never touches them.
 //!
 //! ## Backpressure and shutdown
 //!
@@ -56,15 +78,16 @@
 //! can a producer: when the **last** worker exits — normally or by panic —
 //! a guard closes the intake (waiting out any in-flight push) and rejects
 //! everything still queued, so blocked [`ServingPool::submit_blocking`]
-//! callers fail fast instead of waiting on rings nothing will ever pop.
+//! callers fail fast. Nor can a [`SwapTicket`]: a worker closes its swap
+//! inbox on every exit path, so a swap posted before, during or after
+//! shutdown resolves to its report or to [`ServingError::ShutDown`].
 
-use std::any::Any;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -73,8 +96,8 @@ use serde::{Deserialize, Serialize};
 
 use febim_circuit::{DelayBreakdown, InferenceEnergy};
 
-use crate::backend::{BatchTelemetry, InferenceBackend, SwapCost};
-use crate::engine::{FebimEngine, InferenceStep};
+use crate::backend::{BatchTelemetry, InferenceBackend, SoftwareBackend, SwapCost};
+use crate::engine::{EvalScratch, FebimEngine, InferenceStep};
 use crate::errors::CoreError;
 use crate::health::{ReplicaHealth, ScrubPolicy, ScrubScheduler};
 use crate::recalibration::{RecalibrationPolicy, RecalibrationScheduler};
@@ -82,6 +105,13 @@ use crate::recalibration::{RecalibrationPolicy, RecalibrationScheduler};
 /// How many times one request may fail over to a surviving replica before
 /// its inference error is answered to the client.
 const FAILOVER_ATTEMPTS: u8 = 3;
+
+/// Control bit: the worker's swap inbox holds requests.
+const CONTROL_SWAP: u8 = 1;
+/// Control bit: run one out-of-band drift check on every tenant.
+const CONTROL_RECALIBRATE: u8 = 1 << 1;
+/// Control bit: run one out-of-band fault scrub on every tenant.
+const CONTROL_SCRUB: u8 = 1 << 2;
 
 /// Knobs of the batch-coalescing serving pool.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -96,26 +126,26 @@ pub struct ServingConfig {
     pub max_wait_ticks: u32,
     /// Total admission capacity across all rings (the backpressure limit).
     pub queue_depth: usize,
-    /// Physical ticks each dispatched batch advances its replica's clock
-    /// (ageing the cells under the configured retention-drift model).
-    /// `0` — the default — freezes physical time.
+    /// Physical ticks each dispatched batch advances the clock of every
+    /// tenant on the worker's bank (ageing the cells under the configured
+    /// retention-drift model). `0` — the default — freezes physical time.
     #[serde(default)]
     pub ticks_per_batch: u64,
-    /// Optional online recalibration: each worker runs a
-    /// [`RecalibrationScheduler`] over its own replica, checking for drift
-    /// between batches — never while a batch is in flight, so requests are
-    /// answered through recalibration without a single drop or stall.
+    /// Optional online recalibration: every tenant slot runs its own
+    /// [`RecalibrationScheduler`], checking for drift between batches —
+    /// never while a batch is in flight, so requests are answered through
+    /// recalibration without a single drop or stall.
     /// [`ServingPool::request_recalibration`] forces a check out of band.
     #[serde(default)]
     pub recalibration: Option<RecalibrationPolicy>,
-    /// Optional online fault scrubbing: each worker runs a
-    /// [`ScrubScheduler`] over its own replica between batches, detecting
-    /// struck cells and repairing them in place or via spare rows. A replica
-    /// whose defects cannot be repaired is **quarantined**: it stops taking
-    /// work (its queued requests are stolen by surviving workers) and, when
-    /// every replica is quarantined, the pool degrades gracefully to exact
-    /// software inference. [`ServingPool::request_scrub`] forces a check out
-    /// of band.
+    /// Optional online fault scrubbing: every tenant slot runs its own
+    /// [`ScrubScheduler`] between batches, detecting struck cells and
+    /// repairing them in place or via spare rows. A tenant whose defects
+    /// cannot be repaired is **quarantined** and answers through its exact
+    /// software twin — unless it is a replica with a serving replica left,
+    /// in which case its worker stops taking work and the survivors steal
+    /// its queued requests. [`ServingPool::request_scrub`] forces a check
+    /// out of band.
     #[serde(default)]
     pub scrub: Option<ScrubPolicy>,
 }
@@ -774,18 +804,21 @@ impl fmt::Debug for Ring {
 // ---------------------------------------------------------------------------
 
 /// Everything the submitters, workers and shutdown paths share. All hot-path
-/// coordination is atomics on this struct; the two mutex/condvar pairs guard
-/// only the *slow* paths (idle workers, blocked producers) and are gated
-/// behind counters so nobody touches them while the pool is busy.
+/// coordination is atomics on this struct; the mutex/condvar pairs guard
+/// only the *slow* paths (idle workers, blocked producers, parked
+/// quarantined replicas) and are gated behind counters so nobody touches
+/// them while the pool is busy. Aligned to a cache-line pair, so where the
+/// allocator puts it cannot decide which hot counters share a line.
 #[derive(Debug)]
+#[repr(align(128))]
 struct PoolShared {
-    /// One bounded ring per worker, submitter round-robin + worker stealing.
+    /// One bounded ring per worker.
     rings: Vec<Ring>,
     /// Total admitted-but-not-yet-popped requests (the backpressure bound).
     queued: AtomicUsize,
     /// Configured admission capacity ([`ServingConfig::queue_depth`]).
     capacity: usize,
-    /// Round-robin cursor of the submitters.
+    /// Round-robin cursor of the replica submitters.
     cursor: AtomicUsize,
     /// Intake closed (shutdown/abort/last-worker-out).
     closed: AtomicBool,
@@ -801,35 +834,33 @@ struct PoolShared {
     sleepers: AtomicUsize,
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
-    /// Producers blocked in `submit_blocking`. Workers skip the wake unless
+    /// Producers blocked in `push_blocking`. Workers skip the wake unless
     /// someone is actually waiting for space.
     blocked: AtomicUsize,
     space_lock: Mutex<()>,
     space_cv: Condvar,
-    /// Recalibration request generation. Every
-    /// [`ServingPool::request_recalibration`] bump asks each worker to run
-    /// one out-of-band drift check on its replica between batches (or
-    /// immediately, when idle); workers track the last generation they
-    /// honoured. Scrub requests share the same generation counter: a forced
-    /// check runs *both* maintenance schedulers (the epoch-skip fast path
-    /// makes the double check free on an unchanged array).
-    recalibration: AtomicU64,
-    /// Published per-replica health ([`ReplicaHealth::as_u8`] encoding),
-    /// written by the owning worker's scrub scheduler and read lock-free by
-    /// submitters (placement skips quarantined rings) and failover retries.
+    /// One control word of request bits per worker (`CONTROL_*`). A
+    /// requester sets bits and wakes parked workers; the worker takes them
+    /// between batches or on wake. A bit stays set until taken, so a
+    /// request can never slip past its worker.
+    control: Vec<AtomicU8>,
+    /// Published per-worker health ([`ReplicaHealth::as_u8`] encoding):
+    /// quarantined once every tenant on the worker's bank is. Written by the
+    /// owning worker, read lock-free by submitters (placement skips
+    /// quarantined rings) and failover retries.
     health: Vec<AtomicU8>,
-    /// Replicas still taking work (`Healthy` + `Degraded`). When this hits
-    /// zero the quarantined workers are woken to serve through the exact
-    /// software fallback instead of letting requests strand.
+    /// Workers still taking work (not quarantined). When this hits zero the
+    /// parked quarantined workers are woken to serve through their tenants'
+    /// software twins instead of letting requests strand.
     serving_workers: AtomicUsize,
     /// Quarantined workers parked while surviving replicas serve. A
     /// dedicated condvar keeps them out of `idle_cv`'s `notify_one` path, so
     /// a submitter wake can never land on a worker that must not serve.
     quarantine_lock: Mutex<()>,
     quarantine_cv: Condvar,
-    /// Routed mode: each worker hosts its own set of tenant models, jobs are
+    /// Routed mode: each worker hosts its own tenant models, jobs are
     /// pinned to the worker hosting their model, and workers neither steal
-    /// from each other nor rely on `notify_one` wakes that could land on a
+    /// nor fail over nor rely on `notify_one` wakes that could land on a
     /// different tenant's worker.
     routed: bool,
     /// Per-ring admitted-but-not-popped counts. Only load-bearing in routed
@@ -839,24 +870,17 @@ struct PoolShared {
     ring_queued: Vec<AtomicUsize>,
     /// model id → hosting worker of a routed pool.
     routes: Mutex<HashMap<u64, usize>>,
-    /// One hot-swap request mailbox per routed worker.
-    mailboxes: Vec<Mailbox>,
 }
 
-/// Type-erased swap-request mailbox of one routed worker. Entries are boxed
-/// `SwapRequest<B>` values; the generic worker downcasts on receipt (a
-/// mismatched box is dropped, which answers its ticket with the shutdown
-/// error through the request's drop guard).
-#[derive(Default)]
-struct Mailbox(Mutex<Vec<Box<dyn Any + Send>>>);
-
-impl fmt::Debug for Mailbox {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let pending = self.0.lock().unwrap_or_else(PoisonError::into_inner).len();
-        f.debug_struct("Mailbox")
-            .field("pending", &pending)
-            .finish()
-    }
+/// Where an admitted job may be placed.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// Any serving ring (replica pools): round-robin, overflowing into any
+    /// ring with space.
+    Any,
+    /// One worker's ring (routed pools: the bank hosting the job's model).
+    /// Nobody steals from it, so a full ring is backpressure.
+    Worker(usize),
 }
 
 impl PoolShared {
@@ -876,7 +900,7 @@ impl PoolShared {
             blocked: AtomicUsize::new(0),
             space_lock: Mutex::new(()),
             space_cv: Condvar::new(),
-            recalibration: AtomicU64::new(0),
+            control: (0..workers).map(|_| AtomicU8::new(0)).collect(),
             health: (0..workers)
                 .map(|_| AtomicU8::new(ReplicaHealth::Healthy.as_u8()))
                 .collect(),
@@ -886,52 +910,43 @@ impl PoolShared {
             routed,
             ring_queued: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
             routes: Mutex::new(HashMap::new()),
-            mailboxes: (0..workers).map(|_| Mailbox::default()).collect(),
         }
     }
 
-    /// Maps `model` to its hosting worker (routed pools).
-    fn set_route(&self, model: u64, worker: usize) {
-        self.routes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(model, worker);
-    }
-
-    /// Drops `model`'s route; returns the worker that hosted it, if any.
-    fn unroute(&self, model: u64) -> Option<usize> {
-        self.routes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&model)
+    fn lock_routes(&self) -> std::sync::MutexGuard<'_, HashMap<u64, usize>> {
+        self.routes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks up the worker hosting `model`.
     fn route_of(&self, model: u64) -> Option<usize> {
-        self.routes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&model)
-            .copied()
+        self.lock_routes().get(&model).copied()
     }
 
-    /// Lock-free read of one replica's published health.
+    /// The ring a request for `model` must land on.
+    fn target_of(&self, model: u64) -> Result<Target, ServingError> {
+        self.route_of(model)
+            .map(Target::Worker)
+            .ok_or(ServingError::ModelUnavailable { model })
+    }
+
+    /// Lock-free read of one worker's published health.
     fn health_of(&self, worker: usize) -> ReplicaHealth {
         ReplicaHealth::from_u8(self.health[worker].load(Ordering::SeqCst))
     }
 
-    /// Whether any replica *other than* `worker` is still taking work.
-    fn other_replica_serving(&self, worker: usize) -> bool {
-        self.health.iter().enumerate().any(|(index, health)| {
-            index != worker && ReplicaHealth::from_u8(health.load(Ordering::SeqCst)).is_serving()
-        })
+    /// Whether another worker can take `worker`'s jobs: only replica pools
+    /// share jobs between workers, and only while another replica serves.
+    fn can_hand_off(&self, worker: usize) -> bool {
+        !self.routed
+            && (0..self.health.len())
+                .any(|index| index != worker && self.health_of(index).is_serving())
     }
 
     /// Publishes a worker's health transition. Entering quarantine
     /// decrements the serving count, wakes one surviving worker to steal the
-    /// quarantined ring's leftovers and — when the last serving replica just
+    /// quarantined ring's leftovers and — when the last serving worker just
     /// left — wakes the quarantine parking lot so fallback serving starts.
-    fn publish_health(&self, worker: usize, health: ReplicaHealth) -> ReplicaHealth {
+    fn publish_health(&self, worker: usize, health: ReplicaHealth) {
         let previous =
             ReplicaHealth::from_u8(self.health[worker].swap(health.as_u8(), Ordering::SeqCst));
         if previous.is_serving() && !health.is_serving() {
@@ -944,11 +959,10 @@ impl PoolShared {
         } else if !previous.is_serving() && health.is_serving() {
             self.serving_workers.fetch_add(1, Ordering::SeqCst);
         }
-        previous
     }
 
     /// Parks a quarantined worker until close or until the last serving
-    /// replica leaves (same register-recheck pattern as `idle_wait`).
+    /// worker leaves (same register-recheck pattern as `idle_wait`).
     fn quarantine_wait(&self) {
         let guard = self
             .quarantine_lock
@@ -974,171 +988,119 @@ impl PoolShared {
         self.quarantine_cv.notify_all();
     }
 
-    /// Non-blocking admission + placement. On failure the job is handed
-    /// back untouched alongside the typed error.
+    /// Sets `bits` on one worker's control word (every worker's for `None`)
+    /// and wakes parked workers so an idle one takes them at once. Dekker
+    /// with `idle_wait`: bits-then-sleepers here, sleepers-then-bits there.
+    fn request(&self, worker: Option<usize>, bits: u8) {
+        let targets = worker.map_or(0..self.control.len(), |worker| worker..worker + 1);
+        for control in &self.control[targets] {
+            control.fetch_or(bits, Ordering::SeqCst);
+        }
+        fence(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _guard = self
+                .idle_lock
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.idle_cv.notify_all();
+        }
+    }
+
+    /// Takes `worker`'s pending request bits: one load when none is set.
+    fn take_requests(&self, worker: usize) -> u8 {
+        let control = &self.control[worker];
+        if control.load(Ordering::SeqCst) == 0 {
+            0
+        } else {
+            control.swap(0, Ordering::SeqCst)
+        }
+    }
+
+    /// Non-blocking admission + placement onto `target`. On failure the job
+    /// is handed back untouched alongside the typed error.
     // The large Err is the point: rejected jobs come back by value so the
     // backpressure path never allocates.
     #[allow(clippy::result_large_err)]
-    fn try_push(&self, job: Job) -> Result<(), (Job, ServingError)> {
+    fn try_push(&self, target: Target, job: Job) -> Result<(), (Job, ServingError)> {
         self.pushing.fetch_add(1, Ordering::SeqCst);
-        let result = self.try_push_inner(job);
+        let result = self.admit(target, job);
         self.pushing.fetch_sub(1, Ordering::SeqCst);
         result
     }
 
     #[allow(clippy::result_large_err)]
-    fn try_push_inner(&self, job: Job) -> Result<(), (Job, ServingError)> {
+    fn admit(&self, target: Target, job: Job) -> Result<(), (Job, ServingError)> {
         if self.closed.load(Ordering::SeqCst) {
             return Err((job, ServingError::ShutDown));
         }
         // Admission: the global count enforces `queue_depth` exactly, so
         // ring capacities (rounded up to powers of two) never leak extra
         // slots past the configured backpressure limit.
+        let full = ServingError::QueueFull {
+            capacity: self.capacity,
+        };
         if self.queued.fetch_add(1, Ordering::SeqCst) >= self.capacity {
             self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Err((
-                job,
-                ServingError::QueueFull {
-                    capacity: self.capacity,
-                },
-            ));
+            return Err((job, full));
         }
-        // Placement: round-robin over the rings, overflowing into any ring
-        // with space. Admission guarantees a free slot exists (total ring
-        // capacity ≥ `queue_depth` ≥ admitted jobs), so the scan can only
-        // miss transiently while a concurrent push/pop is mid-flight.
-        // Quarantined replicas' rings are skipped while any replica still
-        // serves; once none does, every ring is fair game again (the
-        // quarantined workers serve through the software fallback).
+        let placed = match target {
+            Target::Any => self.place(job),
+            Target::Worker(worker) => self.rings[worker]
+                .push(job)
+                .map(|()| worker)
+                .map_err(|job| (job, full)),
+        };
+        match placed {
+            Ok(index) => {
+                self.ring_queued[index].fetch_add(1, Ordering::SeqCst);
+                fence(Ordering::SeqCst);
+                self.wake_worker();
+                Ok(())
+            }
+            Err(rejected) => {
+                self.queued.fetch_sub(1, Ordering::SeqCst);
+                Err(rejected)
+            }
+        }
+    }
+
+    /// Places an admitted replica job round-robin, overflowing into any ring
+    /// with space, and returns its ring. Admission guarantees a free slot
+    /// (total ring capacity ≥ `queue_depth`), so a scan misses only while a
+    /// concurrent push/pop is mid-flight. The first sweep skips quarantined
+    /// workers' rings while any worker serves; the second overflows onto
+    /// them, since stealing still drains them.
+    #[allow(clippy::result_large_err)]
+    fn place(&self, job: Job) -> Result<usize, (Job, ServingError)> {
         let start = self.cursor.fetch_add(1, Ordering::Relaxed);
         let rings = self.rings.len();
         let mut job = job;
-        'place: loop {
+        loop {
             if self.closed.load(Ordering::SeqCst) {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
                 return Err((job, ServingError::ShutDown));
             }
             let skip_quarantined = self.serving_workers.load(Ordering::SeqCst) > 0;
-            for offset in 0..rings {
-                let index = (start + offset) % rings;
-                if skip_quarantined && !self.health_of(index).is_serving() {
-                    continue;
-                }
-                match self.rings[index].push(job) {
-                    Ok(()) => {
-                        self.ring_queued[index].fetch_add(1, Ordering::SeqCst);
-                        break 'place;
-                    }
-                    Err(returned) => job = returned,
-                }
-            }
-            if skip_quarantined {
-                // Every serving ring is full. Quarantined rings still drain
-                // through stealing, so overflow there beats spinning until a
-                // serving worker frees a slot.
+            for skip in [skip_quarantined, false] {
                 for offset in 0..rings {
                     let index = (start + offset) % rings;
+                    if skip && !self.health_of(index).is_serving() {
+                        continue;
+                    }
                     match self.rings[index].push(job) {
-                        Ok(()) => {
-                            self.ring_queued[index].fetch_add(1, Ordering::SeqCst);
-                            break 'place;
-                        }
+                        Ok(()) => return Ok(index),
                         Err(returned) => job = returned,
                     }
                 }
             }
             std::hint::spin_loop();
         }
-        fence(Ordering::SeqCst);
-        self.wake_worker();
-        Ok(())
     }
 
-    /// Non-blocking routed admission: the job must land on `worker`'s ring
-    /// (its model lives there and nobody steals), so a full ring means
-    /// `QueueFull` rather than a reason to overflow onto another ring.
-    #[allow(clippy::result_large_err)]
-    fn try_push_to(&self, worker: usize, job: Job) -> Result<(), (Job, ServingError)> {
-        self.pushing.fetch_add(1, Ordering::SeqCst);
-        let result = self.try_push_to_inner(worker, job);
-        self.pushing.fetch_sub(1, Ordering::SeqCst);
-        result
-    }
-
-    #[allow(clippy::result_large_err)]
-    fn try_push_to_inner(&self, worker: usize, job: Job) -> Result<(), (Job, ServingError)> {
-        if self.closed.load(Ordering::SeqCst) {
-            return Err((job, ServingError::ShutDown));
-        }
-        if self.queued.fetch_add(1, Ordering::SeqCst) >= self.capacity {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Err((
-                job,
-                ServingError::QueueFull {
-                    capacity: self.capacity,
-                },
-            ));
-        }
-        match self.rings[worker].push(job) {
-            Ok(()) => {
-                self.ring_queued[worker].fetch_add(1, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                self.wake_worker();
-                Ok(())
-            }
-            Err(returned) => {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                Err((
-                    returned,
-                    ServingError::QueueFull {
-                        capacity: self.capacity,
-                    },
-                ))
-            }
-        }
-    }
-
-    /// Blocking routed admission: waits for space on `worker`'s ring.
-    fn push_to_blocking(&self, worker: usize, job: Job) -> Result<(), ServingError> {
+    /// Blocking admission: waits for space instead of rejecting.
+    fn push_blocking(&self, target: Target, job: Job) -> Result<(), ServingError> {
         let mut job = job;
         loop {
-            match self.try_push_to(worker, job) {
-                Ok(()) => return Ok(()),
-                Err((returned, ServingError::QueueFull { .. })) => {
-                    job = returned;
-                    let guard = self
-                        .space_lock
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    self.blocked.fetch_add(1, Ordering::SeqCst);
-                    fence(Ordering::SeqCst);
-                    // Recheck after registering (same Dekker pattern as
-                    // `push_blocking`); the target ring being full blocks a
-                    // routed producer even when the global count has room.
-                    if !self.closed.load(Ordering::SeqCst)
-                        && (self.queued.load(Ordering::SeqCst) >= self.capacity
-                            || self.rings[worker].is_full())
-                    {
-                        drop(
-                            self.space_cv
-                                .wait(guard)
-                                .unwrap_or_else(PoisonError::into_inner),
-                        );
-                    } else {
-                        drop(guard);
-                    }
-                    self.blocked.fetch_sub(1, Ordering::SeqCst);
-                }
-                Err((_, err)) => return Err(err),
-            }
-        }
-    }
-
-    /// Blocking admission: waits for a slot instead of rejecting.
-    fn push_blocking(&self, job: Job) -> Result<(), ServingError> {
-        let mut job = job;
-        loop {
-            match self.try_push(job) {
+            match self.try_push(target, job) {
                 Ok(()) => return Ok(()),
                 Err((returned, ServingError::QueueFull { .. })) => {
                     job = returned;
@@ -1150,10 +1112,11 @@ impl PoolShared {
                     fence(Ordering::SeqCst);
                     // Recheck after registering: a worker that freed space
                     // (or a close) before seeing `blocked > 0` cannot be
-                    // missed.
-                    if !self.closed.load(Ordering::SeqCst)
-                        && self.queued.load(Ordering::SeqCst) >= self.capacity
-                    {
+                    // missed. A full target ring blocks a routed producer
+                    // even when the global count has room.
+                    let full = self.queued.load(Ordering::SeqCst) >= self.capacity
+                        || matches!(target, Target::Worker(worker) if self.rings[worker].is_full());
+                    if !self.closed.load(Ordering::SeqCst) && full {
                         drop(
                             self.space_cv
                                 .wait(guard)
@@ -1170,8 +1133,8 @@ impl PoolShared {
     }
 
     /// Pops into `batch` (up to `max_batch` total): the worker's own ring
-    /// first, then stealing round-robin from the others. Returns how many
-    /// jobs this sweep added.
+    /// first, then — on replica pools — stealing round-robin from the
+    /// others. Returns how many jobs this sweep added.
     fn pop_any(&self, worker: usize, batch: &mut Vec<Job>, max_batch: usize) -> usize {
         // Routed workers host distinct tenant models, so a steal would hand
         // a job to a worker that cannot serve it: sweep the own ring only.
@@ -1206,11 +1169,6 @@ impl PoolShared {
         got
     }
 
-    /// Blocks one worker until work, close or a recalibration request.
-    /// Registers in `sleepers` first and rechecks under the lock (Dekker
-    /// with the submitter's queued-then-sleepers order and the requester's
-    /// bump-then-sleepers order), so neither a push nor a recalibration
-    /// request can slip between the empty sweep and the wait.
     /// Work visible to `worker` while deciding whether to park: its own
     /// ring's count in routed mode (it cannot steal, so a neighbour tenant's
     /// backlog must not keep it awake), the global count otherwise.
@@ -1222,7 +1180,12 @@ impl PoolShared {
         }
     }
 
-    fn idle_wait(&self, worker: usize, recalibration_seen: u64) {
+    /// Blocks one worker until work, close or a control request.
+    /// Registers in `sleepers` first and rechecks under the lock (Dekker
+    /// with the submitter's queued-then-sleepers order and the requester's
+    /// bits-then-sleepers order), so neither a push nor a request can slip
+    /// between the empty sweep and the wait.
+    fn idle_wait(&self, worker: usize) {
         let guard = self
             .idle_lock
             .lock()
@@ -1231,7 +1194,7 @@ impl PoolShared {
         fence(Ordering::SeqCst);
         if self.closed.load(Ordering::SeqCst)
             || self.pending_work(worker) > 0
-            || self.recalibration.load(Ordering::SeqCst) != recalibration_seen
+            || self.control[worker].load(Ordering::SeqCst) != 0
         {
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
             drop(guard);
@@ -1325,20 +1288,14 @@ impl PoolShared {
 
     /// Fills `batch` with the next dispatch: blocks (parking when idle) for
     /// the first request, then spends up to `max_wait_ticks` yield-polls
-    /// topping the batch up to `max_batch`. Returns
-    /// [`FillOutcome::Closed`] when the pool is closed and every ring has
-    /// drained (the worker should exit), and [`FillOutcome::Recalibrate`]
-    /// (with an empty batch) when a recalibration request past
-    /// `recalibration_seen` arrives while the worker is otherwise idle —
-    /// requests always win over recalibration, so an idle check can never
-    /// delay queued work.
+    /// topping the batch up to `max_batch`. Queued requests always win over
+    /// control: [`FillOutcome::Control`] comes back only from an idle sweep.
     fn fill_batch(
         &self,
         worker: usize,
         batch: &mut Vec<Job>,
         max_batch: usize,
         max_wait_ticks: u32,
-        recalibration_seen: u64,
     ) -> FillOutcome {
         loop {
             if self.pop_any(worker, batch, max_batch) > 0 {
@@ -1352,10 +1309,10 @@ impl PoolShared {
                 }
                 break;
             }
-            if self.recalibration.load(Ordering::SeqCst) != recalibration_seen {
-                return FillOutcome::Recalibrate;
+            if self.control[worker].load(Ordering::SeqCst) != 0 {
+                return FillOutcome::Control;
             }
-            self.idle_wait(worker, recalibration_seen);
+            self.idle_wait(worker);
         }
         let mut ticks = 0u32;
         while batch.len() < max_batch
@@ -1377,8 +1334,8 @@ enum FillOutcome {
     Batch,
     /// The pool is closed and drained; the worker should exit.
     Closed,
-    /// No work is queued but a recalibration request is pending.
-    Recalibrate,
+    /// No work is queued but a control request is pending.
+    Control,
 }
 
 // ---------------------------------------------------------------------------
@@ -1468,7 +1425,7 @@ pub struct WorkerReport {
 }
 
 /// Aggregated statistics of a completed pool run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct PoolStats {
     /// Requests answered across all workers.
     pub requests: u64,
@@ -1551,42 +1508,9 @@ pub struct PoolStats {
 impl PoolStats {
     fn from_workers(workers: Vec<WorkerReport>) -> Self {
         let mut stats = Self {
-            requests: 0,
-            batches: 0,
-            largest_batch: 0,
-            mean_batch_size: 0.0,
-            shutdown_rejected: 0,
-            failed_requests: 0,
-            crashed_workers: 0,
-            batched_delay_s: 0.0,
-            batched_energy_j: 0.0,
-            sequential_delay_s: 0.0,
-            sequential_energy_j: 0.0,
-            queue_wait: LatencyHistogram::new(),
-            end_to_end: LatencyHistogram::new(),
-            recalibrations: 0,
-            recalibration_pulses: 0,
-            recalibration_energy_j: 0.0,
-            recalibration_failures: 0,
-            scrubs: 0,
-            faults_detected: 0,
-            faults_repaired: 0,
-            rows_remapped: 0,
-            repair_pulses: 0,
-            repair_energy_j: 0.0,
-            scrub_failures: 0,
-            health_transitions: 0,
-            failovers: 0,
-            fallback_served: 0,
-            swaps: 0,
-            swap_pulses: 0,
-            swap_energy_j: 0.0,
-            unrouted: 0,
-            quarantined_workers: 0,
             workers,
+            ..Self::default()
         };
-        let mut queue_wait = LatencyHistogram::new();
-        let mut end_to_end = LatencyHistogram::new();
         for report in &stats.workers {
             stats.requests += report.requests;
             stats.batches += report.batches;
@@ -1617,11 +1541,9 @@ impl PoolStats {
             stats.swap_energy_j += report.swap_energy_j;
             stats.unrouted += report.unrouted;
             stats.quarantined_workers += u64::from(report.quarantined);
-            queue_wait.merge(&report.queue_wait);
-            end_to_end.merge(&report.end_to_end);
+            stats.queue_wait.merge(&report.queue_wait);
+            stats.end_to_end.merge(&report.end_to_end);
         }
-        stats.queue_wait = queue_wait;
-        stats.end_to_end = end_to_end;
         if stats.batches > 0 {
             stats.mean_batch_size = stats.requests as f64 / stats.batches as f64;
         }
@@ -1652,12 +1574,13 @@ impl PoolStats {
 // The pool
 // ---------------------------------------------------------------------------
 
-/// One worker thread's body, type-erased so replica and routed pools share
-/// the spawn path.
+/// One worker thread's body, type-erased so the injectable spawner takes
+/// the workers of any pool.
 type WorkerBody = Box<dyn FnOnce() -> WorkerReport + Send + 'static>;
 
 /// Injectable thread spawner (name + body → handle or the OS error), so the
-/// spawn-failure recovery path is testable without exhausting real threads.
+/// spawn-failure recovery path and start-up races are testable without
+/// exhausting real threads.
 type SpawnFn<'a> =
     &'a mut dyn FnMut(String, WorkerBody) -> std::io::Result<JoinHandle<WorkerReport>>;
 
@@ -1665,36 +1588,100 @@ fn default_spawner(name: String, body: WorkerBody) -> std::io::Result<JoinHandle
     std::thread::Builder::new().name(name).spawn(body)
 }
 
-/// Spawns every worker body, converting an OS spawn failure into the typed
-/// [`ServingError::WorkerSpawn`] instead of panicking the constructor: the
-/// pool closes, the already-spawned workers drain and join, and the
-/// unspawned bodies are dropped — their captured guards keep the alive
-/// count honest so the close-and-reject handoff still runs exactly once.
-fn spawn_workers(
-    shared: &Arc<PoolShared>,
-    bodies: Vec<(String, WorkerBody)>,
+/// The tenants one worker starts with: `(model id, engine)` pairs, the id
+/// `None` for a replica of a replica pool's one shared model.
+type Tenants<B> = Vec<(Option<u64>, FebimEngine<B>)>;
+
+/// The one spawn path of every pool: validates the configuration, records
+/// the routes of a routed pool, builds each worker's bank and spawns one
+/// worker per bank through `spawner`. An OS spawn failure becomes the typed
+/// [`ServingError::WorkerSpawn`] instead of a panic: the pool closes, the
+/// already-spawned workers drain and join, and the unspawned bodies are
+/// dropped — their captured guards keep the alive count honest so the
+/// close-and-reject handoff still runs exactly once.
+fn spawn_pool<B: InferenceBackend + Send + 'static>(
+    banks: Vec<Tenants<B>>,
+    routed: bool,
+    config: ServingConfig,
     spawner: SpawnFn<'_>,
-) -> Result<Vec<JoinHandle<WorkerReport>>, ServingError> {
+) -> Result<(ServingPool, SwapQueue<B>), ServingError> {
+    config.validate()?;
+    if banks.is_empty() {
+        return Err(ServingError::NoReplicas);
+    }
+    let shared = Arc::new(PoolShared::new(banks.len(), config.queue_depth, routed));
+    {
+        let mut routes = shared.lock_routes();
+        for (worker, tenants) in banks.iter().enumerate() {
+            for model in tenants.iter().filter_map(|(model, _)| *model) {
+                if routes.insert(model, worker).is_some() {
+                    return Err(ServingError::InvalidConfig {
+                        name: "banks",
+                        reason: format!("model id {model} registered on two banks"),
+                    });
+                }
+            }
+        }
+    }
+    let inboxes: Vec<Arc<Inbox<B>>> = (0..banks.len())
+        .map(|_| Arc::new(Mutex::new(Some(Vec::new()))))
+        .collect();
+    let alive = Arc::new(AtomicUsize::new(banks.len()));
+    let bodies: Vec<(String, WorkerBody)> = banks
+        .into_iter()
+        .enumerate()
+        .map(|(worker, tenants)| {
+            let inbox = Arc::clone(&inboxes[worker]);
+            let shared = Arc::clone(&shared);
+            let guard = WorkerGuard {
+                shared: Arc::clone(&shared),
+                alive: Arc::clone(&alive),
+            };
+            let body: WorkerBody = Box::new(move || {
+                // Runs on every exit path, including panic unwind: the last
+                // worker out closes and rejects the rings.
+                let _guard = guard;
+                // Built here, so each slot's scratch (written on every read)
+                // lives in this thread's heap, away from the clients'.
+                let bank = Bank {
+                    slots: tenants
+                        .into_iter()
+                        .map(|(model, engine)| TenantSlot::new(model, engine, &config))
+                        .collect(),
+                    inbox,
+                    published: ReplicaHealth::Healthy,
+                };
+                serve(worker, bank, &shared, config)
+            });
+            (format!("febim-serve-{worker}"), body)
+        })
+        .collect();
     let mut workers = Vec::with_capacity(bodies.len());
     let mut bodies = bodies.into_iter();
     while let Some((name, body)) = bodies.next() {
         match spawner(name, body) {
             Ok(handle) => workers.push(handle),
             Err(err) => {
-                let reason = err.to_string();
                 shared.close();
                 drop(bodies);
                 for worker in workers {
                     let _ = worker.join();
                 }
-                return Err(ServingError::WorkerSpawn { reason });
+                return Err(ServingError::WorkerSpawn {
+                    reason: err.to_string(),
+                });
             }
         }
     }
-    Ok(workers)
+    let pool = ServingPool {
+        shared: Arc::clone(&shared),
+        workers,
+        config,
+    };
+    Ok((pool, SwapQueue { shared, inboxes }))
 }
 
-/// A pool of engine replicas serving batched inference requests.
+/// A pool of engine workers serving batched inference requests.
 ///
 /// The pool is backend-erased: any [`InferenceBackend`] builds one, and
 /// pools over different backends share the one `ServingPool` type. See the
@@ -1721,104 +1708,39 @@ impl ServingPool {
         engines: Vec<FebimEngine<B>>,
         config: ServingConfig,
     ) -> Result<Self, ServingError> {
-        Self::new_inner(engines, config, &mut default_spawner)
-    }
-
-    /// [`ServingPool::new`] with an injectable thread spawner, so the
-    /// spawn-failure recovery path is testable without exhausting the OS.
-    fn new_inner<B: InferenceBackend + Send + 'static>(
-        engines: Vec<FebimEngine<B>>,
-        config: ServingConfig,
-        spawner: SpawnFn<'_>,
-    ) -> Result<Self, ServingError> {
-        config.validate()?;
-        if engines.is_empty() {
-            return Err(ServingError::NoReplicas);
-        }
-        let shared = Arc::new(PoolShared::new(engines.len(), config.queue_depth, false));
-        let alive = Arc::new(AtomicUsize::new(engines.len()));
-        let bodies = engines
+        let banks = engines
             .into_iter()
-            .enumerate()
-            .map(|(worker, engine)| {
-                let shared = Arc::clone(&shared);
-                let guard = WorkerGuard {
-                    shared: Arc::clone(&shared),
-                    alive: Arc::clone(&alive),
-                };
-                let body: WorkerBody = Box::new(move || {
-                    // Runs on every exit path, including panic unwind:
-                    // the last worker out closes and rejects the rings.
-                    let _guard = guard;
-                    worker_loop(worker, engine, &shared, config)
-                });
-                (format!("febim-serve-{worker}"), body)
-            })
+            .map(|engine| vec![(None, engine)])
             .collect();
-        let workers = spawn_workers(&shared, bodies, spawner)?;
-        Ok(Self {
-            shared,
-            workers,
-            config,
-        })
+        spawn_pool(banks, false, config, &mut default_spawner).map(|(pool, _)| pool)
     }
 
-    /// Spawns one *routed* worker per bank of tenant models. Each bank's
-    /// worker hosts its own engines (one per model id) and serves only the
-    /// requests routed to those models via [`ServingPool::submit_routed`];
-    /// routed workers never steal from each other, so a hot swap or a
-    /// backlog on one bank cannot stall another bank's tenants.
+    /// Spawns one *routed* worker per bank of tenant models and returns the
+    /// pool with the typed [`SwapQueue`] its owner posts hot swaps through.
+    /// Each bank's worker hosts its own engines (one per model id) and
+    /// serves only the requests routed to those models via
+    /// [`ServingPool::submit_routed`]; routed workers never steal from each
+    /// other, so a hot swap or a backlog on one bank cannot stall another
+    /// bank's tenants.
     ///
     /// # Errors
     ///
     /// Returns [`ServingError::NoReplicas`] for an empty bank set,
     /// [`ServingError::InvalidConfig`] when a model id appears on two
     /// banks, and the same validation/spawn errors as [`ServingPool::new`].
-    pub fn new_routed<B: InferenceBackend + Send + 'static>(
+    pub(crate) fn new_routed<B: InferenceBackend + Send + 'static>(
         banks: Vec<Vec<(u64, FebimEngine<B>)>>,
         config: ServingConfig,
-    ) -> Result<Self, ServingError> {
-        config.validate()?;
-        if banks.is_empty() {
-            return Err(ServingError::NoReplicas);
-        }
-        let shared = Arc::new(PoolShared::new(banks.len(), config.queue_depth, true));
-        {
-            let mut routes = shared.routes.lock().unwrap_or_else(PoisonError::into_inner);
-            for (worker, bank) in banks.iter().enumerate() {
-                for (model, _) in bank {
-                    if routes.insert(*model, worker).is_some() {
-                        return Err(ServingError::InvalidConfig {
-                            name: "banks",
-                            reason: format!("model id {model} registered on two banks"),
-                        });
-                    }
-                }
-            }
-        }
-        let alive = Arc::new(AtomicUsize::new(banks.len()));
-        let bodies = banks
+    ) -> Result<(Self, SwapQueue<B>), ServingError> {
+        let banks = banks
             .into_iter()
-            .enumerate()
-            .map(|(worker, bank)| {
-                let shared = Arc::clone(&shared);
-                let guard = WorkerGuard {
-                    shared: Arc::clone(&shared),
-                    alive: Arc::clone(&alive),
-                };
-                let body: WorkerBody = Box::new(move || {
-                    let _guard = guard;
-                    routed_worker_loop(worker, bank, &shared, config)
-                });
-                (format!("febim-route-{worker}"), body)
+            .map(|bank| {
+                bank.into_iter()
+                    .map(|(model, engine)| (Some(model), engine))
+                    .collect()
             })
             .collect();
-        let workers = spawn_workers(&shared, bodies, &mut default_spawner)?;
-        Ok(Self {
-            shared,
-            workers,
-            config,
-        })
+        spawn_pool(banks, true, config, &mut default_spawner)
     }
 
     /// Builds a pool of `replicas` clones of one engine (they share the
@@ -1842,53 +1764,43 @@ impl ServingPool {
         &self.config
     }
 
-    /// Number of worker replicas.
+    /// Number of workers (engine replicas, or banks of a routed pool).
     pub fn replicas(&self) -> usize {
         self.workers.len()
     }
 
-    /// Asks every worker to run one out-of-band drift check on its replica
-    /// at the next safe point — between batches when busy, immediately when
-    /// idle (parked workers are woken). Never stalls traffic: a worker
-    /// holding a batch finishes and answers it first, and queued requests
-    /// always dispatch before an idle check runs. The check honours the
-    /// configured [`ServingConfig::recalibration`] policy; on a pool built
-    /// without one the request is a no-op.
+    /// Asks every worker to run one out-of-band drift check on each of its
+    /// tenants at the next safe point — between batches when busy,
+    /// immediately when idle (parked workers are woken). Never stalls
+    /// traffic: a worker holding a batch finishes and answers it first, and
+    /// queued requests always dispatch before an idle check runs. The check
+    /// honours the configured [`ServingConfig::recalibration`] policy; on a
+    /// pool built without one the request is a no-op.
     pub fn request_recalibration(&self) {
-        self.shared.recalibration.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        if self.shared.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self
-                .shared
-                .idle_lock
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.shared.idle_cv.notify_all();
-        }
+        self.shared.request(None, CONTROL_RECALIBRATE);
     }
 
-    /// Asks every worker to run one out-of-band fault scrub on its replica
-    /// at the next safe point, with the same no-stall guarantees as
-    /// [`ServingPool::request_recalibration`] (the two requests share one
-    /// generation counter: a forced check runs both maintenance schedulers,
-    /// and the epoch-skip fast path makes the unrequested one free). On a
-    /// pool built without a [`ServingConfig::scrub`] policy the request is a
-    /// no-op.
+    /// Asks every worker to run one out-of-band fault scrub on each of its
+    /// tenants at the next safe point, with the same no-stall guarantees as
+    /// [`ServingPool::request_recalibration`]. It runs no drift check. On a
+    /// pool built without a [`ServingConfig::scrub`] policy the request is
+    /// a no-op.
     pub fn request_scrub(&self) {
-        self.request_recalibration();
+        self.shared.request(None, CONTROL_SCRUB);
     }
 
-    /// Lock-free snapshot of every replica's published health, indexed by
-    /// worker. Health only changes when a scrub pass runs (between batches,
-    /// or forced via [`ServingPool::request_scrub`]).
+    /// Lock-free snapshot of every worker's published health, indexed by
+    /// worker: quarantined once every tenant on its bank is. Health only
+    /// changes when a scrub pass runs (between batches, or forced via
+    /// [`ServingPool::request_scrub`]) or a swap replaces tenants.
     pub fn worker_health(&self) -> Vec<ReplicaHealth> {
         (0..self.shared.rings.len())
             .map(|worker| self.shared.health_of(worker))
             .collect()
     }
 
-    /// Number of replicas currently taking work (not quarantined). `0`
-    /// means the pool is serving through the exact software fallback.
+    /// Number of workers currently taking work (not quarantined). `0` on a
+    /// replica pool means it is serving through the exact software fallback.
     pub fn serving_replicas(&self) -> usize {
         self.shared.serving_workers.load(Ordering::SeqCst)
     }
@@ -1901,15 +1813,12 @@ impl ServingPool {
     /// (backpressure — retry later or use [`ServingPool::submit_blocking`]).
     pub fn submit(&self, sample: Vec<f64>) -> Result<Ticket, ServingError> {
         let cell = Arc::new(TicketCell::new());
-        match self.shared.try_push(Job::new(sample, Arc::clone(&cell))) {
-            Ok(()) => Ok(Ticket { cell }),
-            Err((job, err)) => {
-                // The job never entered a ring; disarm its drop guard so the
-                // unused cell is not "answered".
-                drop(job);
-                Err(err)
-            }
-        }
+        // A rejected job never entered a ring; dropping it answers the
+        // unused cell, which nobody waits on.
+        self.shared
+            .try_push(Target::Any, Job::new(sample, Arc::clone(&cell)))
+            .map_err(|(_, err)| err)?;
+        Ok(Ticket { cell })
     }
 
     /// Submits one request, waiting for a queue slot when the pool is at
@@ -1922,21 +1831,19 @@ impl ServingPool {
     pub fn submit_blocking(&self, sample: Vec<f64>) -> Result<Ticket, ServingError> {
         let cell = Arc::new(TicketCell::new());
         self.shared
-            .push_blocking(Job::new(sample, Arc::clone(&cell)))?;
+            .push_blocking(Target::Any, Job::new(sample, Arc::clone(&cell)))?;
         Ok(Ticket { cell })
     }
 
     /// Convenience: submits every sample (blocking backpressure) and waits
     /// for all answers, returned in submission order.
     pub fn serve(&self, samples: &[Vec<f64>]) -> Vec<ServeResult> {
-        let tickets: Vec<Result<Ticket, ServingError>> = samples
-            .iter()
-            .map(|sample| self.submit_blocking(sample.clone()))
-            .collect();
-        tickets
-            .into_iter()
-            .map(|ticket| ticket.and_then(Ticket::wait))
-            .collect()
+        wait_all(
+            samples
+                .iter()
+                .map(|sample| self.submit_blocking(sample.clone()))
+                .collect(),
+        )
     }
 
     /// Worker (bank) currently hosting `model`, if any. Always `None` on a
@@ -1946,7 +1853,7 @@ impl ServingPool {
     }
 
     /// Submits one request routed to `model` without blocking (routed pools
-    /// only; see [`ServingPool::new_routed`]).
+    /// only).
     ///
     /// # Errors
     ///
@@ -1954,23 +1861,12 @@ impl ServingPool {
     /// `model`, and [`ServingError::QueueFull`] when the hosting worker's
     /// ring is full — routed requests cannot overflow onto another bank.
     pub fn submit_routed(&self, model: u64, sample: Vec<f64>) -> Result<Ticket, ServingError> {
-        let worker = self
-            .shared
-            .route_of(model)
-            .ok_or(ServingError::ModelUnavailable { model })?;
+        let target = self.shared.target_of(model)?;
         let cell = Arc::new(TicketCell::new());
-        match self
-            .shared
-            .try_push_to(worker, Job::routed(sample, Arc::clone(&cell), model))
-        {
-            Ok(()) => Ok(Ticket { cell }),
-            Err((job, err)) => {
-                // The job never entered a ring; disarm its drop guard so the
-                // unused cell is not "answered".
-                drop(job);
-                Err(err)
-            }
-        }
+        self.shared
+            .try_push(target, Job::routed(sample, Arc::clone(&cell), model))
+            .map_err(|(_, err)| err)?;
+        Ok(Ticket { cell })
     }
 
     /// Submits one routed request, waiting for a slot on the hosting
@@ -1986,68 +1882,22 @@ impl ServingPool {
         model: u64,
         sample: Vec<f64>,
     ) -> Result<Ticket, ServingError> {
-        let worker = self
-            .shared
-            .route_of(model)
-            .ok_or(ServingError::ModelUnavailable { model })?;
+        let target = self.shared.target_of(model)?;
         let cell = Arc::new(TicketCell::new());
         self.shared
-            .push_to_blocking(worker, Job::routed(sample, Arc::clone(&cell), model))?;
+            .push_blocking(target, Job::routed(sample, Arc::clone(&cell), model))?;
         Ok(Ticket { cell })
     }
 
     /// Convenience: submits every sample routed to `model` (blocking
     /// backpressure) and waits for all answers, in submission order.
     pub fn serve_model(&self, model: u64, samples: &[Vec<f64>]) -> Vec<ServeResult> {
-        let tickets: Vec<Result<Ticket, ServingError>> = samples
-            .iter()
-            .map(|sample| self.submit_routed_blocking(model, sample.clone()))
-            .collect();
-        tickets
-            .into_iter()
-            .map(|ticket| ticket.and_then(Ticket::wait))
-            .collect()
-    }
-
-    /// Posts a hot swap to routed worker `worker`: evict the listed models
-    /// (erasing their tile regions) and install the pre-built engine, all
-    /// between that worker's batches — other banks' tenants are never
-    /// stalled. Evicted models stop routing immediately, so new requests
-    /// for them get [`ServingError::ModelUnavailable`]; requests already
-    /// queued for an evicted model are answered the same way by the
-    /// servicing worker. The install's programming cost is priced
-    /// analytically (Preisach pulse trains) before posting; the evictions'
-    /// erase cost is measured on the fabric as the worker tears them down.
-    pub(crate) fn post_swap<B: InferenceBackend + Send + 'static>(
-        &self,
-        worker: usize,
-        evict: Vec<u64>,
-        install: Option<(u64, FebimEngine<B>)>,
-    ) -> SwapTicket {
-        let program = install
-            .as_ref()
-            .and_then(|(_, engine)| engine.program_cost())
-            .unwrap_or_default();
-        for model in &evict {
-            self.shared.unroute(*model);
-        }
-        let done = Arc::new(SwapDone::default());
-        let request = SwapRequest {
-            evict,
-            install,
-            program,
-            done: Some(Arc::clone(&done)),
-        };
-        self.shared.mailboxes[worker]
-            .0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(Box::new(request));
-        // The maintenance generation bump doubles as the swap doorbell: it
-        // wakes the worker if parked and makes a busy one run its
-        // between-batches check, where the mailbox is drained.
-        self.request_recalibration();
-        SwapTicket { done }
+        wait_all(
+            samples
+                .iter()
+                .map(|sample| self.submit_routed_blocking(model, sample.clone()))
+                .collect(),
+        )
     }
 
     /// Graceful shutdown: closes the intake, lets the workers answer every
@@ -2104,6 +1954,14 @@ impl Drop for ServingPool {
     }
 }
 
+/// Waits every submitted ticket, in submission order.
+fn wait_all(tickets: Vec<Result<Ticket, ServingError>>) -> Vec<ServeResult> {
+    tickets
+        .into_iter()
+        .map(|ticket| ticket.and_then(Ticket::wait))
+        .collect()
+}
+
 /// Dropped by each worker thread on any exit path (normal return or panic
 /// unwind). The last worker out closes the intake and rejects everything
 /// still queued with the typed shutdown error: with no consumer left, a
@@ -2126,8 +1984,126 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// Records the result of one scheduler action (tick or forced check) into
-/// the worker's report.
+// ---------------------------------------------------------------------------
+// Tenant slots and the serving loop
+// ---------------------------------------------------------------------------
+
+/// One tenant a worker hosts: its engine and dedicated scratch (scratch
+/// dimensions depend on the model's class/feature counts, so tenants cannot
+/// share one), its maintenance schedulers, and — once a scrub quarantines
+/// it — its exact software twin, which answers its requests from then on.
+struct TenantSlot<B: InferenceBackend> {
+    /// Model id on a routed bank; `None` for a replica, which serves the
+    /// pool's one model (replica jobs carry no id either).
+    model: Option<u64>,
+    engine: FebimEngine<B>,
+    scratch: EvalScratch,
+    recalibration: Option<RecalibrationScheduler>,
+    scrub: Option<ScrubScheduler>,
+    health: ReplicaHealth,
+    twin: Option<(FebimEngine<SoftwareBackend>, EvalScratch)>,
+}
+
+impl<B: InferenceBackend> TenantSlot<B> {
+    fn new(model: Option<u64>, engine: FebimEngine<B>, config: &ServingConfig) -> Self {
+        // The policies were validated with the serving config; should a
+        // build still fail, the tenant serves without that scheduler.
+        Self {
+            model,
+            scratch: engine.make_scratch(),
+            engine,
+            recalibration: config
+                .recalibration
+                .and_then(|policy| RecalibrationScheduler::new(policy).ok()),
+            scrub: config
+                .scrub
+                .and_then(|policy| ScrubScheduler::new(policy).ok()),
+            health: ReplicaHealth::Healthy,
+            twin: None,
+        }
+    }
+
+    fn infer_batch(
+        &mut self,
+        samples: &[Vec<f64>],
+        steps: &mut Vec<InferenceStep>,
+    ) -> crate::errors::Result<BatchTelemetry> {
+        match &mut self.twin {
+            Some((twin, scratch)) => twin.infer_batch_into(samples, scratch, steps),
+            None => self
+                .engine
+                .infer_batch_into(samples, &mut self.scratch, steps),
+        }
+    }
+
+    fn infer(&mut self, sample: &[f64]) -> crate::errors::Result<InferenceStep> {
+        match &mut self.twin {
+            Some((twin, scratch)) => twin.infer_into(sample, scratch),
+            None => self.engine.infer_into(sample, &mut self.scratch),
+        }
+    }
+
+    /// Ages the tenant by one batch's `ticks` and runs whatever drift or
+    /// fault check falls due. A quarantined tenant's fabric is retired: it
+    /// no longer ages or takes maintenance.
+    fn age(&mut self, ticks: u64, report: &mut WorkerReport) {
+        if self.twin.is_some() {
+            return;
+        }
+        match self.recalibration.as_mut() {
+            Some(scheduler) => {
+                record_recalibration(scheduler.tick(&mut self.engine, ticks), report)
+            }
+            None if ticks > 0 => self.engine.advance_time(ticks),
+            None => {}
+        }
+        if let Some(scrubber) = self.scrub.as_mut() {
+            // The branch above already aged the clock; the scrub scheduler
+            // only counts down.
+            record_scrub(scrubber.note_ticks(&mut self.engine, ticks), report);
+            self.sync_health(report);
+        }
+    }
+
+    /// Runs the out-of-band checks the control `requests` ask for: a drift
+    /// check for the recalibrate bit, a scrub for the scrub bit.
+    fn check(&mut self, requests: u8, report: &mut WorkerReport) {
+        if self.twin.is_some() {
+            return;
+        }
+        if let Some(scheduler) = self.recalibration.as_mut() {
+            if requests & CONTROL_RECALIBRATE != 0 {
+                record_recalibration(scheduler.check(&mut self.engine), report);
+            }
+        }
+        if let Some(scrubber) = self.scrub.as_mut() {
+            if requests & CONTROL_SCRUB != 0 {
+                record_scrub(scrubber.check(&mut self.engine), report);
+                self.sync_health(report);
+            }
+        }
+    }
+
+    /// Adopts the scrub scheduler's health after a scrub action, counting
+    /// the transition; entering quarantine builds the software twin.
+    fn sync_health(&mut self, report: &mut WorkerReport) {
+        let Some(health) = self.scrub.as_ref().map(ScrubScheduler::health) else {
+            return;
+        };
+        if health != self.health {
+            report.health_transitions += 1;
+            self.health = health;
+            if health == ReplicaHealth::Quarantined {
+                let twin = self.engine.software_fallback();
+                let scratch = twin.make_scratch();
+                self.twin = Some((twin, scratch));
+            }
+        }
+    }
+}
+
+/// Records the result of one recalibration-scheduler action into the
+/// worker's report.
 fn record_recalibration(
     result: crate::errors::Result<Option<febim_crossbar::RefreshOutcome>>,
     report: &mut WorkerReport,
@@ -2163,21 +2139,127 @@ fn record_scrub(
     }
 }
 
-/// Publishes the scrub scheduler's health to the pool after a scrub action,
-/// counting the transition. Returns `true` when this replica just entered
-/// quarantine (the caller must switch to the quarantined-worker path).
-fn sync_health(
-    worker: usize,
-    scrubber: &ScrubScheduler,
-    shared: &PoolShared,
-    report: &mut WorkerReport,
-) -> bool {
-    let health = scrubber.health();
-    let previous = shared.publish_health(worker, health);
-    if previous != health {
-        report.health_transitions += 1;
+/// One worker's tenants, its swap inbox and the health it last published.
+struct Bank<B: InferenceBackend> {
+    slots: Vec<TenantSlot<B>>,
+    inbox: Arc<Inbox<B>>,
+    published: ReplicaHealth,
+}
+
+impl<B: InferenceBackend> Bank<B> {
+    /// Takes control `requests` between batches: services pending swaps,
+    /// then runs the forced checks on every tenant.
+    fn control(
+        &mut self,
+        worker: usize,
+        requests: u8,
+        shared: &PoolShared,
+        config: &ServingConfig,
+        report: &mut WorkerReport,
+    ) {
+        if requests & CONTROL_SWAP != 0 {
+            self.service_swaps(worker, shared, config, report);
+        }
+        for slot in &mut self.slots {
+            slot.check(requests, report);
+        }
+        self.publish(worker, shared);
     }
-    health == ReplicaHealth::Quarantined && previous != ReplicaHealth::Quarantined
+
+    /// Ages every tenant after a dispatched batch.
+    fn age(&mut self, worker: usize, ticks: u64, shared: &PoolShared, report: &mut WorkerReport) {
+        for slot in &mut self.slots {
+            slot.age(ticks, report);
+        }
+        self.publish(worker, shared);
+    }
+
+    /// Publishes the bank's health when it changed: quarantined once every
+    /// tenant is, degraded while any tenant is not healthy.
+    fn publish(&mut self, worker: usize, shared: &PoolShared) {
+        let worst = self
+            .slots
+            .iter()
+            .map(|slot| slot.health)
+            .max_by_key(|health| health.as_u8())
+            .unwrap_or_default();
+        let serving = self.slots.iter().any(|slot| slot.health.is_serving());
+        let health = if worst.is_serving() || !serving {
+            worst
+        } else {
+            ReplicaHealth::Degraded
+        };
+        if health != self.published {
+            shared.publish_health(worker, health);
+            self.published = health;
+        }
+    }
+
+    /// Drains the swap inbox in posting order: evicts models (tearing their
+    /// tile regions off the fabric and pricing the erase pulses), installs
+    /// the pre-built replacement engine, publishes the new route and answers
+    /// the swap ticket. Runs strictly between batches — every ticket of the
+    /// previous batch is already answered when this is called.
+    fn service_swaps(
+        &mut self,
+        worker: usize,
+        shared: &PoolShared,
+        config: &ServingConfig,
+        report: &mut WorkerReport,
+    ) {
+        let requests = (self.inbox.lock().unwrap_or_else(PoisonError::into_inner))
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default();
+        for mut request in requests {
+            let mut erase = SwapCost::default();
+            let evicted = std::mem::take(&mut request.evict);
+            for model in &evicted {
+                shared.lock_routes().remove(model);
+                let Some(index) = self
+                    .slots
+                    .iter()
+                    .position(|slot| slot.model == Some(*model))
+                else {
+                    continue;
+                };
+                // Tear the program off the fabric; the scoped erase
+                // invalidates only this model's tiles, so survivors keep
+                // their caches.
+                if let Ok(Some(cost)) = self.slots.swap_remove(index).engine.decommission() {
+                    erase.absorb(cost);
+                }
+            }
+            let installed = request.install.take().map(|(model, engine)| {
+                self.slots
+                    .push(TenantSlot::new(Some(model), engine, config));
+                shared.lock_routes().insert(model, worker);
+                model
+            });
+            let program = request.program;
+            report.swaps += 1;
+            report.swap_pulses += erase.pulses + program.pulses;
+            report.swap_energy_j += erase.energy_j + program.energy_j;
+            if let Some(done) = request.done.take() {
+                done.complete(Ok(SwapReport {
+                    worker,
+                    evicted,
+                    installed,
+                    erase,
+                    program,
+                }));
+            }
+        }
+    }
+}
+
+impl<B: InferenceBackend> Drop for Bank<B> {
+    /// Closes the inbox on every exit path, panic included: swaps still
+    /// queued, and any posted later, are answered with the shutdown error
+    /// by their drop guards.
+    fn drop(&mut self) {
+        *self.inbox.lock().unwrap_or_else(PoisonError::into_inner) = None;
+    }
 }
 
 /// Re-admits a job onto a surviving replica's ring after this replica
@@ -2224,7 +2306,7 @@ fn bounce_failed_over(worker: usize, shared: &PoolShared, batch: &mut Vec<Job>) 
     while index < batch.len() {
         if batch[index].avoid == Some(worker)
             && !shared.closed.load(Ordering::SeqCst)
-            && shared.other_replica_serving(worker)
+            && shared.can_hand_off(worker)
         {
             // `swap_remove` moves the last element into `index`; leave the
             // cursor in place so that element is examined next.
@@ -2239,64 +2321,63 @@ fn bounce_failed_over(worker: usize, shared: &PoolShared, batch: &mut Vec<Job>) 
     }
 }
 
-/// Runs one popped batch end to end: records queue waits, takes the samples
-/// out (the jobs keep their tickets armed, so a panic inside inference still
-/// answers every request via the job drop guard), runs the grouped-read
-/// path, and publishes every answer. On a grouped failure it falls back to
-/// per-sample inference so one bad request cannot poison its batch mates;
-/// with `failover` enabled, a per-sample inference error is retried on a
-/// surviving replica (bounded by [`FAILOVER_ATTEMPTS`]) before its typed
-/// error is answered. With `fallback` set, answered requests are counted as
-/// software-fallback serves.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_batch<B: InferenceBackend>(
+fn outcome(step: &InferenceStep, worker: usize, batch: BatchTelemetry) -> ServeOutcome {
+    ServeOutcome {
+        prediction: step.prediction,
+        tie_broken: step.tie_broken,
+        delay: step.delay,
+        energy: step.energy,
+        worker,
+        batch,
+    }
+}
+
+/// Runs one tenant's group of jobs end to end: records queue waits, takes
+/// the samples out (the jobs keep their tickets armed, so a panic inside
+/// inference still answers every request via the job drop guard), runs the
+/// grouped-read path on the slot's engine — or its software twin once
+/// quarantined, counting those answers as fallback serves — and publishes
+/// every answer. On a grouped failure it falls back to per-sample inference
+/// so one bad request cannot poison its batch mates; while another worker
+/// can take the job, a per-sample inference error is retried there
+/// (bounded by [`FAILOVER_ATTEMPTS`]) before its typed error is answered.
+fn dispatch<B: InferenceBackend>(
     worker: usize,
-    engine: &mut FebimEngine<B>,
+    slot: &mut TenantSlot<B>,
     shared: &PoolShared,
-    scratch: &mut crate::engine::EvalScratch,
-    steps: &mut Vec<InferenceStep>,
-    batch: &mut Vec<Job>,
+    jobs: &mut Vec<Job>,
     samples: &mut Vec<Vec<f64>>,
+    steps: &mut Vec<InferenceStep>,
     report: &mut WorkerReport,
-    failover: bool,
-    fallback: bool,
 ) {
     let dispatched = Instant::now();
+    let fallback = u64::from(slot.twin.is_some());
     samples.clear();
-    for job in batch.iter_mut() {
+    for job in jobs.iter_mut() {
         report
             .queue_wait
             .record(nanos_between(job.submitted, dispatched));
         samples.push(std::mem::take(&mut job.sample));
     }
-    match engine.infer_batch_into(samples, scratch, steps) {
+    report.batches += 1;
+    report.largest_batch = report.largest_batch.max(jobs.len());
+    match slot.infer_batch(samples, steps) {
         Ok(telemetry) => {
-            report.requests += batch.len() as u64;
-            report.batches += 1;
-            report.largest_batch = report.largest_batch.max(batch.len());
+            report.requests += jobs.len() as u64;
+            report.fallback_served += fallback * jobs.len() as u64;
             report.batched_delay_s += telemetry.delay.total();
             report.batched_energy_j += telemetry.energy.total();
             report.sequential_delay_s += telemetry.sequential_delay;
             report.sequential_energy_j += telemetry.sequential_energy;
-            if fallback {
-                report.fallback_served += batch.len() as u64;
-            }
             // Batched completion: publish the whole batch back to back
             // (one release-swap each); wakes only reach clients that
             // actually parked.
             let completed = Instant::now();
-            for (job, step) in batch.drain(..).zip(steps.iter()) {
+            for (job, step) in jobs.drain(..).zip(steps.iter()) {
                 report
                     .end_to_end
                     .record(nanos_between(job.submitted, completed));
-                job.complete(Ok(ServeOutcome {
-                    prediction: step.prediction,
-                    tie_broken: step.tie_broken,
-                    delay: step.delay,
-                    energy: step.energy,
-                    worker,
-                    batch: telemetry,
-                }));
+                job.complete(Ok(outcome(step, worker, telemetry)));
             }
         }
         Err(_) => {
@@ -2304,44 +2385,33 @@ fn dispatch_batch<B: InferenceBackend>(
             // Fall back to per-sample inference so one bad request
             // cannot poison its batch mates: each request gets its own
             // answer, its own typed error, or a failover retry.
-            let size = batch.len();
-            for (job, sample) in batch.drain(..).zip(samples.iter()) {
-                let answer = engine
-                    .infer_into(sample, scratch)
+            for (mut job, sample) in jobs.drain(..).zip(samples.iter()) {
+                let answer = slot
+                    .infer(sample)
                     .map(|step| {
                         report.requests += 1;
+                        report.fallback_served += fallback;
                         report.batched_delay_s += step.delay.total();
                         report.batched_energy_j += step.energy.total();
                         report.sequential_delay_s += step.delay.total();
                         report.sequential_energy_j += step.energy.total();
-                        if fallback {
-                            report.fallback_served += 1;
-                        }
-                        ServeOutcome {
-                            prediction: step.prediction,
-                            tie_broken: step.tie_broken,
+                        let single = BatchTelemetry {
+                            reads: 1,
                             delay: step.delay,
                             energy: step.energy,
-                            worker,
-                            batch: BatchTelemetry {
-                                reads: 1,
-                                delay: step.delay,
-                                energy: step.energy,
-                                sequential_delay: step.delay.total(),
-                                sequential_energy: step.energy.total(),
-                                amortized: false,
-                            },
-                        }
+                            sequential_delay: step.delay.total(),
+                            sequential_energy: step.energy.total(),
+                            amortized: false,
+                        };
+                        outcome(&step, worker, single)
                     })
                     .map_err(ServingError::Inference);
                 if answer.is_err()
-                    && failover
                     && job.attempts < FAILOVER_ATTEMPTS
-                    && shared.other_replica_serving(worker)
+                    && shared.can_hand_off(worker)
                 {
                     // This replica failed the request; hand it to a
                     // surviving one instead of answering the error.
-                    let mut job = job;
                     job.attempts += 1;
                     job.avoid = Some(worker);
                     job.sample = sample.clone();
@@ -2350,15 +2420,8 @@ fn dispatch_batch<B: InferenceBackend>(
                             report.failovers += 1;
                             continue;
                         }
-                        Some(returned) => {
-                            // No room elsewhere: answer the error after all.
-                            report.failed += 1;
-                            report
-                                .end_to_end
-                                .record(nanos_between(returned.submitted, Instant::now()));
-                            returned.complete(answer);
-                            continue;
-                        }
+                        // No room elsewhere: answer the error after all.
+                        Some(returned) => job = returned,
                     }
                 }
                 if answer.is_err() {
@@ -2369,24 +2432,21 @@ fn dispatch_batch<B: InferenceBackend>(
                     .record(nanos_between(job.submitted, Instant::now()));
                 job.complete(answer);
             }
-            report.batches += 1;
-            report.largest_batch = report.largest_batch.max(size);
         }
     }
 }
 
-/// One worker: fill a batch (own ring first, stealing from the others), run
-/// it through the grouped-read path with a reused scratch, publish every
-/// answer, repeat until the pool closes and the rings drain. Between
-/// batches the worker ages its replica by [`ServingConfig::ticks_per_batch`]
-/// and lets its [`RecalibrationScheduler`] check for drift and its
-/// [`ScrubScheduler`] check for faults, so the replica's physical state
-/// stays current — and its defects detected and repaired — without ever
-/// stalling a request. A replica whose scrub quarantines it leaves the
-/// serving rotation for good (see [`quarantined_worker`]).
-fn worker_loop<B: InferenceBackend>(
+/// The one serving loop every worker runs over its bank of tenant slots:
+/// take control requests (swaps, forced checks), park while every tenant is
+/// quarantined and another replica can take the jobs, fill a batch (own
+/// ring first; replica workers steal from the others), dispatch it one
+/// tenant group at a time, then age every tenant — its schedulers check for
+/// drift and faults, so the fabric stays current and its defects get
+/// repaired without ever stalling a request. Repeats until the pool closes
+/// and the rings drain.
+fn serve<B: InferenceBackend>(
     worker: usize,
-    mut engine: FebimEngine<B>,
+    mut bank: Bank<B>,
     shared: &PoolShared,
     config: ServingConfig,
 ) -> WorkerReport {
@@ -2394,49 +2454,30 @@ fn worker_loop<B: InferenceBackend>(
         worker,
         ..WorkerReport::default()
     };
-    let mut scratch = engine.make_scratch();
-    let mut steps: Vec<InferenceStep> = Vec::with_capacity(config.max_batch);
     let mut batch: Vec<Job> = Vec::with_capacity(config.max_batch);
+    let mut group: Vec<Job> = Vec::with_capacity(config.max_batch);
     let mut samples: Vec<Vec<f64>> = Vec::with_capacity(config.max_batch);
-    // The scheduler policies were validated with the serving config, so a
-    // failed build here should be unreachable — but a worker thread must
-    // never panic over maintenance plumbing: it degrades to serving without
-    // the scheduler instead (requests still get answers).
-    let mut scheduler = config
-        .recalibration
-        .and_then(|policy| RecalibrationScheduler::new(policy).ok());
-    let mut scrubber = config
-        .scrub
-        .and_then(|policy| ScrubScheduler::new(policy).ok());
-    let mut recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
+    let mut steps: Vec<InferenceStep> = Vec::with_capacity(config.max_batch);
     loop {
-        batch.clear();
-        match shared.fill_batch(
-            worker,
-            &mut batch,
-            config.max_batch,
-            config.max_wait_ticks,
-            recalibration_seen,
-        ) {
-            FillOutcome::Closed => break,
-            FillOutcome::Recalibrate => {
-                // Idle out-of-band request: honour the newest generation
-                // (coalescing any requests that raced in) and check now.
-                // Both maintenance schedulers run — recalibration and scrub
-                // requests share the generation counter, and the epoch-skip
-                // fast path makes the unrequested check free.
-                recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
-                if let Some(scheduler) = scheduler.as_mut() {
-                    record_recalibration(scheduler.check(&mut engine), &mut report);
-                }
-                if let Some(scrubber) = scrubber.as_mut() {
-                    record_scrub(scrubber.check(&mut engine), &mut report);
-                    if sync_health(worker, scrubber, shared, &mut report) {
-                        return quarantined_worker(worker, &engine, shared, config, report);
-                    }
-                }
-                continue;
+        let requests = shared.take_requests(worker);
+        if requests != 0 {
+            bank.control(worker, requests, shared, &config, &mut report);
+        }
+        if bank.published == ReplicaHealth::Quarantined && shared.can_hand_off(worker) {
+            // Every tenant is quarantined and a serving replica steals this
+            // worker's jobs: park (off `idle_cv`, whose wakes must reach
+            // serving workers) until close or the last serving replica
+            // leaves.
+            if shared.closed.load(Ordering::SeqCst) {
+                break;
             }
+            shared.quarantine_wait();
+            continue;
+        }
+        batch.clear();
+        match shared.fill_batch(worker, &mut batch, config.max_batch, config.max_wait_ticks) {
+            FillOutcome::Closed => break,
+            FillOutcome::Control => continue,
             FillOutcome::Batch => {}
         }
         if !shared.answer_drained.load(Ordering::SeqCst) {
@@ -2448,148 +2489,57 @@ fn worker_loop<B: InferenceBackend>(
             continue;
         }
         bounce_failed_over(worker, shared, &mut batch);
-        if batch.is_empty() {
-            continue;
-        }
-        dispatch_batch(
-            worker,
-            &mut engine,
-            shared,
-            &mut scratch,
-            &mut steps,
-            &mut batch,
-            &mut samples,
-            &mut report,
-            true,
-            false,
-        );
-        // Between batches — every ticket of the batch is already answered,
-        // none is held — age the replica and run any drift or fault check
-        // that falls due. Queued requests still win: the next iteration pops
-        // them before the worker can idle.
-        if let Some(scheduler) = scheduler.as_mut() {
-            record_recalibration(
-                scheduler.tick(&mut engine, config.ticks_per_batch),
-                &mut report,
-            );
-        } else if config.ticks_per_batch > 0 {
-            engine.advance_time(config.ticks_per_batch);
-        }
-        if let Some(scrubber) = scrubber.as_mut() {
-            // The recalibration scheduler (or the branch above) already aged
-            // the replica's clock; the scrub scheduler only counts down.
-            record_scrub(
-                scrubber.note_ticks(&mut engine, config.ticks_per_batch),
-                &mut report,
-            );
-            if sync_health(worker, scrubber, shared, &mut report) {
-                return quarantined_worker(worker, &engine, shared, config, report);
+        let mut served = false;
+        // Dispatch one tenant group at a time. Replica jobs carry no model
+        // id and all belong to the bank's one slot, so their batch is one
+        // group as is; routed jobs are partitioned by model, in arrival
+        // order.
+        while let Some(model) = batch.first().map(|job| job.model) {
+            if model.is_none() {
+                std::mem::swap(&mut batch, &mut group);
+            } else {
+                group.extend(batch.extract_if(.., |job| job.model == model));
             }
-        }
-        let generation = shared.recalibration.load(Ordering::SeqCst);
-        if generation != recalibration_seen {
-            recalibration_seen = generation;
-            if let Some(scheduler) = scheduler.as_mut() {
-                record_recalibration(scheduler.check(&mut engine), &mut report);
-            }
-            if let Some(scrubber) = scrubber.as_mut() {
-                record_scrub(scrubber.check(&mut engine), &mut report);
-                if sync_health(worker, scrubber, shared, &mut report) {
-                    return quarantined_worker(worker, &engine, shared, config, report);
+            match bank.slots.iter_mut().find(|slot| slot.model == model) {
+                Some(slot) => {
+                    dispatch(
+                        worker,
+                        slot,
+                        shared,
+                        &mut group,
+                        &mut samples,
+                        &mut steps,
+                        &mut report,
+                    );
+                    served = true;
+                }
+                None => {
+                    // The model was swapped out between queueing and
+                    // dispatch: answer the typed error, never strand.
+                    let err = model.map_or(ServingError::NoReplicas, |model| {
+                        ServingError::ModelUnavailable { model }
+                    });
+                    report.unrouted += group.len() as u64;
+                    for job in group.drain(..) {
+                        job.complete(Err(err.clone()));
+                    }
                 }
             }
         }
+        if served {
+            // Between batches — every ticket is answered, none is held —
+            // age the tenants and run any check that falls due. Queued
+            // requests still win: the next iteration pops them before the
+            // worker can idle.
+            bank.age(worker, config.ticks_per_batch, shared, &mut report);
+        }
     }
-    report
-}
-
-/// A quarantined replica stops serving: it parks on the quarantine lot —
-/// deliberately away from `idle_cv`, whose `notify_one` wakes must only
-/// reach workers that may serve — until the pool closes, or until the last
-/// serving replica leaves. In the latter case the pool degrades gracefully:
-/// the worker re-enters the serving loop on the exact software twin of the
-/// shared model ([`FebimEngine::software_fallback`]), so requests keep
-/// being answered (bit-exact to the quantized software classifier) with no
-/// physical replica left.
-fn quarantined_worker<B: InferenceBackend>(
-    worker: usize,
-    engine: &FebimEngine<B>,
-    shared: &PoolShared,
-    config: ServingConfig,
-    mut report: WorkerReport,
-) -> WorkerReport {
-    report.quarantined = true;
-    loop {
-        if shared.serving_workers.load(Ordering::SeqCst) == 0 {
-            return fallback_loop(worker, engine.software_fallback(), shared, config, report);
-        }
-        if shared.closed.load(Ordering::SeqCst) {
-            // Surviving replicas drain the rings; this one just leaves.
-            return report;
-        }
-        shared.quarantine_wait();
-    }
-}
-
-/// Serving loop of a quarantined worker after every physical replica left
-/// the rotation: identical batching and completion semantics, but inference
-/// runs on the exact software fallback (no physical state, so no
-/// maintenance schedulers and no failover — there is nowhere left to fail
-/// over to).
-fn fallback_loop(
-    worker: usize,
-    mut engine: FebimEngine<crate::backend::SoftwareBackend>,
-    shared: &PoolShared,
-    config: ServingConfig,
-    mut report: WorkerReport,
-) -> WorkerReport {
-    let mut scratch = engine.make_scratch();
-    let mut steps: Vec<InferenceStep> = Vec::with_capacity(config.max_batch);
-    let mut batch: Vec<Job> = Vec::with_capacity(config.max_batch);
-    let mut samples: Vec<Vec<f64>> = Vec::with_capacity(config.max_batch);
-    let mut recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
-    loop {
-        batch.clear();
-        match shared.fill_batch(
-            worker,
-            &mut batch,
-            config.max_batch,
-            config.max_wait_ticks,
-            recalibration_seen,
-        ) {
-            FillOutcome::Closed => break,
-            FillOutcome::Recalibrate => {
-                // The software twin has no physical state to maintain.
-                recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
-                continue;
-            }
-            FillOutcome::Batch => {}
-        }
-        if !shared.answer_drained.load(Ordering::SeqCst) {
-            report.shutdown_rejected += batch.len() as u64;
-            for job in batch.drain(..) {
-                job.complete(Err(ServingError::ShutDown));
-            }
-            continue;
-        }
-        dispatch_batch(
-            worker,
-            &mut engine,
-            shared,
-            &mut scratch,
-            &mut steps,
-            &mut batch,
-            &mut samples,
-            &mut report,
-            false,
-            true,
-        );
-    }
+    report.quarantined = bank.published == ReplicaHealth::Quarantined;
     report
 }
 
 // ---------------------------------------------------------------------------
-// Routed (multi-tenant) serving
+// Hot swaps
 // ---------------------------------------------------------------------------
 
 /// What one serviced hot swap did, returned through [`SwapTicket::wait`].
@@ -2638,8 +2588,8 @@ impl SwapTicket {
     ///
     /// # Errors
     ///
-    /// Returns [`ServingError::ShutDown`] when the pool shuts down with the
-    /// swap still pending.
+    /// Returns [`ServingError::ShutDown`] when the target worker exited
+    /// (pool shut down) before servicing the swap.
     pub fn wait(self) -> Result<SwapReport, ServingError> {
         let mut slot = self
             .done
@@ -2659,11 +2609,11 @@ impl SwapTicket {
     }
 }
 
-/// A hot-swap request parked in a routed worker's mailbox: model ids to
-/// evict and (optionally) a pre-built engine to install in their place. The
-/// drop guard answers the ticket with the shutdown error if the request
-/// dies unserviced (pool shutdown with the swap still queued, or a mailbox
-/// downcast mismatch), so [`SwapTicket::wait`] can never hang.
+/// A hot-swap request in a worker's inbox: model ids to evict and
+/// (optionally) a pre-built engine to install in their place. The drop
+/// guard answers the ticket with the shutdown error if the request dies
+/// unserviced (its worker exited first), so [`SwapTicket::wait`] can never
+/// hang.
 struct SwapRequest<B: InferenceBackend> {
     evict: Vec<u64>,
     install: Option<(u64, FebimEngine<B>)>,
@@ -2681,216 +2631,69 @@ impl<B: InferenceBackend> Drop for SwapRequest<B> {
     }
 }
 
-/// One tenant model hosted by a routed worker: its engine plus a dedicated
-/// scratch (scratch dimensions depend on the model's class/feature counts,
-/// so tenants cannot share one).
-struct TenantSlot<B: InferenceBackend> {
-    model: u64,
-    engine: FebimEngine<B>,
-    scratch: crate::engine::EvalScratch,
+/// Hot swaps posted to one worker; `None` once the worker has exited.
+type Inbox<B> = Mutex<Option<Vec<SwapRequest<B>>>>;
+
+/// Typed hot-swap queue of a routed pool, one inbox per worker (bank).
+/// [`ServingPool::new_routed`] hands it to the pool's owner — the model
+/// registry — which posts every eviction and install through it.
+pub(crate) struct SwapQueue<B: InferenceBackend> {
+    shared: Arc<PoolShared>,
+    inboxes: Vec<Arc<Inbox<B>>>,
 }
 
-/// Drains a routed worker's swap mailbox: evicts models (tearing their tile
-/// regions off the fabric and pricing the erase pulses), installs the
-/// pre-built replacement engine, publishes the new route and answers the
-/// swap ticket. Runs strictly between batches — every ticket of the
-/// previous batch is already answered when this is called.
-fn service_swaps<B: InferenceBackend + 'static>(
-    worker: usize,
-    bank: &mut Vec<TenantSlot<B>>,
-    shared: &PoolShared,
-    report: &mut WorkerReport,
-) {
-    loop {
-        let boxed = {
-            let mut mailbox = shared.mailboxes[worker]
-                .0
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match mailbox.pop() {
-                Some(boxed) => boxed,
-                None => return,
-            }
-        };
-        // A box that is not a SwapRequest<B> cannot be serviced here; drop
-        // it and let its guard (if any) answer the ticket.
-        let Ok(mut request) = boxed.downcast::<SwapRequest<B>>() else {
-            continue;
-        };
-        let mut erase = SwapCost::default();
-        let evicted = std::mem::take(&mut request.evict);
-        for model in &evicted {
-            shared.unroute(*model);
-            let Some(index) = bank.iter().position(|slot| slot.model == *model) else {
-                continue;
-            };
-            let mut slot = bank.swap_remove(index);
-            // Tear the program off the fabric; the scoped erase invalidates
-            // only this model's tiles, so survivors keep their caches.
-            if let Ok(Some(cost)) = slot.engine.decommission() {
-                erase.absorb(cost);
-            }
-        }
-        let installed = request.install.take().map(|(model, engine)| {
-            let scratch = engine.make_scratch();
-            bank.push(TenantSlot {
-                model,
-                engine,
-                scratch,
-            });
-            shared.set_route(model, worker);
-            model
-        });
-        let program = request.program;
-        report.swaps += 1;
-        report.swap_pulses += erase.pulses + program.pulses;
-        report.swap_energy_j += erase.energy_j + program.energy_j;
-        if let Some(done) = request.done.take() {
-            done.complete(Ok(SwapReport {
-                worker,
-                evicted,
-                installed,
-                erase,
-                program,
-            }));
-        }
+impl<B: InferenceBackend> fmt::Debug for SwapQueue<B> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SwapQueue")
+            .field("banks", &self.inboxes.len())
+            .finish()
     }
 }
 
-/// Serving loop of one routed worker: pops only its own ring (jobs are
-/// pinned to the bank hosting their model), groups each batch by model id
-/// and dispatches every group through the grouped-read path on that
-/// tenant's engine. Between batches it services hot-swap requests from its
-/// mailbox and ages every tenant replica; a request whose model was swapped
-/// out after queueing is answered with the typed
-/// [`ServingError::ModelUnavailable`]. No stealing, no failover: tenants
-/// live on exactly one bank.
-fn routed_worker_loop<B: InferenceBackend + 'static>(
-    worker: usize,
-    bank: Vec<(u64, FebimEngine<B>)>,
-    shared: &PoolShared,
-    config: ServingConfig,
-) -> WorkerReport {
-    let mut report = WorkerReport {
-        worker,
-        ..WorkerReport::default()
-    };
-    let mut bank: Vec<TenantSlot<B>> = bank
-        .into_iter()
-        .map(|(model, engine)| {
-            let scratch = engine.make_scratch();
-            TenantSlot {
-                model,
-                engine,
-                scratch,
-            }
-        })
-        .collect();
-    let mut steps: Vec<InferenceStep> = Vec::with_capacity(config.max_batch);
-    let mut batch: Vec<Job> = Vec::with_capacity(config.max_batch);
-    let mut sub: Vec<Job> = Vec::with_capacity(config.max_batch);
-    let mut samples: Vec<Vec<f64>> = Vec::with_capacity(config.max_batch);
-    let mut recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
-    // Drain the mailbox once before serving: a swap posted during thread
-    // start-up may have bumped the generation before the load above, in
-    // which case no later doorbell distinguishes it from the initial value.
-    // The load-then-drain order re-establishes the invariant that
-    // `seen == G` implies every request posted before the bump to `G` has
-    // been serviced.
-    service_swaps(worker, &mut bank, shared, &mut report);
-    loop {
-        batch.clear();
-        match shared.fill_batch(
-            worker,
-            &mut batch,
-            config.max_batch,
-            config.max_wait_ticks,
-            recalibration_seen,
-        ) {
-            FillOutcome::Closed => break,
-            FillOutcome::Recalibrate => {
-                // The generation counter doubles as the swap doorbell on
-                // routed pools; an idle bump means the mailbox may hold work.
-                recalibration_seen = shared.recalibration.load(Ordering::SeqCst);
-                service_swaps(worker, &mut bank, shared, &mut report);
-                continue;
-            }
-            FillOutcome::Batch => {}
+impl<B: InferenceBackend> SwapQueue<B> {
+    /// Posts a hot swap to worker `worker`: evict the listed models
+    /// (erasing their tile regions) and install the pre-built engine, all
+    /// between that worker's batches — other banks' tenants are never
+    /// stalled, and no other bank runs any check. Evicted models stop
+    /// routing immediately, so new requests for them get
+    /// [`ServingError::ModelUnavailable`]; requests already queued for an
+    /// evicted model are answered the same way by the servicing worker. The
+    /// install's programming cost is priced analytically (Preisach pulse
+    /// trains) before posting; the evictions' erase cost is measured on the
+    /// fabric as the worker tears them down.
+    pub(crate) fn post(
+        &self,
+        worker: usize,
+        evict: Vec<u64>,
+        install: Option<(u64, FebimEngine<B>)>,
+    ) -> SwapTicket {
+        let program = install
+            .as_ref()
+            .and_then(|(_, engine)| engine.program_cost())
+            .unwrap_or_default();
+        for model in &evict {
+            self.shared.lock_routes().remove(model);
         }
-        if !shared.answer_drained.load(Ordering::SeqCst) {
-            // Abort in progress: reject instead of serving.
-            report.shutdown_rejected += batch.len() as u64;
-            for job in batch.drain(..) {
-                job.complete(Err(ServingError::ShutDown));
-            }
-            continue;
+        let done = Arc::new(SwapDone::default());
+        let request = SwapRequest {
+            evict,
+            install,
+            program,
+            done: Some(Arc::clone(&done)),
+        };
+        // An exited worker's inbox is closed: the request is dropped,
+        // answering its ticket with the shutdown error.
+        if let Some(requests) = self.inboxes[worker]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_mut()
+        {
+            requests.push(request);
         }
-        // Dispatch the batch one model group at a time: partition the jobs
-        // of the first remaining model into `sub`, serve it on that
-        // tenant's engine, repeat until the batch is empty.
-        while let Some(model) = batch.first().and_then(|job| job.model) {
-            sub.clear();
-            let mut index = 0;
-            while index < batch.len() {
-                if batch[index].model == Some(model) {
-                    sub.push(batch.swap_remove(index));
-                } else {
-                    index += 1;
-                }
-            }
-            match bank.iter_mut().find(|slot| slot.model == model) {
-                Some(slot) => dispatch_batch(
-                    worker,
-                    &mut slot.engine,
-                    shared,
-                    &mut slot.scratch,
-                    &mut steps,
-                    &mut sub,
-                    &mut samples,
-                    &mut report,
-                    false,
-                    false,
-                ),
-                None => {
-                    // The model was swapped out between queueing and
-                    // dispatch: answer the typed error, never strand.
-                    report.unrouted += sub.len() as u64;
-                    for job in sub.drain(..) {
-                        job.complete(Err(ServingError::ModelUnavailable { model }));
-                    }
-                }
-            }
-        }
-        // A job without a model id cannot land on a routed pool's rings
-        // (both submit paths attach one); answer defensively anyway.
-        for job in batch.drain(..) {
-            report.unrouted += 1;
-            job.complete(Err(ServingError::NoReplicas));
-        }
-        // Between batches: age every tenant replica, then service any
-        // pending swap (the ring is the only source of requests, so nothing
-        // else can observe the bank mid-swap).
-        if config.ticks_per_batch > 0 {
-            for slot in bank.iter_mut() {
-                slot.engine.advance_time(config.ticks_per_batch);
-            }
-        }
-        let generation = shared.recalibration.load(Ordering::SeqCst);
-        if generation != recalibration_seen {
-            recalibration_seen = generation;
-            service_swaps(worker, &mut bank, shared, &mut report);
-        }
+        self.shared.request(Some(worker), CONTROL_SWAP);
+        SwapTicket { done }
     }
-    // Final mailbox sweep: a swap posted during shutdown is answered (its
-    // drop guard reports the shutdown error) rather than stranded.
-    shared.mailboxes[worker]
-        .0
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-    report
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3848,7 +3651,7 @@ mod tests {
             ],
             vec![(models[2], engines.next().unwrap())],
         ];
-        let pool =
+        let (pool, _swaps) =
             ServingPool::new_routed(banks, ServingConfig::default().with_max_batch(4)).unwrap();
         assert_eq!(pool.route_of(models[0]), Some(0));
         assert_eq!(pool.route_of(models[1]), Some(0));
@@ -3907,7 +3710,7 @@ mod tests {
             .iter()
             .map(|sample| tenant_c.infer_into(sample, &mut scratch).unwrap())
             .collect();
-        let pool = ServingPool::new_routed(
+        let (pool, swaps) = ServingPool::new_routed(
             vec![vec![(1u64, tenant_a)], vec![(2u64, tenant_b)]],
             ServingConfig::default().with_max_batch(4),
         )
@@ -3918,7 +3721,7 @@ mod tests {
             .iter()
             .map(|sample| pool.submit_routed_blocking(2, sample.clone()).unwrap())
             .collect();
-        let swap_ticket = pool.post_swap(0, vec![1u64], Some((3u64, tenant_c.clone())));
+        let swap_ticket = swaps.post(0, vec![1u64], Some((3u64, tenant_c.clone())));
         let after: Vec<Ticket> = samples_b
             .iter()
             .map(|sample| pool.submit_routed_blocking(2, sample.clone()).unwrap())
@@ -3973,7 +3776,7 @@ mod tests {
             TileShape::new(2, 24).unwrap(),
         )
         .unwrap();
-        let pool =
+        let (pool, _swaps) =
             ServingPool::new_routed(vec![vec![(1u64, engine.clone())]], ServingConfig::default())
                 .unwrap();
         let swapped_out = pool.shutdown();
@@ -3981,10 +3784,10 @@ mod tests {
         // Fresh pool: post, shut down immediately; the race between the
         // worker servicing the swap and the close is fine either way — the
         // ticket must resolve.
-        let pool =
+        let (pool, swaps) =
             ServingPool::new_routed(vec![vec![(2u64, engine.clone())]], ServingConfig::default())
                 .unwrap();
-        let ticket = pool.post_swap(0, vec![2u64], Some((4u64, engine)));
+        let ticket = swaps.post(0, vec![2u64], Some((4u64, engine)));
         drop(pool);
         match ticket.wait() {
             Ok(report) => assert_eq!(report.installed, Some(4)),
@@ -4012,8 +3815,9 @@ mod tests {
             spawned += 1;
             default_spawner(name, body)
         };
-        let result = ServingPool::new_inner(
-            vec![engine.clone(), engine],
+        let result = spawn_pool(
+            vec![vec![(None, engine.clone())], vec![(None, engine)]],
+            false,
             ServingConfig::default(),
             &mut spawner,
         );
@@ -4024,5 +3828,366 @@ mod tests {
             other => panic!("expected WorkerSpawn error, got {other:?}"),
         }
         assert_eq!(spawned, 1);
+    }
+
+    /// A spawner that holds every worker thread at `barrier` before its
+    /// body runs, so a test can act before any worker has started.
+    fn held_spawner(
+        barrier: Arc<std::sync::Barrier>,
+    ) -> impl FnMut(String, WorkerBody) -> std::io::Result<JoinHandle<WorkerReport>> {
+        move |name, body| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::Builder::new().name(name).spawn(move || {
+                barrier.wait();
+                body()
+            })
+        }
+    }
+
+    /// Regression: a swap posted before a routed worker has started must be
+    /// serviced. Its control bit stays set until the worker takes it, so the
+    /// start-up window needs no special case. (The lost wakeup this pins
+    /// used to reproduce in only a fraction of stress runs.)
+    #[test]
+    fn a_swap_posted_before_the_workers_start_resolves() {
+        let (train, test) = split_for(930);
+        let engine = FebimEngine::fit_tiled(
+            &train,
+            EngineConfig::febim_default(),
+            TileShape::new(2, 24).unwrap(),
+        )
+        .unwrap();
+        let barrier = Arc::new(std::sync::Barrier::new(3));
+        let mut spawner = held_spawner(Arc::clone(&barrier));
+        let (pool, swaps) = spawn_pool(
+            vec![vec![(Some(1u64), engine.clone())], Vec::new()],
+            true,
+            ServingConfig::default(),
+            &mut spawner,
+        )
+        .unwrap();
+        let ticket = swaps.post(1, Vec::new(), Some((2u64, engine.clone())));
+        barrier.wait();
+        let report = ticket.wait().expect("the swap must resolve Ok");
+        assert_eq!(report.worker, 1);
+        assert_eq!(report.installed, Some(2));
+        assert_eq!(pool.route_of(2), Some(1));
+        let sample = test.sample(0).unwrap().to_vec();
+        let outcome = pool
+            .serve_model(2, std::slice::from_ref(&sample))
+            .remove(0)
+            .unwrap();
+        assert_eq!(outcome.prediction, engine.predict(&sample).unwrap());
+        assert_eq!(pool.shutdown().swaps, 1);
+    }
+
+    /// A swap posted after shutdown finds its worker's inbox closed and
+    /// resolves to the typed shutdown error instead of hanging.
+    #[test]
+    fn a_swap_posted_after_shutdown_resolves_to_shutdown() {
+        let (train, _) = split_for(931);
+        let engine = FebimEngine::fit_tiled(
+            &train,
+            EngineConfig::febim_default(),
+            TileShape::new(2, 24).unwrap(),
+        )
+        .unwrap();
+        let (pool, swaps) =
+            ServingPool::new_routed(vec![vec![(1u64, engine.clone())]], ServingConfig::default())
+                .unwrap();
+        assert_eq!(pool.shutdown().swaps, 0);
+        assert!(matches!(
+            swaps.post(0, vec![1], Some((2, engine))).wait(),
+            Err(ServingError::ShutDown)
+        ));
+    }
+
+    /// A scrub request runs no drift check, and a recalibration request
+    /// does: each control bit triggers its own maintenance only.
+    #[test]
+    fn a_scrub_request_runs_no_drift_check() {
+        let (engine, samples) = drifting_serving(932);
+        // Intervals no run of this length reaches: only requests can check.
+        // The scrub tolerance sits far above the drift, so scrubs stay clean.
+        let config = ServingConfig::default()
+            .with_ticks_per_batch(500)
+            .with_recalibration(RecalibrationPolicy::new(u64::MAX, 1e-3))
+            .with_scrub(ScrubPolicy::new(u64::MAX, 1.0));
+        let run = |recalibrate: bool| {
+            let pool = ServingPool::replicate(&engine, 1, config).unwrap();
+            assert!(pool.serve(&samples).iter().all(Result::is_ok));
+            pool.request_scrub();
+            assert!(pool.serve(&samples).iter().all(Result::is_ok));
+            if recalibrate {
+                pool.request_recalibration();
+                assert!(pool.serve(&samples).iter().all(Result::is_ok));
+            }
+            pool.shutdown()
+        };
+        let scrubbed = run(false);
+        assert_eq!(
+            scrubbed.recalibrations, 0,
+            "a scrub request ran a drift check"
+        );
+        assert_eq!(scrubbed.scrub_failures, 0);
+        let recalibrated = run(true);
+        assert!(
+            recalibrated.recalibrations >= 1,
+            "the recalibration request must recalibrate the aged replica"
+        );
+    }
+
+    /// A drifting tiled tenant for routed maintenance tests.
+    fn drifting_tenant(
+        seed: u64,
+        spare_rows: usize,
+    ) -> (
+        FebimEngine<crate::backend::TiledFabricBackend>,
+        Vec<Vec<f64>>,
+    ) {
+        let (train, test) = split_for(seed);
+        let config = EngineConfig::febim_default().with_non_idealities(
+            febim_device::NonIdealityStack::ideal()
+                .with_drift(febim_device::RetentionDrift::new(0.05, 100)),
+        );
+        let shape = TileShape::new(2, 24).unwrap().with_spare_rows(spare_rows);
+        let engine = FebimEngine::fit_tiled(&train, config, shape).unwrap();
+        (engine, samples_of(&test))
+    }
+
+    /// A swap on one bank runs no maintenance on another: only the target
+    /// bank's swap bit is set. A forced recalibration, by contrast, reaches
+    /// routed banks too.
+    #[test]
+    fn a_swap_on_one_bank_runs_no_checks_on_another() {
+        let (tenant_a, _) = drifting_tenant(933, 0);
+        let (tenant_b, samples_b) = drifting_tenant(934, 0);
+        let (tenant_c, _) = drifting_tenant(935, 0);
+        let config = ServingConfig::default()
+            .with_ticks_per_batch(500)
+            .with_recalibration(RecalibrationPolicy::new(u64::MAX, 1e-3));
+        let run = |recalibrate: bool| {
+            let (pool, swaps) = ServingPool::new_routed(
+                vec![
+                    vec![(1u64, tenant_a.clone())],
+                    vec![(2u64, tenant_b.clone())],
+                ],
+                config,
+            )
+            .unwrap();
+            assert!(pool.serve_model(2, &samples_b).iter().all(Result::is_ok));
+            swaps
+                .post(0, vec![1], Some((3, tenant_c.clone())))
+                .wait()
+                .unwrap();
+            if recalibrate {
+                pool.request_recalibration();
+            }
+            assert!(pool.serve_model(2, &samples_b).iter().all(Result::is_ok));
+            pool.shutdown()
+        };
+        let swapped = run(false);
+        assert_eq!(swapped.swaps, 1);
+        assert_eq!(swapped.workers[1].recalibrations, 0, "bank 1 ran a check");
+        let forced = run(true);
+        assert!(forced.workers[1].recalibrations >= 1);
+    }
+
+    /// Transient and permanent strikes for a chaos tenant. Each cell is hit
+    /// by both fault kinds (at least one differs from its programmed level),
+    /// and the permanent ones land in different tiles, one spare row each.
+    fn chaos_schedule() -> FaultSchedule {
+        let strike = |at_tick, row, column, kind, permanent| ScheduledFault {
+            at_tick,
+            row,
+            column,
+            kind,
+            permanent,
+        };
+        FaultSchedule::new(vec![
+            strike(2_250, 1, 3, FaultKind::StuckErased, false),
+            strike(4_750, 1, 3, FaultKind::StuckProgrammed, false),
+            strike(7_250, 2, 7, FaultKind::StuckProgrammed, true),
+            strike(9_750, 0, 30, FaultKind::StuckErased, true),
+        ])
+    }
+
+    /// Routed chaos: three drifting tiled tenants on banks {1, 2} and {3},
+    /// struck by transient and permanent faults within their spare budget.
+    /// Every bank recalibrates, scrubs and remaps like a replica does, every
+    /// ticket is answered, and tenant 3 — alone on its bank — answers bit
+    /// for bit like the same engine served through a one-replica pool.
+    #[test]
+    fn routed_chaos_heals_every_tenant_like_a_dedicated_pool() {
+        let mut tenants: Vec<(
+            FebimEngine<crate::backend::TiledFabricBackend>,
+            Vec<Vec<f64>>,
+        )> = [940u64, 941, 942]
+            .into_iter()
+            .map(|seed| {
+                let (mut engine, samples) = drifting_tenant(seed, 1);
+                engine.set_fault_schedule(chaos_schedule());
+                (engine, samples)
+            })
+            .collect();
+        let config = ServingConfig::default()
+            .with_max_batch(1)
+            .with_ticks_per_batch(500)
+            .with_recalibration(RecalibrationPolicy::new(500, 1e-3))
+            .with_scrub(ScrubPolicy::new(1_000, 1e-2));
+        let (engine_3, samples_3) = tenants.pop().unwrap();
+        let (engine_2, samples_2) = tenants.pop().unwrap();
+        let (engine_1, samples_1) = tenants.pop().unwrap();
+        let dedicated = ServingPool::new(vec![engine_3.clone()], config).unwrap();
+        let expected = dedicated.serve(&samples_3);
+        let dedicated = dedicated.shutdown();
+        let (pool, _swaps) = ServingPool::new_routed(
+            vec![vec![(1, engine_1), (2, engine_2)], vec![(3, engine_3)]],
+            config,
+        )
+        .unwrap();
+        // Bank 0 serves its two tenants interleaved; bank 1 serves tenant 3
+        // in the dedicated pool's order.
+        let tickets: Vec<Ticket> = samples_1
+            .iter()
+            .zip(&samples_2)
+            .flat_map(|(a, b)| [(1, a), (2, b)])
+            .map(|(model, sample)| pool.submit_routed_blocking(model, sample.clone()).unwrap())
+            .collect();
+        let answers_3 = pool.serve_model(3, &samples_3);
+        for ticket in tickets {
+            assert!(ticket.wait().is_ok(), "a bank 0 ticket failed");
+        }
+        for (routed, alone) in answers_3.iter().zip(&expected) {
+            let (routed, alone) = (routed.as_ref().unwrap(), alone.as_ref().unwrap());
+            assert_eq!(routed.prediction, alone.prediction);
+            assert_eq!(routed.tie_broken, alone.tie_broken);
+            assert_eq!(routed.delay, alone.delay);
+            assert_eq!(routed.energy, alone.energy);
+        }
+        assert!(pool
+            .worker_health()
+            .iter()
+            .all(|health| health.is_serving()));
+        let stats = pool.shutdown();
+        assert_eq!(stats.failed_requests, 0);
+        assert_eq!(stats.unrouted, 0);
+        assert_eq!(
+            stats.requests,
+            (2 * samples_1.len().min(samples_2.len()) + samples_3.len()) as u64
+        );
+        assert!(stats.recalibrations > 0, "routed banks must recalibrate");
+        assert!(stats.faults_repaired > 0, "routed banks must repair faults");
+        assert!(
+            stats.rows_remapped > 0,
+            "routed banks must remap stuck rows"
+        );
+        assert_eq!(stats.quarantined_workers, 0);
+        // Tenant 3's bank did exactly the dedicated replica's maintenance.
+        let (bank, alone) = (&stats.workers[1], &dedicated.workers[0]);
+        assert_eq!(bank.recalibrations, alone.recalibrations);
+        assert_eq!(bank.recalibration_pulses, alone.recalibration_pulses);
+        assert_eq!(bank.rows_remapped, alone.rows_remapped);
+        assert_eq!(bank.repair_pulses, alone.repair_pulses);
+    }
+
+    /// A tiled tenant whose unspared fabric took permanent hits before
+    /// deployment: its first scrub quarantines it.
+    fn unrepairable_tenant(
+        seed: u64,
+    ) -> (
+        FebimEngine<crate::backend::TiledFabricBackend>,
+        Vec<Vec<f64>>,
+    ) {
+        let (train, test) = split_for(seed);
+        let mut engine = FebimEngine::fit_tiled(
+            &train,
+            EngineConfig::febim_default(),
+            TileShape::new(2, 24).unwrap(),
+        )
+        .unwrap();
+        let strike = |row, column, kind| ScheduledFault {
+            at_tick: 1,
+            row,
+            column,
+            kind,
+            permanent: true,
+        };
+        engine.set_fault_schedule(FaultSchedule::new(vec![
+            strike(1, 3, FaultKind::StuckErased),
+            strike(0, 10, FaultKind::StuckProgrammed),
+        ]));
+        engine.advance_time(2);
+        assert_eq!(engine.pending_faults(), 0, "the strikes must have landed");
+        (engine, samples_of(&test))
+    }
+
+    /// A quarantined routed tenant keeps answering through its software
+    /// twin while its bank-mate serves bit-identically on the fabric; a bank
+    /// whose only tenant is quarantined falls back at once, since its tenant
+    /// lives nowhere else. No ticket is dropped.
+    #[test]
+    fn quarantined_tenants_answer_through_their_software_twins() {
+        let (struck, samples_1) = unrepairable_tenant(950);
+        let (alone, samples_3) = unrepairable_tenant(951);
+        let (train, test) = split_for(952);
+        let mate = FebimEngine::fit_tiled(
+            &train,
+            EngineConfig::febim_default(),
+            TileShape::new(2, 24).unwrap(),
+        )
+        .unwrap();
+        let samples_2 = samples_of(&test);
+        let mut scratch = mate.make_scratch();
+        let reference_2: Vec<InferenceStep> = samples_2
+            .iter()
+            .map(|sample| mate.infer_into(sample, &mut scratch).unwrap())
+            .collect();
+        let (twin_1, twin_3) = (struck.software_fallback(), alone.software_fallback());
+        let config = ServingConfig::default()
+            .with_max_batch(1)
+            .with_ticks_per_batch(1)
+            .with_scrub(ScrubPolicy::new(1, 1e-3));
+        let (pool, _swaps) =
+            ServingPool::new_routed(vec![vec![(1, struck), (2, mate)], vec![(3, alone)]], config)
+                .unwrap();
+        // One batch on each bank: the scrub after it quarantines the struck
+        // tenants before either bank pops its next request.
+        assert!(pool
+            .serve_model(2, &samples_2[..1])
+            .iter()
+            .all(Result::is_ok));
+        assert!(pool
+            .serve_model(3, &samples_3[..1])
+            .iter()
+            .all(Result::is_ok));
+        for (model, samples, twin) in [(1, &samples_1, &twin_1), (3, &samples_3, &twin_3)] {
+            for (answer, sample) in pool.serve_model(model, samples).iter().zip(samples) {
+                let outcome = answer.as_ref().expect("fallback answer");
+                assert_eq!(outcome.prediction, twin.predict(sample).unwrap());
+            }
+        }
+        for (answer, step) in pool.serve_model(2, &samples_2).iter().zip(&reference_2) {
+            let outcome = answer.as_ref().unwrap();
+            assert_eq!(outcome.prediction, step.prediction);
+            assert_eq!(outcome.tie_broken, step.tie_broken);
+            assert_eq!(outcome.delay, step.delay);
+            assert_eq!(outcome.energy, step.energy);
+        }
+        let health = pool.worker_health();
+        assert!(health[0].is_serving(), "bank 0 still has a serving tenant");
+        assert_eq!(health[1], ReplicaHealth::Quarantined);
+        let stats = pool.shutdown();
+        assert_eq!(
+            stats.fallback_served,
+            (samples_1.len() + samples_3.len()) as u64
+        );
+        assert_eq!(
+            stats.requests,
+            (2 + samples_1.len() + samples_2.len() + samples_3.len()) as u64
+        );
+        assert_eq!(stats.failed_requests, 0);
+        assert_eq!(stats.shutdown_rejected, 0);
+        assert_eq!(stats.quarantined_workers, 1);
     }
 }
