@@ -34,11 +34,6 @@ pub enum BayesError {
         /// The offending index.
         index: usize,
     },
-    /// A Bayesian network definition is structurally invalid.
-    InvalidNetwork {
-        /// Explanation of the problem.
-        reason: String,
-    },
 }
 
 impl fmt::Display for BayesError {
@@ -60,7 +55,6 @@ impl fmt::Display for BayesError {
             BayesError::UnknownIndex { kind, index } => {
                 write!(f, "unknown {kind} index {index}")
             }
-            BayesError::InvalidNetwork { reason } => write!(f, "invalid network: {reason}"),
         }
     }
 }
@@ -102,11 +96,6 @@ mod tests {
         }
         .to_string()
         .contains("class index 7"));
-        assert!(BayesError::InvalidNetwork {
-            reason: "cycle".to_string()
-        }
-        .to_string()
-        .contains("cycle"));
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! reproduction:
 //!
 //! * [`Probability`] / [`LogProb`] newtypes and log-domain helpers;
-//! * [`BayesianNetwork`] — discrete Bayesian networks with CPTs and exact
-//!   enumeration inference (the general setting motivating the paper);
 //! * [`CategoricalNaiveBayes`] — naive Bayes over discrete evidence values;
 //! * [`GaussianNaiveBayes`] — the Gaussian naive Bayes classifier (GNBC)
 //!   trained in FP64, serving as the paper's software baseline (Fig. 7/8).
@@ -28,13 +26,11 @@
 
 #![warn(missing_docs)]
 
-pub mod bayesnet;
 pub mod errors;
 pub mod gnbc;
 pub mod naive;
 pub mod prob;
 
-pub use bayesnet::{BayesianNetwork, Evidence, Node};
 pub use errors::{BayesError, Result};
 pub use gnbc::{gaussian_log_pdf, ClassGaussians, GaussianNaiveBayes};
 pub use naive::CategoricalNaiveBayes;

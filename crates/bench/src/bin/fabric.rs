@@ -1,13 +1,13 @@
 //! Fabric-scale benchmark: tiled multi-array fabric vs. monolithic crossbar.
 //!
 //! Deploys the same compiled model on the paper's single array and on a
-//! tiled [`TileGrid`] fabric, verifies the two decide every sample
+//! tiled `TileGrid` fabric, verifies the two decide every sample
 //! identically (the fabric read path is bit-exact), measures tiled vs.
 //! monolithic read/inference throughput at iris scale and at the Fig. 6
 //! stress scale, times the epoch-parallel Monte-Carlo sweep running entirely
 //! on the fabric backend, and writes everything — tile plan, per-workload
-//! timings, deployment comparison and evaluation reports — to a JSON record
-//! via the `serde` JSON emitters (no hand-rolled formatting).
+//! timings, modeled delay/energy ratios and evaluation reports — to a JSON
+//! record via the `serde` JSON emitters (no hand-rolled formatting).
 //!
 //! Usage:
 //!
@@ -20,21 +20,16 @@
 //! the current directory).
 
 use std::hint::black_box;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
-use febim_bench::{eng, measure_min_ns as measure};
-use febim_compare::FabricComparison;
-use febim_core::{
-    variation_sweep_with_backend, EngineConfig, EvaluationReport, FebimEngine, TiledFabricBackend,
-};
-use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan, TileShape};
+use febim_bench::{eng, measure_min_ns as measure, staggered_fig6_grid, Header, Record};
+use febim_core::{variation_sweep, EngineConfig, EvaluationReport, FebimEngine, MonteCarlo};
+use febim_crossbar::{Activation, TilePlan, TileShape};
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
-use febim_data::Dataset;
-use febim_device::LevelProgrammer;
 
 /// One measured workload: nanoseconds per iteration on both deployments.
 #[derive(Debug, Serialize)]
@@ -74,62 +69,31 @@ struct MonteCarloTiming {
 /// fabric's performance trajectory.
 #[derive(Debug, Serialize)]
 struct FabricRecord {
-    bench: &'static str,
-    generated_unix_s: u64,
-    quick: bool,
+    header: Header,
     /// Tile placement of the iris-scale engine under test.
     plan: TilePlan,
+    /// Fraction of the plan's provisioned cells the model occupies.
+    utilization: f64,
     workloads: Vec<Workload>,
     monte_carlo: MonteCarloTiming,
-    comparison: FabricComparison,
+    /// Tiled-over-monolithic mean modeled delay per inference: the tiles
+    /// settle in parallel, but the fabric pays for every occupied bitline
+    /// of its widest tile and for the partial-sum merge bus.
+    delay_ratio: f64,
+    /// Tiled-over-monolithic mean modeled energy per inference (> 1: every
+    /// tile row re-drives its activated bitlines).
+    energy_ratio: f64,
     monolithic_report: EvaluationReport,
     tiled_report: EvaluationReport,
 }
 
-/// The Fig. 6-scale stress pair: a 64×512 model programmed identically onto
-/// one monolithic array and onto a 2×4 grid of 32×128 tiles (the model
-/// exceeds the tile in both dimensions).
-fn fig6_scale_pair() -> (TileGrid, TileGrid) {
-    let layout = CrossbarLayout::new(64, 32, 16, false).expect("layout");
-    let programmer = LevelProgrammer::febim_default(10).expect("programmer");
-    let shape = TileShape::new(32, 128).expect("shape");
-    let plan = TilePlan::new(layout, shape).expect("plan");
-    assert!(plan.row_tiles() >= 2 && plan.col_tiles() >= 2);
-    let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer.clone());
-    let mut grid = TileGrid::new(plan, programmer);
-    let levels: Vec<Vec<Option<usize>>> = (0..layout.rows())
-        .map(|row| {
-            (0..layout.columns())
-                .map(|column| Some((row + column) % 10))
-                .collect()
-        })
-        .collect();
-    array
-        .program_matrix(&levels, ProgrammingMode::Ideal)
-        .expect("program array");
-    grid.program_matrix(&levels, ProgrammingMode::Ideal)
-        .expect("program grid");
-    (array, grid)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fabric.json".to_string());
-    let target = if quick {
-        Duration::from_millis(40)
-    } else {
-        Duration::from_millis(400)
-    };
+    let record = Record::parse("fabric");
+    let target = Duration::from_millis(record.pick(40, 400));
 
     println!(
         "fabric: measuring tiled multi-array fabric vs. monolithic crossbar ({} mode)\n",
-        if quick { "quick" } else { "full" }
+        record.mode()
     );
 
     // Iris workload: the paper's 3×64 model on 2×24 tiles — a 2 (class
@@ -191,7 +155,11 @@ fn main() {
     let evidence: Vec<usize> = (0..4).map(|node| node % 16).collect();
     let iris_sparse = Activation::from_observation(&iris_layout, &evidence).expect("activation");
     let iris_all = Activation::all_columns(&iris_layout);
-    let (fig6_array, fig6_grid) = fig6_scale_pair();
+    // The Fig. 6-scale stress pair: the 64×512 model on one array and on a
+    // 2×4 grid of 32×128 tiles (it exceeds the tile in both dimensions).
+    let fig6_array = staggered_fig6_grid(None);
+    let fig6_grid = staggered_fig6_grid(Some(TileShape::new(32, 128).expect("shape")));
+    assert!(fig6_grid.plan().row_tiles() >= 2 && fig6_grid.plan().col_tiles() >= 2);
     let fig6_evidence: Vec<usize> = (0..32).map(|node| node % 16).collect();
     let fig6_sparse =
         Activation::from_observation(fig6_array.layout(), &fig6_evidence).expect("activation");
@@ -252,38 +220,23 @@ fn main() {
 
     // Monte-Carlo on the fabric backend: epochs (each owning its own
     // multi-tile fabric) spread across the cores, serial run as baseline.
-    let epochs = if quick { 2 } else { 8 };
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let build_tiled = |train: &Dataset, epoch_config: EngineConfig| {
-        FebimEngine::<TiledFabricBackend>::fit_tiled(train, epoch_config, shape)
-    };
+    let sweep = MonteCarlo::new(0.7, record.pick(2, 8), 7)
+        .with_backend(|train, epoch_config| FebimEngine::fit_tiled(train, epoch_config, shape));
     let serial_start = Instant::now();
     let serial_sweep =
-        variation_sweep_with_backend(&dataset, &config, &[45.0], 0.7, epochs, 7, 1, build_tiled)
-            .expect("serial sweep");
+        variation_sweep(&dataset, &config, &[45.0], &sweep.with_threads(1)).expect("serial sweep");
     let serial_ns = serial_start.elapsed().as_nanos() as f64;
     let parallel_start = Instant::now();
-    let parallel_sweep = variation_sweep_with_backend(
-        &dataset,
-        &config,
-        &[45.0],
-        0.7,
-        epochs,
-        7,
-        parallelism,
-        build_tiled,
-    )
-    .expect("parallel sweep");
+    let parallel_sweep =
+        variation_sweep(&dataset, &config, &[45.0], &sweep).expect("parallel sweep");
     let parallel_ns = parallel_start.elapsed().as_nanos() as f64;
     assert_eq!(
         serial_sweep, parallel_sweep,
         "parallel fabric Monte-Carlo must be byte-identical to serial"
     );
     let monte_carlo = MonteCarloTiming {
-        epochs,
-        threads: parallelism,
+        epochs: sweep.epochs,
+        threads: sweep.threads,
         serial_ns,
         parallel_ns,
         parallel_speedup: serial_ns / parallel_ns,
@@ -307,33 +260,23 @@ fn main() {
         monte_carlo.parallel_speedup,
     );
 
-    let comparison = FabricComparison::new(&monolithic_report, &tiled_report, &plan);
+    let delay_ratio = tiled_report.mean_delay / monolithic_report.mean_delay;
+    let energy_ratio = tiled_report.mean_energy / monolithic_report.mean_energy;
     println!(
-        "\ndeployment: delay ratio {:.3}, energy ratio {:.3}, accuracy matches: {}",
-        comparison.delay_ratio(),
-        comparison.energy_ratio(),
-        comparison.accuracy_matches()
+        "\ndeployment: delay ratio {delay_ratio:.3}, energy ratio {energy_ratio:.3}, \
+         accuracy matches: {}",
+        monolithic_report.accuracy == tiled_report.accuracy
     );
 
-    let record = FabricRecord {
-        bench: "fabric",
-        generated_unix_s: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
+    record.write(&FabricRecord {
+        header: record.header(),
         plan,
+        utilization: plan.utilization(),
         workloads,
         monte_carlo,
-        comparison,
+        delay_ratio,
+        energy_ratio,
         monolithic_report,
         tiled_report,
-    };
-    match std::fs::write(&out_path, serde::json::to_string_pretty(&record) + "\n") {
-        Ok(()) => println!("\n(written to {out_path})"),
-        Err(err) => {
-            eprintln!("could not write {out_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    });
 }

@@ -35,12 +35,12 @@
 //! `--out` overrides the output path (default `BENCH_faults.json`);
 //! `--budget` overrides the budget file path (default `FAULT_BUDGET.json`).
 
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 use rand::Rng;
 use serde::Serialize;
 
-use febim_bench::load_budget;
+use febim_bench::{request_stream, Gate, Header, Record};
 use febim_core::{
     EngineConfig, FebimEngine, ReplicaHealth, ScrubPolicy, ScrubScheduler, ServingConfig,
     ServingPool,
@@ -49,14 +49,11 @@ use febim_crossbar::{FaultKind, FaultSchedule, ScheduledFault, TileShape};
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
-use febim_data::Dataset;
 
 /// The persisted record tracking the self-healing trajectory.
 #[derive(Debug, Serialize)]
 struct FaultRecord {
-    bench: &'static str,
-    generated_unix_s: u64,
-    quick: bool,
+    header: Header,
     /// Chaos events scheduled against the scrubbed fabric.
     faults_scheduled: usize,
     /// Scrub checks actually run across the campaign.
@@ -144,17 +141,6 @@ fn chaos_schedule(seed: u64, events: usize, horizon: u64) -> FaultSchedule {
     FaultSchedule::new(faults)
 }
 
-/// Request stream: the test split cycled up to `count` samples.
-fn request_stream(test: &Dataset, count: usize) -> Vec<Vec<f64>> {
-    (0..count)
-        .map(|index| {
-            test.sample(index % test.n_samples())
-                .expect("sample")
-                .to_vec()
-        })
-        .collect()
-}
-
 /// ns/request of one full `serve` pass over `requests`.
 fn measure_pool(pool: &ServingPool, requests: &[Vec<f64>]) -> f64 {
     let start = Instant::now();
@@ -168,42 +154,19 @@ fn measure_pool(pool: &ServingPool, requests: &[Vec<f64>]) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_faults.json".to_string());
-    let budget_path = args
-        .iter()
-        .position(|a| a == "--budget")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "FAULT_BUDGET.json".to_string());
-    let transient_events = if quick { 8 } else { 24 };
-    let horizon: u64 = if quick { 120 } else { 360 };
+    let record = Record::gated("faults", "FAULT_BUDGET.json");
+    let transient_events = record.pick(8, 24);
+    let horizon: u64 = record.pick(120, 360);
     let interval: u64 = 10;
-    let request_count = if quick { 2_000 } else { 10_000 };
-
-    let budget = |key: &str| {
-        load_budget(&budget_path, key).unwrap_or_else(|| {
-            eprintln!(
-                "could not read {key} from {budget_path}; \
-                 regenerate FAULT_BUDGET.json or pass --budget PATH"
-            );
-            std::process::exit(1);
-        })
-    };
-    let max_detection_periods = budget("max_detection_periods");
-    let max_repair_pulses_per_cell = budget("max_repair_pulses_per_cell");
-    let min_healed_retention = budget("min_healed_retention");
+    let request_count = record.pick(2_000, 10_000);
+    let max_detection_periods = record.budget("max_detection_periods");
+    let max_repair_pulses_per_cell = record.budget("max_repair_pulses_per_cell");
+    let min_healed_retention = record.budget("min_healed_retention");
 
     println!(
         "faults: {transient_events}+2 chaos events over {horizon} ticks, scrub every \
          {interval} ticks, {request_count} timed requests per pool ({} mode)\n",
-        if quick { "quick" } else { "full" }
+        record.mode()
     );
 
     let dataset = iris_like(42).expect("dataset");
@@ -255,21 +218,17 @@ fn main() {
         report.outcome.rows_remapped,
     );
     println!(
-        "detection: worst latency {detection_periods} scrub period(s) \
-         (budget {max_detection_periods:.0}); repair: {} pulses, {:.3e} J, \
-         {repair_pulses_per_cell:.2} pulses/cell (budget {max_repair_pulses_per_cell:.0})",
+        "repair: {} pulses, {:.3e} J",
         report.outcome.pulses_applied, report.outcome.energy_joules,
     );
-    assert!(
-        (detection_periods as f64) <= max_detection_periods,
-        "a defect outlived the scrub that closed its strike window \
-         ({detection_periods} periods > budget {max_detection_periods})"
-    );
-    assert!(
-        repair_pulses_per_cell <= max_repair_pulses_per_cell,
-        "repair cost regressed past the checked-in budget \
-         ({repair_pulses_per_cell:.2} pulses/cell > {max_repair_pulses_per_cell})"
-    );
+    // No defect may outlive the scrub that closes its strike window.
+    Gate::at_most(
+        "worst detection latency in scrub periods",
+        max_detection_periods,
+    )
+    .check(detection_periods as f64);
+    Gate::at_most("repair pulses per healed cell", max_repair_pulses_per_cell)
+        .check(repair_pulses_per_cell);
 
     // 3. Accuracy restoration: strike everything on a second engine with
     // no scrubbing, then heal it with one pass.
@@ -284,14 +243,9 @@ fn main() {
     let healed_retention = healed_accuracy / fresh_accuracy;
     println!(
         "accuracy: fresh {fresh_accuracy:.4} -> faulted {faulted_accuracy:.4} -> healed \
-         {healed_accuracy:.4} (retention {healed_retention:.4}, budget \
-         {min_healed_retention:.2})"
+         {healed_accuracy:.4}"
     );
-    assert!(
-        healed_retention >= min_healed_retention,
-        "healing must restore the fresh accuracy \
-         ({healed_retention} < {min_healed_retention})"
-    );
+    Gate::at_least("healed/fresh accuracy retention", min_healed_retention).check(healed_retention);
 
     // 4. Failover overhead: a healthy 2-replica pool vs the same pool
     // serving through one survivor after a quarantine.
@@ -354,13 +308,8 @@ fn main() {
     assert!(degraded_stats.scrubs >= 1);
     assert!(degraded_stats.faults_detected >= 1);
 
-    let record = FaultRecord {
-        bench: "faults",
-        generated_unix_s: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
+    record.write(&FaultRecord {
+        header: record.header(),
         faults_scheduled,
         scrub_checks: report.checks,
         scrub_skips: report.skipped_checks,
@@ -384,12 +333,5 @@ fn main() {
         failover_overhead,
         quarantined_workers: degraded_stats.quarantined_workers,
         fallback_served: degraded_stats.fallback_served,
-    };
-    match std::fs::write(&out_path, serde::json::to_string_pretty(&record) + "\n") {
-        Ok(()) => println!("(written to {out_path})"),
-        Err(err) => {
-            eprintln!("could not write {out_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    });
 }

@@ -4,7 +4,7 @@
 //! distribution under FeFET threshold-voltage variation.
 
 use febim_bench::{emit, eng};
-use febim_core::{epoch_accuracy, variation_sweep, EngineConfig, FebimEngine, Table};
+use febim_core::{epoch_accuracy, variation_sweep, EngineConfig, FebimEngine, MonteCarlo, Table};
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
@@ -40,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for qf in 1..=8u32 {
         for ql in 1..=8u32 {
             let config = EngineConfig::febim_default().with_quant(QuantConfig::new(qf, ql));
-            let result =
-                epoch_accuracy(&dataset, &config, 0.7, epochs, 8100 + (qf * 8 + ql) as u64)?;
+            let seed = 8100 + (qf * 8 + ql) as u64;
+            let result = epoch_accuracy(&dataset, &config, &MonteCarlo::new(0.7, epochs, seed))?;
             let delta = result.software.mean - result.in_memory.mean;
             heatmap.push_numeric_row(&[
                 qf as f64,
@@ -103,9 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &dataset,
         &EngineConfig::febim_default(),
         &sigmas,
-        0.7,
-        epochs,
-        8300,
+        &MonteCarlo::new(0.7, epochs, 8300),
     )?;
     let mut variation = Table::new(
         "fig8c_accuracy_vs_variation",

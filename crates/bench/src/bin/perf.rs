@@ -17,28 +17,27 @@
 //! in the current directory).
 
 use std::hint::black_box;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 
 use serde::Serialize;
 
-use febim_bench::{eng, measure_min_ns as measure};
+use febim_bench::{eng, measure_min_ns as measure, staggered_fig6_grid, Header, Record};
 use febim_core::{EngineConfig, FebimEngine};
-use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
+use febim_crossbar::Activation;
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
-use febim_device::LevelProgrammer;
 
 /// One measured workload: nanoseconds per iteration before and after.
 #[derive(Debug, Serialize)]
-struct Record {
+struct Workload {
     name: &'static str,
     before_ns: f64,
     after_ns: f64,
     speedup: f64,
 }
 
-impl Record {
+impl Workload {
     fn new(name: &'static str, before_ns: f64, after_ns: f64) -> Self {
         Self {
             name,
@@ -52,47 +51,17 @@ impl Record {
 /// The persisted perf record (serialized to JSON by the `serde` shim).
 #[derive(Debug, Serialize)]
 struct PerfRecord {
-    bench: &'static str,
-    generated_unix_s: u64,
-    quick: bool,
-    workloads: Vec<Record>,
-}
-
-/// Builds the Fig. 6-scale stress array: 64 wordlines, 32 evidence nodes of
-/// 16 levels each (512 bitlines), programmed with the staggered pattern of
-/// the scalability sweeps.
-fn fig6_array() -> TileGrid {
-    let layout = CrossbarLayout::new(64, 32, 16, false).expect("layout");
-    let programmer = LevelProgrammer::febim_default(10).expect("programmer");
-    let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
-    for row in 0..64 {
-        for column in 0..array.layout().columns() {
-            array
-                .program_cell(row, column, (row + column) % 10, ProgrammingMode::Ideal)
-                .expect("program");
-        }
-    }
-    array
+    header: Header,
+    workloads: Vec<Workload>,
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_inference.json".to_string());
-    let target = if quick {
-        Duration::from_millis(40)
-    } else {
-        Duration::from_millis(400)
-    };
+    let record = Record::parse("inference");
+    let target = Duration::from_millis(record.pick(40, 400));
 
     println!(
         "perf: measuring cached sparse read path vs. uncached dense reference ({} mode)\n",
-        if quick { "quick" } else { "full" }
+        record.mode()
     );
 
     // Iris-like workload: the paper's 3×64 crossbar.
@@ -129,7 +98,7 @@ fn main() {
             .prediction
     );
 
-    let single = Record::new(
+    let single = Workload::new(
         "inference_single_sample/in_memory_engine",
         measure(
             || {
@@ -149,7 +118,7 @@ fn main() {
         ),
     );
 
-    let full_set = Record::new(
+    let full_set = Workload::new(
         "inference_full_test_set/in_memory_engine",
         measure(
             || {
@@ -172,7 +141,7 @@ fn main() {
     );
 
     // Fig. 6-scale layout: 64×512 reads, sparse observation and all-columns.
-    let array = fig6_array();
+    let array = staggered_fig6_grid(None);
     let evidence: Vec<usize> = (0..32).map(|node| node % 16).collect();
     let sparse = Activation::from_observation(array.layout(), &evidence).expect("activation");
     let all = Activation::all_columns(array.layout());
@@ -182,7 +151,7 @@ fn main() {
         array.wordline_currents_reference(&all).expect("reference")
     );
 
-    let fig6_sparse = Record::new(
+    let fig6_sparse = Workload::new(
         "fig6_read_64x512/sparse_observation",
         measure(
             || {
@@ -205,7 +174,7 @@ fn main() {
         ),
     );
 
-    let fig6_all = Record::new(
+    let fig6_all = Workload::new(
         "fig6_read_64x512/all_columns",
         measure(
             || {
@@ -228,31 +197,19 @@ fn main() {
         ),
     );
 
-    let records = vec![single, full_set, fig6_sparse, fig6_all];
-    for record in &records {
+    let workloads = vec![single, full_set, fig6_sparse, fig6_all];
+    for workload in &workloads {
         println!(
             "{:<45} before {:>12}  after {:>12}  speedup {:>8.1}x",
-            record.name,
-            eng(record.before_ns * 1e-9, "s"),
-            eng(record.after_ns * 1e-9, "s"),
-            record.speedup,
+            workload.name,
+            eng(workload.before_ns * 1e-9, "s"),
+            eng(workload.after_ns * 1e-9, "s"),
+            workload.speedup,
         );
     }
 
-    let record = PerfRecord {
-        bench: "inference",
-        generated_unix_s: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
-        workloads: records,
-    };
-    match std::fs::write(&out_path, serde::json::to_string_pretty(&record) + "\n") {
-        Ok(()) => println!("\n(written to {out_path})"),
-        Err(err) => {
-            eprintln!("could not write {out_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    record.write(&PerfRecord {
+        header: record.header(),
+        workloads,
+    });
 }

@@ -23,10 +23,12 @@
 //! through the JSON serde shim into a fresh fleet and re-verifies
 //! bit-identity against the original engine.
 //!
-//! Two gates run on every invocation (CI included, via `--quick`):
+//! Three gates run on every invocation (CI included, via `--quick`):
 //!
 //! * **identity gate**: every tenant row must be bit-identical to its
-//!   dedicated engine (hard assert, no tolerance);
+//!   dedicated engine (no tolerance);
+//! * **snapshot gate**: the restored tenant must serve bit-identically to
+//!   the engine its snapshot was taken from;
 //! * **budget gate**: the best per-tenant registry ns/request must stay at
 //!   or under the checked-in `registry_ns_per_request_budget` of
 //!   `REGISTRY_BUDGET.json`, re-measured with fresh passes before failing
@@ -43,12 +45,11 @@
 //!     [-- --quick] [--out PATH] [--budget PATH]
 //! ```
 
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 use serde::Serialize;
 
-use febim_bench::load_budget;
-use febim_compare::{RegistryComparison, TenantMeasurement};
+use febim_bench::{measure_reads, request_stream, Gate, Header, Record};
 use febim_core::{
     EngineConfig, FebimEngine, InferenceStep, ModelRegistry, RegistryConfig, RegistryReport,
     TenantPlacement, TiledFabricBackend,
@@ -57,14 +58,11 @@ use febim_crossbar::TileShape;
 use febim_data::rng::seeded_rng;
 use febim_data::split::stratified_split;
 use febim_data::synthetic::iris_like;
-use febim_data::Dataset;
 
 /// The persisted record tracking the multi-tenant serving trajectory.
 #[derive(Debug, Serialize)]
 struct RegistryRecord {
-    bench: &'static str,
-    generated_unix_s: u64,
-    quick: bool,
+    header: Header,
     tenants: usize,
     banks: usize,
     tiles_per_bank: usize,
@@ -72,7 +70,15 @@ struct RegistryRecord {
     /// Where each registration landed, with the swap (erase + program
     /// pulse trains) that placed it.
     placements: Vec<TenantPlacement>,
-    comparison: RegistryComparison,
+    /// One row per tenant of the serial sweep.
+    rows: Vec<TenantRow>,
+    /// Hot swaps (installs, evictions and fault-ins) the fleet ran.
+    swaps: u64,
+    /// Programming/erase pulses those swaps spent on the fabric.
+    swap_pulses: u64,
+    /// Energy (J) those pulse trains cost, priced through the Preisach
+    /// programmer.
+    swap_energy_j: f64,
     /// Fleet occupancy after the serial sweep (before shutdown).
     occupancy: RegistryReport,
     /// Wall-clock ns/request of the concurrent tenant mix (every resident
@@ -88,23 +94,32 @@ struct RegistryRecord {
     snapshot_round_trip_bit_identical: bool,
 }
 
+/// One tenant served through the shared fleet against its own engine.
+#[derive(Debug, Serialize)]
+struct TenantRow {
+    model: u64,
+    /// Tiles the tenant's compiled program occupies on its bank.
+    tiles: usize,
+    requests: u64,
+    /// ns/request of the tenant's dedicated engine answering one request at
+    /// a time — the consolidation baseline.
+    dedicated_ns_per_request: f64,
+    /// ns/request through the shared registry (routing, queueing and ticket
+    /// completion included).
+    registry_ns_per_request: f64,
+    /// `registry / dedicated` — the price of sharing the fleet.
+    overhead_ratio: f64,
+    /// Whether every registry answer matched the dedicated engine
+    /// bit-for-bit (prediction, tie-break, delay and energy).
+    bit_identical: bool,
+}
+
 struct Tenant {
     id: u64,
     engine: FebimEngine<TiledFabricBackend>,
     samples: Vec<Vec<f64>>,
     reference: Vec<InferenceStep>,
     dedicated_ns: f64,
-}
-
-/// Request stream: the test split cycled up to `count` samples.
-fn request_stream(test: &Dataset, count: usize) -> Vec<Vec<f64>> {
-    (0..count)
-        .map(|index| {
-            test.sample(index % test.n_samples())
-                .expect("sample")
-                .to_vec()
-        })
-        .collect()
 }
 
 /// Fits one tenant and measures its dedicated sequential baseline (best of
@@ -125,14 +140,7 @@ fn build_tenant(id: u64, seed: u64, requests: usize, passes: usize) -> Tenant {
         .iter()
         .map(|sample| engine.infer_into(sample, &mut scratch).expect("infer"))
         .collect();
-    let mut dedicated_ns = f64::INFINITY;
-    for _ in 0..passes {
-        let start = Instant::now();
-        for sample in &samples {
-            engine.infer_into(sample, &mut scratch).expect("infer");
-        }
-        dedicated_ns = dedicated_ns.min(start.elapsed().as_nanos() as f64 / samples.len() as f64);
-    }
+    let dedicated_ns = measure_reads(&engine, &samples, passes);
     Tenant {
         id,
         engine,
@@ -164,28 +172,15 @@ fn measure_registry(registry: &ModelRegistry, tenant: &Tenant, passes: usize) ->
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_registry.json".to_string());
-    let budget_path = args
-        .iter()
-        .position(|a| a == "--budget")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "REGISTRY_BUDGET.json".to_string());
-    let requests = if quick { 300 } else { 2_000 };
-    let passes = if quick { 2 } else { 3 };
+    let record = Record::gated("registry", "REGISTRY_BUDGET.json");
+    let requests = record.pick(300, 2_000);
+    let passes = record.pick(2, 3);
     const TENANTS: usize = 5;
 
     println!(
         "registry: {TENANTS} tenants on a 2-bank fleet sized for 4, {requests} requests/tenant \
          ({} mode)\n",
-        if quick { "quick" } else { "full" }
+        record.mode()
     );
 
     let tenants: Vec<Tenant> = (0..TENANTS)
@@ -223,10 +218,10 @@ fn main() {
 
     // Serial sweep: every tenant's stream through the shared fleet, cold
     // tenants faulting back in as their turn comes.
-    let mut comparison = RegistryComparison::new();
+    let mut rows = Vec::with_capacity(TENANTS);
     for tenant in &tenants {
         let (registry_ns, identical) = measure_registry(&registry, tenant, passes);
-        let row = TenantMeasurement {
+        let row = TenantRow {
             model: tenant.id,
             tiles,
             requests: tenant.samples.len() as u64,
@@ -243,14 +238,12 @@ fn main() {
             row.overhead_ratio,
             row.bit_identical,
         );
-        comparison.push(row);
+        rows.push(row);
     }
 
     // Identity gate: consolidation must never change an answer.
-    assert!(
-        comparison.all_bit_identical(),
-        "a tenant served through the registry diverged from its dedicated engine"
-    );
+    Gate::at_most("tenants diverged from their dedicated engine", 0.0)
+        .check(rows.iter().filter(|row| !row.bit_identical).count() as f64);
 
     // Concurrent tenant mix: every currently resident tenant served from
     // its own client thread at once. Residents only — the mix measures
@@ -295,49 +288,30 @@ fn main() {
     restored_fleet.restore(&snapshot).expect("restore");
     let (_, snapshot_identical) = measure_registry(&restored_fleet, &tenants[0], 1);
     restored_fleet.shutdown();
-    assert!(
-        snapshot_identical,
-        "a restored model diverged from the engine its snapshot was taken from"
-    );
-    println!(
-        "snapshot round trip: model {} restored bit-identically",
-        tenants[0].id
-    );
+    // Snapshot gate: a restored model answers like the engine its snapshot
+    // was taken from.
+    Gate::at_most("restored tenants diverged from their original engine", 0.0)
+        .check(if snapshot_identical { 0.0 } else { 1.0 });
 
     // Budget gate: the best per-tenant registry ns/request must hold the
-    // checked-in budget. Re-measure the fastest tenant with fresh passes
-    // before failing a noisy sweep.
-    let budget = load_budget(&budget_path, "registry_ns_per_request_budget").unwrap_or_else(|| {
-        eprintln!(
-            "could not read registry_ns_per_request_budget from {budget_path}; \
-             regenerate REGISTRY_BUDGET.json or pass --budget PATH"
+    // checked-in budget. A re-measure serves every tenant again with fresh
+    // passes.
+    let budget = record.budget("registry_ns_per_request_budget");
+    let best_ns = Gate::at_most("best tenant registry ns/request", budget)
+        .remeasure(|| {
+            let mut best_ns = f64::INFINITY;
+            for tenant in &tenants {
+                let (registry_ns, identical) = measure_registry(&registry, tenant, passes + 1);
+                assert!(identical, "re-measured tenant diverged");
+                best_ns = best_ns.min(registry_ns);
+            }
+            best_ns
+        })
+        .check(
+            rows.iter()
+                .map(|row| row.registry_ns_per_request)
+                .fold(f64::INFINITY, f64::min),
         );
-        std::process::exit(1);
-    });
-    let mut best_ns = comparison.best_registry_ns().expect("tenant rows measured");
-    for attempt in 0..3 {
-        if best_ns <= budget {
-            break;
-        }
-        println!(
-            "\nre-measuring the fastest tenant (attempt {}, {:.1} ns vs {:.1} ns budget)",
-            attempt + 1,
-            best_ns,
-            budget
-        );
-        for tenant in &tenants {
-            let (registry_ns, identical) = measure_registry(&registry, tenant, passes + 1);
-            assert!(identical, "re-measured tenant diverged");
-            best_ns = best_ns.min(registry_ns);
-        }
-    }
-    println!("\nbudget gate: best registry path {best_ns:.1} ns/request (budget {budget:.1} ns)");
-    assert!(
-        best_ns <= budget,
-        "the registry's per-request overhead regressed past the checked-in budget \
-         ({best_ns:.1} ns > {budget:.1} ns); fix the regression or re-baseline \
-         REGISTRY_BUDGET.json"
-    );
 
     let occupancy = registry.report();
     let stats = registry.shutdown();
@@ -345,39 +319,27 @@ fn main() {
     assert_eq!(stats.unrouted, 0, "no request may lose its route mid-sweep");
     assert!(stats.swaps >= TENANTS as u64, "every install is a swap");
     assert!(stats.swap_pulses > 0 && stats.swap_energy_j > 0.0);
-    comparison.swaps = stats.swaps;
-    comparison.swap_pulses = stats.swap_pulses;
-    comparison.swap_energy_j = stats.swap_energy_j;
     println!(
         "fleet swap telemetry: {} swaps, {} pulses, {:.3e} J",
         stats.swaps, stats.swap_pulses, stats.swap_energy_j
     );
 
-    let record = RegistryRecord {
-        bench: "registry",
-        generated_unix_s: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
+    record.write(&RegistryRecord {
+        header: record.header(),
         tenants: TENANTS,
         banks,
         tiles_per_bank,
         requests_per_tenant: requests,
         placements,
-        comparison,
+        rows,
+        swaps: stats.swaps,
+        swap_pulses: stats.swap_pulses,
+        swap_energy_j: stats.swap_energy_j,
         occupancy,
         mixed_ns_per_request,
         mixed_tenants: resident.len(),
         best_registry_ns_per_request: best_ns,
         registry_ns_per_request_budget: budget,
         snapshot_round_trip_bit_identical: snapshot_identical,
-    };
-    match std::fs::write(&out_path, serde::json::to_string_pretty(&record) + "\n") {
-        Ok(()) => println!("(written to {out_path})"),
-        Err(err) => {
-            eprintln!("could not write {out_path}: {err}");
-            std::process::exit(1);
-        }
-    }
+    });
 }

@@ -21,17 +21,9 @@
 #![warn(missing_docs)]
 
 pub mod entry;
-pub mod fabric;
-pub mod registry;
-pub mod resilience;
-pub mod serving;
 pub mod table;
 
 pub use entry::{CellConfiguration, DeviceUsage, TechnologyEntry};
-pub use fabric::{FabricComparison, FabricDeployment};
-pub use registry::{RegistryComparison, TenantMeasurement};
-pub use resilience::{ResilienceComparison, ResilienceRow};
-pub use serving::{ServingComparison, ServingMeasurement};
 pub use table::{ComparisonTable, ImprovementSummary};
 
 pub mod bayesian_machine;

@@ -55,9 +55,7 @@ pub use errors::{CoreError, Result};
 pub use health::{ReplicaHealth, ScrubPolicy, ScrubReport, ScrubScheduler};
 pub use metrics::{ops_per_inference, performance_metrics, MetricsConfig, PerformanceMetrics};
 pub use monte_carlo::{
-    epoch_accuracy, epoch_accuracy_with_backend, epoch_accuracy_with_threads, noise_campaign,
-    noise_campaign_with_backend, noise_campaign_with_threads, variation_sweep,
-    variation_sweep_with_backend, variation_sweep_with_threads, EpochAccuracy, NoisePoint,
+    epoch_accuracy, noise_campaign, variation_sweep, EpochAccuracy, MonteCarlo, NoisePoint,
     NoiseScenario, VariationPoint,
 };
 pub use recalibration::{RecalibrationPolicy, RecalibrationReport, RecalibrationScheduler};

@@ -1,24 +1,24 @@
 //! Monte-Carlo robustness analysis against FeFET threshold-voltage variation
 //! (Fig. 8(c)) and multi-epoch accuracy evaluation (Fig. 7 / Fig. 8(a)).
 //!
-//! All sweeps are generic over the engine's [`InferenceBackend`]: the
-//! `*_with_backend` entry points accept a builder closure, so the same
-//! epoch-parallel harness drives the single-array crossbar, the tiled
-//! multi-array fabric (each epoch worker builds and caches its own fabric,
-//! so fabrics parallelize across the epoch grid) or the exact software
-//! reference. The non-suffixed entry points keep the paper's single-array
-//! default.
+//! All sweeps take one [`MonteCarlo`] options value: the split ratio, the
+//! epoch count, the seed, the worker-thread count and the per-epoch engine
+//! builder. The builder makes every sweep generic over the engine's
+//! [`InferenceBackend`], so the same epoch-parallel harness drives the
+//! single-array crossbar (the default), the tiled multi-array fabric (each
+//! epoch worker builds and caches its own fabric, so fabrics parallelize
+//! across the epoch grid) or the exact software reference.
 
 use serde::{Deserialize, Serialize};
 
 use febim_crossbar::RefreshOutcome;
 use febim_data::rng::seeded_rng;
-use febim_data::split::stratified_split;
+use febim_data::split::{stratified_split, TrainTestSplit};
 use febim_data::{AccuracyStats, Dataset};
 use febim_device::{NonIdealityStack, VariationModel};
 use febim_quant::QuantConfig;
 
-use crate::backend::InferenceBackend;
+use crate::backend::{CrossbarBackend, InferenceBackend};
 use crate::config::EngineConfig;
 use crate::engine::FebimEngine;
 use crate::errors::{CoreError, Result};
@@ -103,13 +103,6 @@ fn check_epochs(epochs: usize) -> Result<()> {
     Ok(())
 }
 
-/// Number of worker threads used for Monte-Carlo epochs.
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Runs `run(epoch)` for every epoch in `0..epochs` across up to `threads`
 /// scoped worker threads and returns the per-epoch values **in epoch order**.
 ///
@@ -147,94 +140,119 @@ where
     per_epoch.into_iter().collect()
 }
 
-/// Runs `epochs` train/test epochs (fresh stratified split and retraining per
-/// epoch, as in the paper's 100-epoch protocol) and reports the accuracy of
-/// the software baseline, the quantized software model and the in-memory
-/// engine.
+/// Builds one epoch's engine from its training split and epoch config.
+type FitFn<B> = fn(&Dataset, EngineConfig) -> Result<FebimEngine<B>>;
+
+/// The Monte-Carlo protocol [`epoch_accuracy`], [`variation_sweep`] and
+/// [`noise_campaign`] share.
 ///
-/// Epochs run in parallel across the available cores. Every epoch seeds its
-/// own RNGs from the epoch index, so the returned statistics are
-/// byte-identical to a serial execution of the same seeds.
+/// Every epoch draws a fresh stratified split and retrains, as in the
+/// paper's 100-epoch protocol, and seeds its RNGs from `seed` and its own
+/// index. Epochs therefore run in parallel across `threads` workers and
+/// still return statistics byte-identical to a serial run (`threads == 1`).
+#[derive(Debug, Clone, Copy)]
+pub struct MonteCarlo<F = FitFn<CrossbarBackend>> {
+    /// Fraction of every epoch's split held out for testing.
+    pub test_ratio: f64,
+    /// Train/test epochs; at least one.
+    pub epochs: usize,
+    /// Base seed of every epoch's split and device-variation RNGs.
+    pub seed: u64,
+    /// Worker threads the epochs spread across.
+    pub threads: usize,
+    /// Builds each epoch's engine (`FebimEngine::fit` by default).
+    pub build: F,
+}
+
+impl MonteCarlo {
+    /// `epochs` epochs with `test_ratio` held out and seeded from `seed`, on
+    /// the paper's single-array engine across every available core.
+    pub fn new(test_ratio: f64, epochs: usize, seed: u64) -> Self {
+        Self {
+            test_ratio,
+            epochs,
+            seed,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            build: FebimEngine::fit,
+        }
+    }
+}
+
+impl<F> MonteCarlo<F> {
+    /// The same protocol on `threads` workers (`1` forces the serial
+    /// reference execution).
+    pub fn with_threads(self, threads: usize) -> Self {
+        Self { threads, ..self }
+    }
+
+    /// The same protocol with `build` constructing each epoch's engine,
+    /// e.g. a closure capturing a [`febim_crossbar::TileShape`] that calls
+    /// [`FebimEngine::fit_tiled`].
+    pub fn with_backend<B, G>(self, build: G) -> MonteCarlo<G>
+    where
+        B: InferenceBackend,
+        G: Fn(&Dataset, EngineConfig) -> Result<FebimEngine<B>>,
+    {
+        MonteCarlo {
+            test_ratio: self.test_ratio,
+            epochs: self.epochs,
+            seed: self.seed,
+            threads: self.threads,
+            build,
+        }
+    }
+
+    /// Runs `run(epoch, split)` for every epoch over that epoch's fresh
+    /// stratified split, returning the values in epoch order.
+    fn run_epochs<T, R>(&self, dataset: &Dataset, run: R) -> Result<Vec<T>>
+    where
+        T: Send,
+        R: Fn(usize, TrainTestSplit) -> Result<T> + Sync,
+    {
+        let (seed, test_ratio) = (self.seed, self.test_ratio);
+        epoch_values(self.epochs, self.threads, |epoch| {
+            let mut rng = seeded_rng(seed.wrapping_add(epoch as u64));
+            run(epoch, stratified_split(dataset, test_ratio, &mut rng)?)
+        })
+    }
+}
+
+/// Runs the epochs of `options` and reports the accuracy of the software
+/// baseline, the quantized software model and the in-memory engine.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] for zero epochs or an invalid test
-/// ratio and propagates training/inference errors.
-pub fn epoch_accuracy(
+/// ratio and propagates training/inference errors, including whatever the
+/// builder returns.
+pub fn epoch_accuracy<B, F>(
     dataset: &Dataset,
     config: &EngineConfig,
-    test_ratio: f64,
-    epochs: usize,
-    seed: u64,
-) -> Result<EpochAccuracy> {
-    epoch_accuracy_with_threads(dataset, config, test_ratio, epochs, seed, default_threads())
-}
-
-/// [`epoch_accuracy`] with an explicit worker-thread count (`1` forces the
-/// serial reference execution).
-///
-/// # Errors
-///
-/// Same as [`epoch_accuracy`].
-pub fn epoch_accuracy_with_threads(
-    dataset: &Dataset,
-    config: &EngineConfig,
-    test_ratio: f64,
-    epochs: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<EpochAccuracy> {
-    epoch_accuracy_with_backend(
-        dataset,
-        config,
-        test_ratio,
-        epochs,
-        seed,
-        threads,
-        FebimEngine::fit,
-    )
-}
-
-/// [`epoch_accuracy_with_threads`] generic over the inference backend:
-/// `build` constructs the per-epoch engine (e.g. `FebimEngine::fit`, or a
-/// closure capturing a [`febim_crossbar::TileShape`] that calls
-/// [`FebimEngine::fit_tiled`]). Epochs — and with a tiled builder, every
-/// tile of every epoch's fabric — run in parallel across the worker threads.
-///
-/// # Errors
-///
-/// Same as [`epoch_accuracy`], plus whatever `build` returns.
-pub fn epoch_accuracy_with_backend<B, F>(
-    dataset: &Dataset,
-    config: &EngineConfig,
-    test_ratio: f64,
-    epochs: usize,
-    seed: u64,
-    threads: usize,
-    build: F,
+    options: &MonteCarlo<F>,
 ) -> Result<EpochAccuracy>
 where
     B: InferenceBackend,
     F: Fn(&Dataset, EngineConfig) -> Result<FebimEngine<B>> + Sync,
 {
-    check_epochs(epochs)?;
-    let per_epoch = epoch_values(epochs, threads, |epoch| {
-        let mut rng = seeded_rng(seed.wrapping_add(epoch as u64));
-        let split = stratified_split(dataset, test_ratio, &mut rng)?;
+    check_epochs(options.epochs)?;
+    let per_epoch = options.run_epochs(dataset, |epoch, split| {
         let epoch_config = EngineConfig {
-            variation_seed: seed.wrapping_mul(0x9e37_79b9).wrapping_add(epoch as u64),
+            variation_seed: options
+                .seed
+                .wrapping_mul(0x9e37_79b9)
+                .wrapping_add(epoch as u64),
             ..config.clone()
         };
-        let engine = build(&split.train, epoch_config)?;
+        let engine = (options.build)(&split.train, epoch_config)?;
         Ok((
             engine.software_model().score(&split.test)?,
             engine.quantized().score(&split.test)?,
             engine.evaluate(&split.test)?.accuracy,
         ))
     })?;
-    let mut software = Vec::with_capacity(epochs);
-    let mut quantized = Vec::with_capacity(epochs);
-    let mut in_memory = Vec::with_capacity(epochs);
+    let mut software = Vec::with_capacity(options.epochs);
+    let mut quantized = Vec::with_capacity(options.epochs);
+    let mut in_memory = Vec::with_capacity(options.epochs);
     for (software_accuracy, quantized_accuracy, in_memory_accuracy) in per_epoch {
         software.push(software_accuracy);
         quantized.push(quantized_accuracy);
@@ -248,97 +266,36 @@ where
 }
 
 /// Sweeps the FeFET variation level and reports the in-memory accuracy
-/// distribution at each σ_VTH (the Fig. 8(c) experiment).
-///
-/// The epochs of every variation level run in parallel across the available
-/// cores; per-epoch seeding keeps the reported distributions byte-identical
-/// to a serial execution.
+/// distribution at each σ_VTH (the Fig. 8(c) experiment), running the
+/// epochs of `options` at every level.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] for zero epochs and propagates
-/// training/inference errors.
-pub fn variation_sweep(
+/// training/inference errors, including whatever the builder returns.
+pub fn variation_sweep<B, F>(
     dataset: &Dataset,
     config: &EngineConfig,
     sigmas_mv: &[f64],
-    test_ratio: f64,
-    epochs: usize,
-    seed: u64,
-) -> Result<Vec<VariationPoint>> {
-    variation_sweep_with_threads(
-        dataset,
-        config,
-        sigmas_mv,
-        test_ratio,
-        epochs,
-        seed,
-        default_threads(),
-    )
-}
-
-/// [`variation_sweep`] with an explicit worker-thread count (`1` forces the
-/// serial reference execution).
-///
-/// # Errors
-///
-/// Same as [`variation_sweep`].
-pub fn variation_sweep_with_threads(
-    dataset: &Dataset,
-    config: &EngineConfig,
-    sigmas_mv: &[f64],
-    test_ratio: f64,
-    epochs: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<VariationPoint>> {
-    variation_sweep_with_backend(
-        dataset,
-        config,
-        sigmas_mv,
-        test_ratio,
-        epochs,
-        seed,
-        threads,
-        FebimEngine::fit,
-    )
-}
-
-/// [`variation_sweep_with_threads`] generic over the inference backend:
-/// `build` constructs the per-epoch engine, so the Fig. 8(c) experiment can
-/// run against the tiled fabric (or any other backend) unchanged.
-///
-/// # Errors
-///
-/// Same as [`variation_sweep`], plus whatever `build` returns.
-#[allow(clippy::too_many_arguments)]
-pub fn variation_sweep_with_backend<B, F>(
-    dataset: &Dataset,
-    config: &EngineConfig,
-    sigmas_mv: &[f64],
-    test_ratio: f64,
-    epochs: usize,
-    seed: u64,
-    threads: usize,
-    build: F,
+    options: &MonteCarlo<F>,
 ) -> Result<Vec<VariationPoint>>
 where
     B: InferenceBackend,
     F: Fn(&Dataset, EngineConfig) -> Result<FebimEngine<B>> + Sync,
 {
-    check_epochs(epochs)?;
+    check_epochs(options.epochs)?;
     let mut points = Vec::with_capacity(sigmas_mv.len());
     for &sigma_mv in sigmas_mv {
-        let accuracies = epoch_values(epochs, threads, |epoch| {
-            let mut rng = seeded_rng(seed.wrapping_add(epoch as u64));
-            let split = stratified_split(dataset, test_ratio, &mut rng)?;
+        let accuracies = options.run_epochs(dataset, |epoch, split| {
             let epoch_config = config.clone().with_variation(
                 VariationModel::from_millivolts(sigma_mv),
-                seed.wrapping_mul(31)
+                options
+                    .seed
+                    .wrapping_mul(31)
                     .wrapping_add((epoch as u64) << 8)
                     .wrapping_add(sigma_mv as u64),
             );
-            let engine = build(&split.train, epoch_config)?;
+            let engine = (options.build)(&split.train, epoch_config)?;
             Ok(engine.evaluate(&split.test)?.accuracy)
         })?;
         points.push(VariationPoint {
@@ -351,118 +308,46 @@ where
 }
 
 /// The time-varying non-ideality campaign: for every array scale (a
-/// [`QuantConfig`]) × severity scenario, Monte-Carlo epochs measure the
+/// [`QuantConfig`]) × severity scenario, the epochs of `options` measure the
 /// accuracy floor of a freshly programmed array, the same array after
 /// ageing under the scenario's stack (retention drift plus the read
 /// disturb accumulated by the fresh evaluation itself), and after one
 /// recalibration pass at `max_vth_shift` tolerance.
 ///
-/// Epochs run in parallel across the available cores with the same
-/// epoch-seeded determinism contract as [`epoch_accuracy`]: the returned
-/// points are byte-identical to a serial execution.
-///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] for zero epochs and propagates
-/// training, programming and recalibration errors.
-#[allow(clippy::too_many_arguments)]
-pub fn noise_campaign(
+/// training, programming and recalibration errors, including whatever the
+/// builder returns.
+pub fn noise_campaign<B, F>(
     dataset: &Dataset,
     config: &EngineConfig,
     scales: &[QuantConfig],
     scenarios: &[NoiseScenario],
     max_vth_shift: f64,
-    test_ratio: f64,
-    epochs: usize,
-    seed: u64,
-) -> Result<Vec<NoisePoint>> {
-    noise_campaign_with_backend(
-        dataset,
-        config,
-        scales,
-        scenarios,
-        max_vth_shift,
-        test_ratio,
-        epochs,
-        seed,
-        default_threads(),
-        FebimEngine::fit,
-    )
-}
-
-/// [`noise_campaign`] with an explicit worker-thread count (`1` forces the
-/// serial reference execution).
-///
-/// # Errors
-///
-/// Same as [`noise_campaign`].
-#[allow(clippy::too_many_arguments)]
-pub fn noise_campaign_with_threads(
-    dataset: &Dataset,
-    config: &EngineConfig,
-    scales: &[QuantConfig],
-    scenarios: &[NoiseScenario],
-    max_vth_shift: f64,
-    test_ratio: f64,
-    epochs: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<NoisePoint>> {
-    noise_campaign_with_backend(
-        dataset,
-        config,
-        scales,
-        scenarios,
-        max_vth_shift,
-        test_ratio,
-        epochs,
-        seed,
-        threads,
-        FebimEngine::fit,
-    )
-}
-
-/// [`noise_campaign`] generic over the inference backend and the worker
-/// thread count (`threads == 1` forces the serial reference execution).
-///
-/// # Errors
-///
-/// Same as [`noise_campaign`], plus whatever `build` returns.
-#[allow(clippy::too_many_arguments)]
-pub fn noise_campaign_with_backend<B, F>(
-    dataset: &Dataset,
-    config: &EngineConfig,
-    scales: &[QuantConfig],
-    scenarios: &[NoiseScenario],
-    max_vth_shift: f64,
-    test_ratio: f64,
-    epochs: usize,
-    seed: u64,
-    threads: usize,
-    build: F,
+    options: &MonteCarlo<F>,
 ) -> Result<Vec<NoisePoint>>
 where
     B: InferenceBackend,
     F: Fn(&Dataset, EngineConfig) -> Result<FebimEngine<B>> + Sync,
 {
-    check_epochs(epochs)?;
+    check_epochs(options.epochs)?;
     let mut points = Vec::with_capacity(scales.len() * scenarios.len());
     for (scale_index, &quant) in scales.iter().enumerate() {
         for (scenario_index, scenario) in scenarios.iter().enumerate() {
-            let per_epoch = epoch_values(epochs, threads, |epoch| {
-                let mut rng = seeded_rng(seed.wrapping_add(epoch as u64));
-                let split = stratified_split(dataset, test_ratio, &mut rng)?;
+            let per_epoch = options.run_epochs(dataset, |epoch, split| {
                 let epoch_config = EngineConfig {
                     quant,
                     non_idealities: scenario.stack,
-                    variation_seed: seed
+                    variation_seed: options
+                        .seed
                         .wrapping_mul(0x9e37_79b9)
                         .wrapping_add((scale_index as u64) << 24)
                         .wrapping_add((scenario_index as u64) << 16)
                         .wrapping_add(epoch as u64),
                     ..config.clone()
                 };
-                let mut engine = build(&split.train, epoch_config)?;
+                let mut engine = (options.build)(&split.train, epoch_config)?;
                 let columns = engine.backend_info().columns;
                 let fresh = engine.evaluate(&split.test)?.accuracy;
                 engine.advance_time(scenario.age_ticks);
@@ -472,9 +357,9 @@ where
                 Ok((columns, fresh, aged, recovered, refresh))
             })?;
             let mut columns = 0usize;
-            let mut fresh = Vec::with_capacity(epochs);
-            let mut aged = Vec::with_capacity(epochs);
-            let mut recovered = Vec::with_capacity(epochs);
+            let mut fresh = Vec::with_capacity(options.epochs);
+            let mut aged = Vec::with_capacity(options.epochs);
+            let mut recovered = Vec::with_capacity(options.epochs);
             let mut refresh = RefreshOutcome::default();
             for (epoch_columns, f, a, r, outcome) in per_epoch {
                 columns = columns.max(epoch_columns);
@@ -504,18 +389,33 @@ mod tests {
     use febim_data::synthetic::iris_like;
 
     #[test]
+    fn options_default_to_every_core_and_keep_their_protocol_across_builders() {
+        let options = MonteCarlo::new(0.6, 3, 17);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(options.threads, cores);
+        let shape = febim_crossbar::TileShape::new(2, 24).unwrap();
+        let tiled = options
+            .with_threads(5)
+            .with_backend(|train, epoch_config| FebimEngine::fit_tiled(train, epoch_config, shape));
+        assert_eq!(
+            (tiled.test_ratio, tiled.epochs, tiled.seed, tiled.threads),
+            (0.6, 3, 17, 5)
+        );
+    }
+
+    #[test]
     fn zero_epochs_rejected() {
         let dataset = iris_like(60).unwrap();
         let config = EngineConfig::febim_default();
-        assert!(epoch_accuracy(&dataset, &config, 0.7, 0, 1).is_err());
-        assert!(variation_sweep(&dataset, &config, &[0.0], 0.7, 0, 1).is_err());
+        assert!(epoch_accuracy(&dataset, &config, &MonteCarlo::new(0.7, 0, 1)).is_err());
+        assert!(variation_sweep(&dataset, &config, &[0.0], &MonteCarlo::new(0.7, 0, 1)).is_err());
     }
 
     #[test]
     fn epoch_accuracy_tracks_baseline() {
         let dataset = iris_like(61).unwrap();
         let config = EngineConfig::febim_default();
-        let result = epoch_accuracy(&dataset, &config, 0.7, 5, 61).unwrap();
+        let result = epoch_accuracy(&dataset, &config, &MonteCarlo::new(0.7, 5, 61)).unwrap();
         assert_eq!(result.software.count, 5);
         assert!(
             result.software.mean > 0.88,
@@ -540,7 +440,13 @@ mod tests {
     fn variation_sweep_degrades_gracefully() {
         let dataset = iris_like(62).unwrap();
         let config = EngineConfig::febim_default();
-        let points = variation_sweep(&dataset, &config, &[0.0, 45.0], 0.7, 4, 62).unwrap();
+        let points = variation_sweep(
+            &dataset,
+            &config,
+            &[0.0, 45.0],
+            &MonteCarlo::new(0.7, 4, 62),
+        )
+        .unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].sigma_vth_mv, 0.0);
         assert_eq!(points[1].accuracies.len(), 4);
@@ -555,8 +461,8 @@ mod tests {
     fn results_are_deterministic_for_a_seed() {
         let dataset = iris_like(63).unwrap();
         let config = EngineConfig::febim_default();
-        let a = epoch_accuracy(&dataset, &config, 0.7, 3, 7).unwrap();
-        let b = epoch_accuracy(&dataset, &config, 0.7, 3, 7).unwrap();
+        let a = epoch_accuracy(&dataset, &config, &MonteCarlo::new(0.7, 3, 7)).unwrap();
+        let b = epoch_accuracy(&dataset, &config, &MonteCarlo::new(0.7, 3, 7)).unwrap();
         assert_eq!(a, b);
     }
 
@@ -569,16 +475,14 @@ mod tests {
         // (chunk boundary mid-range) and 8 (more workers than epochs) threads
         // must agree bit for bit, and the default-thread public entry point
         // must match the serial reference too.
-        let serial = epoch_accuracy_with_threads(&dataset, &config, 0.7, 5, 11, 1).unwrap();
+        let options = MonteCarlo::new(0.7, 5, 11);
+        let serial = epoch_accuracy(&dataset, &config, &options.with_threads(1)).unwrap();
         for threads in [2, 3, 8] {
             let parallel =
-                epoch_accuracy_with_threads(&dataset, &config, 0.7, 5, 11, threads).unwrap();
+                epoch_accuracy(&dataset, &config, &options.with_threads(threads)).unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
         }
-        assert_eq!(
-            serial,
-            epoch_accuracy(&dataset, &config, 0.7, 5, 11).unwrap()
-        );
+        assert_eq!(serial, epoch_accuracy(&dataset, &config, &options).unwrap());
     }
 
     #[test]
@@ -586,17 +490,17 @@ mod tests {
         let dataset = iris_like(65).unwrap();
         let config = EngineConfig::febim_default();
         let sigmas = [0.0, 45.0];
-        let serial =
-            variation_sweep_with_threads(&dataset, &config, &sigmas, 0.7, 4, 9, 1).unwrap();
+        let options = MonteCarlo::new(0.7, 4, 9);
+        let serial = variation_sweep(&dataset, &config, &sigmas, &options.with_threads(1)).unwrap();
         for threads in [2, 4, 7] {
             let parallel =
-                variation_sweep_with_threads(&dataset, &config, &sigmas, 0.7, 4, 9, threads)
+                variation_sweep(&dataset, &config, &sigmas, &options.with_threads(threads))
                     .unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
         }
         assert_eq!(
             serial,
-            variation_sweep(&dataset, &config, &sigmas, 0.7, 4, 9).unwrap()
+            variation_sweep(&dataset, &config, &sigmas, &options).unwrap()
         );
     }
 
@@ -611,15 +515,14 @@ mod tests {
         let build_tiled = |train: &Dataset, epoch_config: EngineConfig| {
             FebimEngine::fit_tiled(train, epoch_config, shape)
         };
-        let monolithic = epoch_accuracy_with_threads(&dataset, &config, 0.7, 3, 13, 2).unwrap();
-        let tiled =
-            epoch_accuracy_with_backend(&dataset, &config, 0.7, 3, 13, 2, build_tiled).unwrap();
+        let epochs = MonteCarlo::new(0.7, 3, 13).with_threads(2);
+        let monolithic = epoch_accuracy(&dataset, &config, &epochs).unwrap();
+        let tiled = epoch_accuracy(&dataset, &config, &epochs.with_backend(build_tiled)).unwrap();
         assert_eq!(monolithic, tiled);
-        let sweep_monolithic =
-            variation_sweep_with_threads(&dataset, &config, &[45.0], 0.7, 2, 5, 2).unwrap();
+        let sweep = MonteCarlo::new(0.7, 2, 5).with_threads(2);
+        let sweep_monolithic = variation_sweep(&dataset, &config, &[45.0], &sweep).unwrap();
         let sweep_tiled =
-            variation_sweep_with_backend(&dataset, &config, &[45.0], 0.7, 2, 5, 2, build_tiled)
-                .unwrap();
+            variation_sweep(&dataset, &config, &[45.0], &sweep.with_backend(build_tiled)).unwrap();
         assert_eq!(sweep_monolithic, sweep_tiled);
     }
 
@@ -648,9 +551,7 @@ mod tests {
             &scales,
             &drifted_scenarios(),
             1e-6,
-            0.7,
-            3,
-            68,
+            &MonteCarlo::new(0.7, 3, 68),
         )
         .unwrap();
         assert_eq!(points.len(), 2);
@@ -676,13 +577,24 @@ mod tests {
         let config = EngineConfig::febim_default();
         let scales = [QuantConfig::febim_optimal()];
         let scenarios = drifted_scenarios();
-        let serial = noise_campaign_with_threads(
-            &dataset, &config, &scales, &scenarios, 1e-6, 0.7, 4, 69, 1,
+        let options = MonteCarlo::new(0.7, 4, 69);
+        let serial = noise_campaign(
+            &dataset,
+            &config,
+            &scales,
+            &scenarios,
+            1e-6,
+            &options.with_threads(1),
         )
         .unwrap();
         for threads in [2, 3, 8] {
-            let parallel = noise_campaign_with_threads(
-                &dataset, &config, &scales, &scenarios, 1e-6, 0.7, 4, 69, threads,
+            let parallel = noise_campaign(
+                &dataset,
+                &config,
+                &scales,
+                &scenarios,
+                1e-6,
+                &options.with_threads(threads),
             )
             .unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
@@ -699,21 +611,16 @@ mod tests {
         let build_tiled = |train: &Dataset, epoch_config: EngineConfig| {
             FebimEngine::fit_tiled(train, epoch_config, shape)
         };
-        let monolithic = noise_campaign_with_threads(
-            &dataset, &config, &scales, &scenarios, 1e-6, 0.7, 3, 70, 2,
-        )
-        .unwrap();
-        let tiled = noise_campaign_with_backend(
+        let options = MonteCarlo::new(0.7, 3, 70).with_threads(2);
+        let monolithic =
+            noise_campaign(&dataset, &config, &scales, &scenarios, 1e-6, &options).unwrap();
+        let tiled = noise_campaign(
             &dataset,
             &config,
             &scales,
             &scenarios,
             1e-6,
-            0.7,
-            3,
-            70,
-            2,
-            build_tiled,
+            &options.with_backend(build_tiled),
         )
         .unwrap();
         assert_eq!(monolithic, tiled);
@@ -726,8 +633,9 @@ mod tests {
         // invalid test ratio.
         let dataset = iris_like(66).unwrap();
         let config = EngineConfig::febim_default();
-        let serial = epoch_accuracy_with_threads(&dataset, &config, 2.0, 4, 3, 1).unwrap_err();
-        let parallel = epoch_accuracy_with_threads(&dataset, &config, 2.0, 4, 3, 4).unwrap_err();
+        let options = MonteCarlo::new(2.0, 4, 3);
+        let serial = epoch_accuracy(&dataset, &config, &options.with_threads(1)).unwrap_err();
+        let parallel = epoch_accuracy(&dataset, &config, &options.with_threads(4)).unwrap_err();
         assert_eq!(serial.to_string(), parallel.to_string());
     }
 }

@@ -590,8 +590,8 @@ impl Ticket {
     ///
     /// # Errors
     ///
-    /// `Ok` carries the request's own [`ServeResult`] (which may itself be a
-    /// typed serving error); `Err` returns the still-pending ticket.
+    /// `Ok` carries the request's own result (which may itself be a typed
+    /// serving error); `Err` returns the still-pending ticket.
     pub fn wait_timeout(self, ticks: u64) -> Result<ServeResult, Ticket> {
         for _ in 0..=ticks {
             if self.cell.state.load(Ordering::Acquire) == TICKET_READY {
@@ -1719,7 +1719,7 @@ impl ServingPool {
     /// pool with the typed [`SwapQueue`] its owner posts hot swaps through.
     /// Each bank's worker hosts its own engines (one per model id) and
     /// serves only the requests routed to those models via
-    /// [`ServingPool::submit_routed`]; routed workers never steal from each
+    /// [`ServingPool::submit_routed_blocking`]; routed workers never steal from each
     /// other, so a hot swap or a backlog on one bank cannot stall another
     /// bank's tenants.
     ///
@@ -1846,38 +1846,16 @@ impl ServingPool {
         )
     }
 
-    /// Worker (bank) currently hosting `model`, if any. Always `None` on a
-    /// replica pool built with [`ServingPool::new`].
-    pub fn route_of(&self, model: u64) -> Option<usize> {
-        self.shared.route_of(model)
-    }
-
-    /// Submits one request routed to `model` without blocking (routed pools
-    /// only).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServingError::ModelUnavailable`] when no worker hosts
-    /// `model`, and [`ServingError::QueueFull`] when the hosting worker's
-    /// ring is full — routed requests cannot overflow onto another bank.
-    pub fn submit_routed(&self, model: u64, sample: Vec<f64>) -> Result<Ticket, ServingError> {
-        let target = self.shared.target_of(model)?;
-        let cell = Arc::new(TicketCell::new());
-        self.shared
-            .try_push(target, Job::routed(sample, Arc::clone(&cell), model))
-            .map_err(|(_, err)| err)?;
-        Ok(Ticket { cell })
-    }
-
-    /// Submits one routed request, waiting for a slot on the hosting
-    /// worker's ring when it is full (blocking backpressure).
+    /// Submits one request routed to `model` (routed pools only), waiting
+    /// for a slot on the hosting worker's ring when it is full (blocking
+    /// backpressure).
     ///
     /// # Errors
     ///
     /// Returns [`ServingError::ModelUnavailable`] when no worker hosts
     /// `model`, and [`ServingError::ShutDown`] when the pool closes while
     /// the request waits for a slot.
-    pub fn submit_routed_blocking(
+    pub(crate) fn submit_routed_blocking(
         &self,
         model: u64,
         sample: Vec<f64>,
@@ -1887,17 +1865,6 @@ impl ServingPool {
         self.shared
             .push_blocking(target, Job::routed(sample, Arc::clone(&cell), model))?;
         Ok(Ticket { cell })
-    }
-
-    /// Convenience: submits every sample routed to `model` (blocking
-    /// backpressure) and waits for all answers, in submission order.
-    pub fn serve_model(&self, model: u64, samples: &[Vec<f64>]) -> Vec<ServeResult> {
-        wait_all(
-            samples
-                .iter()
-                .map(|sample| self.submit_routed_blocking(model, sample.clone()))
-                .collect(),
-        )
     }
 
     /// Graceful shutdown: closes the intake, lets the workers answer every
@@ -2717,6 +2684,24 @@ mod tests {
         (0..test.n_samples())
             .map(|index| test.sample(index).unwrap().to_vec())
             .collect()
+    }
+
+    impl ServingPool {
+        /// Worker (bank) currently hosting `model`, if any.
+        fn route_of(&self, model: u64) -> Option<usize> {
+            self.shared.route_of(model)
+        }
+
+        /// Submits every sample routed to `model` and waits for all answers,
+        /// in submission order.
+        fn serve_model(&self, model: u64, samples: &[Vec<f64>]) -> Vec<ServeResult> {
+            wait_all(
+                samples
+                    .iter()
+                    .map(|sample| self.submit_routed_blocking(model, sample.clone()))
+                    .collect(),
+            )
+        }
     }
 
     #[test]
@@ -3657,7 +3642,7 @@ mod tests {
         assert_eq!(pool.route_of(models[1]), Some(0));
         assert_eq!(pool.route_of(models[2]), Some(1));
         assert!(matches!(
-            pool.submit_routed(99, vec![0.0; 4]),
+            pool.submit_routed_blocking(99, vec![0.0; 4]),
             Err(ServingError::ModelUnavailable { model: 99 })
         ));
         for (model, (samples, sequential)) in models.iter().zip(&references) {
@@ -3743,7 +3728,7 @@ mod tests {
         // The evicted tenant stops routing; the installed one serves
         // bit-identically to its freshly programmed engine.
         assert!(matches!(
-            pool.submit_routed(1, samples_b[0].clone()),
+            pool.submit_routed_blocking(1, samples_b[0].clone()),
             Err(ServingError::ModelUnavailable { model: 1 })
         ));
         assert_eq!(pool.route_of(1), None);

@@ -22,8 +22,8 @@
 //! age and wordline read count are the same whether the model sits on one
 //! tile or many), and the conductance cache is kept in logical row-major
 //! order, so a wordline's off-sum accumulates in global column order and
-//! the activated deltas go through the committed 4-lane reduction (see
-//! [`crate::cache`]'s module docs) whatever the tile boundaries.
+//! the activated deltas go through the committed 4-lane reduction (see the
+//! `cache` module docs) whatever the tile boundaries.
 //! Equivalence is proptest-enforced in this crate and at engine level.
 //!
 //! ## Cell-granular cache epochs
@@ -1185,7 +1185,7 @@ impl TileGrid {
     /// the configured non-ideality stack — for every cell of the row on
     /// every call, accumulating in the exact same order as the cached sparse
     /// path: off-state leakage in column order, then the activated deltas in
-    /// the committed 4-lane order (see [`crate::cache`]'s module docs). This
+    /// the committed 4-lane order (see the `cache` module docs). This
     /// is the reference oracle for the equivalence property tests; it does
     /// **not** register wordline reads, so calling it right after a cached
     /// read observes the same read history and returns bit-identical
@@ -1241,7 +1241,7 @@ impl TileGrid {
     /// column's effective on-current is digitized through `ladder` into its
     /// multi-level state, and plane `q` counts the activated columns whose
     /// state has bit `bit_offsets[slot] + q` set, in the committed 4-lane
-    /// summation order (see [`crate::cache`]'s module docs).
+    /// summation order (see the `cache` module docs).
     /// `bit_offsets[slot]` annotates `activation.active_columns()[slot]`
     /// with the bit position of that column's selected digit.
     ///

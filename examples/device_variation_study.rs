@@ -19,7 +19,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("-- Monte-Carlo variation sweep (iris-like GNBC) --");
     let sigmas = [0.0, 15.0, 30.0, 38.0, 45.0];
     let epochs = 20;
-    let points = variation_sweep(&dataset, &config, &sigmas, 0.7, epochs, 808)?;
+    let points = variation_sweep(
+        &dataset,
+        &config,
+        &sigmas,
+        &MonteCarlo::new(0.7, epochs, 808),
+    )?;
     println!("epochs per point: {epochs}");
     println!("sigma_vth [mV]  mean acc [%]  std [%]   min [%]   max [%]");
     for point in &points {

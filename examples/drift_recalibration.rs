@@ -104,9 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[QuantConfig::febim_optimal()],
         &scenarios,
         1e-3,
-        0.7,
-        8,
-        909,
+        &MonteCarlo::new(0.7, 8, 909),
     )?;
     println!("scenario       fresh [%]  aged [%]  recovered [%]  cells refreshed");
     for point in &points {

@@ -1,13 +1,9 @@
 //! Medical-diagnosis example: the kind of low-data, explainability-critical
 //! workload that motivates Bayesian inference in the paper's introduction.
 //!
-//! Two views of the same problem are shown:
-//!
-//! 1. a hand-built discrete Bayesian network (expert knowledge, exact
-//!    enumeration inference), and
-//! 2. a Gaussian naive Bayes classifier trained on a small synthetic patient
-//!    cohort and deployed on the FeBiM crossbar, demonstrating that the
-//!    in-memory engine reaches the same diagnoses as the software model.
+//! A Gaussian naive Bayes classifier is trained on a small synthetic patient
+//! cohort and deployed on the FeBiM crossbar, demonstrating that the
+//! in-memory engine reaches the same diagnoses as the software model.
 //!
 //! Run with:
 //!
@@ -17,32 +13,6 @@
 
 use febim_suite::data::synthetic::{ClassSpec, SyntheticSpec};
 use febim_suite::prelude::*;
-
-fn expert_network() -> Result<BayesianNetwork, Box<dyn std::error::Error>> {
-    // Variables (topological order): Disease -> {Fever, Cough}.
-    // The disease states are 0 = healthy, 1 = flu, 2 = pneumonia.
-    let network = BayesianNetwork::new(vec![
-        Node {
-            name: "disease".to_string(),
-            cardinality: 3,
-            parents: vec![],
-            cpt: vec![vec![0.85, 0.12, 0.03]],
-        },
-        Node {
-            name: "fever".to_string(),
-            cardinality: 2,
-            parents: vec![0],
-            cpt: vec![vec![0.95, 0.05], vec![0.25, 0.75], vec![0.10, 0.90]],
-        },
-        Node {
-            name: "cough".to_string(),
-            cardinality: 2,
-            parents: vec![0],
-            cpt: vec![vec![0.90, 0.10], vec![0.30, 0.70], vec![0.05, 0.95]],
-        },
-    ])?;
-    Ok(network)
-}
 
 /// Synthetic patient cohort: 3 diagnoses described by 4 continuous vitals
 /// (temperature, respiratory rate, oxygen saturation, CRP level).
@@ -67,45 +37,7 @@ fn patient_cohort() -> SyntheticSpec {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Part 1: expert-specified Bayesian network.
-    let network = expert_network()?;
-    let names = ["healthy", "flu", "pneumonia"];
-    println!("-- expert Bayesian network (exact enumeration) --");
-    for (fever, cough) in [(0usize, 0usize), (1, 0), (1, 1)] {
-        let posterior = network.posterior(
-            0,
-            &[
-                Evidence {
-                    variable: 1,
-                    state: fever,
-                },
-                Evidence {
-                    variable: 2,
-                    state: cough,
-                },
-            ],
-        )?;
-        let map = network.map_state(
-            0,
-            &[
-                Evidence {
-                    variable: 1,
-                    state: fever,
-                },
-                Evidence {
-                    variable: 2,
-                    state: cough,
-                },
-            ],
-        )?;
-        println!(
-            "fever={fever} cough={cough}: P = [{:.3}, {:.3}, {:.3}] -> diagnosis {}",
-            posterior[0], posterior[1], posterior[2], names[map]
-        );
-    }
-
-    // Part 2: data-driven diagnosis on the FeBiM crossbar.
-    println!("\n-- data-driven GNBC on the FeBiM crossbar --");
+    println!("-- data-driven GNBC on the FeBiM crossbar --");
     let cohort = patient_cohort().generate(77)?;
     let split = stratified_split(&cohort, 0.5, &mut seeded_rng(77))?;
     let engine = FebimEngine::fit(&split.train, EngineConfig::febim_default())?;
@@ -133,7 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     for (description, vitals) in patients {
         let outcome = engine.infer(&vitals)?;
-        println!("{description}: diagnosed as {}", names[outcome.prediction]);
+        let diagnosis = ["healthy", "flu", "pneumonia"][outcome.prediction];
+        println!("{description}: diagnosed as {diagnosis}");
     }
     Ok(())
 }

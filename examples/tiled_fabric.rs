@@ -63,16 +63,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. What tiling costs: every tile row re-drives its activated bitlines
     //    and the merge bus adds a per-tile-column load.
-    let comparison = FabricComparison::new(&reference, &sharded, plan);
     println!(
         "telemetry:  delay x{:.2}, energy x{:.2} vs. the monolithic array",
-        comparison.delay_ratio(),
-        comparison.energy_ratio(),
+        sharded.mean_delay / reference.mean_delay,
+        sharded.mean_energy / reference.mean_energy,
     );
-    println!("\n{}", comparison.to_table().to_pretty());
 
-    // 6. The whole comparison serializes through the serde JSON emitters —
-    //    the same machinery the `fabric` bench uses for BENCH_fabric.json.
+    // 6. The tile plan serializes through the serde JSON emitters — the
+    //    same machinery the `fabric` bench uses for BENCH_fabric.json.
     println!(
         "tile plan as JSON: {}",
         febim_suite::core::json::to_string(plan)

@@ -57,17 +57,15 @@ pub use febim_quant as quant;
 /// # }
 /// ```
 pub mod prelude {
-    pub use febim_bayes::{
-        BayesianNetwork, CategoricalNaiveBayes, Evidence, GaussianNaiveBayes, Node,
-    };
-    pub use febim_compare::{ComparisonTable, FabricComparison};
+    pub use febim_bayes::{CategoricalNaiveBayes, GaussianNaiveBayes};
+    pub use febim_compare::ComparisonTable;
     pub use febim_core::{
-        epoch_accuracy, epoch_accuracy_with_backend, noise_campaign, performance_metrics,
-        variation_sweep, variation_sweep_with_backend, BackendInfo, BackendKind, BatchTelemetry,
-        CrossbarBackend, EngineConfig, FebimEngine, InferenceBackend, MetricsConfig, NoisePoint,
-        NoiseScenario, PoolStats, RecalibrationPolicy, RecalibrationScheduler, ReplicaHealth,
-        ScrubPolicy, ScrubReport, ScrubScheduler, ServeOutcome, ServingConfig, ServingError,
-        ServingPool, SoftwareBackend, Ticket, TiledFabricBackend, WorkerReport,
+        epoch_accuracy, noise_campaign, performance_metrics, variation_sweep, BackendInfo,
+        BackendKind, BatchTelemetry, CrossbarBackend, EngineConfig, FebimEngine, InferenceBackend,
+        MetricsConfig, MonteCarlo, NoisePoint, NoiseScenario, PoolStats, RecalibrationPolicy,
+        RecalibrationScheduler, ReplicaHealth, ScrubPolicy, ScrubReport, ScrubScheduler,
+        ServeOutcome, ServingConfig, ServingError, ServingPool, SoftwareBackend, Ticket,
+        TiledFabricBackend, WorkerReport,
     };
     pub use febim_crossbar::{FaultKind, FaultSchedule, ScheduledFault, ScrubOutcome, TileShape};
     pub use febim_data::rng::seeded_rng;

@@ -2,15 +2,20 @@
 //! studies, exercised through the public API of the umbrella crate.
 
 use febim_suite::circuit::SensingChain;
-use febim_suite::core::{column_sweep, figure6_columns, figure6_rows, row_sweep, variation_sweep};
+use febim_suite::core::{column_sweep, figure6_columns, figure6_rows, row_sweep};
 use febim_suite::prelude::*;
 
 #[test]
 fn variation_sweep_shows_graceful_degradation() {
     let dataset = iris_like(3001).expect("dataset");
     let config = EngineConfig::febim_default();
-    let points = variation_sweep(&dataset, &config, &[0.0, 15.0, 45.0], 0.7, 6, 3001)
-        .expect("variation sweep");
+    let points = variation_sweep(
+        &dataset,
+        &config,
+        &[0.0, 15.0, 45.0],
+        &MonteCarlo::new(0.7, 6, 3001),
+    )
+    .expect("variation sweep");
     assert_eq!(points.len(), 3);
     let ideal = points[0].stats.mean;
     let worst = points[2].stats.mean;
@@ -31,8 +36,13 @@ fn variation_sweep_shows_graceful_degradation() {
 fn moderate_variation_costs_less_than_strong_variation_on_average() {
     let dataset = iris_like(3002).expect("dataset");
     let config = EngineConfig::febim_default();
-    let points =
-        variation_sweep(&dataset, &config, &[15.0, 45.0], 0.7, 8, 3002).expect("variation sweep");
+    let points = variation_sweep(
+        &dataset,
+        &config,
+        &[15.0, 45.0],
+        &MonteCarlo::new(0.7, 8, 3002),
+    )
+    .expect("variation sweep");
     assert!(
         points[0].stats.mean >= points[1].stats.mean - 0.05,
         "15 mV accuracy {} unexpectedly below 45 mV accuracy {}",

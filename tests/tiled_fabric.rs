@@ -36,6 +36,39 @@ fn oversized_model_lands_on_a_2x2_grid_and_matches_the_reference() {
 }
 
 #[test]
+fn sharding_the_iris_model_costs_modeled_delay_and_energy() {
+    let split = split_for(77);
+    let config = EngineConfig::febim_default();
+    let monolithic = FebimEngine::fit(&split.train, config.clone()).expect("reference engine");
+    let tiled = FebimEngine::fit_tiled(
+        &split.train,
+        config,
+        TileShape::new(2, 24).expect("tile shape"),
+    )
+    .expect("fabric engine");
+    let plan = tiled.tiled_program().plan();
+    assert_eq!((plan.row_tiles(), plan.col_tiles()), (2, 3));
+    assert!(plan.utilization() > 0.0 && plan.utilization() <= 1.0);
+    let reference = monolithic.evaluate(&split.test).expect("reference report");
+    let fabric = tiled.evaluate(&split.test).expect("fabric report");
+    assert_eq!(reference.accuracy, fabric.accuracy);
+    // Sharding is never free on this workload: the sparse iris reads
+    // activate 4 of 64 columns, so the fabric pays for its occupied
+    // bitlines and the merge bus (delay) and for per-tile-row drivers
+    // (energy).
+    let delay_ratio = fabric.mean_delay / reference.mean_delay;
+    let energy_ratio = fabric.mean_energy / reference.mean_energy;
+    assert!(
+        delay_ratio > 1.0 && delay_ratio.is_finite(),
+        "{delay_ratio}"
+    );
+    assert!(
+        energy_ratio > 1.0 && energy_ratio.is_finite(),
+        "{energy_ratio}"
+    );
+}
+
+#[test]
 fn backends_share_one_engine_api() {
     let split = split_for(2102);
     let config = EngineConfig::febim_default();
@@ -74,12 +107,16 @@ fn fabric_monte_carlo_matches_the_reference_backend() {
     let dataset = iris_like(2103).expect("dataset");
     let config = EngineConfig::febim_default();
     let shape = TileShape::new(2, 24).expect("tile shape");
-    let reference = epoch_accuracy(&dataset, &config, 0.7, 3, 21).expect("reference epochs");
-    let fabric =
-        epoch_accuracy_with_backend(&dataset, &config, 0.7, 3, 21, 2, |train, epoch_config| {
-            FebimEngine::fit_tiled(train, epoch_config, shape)
-        })
-        .expect("fabric epochs");
+    let options = MonteCarlo::new(0.7, 3, 21);
+    let reference = epoch_accuracy(&dataset, &config, &options).expect("reference epochs");
+    let fabric = epoch_accuracy(
+        &dataset,
+        &config,
+        &options
+            .with_threads(2)
+            .with_backend(|train, epoch_config| FebimEngine::fit_tiled(train, epoch_config, shape)),
+    )
+    .expect("fabric epochs");
     assert_eq!(reference, fabric);
 }
 
