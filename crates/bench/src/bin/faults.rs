@@ -4,9 +4,9 @@
 //! Four questions, one record:
 //!
 //! 1. **How fast are defects caught?** A seeded chaos campaign strikes a
-//!    spared tiled fabric while a `ScrubScheduler` runs periodic signature
-//!    checks; the run measures the worst detection latency in scrub
-//!    periods and gates it against the checked-in
+//!    spared tiled fabric while a scrub-only `Maintenance` runs periodic
+//!    signature checks; the run measures the worst detection latency in
+//!    scrub periods and gates it against the checked-in
 //!    `max_detection_periods` of `FAULT_BUDGET.json` (a defect must never
 //!    outlive the check that closes its strike window).
 //! 2. **What does repair cost?** The scrub outcome's programming-pulse and
@@ -42,7 +42,7 @@ use serde::Serialize;
 
 use febim_bench::{request_stream, Gate, Header, Record};
 use febim_core::{
-    EngineConfig, FebimEngine, ReplicaHealth, ScrubPolicy, ScrubScheduler, ServingConfig,
+    EngineConfig, FebimEngine, Maintenance, MaintenancePolicy, ReplicaHealth, ServingConfig,
     ServingPool,
 };
 use febim_crossbar::{FaultKind, FaultSchedule, ScheduledFault, TileShape};
@@ -184,12 +184,14 @@ fn main() {
         FebimEngine::fit_tiled(&split.train, config.clone(), shape).expect("fabric engine");
     let fresh_accuracy = engine.evaluate(&split.test).expect("evaluate").accuracy;
     engine.set_fault_schedule(schedule.clone());
-    let mut scheduler = ScrubScheduler::new(ScrubPolicy::new(interval, 1e-6)).expect("scheduler");
+    let mut maintenance =
+        Maintenance::new(None, Some(MaintenancePolicy::new(interval, 1e-6))).expect("maintenance");
     let mut dirty_streak = 0u64;
     let mut worst_streak = 0u64;
     let mut elapsed = 0u64;
     while elapsed < horizon + interval {
-        scheduler.tick(&mut engine, interval).expect("scrub tick");
+        let (_, repair) = maintenance.tick(&mut engine, interval);
+        repair.expect("scrub tick");
         elapsed += interval;
         if engine.worst_effective_shift() > 0.0 {
             dirty_streak += 1;
@@ -201,25 +203,25 @@ fn main() {
     let detection_periods = 1 + worst_streak;
     assert_eq!(engine.pending_faults(), 0, "the chaos horizon must elapse");
     assert_ne!(
-        scheduler.health(),
+        maintenance.health(),
         ReplicaHealth::Quarantined,
         "two spare rows per tile must absorb the two permanent hits"
     );
-    let report = scheduler.report().clone();
-    let faults_detected = report.outcome.reports.len();
+    let report = maintenance.report().clone();
+    let faults_detected = report.repair.reports.len();
     let repair_pulses_per_cell =
-        report.outcome.pulses_applied as f64 / (report.outcome.cells_repaired.max(1)) as f64;
+        report.repair.pulses_applied as f64 / (report.repair.cells_repaired.max(1)) as f64;
     println!(
         "chaos: {faults_detected}/{faults_scheduled} scheduled events detected as defects \
          ({} checks, {} epoch-skips), {} cells repaired, {} rows remapped",
-        report.checks,
-        report.skipped_checks,
-        report.outcome.cells_repaired,
-        report.outcome.rows_remapped,
+        report.scrub_checks,
+        report.scrub_skips,
+        report.repair.cells_repaired,
+        report.repair.rows_remapped,
     );
     println!(
         "repair: {} pulses, {:.3e} J",
-        report.outcome.pulses_applied, report.outcome.energy_joules,
+        report.repair.pulses_applied, report.repair.energy_joules,
     );
     // No defect may outlive the scrub that closes its strike window.
     Gate::at_most(
@@ -255,7 +257,7 @@ fn main() {
     let serving_config = ServingConfig::febim_default()
         .with_max_batch(8)
         .with_queue_depth(64)
-        .with_scrub(ScrubPolicy::new(1_000_000, 1e-3));
+        .with_scrub(MaintenancePolicy::new(1_000_000, 1e-3));
     let healthy_pool =
         ServingPool::replicate(&healthy_engine, 2, serving_config).expect("healthy pool");
     let healthy_ns = measure_pool(&healthy_pool, &requests);
@@ -311,15 +313,15 @@ fn main() {
     record.write(&FaultRecord {
         header: record.header(),
         faults_scheduled,
-        scrub_checks: report.checks,
-        scrub_skips: report.skipped_checks,
+        scrub_checks: report.scrub_checks,
+        scrub_skips: report.scrub_skips,
         faults_detected,
-        cells_repaired: report.outcome.cells_repaired,
-        rows_remapped: report.outcome.rows_remapped,
+        cells_repaired: report.repair.cells_repaired,
+        rows_remapped: report.repair.rows_remapped,
         detection_periods,
         max_detection_periods,
-        repair_pulses: report.outcome.pulses_applied,
-        repair_energy_j: report.outcome.energy_joules,
+        repair_pulses: report.repair.pulses_applied,
+        repair_energy_j: report.repair.energy_joules,
         repair_pulses_per_cell,
         max_repair_pulses_per_cell,
         fresh_accuracy,

@@ -162,20 +162,6 @@ impl TiledProgram {
     pub fn encoding(&self) -> Encoding {
         self.program.encoding()
     }
-
-    /// The level block one tile must be programmed with (local row-major
-    /// order, edge tiles smaller than the physical tile shape).
-    ///
-    /// # Errors
-    ///
-    /// Returns a crossbar error for a tile outside the grid.
-    pub fn tile_levels(&self, tile_row: usize, tile_col: usize) -> Result<Vec<Vec<Option<usize>>>> {
-        let rows = self.plan.tile_row_range(tile_row)?;
-        let columns = self.plan.tile_column_range(tile_col)?;
-        Ok(rows
-            .map(|row| self.program.levels()[row][columns.clone()].to_vec())
-            .collect())
-    }
 }
 
 /// Compiles a quantized GNBC onto a tiled fabric of fixed-size crossbar
@@ -310,34 +296,6 @@ mod tests {
             .tile_count()
                 == 1
         );
-    }
-
-    #[test]
-    fn tile_level_blocks_match_the_quantized_tables() {
-        let quantized = iris_quantized();
-        let tiled = compile_tiled(
-            &quantized,
-            false,
-            TileShape::new(2, 24).unwrap(),
-            Encoding::OneHot,
-        )
-        .unwrap();
-        for tile_row in 0..tiled.plan().row_tiles() {
-            for tile_col in 0..tiled.plan().col_tiles() {
-                let block = tiled.tile_levels(tile_row, tile_col).unwrap();
-                let classes = tiled.plan().tile_row_range(tile_row).unwrap();
-                let columns = tiled.plan().tile_column_range(tile_col).unwrap();
-                let expected = quantized
-                    .level_matrix_block(tiled.layout().has_prior(), classes, columns)
-                    .unwrap();
-                let unwrapped: Vec<Vec<usize>> = block
-                    .iter()
-                    .map(|row| row.iter().map(|level| level.unwrap()).collect())
-                    .collect();
-                assert_eq!(unwrapped, expected);
-            }
-        }
-        assert!(tiled.tile_levels(9, 0).is_err());
     }
 
     #[test]

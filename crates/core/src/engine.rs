@@ -169,20 +169,6 @@ impl FebimEngine<CrossbarBackend> {
     /// programming errors.
     pub fn fit(train_data: &Dataset, config: EngineConfig) -> Result<Self> {
         let model = GaussianNaiveBayes::fit(train_data)?;
-        Self::from_trained(model, train_data, config)
-    }
-
-    /// Builds a single-array engine from an already-trained GNBC.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration, quantization, compilation and programming
-    /// errors.
-    pub fn from_trained(
-        model: GaussianNaiveBayes,
-        train_data: &Dataset,
-        config: EngineConfig,
-    ) -> Result<Self> {
         build_engine(Arc::new(model), train_data, config, CrossbarBackend::new)
     }
 
@@ -203,20 +189,6 @@ impl FebimEngine<TiledFabricBackend> {
     /// programming errors.
     pub fn fit_tiled(train_data: &Dataset, config: EngineConfig, shape: TileShape) -> Result<Self> {
         let model = GaussianNaiveBayes::fit(train_data)?;
-        Self::from_trained_tiled(model, train_data, config, shape)
-    }
-
-    /// Builds a tiled-fabric engine from an already-trained GNBC.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FebimEngine::fit_tiled`] minus training.
-    pub fn from_trained_tiled(
-        model: GaussianNaiveBayes,
-        train_data: &Dataset,
-        config: EngineConfig,
-        shape: TileShape,
-    ) -> Result<Self> {
         build_engine(Arc::new(model), train_data, config, |quantized, config| {
             TiledFabricBackend::new(quantized, config, shape)
         })

@@ -34,14 +34,12 @@ pub mod compiler;
 pub mod config;
 pub mod engine;
 pub mod errors;
-pub mod health;
+pub mod maintenance;
 pub mod metrics;
 pub mod monte_carlo;
-pub mod recalibration;
 pub mod registry;
 pub mod report;
 pub mod scaling;
-pub mod scheduler;
 pub mod serving;
 
 pub use backend::{
@@ -52,19 +50,17 @@ pub use compiler::{compile, compile_tiled, CrossbarProgram, TiledProgram};
 pub use config::EngineConfig;
 pub use engine::{EvalScratch, EvaluationReport, FebimEngine, InferenceOutcome, InferenceStep};
 pub use errors::{CoreError, Result};
-pub use health::{ReplicaHealth, ScrubPolicy, ScrubReport, ScrubScheduler};
+pub use maintenance::{Maintenance, MaintenancePolicy, MaintenanceReport, ReplicaHealth};
 pub use metrics::{ops_per_inference, performance_metrics, MetricsConfig, PerformanceMetrics};
 pub use monte_carlo::{
     epoch_accuracy, noise_campaign, variation_sweep, EpochAccuracy, MonteCarlo, NoisePoint,
     NoiseScenario, VariationPoint,
 };
-pub use recalibration::{RecalibrationPolicy, RecalibrationReport, RecalibrationScheduler};
 pub use registry::{ModelRegistry, RegistryConfig, RegistryError, RegistryReport, TenantPlacement};
 pub use report::{default_experiment_dir, Table};
 pub use scaling::{
     column_sweep, figure6_columns, figure6_rows, measure_geometry, row_sweep, ScalingPoint,
 };
-pub use scheduler::EpochScheduler;
 /// JSON emission entry points (`to_string` / `to_string_pretty`) for every
 /// `Serialize`-deriving result type (e.g. [`EvaluationReport`],
 /// [`febim_crossbar::TilePlan`]) — the machinery behind `BENCH_*.json`.

@@ -23,9 +23,9 @@
 //!            └─ age every tenant: recalibrate, scrub, update health
 //! ```
 //!
-//! A **tenant slot** owns one engine, its scratch, its
-//! [`RecalibrationScheduler`] and [`ScrubScheduler`] and, once a scrub
-//! quarantines it, its exact software twin
+//! A **tenant slot** owns one engine, its scratch, its [`Maintenance`]
+//! (drift and scrub countdowns plus health) and, once a scrub quarantines
+//! it, its exact software twin
 //! ([`FebimEngine::software_fallback`]). A *replica* pool
 //! ([`ServingPool::new`]) has one slot per worker, each a replica of the
 //! shared model, with work stealing and failover between workers. A
@@ -99,8 +99,7 @@ use febim_circuit::{DelayBreakdown, InferenceEnergy};
 use crate::backend::{BatchTelemetry, InferenceBackend, SoftwareBackend, SwapCost};
 use crate::engine::{EvalScratch, FebimEngine, InferenceStep};
 use crate::errors::CoreError;
-use crate::health::{ReplicaHealth, ScrubPolicy, ScrubScheduler};
-use crate::recalibration::{RecalibrationPolicy, RecalibrationScheduler};
+use crate::maintenance::{Maintenance, MaintenancePolicy, ReplicaHealth};
 
 /// How many times one request may fail over to a surviving replica before
 /// its inference error is answered to the client.
@@ -131,23 +130,23 @@ pub struct ServingConfig {
     /// retention-drift model). `0` — the default — freezes physical time.
     #[serde(default)]
     pub ticks_per_batch: u64,
-    /// Optional online recalibration: every tenant slot runs its own
-    /// [`RecalibrationScheduler`], checking for drift between batches —
-    /// never while a batch is in flight, so requests are answered through
-    /// recalibration without a single drop or stall.
-    /// [`ServingPool::request_recalibration`] forces a check out of band.
+    /// Optional online recalibration: every tenant slot's [`Maintenance`]
+    /// checks for drift between batches — never while a batch is in
+    /// flight, so requests are answered through recalibration without a
+    /// single drop or stall. [`ServingPool::request_recalibration`] forces
+    /// a check out of band.
     #[serde(default)]
-    pub recalibration: Option<RecalibrationPolicy>,
-    /// Optional online fault scrubbing: every tenant slot runs its own
-    /// [`ScrubScheduler`] between batches, detecting struck cells and
-    /// repairing them in place or via spare rows. A tenant whose defects
-    /// cannot be repaired is **quarantined** and answers through its exact
-    /// software twin — unless it is a replica with a serving replica left,
-    /// in which case its worker stops taking work and the survivors steal
-    /// its queued requests. [`ServingPool::request_scrub`] forces a check
+    pub recalibration: Option<MaintenancePolicy>,
+    /// Optional online fault scrubbing: every tenant slot's [`Maintenance`]
+    /// scrubs between batches, after any drift check, detecting struck
+    /// cells and repairing them in place or via spare rows. A tenant whose
+    /// defects cannot be repaired is **quarantined** and answers through its
+    /// exact software twin — unless it is a replica with a serving replica
+    /// left, in which case its worker stops taking work and the survivors
+    /// steal its queued requests. [`ServingPool::request_scrub`] forces a check
     /// out of band.
     #[serde(default)]
-    pub scrub: Option<ScrubPolicy>,
+    pub scrub: Option<MaintenancePolicy>,
 }
 
 impl ServingConfig {
@@ -189,13 +188,13 @@ impl ServingConfig {
     }
 
     /// Returns a copy with online recalibration enabled under `policy`.
-    pub fn with_recalibration(mut self, policy: RecalibrationPolicy) -> Self {
+    pub fn with_recalibration(mut self, policy: MaintenancePolicy) -> Self {
         self.recalibration = Some(policy);
         self
     }
 
     /// Returns a copy with online fault scrubbing enabled under `policy`.
-    pub fn with_scrub(mut self, policy: ScrubPolicy) -> Self {
+    pub fn with_scrub(mut self, policy: MaintenancePolicy) -> Self {
         self.scrub = Some(policy);
         self
     }
@@ -204,8 +203,9 @@ impl ServingConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ServingError::InvalidConfig`] for a zero batch size or a
-    /// zero queue depth.
+    /// Returns [`ServingError::InvalidConfig`] for a zero batch size, a
+    /// zero queue depth or an invalid maintenance policy (named after its
+    /// field).
     pub fn validate(&self) -> Result<(), ServingError> {
         if self.max_batch == 0 {
             return Err(ServingError::InvalidConfig {
@@ -219,21 +219,15 @@ impl ServingConfig {
                 reason: "the request queue needs a positive capacity".to_string(),
             });
         }
-        if let Some(policy) = &self.recalibration {
-            policy
-                .validate()
-                .map_err(|err| ServingError::InvalidConfig {
-                    name: "recalibration",
-                    reason: err.to_string(),
-                })?;
-        }
-        if let Some(policy) = &self.scrub {
-            policy
-                .validate()
-                .map_err(|err| ServingError::InvalidConfig {
-                    name: "scrub",
-                    reason: err.to_string(),
-                })?;
+        for (name, policy) in [("recalibration", self.recalibration), ("scrub", self.scrub)] {
+            if let Some(policy) = policy {
+                policy
+                    .validate()
+                    .map_err(|err| ServingError::InvalidConfig {
+                        name,
+                        reason: err.to_string(),
+                    })?;
+            }
         }
         Ok(())
     }
@@ -1957,35 +1951,26 @@ impl Drop for WorkerGuard {
 
 /// One tenant a worker hosts: its engine and dedicated scratch (scratch
 /// dimensions depend on the model's class/feature counts, so tenants cannot
-/// share one), its maintenance schedulers, and — once a scrub quarantines
-/// it — its exact software twin, which answers its requests from then on.
+/// share one), its maintenance schedule, and — once a scrub quarantines it —
+/// its exact software twin, which answers its requests from then on.
 struct TenantSlot<B: InferenceBackend> {
     /// Model id on a routed bank; `None` for a replica, which serves the
     /// pool's one model (replica jobs carry no id either).
     model: Option<u64>,
     engine: FebimEngine<B>,
     scratch: EvalScratch,
-    recalibration: Option<RecalibrationScheduler>,
-    scrub: Option<ScrubScheduler>,
-    health: ReplicaHealth,
+    maintenance: Maintenance,
     twin: Option<(FebimEngine<SoftwareBackend>, EvalScratch)>,
 }
 
 impl<B: InferenceBackend> TenantSlot<B> {
     fn new(model: Option<u64>, engine: FebimEngine<B>, config: &ServingConfig) -> Self {
-        // The policies were validated with the serving config; should a
-        // build still fail, the tenant serves without that scheduler.
         Self {
             model,
             scratch: engine.make_scratch(),
             engine,
-            recalibration: config
-                .recalibration
-                .and_then(|policy| RecalibrationScheduler::new(policy).ok()),
-            scrub: config
-                .scrub
-                .and_then(|policy| ScrubScheduler::new(policy).ok()),
-            health: ReplicaHealth::Healthy,
+            // The policies were validated when the pool spawned.
+            maintenance: Maintenance::new(config.recalibration, config.scrub).unwrap_or_default(),
             twin: None,
         }
     }
@@ -2017,19 +2002,11 @@ impl<B: InferenceBackend> TenantSlot<B> {
         if self.twin.is_some() {
             return;
         }
-        match self.recalibration.as_mut() {
-            Some(scheduler) => {
-                record_recalibration(scheduler.tick(&mut self.engine, ticks), report)
-            }
-            None if ticks > 0 => self.engine.advance_time(ticks),
-            None => {}
-        }
-        if let Some(scrubber) = self.scrub.as_mut() {
-            // The branch above already aged the clock; the scrub scheduler
-            // only counts down.
-            record_scrub(scrubber.note_ticks(&mut self.engine, ticks), report);
-            self.sync_health(report);
-        }
+        let before = self.maintenance.health();
+        let (refresh, repair) = self.maintenance.tick(&mut self.engine, ticks);
+        record_recalibration(refresh, report);
+        record_scrub(repair, report);
+        self.sync_health(before, report);
     }
 
     /// Runs the out-of-band checks the control `requests` ask for: a drift
@@ -2038,28 +2015,22 @@ impl<B: InferenceBackend> TenantSlot<B> {
         if self.twin.is_some() {
             return;
         }
-        if let Some(scheduler) = self.recalibration.as_mut() {
-            if requests & CONTROL_RECALIBRATE != 0 {
-                record_recalibration(scheduler.check(&mut self.engine), report);
-            }
+        let before = self.maintenance.health();
+        if requests & CONTROL_RECALIBRATE != 0 {
+            record_recalibration(self.maintenance.recalibrate(&mut self.engine), report);
         }
-        if let Some(scrubber) = self.scrub.as_mut() {
-            if requests & CONTROL_SCRUB != 0 {
-                record_scrub(scrubber.check(&mut self.engine), report);
-                self.sync_health(report);
-            }
+        if requests & CONTROL_SCRUB != 0 {
+            record_scrub(self.maintenance.scrub(&mut self.engine), report);
         }
+        self.sync_health(before, report);
     }
 
-    /// Adopts the scrub scheduler's health after a scrub action, counting
-    /// the transition; entering quarantine builds the software twin.
-    fn sync_health(&mut self, report: &mut WorkerReport) {
-        let Some(health) = self.scrub.as_ref().map(ScrubScheduler::health) else {
-            return;
-        };
-        if health != self.health {
+    /// Counts a health change since `before`; entering quarantine builds
+    /// the software twin.
+    fn sync_health(&mut self, before: ReplicaHealth, report: &mut WorkerReport) {
+        let health = self.maintenance.health();
+        if health != before {
             report.health_transitions += 1;
-            self.health = health;
             if health == ReplicaHealth::Quarantined {
                 let twin = self.engine.software_fallback();
                 let scratch = twin.make_scratch();
@@ -2069,8 +2040,7 @@ impl<B: InferenceBackend> TenantSlot<B> {
     }
 }
 
-/// Records the result of one recalibration-scheduler action into the
-/// worker's report.
+/// Records the result of one drift action into the worker's report.
 fn record_recalibration(
     result: crate::errors::Result<Option<febim_crossbar::RefreshOutcome>>,
     report: &mut WorkerReport,
@@ -2086,8 +2056,7 @@ fn record_recalibration(
     }
 }
 
-/// Records the result of one scrub-scheduler action into the worker's
-/// report.
+/// Records the result of one scrub action into the worker's report.
 fn record_scrub(
     result: crate::errors::Result<Option<febim_crossbar::ScrubOutcome>>,
     report: &mut WorkerReport,
@@ -2147,10 +2116,13 @@ impl<B: InferenceBackend> Bank<B> {
         let worst = self
             .slots
             .iter()
-            .map(|slot| slot.health)
+            .map(|slot| slot.maintenance.health())
             .max_by_key(|health| health.as_u8())
             .unwrap_or_default();
-        let serving = self.slots.iter().any(|slot| slot.health.is_serving());
+        let serving = self
+            .slots
+            .iter()
+            .any(|slot| slot.maintenance.health().is_serving());
         let health = if worst.is_serving() || !serving {
             worst
         } else {
@@ -2407,8 +2379,8 @@ fn dispatch<B: InferenceBackend>(
 /// take control requests (swaps, forced checks), park while every tenant is
 /// quarantined and another replica can take the jobs, fill a batch (own
 /// ring first; replica workers steal from the others), dispatch it one
-/// tenant group at a time, then age every tenant — its schedulers check for
-/// drift and faults, so the fabric stays current and its defects get
+/// tenant group at a time, then age every tenant — its maintenance checks
+/// for drift and faults, so the fabric stays current and its defects get
 /// repaired without ever stalling a request. Repeats until the pool closes
 /// and the rings drain.
 fn serve<B: InferenceBackend>(
@@ -3204,7 +3176,7 @@ mod tests {
 
     #[test]
     fn invalid_recalibration_policy_is_rejected() {
-        let config = ServingConfig::default().with_recalibration(RecalibrationPolicy::new(0, 1e-3));
+        let config = ServingConfig::default().with_recalibration(MaintenancePolicy::new(0, 1e-3));
         assert!(matches!(
             config.validate(),
             Err(ServingError::InvalidConfig {
@@ -3214,7 +3186,7 @@ mod tests {
         ));
         ServingConfig::default()
             .with_ticks_per_batch(100)
-            .with_recalibration(RecalibrationPolicy::new(100, 1e-3))
+            .with_recalibration(MaintenancePolicy::new(100, 1e-3))
             .validate()
             .unwrap();
     }
@@ -3240,7 +3212,7 @@ mod tests {
         let config = ServingConfig::default()
             .with_max_batch(4)
             .with_ticks_per_batch(500)
-            .with_recalibration(RecalibrationPolicy::new(500, 1e-3));
+            .with_recalibration(MaintenancePolicy::new(500, 1e-3));
         let pool = ServingPool::replicate(&engine, 2, config).unwrap();
         let mut answered = 0u64;
         for _ in 0..4 {
@@ -3277,7 +3249,7 @@ mod tests {
             .with_ticks_per_batch(500)
             // An interval no run of this length ever reaches: only the
             // forced request can trigger the check.
-            .with_recalibration(RecalibrationPolicy::new(u64::MAX, 1e-3));
+            .with_recalibration(MaintenancePolicy::new(u64::MAX, 1e-3));
         let pool = ServingPool::replicate(&engine, 1, config).unwrap();
         for answer in pool.serve(&samples) {
             let _ = answer.unwrap();
@@ -3303,8 +3275,7 @@ mod tests {
     fn idle_pool_survives_recalibration_requests() {
         let (train, test) = split_for(912);
         let engine = FebimEngine::fit(&train, EngineConfig::febim_default()).unwrap();
-        let config =
-            ServingConfig::default().with_recalibration(RecalibrationPolicy::new(100, 1e-3));
+        let config = ServingConfig::default().with_recalibration(MaintenancePolicy::new(100, 1e-3));
         let pool = ServingPool::replicate(&engine, 2, config).unwrap();
         // Let the workers reach the parked state, then poke them twice.
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -3342,15 +3313,37 @@ mod tests {
 
     #[test]
     fn invalid_scrub_policy_is_rejected() {
-        let config = ServingConfig::default().with_scrub(ScrubPolicy::new(0, 1e-3));
+        let config = ServingConfig::default().with_scrub(MaintenancePolicy::new(0, 1e-3));
         assert!(matches!(
             config.validate(),
             Err(ServingError::InvalidConfig { name: "scrub", .. })
         ));
         ServingConfig::default()
-            .with_scrub(ScrubPolicy::new(100, 1e-3))
+            .with_scrub(MaintenancePolicy::new(100, 1e-3))
             .validate()
             .unwrap();
+    }
+
+    /// Both crossbar passes reject a tolerance of zero, so both policies
+    /// must: a zero drift tolerance used to validate, then fail every
+    /// drift check once a cell drifted.
+    #[test]
+    fn a_zero_tolerance_is_rejected_for_both_passes() {
+        let zero = MaintenancePolicy::new(10, 0.0);
+        assert!(Maintenance::new(Some(zero), None).is_err());
+        assert!(Maintenance::new(None, Some(zero)).is_err());
+        for (config, pass) in [
+            (
+                ServingConfig::default().with_recalibration(zero),
+                "recalibration",
+            ),
+            (ServingConfig::default().with_scrub(zero), "scrub"),
+        ] {
+            assert!(matches!(
+                config.validate(),
+                Err(ServingError::InvalidConfig { name, .. }) if name == pass
+            ));
+        }
     }
 
     #[test]
@@ -3453,7 +3446,7 @@ mod tests {
         let healthy = FebimEngine::fit(&train, EngineConfig::febim_default()).unwrap();
         let config = ServingConfig::default()
             .with_max_batch(4)
-            .with_scrub(ScrubPolicy::new(1_000_000, 1e-3));
+            .with_scrub(MaintenancePolicy::new(1_000_000, 1e-3));
         let pool = ServingPool::new(vec![struck, healthy], config).unwrap();
         await_quarantine(&pool, 0);
         assert_eq!(pool.serving_replicas(), 1);
@@ -3480,7 +3473,7 @@ mod tests {
         let (struck, samples, train) = struck_engine(918);
         let config = ServingConfig::default()
             .with_max_batch(4)
-            .with_scrub(ScrubPolicy::new(1_000_000, 1e-3));
+            .with_scrub(MaintenancePolicy::new(1_000_000, 1e-3));
         let pool = ServingPool::new(vec![struck], config).unwrap();
         await_quarantine(&pool, 0);
         assert_eq!(pool.serving_replicas(), 0);
@@ -3896,8 +3889,8 @@ mod tests {
         // The scrub tolerance sits far above the drift, so scrubs stay clean.
         let config = ServingConfig::default()
             .with_ticks_per_batch(500)
-            .with_recalibration(RecalibrationPolicy::new(u64::MAX, 1e-3))
-            .with_scrub(ScrubPolicy::new(u64::MAX, 1.0));
+            .with_recalibration(MaintenancePolicy::new(u64::MAX, 1e-3))
+            .with_scrub(MaintenancePolicy::new(u64::MAX, 1.0));
         let run = |recalibrate: bool| {
             let pool = ServingPool::replicate(&engine, 1, config).unwrap();
             assert!(pool.serve(&samples).iter().all(Result::is_ok));
@@ -3950,7 +3943,7 @@ mod tests {
         let (tenant_c, _) = drifting_tenant(935, 0);
         let config = ServingConfig::default()
             .with_ticks_per_batch(500)
-            .with_recalibration(RecalibrationPolicy::new(u64::MAX, 1e-3));
+            .with_recalibration(MaintenancePolicy::new(u64::MAX, 1e-3));
         let run = |recalibrate: bool| {
             let (pool, swaps) = ServingPool::new_routed(
                 vec![
@@ -4018,8 +4011,8 @@ mod tests {
         let config = ServingConfig::default()
             .with_max_batch(1)
             .with_ticks_per_batch(500)
-            .with_recalibration(RecalibrationPolicy::new(500, 1e-3))
-            .with_scrub(ScrubPolicy::new(1_000, 1e-2));
+            .with_recalibration(MaintenancePolicy::new(500, 1e-3))
+            .with_scrub(MaintenancePolicy::new(1_000, 1e-2));
         let (engine_3, samples_3) = tenants.pop().unwrap();
         let (engine_2, samples_2) = tenants.pop().unwrap();
         let (engine_1, samples_1) = tenants.pop().unwrap();
@@ -4074,6 +4067,50 @@ mod tests {
         assert_eq!(bank.recalibration_pulses, alone.recalibration_pulses);
         assert_eq!(bank.rows_remapped, alone.rows_remapped);
         assert_eq!(bank.repair_pulses, alone.repair_pulses);
+    }
+
+    /// A pooled tenant gets exactly the maintenance a standalone
+    /// [`Maintenance`] gives its engine: one batch of one request, then one
+    /// tick of the batch's age. Fails if a tenant ages twice per batch or
+    /// skips a due check.
+    #[test]
+    fn a_pooled_tenant_is_maintained_like_a_standalone_engine() {
+        let (mut engine, samples) = drifting_tenant(943, 1);
+        engine.set_fault_schedule(chaos_schedule());
+        let (recalibration, scrub) = (
+            MaintenancePolicy::new(500, 1e-3),
+            MaintenancePolicy::new(1_000, 1e-2),
+        );
+        let config = ServingConfig::default()
+            .with_max_batch(1)
+            .with_ticks_per_batch(500)
+            .with_recalibration(recalibration)
+            .with_scrub(scrub);
+        let pool = ServingPool::new(vec![engine.clone()], config).unwrap();
+        let answers = pool.serve(&samples);
+        let stats = pool.shutdown();
+        let mut maintenance = Maintenance::new(Some(recalibration), Some(scrub)).unwrap();
+        let mut scratch = engine.make_scratch();
+        for (answer, sample) in answers.iter().zip(&samples) {
+            let served = answer.as_ref().unwrap();
+            let step = engine.infer_into(sample, &mut scratch).unwrap();
+            assert_eq!(served.prediction, step.prediction);
+            assert_eq!(served.tie_broken, step.tie_broken);
+            assert_eq!(served.delay, step.delay);
+            assert_eq!(served.energy, step.energy);
+            let (refresh, repair) = maintenance.tick(&mut engine, 500);
+            refresh.unwrap();
+            repair.unwrap();
+        }
+        let report = maintenance.report();
+        assert!(report.recalibrations > 0 && report.repair.rows_remapped > 0);
+        assert_eq!(stats.recalibration_pulses, report.refresh.pulses_applied);
+        assert_eq!(stats.recalibration_energy_j, report.refresh.energy_joules);
+        assert_eq!(stats.repair_pulses, report.repair.pulses_applied);
+        assert_eq!(stats.repair_energy_j, report.repair.energy_joules);
+        assert_eq!(stats.faults_repaired, report.repair.cells_repaired);
+        assert_eq!(stats.rows_remapped, report.repair.rows_remapped);
+        assert_eq!(stats.recalibration_failures + stats.scrub_failures, 0);
     }
 
     /// A tiled tenant whose unspared fabric took permanent hits before
@@ -4132,7 +4169,7 @@ mod tests {
         let config = ServingConfig::default()
             .with_max_batch(1)
             .with_ticks_per_batch(1)
-            .with_scrub(ScrubPolicy::new(1, 1e-3));
+            .with_scrub(MaintenancePolicy::new(1, 1e-3));
         let (pool, _swaps) =
             ServingPool::new_routed(vec![vec![(1, struck), (2, mate)], vec![(3, alone)]], config)
                 .unwrap();

@@ -212,17 +212,6 @@ impl ConductanceCache {
         &self.on
     }
 
-    /// Cached `V_off` (inhibited) read current of one cell.
-    pub(crate) fn off_current(&self, row: usize, column: usize) -> f64 {
-        self.off[row * self.columns + column]
-    }
-
-    /// On/off current delta of one cell (the contribution an activated
-    /// column adds on top of the row's off-state leakage).
-    pub(crate) fn delta(&self, row: usize, column: usize) -> f64 {
-        self.delta[row * self.columns + column]
-    }
-
     /// The precomputed on/off deltas of one row, indexed by column — the
     /// contiguous slice the 4-lane kernel gathers from.
     pub(crate) fn row_deltas(&self, row: usize) -> &[f64] {
@@ -270,7 +259,7 @@ mod tests {
             assert_eq!(cache.on_current(row, column), cell.read_current_on());
             assert_eq!(cache.off[index], cell.read_current_off());
             assert_eq!(
-                cache.delta(row, column),
+                cache.delta[index],
                 cell.read_current_on() - cell.read_current_off()
             );
         }

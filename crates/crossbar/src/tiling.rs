@@ -478,11 +478,6 @@ impl TileGrid {
         &self.programmer
     }
 
-    /// Replaces the write scheme (half-bias configuration) of every tile.
-    pub fn set_write_scheme(&mut self, scheme: WriteScheme) {
-        self.write_scheme = scheme;
-    }
-
     /// Total write energy spent programming the fabric so far, in joules.
     pub fn write_energy(&self) -> f64 {
         self.write_energy
@@ -1119,68 +1114,6 @@ impl TileGrid {
         Ok(currents)
     }
 
-    /// Partial wordline currents of one tile for a logical activation
-    /// pattern, written into `out` (cleared first): the tile's row off-sums
-    /// over its own columns plus the deltas of the activated columns that
-    /// fall inside the tile. Summing a tile row's partials across its tile
-    /// columns reconstructs the merged currents up to floating-point
-    /// reassociation. Does not count as wordline reads (it is a diagnostic
-    /// sub-read of the same cycle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::IndexOutOfBounds`] for a tile outside the
-    /// grid and [`CrossbarError::ActivationLengthMismatch`] for a foreign
-    /// activation.
-    pub fn tile_partial_currents_into(
-        &self,
-        tile_row: usize,
-        tile_col: usize,
-        activation: &Activation,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        self.check_activation(activation)?;
-        let columns = self.plan.tile_column_range(tile_col)?;
-        let rows = self.plan.tile_row_range(tile_row)?;
-        out.clear();
-        out.reserve(rows.len());
-        self.with_cache(|cache| {
-            for row in rows {
-                let mut current = 0.0;
-                for column in columns.clone() {
-                    current += cache.off_current(row, column);
-                }
-                for &column in activation.active_columns() {
-                    if columns.contains(&column) {
-                        current += cache.delta(row, column);
-                    }
-                }
-                out.push(current);
-            }
-        });
-        Ok(())
-    }
-
-    /// Number of activated columns that fall inside one tile column (the
-    /// bitlines that tile column actually drives during a read).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::IndexOutOfBounds`] for a tile column outside
-    /// the grid.
-    pub fn tile_activated_columns(
-        &self,
-        tile_col: usize,
-        activation: &Activation,
-    ) -> Result<usize> {
-        let columns = self.plan.tile_column_range(tile_col)?;
-        Ok(activation
-            .active_columns()
-            .iter()
-            .filter(|&&column| columns.contains(&column))
-            .count())
-    }
-
     /// Uncached single-wordline read: evaluates the FeFET I-V model — with
     /// the configured non-ideality stack — for every cell of the row on
     /// every call, accumulating in the exact same order as the cached sparse
@@ -1397,8 +1330,40 @@ impl TileGrid {
         self.stack.vth_shift(&ctx) + pol_error
     }
 
+    /// Rewrites one drifted or faulted cell — `(tile index, physical cell
+    /// index)` — in place to its programmed `level`: a direct state install
+    /// priced at the full train under [`ProgrammingMode::Ideal`], the
+    /// minimal Preisach top-up train under [`ProgrammingMode::PulseTrain`].
+    /// Restarts the cell's retention age and disturb count and charges the
+    /// write energy to the fabric; returns the pulses and energy spent.
+    fn rewrite_in_place(
+        &mut self,
+        (tile, local): (usize, usize),
+        level: usize,
+        mode: ProgrammingMode,
+        states: &mut Vec<Option<ProgrammedState>>,
+    ) -> Result<(u64, f64)> {
+        let cell = &mut self.tiles[tile].cells[local];
+        let pulses = match mode {
+            ProgrammingMode::Ideal => {
+                let target = Self::level_state(&self.programmer, states, level)?;
+                cell.device_mut().set_polarization(target.polarization);
+                u64::from(target.write_config.pulse_count) + 1
+            }
+            ProgrammingMode::PulseTrain => u64::from(
+                self.programmer
+                    .refresh_with_pulses(cell.device_mut(), level)?,
+            ),
+        };
+        cell.set_programmed_at(self.clock);
+        cell.reset_disturb();
+        let energy = self.programmer.params().write_energy_per_pulse * pulses as f64;
+        self.write_energy += energy;
+        Ok((pulses, energy))
+    }
+
     /// The largest effective threshold error (volts) over all programmed
-    /// cells — the quantity a recalibration scheduler compares against its
+    /// cells — the quantity a recalibration pass compares against its
     /// tolerance. Cells already classified as stuck are excluded: their
     /// error is permanent by definition and belongs to the scrub/repair
     /// subsystem ([`TileGrid::scrub`]), not to drift recalibration.
@@ -1449,11 +1414,12 @@ impl TileGrid {
         mode: ProgrammingMode,
     ) -> Result<RefreshOutcome> {
         check_tolerance(max_vth_shift, "recalibration")?;
+        let layout = *self.plan.layout();
+        let shape = self.plan.shape();
         let window = self.programmer.params().vth_window();
-        let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
         let mut states: Vec<Option<ProgrammedState>> = Vec::new();
         let mut outcome = RefreshOutcome::default();
-        for row in 0..self.plan.layout().rows() {
+        for row in 0..layout.rows() {
             let mut refresh_row = false;
             for (column, cell) in self.row_cells(row).enumerate() {
                 if cell.is_stuck() {
@@ -1477,36 +1443,22 @@ impl TileGrid {
                 continue;
             }
             outcome.rows_refreshed += 1;
-            let clock = self.clock;
             let (tiles, local_row) = row_tiles(&self.plan, row);
-            for cell in self.tiles[tiles]
-                .iter_mut()
-                .flat_map(|tile| tile.row_mut(local_row))
-            {
+            for column in 0..layout.columns() {
+                let tile_index = tiles.start + column / shape.columns;
+                let local = self.tiles[tile_index].index(local_row, column % shape.columns);
+                let cell = &self.tiles[tile_index].cells[local];
                 if cell.is_stuck() {
                     continue;
                 }
                 let Some(level) = cell.programmed_level() else {
                     continue;
                 };
-                let pulses = match mode {
-                    ProgrammingMode::Ideal => {
-                        let target = Self::level_state(&self.programmer, &mut states, level)?;
-                        cell.device_mut().set_polarization(target.polarization);
-                        u64::from(target.write_config.pulse_count) + 1
-                    }
-                    ProgrammingMode::PulseTrain => u64::from(
-                        self.programmer
-                            .refresh_with_pulses(cell.device_mut(), level)?,
-                    ),
-                };
+                let (pulses, energy) =
+                    self.rewrite_in_place((tile_index, local), level, mode, &mut states)?;
                 outcome.cells_refreshed += 1;
                 outcome.pulses_applied += pulses;
-                let energy = energy_per_pulse * pulses as f64;
                 outcome.energy_joules += energy;
-                self.write_energy += energy;
-                cell.set_programmed_at(clock);
-                cell.reset_disturb();
             }
             self.row_reads.reset_row(row);
             self.mark_row(row);
@@ -1605,23 +1557,10 @@ impl TileGrid {
                     FaultKind::StuckErased
                 };
                 if !cell.is_stuck() {
-                    let cell = &mut self.tiles[tile_index].cells[local];
-                    let pulses = match mode {
-                        ProgrammingMode::Ideal => {
-                            cell.device_mut().set_polarization(target.polarization);
-                            u64::from(target.write_config.pulse_count) + 1
-                        }
-                        ProgrammingMode::PulseTrain => u64::from(
-                            self.programmer
-                                .refresh_with_pulses(cell.device_mut(), level)?,
-                        ),
-                    };
-                    cell.set_programmed_at(clock);
-                    cell.reset_disturb();
+                    let (pulses, energy) =
+                        self.rewrite_in_place((tile_index, local), level, mode, &mut states)?;
                     outcome.pulses_applied += pulses;
-                    let energy = energy_per_pulse * pulses as f64;
                     outcome.energy_joules += energy;
-                    self.write_energy += energy;
                     // A rewrite re-settles the wordline's read history the
                     // same way a recalibration refresh does.
                     self.row_reads.reset_row(row);
@@ -1629,6 +1568,7 @@ impl TileGrid {
                 }
                 // Re-read after the repair attempt.
                 let cell = &self.tiles[tile_index].cells[local];
+                let target = Self::level_state(&self.programmer, &mut states, level)?;
                 if self
                     .effective_shift(row, column, cell, target, window)
                     .abs()
@@ -1896,38 +1836,6 @@ mod tests {
             grid.wordline_currents(&activation).unwrap(),
             array.wordline_currents(&activation).unwrap()
         );
-    }
-
-    #[test]
-    fn tile_partials_sum_to_the_merged_currents() {
-        let (grid, _) = grid_and_array();
-        let layout = *grid.layout();
-        let activation = Activation::from_observation(&layout, &[1, 2, 3, 0]).unwrap();
-        let merged = grid.wordline_currents(&activation).unwrap();
-        let mut partial = Vec::new();
-        for tile_row in 0..grid.plan().row_tiles() {
-            let rows = grid.plan().tile_row_range(tile_row).unwrap();
-            let mut sums = vec![0.0; rows.len()];
-            for tile_col in 0..grid.plan().col_tiles() {
-                grid.tile_partial_currents_into(tile_row, tile_col, &activation, &mut partial)
-                    .unwrap();
-                for (sum, value) in sums.iter_mut().zip(&partial) {
-                    *sum += value;
-                }
-            }
-            for (local_row, sum) in sums.iter().enumerate() {
-                let merged_value = merged[rows.start + local_row];
-                assert!(
-                    (sum - merged_value).abs() <= merged_value.abs() * 1e-12,
-                    "tile row {tile_row} local {local_row}: {sum} vs {merged_value}"
-                );
-            }
-        }
-        // Activated columns distribute across tile columns.
-        let per_tile: usize = (0..grid.plan().col_tiles())
-            .map(|tile_col| grid.tile_activated_columns(tile_col, &activation).unwrap())
-            .sum();
-        assert_eq!(per_tile, activation.len());
     }
 
     #[test]

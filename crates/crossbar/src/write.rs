@@ -55,7 +55,7 @@ impl WriteScheme {
         let mut polarization: Polarization = cell.device().polarization();
         // The per-pulse disturbance is tiny; apply the closed-form compound
         // update instead of iterating potentially millions of pulses.
-        let alpha = PreisachModel::switching_fraction_with(cell.device().params(), pulse);
+        let alpha = PreisachModel::switching_fraction(cell.device().params(), pulse);
         if alpha > 0.0 {
             let remaining = (1.0 - polarization.value()) * (1.0 - alpha).powf(pulses as f64);
             polarization = Polarization::new(1.0 - remaining);
@@ -85,10 +85,12 @@ mod tests {
     #[test]
     fn disturb_is_much_weaker_than_programming() {
         let scheme = WriteScheme::febim_default();
-        let model = PreisachModel::new(FeFetParams::febim_calibrated());
-        let program_alpha =
-            model.switching_fraction(Pulse::new(scheme.write_voltage, scheme.pulse_width));
-        let disturb_alpha = model.switching_fraction(scheme.disturb_pulse());
+        let params = FeFetParams::febim_calibrated();
+        let program_alpha = PreisachModel::switching_fraction(
+            &params,
+            Pulse::new(scheme.write_voltage, scheme.pulse_width),
+        );
+        let disturb_alpha = PreisachModel::switching_fraction(&params, scheme.disturb_pulse());
         assert!(disturb_alpha < program_alpha / 100.0);
     }
 

@@ -141,13 +141,13 @@ impl FeFet {
 
     /// Applies one gate pulse through the Preisach switching model.
     pub fn apply_pulse(&mut self, pulse: Pulse) {
-        self.polarization = PreisachModel::apply_pulse_with(&self.params, self.polarization, pulse);
+        self.polarization = PreisachModel::apply_pulse(&self.params, self.polarization, pulse);
     }
 
     /// Applies a train of identical gate pulses.
     pub fn apply_pulse_train(&mut self, pulse: Pulse, count: u32) {
         self.polarization =
-            PreisachModel::apply_pulse_train_with(&self.params, self.polarization, pulse, count);
+            PreisachModel::apply_pulse_train(&self.params, self.polarization, pulse, count);
     }
 
     /// Fully erases the device (nominal negative pulse).

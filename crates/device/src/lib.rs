@@ -75,8 +75,9 @@ mod proptests {
             width in 1e-9f64..1e-6,
             count in 0u32..200,
         ) {
-            let model = PreisachModel::new(FeFetParams::febim_calibrated());
-            let state = model.apply_pulse_train(
+            let params = FeFetParams::febim_calibrated();
+            let state = PreisachModel::apply_pulse_train(
+                &params,
                 Polarization::new(start),
                 Pulse::new(amplitude, width),
                 count,
@@ -88,10 +89,11 @@ mod proptests {
         /// Positive pulse trains are monotone: more pulses never reduce polarization.
         #[test]
         fn positive_trains_are_monotone(count in 0u32..150) {
-            let model = PreisachModel::new(FeFetParams::febim_calibrated());
-            let pulse = Pulse::nominal_write(model.params());
-            let shorter = model.apply_pulse_train(Polarization::ERASED, pulse, count);
-            let longer = model.apply_pulse_train(Polarization::ERASED, pulse, count + 1);
+            let params = FeFetParams::febim_calibrated();
+            let pulse = Pulse::nominal_write(&params);
+            let shorter = PreisachModel::apply_pulse_train(&params, Polarization::ERASED, pulse, count);
+            let longer =
+                PreisachModel::apply_pulse_train(&params, Polarization::ERASED, pulse, count + 1);
             prop_assert!(longer.value() >= shorter.value());
         }
 

@@ -89,29 +89,20 @@ impl From<f64> for Polarization {
     }
 }
 
-/// Preisach-style accumulation model shared by all FeFET instances that use
-/// the same [`FeFetParams`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PreisachModel {
-    params: FeFetParams,
-}
+/// Preisach-style accumulation model: the switching physics every FeFET
+/// evaluates against its own [`FeFetParams`], borrowed per call so a device
+/// never clones its parameters on a pulse.
+#[derive(Debug)]
+pub struct PreisachModel;
 
 impl PreisachModel {
-    /// Builds the switching model from a device parameter set.
-    pub fn new(params: FeFetParams) -> Self {
-        Self { params }
-    }
-
-    /// Borrow the underlying parameter set.
-    pub fn params(&self) -> &FeFetParams {
-        &self.params
-    }
-
-    /// Per-pulse switching fraction for a borrowed parameter set, without
-    /// constructing a model (the hot-path entry point used by
-    /// [`crate::FeFet`], which would otherwise clone its parameters on every
-    /// pulse).
-    pub fn switching_fraction_with(params: &FeFetParams, pulse: Pulse) -> f64 {
+    /// Per-pulse switching fraction for a pulse of the given amplitude and
+    /// width.
+    ///
+    /// The fraction is referenced to the nominal write pulse and scales
+    /// exponentially with amplitude (field-driven nucleation) and as a
+    /// power law with width, clamped to `[0, 1]`.
+    pub fn switching_fraction(params: &FeFetParams, pulse: Pulse) -> f64 {
         if pulse.amplitude <= 0.0 || pulse.width <= 0.0 {
             return 0.0;
         }
@@ -121,29 +112,20 @@ impl PreisachModel {
         (params.switch_rate * voltage_factor * width_factor).clamp(0.0, 1.0)
     }
 
-    /// Per-pulse switching fraction for a pulse of the given amplitude and
-    /// width.
+    /// Applies a single pulse to a polarization state and returns the new state.
     ///
-    /// The fraction is referenced to the nominal write pulse and scales
-    /// exponentially with amplitude (field-driven nucleation) and as a
-    /// power law with width, clamped to `[0, 1]`.
-    pub fn switching_fraction(&self, pulse: Pulse) -> f64 {
-        Self::switching_fraction_with(&self.params, pulse)
-    }
-
-    /// Applies a single pulse for a borrowed parameter set (see
-    /// [`PreisachModel::apply_pulse`] for the semantics).
-    pub fn apply_pulse_with(
-        params: &FeFetParams,
-        state: Polarization,
-        pulse: Pulse,
-    ) -> Polarization {
+    /// Positive pulses move the state towards [`Polarization::SATURATED`];
+    /// negative pulses with at least half the nominal amplitude move it back
+    /// towards [`Polarization::ERASED`] (modelling the full erase used in the
+    /// paper before multi-level programming), while weak negative pulses
+    /// partially de-program symmetrically to programming.
+    pub fn apply_pulse(params: &FeFetParams, state: Polarization, pulse: Pulse) -> Polarization {
         if pulse.amplitude > 0.0 {
-            let alpha = Self::switching_fraction_with(params, pulse);
+            let alpha = Self::switching_fraction(params, pulse);
             Polarization::new(state.value() + alpha * (1.0 - state.value()))
         } else if pulse.amplitude < 0.0 {
             let erase_pulse = Pulse::new(-pulse.amplitude, pulse.width);
-            let alpha = Self::switching_fraction_with(params, erase_pulse);
+            let alpha = Self::switching_fraction(params, erase_pulse);
             // A full-amplitude erase pulse removes essentially all switched
             // polarization in one shot, consistent with the "full erase"
             // operation that precedes multi-level programming.
@@ -157,19 +139,8 @@ impl PreisachModel {
         }
     }
 
-    /// Applies a single pulse to a polarization state and returns the new state.
-    ///
-    /// Positive pulses move the state towards [`Polarization::SATURATED`];
-    /// negative pulses with at least half the nominal amplitude move it back
-    /// towards [`Polarization::ERASED`] (modelling the full erase used in the
-    /// paper before multi-level programming), while weak negative pulses
-    /// partially de-program symmetrically to programming.
-    pub fn apply_pulse(&self, state: Polarization, pulse: Pulse) -> Polarization {
-        Self::apply_pulse_with(&self.params, state, pulse)
-    }
-
-    /// Applies `count` identical pulses for a borrowed parameter set.
-    pub fn apply_pulse_train_with(
+    /// Applies `count` identical pulses and returns the final state.
+    pub fn apply_pulse_train(
         params: &FeFetParams,
         state: Polarization,
         pulse: Pulse,
@@ -177,31 +148,25 @@ impl PreisachModel {
     ) -> Polarization {
         let mut s = state;
         for _ in 0..count {
-            s = Self::apply_pulse_with(params, s, pulse);
+            s = Self::apply_pulse(params, s, pulse);
         }
         s
     }
 
-    /// Applies `count` identical pulses and returns the final state.
-    pub fn apply_pulse_train(&self, state: Polarization, pulse: Pulse, count: u32) -> Polarization {
-        Self::apply_pulse_train_with(&self.params, state, pulse, count)
-    }
-
     /// Closed-form polarization reached after `count` nominal write pulses
     /// starting from the erased state: `1 - (1 - alpha)^count`.
-    pub fn polarization_after_nominal_pulses(&self, count: u32) -> Polarization {
-        let alpha = self.switching_fraction(Pulse::nominal_write(&self.params));
+    pub fn polarization_after_nominal_pulses(params: &FeFetParams, count: u32) -> Polarization {
+        let alpha = Self::switching_fraction(params, Pulse::nominal_write(params));
         Polarization::new(1.0 - (1.0 - alpha).powi(count as i32))
     }
 
     /// Number of nominal write pulses (rounded up) required to reach at least
-    /// the requested polarization starting from the erased state, for a
-    /// borrowed parameter set.
+    /// the requested polarization starting from the erased state.
     ///
     /// Returns `None` if the target is unreachable (e.g. exactly 1.0, which is
     /// only approached asymptotically, is capped at a large pulse count).
-    pub fn pulses_to_reach_with(params: &FeFetParams, target: Polarization) -> Option<u32> {
-        let alpha = Self::switching_fraction_with(params, Pulse::nominal_write(params));
+    pub fn pulses_to_reach(params: &FeFetParams, target: Polarization) -> Option<u32> {
+        let alpha = Self::switching_fraction(params, Pulse::nominal_write(params));
         if alpha <= 0.0 {
             return None;
         }
@@ -216,29 +181,19 @@ impl PreisachModel {
         Some(n.ceil().max(0.0) as u32)
     }
 
-    /// Number of nominal write pulses (rounded up) required to reach at least
-    /// the requested polarization starting from the erased state.
-    ///
-    /// Returns `None` if the target is unreachable (e.g. exactly 1.0, which is
-    /// only approached asymptotically, is capped at a large pulse count).
-    pub fn pulses_to_reach(&self, target: Polarization) -> Option<u32> {
-        Self::pulses_to_reach_with(&self.params, target)
-    }
-
     /// Number of nominal write pulses (rounded up) required to raise the
-    /// polarization from `from` to at least `target`, for a borrowed
-    /// parameter set — the minimal top-up train a recalibration pass applies
-    /// to a cell that has only partially decayed, instead of paying the full
-    /// erase-and-retrain cost.
+    /// polarization from `from` to at least `target` — the minimal top-up
+    /// train a recalibration pass applies to a cell that has only partially
+    /// decayed, instead of paying the full erase-and-retrain cost.
     ///
     /// Returns `Some(0)` when the state is already at or above the target
     /// and `None` when the target is unreachable (≥ 1.0).
-    pub fn pulses_to_reach_from_with(
+    pub fn pulses_to_reach_from(
         params: &FeFetParams,
         from: Polarization,
         target: Polarization,
     ) -> Option<u32> {
-        let alpha = Self::switching_fraction_with(params, Pulse::nominal_write(params));
+        let alpha = Self::switching_fraction(params, Pulse::nominal_write(params));
         if alpha <= 0.0 {
             return None;
         }
@@ -255,21 +210,14 @@ impl PreisachModel {
         let n = ((1.0 - t) / (1.0 - s)).ln() / (1.0 - alpha).ln();
         Some(n.ceil().max(0.0) as u32)
     }
-
-    /// Number of nominal write pulses (rounded up) required to raise the
-    /// polarization from `from` to at least `target` (see
-    /// [`PreisachModel::pulses_to_reach_from_with`]).
-    pub fn pulses_to_reach_from(&self, from: Polarization, target: Polarization) -> Option<u32> {
-        Self::pulses_to_reach_from_with(&self.params, from, target)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn model() -> PreisachModel {
-        PreisachModel::new(FeFetParams::febim_calibrated())
+    fn calibrated() -> FeFetParams {
+        FeFetParams::febim_calibrated()
     }
 
     #[test]
@@ -282,54 +230,66 @@ mod tests {
 
     #[test]
     fn nominal_pulse_switching_fraction_matches_calibration() {
-        let m = model();
-        let alpha = m.switching_fraction(Pulse::nominal_write(m.params()));
+        let params = calibrated();
+        let alpha = PreisachModel::switching_fraction(&params, Pulse::nominal_write(&params));
         assert!((alpha - 0.019).abs() < 1e-12);
     }
 
     #[test]
     fn zero_or_negative_geometry_pulses_do_not_switch() {
-        let m = model();
-        assert_eq!(m.switching_fraction(Pulse::new(4.0, 0.0)), 0.0);
-        assert_eq!(m.switching_fraction(Pulse::new(0.0, 300e-9)), 0.0);
+        let params = calibrated();
+        assert_eq!(
+            PreisachModel::switching_fraction(&params, Pulse::new(4.0, 0.0)),
+            0.0
+        );
+        assert_eq!(
+            PreisachModel::switching_fraction(&params, Pulse::new(0.0, 300e-9)),
+            0.0
+        );
     }
 
     #[test]
     fn higher_amplitude_switches_more() {
-        let m = model();
-        let low = m.switching_fraction(Pulse::new(3.0, 300e-9));
-        let nominal = m.switching_fraction(Pulse::new(4.0, 300e-9));
-        let high = m.switching_fraction(Pulse::new(4.5, 300e-9));
+        let params = calibrated();
+        let low = PreisachModel::switching_fraction(&params, Pulse::new(3.0, 300e-9));
+        let nominal = PreisachModel::switching_fraction(&params, Pulse::new(4.0, 300e-9));
+        let high = PreisachModel::switching_fraction(&params, Pulse::new(4.5, 300e-9));
         assert!(low < nominal);
         assert!(nominal < high);
     }
 
     #[test]
     fn longer_pulse_switches_more() {
-        let m = model();
-        let short = m.switching_fraction(Pulse::new(4.0, 100e-9));
-        let long = m.switching_fraction(Pulse::new(4.0, 900e-9));
+        let params = calibrated();
+        let short = PreisachModel::switching_fraction(&params, Pulse::new(4.0, 100e-9));
+        let long = PreisachModel::switching_fraction(&params, Pulse::new(4.0, 900e-9));
         assert!(short < long);
     }
 
     #[test]
     fn pulse_train_saturates_towards_one() {
-        let m = model();
-        let p = m.apply_pulse_train(Polarization::ERASED, Pulse::nominal_write(m.params()), 500);
+        let params = calibrated();
+        let p = PreisachModel::apply_pulse_train(
+            &params,
+            Polarization::ERASED,
+            Pulse::nominal_write(&params),
+            500,
+        );
         assert!(p.value() > 0.99);
         assert!(p.value() <= 1.0);
     }
 
     #[test]
     fn closed_form_matches_iterative_train() {
-        let m = model();
+        let params = calibrated();
         for count in [0u32, 1, 5, 40, 70, 120] {
-            let iterative = m.apply_pulse_train(
+            let iterative = PreisachModel::apply_pulse_train(
+                &params,
                 Polarization::ERASED,
-                Pulse::nominal_write(m.params()),
+                Pulse::nominal_write(&params),
                 count,
             );
-            let closed = m.polarization_after_nominal_pulses(count);
+            let closed = PreisachModel::polarization_after_nominal_pulses(&params, count);
             assert!(
                 (iterative.value() - closed.value()).abs() < 1e-9,
                 "mismatch at {count} pulses"
@@ -339,44 +299,51 @@ mod tests {
 
     #[test]
     fn full_erase_resets_state() {
-        let m = model();
-        let programmed =
-            m.apply_pulse_train(Polarization::ERASED, Pulse::nominal_write(m.params()), 60);
+        let params = calibrated();
+        let programmed = PreisachModel::apply_pulse_train(
+            &params,
+            Polarization::ERASED,
+            Pulse::nominal_write(&params),
+            60,
+        );
         assert!(programmed.value() > 0.5);
-        let erased = m.apply_pulse(programmed, Pulse::nominal_erase(m.params()));
+        let erased = PreisachModel::apply_pulse(&params, programmed, Pulse::nominal_erase(&params));
         assert_eq!(erased, Polarization::ERASED);
     }
 
     #[test]
     fn weak_negative_pulse_partially_deprograms() {
-        let m = model();
+        let params = calibrated();
         let programmed = Polarization::new(0.6);
-        let after = m.apply_pulse(programmed, Pulse::new(-3.0, 300e-9));
+        let after = PreisachModel::apply_pulse(&params, programmed, Pulse::new(-3.0, 300e-9));
         assert!(after.value() < 0.6);
         assert!(after.value() > 0.0);
     }
 
     #[test]
     fn zero_amplitude_pulse_is_identity() {
-        let m = model();
+        let params = calibrated();
         let state = Polarization::new(0.42);
-        assert_eq!(m.apply_pulse(state, Pulse::new(0.0, 300e-9)), state);
+        assert_eq!(
+            PreisachModel::apply_pulse(&params, state, Pulse::new(0.0, 300e-9)),
+            state
+        );
     }
 
     #[test]
     fn pulses_to_reach_brackets_the_target() {
-        let m = model();
+        let params = calibrated();
         for target in [0.1, 0.3, 0.529, 0.748, 0.9] {
-            let n = m
-                .pulses_to_reach(Polarization::new(target))
+            let n = PreisachModel::pulses_to_reach(&params, Polarization::new(target))
                 .expect("reachable");
-            let reached = m.polarization_after_nominal_pulses(n).value();
+            let reached = PreisachModel::polarization_after_nominal_pulses(&params, n).value();
             assert!(
                 reached >= target - 1e-9,
                 "target {target} not reached at {n}"
             );
             if n > 0 {
-                let before = m.polarization_after_nominal_pulses(n - 1).value();
+                let before =
+                    PreisachModel::polarization_after_nominal_pulses(&params, n - 1).value();
                 assert!(
                     before < target,
                     "target {target} already reached before {n}"
@@ -390,9 +357,9 @@ mod tests {
         // The paper's Fig. 4(b) shows the 0.1 µA..1.0 µA states being reached
         // with roughly 40 to 70 pulses; the calibration targets p ≈ 0.53 and
         // p ≈ 0.75 for those two extreme states.
-        let m = model();
-        let low_state = m.pulses_to_reach(Polarization::new(0.529)).unwrap();
-        let high_state = m.pulses_to_reach(Polarization::new(0.748)).unwrap();
+        let params = calibrated();
+        let low_state = PreisachModel::pulses_to_reach(&params, Polarization::new(0.529)).unwrap();
+        let high_state = PreisachModel::pulses_to_reach(&params, Polarization::new(0.748)).unwrap();
         assert!(
             (35..=45).contains(&low_state),
             "low state pulses {low_state}"
@@ -405,56 +372,77 @@ mod tests {
 
     #[test]
     fn top_up_trains_are_minimal_and_bracket_the_target() {
-        let m = model();
+        let params = calibrated();
         for (from, target) in [(0.0, 0.3), (0.2, 0.529), (0.5, 0.748), (0.74, 0.748)] {
             let from = Polarization::new(from);
             let target = Polarization::new(target);
-            let n = m.pulses_to_reach_from(from, target).expect("reachable");
-            let reached = m
-                .apply_pulse_train(from, Pulse::nominal_write(m.params()), n)
-                .value();
+            let n = PreisachModel::pulses_to_reach_from(&params, from, target).expect("reachable");
+            let reached =
+                PreisachModel::apply_pulse_train(&params, from, Pulse::nominal_write(&params), n)
+                    .value();
             assert!(
                 reached >= target.value() - 1e-9,
                 "target not reached at {n}"
             );
             if n > 0 {
-                let before = m
-                    .apply_pulse_train(from, Pulse::nominal_write(m.params()), n - 1)
-                    .value();
+                let before = PreisachModel::apply_pulse_train(
+                    &params,
+                    from,
+                    Pulse::nominal_write(&params),
+                    n - 1,
+                )
+                .value();
                 assert!(before < target.value(), "train of {n} not minimal");
             }
         }
         // Topping up from erased matches the from-scratch count.
         let target = Polarization::new(0.6);
         assert_eq!(
-            m.pulses_to_reach_from(Polarization::ERASED, target),
-            m.pulses_to_reach(target)
+            PreisachModel::pulses_to_reach_from(&params, Polarization::ERASED, target),
+            PreisachModel::pulses_to_reach(&params, target)
         );
         // A decayed-but-close state needs far fewer pulses than a retrain.
-        let close = m
-            .pulses_to_reach_from(Polarization::new(0.72), Polarization::new(0.748))
-            .unwrap();
-        let scratch = m.pulses_to_reach(Polarization::new(0.748)).unwrap();
+        let close = PreisachModel::pulses_to_reach_from(
+            &params,
+            Polarization::new(0.72),
+            Polarization::new(0.748),
+        )
+        .unwrap();
+        let scratch = PreisachModel::pulses_to_reach(&params, Polarization::new(0.748)).unwrap();
         assert!(close < scratch / 4, "top-up {close} vs retrain {scratch}");
     }
 
     #[test]
     fn top_up_handles_degenerate_inputs() {
-        let m = model();
+        let params = calibrated();
         assert_eq!(
-            m.pulses_to_reach_from(Polarization::new(0.8), Polarization::new(0.5)),
+            PreisachModel::pulses_to_reach_from(
+                &params,
+                Polarization::new(0.8),
+                Polarization::new(0.5)
+            ),
             Some(0)
         );
         assert_eq!(
-            m.pulses_to_reach_from(Polarization::new(0.3), Polarization::SATURATED),
+            PreisachModel::pulses_to_reach_from(
+                &params,
+                Polarization::new(0.3),
+                Polarization::SATURATED
+            ),
             None
         );
     }
 
     #[test]
     fn unreachable_targets_reported() {
-        let m = model();
-        assert_eq!(m.pulses_to_reach(Polarization::SATURATED), None);
-        assert_eq!(m.pulses_to_reach(Polarization::ERASED), Some(0));
+        let params = calibrated();
+        assert_eq!(
+            PreisachModel::pulses_to_reach(&params, Polarization::SATURATED),
+            None
+        );
+        assert_eq!(
+            PreisachModel::pulses_to_reach(&params, Polarization::ERASED),
+            Some(0)
+        );
     }
 }

@@ -169,7 +169,7 @@ impl LevelProgrammer {
     pub fn state_for_level(&self, level: usize) -> Result<ProgrammedState> {
         let target_current = self.target_current(level)?;
         let polarization = self.polarization_for_current(target_current);
-        let pulse_count = PreisachModel::pulses_to_reach_with(&self.params, polarization).ok_or(
+        let pulse_count = PreisachModel::pulses_to_reach(&self.params, polarization).ok_or(
             DeviceError::ProgrammingDidNotConverge {
                 max_pulses: u32::MAX,
                 target_amps: target_current,
@@ -250,7 +250,7 @@ impl LevelProgrammer {
         if current.value() > state.polarization.value() {
             return Ok(None);
         }
-        Ok(PreisachModel::pulses_to_reach_from_with(
+        Ok(PreisachModel::pulses_to_reach_from(
             &self.params,
             current,
             state.polarization,

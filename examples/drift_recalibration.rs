@@ -3,8 +3,8 @@
 //!
 //! Programs an iris-scale array under a full non-ideality stack (retention
 //! drift, tier-quantized read disturb, wordline/bitline IR-drop), ages it,
-//! watches the accuracy respond, then hands the engine to an online
-//! [`RecalibrationScheduler`] that reprograms drifted cells back to their
+//! watches the accuracy respond, then hands the engine to a drift-only
+//! [`Maintenance`] schedule that reprograms drifted cells back to their
 //! targets — and finally prices the whole maintenance schedule with a
 //! Monte-Carlo noise campaign.
 //!
@@ -63,13 +63,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(recovered, fresh, "sigma = 0 reprogramming is bit-exact");
 
-    // The online version: a scheduler that watches the array's state epoch,
-    // skips the drift scan while nothing changed, and refreshes whenever the
-    // worst effective shift passes tolerance.
+    // The online version: a schedule that watches the array's state epoch,
+    // skips the drift scan while nothing changed, and refreshes whenever a
+    // cell drifts past tolerance.
     println!("\n-- online recalibration scheduler --");
-    let mut scheduler = RecalibrationScheduler::new(RecalibrationPolicy::new(5_000, 1e-3))?;
+    let mut maintenance = Maintenance::new(Some(MaintenancePolicy::new(5_000, 1e-3)), None)?;
     for window in 0..6 {
-        if let Some(outcome) = scheduler.tick(&mut engine, 12_500)? {
+        let (refresh, _) = maintenance.tick(&mut engine, 12_500);
+        if let Some(outcome) = refresh? {
             println!(
                 "window {window}: refreshed {} cells ({} pulses)",
                 outcome.cells_refreshed, outcome.pulses_applied
@@ -78,13 +79,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("window {window}: nothing to do");
         }
     }
-    let report = scheduler.report();
+    let report = maintenance.report();
     println!(
         "scheduler totals: {} scans + {} epoch-skips, {} refresh passes, {:.2} pJ",
-        report.checks,
-        report.skipped_checks,
-        report.passes,
-        1e12 * report.outcome.energy_joules
+        report.drift_checks,
+        report.drift_skips,
+        report.recalibrations,
+        1e12 * report.refresh.energy_joules
     );
 
     // Price the maintenance policy: fresh vs aged vs recovered accuracy per

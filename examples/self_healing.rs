@@ -4,10 +4,10 @@
 //! Three acts:
 //!
 //! 1. **Scrub and repair.** A tiled fabric with spare rows takes scheduled
-//!    stuck-at hits while a [`ScrubScheduler`] runs periodic BIST-style
-//!    signature checks: transient faults are healed in place, a permanent
-//!    stuck cell consumes a spare row, and the replica's health walks
-//!    Healthy → Degraded → Healthy as the chaos passes.
+//!    stuck-at hits while a scrub-only [`Maintenance`] schedule runs
+//!    periodic BIST-style signature checks: transient faults are healed in
+//!    place, a permanent stuck cell consumes a spare row, and the replica's
+//!    health walks Healthy → Degraded → Healthy as the chaos passes.
 //! 2. **Quarantine and failover.** A two-replica serving pool takes an
 //!    unrepairable hit on replica 0 (no spare rows this time): the
 //!    between-batches scrub quarantines it and the survivor absorbs all
@@ -54,12 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fresh_accuracy = engine.evaluate(&split.test)?.accuracy;
     let fresh_map = engine.current_map();
     engine.set_fault_schedule(chaos(true));
-    let mut scheduler = ScrubScheduler::new(ScrubPolicy::new(10, 1e-6))?;
+    let mut maintenance = Maintenance::new(None, Some(MaintenancePolicy::new(10, 1e-6)))?;
     println!("act 1: chaos vs a spared fabric (scrub every 10 ticks)");
     for window in 1..=8 {
         let struck_before = engine.pending_faults();
-        let outcome = scheduler.tick(&mut engine, 10)?;
-        match outcome {
+        let (_, repair) = maintenance.tick(&mut engine, 10);
+        match repair? {
             Some(outcome) => println!(
                 "  t={:3}: scrub found {} defect(s), repaired {} (rows remapped {}), \
                  health {:?}",
@@ -67,13 +67,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 outcome.stuck_cells + outcome.cells_repaired,
                 outcome.cells_repaired,
                 outcome.rows_remapped,
-                scheduler.health(),
+                maintenance.health(),
             ),
             None => println!(
                 "  t={:3}: clean ({} strike(s) pending), health {:?}",
                 window * 10,
                 struck_before,
-                scheduler.health(),
+                maintenance.health(),
             ),
         }
     }
@@ -85,8 +85,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {} check(s) run, {} skipped as epoch no-ops\n",
         healed_accuracy,
         fresh_accuracy,
-        scheduler.report().checks,
-        scheduler.report().skipped_checks,
+        maintenance.report().scrub_checks,
+        maintenance.report().scrub_skips,
     );
 
     // Act 2: the same permanent hit against a pool replica with no spare
@@ -99,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let healthy = FebimEngine::fit(&split.train, config.clone())?;
     let serving = ServingConfig::febim_default()
         .with_max_batch(8)
-        .with_scrub(ScrubPolicy::new(1_000_000, 1e-3));
+        .with_scrub(MaintenancePolicy::new(1_000_000, 1e-3));
     let pool = ServingPool::new(vec![struck, healthy], serving)?;
     let samples: Vec<Vec<f64>> = (0..split.test.n_samples())
         .map(|index| split.test.sample(index).expect("sample").to_vec())
@@ -146,7 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         2,
         ServingConfig::febim_default()
             .with_max_batch(8)
-            .with_scrub(ScrubPolicy::new(1_000_000, 1e-3)),
+            .with_scrub(MaintenancePolicy::new(1_000_000, 1e-3)),
     )?;
     let software = FebimEngine::fit_software(&split.train, config)?;
     println!("act 3: chaos vs every replica of the pool");

@@ -62,10 +62,9 @@ pub mod prelude {
     pub use febim_core::{
         epoch_accuracy, noise_campaign, performance_metrics, variation_sweep, BackendInfo,
         BackendKind, BatchTelemetry, CrossbarBackend, EngineConfig, FebimEngine, InferenceBackend,
-        MetricsConfig, MonteCarlo, NoisePoint, NoiseScenario, PoolStats, RecalibrationPolicy,
-        RecalibrationScheduler, ReplicaHealth, ScrubPolicy, ScrubReport, ScrubScheduler,
-        ServeOutcome, ServingConfig, ServingError, ServingPool, SoftwareBackend, Ticket,
-        TiledFabricBackend, WorkerReport,
+        Maintenance, MaintenancePolicy, MaintenanceReport, MetricsConfig, MonteCarlo, NoisePoint,
+        NoiseScenario, PoolStats, ReplicaHealth, ServeOutcome, ServingConfig, ServingError,
+        ServingPool, SoftwareBackend, Ticket, TiledFabricBackend, WorkerReport,
     };
     pub use febim_crossbar::{FaultKind, FaultSchedule, ScheduledFault, ScrubOutcome, TileShape};
     pub use febim_data::rng::seeded_rng;

@@ -8,11 +8,9 @@
 //!   uncached reference read under every non-ideality configuration, at
 //!   every point of the schedule, on both the monolithic array and the
 //!   tiled fabric (which must also agree with each other);
-//! * a serving pool with an online recalibration scheduler sustains
-//!   request traffic through forced recalibration with zero dropped or
-//!   hung tickets.
+//! * a serving pool with online recalibration sustains request traffic
+//!   through forced recalibration with zero dropped or hung tickets.
 
-use febim_suite::core::{RecalibrationPolicy, RecalibrationScheduler};
 use febim_suite::crossbar::{Activation, ProgrammingMode};
 use febim_suite::device::{NonIdealityStack, ReadDisturb, RetentionDrift, WireResistance};
 use febim_suite::prelude::*;
@@ -110,16 +108,20 @@ fn scheduler_keeps_an_aging_engine_at_fresh_accuracy() {
     let fresh = FebimEngine::fit(&split.train, config.clone()).expect("fresh engine");
     let mut engine = FebimEngine::fit(&split.train, config).expect("aging engine");
 
-    let policy = RecalibrationPolicy::new(1_000, 1e-3);
-    let mut scheduler = RecalibrationScheduler::new(policy).expect("scheduler");
+    let policy = MaintenancePolicy::new(1_000, 1e-3);
+    let mut scheduler = Maintenance::new(Some(policy), None).expect("scheduler");
     let mut rng = seeded_rng(77);
     for _ in 0..20 {
         let ticks = rng.gen_range(500u64..5_000);
-        scheduler.tick(&mut engine, ticks).expect("scheduler tick");
+        scheduler
+            .tick(&mut engine, ticks)
+            .0
+            .expect("scheduler tick");
         // Force one due check so the maintained engine is freshly calibrated
         // before comparing (a tick may land mid-interval).
         scheduler
             .tick(&mut engine, policy.check_interval_ticks)
+            .0
             .expect("forced check");
         for index in 0..split.test.n_samples() {
             let sample = split.test.sample(index).expect("sample");
@@ -130,9 +132,12 @@ fn scheduler_keeps_an_aging_engine_at_fresh_accuracy() {
         }
     }
     let report = scheduler.report();
-    assert!(report.checks > 0, "the scheduler never ran a drift scan");
     assert!(
-        report.outcome.cells_refreshed > 0,
+        report.drift_checks > 0,
+        "the scheduler never ran a drift scan"
+    );
+    assert!(
+        report.refresh.cells_refreshed > 0,
         "the schedule never refreshed a cell"
     );
 }
@@ -153,7 +158,7 @@ fn serving_pool_survives_forced_recalibration_without_losing_tickets() {
     let serving = ServingConfig::febim_default()
         .with_max_batch(4)
         .with_ticks_per_batch(400)
-        .with_recalibration(RecalibrationPolicy::new(400, 1e-3));
+        .with_recalibration(MaintenancePolicy::new(400, 1e-3));
     let pool = ServingPool::replicate(&engine, 2, serving).expect("pool");
     let samples: Vec<Vec<f64>> = (0..split.test.n_samples())
         .map(|index| split.test.sample(index).unwrap().to_vec())

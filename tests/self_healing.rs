@@ -1,5 +1,5 @@
 //! Self-healing chaos matrix: seeded fault schedules strike engines on
-//! every physical backend while the scrub scheduler runs its periodic
+//! every physical backend while a scrub schedule runs its periodic
 //! BIST-style signature checks. The invariants under test:
 //!
 //! * **Detection latency** — any harmful defect introduced inside a scrub
@@ -51,11 +51,12 @@ fn run_chaos_campaign<B: InferenceBackend>(
     engine: &mut FebimEngine<B>,
     interval: u64,
     horizon: u64,
-) -> ScrubScheduler {
-    let mut scheduler = ScrubScheduler::new(ScrubPolicy::new(interval, 1e-6)).expect("scheduler");
+) -> Maintenance {
+    let mut scheduler =
+        Maintenance::new(None, Some(MaintenancePolicy::new(interval, 1e-6))).expect("scheduler");
     let mut elapsed = 0;
     while elapsed < horizon + interval {
-        scheduler.tick(engine, interval).expect("scrub tick");
+        scheduler.tick(engine, interval).1.expect("scrub tick");
         elapsed += interval;
         assert_eq!(
             engine.worst_effective_shift(),
@@ -123,7 +124,7 @@ fn permanent_chaos_on_a_spared_fabric_remaps_and_stays_serving() {
     let scheduler = run_chaos_campaign(&mut engine, 10, 120);
 
     assert!(
-        scheduler.report().outcome.rows_remapped >= 1,
+        scheduler.report().repair.rows_remapped >= 1,
         "a permanent harmful defect must consume a spare row"
     );
     assert!(
@@ -213,7 +214,7 @@ fn quarantine_under_load_answers_every_ticket_exactly_once() {
         ServingConfig::febim_default()
             .with_max_batch(4)
             .with_ticks_per_batch(5)
-            .with_scrub(ScrubPolicy::new(1_000_000, 1e-3)),
+            .with_scrub(MaintenancePolicy::new(1_000_000, 1e-3)),
     )
     .expect("pool");
 
@@ -282,7 +283,7 @@ fn a_fully_quarantined_fabric_pool_degrades_to_software_fallback() {
         ServingConfig::febim_default()
             .with_max_batch(4)
             .with_ticks_per_batch(5)
-            .with_scrub(ScrubPolicy::new(1_000_000, 1e-3)),
+            .with_scrub(MaintenancePolicy::new(1_000_000, 1e-3)),
     )
     .expect("pool");
 

@@ -283,7 +283,7 @@ fn abort_partitions_every_ticket_between_served_and_rejected() {
 /// surviving replicas answered is bit-correct.
 #[test]
 fn chaos_quarantine_under_load_resolves_every_ticket_exactly_once() {
-    use febim_suite::prelude::{FaultKind, FaultSchedule, ScheduledFault, ScrubPolicy};
+    use febim_suite::prelude::{FaultKind, FaultSchedule, MaintenancePolicy, ScheduledFault};
 
     const PRODUCERS: usize = 4;
     const PER_PRODUCER: usize = 50;
@@ -319,7 +319,7 @@ fn chaos_quarantine_under_load_resolves_every_ticket_exactly_once() {
             .with_max_batch(8)
             .with_queue_depth(32)
             .with_ticks_per_batch(5)
-            .with_scrub(ScrubPolicy::new(1_000_000, 1e-3)),
+            .with_scrub(MaintenancePolicy::new(1_000_000, 1e-3)),
     )
     .expect("pool");
 
