@@ -4,7 +4,8 @@
 
 use febim_bench::{emit, eng};
 use febim_core::Table;
-use febim_quant::{column_normalized, truncated_log, LevelCurrentMap, UniformQuantizer};
+use febim_device::LevelProgrammer;
+use febim_quant::{column_normalized, truncated_log, UniformQuantizer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Fig. 4(a): the paper's illustrative example uses probabilities spanning
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let normalized = column_normalized(&logs);
     let low = normalized.iter().copied().fold(f64::INFINITY, f64::min);
     let quantizer = UniformQuantizer::new(low, 1.0, 10)?;
-    let current_map = LevelCurrentMap::febim_default(10)?;
+    let programmer = LevelProgrammer::febim_default(10)?;
 
     let mut mapping = Table::new(
         "fig4a_probability_mapping",
@@ -32,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             logs[index],
             normalized[index],
             level as f64,
-            current_map.current_for_level(level)?,
+            programmer.target_current(level)?,
         ]);
     }
     emit(&mapping);
@@ -42,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Fig. 4(b): pulse count vs programmed state for the ten-level window.
-    let states = current_map.programmed_states()?;
+    let states = programmer.all_states()?;
     let mut pulses = Table::new(
         "fig4b_pulse_count_vs_state",
         &["level", "target_ids_a", "polarization", "gate_pulse_count"],

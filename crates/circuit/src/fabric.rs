@@ -41,95 +41,6 @@ pub struct TileGeometry {
     pub activated_columns: usize,
 }
 
-/// Fabric-level cost of one online recalibration pass.
-///
-/// The crossbar layer reports what a pass *did* (pulses applied, write
-/// energy spent); this type prices what it *cost the fabric*: how long the
-/// reprogrammed tiles were unavailable for reads, how many inferences that
-/// stall displaced, and — amortized over the reads served between passes —
-/// the fractional throughput and energy overhead of keeping the array
-/// calibrated. A scheduler tunes its check interval by holding these two
-/// fractions below budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RecalibrationOverhead {
-    /// Wall-clock time the pass occupied the write path, in seconds.
-    pub stall_time: f64,
-    /// Number of reads the stall displaced (`stall_time / read delay`).
-    pub reads_displaced: f64,
-    /// Fractional throughput loss when one such pass runs every
-    /// `reads_per_interval` reads.
-    pub throughput_overhead: f64,
-    /// Fractional energy overhead per served read over the same interval.
-    pub energy_overhead: f64,
-}
-
-impl RecalibrationOverhead {
-    /// Prices a recalibration pass against a representative read.
-    ///
-    /// `pulses_applied` and `refresh_energy` come from the crossbar's
-    /// refresh report; `pulse_duration` is the programming pulse width;
-    /// `read` and `read_energy` describe one inference on the same fabric;
-    /// `reads_per_interval` is how many reads are served between passes.
-    ///
-    /// A pass that applied no pulses prices to exactly zero overhead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidParameter`] for a non-positive or
-    /// non-finite pulse duration, a negative or non-finite refresh energy,
-    /// a non-positive read delay or read energy, or a zero interval.
-    pub fn price(
-        pulses_applied: u64,
-        refresh_energy: f64,
-        pulse_duration: f64,
-        read: &DelayBreakdown,
-        read_energy: &InferenceEnergy,
-        reads_per_interval: u64,
-    ) -> Result<Self> {
-        if !pulse_duration.is_finite() || pulse_duration <= 0.0 {
-            return Err(CircuitError::InvalidParameter {
-                name: "pulse_duration",
-                reason: format!("must be positive and finite, got {pulse_duration}"),
-            });
-        }
-        if !refresh_energy.is_finite() || refresh_energy < 0.0 {
-            return Err(CircuitError::InvalidParameter {
-                name: "refresh_energy",
-                reason: format!("must be non-negative and finite, got {refresh_energy}"),
-            });
-        }
-        let read_delay = read.total();
-        if !read_delay.is_finite() || read_delay <= 0.0 {
-            return Err(CircuitError::InvalidParameter {
-                name: "read_delay",
-                reason: format!("must be positive and finite, got {read_delay}"),
-            });
-        }
-        let per_read_energy = read_energy.total();
-        if !per_read_energy.is_finite() || per_read_energy <= 0.0 {
-            return Err(CircuitError::InvalidParameter {
-                name: "read_energy",
-                reason: format!("must be positive and finite, got {per_read_energy}"),
-            });
-        }
-        if reads_per_interval == 0 {
-            return Err(CircuitError::InvalidParameter {
-                name: "reads_per_interval",
-                reason: "amortization interval must cover at least one read".to_string(),
-            });
-        }
-        let stall_time = pulses_applied as f64 * pulse_duration;
-        let reads_displaced = stall_time / read_delay;
-        let interval = reads_per_interval as f64;
-        Ok(Self {
-            stall_time,
-            reads_displaced,
-            throughput_overhead: reads_displaced / interval,
-            energy_overhead: refresh_energy / (interval * per_read_energy),
-        })
-    }
-}
-
 fn validate_tiles(tiles: &[TileGeometry], col_tiles: usize) -> Result<()> {
     if tiles.is_empty() {
         return Err(CircuitError::EmptyInput);
@@ -408,83 +319,6 @@ mod tests {
             chain.sense_fabric_into(&[1e-6, 1e-6], &grid_2x2(), 2, &mut scratch),
             Err(CircuitError::AmbiguousWinner { .. })
         ));
-    }
-
-    #[test]
-    fn recalibration_overhead_amortizes_over_the_interval() {
-        let chain = chain();
-        let merged = [1.0e-6, 1.4e-6, 0.8e-6];
-        let mut scratch = Vec::new();
-        let readout = chain
-            .sense_fabric_into(&merged, &grid_2x2(), 2, &mut scratch)
-            .unwrap();
-        let overhead = RecalibrationOverhead::price(
-            64,
-            2.4e-9,
-            100e-9,
-            &readout.delay,
-            &readout.energy,
-            10_000,
-        )
-        .unwrap();
-        assert!((overhead.stall_time - 64.0 * 100e-9).abs() < 1e-18);
-        assert!(overhead.reads_displaced > 0.0);
-        assert!(overhead.throughput_overhead > 0.0);
-        assert!(overhead.energy_overhead > 0.0);
-        // Doubling the interval halves both amortized fractions.
-        let relaxed = RecalibrationOverhead::price(
-            64,
-            2.4e-9,
-            100e-9,
-            &readout.delay,
-            &readout.energy,
-            20_000,
-        )
-        .unwrap();
-        assert!((relaxed.throughput_overhead - overhead.throughput_overhead / 2.0).abs() < 1e-15);
-        assert!((relaxed.energy_overhead - overhead.energy_overhead / 2.0).abs() < 1e-15);
-        // The stall itself is interval-independent.
-        assert_eq!(relaxed.stall_time, overhead.stall_time);
-        assert_eq!(relaxed.reads_displaced, overhead.reads_displaced);
-    }
-
-    #[test]
-    fn zero_pulse_pass_prices_to_zero_overhead() {
-        let chain = chain();
-        let merged = [1.0e-6, 1.4e-6];
-        let readout = chain.sense(&merged, 4).unwrap();
-        let overhead =
-            RecalibrationOverhead::price(0, 0.0, 100e-9, &readout.delay, &readout.energy, 100)
-                .unwrap();
-        assert_eq!(overhead.stall_time, 0.0);
-        assert_eq!(overhead.reads_displaced, 0.0);
-        assert_eq!(overhead.throughput_overhead, 0.0);
-        assert_eq!(overhead.energy_overhead, 0.0);
-    }
-
-    #[test]
-    fn recalibration_overhead_rejects_degenerate_inputs() {
-        let delay = DelayBreakdown {
-            array: 1e-9,
-            sensing: 1e-9,
-        };
-        let energy = InferenceEnergy {
-            array: 1e-12,
-            sensing: 1e-12,
-        };
-        assert!(RecalibrationOverhead::price(1, 1e-12, 0.0, &delay, &energy, 10).is_err());
-        assert!(RecalibrationOverhead::price(1, -1.0, 1e-9, &delay, &energy, 10).is_err());
-        assert!(RecalibrationOverhead::price(1, 1e-12, 1e-9, &delay, &energy, 0).is_err());
-        let zero_delay = DelayBreakdown {
-            array: 0.0,
-            sensing: 0.0,
-        };
-        assert!(RecalibrationOverhead::price(1, 1e-12, 1e-9, &zero_delay, &energy, 10).is_err());
-        let zero_energy = InferenceEnergy {
-            array: 0.0,
-            sensing: 0.0,
-        };
-        assert!(RecalibrationOverhead::price(1, 1e-12, 1e-9, &delay, &zero_energy, 10).is_err());
     }
 
     #[test]

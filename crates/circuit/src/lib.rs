@@ -48,9 +48,9 @@ pub use batch::{fabric_wordline_driver_energy, wordline_driver_energy, ReadGroup
 pub use delay::{DelayBreakdown, DelayModel, DelayParams};
 pub use energy::{EnergyModel, EnergyParams, InferenceEnergy};
 pub use errors::{CircuitError, Result};
-pub use fabric::{RecalibrationOverhead, TileGeometry};
+pub use fabric::TileGeometry;
 pub use mirror::CurrentMirror;
-pub use sense::{SenseMargin, SenseOutcome, SenseReadout, SensingChain};
+pub use sense::{SenseOutcome, SenseReadout, SensingChain};
 pub use shift_add::merge_plane_sums_into;
 pub use transient::{first_order_settling, integrate, TransientConfig, Waveform, WaveformPoint};
 pub use wta::{WtaCircuit, WtaDecision, WtaParams, WtaTransient};

@@ -5,32 +5,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::delay::{DelayBreakdown, DelayModel};
 use crate::energy::{EnergyModel, InferenceEnergy};
-use crate::errors::{CircuitError, Result};
+use crate::errors::Result;
 use crate::mirror::CurrentMirror;
 use crate::transient::TransientConfig;
 use crate::wta::{WtaCircuit, WtaDecision, WtaTransient};
-
-/// Separation between the winning wordline current and its runner-up.
-///
-/// Time-varying non-idealities (retention drift, read disturb, IR drop)
-/// shift every cell current, and the first observable casualty is not the
-/// predicted class but the *margin* the WTA resolves it with: drifted
-/// currents converge long before they cross. This snapshot quantifies that
-/// erosion so a recalibration policy can trip on a shrinking relative
-/// margin instead of waiting for an outright misprediction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SenseMargin {
-    /// Index of the wordline carrying the maximum current.
-    pub winner: usize,
-    /// Index of the second-largest wordline current.
-    pub runner_up: usize,
-    /// Winner-minus-runner-up current gap, in amperes (pre-mirror).
-    pub absolute: f64,
-    /// The gap normalized by the winner current, in `(0, 1]`. Dimensionless
-    /// and mirror-gain invariant: the mirror scales the winner and the gap
-    /// by the same factor, so this is the number to track over time.
-    pub relative: f64,
-}
 
 /// Outcome of pushing one set of wordline currents through the sensing module.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -182,66 +160,6 @@ impl SensingChain {
         })
     }
 
-    /// Measures the winner/runner-up separation of one set of wordline
-    /// currents without committing a read: no mirror copy, no WTA
-    /// resolution, no delay or energy pricing. Recalibration schedulers use
-    /// this to watch drift-induced margin erosion cheaply.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::EmptyInput`] for no currents,
-    /// [`CircuitError::InvalidParameter`] for fewer than two rows (a
-    /// runner-up must exist), [`CircuitError::InvalidCurrent`] for a
-    /// negative or non-finite current and
-    /// [`CircuitError::AmbiguousWinner`] for an exact tie at the maximum.
-    pub fn sense_margin(&self, wordline_currents: &[f64]) -> Result<SenseMargin> {
-        if wordline_currents.is_empty() {
-            return Err(CircuitError::EmptyInput);
-        }
-        if wordline_currents.len() < 2 {
-            return Err(CircuitError::InvalidParameter {
-                name: "wordline_currents",
-                reason: "a sense margin needs at least two wordlines".to_string(),
-            });
-        }
-        for (index, &value) in wordline_currents.iter().enumerate() {
-            if !(value >= 0.0 && value.is_finite()) {
-                return Err(CircuitError::InvalidCurrent { index, value });
-            }
-        }
-        let mut winner = 0usize;
-        for (index, &value) in wordline_currents.iter().enumerate().skip(1) {
-            if value > wordline_currents[winner] {
-                winner = index;
-            }
-        }
-        let ties: Vec<usize> = wordline_currents
-            .iter()
-            .enumerate()
-            .filter(|(_, &value)| value == wordline_currents[winner])
-            .map(|(index, _)| index)
-            .collect();
-        if ties.len() > 1 {
-            return Err(CircuitError::AmbiguousWinner { indices: ties });
-        }
-        let mut runner_up = usize::from(winner == 0);
-        for (index, &value) in wordline_currents.iter().enumerate() {
-            if index != winner && value > wordline_currents[runner_up] {
-                runner_up = index;
-            }
-        }
-        let absolute = wordline_currents[winner] - wordline_currents[runner_up];
-        // A unique winner over non-negative inputs is strictly positive, so
-        // the normalization never divides by zero.
-        let relative = absolute / wordline_currents[winner];
-        Ok(SenseMargin {
-            winner,
-            runner_up,
-            absolute,
-            relative,
-        })
-    }
-
     /// Simulates the WTA output transients for one set of wordline currents
     /// (the data behind Fig. 5(c)).
     ///
@@ -317,64 +235,6 @@ mod tests {
         assert_eq!(readout.delay, outcome.delay);
         assert_eq!(readout.energy, outcome.energy);
         assert_eq!(scratch, outcome.mirrored_currents);
-    }
-
-    #[test]
-    fn sense_margin_identifies_winner_and_runner_up() {
-        let chain = SensingChain::febim_calibrated();
-        let margin = chain.sense_margin(&[0.8e-6, 1.6e-6, 1.2e-6]).unwrap();
-        assert_eq!(margin.winner, 1);
-        assert_eq!(margin.runner_up, 2);
-        assert!((margin.absolute - 0.4e-6).abs() < 1e-18);
-        assert!((margin.relative - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sense_margin_shrinks_as_drifted_currents_converge() {
-        // Retention drift lowers every programmed current towards the same
-        // off-state floor, so the winner and runner-up converge over time.
-        let chain = SensingChain::febim_calibrated();
-        let fresh = chain.sense_margin(&[0.6e-6, 1.8e-6, 1.1e-6]).unwrap();
-        // The same array after drift: all currents pulled towards 0.5 µA.
-        let drifted = chain.sense_margin(&[0.55e-6, 0.9e-6, 0.75e-6]).unwrap();
-        assert_eq!(fresh.winner, drifted.winner);
-        assert!(drifted.relative < fresh.relative);
-        assert!(drifted.absolute < fresh.absolute);
-        // The relative margin stays in (0, 1].
-        assert!(drifted.relative > 0.0 && drifted.relative <= 1.0);
-    }
-
-    #[test]
-    fn sense_margin_is_mirror_gain_invariant() {
-        let chain = SensingChain::febim_calibrated();
-        let raw = [0.6e-6, 1.8e-6, 1.1e-6];
-        let mirrored = chain.mirror().copy_all(&raw).unwrap();
-        let a = chain.sense_margin(&raw).unwrap();
-        let b = chain.sense_margin(&mirrored).unwrap();
-        assert_eq!(a.winner, b.winner);
-        assert_eq!(a.runner_up, b.runner_up);
-        assert!((a.relative - b.relative).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sense_margin_rejects_degenerate_inputs() {
-        let chain = SensingChain::febim_calibrated();
-        assert!(matches!(
-            chain.sense_margin(&[]),
-            Err(CircuitError::EmptyInput)
-        ));
-        assert!(matches!(
-            chain.sense_margin(&[1e-6]),
-            Err(CircuitError::InvalidParameter { .. })
-        ));
-        assert!(matches!(
-            chain.sense_margin(&[1e-6, f64::NAN]),
-            Err(CircuitError::InvalidCurrent { .. })
-        ));
-        assert!(matches!(
-            chain.sense_margin(&[1e-6, 1e-6, 0.5e-6]),
-            Err(CircuitError::AmbiguousWinner { .. })
-        ));
     }
 
     #[test]

@@ -190,60 +190,6 @@ impl SensingChain {
         Ok(energy)
     }
 
-    /// Senses one packed shift-add read on a monolithic array without
-    /// allocating: merges the plane partials into `merged_scratch`, mirrors
-    /// them into `mirrored_scratch` (both cleared first), resolves the WTA
-    /// and prices the packed delay and energy.
-    ///
-    /// The decision runs over the merged currents through the exact mirror
-    /// and WTA a one-hot read uses. Packed integer scores tie far more often
-    /// than analog sums, so callers should expect and handle
-    /// [`CircuitError::AmbiguousWinner`]; the public
-    /// [`SensingChain::shift_add_delay`] / [`SensingChain::shift_add_energy`]
-    /// helpers let a tie fallback price the read identically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates merge, mirror, WTA, delay and energy errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sense_shift_add_into(
-        &self,
-        plane_sums: &[f64],
-        planes: usize,
-        cell_bits: usize,
-        lsb_current: f64,
-        floor_current: f64,
-        activated_columns: usize,
-        merged_scratch: &mut Vec<f64>,
-        mirrored_scratch: &mut Vec<f64>,
-    ) -> Result<SenseReadout> {
-        merge_plane_sums_into(
-            plane_sums,
-            planes,
-            lsb_current,
-            floor_current,
-            merged_scratch,
-        )?;
-        self.mirror()
-            .copy_all_into(merged_scratch, mirrored_scratch)?;
-        let decision = self.wta().resolve(mirrored_scratch)?;
-        let delay = self.shift_add_delay(merged_scratch.len(), activated_columns, planes)?;
-        let energy = self.shift_add_energy(
-            merged_scratch,
-            mirrored_scratch,
-            activated_columns,
-            planes,
-            cell_bits,
-            delay.total(),
-        )?;
-        Ok(SenseReadout {
-            winner: decision.winner,
-            decision,
-            delay,
-            energy,
-        })
-    }
-
     /// Worst-case delay of one packed shift-add read on a tiled fabric: the
     /// parallel per-tile settling and merge bus of
     /// [`SensingChain::fabric_delay`], plus one merge-bus pass per plane.
@@ -305,9 +251,17 @@ impl SensingChain {
     }
 
     /// Senses one packed shift-add read on a tiled fabric without
-    /// allocating — the fabric counterpart of
-    /// [`SensingChain::sense_shift_add_into`], pricing delay and energy with
-    /// the fabric variants.
+    /// allocating: merges the plane partials into `merged_scratch`, mirrors
+    /// them into `mirrored_scratch` (both cleared first), resolves the WTA
+    /// and prices the packed fabric delay and energy.
+    ///
+    /// The decision runs over the merged currents through the exact mirror
+    /// and WTA a one-hot read uses. Packed integer scores tie far more often
+    /// than analog sums, so callers should expect and handle
+    /// [`CircuitError::AmbiguousWinner`]; the public
+    /// [`SensingChain::shift_add_fabric_delay`] /
+    /// [`SensingChain::shift_add_fabric_energy`] helpers let a tie fallback
+    /// price the read identically.
     ///
     /// # Errors
     ///
@@ -366,6 +320,15 @@ mod tests {
 
     const LSB: f64 = 0.1e-6;
 
+    /// A fabric of one tile with every column activated.
+    fn one_tile(rows: usize, columns: usize) -> TileGeometry {
+        TileGeometry {
+            rows,
+            columns,
+            activated_columns: columns,
+        }
+    }
+
     #[test]
     fn merge_weighs_planes_by_powers_of_two() {
         // Two rows, three planes: scores 1·1 + 2·2 + 4·3 = 17 and
@@ -404,7 +367,17 @@ mod tests {
         let mut merged = Vec::new();
         let mut mirrored = Vec::new();
         let readout = chain
-            .sense_shift_add_into(&sums, 2, 2, LSB, 0.0, 8, &mut merged, &mut mirrored)
+            .sense_shift_add_fabric_into(
+                &sums,
+                2,
+                2,
+                LSB,
+                0.0,
+                &[one_tile(3, 8)],
+                1,
+                &mut merged,
+                &mut mirrored,
+            )
             .unwrap();
         assert_eq!(readout.winner, 1);
         assert_eq!(merged, vec![5.0 * LSB, 14.0 * LSB, 9.0 * LSB]);
@@ -421,7 +394,17 @@ mod tests {
         let mut merged = Vec::new();
         let mut mirrored = Vec::new();
         assert!(matches!(
-            chain.sense_shift_add_into(&sums, 2, 2, LSB, 0.0, 4, &mut merged, &mut mirrored),
+            chain.sense_shift_add_fabric_into(
+                &sums,
+                2,
+                2,
+                LSB,
+                0.0,
+                &[one_tile(2, 4)],
+                1,
+                &mut merged,
+                &mut mirrored
+            ),
             Err(CircuitError::AmbiguousWinner { .. })
         ));
         // The tie fallback can still price the read via the public helpers.
@@ -504,19 +487,8 @@ mod tests {
             )
             .unwrap();
         let mut merged_mono = Vec::new();
-        let mut mirrored_mono = Vec::new();
-        let monolithic = chain
-            .sense_shift_add_into(
-                &sums,
-                2,
-                2,
-                LSB,
-                0.0,
-                6,
-                &mut merged_mono,
-                &mut mirrored_mono,
-            )
-            .unwrap();
+        merge_plane_sums_into(&sums, 2, LSB, 0.0, &mut merged_mono).unwrap();
+        let monolithic = chain.sense(&merged_mono, 6).unwrap();
         assert_eq!(fabric.winner, monolithic.winner);
         assert_eq!(merged, merged_mono);
         // Fabric pricing layers the per-plane merge pass on the fabric base.

@@ -1,10 +1,10 @@
 //! Multi-tenant model registry: compiled/tiled programs registered under
 //! model ids, placed onto a fleet of tile-grid banks by a capacity-aware
-//! placer, and served through the routed [`ServingPool`] with per-request
-//! model routing.
+//! placer, and served with per-request model routing.
 //!
-//! Each bank is one routed worker hosting its own [`TileGrid`]-backed
-//! engines (one per resident tenant), budgeted in *tiles*. Registering a
+//! Each bank is a one-worker [`ServingPool`] hosting its own
+//! [`TileGrid`]-backed engines (one per resident tenant), budgeted in
+//! *tiles*; each request goes to the bank hosting its model. Registering a
 //! model compiles and programs it; when a bank runs out of tiles the
 //! least-recently-served tenants are evicted and the freed tiles hot-swap
 //! reprogrammed in place — the erase and programming pulse trains are
@@ -14,11 +14,12 @@
 //! [`ServingConfig`] recalibration and scrub policies of
 //! [`RegistryConfig::with_serving`] age, refresh and repair each tenant on
 //! its own schedule, and a tenant quarantined by an unrepairable fault
-//! answers through its exact software twin. Evicted models stay in the registry's catalog and fault back in
-//! transparently on their next request. [`ModelRegistry::snapshot`] /
-//! [`ModelRegistry::restore`] round-trip a tenant's compiled program (the
-//! trained model, the quantized tables and the tiled program) through JSON,
-//! so a model can be reloaded from bytes without its training data.
+//! answers through its exact software twin. Evicted models stay in the
+//! registry's catalog and fault back in transparently on their next
+//! request. [`ModelRegistry::snapshot`] / [`ModelRegistry::restore`]
+//! round-trip a tenant's compiled program (the trained model, the quantized
+//! tables and the tiled program) through JSON, so a model can be reloaded
+//! from bytes without its training data.
 //!
 //! [`TileGrid`]: febim_crossbar::TileGrid
 
@@ -140,12 +141,13 @@ impl From<CoreError> for RegistryError {
 /// knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegistryConfig {
-    /// Routed workers (banks), each hosting its own tile grids.
+    /// Banks, each a one-worker pool hosting its own tile grids.
     pub banks: usize,
     /// Tile budget of one bank; a tenant's tiled program must fit within
     /// it, and residents beyond it are evicted least-recently-served first.
     pub tiles_per_bank: usize,
-    /// Serving configuration of the underlying routed pool.
+    /// Serving configuration of every bank; each bank admits
+    /// `queue_depth.div_ceil(banks)` of its queue depth.
     pub serving: ServingConfig,
 }
 
@@ -236,7 +238,7 @@ impl RegistryState {
 pub struct TenantPlacement {
     /// The placed model.
     pub model: u64,
-    /// Bank (routed worker) hosting it.
+    /// Bank hosting it.
     pub bank: usize,
     /// Tiles its program occupies.
     pub tiles: usize,
@@ -278,14 +280,14 @@ struct ModelSnapshot {
 // The registry
 // ---------------------------------------------------------------------------
 
-/// Multi-tenant registry over a routed [`ServingPool`] of tile-grid banks.
-/// See the [module docs](self) for the placement and hot-swap semantics.
+/// Multi-tenant registry over tile-grid banks, each a one-worker
+/// [`ServingPool`]. See the [module docs](self) for the placement and
+/// hot-swap semantics.
 pub struct ModelRegistry {
     config: RegistryConfig,
-    pool: ServingPool,
-    /// The routed pool's typed hot-swap queue: every eviction and install
-    /// is posted through it to the target bank's worker.
-    swaps: SwapQueue<TiledFabricBackend>,
+    /// One pool per bank, with the typed hot-swap queue every eviction and
+    /// install on that bank is posted through.
+    banks: Vec<(ServingPool, SwapQueue<TiledFabricBackend>)>,
     state: Mutex<RegistryState>,
 }
 
@@ -298,22 +300,23 @@ impl fmt::Debug for ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// Builds an empty registry: `config.banks` routed workers, each with
-    /// an empty tenant bank and a `config.tiles_per_bank` tile budget.
+    /// Builds an empty registry: `config.banks` empty bank pools, each with
+    /// a `config.tiles_per_bank` tile budget.
     ///
     /// # Errors
     ///
     /// Configuration validation and pool construction errors.
     pub fn new(config: RegistryConfig) -> Result<Self, RegistryError> {
         config.validate()?;
-        let banks: Vec<Vec<(u64, FebimEngine<TiledFabricBackend>)>> =
-            (0..config.banks).map(|_| Vec::new()).collect();
-        let (pool, swaps) = ServingPool::new_routed(banks, config.serving)?;
+        let depth = config.serving.queue_depth.div_ceil(config.banks);
+        let serving = config.serving.with_queue_depth(depth);
+        let banks = (0..config.banks)
+            .map(|_| ServingPool::new_bank(Vec::new(), serving))
+            .collect::<Result<_, _>>()?;
         let used = vec![0; config.banks];
         Ok(Self {
             config,
-            pool,
-            swaps,
+            banks,
             state: Mutex::new(RegistryState {
                 catalog: HashMap::new(),
                 resident: HashMap::new(),
@@ -416,16 +419,19 @@ impl ModelRegistry {
     /// serving/inference errors.
     pub fn serve(&self, model: u64, sample: &[f64]) -> Result<ServeOutcome, RegistryError> {
         for _ in 0..FAULT_IN_ATTEMPTS {
-            self.ensure_resident(model)?;
-            match self
-                .pool
-                .submit_routed_blocking(model, sample.to_vec())
+            let bank = self.ensure_resident(model)?.bank;
+            match self.banks[bank]
+                .0
+                .submit_tenant_blocking(model, sample.to_vec())
                 .and_then(Ticket::wait)
             {
-                Ok(outcome) => return Ok(outcome),
+                Ok(mut outcome) => {
+                    outcome.worker = bank;
+                    return Ok(outcome);
+                }
                 // The model was evicted between the fault-in and the
-                // dispatch (another tenant's install raced it): fault it
-                // back in and retry.
+                // dispatch (another tenant's install raced it), so its bank
+                // answered it unavailable: fault it back in and retry.
                 Err(ServingError::ModelUnavailable { .. }) => continue,
                 Err(err) => return Err(RegistryError::Serving(err)),
             }
@@ -464,7 +470,7 @@ impl ModelRegistry {
             return Ok(None);
         };
         state.used[placement.bank] -= placement.tiles;
-        let ticket = self.swaps.post(placement.bank, vec![model], None);
+        let ticket = self.banks[placement.bank].1.post(vec![model], None);
         drop(state);
         Ok(Some(ticket.wait()?))
     }
@@ -530,10 +536,11 @@ impl ModelRegistry {
         self.lock_state().resident.get(&model).map(|p| p.bank)
     }
 
-    /// Shuts the underlying pool down gracefully and returns its serving
-    /// statistics (hot-swap pulse and energy totals included).
+    /// Shuts every bank down gracefully and returns their merged serving
+    /// statistics (hot-swap pulse and energy totals included), one worker
+    /// report per bank, numbered by bank.
     pub fn shutdown(self) -> PoolStats {
-        self.pool.shutdown()
+        ServingPool::shutdown_banks(self.banks.into_iter().map(|(pool, _)| pool))
     }
 
     fn lock_state(&self) -> std::sync::MutexGuard<'_, RegistryState> {
@@ -550,8 +557,8 @@ impl ModelRegistry {
 
     /// Places `model` onto a bank — already-resident models just refresh
     /// their LRU stamp — evicting least-recently-served tenants when the
-    /// chosen bank is over budget, and posts the hot swap to the bank's
-    /// worker, returning its ticket for the caller to await *after*
+    /// chosen bank is over budget, and posts the hot swap to the bank,
+    /// returning its ticket for the caller to await *after*
     /// releasing the state lock (see [`ModelRegistry::finish_install`]).
     /// `engine` carries the pre-built engine of a fresh registration; on a
     /// fault-in it is rebuilt from the catalog through
@@ -657,9 +664,9 @@ impl ModelRegistry {
                 last_used: stamp,
             },
         );
-        let ticket = self
-            .swaps
-            .post(bank, evicted.clone(), Some((model, engine)));
+        let ticket = self.banks[bank]
+            .1
+            .post(evicted.clone(), Some((model, engine)));
         Ok((
             TenantPlacement {
                 model,

@@ -5,14 +5,14 @@
 //! **tenant slots**:
 //!
 //! ```text
-//!  clients ─submit()──────▶ ring 0 ──▶ worker 0 ─ bank [slot][slot]…
-//!     │  replica: any ring    ring 1 ──▶ worker 1 ─ bank [slot]
-//!     │  routed: the model's    ⋮   ▲ steal (replica pools only)
+//!  clients ─submit()──▶ ring 0 ──▶ worker 0 ─ [slot]       (replica pool:
+//!     │  any ring      ring 1 ──▶ worker 1 ─ [slot]         one slot per
+//!     │                  ⋮   ▲ steal                         worker)
 //!     ◀─Ticket::wait()── per-request publish cell ◀── batched completion
 //!
-//!  owner ─SwapQueue::post()─▶ swap inbox[w] ─┐
-//!  request_recalibration() ───────────────────┼─▶ control bits[w]
-//!  request_scrub() ───────────────────────────┘   SWAP│RECALIBRATE│SCRUB
+//!  owner ─SwapQueue::post()─▶ swap inbox ─┐  (bank pool: one worker,
+//!  request_recalibration() ───────────────┼─▶ control bits[w]  many slots)
+//!  request_scrub() ───────────────────────┘   SWAP│RECALIBRATE│SCRUB
 //!
 //!  worker w: ┌▶ take control bits: service swaps, run forced checks
 //!            │  park while every tenant is quarantined and another
@@ -28,22 +28,25 @@
 //! it, its exact software twin
 //! ([`FebimEngine::software_fallback`]). A *replica* pool
 //! ([`ServingPool::new`]) has one slot per worker, each a replica of the
-//! shared model, with work stealing and failover between workers. A
-//! *routed* pool (the [`ModelRegistry`](crate::ModelRegistry)'s) has a bank
-//! of tenants per worker, keyed by model id; a request is pinned to the
-//! bank hosting its model, so there is neither stealing nor failover.
-//! Maintenance follows the tenant, not the pool mode. So does quarantine:
-//! a worker whose tenants are all quarantined parks while another worker
-//! can take its jobs (a replica pool with a serving replica left);
-//! otherwise its quarantined tenants answer through their software twins —
-//! on a routed bank at once, because its tenants live nowhere else.
+//! shared model, with work stealing and failover between workers. Each
+//! bank of the [`ModelRegistry`](crate::ModelRegistry) is a *bank* pool:
+//! one worker hosting that bank's tenants, keyed by model id, which
+//! dispatches each request to the tenant its model id names; a request for
+//! a model the bank no longer hosts is answered
+//! [`ServingError::ModelUnavailable`]. Every pool runs the same protocol;
+//! a one-worker pool simply has no one to steal from or fail over to.
+//! Maintenance follows the tenant. So does quarantine: a worker whose
+//! tenants are all quarantined parks while another worker can take its
+//! jobs (a replica pool with a serving replica left); otherwise its
+//! quarantined tenants answer through their software twins — on a bank at
+//! once, because its tenants live nowhere else.
 //!
 //! **Control.** Each worker has a control word of request bits. A
 //! requester sets bits and wakes parked workers; the worker takes them
 //! between batches, or as soon as it wakes. A bit stays set until taken, so
 //! no request is lost — not even one posted before the worker starts — and
 //! one kind of request never triggers another. Hot swaps travel typed on a
-//! `SwapQueue`, which the routed constructor hands to the pool's owner.
+//! `SwapQueue`, which the bank constructor hands to the pool's owner.
 //!
 //! **Batching.** Each worker owns a bounded lock-free ring (sequence-
 //! numbered slots, atomic head/tail). It pops a batch of up to
@@ -83,7 +86,6 @@
 //! shutdown resolves to its report or to [`ServingError::ShutDown`].
 
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::mem::MaybeUninit;
@@ -124,6 +126,8 @@ pub struct ServingConfig {
     /// poll finds.
     pub max_wait_ticks: u32,
     /// Total admission capacity across all rings (the backpressure limit).
+    /// A registry splits it between its banks: each bank pool admits
+    /// `queue_depth.div_ceil(banks)`.
     pub queue_depth: usize,
     /// Physical ticks each dispatched batch advances the clock of every
     /// tenant on the worker's bank (ageing the cells under the configured
@@ -261,10 +265,10 @@ pub enum ServingError {
     ShutDown,
     /// The request reached a worker but inference failed.
     Inference(CoreError),
-    /// A routed request names a model no worker currently hosts (never
-    /// registered, or evicted from the pool).
+    /// A request names a model its bank does not host (in a registry: one
+    /// evicted after the request was queued).
     ModelUnavailable {
-        /// The model id the request was routed by.
+        /// The model id the request named.
         model: u64,
     },
     /// Spawning a worker thread failed while building the pool; the
@@ -289,7 +293,7 @@ impl fmt::Display for ServingError {
             ServingError::ShutDown => write!(f, "serving pool is shut down"),
             ServingError::Inference(err) => write!(f, "inference failed: {err}"),
             ServingError::ModelUnavailable { model } => {
-                write!(f, "no worker hosts model {model}")
+                write!(f, "the bank does not host model {model}")
             }
             ServingError::WorkerSpawn { reason } => {
                 write!(f, "failed to spawn a serving worker thread: {reason}")
@@ -614,8 +618,8 @@ struct Job {
     /// Worker that last failed this job; it bounces the job to a surviving
     /// replica instead of retrying on the replica that already failed it.
     avoid: Option<usize>,
-    /// Model id of a routed request (`None` on replica pools, where every
-    /// worker serves the one shared model).
+    /// Model id of a request to a bank's tenant (`None` on replica pools,
+    /// where every worker serves the one shared model).
     model: Option<u64>,
 }
 
@@ -629,13 +633,6 @@ impl Job {
             avoid: None,
             model: None,
         }
-    }
-
-    /// A request routed to a specific tenant model of a routed pool.
-    fn routed(sample: Vec<f64>, ticket: Arc<TicketCell>, model: u64) -> Self {
-        let mut job = Self::new(sample, ticket);
-        job.model = Some(model);
-        job
     }
 
     fn complete(mut self, result: ServeResult) {
@@ -729,15 +726,6 @@ impl Ring {
                 pos = self.enqueue.load(Ordering::Relaxed);
             }
         }
-    }
-
-    /// Approximate fullness check (exact when no push/pop races it). Used
-    /// only by the routed blocking producer to decide whether to park, where
-    /// a stale answer just costs one extra retry loop.
-    fn is_full(&self) -> bool {
-        let enqueue = self.enqueue.load(Ordering::Relaxed);
-        let dequeue = self.dequeue.load(Ordering::Relaxed);
-        enqueue.wrapping_sub(dequeue) >= self.slots.len()
     }
 
     /// Non-blocking pop; `None` when the ring is empty.
@@ -852,33 +840,10 @@ struct PoolShared {
     /// a submitter wake can never land on a worker that must not serve.
     quarantine_lock: Mutex<()>,
     quarantine_cv: Condvar,
-    /// Routed mode: each worker hosts its own tenant models, jobs are
-    /// pinned to the worker hosting their model, and workers neither steal
-    /// nor fail over nor rely on `notify_one` wakes that could land on a
-    /// different tenant's worker.
-    routed: bool,
-    /// Per-ring admitted-but-not-popped counts. Only load-bearing in routed
-    /// mode, where a worker's park/wake condition is *its own* ring rather
-    /// than the global count (a neighbour tenant's backlog must not keep it
-    /// spinning).
-    ring_queued: Vec<AtomicUsize>,
-    /// model id → hosting worker of a routed pool.
-    routes: Mutex<HashMap<u64, usize>>,
-}
-
-/// Where an admitted job may be placed.
-#[derive(Debug, Clone, Copy)]
-enum Target {
-    /// Any serving ring (replica pools): round-robin, overflowing into any
-    /// ring with space.
-    Any,
-    /// One worker's ring (routed pools: the bank hosting the job's model).
-    /// Nobody steals from it, so a full ring is backpressure.
-    Worker(usize),
 }
 
 impl PoolShared {
-    fn new(workers: usize, capacity: usize, routed: bool) -> Self {
+    fn new(workers: usize, capacity: usize) -> Self {
         let per_ring = capacity.div_ceil(workers).next_power_of_two().max(2);
         Self {
             rings: (0..workers).map(|_| Ring::new(per_ring)).collect(),
@@ -901,26 +866,7 @@ impl PoolShared {
             serving_workers: AtomicUsize::new(workers),
             quarantine_lock: Mutex::new(()),
             quarantine_cv: Condvar::new(),
-            routed,
-            ring_queued: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
-            routes: Mutex::new(HashMap::new()),
         }
-    }
-
-    fn lock_routes(&self) -> std::sync::MutexGuard<'_, HashMap<u64, usize>> {
-        self.routes.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Looks up the worker hosting `model`.
-    fn route_of(&self, model: u64) -> Option<usize> {
-        self.lock_routes().get(&model).copied()
-    }
-
-    /// The ring a request for `model` must land on.
-    fn target_of(&self, model: u64) -> Result<Target, ServingError> {
-        self.route_of(model)
-            .map(Target::Worker)
-            .ok_or(ServingError::ModelUnavailable { model })
     }
 
     /// Lock-free read of one worker's published health.
@@ -928,12 +874,10 @@ impl PoolShared {
         ReplicaHealth::from_u8(self.health[worker].load(Ordering::SeqCst))
     }
 
-    /// Whether another worker can take `worker`'s jobs: only replica pools
-    /// share jobs between workers, and only while another replica serves.
+    /// Whether another worker can take `worker`'s jobs: only while another
+    /// replica serves, so never on a one-worker bank.
     fn can_hand_off(&self, worker: usize) -> bool {
-        !self.routed
-            && (0..self.health.len())
-                .any(|index| index != worker && self.health_of(index).is_serving())
+        (0..self.health.len()).any(|index| index != worker && self.health_of(index).is_serving())
     }
 
     /// Publishes a worker's health transition. Entering quarantine
@@ -1010,43 +954,35 @@ impl PoolShared {
         }
     }
 
-    /// Non-blocking admission + placement onto `target`. On failure the job
-    /// is handed back untouched alongside the typed error.
+    /// Non-blocking admission + placement. On failure the job is handed
+    /// back untouched alongside the typed error.
     // The large Err is the point: rejected jobs come back by value so the
     // backpressure path never allocates.
     #[allow(clippy::result_large_err)]
-    fn try_push(&self, target: Target, job: Job) -> Result<(), (Job, ServingError)> {
+    fn try_push(&self, job: Job) -> Result<(), (Job, ServingError)> {
         self.pushing.fetch_add(1, Ordering::SeqCst);
-        let result = self.admit(target, job);
+        let result = self.admit(job);
         self.pushing.fetch_sub(1, Ordering::SeqCst);
         result
     }
 
     #[allow(clippy::result_large_err)]
-    fn admit(&self, target: Target, job: Job) -> Result<(), (Job, ServingError)> {
+    fn admit(&self, job: Job) -> Result<(), (Job, ServingError)> {
         if self.closed.load(Ordering::SeqCst) {
             return Err((job, ServingError::ShutDown));
         }
         // Admission: the global count enforces `queue_depth` exactly, so
         // ring capacities (rounded up to powers of two) never leak extra
         // slots past the configured backpressure limit.
-        let full = ServingError::QueueFull {
-            capacity: self.capacity,
-        };
         if self.queued.fetch_add(1, Ordering::SeqCst) >= self.capacity {
             self.queued.fetch_sub(1, Ordering::SeqCst);
+            let full = ServingError::QueueFull {
+                capacity: self.capacity,
+            };
             return Err((job, full));
         }
-        let placed = match target {
-            Target::Any => self.place(job),
-            Target::Worker(worker) => self.rings[worker]
-                .push(job)
-                .map(|()| worker)
-                .map_err(|job| (job, full)),
-        };
-        match placed {
-            Ok(index) => {
-                self.ring_queued[index].fetch_add(1, Ordering::SeqCst);
+        match self.place(job) {
+            Ok(()) => {
                 fence(Ordering::SeqCst);
                 self.wake_worker();
                 Ok(())
@@ -1058,14 +994,14 @@ impl PoolShared {
         }
     }
 
-    /// Places an admitted replica job round-robin, overflowing into any ring
-    /// with space, and returns its ring. Admission guarantees a free slot
-    /// (total ring capacity ≥ `queue_depth`), so a scan misses only while a
-    /// concurrent push/pop is mid-flight. The first sweep skips quarantined
-    /// workers' rings while any worker serves; the second overflows onto
-    /// them, since stealing still drains them.
+    /// Places an admitted job round-robin, overflowing into any ring with
+    /// space. Admission guarantees a free slot (total ring capacity ≥
+    /// `queue_depth`), so a scan misses only while a concurrent push/pop is
+    /// mid-flight. The first sweep skips quarantined workers' rings while
+    /// any worker serves; the second overflows onto them, since stealing
+    /// still drains them.
     #[allow(clippy::result_large_err)]
-    fn place(&self, job: Job) -> Result<usize, (Job, ServingError)> {
+    fn place(&self, job: Job) -> Result<(), (Job, ServingError)> {
         let start = self.cursor.fetch_add(1, Ordering::Relaxed);
         let rings = self.rings.len();
         let mut job = job;
@@ -1081,7 +1017,7 @@ impl PoolShared {
                         continue;
                     }
                     match self.rings[index].push(job) {
-                        Ok(()) => return Ok(index),
+                        Ok(()) => return Ok(()),
                         Err(returned) => job = returned,
                     }
                 }
@@ -1091,10 +1027,10 @@ impl PoolShared {
     }
 
     /// Blocking admission: waits for space instead of rejecting.
-    fn push_blocking(&self, target: Target, job: Job) -> Result<(), ServingError> {
+    fn push_blocking(&self, job: Job) -> Result<(), ServingError> {
         let mut job = job;
         loop {
-            match self.try_push(target, job) {
+            match self.try_push(job) {
                 Ok(()) => return Ok(()),
                 Err((returned, ServingError::QueueFull { .. })) => {
                     job = returned;
@@ -1106,11 +1042,10 @@ impl PoolShared {
                     fence(Ordering::SeqCst);
                     // Recheck after registering: a worker that freed space
                     // (or a close) before seeing `blocked > 0` cannot be
-                    // missed. A full target ring blocks a routed producer
-                    // even when the global count has room.
-                    let full = self.queued.load(Ordering::SeqCst) >= self.capacity
-                        || matches!(target, Target::Worker(worker) if self.rings[worker].is_full());
-                    if !self.closed.load(Ordering::SeqCst) && full {
+                    // missed.
+                    if !self.closed.load(Ordering::SeqCst)
+                        && self.queued.load(Ordering::SeqCst) >= self.capacity
+                    {
                         drop(
                             self.space_cv
                                 .wait(guard)
@@ -1127,51 +1062,29 @@ impl PoolShared {
     }
 
     /// Pops into `batch` (up to `max_batch` total): the worker's own ring
-    /// first, then — on replica pools — stealing round-robin from the
-    /// others. Returns how many jobs this sweep added.
+    /// first, then stealing round-robin from the others. Returns how many
+    /// jobs this sweep added.
     fn pop_any(&self, worker: usize, batch: &mut Vec<Job>, max_batch: usize) -> usize {
-        // Routed workers host distinct tenant models, so a steal would hand
-        // a job to a worker that cannot serve it: sweep the own ring only.
-        let sweep = if self.routed { 1 } else { self.rings.len() };
-        let mut got = 0usize;
-        for offset in 0..sweep {
-            let index = (worker + offset) % self.rings.len();
-            let ring = &self.rings[index];
-            let mut from_ring = 0usize;
+        let before = batch.len();
+        for offset in 0..self.rings.len() {
+            let ring = &self.rings[(worker + offset) % self.rings.len()];
             while batch.len() < max_batch {
                 match ring.pop() {
-                    Some(job) => {
-                        batch.push(job);
-                        from_ring += 1;
-                    }
+                    Some(job) => batch.push(job),
                     None => break,
                 }
-            }
-            if from_ring > 0 {
-                self.ring_queued[index].fetch_sub(from_ring, Ordering::SeqCst);
-                got += from_ring;
             }
             if batch.len() >= max_batch {
                 break;
             }
         }
+        let got = batch.len() - before;
         if got > 0 {
             self.queued.fetch_sub(got, Ordering::SeqCst);
             fence(Ordering::SeqCst);
             self.signal_space();
         }
         got
-    }
-
-    /// Work visible to `worker` while deciding whether to park: its own
-    /// ring's count in routed mode (it cannot steal, so a neighbour tenant's
-    /// backlog must not keep it awake), the global count otherwise.
-    fn pending_work(&self, worker: usize) -> usize {
-        if self.routed {
-            self.ring_queued[worker].load(Ordering::SeqCst)
-        } else {
-            self.queued.load(Ordering::SeqCst)
-        }
     }
 
     /// Blocks one worker until work, close or a control request.
@@ -1187,7 +1100,7 @@ impl PoolShared {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         if self.closed.load(Ordering::SeqCst)
-            || self.pending_work(worker) > 0
+            || self.queued.load(Ordering::SeqCst) > 0
             || self.control[worker].load(Ordering::SeqCst) != 0
         {
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
@@ -1205,20 +1118,15 @@ impl PoolShared {
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Wakes one idle worker, if any is actually parked. Routed pools wake
-    /// everyone: a `notify_one` could land on a worker hosting a different
-    /// tenant, which would re-park while the right worker keeps sleeping.
+    /// Wakes one idle worker, if any is actually parked: every worker can
+    /// take every job.
     fn wake_worker(&self) {
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _guard = self
                 .idle_lock
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            if self.routed {
-                self.idle_cv.notify_all();
-            } else {
-                self.idle_cv.notify_one();
-            }
+            self.idle_cv.notify_one();
         }
     }
 
@@ -1262,14 +1170,9 @@ impl PoolShared {
     /// [`PoolShared::close`]).
     fn drain_remaining(&self) -> Vec<Job> {
         let mut drained = Vec::new();
-        for (index, ring) in self.rings.iter().enumerate() {
-            let mut from_ring = 0usize;
+        for ring in &self.rings {
             while let Some(job) = ring.pop() {
                 drained.push(job);
-                from_ring += 1;
-            }
-            if from_ring > 0 {
-                self.ring_queued[index].fetch_sub(from_ring, Ordering::SeqCst);
             }
         }
         if !drained.is_empty() {
@@ -1400,15 +1303,15 @@ pub struct WorkerReport {
     /// after every physical replica was quarantined (also counted in
     /// `requests`).
     pub fallback_served: u64,
-    /// Hot swaps (evict and/or install of tenant models) this routed worker
+    /// Hot swaps (evict and/or install of tenant models) this bank's worker
     /// serviced between batches.
     pub swaps: u64,
     /// Σ erase + programming pulses those swaps applied to the fabric.
     pub swap_pulses: u64,
     /// Σ erase + programming energy those swaps spent, in joules.
     pub swap_energy_j: f64,
-    /// Routed requests answered with [`ServingError::ModelUnavailable`]
-    /// because the model was swapped out after the request was queued.
+    /// Requests answered with [`ServingError::ModelUnavailable`] because
+    /// the model was swapped out after the request was queued.
     pub unrouted: u64,
     /// Whether this replica ended the run quarantined.
     pub quarantined: bool,
@@ -1483,14 +1386,14 @@ pub struct PoolStats {
     /// Requests answered through the exact software fallback, across all
     /// workers.
     pub fallback_served: u64,
-    /// Hot swaps serviced across all routed workers.
+    /// Hot swaps serviced across all bank workers.
     pub swaps: u64,
     /// Σ erase + programming pulses applied by hot swaps, across all
     /// workers.
     pub swap_pulses: u64,
     /// Σ erase + programming energy spent by hot swaps, in joules.
     pub swap_energy_j: f64,
-    /// Routed requests answered with [`ServingError::ModelUnavailable`],
+    /// Requests answered with [`ServingError::ModelUnavailable`],
     /// across all workers.
     pub unrouted: u64,
     /// Replicas that ended the run quarantined.
@@ -1586,16 +1489,16 @@ fn default_spawner(name: String, body: WorkerBody) -> std::io::Result<JoinHandle
 /// `None` for a replica of a replica pool's one shared model.
 type Tenants<B> = Vec<(Option<u64>, FebimEngine<B>)>;
 
-/// The one spawn path of every pool: validates the configuration, records
-/// the routes of a routed pool, builds each worker's bank and spawns one
-/// worker per bank through `spawner`. An OS spawn failure becomes the typed
+/// The one spawn path of every pool: validates the configuration, builds
+/// each worker's bank and spawns one worker per bank through `spawner`,
+/// returning the pool with the swap queue of its first worker (the only
+/// worker of a bank pool). An OS spawn failure becomes the typed
 /// [`ServingError::WorkerSpawn`] instead of a panic: the pool closes, the
 /// already-spawned workers drain and join, and the unspawned bodies are
 /// dropped — their captured guards keep the alive count honest so the
 /// close-and-reject handoff still runs exactly once.
 fn spawn_pool<B: InferenceBackend + Send + 'static>(
     banks: Vec<Tenants<B>>,
-    routed: bool,
     config: ServingConfig,
     spawner: SpawnFn<'_>,
 ) -> Result<(ServingPool, SwapQueue<B>), ServingError> {
@@ -1603,20 +1506,7 @@ fn spawn_pool<B: InferenceBackend + Send + 'static>(
     if banks.is_empty() {
         return Err(ServingError::NoReplicas);
     }
-    let shared = Arc::new(PoolShared::new(banks.len(), config.queue_depth, routed));
-    {
-        let mut routes = shared.lock_routes();
-        for (worker, tenants) in banks.iter().enumerate() {
-            for model in tenants.iter().filter_map(|(model, _)| *model) {
-                if routes.insert(model, worker).is_some() {
-                    return Err(ServingError::InvalidConfig {
-                        name: "banks",
-                        reason: format!("model id {model} registered on two banks"),
-                    });
-                }
-            }
-        }
-    }
+    let shared = Arc::new(PoolShared::new(banks.len(), config.queue_depth));
     let inboxes: Vec<Arc<Inbox<B>>> = (0..banks.len())
         .map(|_| Arc::new(Mutex::new(Some(Vec::new()))))
         .collect();
@@ -1667,12 +1557,16 @@ fn spawn_pool<B: InferenceBackend + Send + 'static>(
             }
         }
     }
-    let pool = ServingPool {
+    let swaps = SwapQueue {
         shared: Arc::clone(&shared),
+        inbox: Arc::clone(&inboxes[0]),
+    };
+    let pool = ServingPool {
+        shared,
         workers,
         config,
     };
-    Ok((pool, SwapQueue { shared, inboxes }))
+    Ok((pool, swaps))
 }
 
 /// A pool of engine workers serving batched inference requests.
@@ -1706,35 +1600,26 @@ impl ServingPool {
             .into_iter()
             .map(|engine| vec![(None, engine)])
             .collect();
-        spawn_pool(banks, false, config, &mut default_spawner).map(|(pool, _)| pool)
+        spawn_pool(banks, config, &mut default_spawner).map(|(pool, _)| pool)
     }
 
-    /// Spawns one *routed* worker per bank of tenant models and returns the
-    /// pool with the typed [`SwapQueue`] its owner posts hot swaps through.
-    /// Each bank's worker hosts its own engines (one per model id) and
-    /// serves only the requests routed to those models via
-    /// [`ServingPool::submit_routed_blocking`]; routed workers never steal from each
-    /// other, so a hot swap or a backlog on one bank cannot stall another
-    /// bank's tenants.
+    /// Spawns a *bank* pool: one worker hosting `tenants` (one engine per
+    /// model id), and returns it with the typed [`SwapQueue`] its owner
+    /// posts hot swaps through. Requests reach a tenant through
+    /// [`ServingPool::submit_tenant_blocking`].
     ///
     /// # Errors
     ///
-    /// Returns [`ServingError::NoReplicas`] for an empty bank set,
-    /// [`ServingError::InvalidConfig`] when a model id appears on two
-    /// banks, and the same validation/spawn errors as [`ServingPool::new`].
-    pub(crate) fn new_routed<B: InferenceBackend + Send + 'static>(
-        banks: Vec<Vec<(u64, FebimEngine<B>)>>,
+    /// The same validation/spawn errors as [`ServingPool::new`].
+    pub(crate) fn new_bank<B: InferenceBackend + Send + 'static>(
+        tenants: Vec<(u64, FebimEngine<B>)>,
         config: ServingConfig,
     ) -> Result<(Self, SwapQueue<B>), ServingError> {
-        let banks = banks
+        let tenants = tenants
             .into_iter()
-            .map(|bank| {
-                bank.into_iter()
-                    .map(|(model, engine)| (Some(model), engine))
-                    .collect()
-            })
+            .map(|(model, engine)| (Some(model), engine))
             .collect();
-        spawn_pool(banks, true, config, &mut default_spawner)
+        spawn_pool(vec![tenants], config, &mut default_spawner)
     }
 
     /// Builds a pool of `replicas` clones of one engine (they share the
@@ -1758,7 +1643,7 @@ impl ServingPool {
         &self.config
     }
 
-    /// Number of workers (engine replicas, or banks of a routed pool).
+    /// Number of workers: one per engine replica, or one for a bank pool.
     pub fn replicas(&self) -> usize {
         self.workers.len()
     }
@@ -1810,7 +1695,7 @@ impl ServingPool {
         // A rejected job never entered a ring; dropping it answers the
         // unused cell, which nobody waits on.
         self.shared
-            .try_push(Target::Any, Job::new(sample, Arc::clone(&cell)))
+            .try_push(Job::new(sample, Arc::clone(&cell)))
             .map_err(|(_, err)| err)?;
         Ok(Ticket { cell })
     }
@@ -1825,7 +1710,7 @@ impl ServingPool {
     pub fn submit_blocking(&self, sample: Vec<f64>) -> Result<Ticket, ServingError> {
         let cell = Arc::new(TicketCell::new());
         self.shared
-            .push_blocking(Target::Any, Job::new(sample, Arc::clone(&cell)))?;
+            .push_blocking(Job::new(sample, Arc::clone(&cell)))?;
         Ok(Ticket { cell })
     }
 
@@ -1840,24 +1725,24 @@ impl ServingPool {
         )
     }
 
-    /// Submits one request routed to `model` (routed pools only), waiting
-    /// for a slot on the hosting worker's ring when it is full (blocking
-    /// backpressure).
+    /// Submits one request for tenant `model` of a bank pool, waiting for a
+    /// queue slot when the pool is at capacity (blocking backpressure). A
+    /// request for a model the bank does not host when it is dispatched is
+    /// answered [`ServingError::ModelUnavailable`].
     ///
     /// # Errors
     ///
-    /// Returns [`ServingError::ModelUnavailable`] when no worker hosts
-    /// `model`, and [`ServingError::ShutDown`] when the pool closes while
-    /// the request waits for a slot.
-    pub(crate) fn submit_routed_blocking(
+    /// Returns [`ServingError::ShutDown`] when the pool closes while the
+    /// request waits for a slot.
+    pub(crate) fn submit_tenant_blocking(
         &self,
         model: u64,
         sample: Vec<f64>,
     ) -> Result<Ticket, ServingError> {
-        let target = self.shared.target_of(model)?;
         let cell = Arc::new(TicketCell::new());
-        self.shared
-            .push_blocking(target, Job::routed(sample, Arc::clone(&cell), model))?;
+        let mut job = Job::new(sample, Arc::clone(&cell));
+        job.model = Some(model);
+        self.shared.push_blocking(job)?;
         Ok(Ticket { cell })
     }
 
@@ -1884,6 +1769,24 @@ impl ServingPool {
         let mut stats = self.finish();
         stats.shutdown_rejected += rejected;
         stats
+    }
+
+    /// Shuts every bank pool down gracefully and merges their statistics,
+    /// each worker report renumbered to its bank's index.
+    pub(crate) fn shutdown_banks(banks: impl IntoIterator<Item = Self>) -> PoolStats {
+        PoolStats::from_workers(
+            banks
+                .into_iter()
+                .enumerate()
+                .flat_map(|(bank, pool)| {
+                    let reports = pool.shutdown().workers.into_iter();
+                    reports.map(move |report| WorkerReport {
+                        worker: bank,
+                        ..report
+                    })
+                })
+                .collect(),
+        )
     }
 
     /// Shared close-and-join tail of every shutdown path. A worker whose
@@ -1954,8 +1857,8 @@ impl Drop for WorkerGuard {
 /// share one), its maintenance schedule, and — once a scrub quarantines it —
 /// its exact software twin, which answers its requests from then on.
 struct TenantSlot<B: InferenceBackend> {
-    /// Model id on a routed bank; `None` for a replica, which serves the
-    /// pool's one model (replica jobs carry no id either).
+    /// Model id on a bank; `None` for a replica, which serves the pool's
+    /// one model (replica jobs carry no id either).
     model: Option<u64>,
     engine: FebimEngine<B>,
     scratch: EvalScratch,
@@ -2002,7 +1905,7 @@ impl<B: InferenceBackend> TenantSlot<B> {
         if self.twin.is_some() {
             return;
         }
-        let before = self.maintenance.health();
+        let before = self.maintenance.report().transitions;
         let (refresh, repair) = self.maintenance.tick(&mut self.engine, ticks);
         record_recalibration(refresh, report);
         record_scrub(repair, report);
@@ -2015,7 +1918,7 @@ impl<B: InferenceBackend> TenantSlot<B> {
         if self.twin.is_some() {
             return;
         }
-        let before = self.maintenance.health();
+        let before = self.maintenance.report().transitions;
         if requests & CONTROL_RECALIBRATE != 0 {
             record_recalibration(self.maintenance.recalibrate(&mut self.engine), report);
         }
@@ -2025,17 +1928,16 @@ impl<B: InferenceBackend> TenantSlot<B> {
         self.sync_health(before, report);
     }
 
-    /// Counts a health change since `before`; entering quarantine builds
-    /// the software twin.
-    fn sync_health(&mut self, before: ReplicaHealth, report: &mut WorkerReport) {
-        let health = self.maintenance.health();
-        if health != before {
-            report.health_transitions += 1;
-            if health == ReplicaHealth::Quarantined {
-                let twin = self.engine.software_fallback();
-                let scratch = twin.make_scratch();
-                self.twin = Some((twin, scratch));
-            }
+    /// Counts every health transition since the maintenance report stood at
+    /// `before` transitions — including ones that undo each other, like a
+    /// degrading scrub and a recovering skip in one tick — and builds the
+    /// software twin on entering quarantine.
+    fn sync_health(&mut self, before: u64, report: &mut WorkerReport) {
+        report.health_transitions += self.maintenance.report().transitions - before;
+        if self.maintenance.health() == ReplicaHealth::Quarantined {
+            let twin = self.engine.software_fallback();
+            let scratch = twin.make_scratch();
+            self.twin = Some((twin, scratch));
         }
     }
 }
@@ -2094,7 +1996,7 @@ impl<B: InferenceBackend> Bank<B> {
         report: &mut WorkerReport,
     ) {
         if requests & CONTROL_SWAP != 0 {
-            self.service_swaps(worker, shared, config, report);
+            self.service_swaps(config, report);
         }
         for slot in &mut self.slots {
             slot.check(requests, report);
@@ -2136,16 +2038,10 @@ impl<B: InferenceBackend> Bank<B> {
 
     /// Drains the swap inbox in posting order: evicts models (tearing their
     /// tile regions off the fabric and pricing the erase pulses), installs
-    /// the pre-built replacement engine, publishes the new route and answers
-    /// the swap ticket. Runs strictly between batches — every ticket of the
-    /// previous batch is already answered when this is called.
-    fn service_swaps(
-        &mut self,
-        worker: usize,
-        shared: &PoolShared,
-        config: &ServingConfig,
-        report: &mut WorkerReport,
-    ) {
+    /// the pre-built replacement engine and answers the swap ticket. Runs
+    /// strictly between batches — every ticket of the previous batch is
+    /// already answered when this is called.
+    fn service_swaps(&mut self, config: &ServingConfig, report: &mut WorkerReport) {
         let requests = (self.inbox.lock().unwrap_or_else(PoisonError::into_inner))
             .as_mut()
             .map(std::mem::take)
@@ -2154,7 +2050,6 @@ impl<B: InferenceBackend> Bank<B> {
             let mut erase = SwapCost::default();
             let evicted = std::mem::take(&mut request.evict);
             for model in &evicted {
-                shared.lock_routes().remove(model);
                 let Some(index) = self
                     .slots
                     .iter()
@@ -2172,7 +2067,6 @@ impl<B: InferenceBackend> Bank<B> {
             let installed = request.install.take().map(|(model, engine)| {
                 self.slots
                     .push(TenantSlot::new(Some(model), engine, config));
-                shared.lock_routes().insert(model, worker);
                 model
             });
             let program = request.program;
@@ -2181,7 +2075,6 @@ impl<B: InferenceBackend> Bank<B> {
             report.swap_energy_j += erase.energy_j + program.energy_j;
             if let Some(done) = request.done.take() {
                 done.complete(Ok(SwapReport {
-                    worker,
                     evicted,
                     installed,
                     erase,
@@ -2223,7 +2116,6 @@ fn requeue(shared: &PoolShared, worker: usize, job: Job) -> Option<Job> {
             }
             match shared.rings[index].push(job) {
                 Ok(()) => {
-                    shared.ring_queued[index].fetch_add(1, Ordering::SeqCst);
                     fence(Ordering::SeqCst);
                     shared.wake_worker();
                     return None;
@@ -2430,8 +2322,8 @@ fn serve<B: InferenceBackend>(
         bounce_failed_over(worker, shared, &mut batch);
         let mut served = false;
         // Dispatch one tenant group at a time. Replica jobs carry no model
-        // id and all belong to the bank's one slot, so their batch is one
-        // group as is; routed jobs are partitioned by model, in arrival
+        // id and all belong to the worker's one slot, so their batch is one
+        // group as is; a bank's jobs are partitioned by model, in arrival
         // order.
         while let Some(model) = batch.first().map(|job| job.model) {
             if model.is_none() {
@@ -2484,8 +2376,6 @@ fn serve<B: InferenceBackend>(
 /// What one serviced hot swap did, returned through [`SwapTicket::wait`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SwapReport {
-    /// Routed worker (bank) the swap ran on.
-    pub worker: usize,
     /// Model ids evicted from the bank (their tile regions erased).
     pub evicted: Vec<u64>,
     /// Model id installed, if the swap carried one.
@@ -2573,36 +2463,31 @@ impl<B: InferenceBackend> Drop for SwapRequest<B> {
 /// Hot swaps posted to one worker; `None` once the worker has exited.
 type Inbox<B> = Mutex<Option<Vec<SwapRequest<B>>>>;
 
-/// Typed hot-swap queue of a routed pool, one inbox per worker (bank).
-/// [`ServingPool::new_routed`] hands it to the pool's owner — the model
+/// Typed hot-swap queue of a bank pool: its one worker's inbox.
+/// [`ServingPool::new_bank`] hands it to the pool's owner — the model
 /// registry — which posts every eviction and install through it.
 pub(crate) struct SwapQueue<B: InferenceBackend> {
     shared: Arc<PoolShared>,
-    inboxes: Vec<Arc<Inbox<B>>>,
+    inbox: Arc<Inbox<B>>,
 }
 
 impl<B: InferenceBackend> fmt::Debug for SwapQueue<B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SwapQueue")
-            .field("banks", &self.inboxes.len())
-            .finish()
+        f.debug_struct("SwapQueue").finish_non_exhaustive()
     }
 }
 
 impl<B: InferenceBackend> SwapQueue<B> {
-    /// Posts a hot swap to worker `worker`: evict the listed models
-    /// (erasing their tile regions) and install the pre-built engine, all
-    /// between that worker's batches — other banks' tenants are never
-    /// stalled, and no other bank runs any check. Evicted models stop
-    /// routing immediately, so new requests for them get
-    /// [`ServingError::ModelUnavailable`]; requests already queued for an
-    /// evicted model are answered the same way by the servicing worker. The
-    /// install's programming cost is priced analytically (Preisach pulse
-    /// trains) before posting; the evictions' erase cost is measured on the
-    /// fabric as the worker tears them down.
+    /// Posts a hot swap: evict the listed models (erasing their tile
+    /// regions) and install the pre-built engine, all between the bank's
+    /// batches. A swap sets only the swap bit, so it runs no maintenance
+    /// check. Requests still queued for an evicted model when the worker
+    /// services the swap are answered [`ServingError::ModelUnavailable`].
+    /// The install's programming cost is priced analytically (Preisach
+    /// pulse trains) before posting; the evictions' erase cost is measured
+    /// on the fabric as the worker tears them down.
     pub(crate) fn post(
         &self,
-        worker: usize,
         evict: Vec<u64>,
         install: Option<(u64, FebimEngine<B>)>,
     ) -> SwapTicket {
@@ -2610,9 +2495,6 @@ impl<B: InferenceBackend> SwapQueue<B> {
             .as_ref()
             .and_then(|(_, engine)| engine.program_cost())
             .unwrap_or_default();
-        for model in &evict {
-            self.shared.lock_routes().remove(model);
-        }
         let done = Arc::new(SwapDone::default());
         let request = SwapRequest {
             evict,
@@ -2622,14 +2504,15 @@ impl<B: InferenceBackend> SwapQueue<B> {
         };
         // An exited worker's inbox is closed: the request is dropped,
         // answering its ticket with the shutdown error.
-        if let Some(requests) = self.inboxes[worker]
+        if let Some(requests) = self
+            .inbox
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .as_mut()
         {
             requests.push(request);
         }
-        self.shared.request(Some(worker), CONTROL_SWAP);
+        self.shared.request(Some(0), CONTROL_SWAP);
         SwapTicket { done }
     }
 }
@@ -2659,18 +2542,13 @@ mod tests {
     }
 
     impl ServingPool {
-        /// Worker (bank) currently hosting `model`, if any.
-        fn route_of(&self, model: u64) -> Option<usize> {
-            self.shared.route_of(model)
-        }
-
-        /// Submits every sample routed to `model` and waits for all answers,
-        /// in submission order.
+        /// Submits every sample for tenant `model` and waits for all
+        /// answers, in submission order.
         fn serve_model(&self, model: u64, samples: &[Vec<f64>]) -> Vec<ServeResult> {
             wait_all(
                 samples
                     .iter()
-                    .map(|sample| self.submit_routed_blocking(model, sample.clone()))
+                    .map(|sample| self.submit_tenant_blocking(model, sample.clone()))
                     .collect(),
             )
         }
@@ -3600,9 +3478,9 @@ mod tests {
         .contains("no threads left"));
     }
 
-    /// Tentpole acceptance: a routed pool hosting three tenants routes each
-    /// request by model id and answers bit-identically to each tenant's own
-    /// single-tenant engine.
+    /// A bank hosting three tenants dispatches each request by model id and
+    /// answers bit-identically to each tenant's own single-tenant engine; a
+    /// request for a model it does not host is answered unavailable.
     #[test]
     fn routed_pool_serves_tenants_bit_identically_to_their_own_engines() {
         let seeds = [910u64, 911, 912];
@@ -3621,21 +3499,12 @@ mod tests {
             engines.push(engine);
             references.push((samples, sequential));
         }
-        let mut engines = engines.into_iter();
-        let banks = vec![
-            vec![
-                (models[0], engines.next().unwrap()),
-                (models[1], engines.next().unwrap()),
-            ],
-            vec![(models[2], engines.next().unwrap())],
-        ];
+        let tenants = models.into_iter().zip(engines).collect();
         let (pool, _swaps) =
-            ServingPool::new_routed(banks, ServingConfig::default().with_max_batch(4)).unwrap();
-        assert_eq!(pool.route_of(models[0]), Some(0));
-        assert_eq!(pool.route_of(models[1]), Some(0));
-        assert_eq!(pool.route_of(models[2]), Some(1));
+            ServingPool::new_bank(tenants, ServingConfig::default().with_max_batch(4)).unwrap();
+        assert_eq!(pool.replicas(), 1);
         assert!(matches!(
-            pool.submit_routed_blocking(99, vec![0.0; 4]),
+            pool.serve_model(99, &[vec![0.0; 4]])[0],
             Err(ServingError::ModelUnavailable { model: 99 })
         ));
         for (model, (samples, sequential)) in models.iter().zip(&references) {
@@ -3652,24 +3521,13 @@ mod tests {
         let expected: u64 = references.iter().map(|(s, _)| s.len() as u64).sum();
         assert_eq!(stats.requests, expected);
         assert_eq!(stats.failed_requests, 0);
-        assert_eq!(stats.unrouted, 0);
+        assert_eq!(stats.unrouted, 1);
         assert_eq!(stats.swaps, 0);
     }
 
-    #[test]
-    fn duplicate_model_ids_across_banks_are_rejected() {
-        let (train, _) = split_for(913);
-        let engine = FebimEngine::fit(&train, EngineConfig::febim_default()).unwrap();
-        let banks = vec![vec![(7u64, engine.clone())], vec![(7u64, engine)]];
-        assert!(matches!(
-            ServingPool::new_routed(banks, ServingConfig::default()),
-            Err(ServingError::InvalidConfig { name: "banks", .. })
-        ));
-    }
-
-    /// Satellite pin: a hot swap on one bank completes with real erase and
-    /// programming costs, zero tickets of the *other* bank's tenant are
-    /// dropped or errored across it, and the installed tenant then serves
+    /// Satellite pin: a hot swap of one tenant completes with real erase
+    /// and programming costs, zero tickets of its bank-mate are dropped or
+    /// errored across it, and the installed tenant then serves
     /// bit-identically to its freshly programmed engine.
     #[test]
     fn hot_swap_evicts_installs_and_never_stalls_other_tenants() {
@@ -3688,24 +3546,23 @@ mod tests {
             .iter()
             .map(|sample| tenant_c.infer_into(sample, &mut scratch).unwrap())
             .collect();
-        let (pool, swaps) = ServingPool::new_routed(
-            vec![vec![(1u64, tenant_a)], vec![(2u64, tenant_b)]],
+        let (pool, swaps) = ServingPool::new_bank(
+            vec![(1u64, tenant_a), (2u64, tenant_b)],
             ServingConfig::default().with_max_batch(4),
         )
         .unwrap();
-        // Tenant B's traffic brackets the swap on bank 0: every ticket must
-        // be answered, none dropped or errored.
+        // Tenant B's traffic brackets the swap on its bank: every ticket
+        // must be answered, none dropped or errored.
         let before: Vec<Ticket> = samples_b
             .iter()
-            .map(|sample| pool.submit_routed_blocking(2, sample.clone()).unwrap())
+            .map(|sample| pool.submit_tenant_blocking(2, sample.clone()).unwrap())
             .collect();
-        let swap_ticket = swaps.post(0, vec![1u64], Some((3u64, tenant_c.clone())));
+        let swap_ticket = swaps.post(vec![1u64], Some((3u64, tenant_c.clone())));
         let after: Vec<Ticket> = samples_b
             .iter()
-            .map(|sample| pool.submit_routed_blocking(2, sample.clone()).unwrap())
+            .map(|sample| pool.submit_tenant_blocking(2, sample.clone()).unwrap())
             .collect();
         let swap = swap_ticket.wait().unwrap();
-        assert_eq!(swap.worker, 0);
         assert_eq!(swap.evicted, vec![1u64]);
         assert_eq!(swap.installed, Some(3));
         assert!(swap.erase.pulses > 0, "erase not priced: {swap:?}");
@@ -3718,14 +3575,12 @@ mod tests {
                 "tenant B request dropped during the swap"
             );
         }
-        // The evicted tenant stops routing; the installed one serves
+        // The evicted tenant answers unavailable; the installed one serves
         // bit-identically to its freshly programmed engine.
         assert!(matches!(
-            pool.submit_routed_blocking(1, samples_b[0].clone()),
+            pool.serve_model(1, &samples_b[..1])[0],
             Err(ServingError::ModelUnavailable { model: 1 })
         ));
-        assert_eq!(pool.route_of(1), None);
-        assert_eq!(pool.route_of(3), Some(0));
         let answers = pool.serve_model(3, &samples_c);
         for (answer, step) in answers.iter().zip(&sequential_c) {
             let outcome = answer.as_ref().unwrap();
@@ -3740,7 +3595,7 @@ mod tests {
         assert!(stats.swap_pulses > 0);
         assert!(stats.swap_energy_j > 0.0);
         assert_eq!(stats.failed_requests, 0);
-        assert_eq!(stats.unrouted, 0);
+        assert_eq!(stats.unrouted, 1);
     }
 
     /// A swap left pending at shutdown resolves to the typed shutdown error
@@ -3755,17 +3610,15 @@ mod tests {
         )
         .unwrap();
         let (pool, _swaps) =
-            ServingPool::new_routed(vec![vec![(1u64, engine.clone())]], ServingConfig::default())
-                .unwrap();
+            ServingPool::new_bank(vec![(1u64, engine.clone())], ServingConfig::default()).unwrap();
         let swapped_out = pool.shutdown();
         assert_eq!(swapped_out.swaps, 0);
         // Fresh pool: post, shut down immediately; the race between the
         // worker servicing the swap and the close is fine either way — the
         // ticket must resolve.
         let (pool, swaps) =
-            ServingPool::new_routed(vec![vec![(2u64, engine.clone())]], ServingConfig::default())
-                .unwrap();
-        let ticket = swaps.post(0, vec![2u64], Some((4u64, engine)));
+            ServingPool::new_bank(vec![(2u64, engine.clone())], ServingConfig::default()).unwrap();
+        let ticket = swaps.post(vec![2u64], Some((4u64, engine)));
         drop(pool);
         match ticket.wait() {
             Ok(report) => assert_eq!(report.installed, Some(4)),
@@ -3795,7 +3648,6 @@ mod tests {
         };
         let result = spawn_pool(
             vec![vec![(None, engine.clone())], vec![(None, engine)]],
-            false,
             ServingConfig::default(),
             &mut spawner,
         );
@@ -3822,7 +3674,7 @@ mod tests {
         }
     }
 
-    /// Regression: a swap posted before a routed worker has started must be
+    /// Regression: a swap posted before a bank's worker has started must be
     /// serviced. Its control bit stays set until the worker takes it, so the
     /// start-up window needs no special case. (The lost wakeup this pins
     /// used to reproduce in only a fraction of stress runs.)
@@ -3835,21 +3687,18 @@ mod tests {
             TileShape::new(2, 24).unwrap(),
         )
         .unwrap();
-        let barrier = Arc::new(std::sync::Barrier::new(3));
+        let barrier = Arc::new(std::sync::Barrier::new(2));
         let mut spawner = held_spawner(Arc::clone(&barrier));
         let (pool, swaps) = spawn_pool(
-            vec![vec![(Some(1u64), engine.clone())], Vec::new()],
-            true,
+            vec![vec![(Some(1u64), engine.clone())]],
             ServingConfig::default(),
             &mut spawner,
         )
         .unwrap();
-        let ticket = swaps.post(1, Vec::new(), Some((2u64, engine.clone())));
+        let ticket = swaps.post(Vec::new(), Some((2u64, engine.clone())));
         barrier.wait();
         let report = ticket.wait().expect("the swap must resolve Ok");
-        assert_eq!(report.worker, 1);
         assert_eq!(report.installed, Some(2));
-        assert_eq!(pool.route_of(2), Some(1));
         let sample = test.sample(0).unwrap().to_vec();
         let outcome = pool
             .serve_model(2, std::slice::from_ref(&sample))
@@ -3871,13 +3720,49 @@ mod tests {
         )
         .unwrap();
         let (pool, swaps) =
-            ServingPool::new_routed(vec![vec![(1u64, engine.clone())]], ServingConfig::default())
-                .unwrap();
+            ServingPool::new_bank(vec![(1u64, engine.clone())], ServingConfig::default()).unwrap();
         assert_eq!(pool.shutdown().swaps, 0);
         assert!(matches!(
-            swaps.post(0, vec![1], Some((2, engine))).wait(),
+            swaps.post(vec![1], Some((2, engine))).wait(),
             Err(ServingError::ShutDown)
         ));
+    }
+
+    /// A bank answers a job for a model it no longer hosts with
+    /// [`ServingError::ModelUnavailable`] and counts it as unrouted. The
+    /// worker waits at a barrier while the job is queued and the evicting
+    /// swap is posted; once released it takes the swap bit before it fills
+    /// a batch, so the eviction lands first.
+    #[test]
+    fn a_bank_answers_a_job_for_an_evicted_model_unavailable() {
+        let (train, test) = split_for(936);
+        let engine = FebimEngine::fit_tiled(
+            &train,
+            EngineConfig::febim_default(),
+            TileShape::new(2, 24).unwrap(),
+        )
+        .unwrap();
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let mut spawner = held_spawner(Arc::clone(&barrier));
+        let (pool, swaps) = spawn_pool(
+            vec![vec![(Some(1u64), engine)]],
+            ServingConfig::default(),
+            &mut spawner,
+        )
+        .unwrap();
+        let ticket = pool
+            .submit_tenant_blocking(1, test.sample(0).unwrap().to_vec())
+            .unwrap();
+        let swap = swaps.post(vec![1], None);
+        barrier.wait();
+        assert_eq!(swap.wait().unwrap().evicted, vec![1]);
+        assert!(matches!(
+            ticket.wait(),
+            Err(ServingError::ModelUnavailable { model: 1 })
+        ));
+        let stats = pool.shutdown();
+        assert_eq!(stats.unrouted, 1);
+        assert_eq!(stats.requests + stats.failed_requests, 0);
     }
 
     /// A scrub request runs no drift check, and a recalibration request
@@ -3915,7 +3800,7 @@ mod tests {
         );
     }
 
-    /// A drifting tiled tenant for routed maintenance tests.
+    /// A drifting tiled tenant for bank maintenance tests.
     fn drifting_tenant(
         seed: u64,
         spare_rows: usize,
@@ -3933,9 +3818,9 @@ mod tests {
         (engine, samples_of(&test))
     }
 
-    /// A swap on one bank runs no maintenance on another: only the target
-    /// bank's swap bit is set. A forced recalibration, by contrast, reaches
-    /// routed banks too.
+    /// A swap of one tenant runs no maintenance on another: only the bank's
+    /// swap bit is set. A forced recalibration, by contrast, reaches a
+    /// bank's tenants too.
     #[test]
     fn a_swap_on_one_bank_runs_no_checks_on_another() {
         let (tenant_a, _) = drifting_tenant(933, 0);
@@ -3945,17 +3830,14 @@ mod tests {
             .with_ticks_per_batch(500)
             .with_recalibration(MaintenancePolicy::new(u64::MAX, 1e-3));
         let run = |recalibrate: bool| {
-            let (pool, swaps) = ServingPool::new_routed(
-                vec![
-                    vec![(1u64, tenant_a.clone())],
-                    vec![(2u64, tenant_b.clone())],
-                ],
+            let (pool, swaps) = ServingPool::new_bank(
+                vec![(1u64, tenant_a.clone()), (2u64, tenant_b.clone())],
                 config,
             )
             .unwrap();
             assert!(pool.serve_model(2, &samples_b).iter().all(Result::is_ok));
             swaps
-                .post(0, vec![1], Some((3, tenant_c.clone())))
+                .post(vec![1], Some((3, tenant_c.clone())))
                 .wait()
                 .unwrap();
             if recalibrate {
@@ -3966,9 +3848,9 @@ mod tests {
         };
         let swapped = run(false);
         assert_eq!(swapped.swaps, 1);
-        assert_eq!(swapped.workers[1].recalibrations, 0, "bank 1 ran a check");
+        assert_eq!(swapped.workers[0].recalibrations, 0, "the swap ran a check");
         let forced = run(true);
-        assert!(forced.workers[1].recalibrations >= 1);
+        assert!(forced.workers[0].recalibrations >= 1);
     }
 
     /// Transient and permanent strikes for a chaos tenant. Each cell is hit
@@ -3990,7 +3872,7 @@ mod tests {
         ])
     }
 
-    /// Routed chaos: three drifting tiled tenants on banks {1, 2} and {3},
+    /// Bank chaos: three drifting tiled tenants on banks {1, 2} and {3},
     /// struck by transient and permanent faults within their spare budget.
     /// Every bank recalibrates, scrubs and remaps like a replica does, every
     /// ticket is answered, and tenant 3 — alone on its bank — answers bit
@@ -4019,20 +3901,22 @@ mod tests {
         let dedicated = ServingPool::new(vec![engine_3.clone()], config).unwrap();
         let expected = dedicated.serve(&samples_3);
         let dedicated = dedicated.shutdown();
-        let (pool, _swaps) = ServingPool::new_routed(
-            vec![vec![(1, engine_1), (2, engine_2)], vec![(3, engine_3)]],
-            config,
-        )
-        .unwrap();
+        let (bank_0, _) =
+            ServingPool::new_bank(vec![(1, engine_1), (2, engine_2)], config).unwrap();
+        let (bank_1, _) = ServingPool::new_bank(vec![(3, engine_3)], config).unwrap();
         // Bank 0 serves its two tenants interleaved; bank 1 serves tenant 3
         // in the dedicated pool's order.
         let tickets: Vec<Ticket> = samples_1
             .iter()
             .zip(&samples_2)
             .flat_map(|(a, b)| [(1, a), (2, b)])
-            .map(|(model, sample)| pool.submit_routed_blocking(model, sample.clone()).unwrap())
+            .map(|(model, sample)| {
+                bank_0
+                    .submit_tenant_blocking(model, sample.clone())
+                    .unwrap()
+            })
             .collect();
-        let answers_3 = pool.serve_model(3, &samples_3);
+        let answers_3 = bank_1.serve_model(3, &samples_3);
         for ticket in tickets {
             assert!(ticket.wait().is_ok(), "a bank 0 ticket failed");
         }
@@ -4043,11 +3927,10 @@ mod tests {
             assert_eq!(routed.delay, alone.delay);
             assert_eq!(routed.energy, alone.energy);
         }
-        assert!(pool
-            .worker_health()
+        assert!([&bank_0, &bank_1]
             .iter()
-            .all(|health| health.is_serving()));
-        let stats = pool.shutdown();
+            .all(|bank| bank.worker_health()[0].is_serving()));
+        let stats = ServingPool::shutdown_banks([bank_0, bank_1]);
         assert_eq!(stats.failed_requests, 0);
         assert_eq!(stats.unrouted, 0);
         assert_eq!(
@@ -4071,46 +3954,53 @@ mod tests {
 
     /// A pooled tenant gets exactly the maintenance a standalone
     /// [`Maintenance`] gives its engine: one batch of one request, then one
-    /// tick of the batch's age. Fails if a tenant ages twice per batch or
-    /// skips a due check.
+    /// tick of the batch's age. Fails if a tenant ages twice per batch,
+    /// skips a due check or misses a health transition. The scrub-only run
+    /// ages 2,000 ticks per batch, so two scrubs fall due in every tick: a
+    /// degrading scrub and a recovering skip, two transitions that undo
+    /// each other.
     #[test]
     fn a_pooled_tenant_is_maintained_like_a_standalone_engine() {
-        let (mut engine, samples) = drifting_tenant(943, 1);
-        engine.set_fault_schedule(chaos_schedule());
-        let (recalibration, scrub) = (
-            MaintenancePolicy::new(500, 1e-3),
-            MaintenancePolicy::new(1_000, 1e-2),
-        );
-        let config = ServingConfig::default()
-            .with_max_batch(1)
-            .with_ticks_per_batch(500)
-            .with_recalibration(recalibration)
-            .with_scrub(scrub);
-        let pool = ServingPool::new(vec![engine.clone()], config).unwrap();
-        let answers = pool.serve(&samples);
-        let stats = pool.shutdown();
-        let mut maintenance = Maintenance::new(Some(recalibration), Some(scrub)).unwrap();
-        let mut scratch = engine.make_scratch();
-        for (answer, sample) in answers.iter().zip(&samples) {
-            let served = answer.as_ref().unwrap();
-            let step = engine.infer_into(sample, &mut scratch).unwrap();
-            assert_eq!(served.prediction, step.prediction);
-            assert_eq!(served.tie_broken, step.tie_broken);
-            assert_eq!(served.delay, step.delay);
-            assert_eq!(served.energy, step.energy);
-            let (refresh, repair) = maintenance.tick(&mut engine, 500);
-            refresh.unwrap();
-            repair.unwrap();
+        let scrub = Some(MaintenancePolicy::new(1_000, 1e-2));
+        let drift = Some(MaintenancePolicy::new(500, 1e-3));
+        for (recalibration, ticks) in [(drift, 500), (None, 2_000)] {
+            let (mut engine, samples) = drifting_tenant(943, 1);
+            engine.set_fault_schedule(chaos_schedule());
+            let config = ServingConfig {
+                recalibration,
+                scrub,
+                ..ServingConfig::default()
+                    .with_max_batch(1)
+                    .with_ticks_per_batch(ticks)
+            };
+            let pool = ServingPool::new(vec![engine.clone()], config).unwrap();
+            let answers = pool.serve(&samples);
+            let stats = pool.shutdown();
+            let mut maintenance = Maintenance::new(recalibration, scrub).unwrap();
+            let mut scratch = engine.make_scratch();
+            for (answer, sample) in answers.iter().zip(&samples) {
+                let served = answer.as_ref().unwrap();
+                let step = engine.infer_into(sample, &mut scratch).unwrap();
+                assert_eq!(served.prediction, step.prediction);
+                assert_eq!(served.tie_broken, step.tie_broken);
+                assert_eq!(served.delay, step.delay);
+                assert_eq!(served.energy, step.energy);
+                let (refresh, repair) = maintenance.tick(&mut engine, ticks);
+                refresh.unwrap();
+                repair.unwrap();
+            }
+            let report = maintenance.report();
+            assert_eq!(report.recalibrations > 0, recalibration.is_some());
+            assert!(report.repair.rows_remapped > 0 && report.transitions > 0);
+            assert_eq!(stats.recalibration_pulses, report.refresh.pulses_applied);
+            assert_eq!(stats.recalibration_energy_j, report.refresh.energy_joules);
+            assert_eq!(stats.repair_pulses, report.repair.pulses_applied);
+            assert_eq!(stats.repair_energy_j, report.repair.energy_joules);
+            assert_eq!(stats.faults_repaired, report.repair.cells_repaired);
+            assert_eq!(stats.rows_remapped, report.repair.rows_remapped);
+            assert_eq!(stats.health_transitions, report.transitions);
+            assert_eq!(stats.recalibration_failures + stats.scrub_failures, 0);
         }
-        let report = maintenance.report();
-        assert!(report.recalibrations > 0 && report.repair.rows_remapped > 0);
-        assert_eq!(stats.recalibration_pulses, report.refresh.pulses_applied);
-        assert_eq!(stats.recalibration_energy_j, report.refresh.energy_joules);
-        assert_eq!(stats.repair_pulses, report.repair.pulses_applied);
-        assert_eq!(stats.repair_energy_j, report.repair.energy_joules);
-        assert_eq!(stats.faults_repaired, report.repair.cells_repaired);
-        assert_eq!(stats.rows_remapped, report.repair.rows_remapped);
-        assert_eq!(stats.recalibration_failures + stats.scrub_failures, 0);
     }
 
     /// A tiled tenant whose unspared fabric took permanent hits before
@@ -4144,7 +4034,7 @@ mod tests {
         (engine, samples_of(&test))
     }
 
-    /// A quarantined routed tenant keeps answering through its software
+    /// A quarantined tenant of a bank keeps answering through its software
     /// twin while its bank-mate serves bit-identically on the fabric; a bank
     /// whose only tenant is quarantined falls back at once, since its tenant
     /// lives nowhere else. No ticket is dropped.
@@ -4170,36 +4060,40 @@ mod tests {
             .with_max_batch(1)
             .with_ticks_per_batch(1)
             .with_scrub(MaintenancePolicy::new(1, 1e-3));
-        let (pool, _swaps) =
-            ServingPool::new_routed(vec![vec![(1, struck), (2, mate)], vec![(3, alone)]], config)
-                .unwrap();
+        let (bank_0, _) = ServingPool::new_bank(vec![(1, struck), (2, mate)], config).unwrap();
+        let (bank_1, _) = ServingPool::new_bank(vec![(3, alone)], config).unwrap();
         // One batch on each bank: the scrub after it quarantines the struck
         // tenants before either bank pops its next request.
-        assert!(pool
+        assert!(bank_0
             .serve_model(2, &samples_2[..1])
             .iter()
             .all(Result::is_ok));
-        assert!(pool
+        assert!(bank_1
             .serve_model(3, &samples_3[..1])
             .iter()
             .all(Result::is_ok));
-        for (model, samples, twin) in [(1, &samples_1, &twin_1), (3, &samples_3, &twin_3)] {
-            for (answer, sample) in pool.serve_model(model, samples).iter().zip(samples) {
+        for (bank, model, samples, twin) in [
+            (&bank_0, 1, &samples_1, &twin_1),
+            (&bank_1, 3, &samples_3, &twin_3),
+        ] {
+            for (answer, sample) in bank.serve_model(model, samples).iter().zip(samples) {
                 let outcome = answer.as_ref().expect("fallback answer");
                 assert_eq!(outcome.prediction, twin.predict(sample).unwrap());
             }
         }
-        for (answer, step) in pool.serve_model(2, &samples_2).iter().zip(&reference_2) {
+        for (answer, step) in bank_0.serve_model(2, &samples_2).iter().zip(&reference_2) {
             let outcome = answer.as_ref().unwrap();
             assert_eq!(outcome.prediction, step.prediction);
             assert_eq!(outcome.tie_broken, step.tie_broken);
             assert_eq!(outcome.delay, step.delay);
             assert_eq!(outcome.energy, step.energy);
         }
-        let health = pool.worker_health();
-        assert!(health[0].is_serving(), "bank 0 still has a serving tenant");
-        assert_eq!(health[1], ReplicaHealth::Quarantined);
-        let stats = pool.shutdown();
+        assert!(
+            bank_0.worker_health()[0].is_serving(),
+            "bank 0 still has a serving tenant"
+        );
+        assert_eq!(bank_1.worker_health()[0], ReplicaHealth::Quarantined);
+        let stats = ServingPool::shutdown_banks([bank_0, bank_1]);
         assert_eq!(
             stats.fallback_served,
             (samples_1.len() + samples_3.len()) as u64

@@ -40,7 +40,7 @@ pub enum DataError {
         /// Number of labels.
         labels: usize,
     },
-    /// A generator or scaler parameter is invalid.
+    /// A generator parameter or a sample index is invalid.
     InvalidParameter {
         /// Name of the offending parameter.
         name: &'static str,

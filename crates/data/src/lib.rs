@@ -2,8 +2,8 @@
 //!
 //! Dataset substrate for the FeBiM reproduction: deterministic synthetic
 //! stand-ins for the iris / wine / breast-cancer datasets used in the paper's
-//! application benchmarking, plus train/test splitting, feature scaling and
-//! classification metrics.
+//! application benchmarking, plus train/test splitting and classification
+//! metrics.
 //!
 //! The original UCI tables are not redistributed; instead
 //! [`synthetic::iris_like`], [`synthetic::wine_like`] and
@@ -31,14 +31,12 @@ pub mod dataset;
 pub mod errors;
 pub mod metrics;
 pub mod rng;
-pub mod scaler;
 pub mod split;
 pub mod synthetic;
 
 pub use dataset::Dataset;
 pub use errors::{DataError, Result};
 pub use metrics::{accuracy, confusion_matrix, AccuracyStats};
-pub use scaler::{MinMaxScaler, StandardScaler};
 pub use split::{stratified_split, train_test_split, TrainTestSplit};
 pub use synthetic::{cancer_like, gaussian_blobs, iris_like, wine_like, ClassSpec, SyntheticSpec};
 
@@ -85,18 +83,6 @@ mod proptests {
                 split.train.n_samples() + split.test.n_samples(),
                 dataset.n_samples()
             );
-        }
-
-        /// Min-max scaling always lands in the unit interval.
-        #[test]
-        fn min_max_output_bounded(seed in 0u64..200, index in 0usize..150) {
-            let dataset = synthetic::iris_like(seed).unwrap();
-            let scaler = MinMaxScaler::fit(&dataset).unwrap();
-            let sample = dataset.sample(index % dataset.n_samples()).unwrap();
-            let scaled = scaler.transform_sample(sample).unwrap();
-            for value in scaled {
-                prop_assert!((0.0..=1.0).contains(&value));
-            }
         }
     }
 }

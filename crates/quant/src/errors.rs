@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use febim_bayes::BayesError;
-use febim_device::DeviceError;
 
 /// Errors produced by the quantization and mapping pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,8 +38,6 @@ pub enum QuantError {
     },
     /// An underlying Bayesian-model error.
     Bayes(BayesError),
-    /// An underlying device-model error.
-    Device(DeviceError),
 }
 
 impl fmt::Display for QuantError {
@@ -60,7 +57,6 @@ impl fmt::Display for QuantError {
             }
             QuantError::UnknownIndex { kind, index } => write!(f, "unknown {kind} index {index}"),
             QuantError::Bayes(err) => write!(f, "bayes error: {err}"),
-            QuantError::Device(err) => write!(f, "device error: {err}"),
         }
     }
 }
@@ -69,7 +65,6 @@ impl Error for QuantError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             QuantError::Bayes(err) => Some(err),
-            QuantError::Device(err) => Some(err),
             _ => None,
         }
     }
@@ -78,12 +73,6 @@ impl Error for QuantError {
 impl From<BayesError> for QuantError {
     fn from(err: BayesError) -> Self {
         QuantError::Bayes(err)
-    }
-}
-
-impl From<DeviceError> for QuantError {
-    fn from(err: DeviceError) -> Self {
-        QuantError::Device(err)
     }
 }
 
@@ -127,11 +116,5 @@ mod tests {
         let bayes = BayesError::NotTrained;
         let err: QuantError = bayes.into();
         assert!(Error::source(&err).is_some());
-        let device = DeviceError::TooManyLevels {
-            requested: 3,
-            supported: 2,
-        };
-        let err: QuantError = device.into();
-        assert!(err.to_string().contains("device error"));
     }
 }

@@ -1,9 +1,9 @@
 //! # febim-quant
 //!
-//! The probability quantization and mapping pipeline of FeBiM (Sec. 3.3 and
-//! Fig. 4 of the paper): probabilities are truncated, converted to the log
-//! domain, column-normalized (Eq. 6), uniformly quantized, and linearly
-//! mapped to discrete FeFET read currents.
+//! The probability quantization pipeline of FeBiM (Sec. 3.3 and Fig. 4 of
+//! the paper): probabilities are truncated, converted to the log domain,
+//! column-normalized (Eq. 6) and uniformly quantized. The device crate's
+//! `LevelProgrammer` maps each level linearly to a FeFET read current.
 //!
 //! The central type is [`QuantizedGnbc`], the quantized form of a trained
 //! Gaussian naive Bayes classifier. It serves both as a software model (to
@@ -33,7 +33,6 @@
 pub mod discretize;
 pub mod encoding;
 pub mod errors;
-pub mod mapping;
 pub mod pipeline;
 pub mod quantizer;
 pub mod transform;
@@ -44,7 +43,6 @@ pub use encoding::{
     Encoding, MAX_BITPLANE_BITS,
 };
 pub use errors::{QuantError, Result};
-pub use mapping::LevelCurrentMap;
 pub use pipeline::{QuantConfig, QuantizedGnbc};
 pub use quantizer::UniformQuantizer;
 pub use transform::{column_normalize, column_normalized, truncate_probability, truncated_log};
@@ -108,10 +106,9 @@ mod proptests {
 
         /// The crossbar-ordered views of a quantized model agree cell for
         /// cell under any bit-widths and any tile shape: `level_at` matches
-        /// the flat `level_matrix`, every tile-shaped `level_matrix_block`
-        /// of a full grid partition is the corresponding flat window, and
-        /// mapping a block to read currents round-trips identically to
-        /// mapping the flat matrix.
+        /// the flat `level_matrix`, and every tile-shaped
+        /// `level_matrix_block` of a full grid partition is the
+        /// corresponding flat window.
         #[test]
         fn level_views_agree_cell_for_cell(
             seed in 0u64..20,
@@ -143,7 +140,6 @@ mod proptests {
             }
             // Partition the matrix into (tile_rows x tile_columns) tiles, as
             // a fabric deployment would, and check every block view.
-            let map = LevelCurrentMap::febim_default(quantized.quantizer().levels()).unwrap();
             for row_start in (0..rows).step_by(tile_rows) {
                 for col_start in (0..columns).step_by(tile_columns) {
                     let row_end = rows.min(row_start + tile_rows);
@@ -156,21 +152,6 @@ mod proptests {
                         prop_assert_eq!(block_row.len(), col_end - col_start);
                         for (c, &level) in block_row.iter().enumerate() {
                             prop_assert_eq!(level, flat[row_start + r][col_start + c]);
-                        }
-                    }
-                    // Mapping round trip: the block's programmed currents are
-                    // the flat matrix's currents for the same cells.
-                    let occupied: Vec<Vec<Option<usize>>> = block
-                        .iter()
-                        .map(|row| row.iter().map(|&level| Some(level)).collect())
-                        .collect();
-                    let currents = map.block_currents(&occupied).unwrap();
-                    for (r, row_currents) in currents.iter().enumerate() {
-                        for (c, &current) in row_currents.iter().enumerate() {
-                            let expected = map
-                                .current_for_level(flat[row_start + r][col_start + c])
-                                .unwrap();
-                            prop_assert_eq!(current, expected);
                         }
                     }
                 }
