@@ -6,13 +6,6 @@ use std::fmt;
 /// Errors produced by Bayesian model construction, training and inference.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BayesError {
-    /// A probability value is outside `[0, 1]` or not finite.
-    InvalidProbability(f64),
-    /// A probability table does not sum to one (within tolerance).
-    UnnormalizedDistribution {
-        /// The sum that was found.
-        sum: f64,
-    },
     /// A model was asked to predict before being trained.
     NotTrained,
     /// The training data is unusable (empty, missing classes, ...).
@@ -39,12 +32,6 @@ pub enum BayesError {
 impl fmt::Display for BayesError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BayesError::InvalidProbability(p) => {
-                write!(f, "probability {p} outside the unit interval")
-            }
-            BayesError::UnnormalizedDistribution { sum } => {
-                write!(f, "distribution sums to {sum}, expected 1")
-            }
             BayesError::NotTrained => write!(f, "model has not been trained"),
             BayesError::InvalidTrainingData { reason } => {
                 write!(f, "invalid training data: {reason}")
@@ -70,12 +57,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert!(BayesError::InvalidProbability(1.5)
-            .to_string()
-            .contains("1.5"));
-        assert!(BayesError::UnnormalizedDistribution { sum: 0.8 }
-            .to_string()
-            .contains("0.8"));
         assert!(BayesError::NotTrained
             .to_string()
             .contains("not been trained"));

@@ -3,7 +3,7 @@
 //! Bayesian inference substrate and software baseline for the FeBiM
 //! reproduction:
 //!
-//! * [`Probability`] / [`LogProb`] newtypes and log-domain helpers;
+//! * [`argmax`] — the decision over log-domain scores;
 //! * [`CategoricalNaiveBayes`] — naive Bayes over discrete evidence values;
 //! * [`GaussianNaiveBayes`] — the Gaussian naive Bayes classifier (GNBC)
 //!   trained in FP64, serving as the paper's software baseline (Fig. 7/8).
@@ -34,7 +34,7 @@ pub mod prob;
 pub use errors::{BayesError, Result};
 pub use gnbc::{gaussian_log_pdf, ClassGaussians, GaussianNaiveBayes};
 pub use naive::CategoricalNaiveBayes;
-pub use prob::{argmax, log_scores_to_probabilities, LogProb, Probability};
+pub use prob::argmax;
 
 #[cfg(test)]
 mod proptests {
@@ -52,28 +52,6 @@ mod proptests {
             let at_mean = gaussian_log_pdf(mean, mean, variance);
             let off = gaussian_log_pdf(mean + offset, mean, variance);
             prop_assert!(at_mean > off);
-        }
-
-        /// Posterior normalization never changes the argmax.
-        #[test]
-        fn normalization_preserves_argmax(
-            scores in proptest::collection::vec(-50.0f64..0.0, 2..8)
-        ) {
-            let normalized = log_scores_to_probabilities(&scores);
-            let a = argmax(&scores);
-            let b = argmax(&normalized);
-            prop_assert_eq!(a, b);
-        }
-
-        /// Probability validation accepts exactly the unit interval.
-        #[test]
-        fn probability_validation(value in -2.0f64..3.0) {
-            let result = Probability::new(value);
-            if (0.0..=1.0).contains(&value) {
-                prop_assert!(result.is_ok());
-            } else {
-                prop_assert!(result.is_err());
-            }
         }
 
         /// GNBC predictions are invariant to adding a constant to every

@@ -1,110 +1,8 @@
-//! Probability newtypes.
+//! Log-domain decision helper.
 //!
-//! [`Probability`] guarantees its value lies in `[0, 1]`; [`LogProb`] stores a
-//! natural-log probability and supports the multiplicative accumulation of
-//! Bayes' rule as additions, exactly the trick FeBiM exploits in hardware
-//! (Eq. (5) of the paper).
-
-use std::ops::{Add, AddAssign};
-
-use serde::{Deserialize, Serialize};
-
-use crate::errors::{BayesError, Result};
-
-/// A probability value guaranteed to lie in the unit interval.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-pub struct Probability(f64);
-
-impl Probability {
-    /// The impossible event.
-    pub const ZERO: Probability = Probability(0.0);
-    /// The certain event.
-    pub const ONE: Probability = Probability(1.0);
-
-    /// Creates a probability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::InvalidProbability`] if `value` is not finite or
-    /// lies outside `[0, 1]`.
-    pub fn new(value: f64) -> Result<Self> {
-        if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-            return Err(BayesError::InvalidProbability(value));
-        }
-        Ok(Self(value))
-    }
-
-    /// The wrapped value.
-    pub fn value(self) -> f64 {
-        self.0
-    }
-
-    /// Natural logarithm of the probability; `-inf` for zero.
-    pub fn ln(self) -> LogProb {
-        LogProb::new(self.0.ln())
-    }
-
-    /// Complement `1 - p`.
-    pub fn complement(self) -> Probability {
-        Probability(1.0 - self.0)
-    }
-}
-
-impl TryFrom<f64> for Probability {
-    type Error = BayesError;
-
-    fn try_from(value: f64) -> Result<Self> {
-        Probability::new(value)
-    }
-}
-
-/// A natural-log probability (or any log-domain score).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-pub struct LogProb(f64);
-
-impl LogProb {
-    /// Creates a log-probability from a raw log-domain value.
-    pub fn new(value: f64) -> Self {
-        Self(value)
-    }
-
-    /// Log of the certain event (zero).
-    pub fn zero() -> Self {
-        Self(0.0)
-    }
-
-    /// The wrapped log-domain value.
-    pub fn value(self) -> f64 {
-        self.0
-    }
-
-    /// Converts back to a linear-domain probability, clamping at 1.
-    pub fn exp(self) -> f64 {
-        self.0.exp().min(1.0)
-    }
-}
-
-impl Add for LogProb {
-    type Output = LogProb;
-
-    /// Adding log-probabilities corresponds to multiplying probabilities —
-    /// the accumulation FeBiM performs on its wordlines.
-    fn add(self, other: LogProb) -> LogProb {
-        LogProb(self.0 + other.0)
-    }
-}
-
-impl AddAssign for LogProb {
-    fn add_assign(&mut self, other: LogProb) {
-        self.0 += other.0;
-    }
-}
-
-impl From<Probability> for LogProb {
-    fn from(p: Probability) -> Self {
-        p.ln()
-    }
-}
+//! Scores are natural-log posteriors, so Bayes' rule multiplies as additions,
+//! exactly the trick FeBiM exploits in hardware (Eq. (5) of the paper), and
+//! the decision is the index of the largest score.
 
 /// Index of the maximum value in a slice of log-domain scores.
 ///
@@ -122,58 +20,9 @@ pub fn argmax(scores: &[f64]) -> Option<usize> {
     Some(best)
 }
 
-/// Converts log-domain scores into a normalized probability distribution
-/// (a numerically stable softmax with unit temperature).
-pub fn log_scores_to_probabilities(scores: &[f64]) -> Vec<f64> {
-    if scores.is_empty() {
-        return Vec::new();
-    }
-    let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = scores.iter().map(|s| (s - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn probability_validates_range() {
-        assert!(Probability::new(0.5).is_ok());
-        assert!(Probability::new(-0.1).is_err());
-        assert!(Probability::new(1.1).is_err());
-        assert!(Probability::new(f64::NAN).is_err());
-        assert!(Probability::try_from(0.25).is_ok());
-    }
-
-    #[test]
-    fn constants_and_complement() {
-        assert_eq!(Probability::ZERO.value(), 0.0);
-        assert_eq!(Probability::ONE.value(), 1.0);
-        let p = Probability::new(0.3).unwrap();
-        assert!((p.complement().value() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_round_trip() {
-        let p = Probability::new(0.42).unwrap();
-        let log: LogProb = p.into();
-        assert!((log.exp() - 0.42).abs() < 1e-12);
-        assert_eq!(Probability::ZERO.ln().value(), f64::NEG_INFINITY);
-        assert_eq!(Probability::ONE.ln().value(), 0.0);
-        assert_eq!(LogProb::zero().value(), 0.0);
-    }
-
-    #[test]
-    fn log_addition_is_probability_multiplication() {
-        let a = Probability::new(0.5).unwrap().ln();
-        let b = Probability::new(0.25).unwrap().ln();
-        let mut product = a + b;
-        assert!((product.exp() - 0.125).abs() < 1e-12);
-        product += Probability::new(0.5).unwrap().ln();
-        assert!((product.exp() - 0.0625).abs() < 1e-12);
-    }
 
     #[test]
     fn argmax_behaviour() {
@@ -183,23 +32,5 @@ mod tests {
         // Ties resolve to the first occurrence.
         assert_eq!(argmax(&[2.0, 2.0]), Some(0));
         assert_eq!(argmax(&[f64::NEG_INFINITY, -1.0]), Some(1));
-    }
-
-    #[test]
-    fn softmax_normalizes() {
-        let probs = log_scores_to_probabilities(&[-1.0, -2.0, -3.0]);
-        let sum: f64 = probs.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        assert!(probs[0] > probs[1] && probs[1] > probs[2]);
-        assert!(log_scores_to_probabilities(&[]).is_empty());
-    }
-
-    #[test]
-    fn softmax_is_shift_invariant() {
-        let a = log_scores_to_probabilities(&[-10.0, -11.0]);
-        let b = log_scores_to_probabilities(&[0.0, -1.0]);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-12);
-        }
     }
 }

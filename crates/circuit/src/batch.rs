@@ -20,31 +20,15 @@
 //!   drivers + conduction),
 //! * group sensing energy = Σ per-read sensing energies.
 //!
-//! The helpers [`wordline_driver_energy`] and [`fabric_wordline_driver_energy`]
-//! compute the per-read wordline-driver share the group refunds on repeats,
-//! for a monolithic array and for a tiled fabric respectively.
+//! [`crate::SensingChain::wordline_share`] computes the per-read
+//! wordline-driver share the group refunds on repeats, from the same
+//! [`crate::ReadGeometry`] the read was priced on.
 
 use serde::{Deserialize, Serialize};
 
 use crate::delay::DelayBreakdown;
-use crate::energy::{EnergyParams, InferenceEnergy};
+use crate::energy::InferenceEnergy;
 use crate::errors::{CircuitError, Result};
-use crate::fabric::TileGeometry;
-
-/// Per-read wordline-driver energy of a monolithic array with `rows`
-/// wordlines, in joules — the component a grouped read pays only once.
-pub fn wordline_driver_energy(params: &EnergyParams, rows: usize) -> f64 {
-    rows as f64 * params.wordline_driver_energy
-}
-
-/// Per-read wordline-driver energy of a tiled fabric, in joules: every tile
-/// row re-drives its occupied wordlines, so the share sums over all tiles.
-pub fn fabric_wordline_driver_energy(params: &EnergyParams, tiles: &[TileGeometry]) -> f64 {
-    tiles
-        .iter()
-        .map(|tile| tile.rows as f64 * params.wordline_driver_energy)
-        .sum()
-}
 
 /// Accumulated amortized cost of a group of reads issued back to back
 /// against the same programmed wordlines.
@@ -84,8 +68,8 @@ impl ReadGroup {
 
     /// Adds one read to the group from its individually priced delay and
     /// energy. `wordline_share` is the per-read wordline-driver energy the
-    /// group pays only once (compute it with [`wordline_driver_energy`] or
-    /// [`fabric_wordline_driver_energy`]).
+    /// group pays only once (compute it with
+    /// [`crate::SensingChain::wordline_share`]).
     ///
     /// # Errors
     ///
@@ -172,7 +156,8 @@ impl Default for ReadGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sense::SensingChain;
+    use crate::fabric::TileGeometry;
+    use crate::sense::{ReadGeometry, SensingChain};
 
     fn chain() -> SensingChain {
         SensingChain::febim_calibrated()
@@ -192,7 +177,7 @@ mod tests {
         let chain = chain();
         let currents = [0.8e-6, 1.6e-6, 1.2e-6];
         let readout = chain.sense(&currents, 5).unwrap();
-        let share = wordline_driver_energy(chain.energy_model().params(), currents.len());
+        let share = chain.wordline_share(ReadGeometry::Array { activated: 5 }, currents.len());
         let mut group = ReadGroup::new();
         for _ in 0..8 {
             group.add(&readout.delay, &readout.energy, share).unwrap();
@@ -216,7 +201,7 @@ mod tests {
     fn single_read_group_matches_the_read_exactly() {
         let chain = chain();
         let readout = chain.sense(&[1.0e-6, 0.4e-6], 3).unwrap();
-        let share = wordline_driver_energy(chain.energy_model().params(), 2);
+        let share = chain.wordline_share(ReadGeometry::Array { activated: 3 }, 2);
         let mut group = ReadGroup::new();
         group.add(&readout.delay, &readout.energy, share).unwrap();
         assert_eq!(group.delay(), readout.delay);
@@ -227,7 +212,8 @@ mod tests {
 
     #[test]
     fn fabric_wordline_share_sums_over_tiles() {
-        let params = EnergyParams::febim_calibrated();
+        let chain = chain();
+        let params = chain.energy_model().params();
         let tiles = [
             TileGeometry {
                 rows: 2,
@@ -240,9 +226,16 @@ mod tests {
                 activated_columns: 1,
             },
         ];
-        let share = fabric_wordline_driver_energy(&params, &tiles);
+        let fabric = ReadGeometry::Fabric {
+            tiles: &tiles,
+            col_tiles: 1,
+        };
+        let share = chain.wordline_share(fabric, 3);
         assert!((share - 3.0 * params.wordline_driver_energy).abs() < 1e-30);
-        assert_eq!(wordline_driver_energy(&params, 3), share);
+        assert_eq!(
+            chain.wordline_share(ReadGeometry::Array { activated: 4 }, 3),
+            share
+        );
     }
 
     #[test]

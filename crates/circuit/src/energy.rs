@@ -148,7 +148,7 @@ impl EnergyModel {
 
     /// Energy of one inference when the mirrored currents have already been
     /// computed (the allocation-free path used by
-    /// [`crate::SensingChain::sense_into`], which mirrors the currents once
+    /// [`crate::SensingChain::price`], whose callers mirror the currents once
     /// into a scratch buffer). `mirrored_currents` must be the output of
     /// `mirror.copy_all(wordline_currents)`.
     ///
@@ -164,6 +164,35 @@ impl EnergyModel {
         mirror: &CurrentMirror,
         wta: &WtaCircuit,
     ) -> Result<InferenceEnergy> {
+        let drivers = activated_columns as f64 * self.params.bitline_driver_energy
+            + wordline_currents.len() as f64 * self.params.wordline_driver_energy;
+        self.with_drivers(
+            drivers,
+            wordline_currents,
+            mirrored_currents,
+            duration,
+            mirror,
+            wta,
+        )
+    }
+
+    /// Energy of one inference whose driver energy, `drivers` joules, the
+    /// caller has already summed for its geometry: adds the conduction of the
+    /// wordline currents to the array part and the mirror and WTA energy as
+    /// the sensing part.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`EnergyModel::inference`].
+    pub(crate) fn with_drivers(
+        &self,
+        drivers: f64,
+        wordline_currents: &[f64],
+        mirrored_currents: &[f64],
+        duration: f64,
+        mirror: &CurrentMirror,
+        wta: &WtaCircuit,
+    ) -> Result<InferenceEnergy> {
         if wordline_currents.is_empty() {
             return Err(CircuitError::EmptyInput);
         }
@@ -173,11 +202,7 @@ impl EnergyModel {
             }
         }
         let duration = duration.max(0.0);
-        let rows = wordline_currents.len() as f64;
         let total_current: f64 = wordline_currents.iter().sum();
-
-        let drivers = activated_columns as f64 * self.params.bitline_driver_energy
-            + rows * self.params.wordline_driver_energy;
         let conduction = total_current * self.params.read_drain_bias * duration;
         let array = drivers + conduction;
 

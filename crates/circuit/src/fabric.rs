@@ -1,19 +1,15 @@
-//! Sensing aggregation for a tiled crossbar fabric.
+//! Sensing for a tiled crossbar fabric.
 //!
 //! A model sharded across a grid of fixed-size tiles reads differently from
 //! a monolithic array: every tile settles its own (smaller) bitline load in
 //! parallel, each tile's per-row current mirrors copy the partial wordline
 //! currents onto a merge bus that forms the full log-posterior currents, and
 //! a single fabric-level WTA resolves the winner over the merged rows. This
-//! module extends [`SensingChain`] with that read path:
+//! module holds that read path's pieces:
 //!
 //! * [`TileGeometry`] describes one tile's occupied geometry and how many of
-//!   its bitlines a given read activates;
-//! * [`SensingChain::fabric_delay`] prices the parallel tile settling, the
-//!   partial-sum merge and the fabric WTA;
-//! * [`SensingChain::fabric_energy`] sums the per-tile driver energies (each
-//!   tile row re-drives its activated bitlines — the intrinsic overhead of
-//!   row sharding) on top of conduction, mirror and WTA energy;
+//!   its bitlines a given read activates; a read's tiles form a
+//!   [`ReadGeometry::Fabric`], which [`SensingChain::price`] prices;
 //! * [`SensingChain::sense_fabric_into`] is the allocation-free composed
 //!   read, the tiled counterpart of [`SensingChain::sense_into`].
 //!
@@ -24,10 +20,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::delay::DelayBreakdown;
-use crate::energy::InferenceEnergy;
 use crate::errors::{CircuitError, Result};
-use crate::sense::{SenseReadout, SensingChain};
+use crate::sense::{ReadGeometry, SenseReadout, SensingChain};
 
 /// Occupied geometry of one fabric tile during a read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,7 +35,9 @@ pub struct TileGeometry {
     pub activated_columns: usize,
 }
 
-fn validate_tiles(tiles: &[TileGeometry], col_tiles: usize) -> Result<()> {
+/// Checks that `tiles` is a non-empty grid of `col_tiles` tile columns whose
+/// tiles are occupied and activate no more bitlines than they hold.
+pub(crate) fn validate_tiles(tiles: &[TileGeometry], col_tiles: usize) -> Result<()> {
     if tiles.is_empty() {
         return Err(CircuitError::EmptyInput);
     }
@@ -78,96 +74,6 @@ fn validate_tiles(tiles: &[TileGeometry], col_tiles: usize) -> Result<()> {
 }
 
 impl SensingChain {
-    /// Worst-case delay of one tiled read.
-    ///
-    /// All tiles settle in parallel, so the array component is the maximum
-    /// per-tile settling time; the partial-sum merge bus adds one per-column
-    /// load per tile column it collects; the fabric WTA then resolves over
-    /// the merged rows with the calibrated worst-case current gap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::EmptyInput`] for an empty tile list,
-    /// [`CircuitError::InvalidParameter`] for inconsistent grid dimensions or
-    /// degenerate tiles, and propagates delay-model errors.
-    pub fn fabric_delay(
-        &self,
-        tiles: &[TileGeometry],
-        col_tiles: usize,
-        merged_rows: usize,
-    ) -> Result<DelayBreakdown> {
-        validate_tiles(tiles, col_tiles)?;
-        let params = self.delay_model().params();
-        let slowest_tile = tiles
-            .iter()
-            .map(|tile| params.array_base + params.per_column * tile.columns as f64)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let merge = params.per_column * col_tiles as f64;
-        let sensing = self.wta().settling_time(
-            merged_rows.max(1),
-            params.worst_case_gap * self.mirror().gain,
-        );
-        Ok(DelayBreakdown {
-            array: slowest_tile + merge,
-            sensing,
-        })
-    }
-
-    /// Energy of one tiled read.
-    ///
-    /// Driver energy accumulates per tile — each tile row re-drives the
-    /// activated bitlines that fall into its column range, the intrinsic
-    /// cost of row sharding — while conduction and mirror energy are priced
-    /// on the merged currents (both are linear in current, so the per-tile
-    /// partial sums and the merged totals are interchangeable) and the WTA
-    /// burns its bias branches over the merged rows.
-    ///
-    /// `mirrored_currents` must be `mirror().copy_all` of `merged_currents`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the tile-validation errors of
-    /// [`SensingChain::fabric_delay`] plus [`CircuitError::EmptyInput`] /
-    /// [`CircuitError::InvalidCurrent`] for bad merged currents.
-    pub fn fabric_energy(
-        &self,
-        merged_currents: &[f64],
-        mirrored_currents: &[f64],
-        tiles: &[TileGeometry],
-        col_tiles: usize,
-        duration: f64,
-    ) -> Result<InferenceEnergy> {
-        validate_tiles(tiles, col_tiles)?;
-        if merged_currents.is_empty() {
-            return Err(CircuitError::EmptyInput);
-        }
-        for (index, &value) in merged_currents.iter().enumerate() {
-            if !(value >= 0.0 && value.is_finite()) {
-                return Err(CircuitError::InvalidCurrent { index, value });
-            }
-        }
-        let duration = duration.max(0.0);
-        let energy_params = self.energy_model().params();
-        let drivers: f64 = tiles
-            .iter()
-            .map(|tile| {
-                tile.activated_columns as f64 * energy_params.bitline_driver_energy
-                    + tile.rows as f64 * energy_params.wordline_driver_energy
-            })
-            .sum();
-        let total_current: f64 = merged_currents.iter().sum();
-        let conduction = total_current * energy_params.read_drain_bias * duration;
-        let mirror_energy: f64 = merged_currents
-            .iter()
-            .map(|&current| self.mirror().energy(current, duration))
-            .sum();
-        let wta_energy = self.wta().energy(mirrored_currents, duration);
-        Ok(InferenceEnergy {
-            array: drivers + conduction,
-            sensing: mirror_energy + wta_energy,
-        })
-    }
-
     /// Senses one tiled read without allocating: mirrors the merged
     /// wordline currents into `mirrored_scratch` (cleared first), resolves
     /// the fabric WTA and prices the tiled delay and energy.
@@ -188,23 +94,8 @@ impl SensingChain {
         col_tiles: usize,
         mirrored_scratch: &mut Vec<f64>,
     ) -> Result<SenseReadout> {
-        self.mirror()
-            .copy_all_into(merged_currents, mirrored_scratch)?;
-        let decision = self.wta().resolve(mirrored_scratch)?;
-        let delay = self.fabric_delay(tiles, col_tiles, merged_currents.len())?;
-        let energy = self.fabric_energy(
-            merged_currents,
-            mirrored_scratch,
-            tiles,
-            col_tiles,
-            delay.total(),
-        )?;
-        Ok(SenseReadout {
-            winner: decision.winner,
-            decision,
-            delay,
-            energy,
-        })
+        let geometry = ReadGeometry::Fabric { tiles, col_tiles };
+        self.read_into(geometry, None, merged_currents, mirrored_scratch)
     }
 }
 
@@ -241,27 +132,36 @@ mod tests {
         ]
     }
 
+    const MERGED: [f64; 3] = [1.0e-6, 1.4e-6, 0.8e-6];
+
+    /// Prices a one-hot read of [`MERGED`] on `tiles`.
+    fn price_grid(
+        tiles: &[TileGeometry],
+        col_tiles: usize,
+    ) -> Result<(crate::DelayBreakdown, crate::InferenceEnergy)> {
+        let chain = chain();
+        let mirrored = chain.mirror().copy_all(&MERGED).unwrap();
+        let geometry = ReadGeometry::Fabric { tiles, col_tiles };
+        chain.price(geometry, None, &MERGED, &mirrored)
+    }
+
     #[test]
     fn tile_validation_rejects_degenerate_grids() {
-        let chain = chain();
-        assert!(matches!(
-            chain.fabric_delay(&[], 1, 3),
-            Err(CircuitError::EmptyInput)
-        ));
-        assert!(chain.fabric_delay(&grid_2x2(), 3, 3).is_err());
-        assert!(chain.fabric_delay(&grid_2x2(), 0, 3).is_err());
+        assert!(matches!(price_grid(&[], 1), Err(CircuitError::EmptyInput)));
+        assert!(price_grid(&grid_2x2(), 3).is_err());
+        assert!(price_grid(&grid_2x2(), 0).is_err());
         let mut zero = grid_2x2();
         zero[1].rows = 0;
-        assert!(chain.fabric_delay(&zero, 2, 3).is_err());
+        assert!(price_grid(&zero, 2).is_err());
         let mut over = grid_2x2();
         over[0].activated_columns = 99;
-        assert!(chain.fabric_delay(&over, 2, 3).is_err());
+        assert!(price_grid(&over, 2).is_err());
     }
 
     #[test]
     fn fabric_delay_tracks_the_slowest_tile_not_the_sum() {
         let chain = chain();
-        let tiled = chain.fabric_delay(&grid_2x2(), 2, 3).unwrap();
+        let (tiled, _) = price_grid(&grid_2x2(), 2).unwrap();
         // The widest tile has 9 columns; the monolithic equivalent has 16.
         let monolithic = chain
             .delay_model()
@@ -275,16 +175,11 @@ mod tests {
     #[test]
     fn fabric_energy_charges_every_tile_row_for_its_drivers() {
         let chain = chain();
-        let merged = [1.0e-6, 1.4e-6, 0.8e-6];
-        let mirrored = chain.mirror().copy_all(&merged).unwrap();
-        let tiles = grid_2x2();
-        let energy = chain
-            .fabric_energy(&merged, &mirrored, &tiles, 2, 500e-12)
-            .unwrap();
+        let (delay, energy) = price_grid(&grid_2x2(), 2).unwrap();
         let params = chain.energy_model().params();
         let monolithic = chain
             .energy_model()
-            .inference(&merged, 4, 500e-12, chain.mirror(), chain.wta())
+            .inference(&MERGED, 4, delay.total(), chain.mirror(), chain.wta())
             .unwrap();
         // The grid drives 3+1+3+1 = 8 bitlines across 2+2+1+1 = 6 tile rows;
         // the monolithic array drives 4 bitlines across 3 rows. Conduction is
@@ -325,11 +220,12 @@ mod tests {
     fn invalid_merged_currents_rejected() {
         let chain = chain();
         let mirrored = [0.1e-6];
-        assert!(chain
-            .fabric_energy(&[], &mirrored, &grid_2x2(), 2, 1e-9)
-            .is_err());
-        assert!(chain
-            .fabric_energy(&[f64::NAN], &mirrored, &grid_2x2(), 2, 1e-9)
-            .is_err());
+        let tiles = grid_2x2();
+        let geometry = ReadGeometry::Fabric {
+            tiles: &tiles,
+            col_tiles: 2,
+        };
+        assert!(chain.price(geometry, None, &[], &mirrored).is_err());
+        assert!(chain.price(geometry, None, &[f64::NAN], &mirrored).is_err());
     }
 }

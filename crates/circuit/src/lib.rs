@@ -13,7 +13,10 @@
 //!   (Fig. 5(c));
 //! * [`DelayModel`] / [`EnergyModel`] — calibrated inference delay and energy
 //!   estimates as a function of array geometry (Fig. 6);
-//! * [`SensingChain`] — the composed sensing module;
+//! * [`SensingChain`] — the composed sensing module, whose
+//!   [`SensingChain::price`] is the one cost model of a read on any
+//!   [`ReadGeometry`] (monolithic array or tiled fabric, one-hot or
+//!   bit-plane);
 //! * [`transient`] — a small fixed-step transient solver used for the WTA
 //!   waveforms.
 //!
@@ -44,13 +47,13 @@ pub mod shift_add;
 pub mod transient;
 pub mod wta;
 
-pub use batch::{fabric_wordline_driver_energy, wordline_driver_energy, ReadGroup};
+pub use batch::ReadGroup;
 pub use delay::{DelayBreakdown, DelayModel, DelayParams};
 pub use energy::{EnergyModel, EnergyParams, InferenceEnergy};
 pub use errors::{CircuitError, Result};
 pub use fabric::TileGeometry;
 pub use mirror::CurrentMirror;
-pub use sense::{SenseOutcome, SenseReadout, SensingChain};
+pub use sense::{ReadGeometry, SenseOutcome, SenseReadout, SensingChain};
 pub use shift_add::merge_plane_sums_into;
 pub use transient::{first_order_settling, integrate, TransientConfig, Waveform, WaveformPoint};
 pub use wta::{WtaCircuit, WtaDecision, WtaParams, WtaTransient};

@@ -18,16 +18,18 @@
 //! read, so packing never changes the decision path — only the column
 //! footprint and the read telemetry.
 //!
-//! Pricing: the merge bus re-uses the array's column-settling constant once
-//! per plane on top of the (much narrower) packed-column settling, and
-//! charges one bitline-driver switch per row per plane for the shift-add
-//! accumulators. Both monolithic and tiled-fabric variants are provided.
+//! Pricing: shift-add is one step of any packed read, so
+//! [`SensingChain::price`] adds its surcharge on top of the base read of
+//! either geometry, the monolithic array or a tiled fabric. The merge bus
+//! re-uses the array's column-settling constant once per plane on top of
+//! the (much narrower) packed-column settling, charges one bitline-driver
+//! switch per merged row per plane for the shift-add accumulators, and
+//! digitizes every driven multi-bit cell with `cell_bits` ladder
+//! comparisons.
 
-use crate::delay::DelayBreakdown;
-use crate::energy::InferenceEnergy;
 use crate::errors::{CircuitError, Result};
 use crate::fabric::TileGeometry;
-use crate::sense::{SenseReadout, SensingChain};
+use crate::sense::{ReadGeometry, SenseReadout, SensingChain};
 
 /// Merges per-plane partial sums into wordline currents, written into
 /// `merged` (cleared first).
@@ -55,12 +57,7 @@ pub fn merge_plane_sums_into(
     if plane_sums.is_empty() {
         return Err(CircuitError::EmptyInput);
     }
-    if planes == 0 {
-        return Err(CircuitError::InvalidParameter {
-            name: "planes",
-            reason: "a packed read carries at least one bit plane".to_string(),
-        });
-    }
+    check_planes(planes)?;
     if !plane_sums.len().is_multiple_of(planes) {
         return Err(CircuitError::InvalidParameter {
             name: "plane_sums",
@@ -103,7 +100,8 @@ pub fn merge_plane_sums_into(
     Ok(())
 }
 
-fn check_planes(planes: usize) -> Result<()> {
+/// Rejects a packed read without bit planes.
+pub(crate) fn check_planes(planes: usize) -> Result<()> {
     if planes == 0 {
         return Err(CircuitError::InvalidParameter {
             name: "planes",
@@ -113,7 +111,8 @@ fn check_planes(planes: usize) -> Result<()> {
     Ok(())
 }
 
-fn check_cell_bits(cell_bits: usize) -> Result<()> {
+/// Rejects a packed cell that stores no bit.
+pub(crate) fn check_cell_bits(cell_bits: usize) -> Result<()> {
     if cell_bits == 0 {
         return Err(CircuitError::InvalidParameter {
             name: "cell_bits",
@@ -124,132 +123,6 @@ fn check_cell_bits(cell_bits: usize) -> Result<()> {
 }
 
 impl SensingChain {
-    /// Worst-case delay of one packed shift-add read on a monolithic array:
-    /// the settling of the (reduced) packed columns, plus one merge-bus pass
-    /// per plane, plus the usual WTA resolution over the merged rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidParameter`] for a zero plane count and
-    /// propagates delay-model errors.
-    pub fn shift_add_delay(
-        &self,
-        rows: usize,
-        activated_columns: usize,
-        planes: usize,
-    ) -> Result<DelayBreakdown> {
-        check_planes(planes)?;
-        let mut delay = self.delay_model().worst_case(
-            rows,
-            activated_columns.max(1),
-            self.wta(),
-            self.mirror().gain,
-        )?;
-        delay.array += self.delay_model().params().per_column * planes as f64;
-        Ok(delay)
-    }
-
-    /// Energy of one packed shift-add read on a monolithic array: the usual
-    /// driver/conduction/mirror/WTA pricing over the merged currents and the
-    /// (reduced) activated packed columns, plus one bitline-driver switch
-    /// per row per plane for the shift-add accumulators, plus the
-    /// multi-level sensing refinement — every activated multi-bit cell is
-    /// digitized by `cell_bits` successive ladder comparisons
-    /// (`cell_bits = log2` of the cell's state count), each priced at
-    /// [`crate::EnergyParams::level_refine_energy`].
-    ///
-    /// `mirrored_currents` must be `mirror().copy_all` of `merged_currents`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidParameter`] for a zero plane or
-    /// cell-bit count and propagates energy-model errors.
-    pub fn shift_add_energy(
-        &self,
-        merged_currents: &[f64],
-        mirrored_currents: &[f64],
-        activated_columns: usize,
-        planes: usize,
-        cell_bits: usize,
-        duration: f64,
-    ) -> Result<InferenceEnergy> {
-        check_planes(planes)?;
-        check_cell_bits(cell_bits)?;
-        let mut energy = self.energy_model().inference_with_mirrored(
-            merged_currents,
-            mirrored_currents,
-            activated_columns,
-            duration,
-            self.mirror(),
-            self.wta(),
-        )?;
-        energy.array += (planes * merged_currents.len()) as f64
-            * self.energy_model().params().bitline_driver_energy;
-        energy.sensing += (cell_bits * activated_columns) as f64
-            * self.energy_model().params().level_refine_energy;
-        Ok(energy)
-    }
-
-    /// Worst-case delay of one packed shift-add read on a tiled fabric: the
-    /// parallel per-tile settling and merge bus of
-    /// [`SensingChain::fabric_delay`], plus one merge-bus pass per plane.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SensingChain::fabric_delay`], plus
-    /// [`CircuitError::InvalidParameter`] for a zero plane count.
-    pub fn shift_add_fabric_delay(
-        &self,
-        tiles: &[TileGeometry],
-        col_tiles: usize,
-        merged_rows: usize,
-        planes: usize,
-    ) -> Result<DelayBreakdown> {
-        check_planes(planes)?;
-        let mut delay = self.fabric_delay(tiles, col_tiles, merged_rows)?;
-        delay.array += self.delay_model().params().per_column * planes as f64;
-        Ok(delay)
-    }
-
-    /// Energy of one packed shift-add read on a tiled fabric: the per-tile
-    /// driver pricing of [`SensingChain::fabric_energy`], plus one
-    /// bitline-driver switch per merged row per plane for the shift-add
-    /// accumulators, plus `cell_bits` ladder comparisons per activated cell
-    /// across all tiles for the multi-level sensing refinement.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SensingChain::fabric_energy`], plus
-    /// [`CircuitError::InvalidParameter`] for a zero plane or cell-bit
-    /// count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn shift_add_fabric_energy(
-        &self,
-        merged_currents: &[f64],
-        mirrored_currents: &[f64],
-        tiles: &[TileGeometry],
-        col_tiles: usize,
-        planes: usize,
-        cell_bits: usize,
-        duration: f64,
-    ) -> Result<InferenceEnergy> {
-        check_planes(planes)?;
-        check_cell_bits(cell_bits)?;
-        let mut energy = self.fabric_energy(
-            merged_currents,
-            mirrored_currents,
-            tiles,
-            col_tiles,
-            duration,
-        )?;
-        energy.array += (planes * merged_currents.len()) as f64
-            * self.energy_model().params().bitline_driver_energy;
-        let activated: usize = tiles.iter().map(|tile| tile.activated_columns).sum();
-        energy.sensing +=
-            (cell_bits * activated) as f64 * self.energy_model().params().level_refine_energy;
-        Ok(energy)
-    }
-
     /// Senses one packed shift-add read on a tiled fabric without
     /// allocating: merges the plane partials into `merged_scratch`, mirrors
     /// them into `mirrored_scratch` (both cleared first), resolves the WTA
@@ -258,10 +131,8 @@ impl SensingChain {
     /// The decision runs over the merged currents through the exact mirror
     /// and WTA a one-hot read uses. Packed integer scores tie far more often
     /// than analog sums, so callers should expect and handle
-    /// [`CircuitError::AmbiguousWinner`]; the public
-    /// [`SensingChain::shift_add_fabric_delay`] /
-    /// [`SensingChain::shift_add_fabric_energy`] helpers let a tie fallback
-    /// price the read identically.
+    /// [`CircuitError::AmbiguousWinner`]; [`SensingChain::price`] lets a tie
+    /// fallback price the read identically.
     ///
     /// # Errors
     ///
@@ -288,25 +159,13 @@ impl SensingChain {
             floor_current,
             merged_scratch,
         )?;
-        self.mirror()
-            .copy_all_into(merged_scratch, mirrored_scratch)?;
-        let decision = self.wta().resolve(mirrored_scratch)?;
-        let delay = self.shift_add_fabric_delay(tiles, col_tiles, merged_scratch.len(), planes)?;
-        let energy = self.shift_add_fabric_energy(
+        let geometry = ReadGeometry::Fabric { tiles, col_tiles };
+        self.read_into(
+            geometry,
+            Some((planes, cell_bits)),
             merged_scratch,
             mirrored_scratch,
-            tiles,
-            col_tiles,
-            planes,
-            cell_bits,
-            delay.total(),
-        )?;
-        Ok(SenseReadout {
-            winner: decision.winner,
-            decision,
-            delay,
-            energy,
-        })
+        )
     }
 }
 
@@ -407,10 +266,14 @@ mod tests {
             ),
             Err(CircuitError::AmbiguousWinner { .. })
         ));
-        // The tie fallback can still price the read via the public helpers.
-        let delay = chain.shift_add_delay(merged.len(), 4, 2).unwrap();
-        let energy = chain
-            .shift_add_energy(&merged, &mirrored, 4, 2, 2, delay.total())
+        // The tie fallback can still price the read.
+        let (delay, energy) = chain
+            .price(
+                ReadGeometry::Array { activated: 4 },
+                Some((2, 2)),
+                &merged,
+                &mirrored,
+            )
             .unwrap();
         assert!(delay.total() > 0.0 && energy.total() > 0.0);
     }
@@ -426,7 +289,14 @@ mod tests {
             .delay_model()
             .worst_case(3, 8, chain.wta(), chain.mirror().gain)
             .unwrap();
-        let packed_delay = chain.shift_add_delay(3, 8, planes).unwrap();
+        let (packed_delay, packed_energy) = chain
+            .price(
+                ReadGeometry::Array { activated: 8 },
+                Some((planes, cell_bits)),
+                &merged,
+                &mirrored,
+            )
+            .unwrap();
         let per_column = chain.delay_model().params().per_column;
         assert!((packed_delay.array - base_delay.array - per_column * planes as f64).abs() < 1e-24);
         assert_eq!(packed_delay.sensing, base_delay.sensing);
@@ -435,9 +305,6 @@ mod tests {
         let base_energy = chain
             .energy_model()
             .inference(&merged, 8, duration, chain.mirror(), chain.wta())
-            .unwrap();
-        let packed_energy = chain
-            .shift_add_energy(&merged, &mirrored, 8, planes, cell_bits, duration)
             .unwrap();
         let per_driver = chain.energy_model().params().bitline_driver_energy;
         assert!(
@@ -492,26 +359,26 @@ mod tests {
         assert_eq!(fabric.winner, monolithic.winner);
         assert_eq!(merged, merged_mono);
         // Fabric pricing layers the per-plane merge pass on the fabric base.
-        let base = chain.fabric_delay(&tiles, 1, 3).unwrap();
+        let fabric_geometry = ReadGeometry::Fabric {
+            tiles: &tiles,
+            col_tiles: 1,
+        };
+        let (base, _) = chain
+            .price(fabric_geometry, None, &merged, &mirrored)
+            .unwrap();
         assert!(
             (fabric.delay.array - base.array - chain.delay_model().params().per_column * 2.0).abs()
                 < 1e-24
         );
-        // Zero planes and zero cell bits are rejected everywhere.
-        assert!(chain.shift_add_delay(3, 8, 0).is_err());
-        assert!(chain.shift_add_fabric_delay(&tiles, 1, 3, 0).is_err());
-        assert!(chain
-            .shift_add_energy(&merged, &mirrored, 6, 0, 2, 1e-9)
-            .is_err());
-        assert!(chain
-            .shift_add_energy(&merged, &mirrored, 6, 2, 0, 1e-9)
-            .is_err());
-        assert!(chain
-            .shift_add_fabric_energy(&merged, &mirrored, &tiles, 1, 0, 2, 1e-9)
-            .is_err());
-        assert!(chain
-            .shift_add_fabric_energy(&merged, &mirrored, &tiles, 1, 2, 0, 1e-9)
-            .is_err());
+        // Zero planes and zero cell bits are rejected on either geometry.
+        for geometry in [ReadGeometry::Array { activated: 6 }, fabric_geometry] {
+            assert!(chain
+                .price(geometry, Some((0, 2)), &merged, &mirrored)
+                .is_err());
+            assert!(chain
+                .price(geometry, Some((2, 0)), &merged, &mirrored)
+                .is_err());
+        }
     }
 
     #[test]
@@ -531,12 +398,20 @@ mod tests {
                 activated_columns: 2,
             },
         ];
-        let base = chain
-            .fabric_energy(&merged, &mirrored, &tiles, 1, 1e-9)
-            .unwrap();
         let cell_bits = 3;
-        let packed = chain
-            .shift_add_fabric_energy(&merged, &mirrored, &tiles, 1, 2, cell_bits, 1e-9)
+        let geometry = ReadGeometry::Fabric {
+            tiles: &tiles,
+            col_tiles: 1,
+        };
+        let (delay, packed) = chain
+            .price(geometry, Some((2, cell_bits)), &merged, &mirrored)
+            .unwrap();
+        // Stacked in one tile column, the tiles drive 3 + 2 bitlines over
+        // 2 + 1 wordlines, the drivers of a 3-row array driving 5 bitlines:
+        // that array's energy at the packed duration is the one-hot base.
+        let base = chain
+            .energy_model()
+            .inference(&merged, 5, delay.total(), chain.mirror(), chain.wta())
             .unwrap();
         let params = *chain.energy_model().params();
         // 5 activated cells across both tiles × 3 refinement comparisons.

@@ -30,15 +30,15 @@ use std::sync::Arc;
 
 use febim_bayes::{argmax, GaussianNaiveBayes};
 use febim_circuit::{
-    fabric_wordline_driver_energy, merge_plane_sums_into, wordline_driver_energy, CircuitError,
-    DelayBreakdown, InferenceEnergy, ReadGroup, SensingChain, TileGeometry,
+    merge_plane_sums_into, CircuitError, DelayBreakdown, InferenceEnergy, ReadGeometry, ReadGroup,
+    SensingChain, TileGeometry,
 };
 use febim_crossbar::{
     apply_scheduled_fault, Activation, FaultSchedule, LevelLadder, ProgrammingMode, RefreshOutcome,
     ScrubOutcome, TileGrid, TilePlan, TileShape,
 };
 use febim_device::{LevelProgrammer, VariationModel};
-use febim_quant::{bit_offset_of, QuantizedGnbc};
+use febim_quant::{bit_offset_of, packed_column_of, QuantizedGnbc};
 use serde::{Deserialize, Serialize};
 
 use crate::compiler::{compile, compile_tiled, CrossbarProgram, TiledProgram};
@@ -415,7 +415,7 @@ impl PackedRead {
             bit_offsets.push(0);
         }
         for &bin in evidence {
-            packed_evidence.push(bin / self.digits_per_cell);
+            packed_evidence.push(packed_column_of(bin, self.digits_per_cell));
             bit_offsets.push(bit_offset_of(bin, self.digits_per_cell, self.digit_bits) as u8);
         }
     }
@@ -503,9 +503,10 @@ impl InferenceBackend for SoftwareBackend {
 ///
 /// Decisions never depend on the rule — every read senses the same merged
 /// currents through the same mirror and WTA — only the modeled delay and
-/// energy do. The rule is a property of the backend, not of its tile plan:
-/// priced as a fabric, even a one-tile plan pays the merge bus that the
-/// paper's single array does not have.
+/// energy do. A rule only builds the [`ReadGeometry`] a read is priced on;
+/// [`SensingChain::price`] does the pricing. The rule is a property of the
+/// backend, not of its tile plan: priced as a fabric, even a one-tile plan
+/// pays the merge bus that the paper's single array does not have.
 pub trait ReadPricing: Clone + std::fmt::Debug {
     /// Backend family reported by [`InferenceBackend::info`].
     const KIND: BackendKind;
@@ -519,32 +520,18 @@ pub trait ReadPricing: Clone + std::fmt::Debug {
     /// Propagates tile-plan errors.
     fn for_plan(plan: &TilePlan) -> Result<Self>;
 
-    /// Worst-case delay and energy of one read of `activation`: `currents`
-    /// holds the merged wordline currents and `mirrored` their mirror copy;
-    /// `planes` is `Some((planes, cell_bits))` for a bit-plane read. `tiles`
-    /// is scratch for whatever per-read geometry the rule needs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates delay- and energy-model errors.
-    fn price(
+    /// The geometry one read of `activation` is priced on. `tiles` is
+    /// scratch for whatever per-read geometry the rule needs.
+    fn geometry<'a>(
         &self,
-        sensing: &SensingChain,
         activation: &Activation,
-        planes: Option<(usize, usize)>,
-        currents: &[f64],
-        mirrored: &[f64],
-        tiles: &mut Vec<TileGeometry>,
-    ) -> febim_circuit::Result<(DelayBreakdown, InferenceEnergy)>;
-
-    /// Wordline-driver energy of one read of `rows` merged wordlines: the
-    /// share a grouped read pays only once.
-    fn driver_share(&self, sensing: &SensingChain, rows: usize) -> f64;
+        tiles: &'a mut Vec<TileGeometry>,
+    ) -> ReadGeometry<'a>;
 }
 
-/// The paper's pricing: one array settling all wordlines, no merge bus
-/// ([`SensingChain::sense_into`] and [`SensingChain::shift_add_delay`] /
-/// [`SensingChain::shift_add_energy`]). Needs no per-read geometry.
+/// The paper's pricing: one array settling all wordlines over the read's
+/// driven bitlines, no merge bus ([`ReadGeometry::Array`]). Needs no
+/// per-read tile geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonolithicPricing;
 
@@ -556,54 +543,21 @@ impl ReadPricing for MonolithicPricing {
         Ok(Self)
     }
 
-    fn price(
+    fn geometry<'a>(
         &self,
-        sensing: &SensingChain,
         activation: &Activation,
-        planes: Option<(usize, usize)>,
-        currents: &[f64],
-        mirrored: &[f64],
-        _tiles: &mut Vec<TileGeometry>,
-    ) -> febim_circuit::Result<(DelayBreakdown, InferenceEnergy)> {
-        let activated = activation.len();
-        let Some((planes, cell_bits)) = planes else {
-            let delay = sensing.delay_model().worst_case(
-                currents.len(),
-                activated.max(1),
-                sensing.wta(),
-                sensing.mirror().gain,
-            )?;
-            let energy = sensing.energy_model().inference_with_mirrored(
-                currents,
-                mirrored,
-                activated,
-                delay.total(),
-                sensing.mirror(),
-                sensing.wta(),
-            )?;
-            return Ok((delay, energy));
-        };
-        let delay = sensing.shift_add_delay(currents.len(), activated, planes)?;
-        let energy = sensing.shift_add_energy(
-            currents,
-            mirrored,
-            activated,
-            planes,
-            cell_bits,
-            delay.total(),
-        )?;
-        Ok((delay, energy))
-    }
-
-    fn driver_share(&self, sensing: &SensingChain, rows: usize) -> f64 {
-        wordline_driver_energy(sensing.energy_model().params(), rows)
+        _tiles: &'a mut Vec<TileGeometry>,
+    ) -> ReadGeometry<'a> {
+        ReadGeometry::Array {
+            activated: activation.len(),
+        }
     }
 }
 
 /// Fabric pricing: tiles settle in parallel, a merge bus collects the tile
 /// columns' partial sums and every tile row re-drives its activated
-/// bitlines ([`SensingChain::sense_fabric_into`] and the `shift_add_fabric`
-/// helpers). Each read fills one [`TileGeometry`] per tile.
+/// bitlines ([`ReadGeometry::Fabric`]). Each read fills one
+/// [`TileGeometry`] per tile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TiledPricing {
     /// Occupied geometry of every tile (grid row-major), with
@@ -615,24 +569,6 @@ pub struct TiledPricing {
     /// division per activated column would cost more than the rest of the
     /// per-read geometry together.
     tile_col_of: Vec<usize>,
-}
-
-impl TiledPricing {
-    /// Fills `tiles` with the per-tile geometry of one read: the activated
-    /// columns counted per tile column, repeated down every tile row.
-    fn fill_tiles(&self, activation: &Activation, tiles: &mut Vec<TileGeometry>) {
-        tiles.clear();
-        tiles.extend_from_slice(&self.base_tiles);
-        for &column in activation.active_columns() {
-            tiles[self.tile_col_of[column]].activated_columns += 1;
-        }
-        let (first_row, other_rows) = tiles.split_at_mut(self.col_tiles);
-        for tile_row in other_rows.chunks_mut(self.col_tiles) {
-            for (tile, first) in tile_row.iter_mut().zip(&*first_row) {
-                tile.activated_columns = first.activated_columns;
-            }
-        }
-    }
 }
 
 impl ReadPricing for TiledPricing {
@@ -659,38 +595,28 @@ impl ReadPricing for TiledPricing {
         })
     }
 
-    fn price(
+    /// Counts the activated columns per tile column and repeats the counts
+    /// down every tile row.
+    fn geometry<'a>(
         &self,
-        sensing: &SensingChain,
         activation: &Activation,
-        planes: Option<(usize, usize)>,
-        currents: &[f64],
-        mirrored: &[f64],
-        tiles: &mut Vec<TileGeometry>,
-    ) -> febim_circuit::Result<(DelayBreakdown, InferenceEnergy)> {
-        self.fill_tiles(activation, tiles);
-        let Some((planes, cell_bits)) = planes else {
-            let delay = sensing.fabric_delay(tiles, self.col_tiles, currents.len())?;
-            let energy =
-                sensing.fabric_energy(currents, mirrored, tiles, self.col_tiles, delay.total())?;
-            return Ok((delay, energy));
-        };
-        let delay =
-            sensing.shift_add_fabric_delay(tiles, self.col_tiles, currents.len(), planes)?;
-        let energy = sensing.shift_add_fabric_energy(
-            currents,
-            mirrored,
+        tiles: &'a mut Vec<TileGeometry>,
+    ) -> ReadGeometry<'a> {
+        tiles.clear();
+        tiles.extend_from_slice(&self.base_tiles);
+        for &column in activation.active_columns() {
+            tiles[self.tile_col_of[column]].activated_columns += 1;
+        }
+        let (first_row, other_rows) = tiles.split_at_mut(self.col_tiles);
+        for tile_row in other_rows.chunks_mut(self.col_tiles) {
+            for (tile, first) in tile_row.iter_mut().zip(&*first_row) {
+                tile.activated_columns = first.activated_columns;
+            }
+        }
+        ReadGeometry::Fabric {
             tiles,
-            self.col_tiles,
-            planes,
-            cell_bits,
-            delay.total(),
-        )?;
-        Ok((delay, energy))
-    }
-
-    fn driver_share(&self, sensing: &SensingChain, _rows: usize) -> f64 {
-        fabric_wordline_driver_energy(sensing.energy_model().params(), &self.base_tiles)
+            col_tiles: self.col_tiles,
+        }
     }
 }
 
@@ -821,7 +747,8 @@ impl<P: ReadPricing> FabricBackend<P> {
     /// are in `currents` — or, for a packed read, whose plane partial sums
     /// are in `plane_sums` and get merged on the shift-add bus into
     /// `currents` first, so [`EvalScratch::wordline_currents`] reports the
-    /// merged scores exactly like a one-hot read. The shared tail of the
+    /// merged scores exactly like a one-hot read. A read of a `group` is
+    /// added to it with its wordline-driver share. The shared tail of the
     /// sequential and grouped inference paths.
     fn sense(
         &self,
@@ -830,6 +757,7 @@ impl<P: ReadPricing> FabricBackend<P> {
         currents: &mut Vec<f64>,
         mirrored: &mut Vec<f64>,
         tiles: &mut Vec<TileGeometry>,
+        group: Option<&mut ReadGroup>,
     ) -> Result<InferenceStep> {
         let mut planes = None;
         if let Some(packed) = &self.packed {
@@ -853,9 +781,12 @@ impl<P: ReadPricing> FabricBackend<P> {
             }
             Err(err) => return Err(err.into()),
         };
-        let (delay, energy) =
-            self.pricing
-                .price(&self.sensing, activation, planes, currents, mirrored, tiles)?;
+        let geometry = self.pricing.geometry(activation, tiles);
+        let (delay, energy) = self.sensing.price(geometry, planes, currents, mirrored)?;
+        if let Some(group) = group {
+            let share = self.sensing.wordline_share(geometry, currents.len());
+            group.add(&delay, &energy, share)?;
+        }
         Ok(InferenceStep {
             prediction,
             delay,
@@ -863,32 +794,15 @@ impl<P: ReadPricing> FabricBackend<P> {
             tie_broken,
         })
     }
-}
 
-impl<P: ReadPricing> InferenceBackend for FabricBackend<P> {
-    fn info(&self) -> BackendInfo {
-        BackendInfo {
-            kind: P::KIND,
-            name: P::NAME,
-            events: self.grid.layout().rows(),
-            columns: self.grid.layout().columns(),
-            tiles: self.tiled.plan().tile_count(),
-        }
-    }
-
-    fn make_scratch(&self) -> EvalScratch {
-        let rows = self.grid.layout().rows();
-        EvalScratch {
-            evidence: Vec::with_capacity(self.quantized.n_features()),
-            activation: Some(Activation::empty(self.grid.layout())),
-            currents: Vec::with_capacity(rows),
-            mirrored: Vec::with_capacity(rows),
-            tiles: Vec::with_capacity(self.tiled.plan().tile_count()),
-            ..EvalScratch::default()
-        }
-    }
-
-    fn infer_into(&self, sample: &[f64], scratch: &mut EvalScratch) -> Result<InferenceStep> {
+    /// One sequential read of `sample`, added to `group` when it is part of
+    /// one: the body of [`InferenceBackend::infer_into`].
+    fn read(
+        &self,
+        sample: &[f64],
+        scratch: &mut EvalScratch,
+        group: Option<&mut ReadGroup>,
+    ) -> Result<InferenceStep> {
         self.quantized
             .discretize_sample_into(sample, &mut scratch.evidence)?;
         let layout = self.grid.layout();
@@ -924,7 +838,35 @@ impl<P: ReadPricing> InferenceBackend for FabricBackend<P> {
                 self.grid.wordline_currents_into(activation, currents)?;
             }
         }
-        self.sense(activation, plane_sums, currents, mirrored, tiles)
+        self.sense(activation, plane_sums, currents, mirrored, tiles, group)
+    }
+}
+
+impl<P: ReadPricing> InferenceBackend for FabricBackend<P> {
+    fn info(&self) -> BackendInfo {
+        BackendInfo {
+            kind: P::KIND,
+            name: P::NAME,
+            events: self.grid.layout().rows(),
+            columns: self.grid.layout().columns(),
+            tiles: self.tiled.plan().tile_count(),
+        }
+    }
+
+    fn make_scratch(&self) -> EvalScratch {
+        let rows = self.grid.layout().rows();
+        EvalScratch {
+            evidence: Vec::with_capacity(self.quantized.n_features()),
+            activation: Some(Activation::empty(self.grid.layout())),
+            currents: Vec::with_capacity(rows),
+            mirrored: Vec::with_capacity(rows),
+            tiles: Vec::with_capacity(self.tiled.plan().tile_count()),
+            ..EvalScratch::default()
+        }
+    }
+
+    fn infer_into(&self, sample: &[f64], scratch: &mut EvalScratch) -> Result<InferenceStep> {
+        self.read(sample, scratch, None)
     }
 
     fn infer_batch_into(
@@ -938,15 +880,12 @@ impl<P: ReadPricing> InferenceBackend for FabricBackend<P> {
             return Ok(BatchTelemetry::empty(true));
         }
         let layout = self.grid.layout();
-        let share = self.pricing.driver_share(&self.sensing, layout.rows());
         let mut group = ReadGroup::new();
         if let [sample] = samples {
             // Singleton fall-through: skip the batch scratch machinery and
             // price the plain sequential read as a group of one, so batching
             // is never slower than sequential at `max_batch == 1`.
-            let step = self.infer_into(sample, scratch)?;
-            group.add(&step.delay, &step.energy, share)?;
-            steps.push(step);
+            steps.push(self.read(sample, scratch, Some(&mut group))?);
             return Ok(BatchTelemetry::from_group(&group));
         }
         if scratch.batch_activations.len() < samples.len() {
@@ -1016,8 +955,14 @@ impl<P: ReadPricing> InferenceBackend for FabricBackend<P> {
                 currents.clear();
                 currents.extend_from_slice(read);
             }
-            let step = self.sense(activation, read, currents, mirrored, tiles)?;
-            group.add(&step.delay, &step.energy, share)?;
+            let step = self.sense(
+                activation,
+                read,
+                currents,
+                mirrored,
+                tiles,
+                Some(&mut group),
+            )?;
             steps.push(step);
         }
         Ok(BatchTelemetry::from_group(&group))
@@ -1694,5 +1639,122 @@ mod tests {
         let b = fabric.infer_into(&[0.5], &mut b_scratch).unwrap();
         assert_eq!(a.prediction, b.prediction);
         assert_eq!(a.tie_broken, b.tie_broken);
+    }
+
+    /// The tile geometry of one read, computed from the plan alone: the
+    /// activated columns counted per tile column, repeated down every tile
+    /// row.
+    fn plan_tiles(plan: &TilePlan, activation: &Activation) -> Vec<TileGeometry> {
+        let mut counts = vec![0; plan.col_tiles()];
+        for &column in activation.active_columns() {
+            counts[column / plan.shape().columns] += 1;
+        }
+        let mut tiles = Vec::new();
+        for tile_row in 0..plan.row_tiles() {
+            for (tile_col, &activated_columns) in counts.iter().enumerate() {
+                let (rows, columns) = plan.tile_dims(tile_row, tile_col).unwrap();
+                tiles.push(TileGeometry {
+                    rows,
+                    columns,
+                    activated_columns,
+                });
+            }
+        }
+        tiles
+    }
+
+    /// The circuit's composite reads price an engine read exactly as the
+    /// backend does: handed the read's currents (or plane partial sums) and
+    /// its tile geometry, each returns the read's winner, delay and energy.
+    /// Tie-broken reads are skipped, since a composite reports the tie.
+    #[test]
+    fn circuit_composites_reprice_engine_reads_exactly() {
+        let (_, quantized, test) = trained();
+        let one_hot = EngineConfig::febim_default();
+        let packed = one_hot
+            .clone()
+            .with_encoding(Encoding::BitPlane { bits: 4 });
+        let crossbar = CrossbarBackend::new(Arc::clone(&quantized), &one_hot).unwrap();
+        let fabric = TiledFabricBackend::new(
+            Arc::clone(&quantized),
+            &one_hot,
+            TileShape::new(2, 24).unwrap(),
+        )
+        .unwrap();
+        let packed_fabric =
+            TiledFabricBackend::new(quantized, &packed, TileShape::new(2, 12).unwrap()).unwrap();
+        let digit_bits = packed.quant.likelihood_bits;
+        let planes = packed.encoding.planes(digit_bits);
+        let cell_bits = packed.encoding.digits_per_cell(digit_bits) * digit_bits as usize;
+        let lsb = febim_device::programming::DEFAULT_MIN_READ_CURRENT;
+        let (mut mirrored, mut merged) = (Vec::new(), Vec::new());
+        let mut compared = [0usize; 3];
+        let mut scratches = [
+            crossbar.make_scratch(),
+            fabric.make_scratch(),
+            packed_fabric.make_scratch(),
+        ];
+        for index in 0..test.n_samples() {
+            let sample = test.sample(index).unwrap();
+            let [array, grid, plane] = &mut scratches;
+            let step = crossbar.infer_into(sample, array).unwrap();
+            if !step.tie_broken {
+                let activated = array.activation.as_ref().unwrap().len();
+                let readout = crossbar
+                    .sensing()
+                    .sense_into(array.wordline_currents(), activated, &mut mirrored)
+                    .unwrap();
+                assert_eq!(
+                    (readout.winner, readout.delay, readout.energy),
+                    (step.prediction, step.delay, step.energy)
+                );
+                compared[0] += 1;
+            }
+            let step = fabric.infer_into(sample, grid).unwrap();
+            if !step.tie_broken {
+                let plan = fabric.tiled_program().plan();
+                let tiles = plan_tiles(plan, grid.activation.as_ref().unwrap());
+                let readout = fabric
+                    .sensing()
+                    .sense_fabric_into(
+                        grid.wordline_currents(),
+                        &tiles,
+                        plan.col_tiles(),
+                        &mut mirrored,
+                    )
+                    .unwrap();
+                assert_eq!(
+                    (readout.winner, readout.delay, readout.energy),
+                    (step.prediction, step.delay, step.energy)
+                );
+                compared[1] += 1;
+            }
+            let step = packed_fabric.infer_into(sample, plane).unwrap();
+            if !step.tie_broken {
+                let plan = packed_fabric.tiled_program().plan();
+                let tiles = plan_tiles(plan, plane.activation.as_ref().unwrap());
+                let readout = packed_fabric
+                    .sensing()
+                    .sense_shift_add_fabric_into(
+                        &plane.plane_sums,
+                        planes,
+                        cell_bits,
+                        lsb,
+                        0.0,
+                        &tiles,
+                        plan.col_tiles(),
+                        &mut merged,
+                        &mut mirrored,
+                    )
+                    .unwrap();
+                assert_eq!(merged, plane.wordline_currents());
+                assert_eq!(
+                    (readout.winner, readout.delay, readout.energy),
+                    (step.prediction, step.delay, step.energy)
+                );
+                compared[2] += 1;
+            }
+        }
+        assert!(compared.iter().all(|&reads| reads > 0), "{compared:?}");
     }
 }

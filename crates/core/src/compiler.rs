@@ -246,18 +246,44 @@ mod tests {
         }
     }
 
+    /// The crossbar column order, for every bit width and prior-column
+    /// setting: column 0 holds the prior level when the layout has a prior
+    /// column, then each feature owns a block of `2^Q_f` likelihood
+    /// columns in bin order, and every cell stores its quantized level.
     #[test]
     fn levels_match_the_quantized_tables() {
-        let quantized = iris_quantized();
-        let program = compile(&quantized, false, Encoding::OneHot).unwrap();
-        for class in 0..quantized.n_classes() {
-            for feature in 0..quantized.n_features() {
-                for bin in 0..quantized.discretizer().bins() {
-                    let column = program.layout().likelihood_column(feature, bin).unwrap();
-                    assert_eq!(
-                        program.levels()[class][column],
-                        Some(quantized.likelihood_level(class, feature, bin).unwrap())
-                    );
+        let dataset = iris_like(30).unwrap();
+        let split = stratified_split(&dataset, 0.7, &mut seeded_rng(30)).unwrap();
+        let model = GaussianNaiveBayes::fit(&split.train).unwrap();
+        for feature_bits in 1..5 {
+            for likelihood_bits in 1..4 {
+                let config = QuantConfig::new(feature_bits, likelihood_bits);
+                let quantized = QuantizedGnbc::quantize(&model, &split.train, config).unwrap();
+                let bins = quantized.discretizer().bins();
+                for force_prior_column in [false, true] {
+                    let program =
+                        compile(&quantized, force_prior_column, Encoding::OneHot).unwrap();
+                    let layout = program.layout();
+                    let has_prior = force_prior_column || !quantized.has_uniform_prior();
+                    assert_eq!(layout.has_prior(), has_prior);
+                    assert_eq!(layout.prior_column(), has_prior.then_some(0));
+                    let first = usize::from(has_prior);
+                    assert_eq!(layout.columns(), first + quantized.n_features() * bins);
+                    for (class, row) in program.levels().iter().enumerate() {
+                        if has_prior {
+                            assert_eq!(row[0], Some(quantized.prior_level(class).unwrap()));
+                        }
+                        for feature in 0..quantized.n_features() {
+                            for bin in 0..bins {
+                                let column = first + feature * bins + bin;
+                                assert_eq!(layout.likelihood_column(feature, bin).unwrap(), column);
+                                assert_eq!(
+                                    row[column],
+                                    Some(quantized.likelihood_level(class, feature, bin).unwrap())
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -391,6 +391,10 @@ impl ModelRegistry {
         }
         state.catalog.insert(id, stored);
         let result = self.install(&mut state, id, engine);
+        if result.is_err() {
+            // A model that never placed is not registered.
+            state.catalog.remove(&id);
+        }
         Self::finish_install(state, result)
     }
 
@@ -896,6 +900,33 @@ mod tests {
             restored.restore("{not json"),
             Err(RegistryError::Snapshot(_))
         ));
+    }
+
+    /// A restore whose engine cannot be built leaves nothing behind: the id
+    /// is not registered, so the good snapshot restores and serves.
+    #[test]
+    fn failed_restore_leaves_the_id_unregistered() {
+        let (engine, samples, reference) = tenant(959);
+        let tiles = engine.tiled_program().plan().tile_count();
+        let registry = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
+        registry.register_engine(1, engine).unwrap();
+        let snapshot = registry.snapshot(1).unwrap();
+        // One FeFET state cannot hold the program's levels.
+        let broken = snapshot.replacen("\"state_count\":4", "\"state_count\":1", 1);
+        assert_ne!(broken, snapshot);
+        let restored = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
+        assert!(matches!(
+            restored.restore(&broken),
+            Err(RegistryError::Core(_))
+        ));
+        assert_eq!(restored.report().registered, 0);
+        assert!(matches!(
+            restored.serve(1, &samples[0]),
+            Err(RegistryError::UnknownModel { model: 1 })
+        ));
+        restored.restore(&snapshot).unwrap();
+        assert_eq!(restored.report().registered, 1);
+        assert_bit_identical(&restored.serve_many(1, &samples), &reference);
     }
 
     proptest! {

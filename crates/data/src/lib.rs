@@ -36,7 +36,7 @@ pub mod synthetic;
 
 pub use dataset::Dataset;
 pub use errors::{DataError, Result};
-pub use metrics::{accuracy, confusion_matrix, AccuracyStats};
+pub use metrics::{accuracy, AccuracyStats};
 pub use split::{stratified_split, train_test_split, TrainTestSplit};
 pub use synthetic::{cancer_like, gaussian_blobs, iris_like, wine_like, ClassSpec, SyntheticSpec};
 
@@ -55,22 +55,6 @@ mod proptests {
             let labels: Vec<usize> = pairs.iter().map(|(_, l)| *l).collect();
             let acc = accuracy(&predictions, &labels).unwrap();
             prop_assert!((0.0..=1.0).contains(&acc));
-        }
-
-        /// Confusion matrix cells sum to the number of samples.
-        #[test]
-        fn confusion_matrix_is_consistent(
-            pairs in proptest::collection::vec((0usize..3, 0usize..3), 1..64)
-        ) {
-            let predictions: Vec<usize> = pairs.iter().map(|(p, _)| *p).collect();
-            let labels: Vec<usize> = pairs.iter().map(|(_, l)| *l).collect();
-            let matrix = confusion_matrix(&predictions, &labels, 3).unwrap();
-            let total: usize = matrix.iter().flatten().sum();
-            prop_assert_eq!(total, pairs.len());
-            // Diagonal sum over total equals the accuracy.
-            let diagonal: usize = (0..3).map(|c| matrix[c][c]).sum();
-            let acc = accuracy(&predictions, &labels).unwrap();
-            prop_assert!((acc - diagonal as f64 / pairs.len() as f64).abs() < 1e-12);
         }
 
         /// Splits partition the dataset for any valid ratio.

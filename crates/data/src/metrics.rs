@@ -28,46 +28,6 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> Result<f64> {
     Ok(correct as f64 / predictions.len() as f64)
 }
 
-/// Confusion matrix: `matrix[true_class][predicted_class]` counts.
-///
-/// # Errors
-///
-/// Returns the same errors as [`accuracy`], plus
-/// [`DataError::LabelOutOfRange`] when a label or prediction exceeds
-/// `n_classes`.
-pub fn confusion_matrix(
-    predictions: &[usize],
-    labels: &[usize],
-    n_classes: usize,
-) -> Result<Vec<Vec<usize>>> {
-    if predictions.len() != labels.len() {
-        return Err(DataError::PredictionLengthMismatch {
-            predictions: predictions.len(),
-            labels: labels.len(),
-        });
-    }
-    if predictions.is_empty() {
-        return Err(DataError::EmptyDataset);
-    }
-    let mut matrix = vec![vec![0usize; n_classes]; n_classes];
-    for (&prediction, &label) in predictions.iter().zip(labels.iter()) {
-        if prediction >= n_classes {
-            return Err(DataError::LabelOutOfRange {
-                label: prediction,
-                classes: n_classes,
-            });
-        }
-        if label >= n_classes {
-            return Err(DataError::LabelOutOfRange {
-                label,
-                classes: n_classes,
-            });
-        }
-        matrix[label][prediction] += 1;
-    }
-    Ok(matrix)
-}
-
 /// Summary statistics of a collection of accuracy measurements (one per
 /// train/inference epoch, as in the paper's 100-epoch evaluations).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -129,25 +89,6 @@ mod tests {
     fn perfect_and_zero_accuracy() {
         assert_eq!(accuracy(&[1, 1], &[1, 1]).unwrap(), 1.0);
         assert_eq!(accuracy(&[0, 0], &[1, 1]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn confusion_matrix_counts_cells() {
-        let matrix = confusion_matrix(&[0, 1, 1, 2], &[0, 1, 2, 2], 3).unwrap();
-        assert_eq!(matrix[0][0], 1);
-        assert_eq!(matrix[1][1], 1);
-        assert_eq!(matrix[2][1], 1);
-        assert_eq!(matrix[2][2], 1);
-        let total: usize = matrix.iter().flatten().sum();
-        assert_eq!(total, 4);
-    }
-
-    #[test]
-    fn confusion_matrix_validates_ranges() {
-        assert!(confusion_matrix(&[3], &[0], 3).is_err());
-        assert!(confusion_matrix(&[0], &[3], 3).is_err());
-        assert!(confusion_matrix(&[0], &[0, 1], 3).is_err());
-        assert!(confusion_matrix(&[], &[], 3).is_err());
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!   target read currents (0.1 uA - 1.0 uA at `V_on = 0.5 V`) and the write
 //!   pulse counts needed to reach them;
 //! * a Gaussian threshold-voltage variation model ([`VariationModel`]) for
-//!   Monte-Carlo robustness studies (Fig. 8(c));
-//! * energy bookkeeping helpers ([`EnergyBreakdown`]).
+//!   Monte-Carlo robustness studies (Fig. 8(c)).
 //!
 //! # Example
 //!
@@ -38,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod energy;
 pub mod errors;
 pub mod fefet;
 pub mod iv;
@@ -48,7 +46,6 @@ pub mod preisach;
 pub mod programming;
 pub mod variation;
 
-pub use energy::EnergyBreakdown;
 pub use errors::{DeviceError, Result};
 pub use fefet::FeFet;
 pub use iv::{multilevel_iv_curves, IvCurve, IvPoint, SweepConfig};

@@ -418,85 +418,6 @@ impl QuantizedGnbc {
         }
         Ok(correct as f64 / dataset.n_samples() as f64)
     }
-
-    /// Quantized level stored at one crossbar-ordered coordinate: column 0 is
-    /// the prior (when `include_prior`), followed by `n_features` blocks of
-    /// `2^Q_f` likelihood columns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::UnknownIndex`] for coordinates outside the
-    /// crossbar-ordered matrix.
-    pub fn level_at(&self, class: usize, column: usize, include_prior: bool) -> Result<usize> {
-        let bins = self.discretizer.bins();
-        if include_prior && column == 0 {
-            return self.prior_level(class);
-        }
-        let offset =
-            column
-                .checked_sub(usize::from(include_prior))
-                .ok_or(QuantError::UnknownIndex {
-                    kind: "column",
-                    index: column,
-                })?;
-        let feature = offset / bins;
-        if feature >= self.n_features {
-            return Err(QuantError::UnknownIndex {
-                kind: "column",
-                index: column,
-            });
-        }
-        self.likelihood_level(class, feature, offset % bins)
-    }
-
-    /// Tile-aware view of the level matrix: the quantized levels of one
-    /// rectangular block of the crossbar-ordered matrix (`classes` rows ×
-    /// crossbar `columns`), the programming source for one fabric tile.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::UnknownIndex`] when the block reaches outside
-    /// the matrix.
-    pub fn level_matrix_block(
-        &self,
-        include_prior: bool,
-        classes: std::ops::Range<usize>,
-        columns: std::ops::Range<usize>,
-    ) -> Result<Vec<Vec<usize>>> {
-        classes
-            .map(|class| {
-                columns
-                    .clone()
-                    .map(|column| self.level_at(class, column, include_prior))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Cell-level matrix of quantized levels in crossbar column order:
-    /// one optional prior column followed by `n_features` blocks of
-    /// `2^Q_f` likelihood columns, one row per class.
-    ///
-    /// `include_prior` selects whether the prior column is emitted; the paper
-    /// omits it when the prior is uniform.
-    pub fn level_matrix(&self, include_prior: bool) -> Vec<Vec<usize>> {
-        let bins = self.discretizer.bins();
-        (0..self.n_classes)
-            .map(|class| {
-                let mut row =
-                    Vec::with_capacity(usize::from(include_prior) + self.n_features * bins);
-                if include_prior {
-                    row.push(self.prior_levels[class]);
-                }
-                for feature in 0..self.n_features {
-                    for bin in 0..bins {
-                        row.push(self.likelihood_levels[class][feature][bin]);
-                    }
-                }
-                row
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -605,14 +526,22 @@ mod tests {
         let (model, train, _) = trained_iris();
         let quantized =
             QuantizedGnbc::quantize(&model, &train, QuantConfig::febim_optimal()).unwrap();
-        let with_prior = quantized.level_matrix(true);
-        let without_prior = quantized.level_matrix(false);
-        assert_eq!(with_prior.len(), 3);
-        assert_eq!(with_prior[0].len(), 1 + 4 * 16);
-        assert_eq!(without_prior[0].len(), 64);
-        // The prior column of a uniform-prior model stores the same level for
-        // every class.
-        let prior_levels: Vec<usize> = with_prior.iter().map(|row| row[0]).collect();
+        // 3 classes, each with 4 features x 16 bins of likelihood levels.
+        assert_eq!(quantized.n_classes(), 3);
+        assert_eq!(quantized.n_features(), 4);
+        assert_eq!(quantized.discretizer().bins(), 16);
+        for class in 0..3 {
+            for feature in 0..4 {
+                for bin in 0..16 {
+                    let level = quantized.likelihood_level(class, feature, bin).unwrap();
+                    assert!(level < quantized.quantizer().levels());
+                }
+            }
+        }
+        // A uniform-prior model stores the same prior level for every class.
+        let prior_levels: Vec<usize> = (0..3)
+            .map(|class| quantized.prior_level(class).unwrap())
+            .collect();
         assert!(prior_levels.iter().all(|&l| l == prior_levels[0]));
     }
 
