@@ -307,8 +307,8 @@ fn main() {
         degraded_stats.quarantined_workers, degraded_stats.fallback_served,
     );
     assert_eq!(degraded_stats.quarantined_workers, 1);
-    assert!(degraded_stats.scrubs >= 1);
-    assert!(degraded_stats.faults_detected >= 1);
+    assert!(degraded_stats.maintenance.faulty_scrubs >= 1);
+    assert!(!degraded_stats.maintenance.repair.reports.is_empty());
 
     record.write(&FaultRecord {
         header: record.header(),

@@ -165,10 +165,10 @@ impl Row {
             e2e_p50_ns: stats.end_to_end.p50_ns(),
             e2e_p95_ns: stats.end_to_end.p95_ns(),
             e2e_p99_ns: stats.end_to_end.p99_ns(),
-            scrubs: stats.scrubs,
-            faults_detected: stats.faults_detected,
-            faults_repaired: stats.faults_repaired,
-            health_transitions: stats.health_transitions,
+            scrubs: stats.maintenance.faulty_scrubs,
+            faults_detected: stats.maintenance.repair.reports.len() as u64,
+            faults_repaired: stats.maintenance.repair.cells_repaired,
+            health_transitions: stats.maintenance.transitions,
             failovers: stats.failovers,
             fallback_served: stats.fallback_served,
             quarantined_workers: stats.quarantined_workers,

@@ -67,7 +67,7 @@ pub use scaling::{
 pub use serde::json;
 pub use serving::{
     LatencyHistogram, PoolStats, ServeOutcome, ServingConfig, ServingError, ServingPool,
-    SwapReport, SwapTicket, Ticket, WorkerReport,
+    SwapReport, SwapTicket, Ticket,
 };
 
 #[cfg(test)]

@@ -16,6 +16,12 @@
 //!   the engine once, then runs every drift check and every scrub that fell
 //!   due, drift first.
 //!
+//! The report is the one place maintenance is counted: checks, skips,
+//! failed passes, health transitions and the refresh and repair work. A
+//! serving pool keeps no counters of its own; its
+//! [`PoolStats::maintenance`](crate::PoolStats::maintenance) is the merge of
+//! its tenants' reports.
+//!
 //! A due check whose backend still sits at the state epoch the previous
 //! check left it at is skipped: no programming, aging, read or fault can
 //! have touched the array, so the check costs one integer compare instead
@@ -136,22 +142,28 @@ impl MaintenancePolicy {
     }
 }
 
-/// Running totals of one engine's maintenance.
+/// Running totals of one engine's maintenance, or the merge of several
+/// engines' totals.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MaintenanceReport {
-    /// Drift checks that scanned the array.
+    /// Drift checks that scanned the array (failed ones included).
     pub drift_checks: u64,
     /// Due drift checks skipped because the state epoch had not moved.
     pub drift_skips: u64,
+    /// Drift checks whose recalibration pass failed with a programming
+    /// error (the engine keeps serving on its drifted state).
+    pub drift_failures: u64,
     /// Drift checks that reprogrammed at least one cell.
     pub recalibrations: u64,
     /// Merged refresh counters of those checks (cells checked/refreshed,
     /// pulses, energy).
     pub refresh: RefreshOutcome,
-    /// Scrubs that read the array back.
+    /// Scrubs that read the array back (failed ones included).
     pub scrub_checks: u64,
     /// Due scrubs skipped because the state epoch had not moved.
     pub scrub_skips: u64,
+    /// Scrubs whose repair pass failed with a programming error.
+    pub scrub_failures: u64,
     /// Scrubs that found at least one defective cell.
     pub faulty_scrubs: u64,
     /// Health-state transitions applied (each change of state counts once).
@@ -159,6 +171,23 @@ pub struct MaintenanceReport {
     /// Merged counters of those scrubs (cells checked/repaired, remaps,
     /// pulses, energy, per-defect reports).
     pub repair: ScrubOutcome,
+}
+
+impl MaintenanceReport {
+    /// Folds another report's counts and merged outcomes into this one.
+    pub(crate) fn merge(&mut self, other: &Self) {
+        self.drift_checks += other.drift_checks;
+        self.drift_skips += other.drift_skips;
+        self.drift_failures += other.drift_failures;
+        self.recalibrations += other.recalibrations;
+        self.refresh.merge(&other.refresh);
+        self.scrub_checks += other.scrub_checks;
+        self.scrub_skips += other.scrub_skips;
+        self.scrub_failures += other.scrub_failures;
+        self.faulty_scrubs += other.faulty_scrubs;
+        self.transitions += other.transitions;
+        self.repair.merge(&other.repair);
+    }
 }
 
 /// One pass's countdown and epoch gate.
@@ -281,7 +310,8 @@ impl Maintenance {
     ///
     /// # Errors
     ///
-    /// Propagates programming errors from the recalibration pass.
+    /// Propagates programming errors from the recalibration pass, counting
+    /// each in [`MaintenanceReport::drift_failures`].
     pub fn recalibrate<B: InferenceBackend>(
         &mut self,
         engine: &mut FebimEngine<B>,
@@ -294,7 +324,9 @@ impl Maintenance {
             return Ok(None);
         }
         self.report.drift_checks += 1;
-        let outcome = engine.recalibrate(drift.policy.max_vth_shift)?;
+        let outcome = engine
+            .recalibrate(drift.policy.max_vth_shift)
+            .inspect_err(|_| self.report.drift_failures += 1)?;
         // Record the post-refresh epoch so the pass itself does not force
         // the next check to rescan an untouched array.
         drift.last_epoch = Some(engine.state_epoch());
@@ -313,7 +345,8 @@ impl Maintenance {
     ///
     /// # Errors
     ///
-    /// Propagates programming errors from repair writes.
+    /// Propagates programming errors from repair writes, counting each in
+    /// [`MaintenanceReport::scrub_failures`].
     pub fn scrub<B: InferenceBackend>(
         &mut self,
         engine: &mut FebimEngine<B>,
@@ -333,7 +366,9 @@ impl Maintenance {
             return Ok(None);
         }
         self.report.scrub_checks += 1;
-        let outcome = engine.scrub(scrub.policy.max_vth_shift)?;
+        let outcome = engine
+            .scrub(scrub.policy.max_vth_shift)
+            .inspect_err(|_| self.report.scrub_failures += 1)?;
         scrub.last_epoch = Some(engine.state_epoch());
         self.set_health(self.health.after_scrub(&outcome));
         if outcome.is_clean() {

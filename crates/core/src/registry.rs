@@ -14,9 +14,10 @@
 //! [`ServingConfig`] recalibration and scrub policies of
 //! [`RegistryConfig::with_serving`] age, refresh and repair each tenant on
 //! its own schedule, and a tenant quarantined by an unrepairable fault
-//! answers through its exact software twin. Evicted models stay in the
-//! registry's catalog and fault back in transparently on their next
-//! request. [`ModelRegistry::snapshot`] / [`ModelRegistry::restore`]
+//! answers through its exact software twin; an evicted tenant's
+//! maintenance report stays counted in its bank's statistics. Evicted
+//! models stay in the registry's catalog and fault back in transparently on
+//! their next request. [`ModelRegistry::snapshot`] / [`ModelRegistry::restore`]
 //! round-trip a tenant's compiled program (the trained model, the quantized
 //! tables and the tiled program) through JSON, so a model can be reloaded
 //! from bytes without its training data.
@@ -541,8 +542,9 @@ impl ModelRegistry {
     }
 
     /// Shuts every bank down gracefully and returns their merged serving
-    /// statistics (hot-swap pulse and energy totals included), one worker
-    /// report per bank, numbered by bank.
+    /// statistics (hot-swap pulse and energy totals and every tenant's
+    /// maintenance included): the merge of the banks' worker entries, which
+    /// [`PoolStats::workers`] lists in bank order.
     pub fn shutdown(self) -> PoolStats {
         ServingPool::shutdown_banks(self.banks.into_iter().map(|(pool, _)| pool))
     }

@@ -81,9 +81,20 @@
 //! can a producer: when the **last** worker exits — normally or by panic —
 //! a guard closes the intake (waiting out any in-flight push) and rejects
 //! everything still queued, so blocked [`ServingPool::submit_blocking`]
-//! callers fail fast. Nor can a [`SwapTicket`]: a worker closes its swap
-//! inbox on every exit path, so a swap posted before, during or after
-//! shutdown resolves to its report or to [`ServingError::ShutDown`].
+//! callers fail fast. Nor can a [`SwapTicket`], a [`Ticket`] on the same
+//! publish cell: a worker closes its swap inbox on every exit path, so a
+//! swap posted before, during or after shutdown resolves to its report or
+//! to [`ServingError::ShutDown`].
+//!
+//! ## Statistics
+//!
+//! Each worker counts into one [`PoolStats`] and returns it when it exits.
+//! The pool's statistics are the merge of those entries, which
+//! [`PoolStats::workers`] lists by worker index. Maintenance is not counted
+//! here: each tenant's [`Maintenance`] keeps its own [`MaintenanceReport`],
+//! and a worker folds an evicted tenant's report into its entry at eviction
+//! and the rest when it exits, so [`PoolStats::maintenance`] reconciles with
+//! the tenants' [`Maintenance::report`]s.
 
 use std::cell::UnsafeCell;
 use std::error::Error;
@@ -101,7 +112,7 @@ use febim_circuit::{DelayBreakdown, InferenceEnergy};
 use crate::backend::{BatchTelemetry, InferenceBackend, SoftwareBackend, SwapCost};
 use crate::engine::{EvalScratch, FebimEngine, InferenceStep};
 use crate::errors::CoreError;
-use crate::maintenance::{Maintenance, MaintenancePolicy, ReplicaHealth};
+use crate::maintenance::{Maintenance, MaintenancePolicy, MaintenanceReport, ReplicaHealth};
 
 /// How many times one request may fail over to a surviving replica before
 /// its inference error is answered to the client.
@@ -113,6 +124,11 @@ const CONTROL_SWAP: u8 = 1;
 const CONTROL_RECALIBRATE: u8 = 1 << 1;
 /// Control bit: run one out-of-band fault scrub on every tenant.
 const CONTROL_SCRUB: u8 = 1 << 2;
+
+/// Largest [`ServingConfig::max_batch`] and [`ServingConfig::queue_depth`]
+/// a pool accepts. A pool preallocates both, so a larger value could
+/// exhaust memory or overflow the ring sizing.
+const MAX_PREALLOCATED: usize = 1 << 16;
 
 /// Knobs of the batch-coalescing serving pool.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -207,21 +223,20 @@ impl ServingConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ServingError::InvalidConfig`] for a zero batch size, a
-    /// zero queue depth or an invalid maintenance policy (named after its
-    /// field).
+    /// Returns [`ServingError::InvalidConfig`], named after its field, for a
+    /// batch size or queue depth of zero or above 65,536 (both are
+    /// preallocated), or for an invalid maintenance policy.
     pub fn validate(&self) -> Result<(), ServingError> {
-        if self.max_batch == 0 {
-            return Err(ServingError::InvalidConfig {
-                name: "max_batch",
-                reason: "batches must hold at least one request".to_string(),
-            });
-        }
-        if self.queue_depth == 0 {
-            return Err(ServingError::InvalidConfig {
-                name: "queue_depth",
-                reason: "the request queue needs a positive capacity".to_string(),
-            });
+        for (name, value) in [
+            ("max_batch", self.max_batch),
+            ("queue_depth", self.queue_depth),
+        ] {
+            if value == 0 || value > MAX_PREALLOCATED {
+                return Err(ServingError::InvalidConfig {
+                    name,
+                    reason: format!("must lie in 1..={MAX_PREALLOCATED}, got {value}"),
+                });
+            }
         }
         for (name, policy) in [("recalibration", self.recalibration), ("scrub", self.scrub)] {
             if let Some(policy) = policy {
@@ -467,29 +482,33 @@ const TICKET_READY: u8 = 2;
 /// How long [`Ticket::wait`] spins on the publish cell before parking.
 const TICKET_SPIN_WAITS: u32 = 64;
 
-/// One-shot result cell a worker publishes into and (at most) one client
-/// waits on. The state machine is `PENDING → {WAITING →} READY`: the worker
-/// writes the result and release-swaps to `READY` (one atomic op, no lock);
-/// the waiter spins briefly and only registers itself + parks when the
-/// answer is genuinely not there yet, so the batch-completion fast path
+/// One-shot answer cell a worker publishes into and (at most) one client
+/// waits on, for a request (`T` = [`ServeOutcome`]) or a hot swap (`T` =
+/// [`SwapReport`]). The state machine is `PENDING → {WAITING →} READY`: the
+/// worker writes the answer and release-swaps to `READY` (one atomic op, no
+/// lock); the waiter spins briefly and only registers itself + parks when
+/// the answer is genuinely not there yet, so the batch-completion fast path
 /// issues no wakes at all.
-struct TicketCell {
+struct TicketCell<T> {
     state: AtomicU8,
     /// Parked waiter, registered *before* the `PENDING → WAITING` CAS so a
     /// completer that observes `WAITING` always finds the thread to unpark.
     waiter: Mutex<Option<std::thread::Thread>>,
     /// Written exactly once, before the `READY` publish; read exactly once,
     /// after observing `READY` (acquire) — never concurrently.
-    result: UnsafeCell<Option<ServeResult>>,
+    result: UnsafeCell<Option<Result<T, ServingError>>>,
 }
 
-// SAFETY: `result` is written once by the completing worker before the
-// release-swap to `READY` and read once by the waiter after an acquire load
-// of `READY`; the state machine makes the accesses mutually exclusive.
-unsafe impl Send for TicketCell {}
-unsafe impl Sync for TicketCell {}
+// SAFETY: `state` (an atomic) and `waiter` (a mutex) are thread-safe on
+// their own. `result` is written once by the cell's one completer before
+// the release-swap to `READY` and read once by the waiter after an acquire
+// load of `READY`; the state machine makes the accesses mutually exclusive.
+// No `&T` is ever shared: the answer moves from the completer's thread to
+// the waiter's (or is dropped with the cell on either), hence `T: Send`.
+unsafe impl<T: Send> Send for TicketCell<T> {}
+unsafe impl<T: Send> Sync for TicketCell<T> {}
 
-impl TicketCell {
+impl<T> TicketCell<T> {
     fn new() -> Self {
         Self {
             state: AtomicU8::new(TICKET_PENDING),
@@ -500,9 +519,11 @@ impl TicketCell {
 
     /// Publishes the answer: one release-swap, plus an unpark only if the
     /// client already parked.
-    fn complete(&self, result: ServeResult) {
-        // SAFETY: sole writer (the job's ticket is taken exactly once), and
-        // no reader until the swap below publishes `READY`.
+    fn complete(&self, result: Result<T, ServingError>) {
+        // SAFETY: sole writer — a cell has one completer, the `Job` or
+        // `SwapRequest` holding it, which takes it out exactly once (to
+        // answer, or in its drop guard) — and no reader until the swap
+        // below publishes `READY`.
         unsafe {
             *self.result.get() = Some(result);
         }
@@ -518,14 +539,14 @@ impl TicketCell {
         }
     }
 
-    fn take_result(&self) -> ServeResult {
+    fn take_result(&self) -> Result<T, ServingError> {
         // SAFETY: called only after an acquire load observed `READY`, which
         // happens-after the completer's write.
         unsafe { (*self.result.get()).take() }.unwrap_or(Err(ServingError::ShutDown))
     }
 }
 
-impl fmt::Debug for TicketCell {
+impl<T> fmt::Debug for TicketCell<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TicketCell")
             .field("state", &self.state.load(Ordering::Acquire))
@@ -533,22 +554,29 @@ impl fmt::Debug for TicketCell {
     }
 }
 
-/// Handle to one submitted request.
+/// Handle to one submitted request, or — as a [`SwapTicket`] — to one
+/// posted hot swap.
 #[derive(Debug)]
 #[must_use = "dropping a ticket discards the answer the pool will still compute"]
-pub struct Ticket {
-    cell: Arc<TicketCell>,
+pub struct Ticket<T = ServeOutcome> {
+    cell: Arc<TicketCell<T>>,
 }
 
-impl Ticket {
-    /// Blocks until the request is answered. Never hangs: a pool that shuts
-    /// down answers (or typed-rejects) every queued request, and a lost
-    /// worker surfaces as [`ServingError::ShutDown`].
+/// Handle of a posted hot swap; resolves when the bank's worker services
+/// the swap between two of its batches, or to [`ServingError::ShutDown`]
+/// when the worker exited first.
+pub type SwapTicket = Ticket<SwapReport>;
+
+impl<T> Ticket<T> {
+    /// Blocks until the request (or swap) is answered. Never hangs: a pool
+    /// that shuts down answers (or typed-rejects) every queued request and
+    /// posted swap, and a lost worker surfaces as
+    /// [`ServingError::ShutDown`].
     ///
     /// # Errors
     ///
     /// Returns the typed serving error of the request.
-    pub fn wait(self) -> ServeResult {
+    pub fn wait(self) -> Result<T, ServingError> {
         let cell = &self.cell;
         for _ in 0..TICKET_SPIN_WAITS {
             if cell.state.load(Ordering::Acquire) == TICKET_READY {
@@ -590,7 +618,7 @@ impl Ticket {
     ///
     /// `Ok` carries the request's own result (which may itself be a typed
     /// serving error); `Err` returns the still-pending ticket.
-    pub fn wait_timeout(self, ticks: u64) -> Result<ServeResult, Ticket> {
+    pub fn wait_timeout(self, ticks: u64) -> Result<Result<T, ServingError>, Self> {
         for _ in 0..=ticks {
             if self.cell.state.load(Ordering::Acquire) == TICKET_READY {
                 return Ok(self.cell.take_result());
@@ -611,7 +639,7 @@ impl Ticket {
 #[derive(Debug)]
 struct Job {
     sample: Vec<f64>,
-    ticket: Option<Arc<TicketCell>>,
+    ticket: Option<Arc<TicketCell<ServeOutcome>>>,
     submitted: Instant,
     /// Failed inference attempts so far (bounded by [`FAILOVER_ATTEMPTS`]).
     attempts: u8,
@@ -624,7 +652,7 @@ struct Job {
 }
 
 impl Job {
-    fn new(sample: Vec<f64>, ticket: Arc<TicketCell>) -> Self {
+    fn new(sample: Vec<f64>, ticket: Arc<TicketCell<ServeOutcome>>) -> Self {
         Self {
             sample,
             ticket: Some(ticket),
@@ -1239,96 +1267,19 @@ enum FillOutcome {
 // Reports and statistics
 // ---------------------------------------------------------------------------
 
-/// Serving statistics of one worker (engine replica).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct WorkerReport {
-    /// Worker index.
-    pub worker: usize,
-    /// Requests this worker answered.
-    pub requests: u64,
-    /// Batches this worker dispatched.
-    pub batches: u64,
-    /// Largest batch this worker dispatched.
-    pub largest_batch: usize,
-    /// Requests answered with [`ServingError::ShutDown`] during an abort.
-    pub shutdown_rejected: u64,
-    /// Requests answered with a typed [`ServingError::Inference`] error.
-    pub failed: u64,
-    /// Σ amortized batch delays, in seconds.
-    pub batched_delay_s: f64,
-    /// Σ amortized batch energies, in joules.
-    pub batched_energy_j: f64,
-    /// Σ sequential-baseline delays of the same reads, in seconds.
-    pub sequential_delay_s: f64,
-    /// Σ sequential-baseline energies of the same reads, in joules.
-    pub sequential_energy_j: f64,
-    /// Submit → dispatch wait of every request this worker served.
-    pub queue_wait: LatencyHistogram,
-    /// Submit → answer-published latency of every request this worker
-    /// served.
-    pub end_to_end: LatencyHistogram,
-    /// Recalibration passes that reprogrammed at least one cell of this
-    /// worker's replica (always between batches, never mid-batch).
-    pub recalibrations: u64,
-    /// Σ write pulses those passes applied.
-    pub recalibration_pulses: u64,
-    /// Σ programming energy those passes spent, in joules.
-    pub recalibration_energy_j: f64,
-    /// Recalibration attempts that failed with a programming error (the
-    /// replica keeps serving on its drifted state).
-    pub recalibration_failures: u64,
-    /// Scrub passes that found at least one defective cell on this worker's
-    /// replica (clean passes and epoch-skipped checks are not counted).
-    pub scrubs: u64,
-    /// Σ defective cells those passes detected.
-    pub faults_detected: u64,
-    /// Σ defective cells healed — rewritten in place or remapped onto a
-    /// spare row.
-    pub faults_repaired: u64,
-    /// Σ logical rows remapped onto spare physical rows.
-    pub rows_remapped: u64,
-    /// Σ write pulses the repair passes applied.
-    pub repair_pulses: u64,
-    /// Σ programming energy the repair passes spent, in joules.
-    pub repair_energy_j: f64,
-    /// Scrub attempts that failed with a programming error.
-    pub scrub_failures: u64,
-    /// Health state transitions of this replica (Healthy ⇄ Degraded,
-    /// → Quarantined).
-    pub health_transitions: u64,
-    /// Requests this worker failed over to a surviving replica after a
-    /// per-sample inference error (bounded per request by the retry budget).
-    pub failovers: u64,
-    /// Requests this worker answered through the exact software fallback
-    /// after every physical replica was quarantined (also counted in
-    /// `requests`).
-    pub fallback_served: u64,
-    /// Hot swaps (evict and/or install of tenant models) this bank's worker
-    /// serviced between batches.
-    pub swaps: u64,
-    /// Σ erase + programming pulses those swaps applied to the fabric.
-    pub swap_pulses: u64,
-    /// Σ erase + programming energy those swaps spent, in joules.
-    pub swap_energy_j: f64,
-    /// Requests answered with [`ServingError::ModelUnavailable`] because
-    /// the model was swapped out after the request was queued.
-    pub unrouted: u64,
-    /// Whether this replica ended the run quarantined.
-    pub quarantined: bool,
-    /// Whether this worker's thread died (panicked) instead of reporting:
-    /// all other fields of a crashed report are zero — whatever the worker
-    /// had counted died with it.
-    pub crashed: bool,
-}
-
-/// Aggregated statistics of a completed pool run.
+/// Serving statistics: one worker's, or a pool's merge of its workers'.
+///
+/// A worker's entry has an empty `workers` list, and its `crashed_workers`
+/// and `quarantined_workers` are 0 or 1. A pool's (or a registry's) totals
+/// are the merge of its worker entries, listed in `workers` by worker
+/// index (a registry's by bank index).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct PoolStats {
-    /// Requests answered across all workers.
+    /// Requests answered.
     pub requests: u64,
-    /// Batches dispatched across all workers.
+    /// Batches dispatched.
     pub batches: u64,
-    /// Largest batch any worker dispatched.
+    /// Largest batch dispatched.
     pub largest_batch: usize,
     /// Mean requests per dispatched batch.
     pub mean_batch_size: f64,
@@ -1340,111 +1291,88 @@ pub struct PoolStats {
     /// (counted separately from the successful `requests`, so every request
     /// that entered the queue reconciles as answered, failed, or rejected).
     pub failed_requests: u64,
-    /// Worker threads that died (panicked) instead of reporting; their
-    /// counts are lost and their queued work was answered with
+    /// Worker threads that died (panicked) instead of reporting. A crashed
+    /// worker's entry counts nothing else: whatever it had counted died
+    /// with it, and its queued work was answered with
     /// [`ServingError::ShutDown`].
     pub crashed_workers: u64,
     /// Σ amortized batch delays, in seconds.
     pub batched_delay_s: f64,
     /// Σ amortized batch energies, in joules.
     pub batched_energy_j: f64,
-    /// Σ sequential-baseline delays, in seconds.
+    /// Σ sequential-baseline delays of the same reads, in seconds.
     pub sequential_delay_s: f64,
-    /// Σ sequential-baseline energies, in joules.
+    /// Σ sequential-baseline energies of the same reads, in joules.
     pub sequential_energy_j: f64,
-    /// Submit → dispatch queue-wait across all workers.
+    /// Submit → dispatch wait of every request served.
     pub queue_wait: LatencyHistogram,
-    /// Submit → answer-published latency across all workers.
+    /// Submit → answer-published latency of every request served.
     pub end_to_end: LatencyHistogram,
-    /// Recalibration passes that reprogrammed cells, across all workers.
-    pub recalibrations: u64,
-    /// Σ write pulses applied by recalibration across all workers.
-    pub recalibration_pulses: u64,
-    /// Σ programming energy spent by recalibration, in joules.
-    pub recalibration_energy_j: f64,
-    /// Failed recalibration attempts across all workers.
-    pub recalibration_failures: u64,
-    /// Scrub passes that found defects, across all workers.
-    pub scrubs: u64,
-    /// Σ defective cells detected across all workers.
-    pub faults_detected: u64,
-    /// Σ defective cells healed (in place or via spare rows) across all
-    /// workers.
-    pub faults_repaired: u64,
-    /// Σ logical rows remapped onto spare rows across all workers.
-    pub rows_remapped: u64,
-    /// Σ write pulses applied by repair passes across all workers.
-    pub repair_pulses: u64,
-    /// Σ programming energy spent by repair passes, in joules.
-    pub repair_energy_j: f64,
-    /// Failed scrub attempts across all workers.
-    pub scrub_failures: u64,
-    /// Health state transitions across all workers.
-    pub health_transitions: u64,
-    /// Requests failed over to a surviving replica, across all workers.
+    /// Merged maintenance reports of every tenant the workers hosted,
+    /// evicted ones included: drift checks and recalibrations, scrubs and
+    /// repairs, failed passes and health transitions (Healthy ⇄ Degraded,
+    /// → Quarantined). Checks run between batches, never mid-batch.
+    pub maintenance: MaintenanceReport,
+    /// Requests failed over to a surviving replica after a per-sample
+    /// inference error (bounded per request by the retry budget).
     pub failovers: u64,
-    /// Requests answered through the exact software fallback, across all
-    /// workers.
+    /// Requests answered through a quarantined tenant's exact software twin
+    /// (also counted in `requests`).
     pub fallback_served: u64,
-    /// Hot swaps serviced across all bank workers.
+    /// Hot swaps (evict and/or install of tenant models) serviced between
+    /// batches.
     pub swaps: u64,
-    /// Σ erase + programming pulses applied by hot swaps, across all
-    /// workers.
+    /// Σ erase + programming pulses those swaps applied to the fabric.
     pub swap_pulses: u64,
-    /// Σ erase + programming energy spent by hot swaps, in joules.
+    /// Σ erase + programming energy those swaps spent, in joules.
     pub swap_energy_j: f64,
-    /// Requests answered with [`ServingError::ModelUnavailable`],
-    /// across all workers.
+    /// Requests answered with [`ServingError::ModelUnavailable`] because
+    /// the model was swapped out after the request was queued.
     pub unrouted: u64,
-    /// Replicas that ended the run quarantined.
+    /// Workers that ended the run quarantined.
     pub quarantined_workers: u64,
-    /// Per-worker breakdown.
-    pub workers: Vec<WorkerReport>,
+    /// Per-worker entries, indexed by worker; empty on a worker's own
+    /// entry.
+    pub workers: Vec<PoolStats>,
 }
 
 impl PoolStats {
-    fn from_workers(workers: Vec<WorkerReport>) -> Self {
-        let mut stats = Self {
-            workers,
-            ..Self::default()
-        };
-        for report in &stats.workers {
-            stats.requests += report.requests;
-            stats.batches += report.batches;
-            stats.largest_batch = stats.largest_batch.max(report.largest_batch);
-            stats.shutdown_rejected += report.shutdown_rejected;
-            stats.failed_requests += report.failed;
-            stats.crashed_workers += u64::from(report.crashed);
-            stats.batched_delay_s += report.batched_delay_s;
-            stats.batched_energy_j += report.batched_energy_j;
-            stats.sequential_delay_s += report.sequential_delay_s;
-            stats.sequential_energy_j += report.sequential_energy_j;
-            stats.recalibrations += report.recalibrations;
-            stats.recalibration_pulses += report.recalibration_pulses;
-            stats.recalibration_energy_j += report.recalibration_energy_j;
-            stats.recalibration_failures += report.recalibration_failures;
-            stats.scrubs += report.scrubs;
-            stats.faults_detected += report.faults_detected;
-            stats.faults_repaired += report.faults_repaired;
-            stats.rows_remapped += report.rows_remapped;
-            stats.repair_pulses += report.repair_pulses;
-            stats.repair_energy_j += report.repair_energy_j;
-            stats.scrub_failures += report.scrub_failures;
-            stats.health_transitions += report.health_transitions;
-            stats.failovers += report.failovers;
-            stats.fallback_served += report.fallback_served;
-            stats.swaps += report.swaps;
-            stats.swap_pulses += report.swap_pulses;
-            stats.swap_energy_j += report.swap_energy_j;
-            stats.unrouted += report.unrouted;
-            stats.quarantined_workers += u64::from(report.quarantined);
-            stats.queue_wait.merge(&report.queue_wait);
-            stats.end_to_end.merge(&report.end_to_end);
+    /// The merge of `workers`, which it lists.
+    fn from_workers(workers: Vec<PoolStats>) -> Self {
+        let mut stats = Self::default();
+        for worker in &workers {
+            stats.merge(worker);
         }
-        if stats.batches > 0 {
-            stats.mean_batch_size = stats.requests as f64 / stats.batches as f64;
-        }
+        stats.workers = workers;
         stats
+    }
+
+    /// Folds `other`'s counts into these totals and re-derives the mean
+    /// batch size; `workers` is left alone.
+    fn merge(&mut self, other: &Self) {
+        self.requests += other.requests;
+        self.batches += other.batches;
+        self.largest_batch = self.largest_batch.max(other.largest_batch);
+        self.shutdown_rejected += other.shutdown_rejected;
+        self.failed_requests += other.failed_requests;
+        self.crashed_workers += other.crashed_workers;
+        self.batched_delay_s += other.batched_delay_s;
+        self.batched_energy_j += other.batched_energy_j;
+        self.sequential_delay_s += other.sequential_delay_s;
+        self.sequential_energy_j += other.sequential_energy_j;
+        self.queue_wait.merge(&other.queue_wait);
+        self.end_to_end.merge(&other.end_to_end);
+        self.maintenance.merge(&other.maintenance);
+        self.failovers += other.failovers;
+        self.fallback_served += other.fallback_served;
+        self.swaps += other.swaps;
+        self.swap_pulses += other.swap_pulses;
+        self.swap_energy_j += other.swap_energy_j;
+        self.unrouted += other.unrouted;
+        self.quarantined_workers += other.quarantined_workers;
+        if self.batches > 0 {
+            self.mean_batch_size = self.requests as f64 / self.batches as f64;
+        }
     }
 
     /// Amortized-over-sequential modeled delay ratio of the whole run (≤ 1
@@ -1473,15 +1401,14 @@ impl PoolStats {
 
 /// One worker thread's body, type-erased so the injectable spawner takes
 /// the workers of any pool.
-type WorkerBody = Box<dyn FnOnce() -> WorkerReport + Send + 'static>;
+type WorkerBody = Box<dyn FnOnce() -> PoolStats + Send + 'static>;
 
 /// Injectable thread spawner (name + body → handle or the OS error), so the
 /// spawn-failure recovery path and start-up races are testable without
 /// exhausting real threads.
-type SpawnFn<'a> =
-    &'a mut dyn FnMut(String, WorkerBody) -> std::io::Result<JoinHandle<WorkerReport>>;
+type SpawnFn<'a> = &'a mut dyn FnMut(String, WorkerBody) -> std::io::Result<JoinHandle<PoolStats>>;
 
-fn default_spawner(name: String, body: WorkerBody) -> std::io::Result<JoinHandle<WorkerReport>> {
+fn default_spawner(name: String, body: WorkerBody) -> std::io::Result<JoinHandle<PoolStats>> {
     std::thread::Builder::new().name(name).spawn(body)
 }
 
@@ -1578,7 +1505,7 @@ fn spawn_pool<B: InferenceBackend + Send + 'static>(
 #[derive(Debug)]
 pub struct ServingPool {
     shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<WorkerReport>>,
+    workers: Vec<JoinHandle<PoolStats>>,
     config: ServingConfig,
 }
 
@@ -1771,42 +1698,33 @@ impl ServingPool {
         stats
     }
 
-    /// Shuts every bank pool down gracefully and merges their statistics,
-    /// each worker report renumbered to its bank's index.
+    /// Shuts every one-worker bank pool down gracefully and merges their
+    /// workers' statistics, listed in bank order.
     pub(crate) fn shutdown_banks(banks: impl IntoIterator<Item = Self>) -> PoolStats {
         PoolStats::from_workers(
             banks
                 .into_iter()
-                .enumerate()
-                .flat_map(|(bank, pool)| {
-                    let reports = pool.shutdown().workers.into_iter();
-                    reports.map(move |report| WorkerReport {
-                        worker: bank,
-                        ..report
-                    })
-                })
+                .flat_map(|pool| pool.shutdown().workers)
                 .collect(),
         )
     }
 
     /// Shared close-and-join tail of every shutdown path. A worker whose
-    /// thread panicked is reported as a crashed zero-count entry under its
-    /// own index.
+    /// thread panicked is reported as a crashed zero-count entry in its
+    /// place.
     fn finish(&mut self) -> PoolStats {
         self.shared.close();
-        let reports = self
+        let workers = self
             .workers
             .drain(..)
-            .enumerate()
-            .map(|(index, worker)| {
-                worker.join().unwrap_or_else(|_| WorkerReport {
-                    worker: index,
-                    crashed: true,
-                    ..WorkerReport::default()
+            .map(|worker| {
+                worker.join().unwrap_or_else(|_| PoolStats {
+                    crashed_workers: 1,
+                    ..PoolStats::default()
                 })
             })
             .collect();
-        PoolStats::from_workers(reports)
+        PoolStats::from_workers(workers)
     }
 }
 
@@ -1899,81 +1817,41 @@ impl<B: InferenceBackend> TenantSlot<B> {
     }
 
     /// Ages the tenant by one batch's `ticks` and runs whatever drift or
-    /// fault check falls due. A quarantined tenant's fabric is retired: it
-    /// no longer ages or takes maintenance.
-    fn age(&mut self, ticks: u64, report: &mut WorkerReport) {
+    /// fault check falls due; its [`Maintenance`] counts the work. A
+    /// quarantined tenant's fabric is retired: it no longer ages or takes
+    /// maintenance.
+    fn age(&mut self, ticks: u64) {
         if self.twin.is_some() {
             return;
         }
-        let before = self.maintenance.report().transitions;
-        let (refresh, repair) = self.maintenance.tick(&mut self.engine, ticks);
-        record_recalibration(refresh, report);
-        record_scrub(repair, report);
-        self.sync_health(before, report);
+        // A failed pass is counted in the tenant's report; the tenant keeps
+        // serving on its current state.
+        let _ = self.maintenance.tick(&mut self.engine, ticks);
+        self.sync_health();
     }
 
     /// Runs the out-of-band checks the control `requests` ask for: a drift
     /// check for the recalibrate bit, a scrub for the scrub bit.
-    fn check(&mut self, requests: u8, report: &mut WorkerReport) {
+    fn check(&mut self, requests: u8) {
         if self.twin.is_some() {
             return;
         }
-        let before = self.maintenance.report().transitions;
         if requests & CONTROL_RECALIBRATE != 0 {
-            record_recalibration(self.maintenance.recalibrate(&mut self.engine), report);
+            let _ = self.maintenance.recalibrate(&mut self.engine);
         }
         if requests & CONTROL_SCRUB != 0 {
-            record_scrub(self.maintenance.scrub(&mut self.engine), report);
+            let _ = self.maintenance.scrub(&mut self.engine);
         }
-        self.sync_health(before, report);
+        self.sync_health();
     }
 
-    /// Counts every health transition since the maintenance report stood at
-    /// `before` transitions — including ones that undo each other, like a
-    /// degrading scrub and a recovering skip in one tick — and builds the
-    /// software twin on entering quarantine.
-    fn sync_health(&mut self, before: u64, report: &mut WorkerReport) {
-        report.health_transitions += self.maintenance.report().transitions - before;
+    /// Builds the software twin on entering quarantine.
+    fn sync_health(&mut self) {
         if self.maintenance.health() == ReplicaHealth::Quarantined {
             let twin = self.engine.software_fallback();
             let scratch = twin.make_scratch();
             self.twin = Some((twin, scratch));
         }
-    }
-}
-
-/// Records the result of one drift action into the worker's report.
-fn record_recalibration(
-    result: crate::errors::Result<Option<febim_crossbar::RefreshOutcome>>,
-    report: &mut WorkerReport,
-) {
-    match result {
-        Ok(Some(outcome)) => {
-            report.recalibrations += 1;
-            report.recalibration_pulses += outcome.pulses_applied;
-            report.recalibration_energy_j += outcome.energy_joules;
-        }
-        Ok(None) => {}
-        Err(_) => report.recalibration_failures += 1,
-    }
-}
-
-/// Records the result of one scrub action into the worker's report.
-fn record_scrub(
-    result: crate::errors::Result<Option<febim_crossbar::ScrubOutcome>>,
-    report: &mut WorkerReport,
-) {
-    match result {
-        Ok(Some(outcome)) => {
-            report.scrubs += 1;
-            report.faults_detected += outcome.reports.len() as u64;
-            report.faults_repaired += outcome.cells_repaired;
-            report.rows_remapped += outcome.rows_remapped;
-            report.repair_pulses += outcome.pulses_applied;
-            report.repair_energy_j += outcome.energy_joules;
-        }
-        Ok(None) => {}
-        Err(_) => report.scrub_failures += 1,
     }
 }
 
@@ -1993,21 +1871,21 @@ impl<B: InferenceBackend> Bank<B> {
         requests: u8,
         shared: &PoolShared,
         config: &ServingConfig,
-        report: &mut WorkerReport,
+        stats: &mut PoolStats,
     ) {
         if requests & CONTROL_SWAP != 0 {
-            self.service_swaps(config, report);
+            self.service_swaps(config, stats);
         }
         for slot in &mut self.slots {
-            slot.check(requests, report);
+            slot.check(requests);
         }
         self.publish(worker, shared);
     }
 
     /// Ages every tenant after a dispatched batch.
-    fn age(&mut self, worker: usize, ticks: u64, shared: &PoolShared, report: &mut WorkerReport) {
+    fn age(&mut self, worker: usize, ticks: u64, shared: &PoolShared) {
         for slot in &mut self.slots {
-            slot.age(ticks, report);
+            slot.age(ticks);
         }
         self.publish(worker, shared);
     }
@@ -2037,11 +1915,12 @@ impl<B: InferenceBackend> Bank<B> {
     }
 
     /// Drains the swap inbox in posting order: evicts models (tearing their
-    /// tile regions off the fabric and pricing the erase pulses), installs
-    /// the pre-built replacement engine and answers the swap ticket. Runs
-    /// strictly between batches — every ticket of the previous batch is
-    /// already answered when this is called.
-    fn service_swaps(&mut self, config: &ServingConfig, report: &mut WorkerReport) {
+    /// tile regions off the fabric, pricing the erase pulses and folding
+    /// their maintenance reports into `stats`), installs the pre-built
+    /// replacement engine and answers the swap ticket. Runs strictly between
+    /// batches — every ticket of the previous batch is already answered when
+    /// this is called.
+    fn service_swaps(&mut self, config: &ServingConfig, stats: &mut PoolStats) {
         let requests = (self.inbox.lock().unwrap_or_else(PoisonError::into_inner))
             .as_mut()
             .map(std::mem::take)
@@ -2060,7 +1939,9 @@ impl<B: InferenceBackend> Bank<B> {
                 // Tear the program off the fabric; the scoped erase
                 // invalidates only this model's tiles, so survivors keep
                 // their caches.
-                if let Ok(Some(cost)) = self.slots.swap_remove(index).engine.decommission() {
+                let mut slot = self.slots.swap_remove(index);
+                stats.maintenance.merge(slot.maintenance.report());
+                if let Ok(Some(cost)) = slot.engine.decommission() {
                     erase.absorb(cost);
                 }
             }
@@ -2070,9 +1951,9 @@ impl<B: InferenceBackend> Bank<B> {
                 model
             });
             let program = request.program;
-            report.swaps += 1;
-            report.swap_pulses += erase.pulses + program.pulses;
-            report.swap_energy_j += erase.energy_j + program.energy_j;
+            stats.swaps += 1;
+            stats.swap_pulses += erase.pulses + program.pulses;
+            stats.swap_energy_j += erase.energy_j + program.energy_j;
             if let Some(done) = request.done.take() {
                 done.complete(Ok(SwapReport {
                     evicted,
@@ -2179,33 +2060,33 @@ fn dispatch<B: InferenceBackend>(
     jobs: &mut Vec<Job>,
     samples: &mut Vec<Vec<f64>>,
     steps: &mut Vec<InferenceStep>,
-    report: &mut WorkerReport,
+    stats: &mut PoolStats,
 ) {
     let dispatched = Instant::now();
     let fallback = u64::from(slot.twin.is_some());
     samples.clear();
     for job in jobs.iter_mut() {
-        report
+        stats
             .queue_wait
             .record(nanos_between(job.submitted, dispatched));
         samples.push(std::mem::take(&mut job.sample));
     }
-    report.batches += 1;
-    report.largest_batch = report.largest_batch.max(jobs.len());
+    stats.batches += 1;
+    stats.largest_batch = stats.largest_batch.max(jobs.len());
     match slot.infer_batch(samples, steps) {
         Ok(telemetry) => {
-            report.requests += jobs.len() as u64;
-            report.fallback_served += fallback * jobs.len() as u64;
-            report.batched_delay_s += telemetry.delay.total();
-            report.batched_energy_j += telemetry.energy.total();
-            report.sequential_delay_s += telemetry.sequential_delay;
-            report.sequential_energy_j += telemetry.sequential_energy;
+            stats.requests += jobs.len() as u64;
+            stats.fallback_served += fallback * jobs.len() as u64;
+            stats.batched_delay_s += telemetry.delay.total();
+            stats.batched_energy_j += telemetry.energy.total();
+            stats.sequential_delay_s += telemetry.sequential_delay;
+            stats.sequential_energy_j += telemetry.sequential_energy;
             // Batched completion: publish the whole batch back to back
             // (one release-swap each); wakes only reach clients that
             // actually parked.
             let completed = Instant::now();
             for (job, step) in jobs.drain(..).zip(steps.iter()) {
-                report
+                stats
                     .end_to_end
                     .record(nanos_between(job.submitted, completed));
                 job.complete(Ok(outcome(step, worker, telemetry)));
@@ -2220,12 +2101,12 @@ fn dispatch<B: InferenceBackend>(
                 let answer = slot
                     .infer(sample)
                     .map(|step| {
-                        report.requests += 1;
-                        report.fallback_served += fallback;
-                        report.batched_delay_s += step.delay.total();
-                        report.batched_energy_j += step.energy.total();
-                        report.sequential_delay_s += step.delay.total();
-                        report.sequential_energy_j += step.energy.total();
+                        stats.requests += 1;
+                        stats.fallback_served += fallback;
+                        stats.batched_delay_s += step.delay.total();
+                        stats.batched_energy_j += step.energy.total();
+                        stats.sequential_delay_s += step.delay.total();
+                        stats.sequential_energy_j += step.energy.total();
                         let single = BatchTelemetry {
                             reads: 1,
                             delay: step.delay,
@@ -2248,7 +2129,7 @@ fn dispatch<B: InferenceBackend>(
                     job.sample = sample.clone();
                     match requeue(shared, worker, job) {
                         None => {
-                            report.failovers += 1;
+                            stats.failovers += 1;
                             continue;
                         }
                         // No room elsewhere: answer the error after all.
@@ -2256,9 +2137,9 @@ fn dispatch<B: InferenceBackend>(
                     }
                 }
                 if answer.is_err() {
-                    report.failed += 1;
+                    stats.failed_requests += 1;
                 }
-                report
+                stats
                     .end_to_end
                     .record(nanos_between(job.submitted, Instant::now()));
                 job.complete(answer);
@@ -2280,11 +2161,8 @@ fn serve<B: InferenceBackend>(
     mut bank: Bank<B>,
     shared: &PoolShared,
     config: ServingConfig,
-) -> WorkerReport {
-    let mut report = WorkerReport {
-        worker,
-        ..WorkerReport::default()
-    };
+) -> PoolStats {
+    let mut stats = PoolStats::default();
     let mut batch: Vec<Job> = Vec::with_capacity(config.max_batch);
     let mut group: Vec<Job> = Vec::with_capacity(config.max_batch);
     let mut samples: Vec<Vec<f64>> = Vec::with_capacity(config.max_batch);
@@ -2292,7 +2170,7 @@ fn serve<B: InferenceBackend>(
     loop {
         let requests = shared.take_requests(worker);
         if requests != 0 {
-            bank.control(worker, requests, shared, &config, &mut report);
+            bank.control(worker, requests, shared, &config, &mut stats);
         }
         if bank.published == ReplicaHealth::Quarantined && shared.can_hand_off(worker) {
             // Every tenant is quarantined and a serving replica steals this
@@ -2313,7 +2191,7 @@ fn serve<B: InferenceBackend>(
         }
         if !shared.answer_drained.load(Ordering::SeqCst) {
             // Abort in progress: reject instead of serving.
-            report.shutdown_rejected += batch.len() as u64;
+            stats.shutdown_rejected += batch.len() as u64;
             for job in batch.drain(..) {
                 job.complete(Err(ServingError::ShutDown));
             }
@@ -2340,7 +2218,7 @@ fn serve<B: InferenceBackend>(
                         &mut group,
                         &mut samples,
                         &mut steps,
-                        &mut report,
+                        &mut stats,
                     );
                     served = true;
                 }
@@ -2350,7 +2228,7 @@ fn serve<B: InferenceBackend>(
                     let err = model.map_or(ServingError::NoReplicas, |model| {
                         ServingError::ModelUnavailable { model }
                     });
-                    report.unrouted += group.len() as u64;
+                    stats.unrouted += group.len() as u64;
                     for job in group.drain(..) {
                         job.complete(Err(err.clone()));
                     }
@@ -2362,18 +2240,27 @@ fn serve<B: InferenceBackend>(
             // age the tenants and run any check that falls due. Queued
             // requests still win: the next iteration pops them before the
             // worker can idle.
-            bank.age(worker, config.ticks_per_batch, shared, &mut report);
+            bank.age(worker, config.ticks_per_batch, shared);
         }
     }
-    report.quarantined = bank.published == ReplicaHealth::Quarantined;
-    report
+    // The worker's entry: its serving counts, the maintenance of the
+    // tenants it evicted (already folded in) and of those it still hosts.
+    let mut entry = PoolStats {
+        quarantined_workers: u64::from(bank.published == ReplicaHealth::Quarantined),
+        ..PoolStats::default()
+    };
+    entry.merge(&stats);
+    for slot in &bank.slots {
+        entry.maintenance.merge(slot.maintenance.report());
+    }
+    entry
 }
 
 // ---------------------------------------------------------------------------
 // Hot swaps
 // ---------------------------------------------------------------------------
 
-/// What one serviced hot swap did, returned through [`SwapTicket::wait`].
+/// What one serviced hot swap did, returned through its [`SwapTicket`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SwapReport {
     /// Model ids evicted from the bank (their tile regions erased).
@@ -2386,62 +2273,11 @@ pub struct SwapReport {
     pub program: SwapCost,
 }
 
-/// Completion cell of one posted hot swap. A condvar, not a spin-park:
-/// swaps are control-plane rare and wait out whole batches, not
-/// microseconds.
-#[derive(Debug, Default)]
-struct SwapDone {
-    slot: Mutex<Option<Result<SwapReport, ServingError>>>,
-    cv: Condvar,
-}
-
-impl SwapDone {
-    fn complete(&self, result: Result<SwapReport, ServingError>) {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_none() {
-            *slot = Some(result);
-        }
-        self.cv.notify_all();
-    }
-}
-
-/// Handle of a posted hot swap; resolves when the target worker services
-/// the request between two of its batches.
-#[derive(Debug)]
-pub struct SwapTicket {
-    done: Arc<SwapDone>,
-}
-
-impl SwapTicket {
-    /// Blocks until the swap is serviced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServingError::ShutDown`] when the target worker exited
-    /// (pool shut down) before servicing the swap.
-    pub fn wait(self) -> Result<SwapReport, ServingError> {
-        let mut slot = self
-            .done
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = self
-                .done
-                .cv
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
 /// A hot-swap request in a worker's inbox: model ids to evict and
-/// (optionally) a pre-built engine to install in their place. The drop
-/// guard answers the ticket with the shutdown error if the request dies
-/// unserviced (its worker exited first), so [`SwapTicket::wait`] can never
+/// (optionally) a pre-built engine to install in their place. The request
+/// holds its ticket's cell and takes it out exactly once, to answer it; the
+/// drop guard answers it with the shutdown error if the request dies
+/// unserviced (its worker exited first), so a [`SwapTicket`] can never
 /// hang.
 struct SwapRequest<B: InferenceBackend> {
     evict: Vec<u64>,
@@ -2449,7 +2285,7 @@ struct SwapRequest<B: InferenceBackend> {
     /// Programming cost of `install`, priced analytically before posting so
     /// the servicing worker charges it without re-deriving pulse trains.
     program: SwapCost,
-    done: Option<Arc<SwapDone>>,
+    done: Option<Arc<TicketCell<SwapReport>>>,
 }
 
 impl<B: InferenceBackend> Drop for SwapRequest<B> {
@@ -2495,12 +2331,12 @@ impl<B: InferenceBackend> SwapQueue<B> {
             .as_ref()
             .and_then(|(_, engine)| engine.program_cost())
             .unwrap_or_default();
-        let done = Arc::new(SwapDone::default());
+        let cell = Arc::new(TicketCell::new());
         let request = SwapRequest {
             evict,
             install,
             program,
-            done: Some(Arc::clone(&done)),
+            done: Some(Arc::clone(&cell)),
         };
         // An exited worker's inbox is closed: the request is dropped,
         // answering its ticket with the shutdown error.
@@ -2513,7 +2349,7 @@ impl<B: InferenceBackend> SwapQueue<B> {
             requests.push(request);
         }
         self.shared.request(Some(0), CONTROL_SWAP);
-        SwapTicket { done }
+        Ticket { cell }
     }
 }
 #[cfg(test)]
@@ -2523,7 +2359,10 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::engine::EvalScratch;
     use crate::errors::Result as CoreResult;
-    use febim_crossbar::{FaultKind, FaultSchedule, ScheduledFault, TileShape};
+    use crate::registry::{ModelRegistry, RegistryConfig, RegistryError};
+    use febim_crossbar::{
+        FaultKind, FaultSchedule, RefreshOutcome, ScheduledFault, ScrubOutcome, TileShape,
+    };
     use febim_data::rng::seeded_rng;
     use febim_data::split::stratified_split;
     use febim_data::synthetic::iris_like;
@@ -2578,6 +2417,36 @@ mod tests {
                 ..
             })
         ));
+        // Both are preallocated: an unallocatable size is a typed error, not
+        // a panic, an abort or a dead worker — for a pool and for a
+        // registry's bank pools alike.
+        let (train, _) = split_for(901);
+        let engine = FebimEngine::fit(&train, EngineConfig::febim_default()).unwrap();
+        for (config, field) in [
+            (
+                ServingConfig::default().with_max_batch(usize::MAX),
+                "max_batch",
+            ),
+            (
+                ServingConfig::default().with_queue_depth(usize::MAX),
+                "queue_depth",
+            ),
+        ] {
+            assert!(matches!(
+                config.validate(),
+                Err(ServingError::InvalidConfig { name, .. }) if name == field
+            ));
+            assert!(matches!(
+                ServingPool::new(vec![engine.clone()], config),
+                Err(ServingError::InvalidConfig { name, .. }) if name == field
+            ));
+            let registry = RegistryConfig::new(1, 4).with_serving(config);
+            assert!(matches!(
+                ModelRegistry::new(registry),
+                Err(RegistryError::Serving(ServingError::InvalidConfig { name, .. }))
+                    if name == field
+            ));
+        }
     }
 
     #[test]
@@ -3047,8 +2916,7 @@ mod tests {
         let stats = pool.shutdown();
         assert_eq!(stats.crashed_workers, 1);
         assert_eq!(stats.workers.len(), 1);
-        assert!(stats.workers[0].crashed);
-        assert_eq!(stats.workers[0].worker, 0);
+        assert_eq!(stats.workers[0].crashed_workers, 1);
         assert_eq!(stats.requests, 0);
     }
 
@@ -3105,16 +2973,20 @@ mod tests {
         assert_eq!(stats.shutdown_rejected, 0);
         assert_eq!(stats.crashed_workers, 0);
         assert!(
-            stats.recalibrations >= 1,
+            stats.maintenance.recalibrations >= 1,
             "drifting replicas must have recalibrated at least once"
         );
-        assert!(stats.recalibration_pulses > 0);
-        assert!(stats.recalibration_energy_j > 0.0);
-        assert_eq!(stats.recalibration_failures, 0);
+        assert!(stats.maintenance.refresh.pulses_applied > 0);
+        assert!(stats.maintenance.refresh.energy_joules > 0.0);
+        assert_eq!(stats.maintenance.drift_failures, 0);
         // Per-worker telemetry reconciles with the pool totals.
         assert_eq!(
-            stats.workers.iter().map(|w| w.recalibrations).sum::<u64>(),
-            stats.recalibrations
+            stats
+                .workers
+                .iter()
+                .map(|w| w.maintenance.recalibrations)
+                .sum::<u64>(),
+            stats.maintenance.recalibrations
         );
     }
 
@@ -3141,10 +3013,10 @@ mod tests {
         let stats = pool.shutdown();
         assert_eq!(stats.requests, 2 * samples.len() as u64);
         assert!(
-            stats.recalibrations >= 1,
+            stats.maintenance.recalibrations >= 1,
             "the forced check must have recalibrated the aged replica"
         );
-        assert_eq!(stats.recalibration_failures, 0);
+        assert_eq!(stats.maintenance.drift_failures, 0);
     }
 
     /// Recalibration requests reach parked workers (the idle wake path) and
@@ -3166,8 +3038,8 @@ mod tests {
         let stats = pool.shutdown();
         assert_eq!(stats.requests, samples.len() as u64);
         // Ideal devices never drift, so the checks found nothing to do.
-        assert_eq!(stats.recalibrations, 0);
-        assert_eq!(stats.recalibration_failures, 0);
+        assert_eq!(stats.maintenance.recalibrations, 0);
+        assert_eq!(stats.maintenance.drift_failures, 0);
     }
 
     #[test]
@@ -3184,9 +3056,10 @@ mod tests {
             stats.workers.iter().map(|w| w.requests).sum::<u64>(),
             samples.len() as u64
         );
-        for (index, report) in stats.workers.iter().enumerate() {
-            assert_eq!(report.worker, index);
-        }
+        // A worker's entry lists no workers of its own, and the pool's
+        // totals are exactly the merge of the entries.
+        assert!(stats.workers.iter().all(|worker| worker.workers.is_empty()));
+        assert_eq!(PoolStats::from_workers(stats.workers.clone()), stats);
     }
 
     #[test]
@@ -3334,11 +3207,11 @@ mod tests {
         }
         let stats = pool.shutdown();
         assert_eq!(stats.quarantined_workers, 1);
-        assert!(stats.workers[0].quarantined);
-        assert!(!stats.workers[1].quarantined);
-        assert!(stats.health_transitions >= 1);
-        assert!(stats.scrubs >= 1);
-        assert!(stats.faults_detected >= 1);
+        assert_eq!(stats.workers[0].quarantined_workers, 1);
+        assert_eq!(stats.workers[1].quarantined_workers, 0);
+        assert!(stats.maintenance.transitions >= 1);
+        assert!(stats.maintenance.faulty_scrubs >= 1);
+        assert!(!stats.maintenance.repair.reports.is_empty());
         assert_eq!(stats.failed_requests, 0);
         assert_eq!(stats.fallback_served, 0);
     }
@@ -3664,7 +3537,7 @@ mod tests {
     /// body runs, so a test can act before any worker has started.
     fn held_spawner(
         barrier: Arc<std::sync::Barrier>,
-    ) -> impl FnMut(String, WorkerBody) -> std::io::Result<JoinHandle<WorkerReport>> {
+    ) -> impl FnMut(String, WorkerBody) -> std::io::Result<JoinHandle<PoolStats>> {
         move |name, body| {
             let barrier = Arc::clone(&barrier);
             std::thread::Builder::new().name(name).spawn(move || {
@@ -3789,13 +3662,13 @@ mod tests {
         };
         let scrubbed = run(false);
         assert_eq!(
-            scrubbed.recalibrations, 0,
+            scrubbed.maintenance.recalibrations, 0,
             "a scrub request ran a drift check"
         );
-        assert_eq!(scrubbed.scrub_failures, 0);
+        assert_eq!(scrubbed.maintenance.scrub_failures, 0);
         let recalibrated = run(true);
         assert!(
-            recalibrated.recalibrations >= 1,
+            recalibrated.maintenance.recalibrations >= 1,
             "the recalibration request must recalibrate the aged replica"
         );
     }
@@ -3848,9 +3721,12 @@ mod tests {
         };
         let swapped = run(false);
         assert_eq!(swapped.swaps, 1);
-        assert_eq!(swapped.workers[0].recalibrations, 0, "the swap ran a check");
+        assert_eq!(
+            swapped.workers[0].maintenance.recalibrations, 0,
+            "the swap ran a check"
+        );
         let forced = run(true);
-        assert!(forced.workers[0].recalibrations >= 1);
+        assert!(forced.workers[0].maintenance.recalibrations >= 1);
     }
 
     /// Transient and permanent strikes for a chaos tenant. Each cell is hit
@@ -3937,19 +3813,29 @@ mod tests {
             stats.requests,
             (2 * samples_1.len().min(samples_2.len()) + samples_3.len()) as u64
         );
-        assert!(stats.recalibrations > 0, "routed banks must recalibrate");
-        assert!(stats.faults_repaired > 0, "routed banks must repair faults");
+        let maintenance = &stats.maintenance;
         assert!(
-            stats.rows_remapped > 0,
+            maintenance.recalibrations > 0,
+            "routed banks must recalibrate"
+        );
+        assert!(
+            maintenance.repair.cells_repaired > 0,
+            "routed banks must repair faults"
+        );
+        assert!(
+            maintenance.repair.rows_remapped > 0,
             "routed banks must remap stuck rows"
         );
         assert_eq!(stats.quarantined_workers, 0);
         // Tenant 3's bank did exactly the dedicated replica's maintenance.
-        let (bank, alone) = (&stats.workers[1], &dedicated.workers[0]);
+        let (bank, alone) = (
+            &stats.workers[1].maintenance,
+            &dedicated.workers[0].maintenance,
+        );
         assert_eq!(bank.recalibrations, alone.recalibrations);
-        assert_eq!(bank.recalibration_pulses, alone.recalibration_pulses);
-        assert_eq!(bank.rows_remapped, alone.rows_remapped);
-        assert_eq!(bank.repair_pulses, alone.repair_pulses);
+        assert_eq!(bank.refresh.pulses_applied, alone.refresh.pulses_applied);
+        assert_eq!(bank.repair.rows_remapped, alone.repair.rows_remapped);
+        assert_eq!(bank.repair.pulses_applied, alone.repair.pulses_applied);
     }
 
     /// A pooled tenant gets exactly the maintenance a standalone
@@ -3992,15 +3878,133 @@ mod tests {
             let report = maintenance.report();
             assert_eq!(report.recalibrations > 0, recalibration.is_some());
             assert!(report.repair.rows_remapped > 0 && report.transitions > 0);
-            assert_eq!(stats.recalibration_pulses, report.refresh.pulses_applied);
-            assert_eq!(stats.recalibration_energy_j, report.refresh.energy_joules);
-            assert_eq!(stats.repair_pulses, report.repair.pulses_applied);
-            assert_eq!(stats.repair_energy_j, report.repair.energy_joules);
-            assert_eq!(stats.faults_repaired, report.repair.cells_repaired);
-            assert_eq!(stats.rows_remapped, report.repair.rows_remapped);
-            assert_eq!(stats.health_transitions, report.transitions);
-            assert_eq!(stats.recalibration_failures + stats.scrub_failures, 0);
+            assert_eq!(report.drift_failures + report.scrub_failures, 0);
+            assert_eq!(stats.maintenance, *report);
         }
+    }
+
+    /// A bank keeps counting an evicted tenant's maintenance: the worker
+    /// folds the tenant's report into its own at eviction, so the pool's
+    /// totals still equal a standalone [`Maintenance`] ticked once per
+    /// served batch.
+    #[test]
+    fn a_bank_keeps_counting_an_evicted_tenants_maintenance() {
+        let (mut engine, samples) = drifting_tenant(944, 0);
+        let recalibration = Some(MaintenancePolicy::new(500, 1e-3));
+        let config = ServingConfig {
+            recalibration,
+            ..ServingConfig::default()
+                .with_max_batch(1)
+                .with_ticks_per_batch(500)
+        };
+        let (pool, swaps) = ServingPool::new_bank(vec![(1, engine.clone())], config).unwrap();
+        assert!(pool.serve_model(1, &samples).iter().all(Result::is_ok));
+        assert_eq!(swaps.post(vec![1], None).wait().unwrap().evicted, vec![1]);
+        let stats = pool.shutdown();
+        let mut maintenance = Maintenance::new(recalibration, None).unwrap();
+        let mut scratch = engine.make_scratch();
+        for sample in &samples {
+            engine.infer_into(sample, &mut scratch).unwrap();
+            maintenance.tick(&mut engine, 500).0.unwrap();
+        }
+        assert!(maintenance.report().recalibrations > 0);
+        assert_eq!(stats.swaps, 1);
+        assert_eq!(stats.maintenance, *maintenance.report());
+    }
+
+    /// A backend whose drift and scrub passes always fail.
+    #[derive(Debug)]
+    struct UnmaintainableBackend {
+        inner: CrossbarBackend,
+    }
+
+    impl InferenceBackend for UnmaintainableBackend {
+        fn info(&self) -> BackendInfo {
+            self.inner.info()
+        }
+
+        fn make_scratch(&self) -> EvalScratch {
+            self.inner.make_scratch()
+        }
+
+        fn infer_into(
+            &self,
+            sample: &[f64],
+            scratch: &mut EvalScratch,
+        ) -> CoreResult<InferenceStep> {
+            self.inner.infer_into(sample, scratch)
+        }
+
+        fn reprogram(&mut self) -> CoreResult<()> {
+            self.inner.reprogram()
+        }
+
+        fn current_map_into(&self, out: &mut Vec<f64>) -> CoreResult<()> {
+            self.inner.current_map_into(out)
+        }
+
+        fn recalibrate(&mut self, _max_vth_shift: f64) -> CoreResult<RefreshOutcome> {
+            Err(CoreError::NotProgrammed)
+        }
+
+        fn scrub(&mut self, _max_vth_shift: f64) -> CoreResult<ScrubOutcome> {
+            Err(CoreError::NotProgrammed)
+        }
+    }
+
+    /// Failed drift and scrub passes are counted once each, by a standalone
+    /// [`Maintenance`] and by a pooled tenant alike, and the tenant keeps
+    /// serving through them.
+    #[test]
+    fn failed_maintenance_passes_are_counted() {
+        let (train, test) = split_for(945);
+        let build = || {
+            FebimEngine::fit_with(
+                &train,
+                EngineConfig::febim_default(),
+                |quantized, config| {
+                    Ok(UnmaintainableBackend {
+                        inner: CrossbarBackend::new(quantized, config)?,
+                    })
+                },
+            )
+            .unwrap()
+        };
+        let policy = Some(MaintenancePolicy::new(10, 1e-3));
+        // Two checks of each pass fall due; a failure ends its pass, so the
+        // tick fails one drift check and one scrub. A forced drift check
+        // fails again.
+        let mut engine = build();
+        let mut maintenance = Maintenance::new(policy, policy).unwrap();
+        let (refresh, repair) = maintenance.tick(&mut engine, 20);
+        assert!(refresh.is_err() && repair.is_err());
+        assert!(maintenance.recalibrate(&mut engine).is_err());
+        let report = maintenance.report();
+        assert_eq!((report.drift_failures, report.scrub_failures), (2, 1));
+        assert_eq!((report.drift_checks, report.scrub_checks), (2, 1));
+        assert_eq!(maintenance.health(), ReplicaHealth::Healthy);
+        // One batch of one request per tick, each tick failing both passes.
+        let config = ServingConfig {
+            recalibration: policy,
+            scrub: policy,
+            ..ServingConfig::default()
+                .with_max_batch(1)
+                .with_ticks_per_batch(10)
+        };
+        let pool = ServingPool::new(vec![build()], config).unwrap();
+        let samples = samples_of(&test);
+        assert!(pool.serve(&samples).iter().all(Result::is_ok));
+        let stats = pool.shutdown();
+        let mut engine = build();
+        let mut maintenance = Maintenance::new(policy, policy).unwrap();
+        for _ in &samples {
+            let (refresh, repair) = maintenance.tick(&mut engine, 10);
+            assert!(refresh.is_err() && repair.is_err());
+        }
+        let batches = samples.len() as u64;
+        assert_eq!(stats.maintenance.drift_failures, batches);
+        assert_eq!(stats.maintenance.scrub_failures, batches);
+        assert_eq!(stats.maintenance, *maintenance.report());
     }
 
     /// A tiled tenant whose unspared fabric took permanent hits before

@@ -410,15 +410,15 @@ mod tests {
         assert_eq!(array.state_epoch(), e2);
         assert_eq!(array.clock(), 50);
         // With one, it does.
-        array
-            .set_non_idealities(
-                NonIdealityStack::ideal().with_drift(RetentionDrift::new(0.004, 100)),
-            )
-            .unwrap();
-        let e3 = array.state_epoch();
-        assert!(e3 > e2);
-        array.advance_time(50);
-        assert!(array.state_epoch() > e3);
+        let mut drifting = TileGrid::with_non_idealities(
+            TilePlan::monolithic(*array.layout()),
+            array.programmer().clone(),
+            NonIdealityStack::ideal().with_drift(RetentionDrift::new(0.004, 100)),
+        )
+        .unwrap();
+        let e3 = drifting.state_epoch();
+        drifting.advance_time(50);
+        assert!(drifting.state_epoch() > e3);
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //!
 //! * **Program-time** — [`FaultModel::inject`] defects a fabric once, right
 //!   after programming (its RNG draw order is frozen).
-//! * **Time-indexed** — [`FaultModel::draw_schedule`] produces a seeded
-//!   [`FaultSchedule`] of faults stamped with the array-clock tick at which
-//!   they strike, so a serving pool can be chaos-tested with defects landing
-//!   *mid-traffic*. Scheduled faults may be **transient** (the polarization
-//!   is corrupted but the cell still accepts write pulses — a refresh heals
-//!   it) or **permanent** (the cell is
-//!   [`Cell::is_stuck`](crate::Cell::is_stuck) afterwards and
-//!   only spare-row remapping can route around it).
+//! * **Time-indexed** — a [`FaultSchedule`] holds faults stamped with the
+//!   array-clock tick at which they strike, so a serving pool can be
+//!   chaos-tested with defects landing *mid-traffic*. Scheduled faults may
+//!   be **transient** (the polarization is corrupted but the cell still
+//!   accepts write pulses — a refresh heals it) or **permanent** (the cell
+//!   is [`Cell::is_stuck`](crate::Cell::is_stuck) afterwards and only
+//!   spare-row remapping can route around it).
 //!
 //! Detection and repair live next door: [`TileGrid::scrub`] classifies
 //! defective cells against the program's expected conductance pattern and
@@ -189,68 +188,6 @@ impl FaultSchedule {
             self.next += 1;
         }
         self.events[start..self.next].to_vec()
-    }
-}
-
-impl FaultModel {
-    /// Draws a seeded, time-indexed fault schedule: each cell of a
-    /// `rows × columns` array is defected independently with
-    /// `cell_fault_rate`, visiting cells in row-major order; every drawn
-    /// fault is stamped with a strike tick uniform in
-    /// `[start_tick, end_tick)` and is permanent with probability
-    /// `permanent_fraction`.
-    ///
-    /// This is a **new** RNG consumption order — the frozen program-time
-    /// order of [`FaultModel::inject`] is untouched, so old call sites keep
-    /// drawing byte-identical faults.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::InvalidLayout`] when `permanent_fraction`
-    /// is outside `[0, 1]` or the tick window is empty.
-    pub fn draw_schedule<R: Rng + ?Sized>(
-        &self,
-        rows: usize,
-        columns: usize,
-        start_tick: u64,
-        end_tick: u64,
-        permanent_fraction: f64,
-        rng: &mut R,
-    ) -> Result<FaultSchedule> {
-        if !(0.0..=1.0).contains(&permanent_fraction) || !permanent_fraction.is_finite() {
-            return Err(CrossbarError::InvalidLayout {
-                reason: format!("permanent_fraction must lie in [0, 1], got {permanent_fraction}"),
-            });
-        }
-        if start_tick >= end_tick {
-            return Err(CrossbarError::InvalidLayout {
-                reason: format!("empty fault window [{start_tick}, {end_tick})"),
-            });
-        }
-        let span = (end_tick - start_tick) as f64;
-        let mut events = Vec::new();
-        for row in 0..rows {
-            for column in 0..columns {
-                if self.cell_fault_rate == 0.0 || rng.gen::<f64>() >= self.cell_fault_rate {
-                    continue;
-                }
-                let kind = if rng.gen::<f64>() < self.stuck_erased_fraction {
-                    FaultKind::StuckErased
-                } else {
-                    FaultKind::StuckProgrammed
-                };
-                let at_tick = start_tick + (rng.gen::<f64>() * span) as u64;
-                let permanent = rng.gen::<f64>() < permanent_fraction;
-                events.push(ScheduledFault {
-                    at_tick: at_tick.min(end_tick - 1),
-                    row,
-                    column,
-                    kind,
-                    permanent,
-                });
-            }
-        }
-        Ok(FaultSchedule::new(events))
     }
 }
 
@@ -526,28 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn schedules_are_seed_deterministic_and_time_ordered() {
-        let model = FaultModel::new(0.3, 0.5).unwrap();
-        let a = model
-            .draw_schedule(4, 8, 100, 1_000, 0.5, &mut VariationModel::seeded_rng(13))
-            .unwrap();
-        let b = model
-            .draw_schedule(4, 8, 100, 1_000, 0.5, &mut VariationModel::seeded_rng(13))
-            .unwrap();
-        assert_eq!(a, b);
-        assert!(!a.events().is_empty());
-        for pair in a.events().windows(2) {
-            assert!(pair[0].at_tick <= pair[1].at_tick);
-        }
-        for event in a.events() {
-            assert!((100..1_000).contains(&event.at_tick));
-            assert!(event.row < 4 && event.column < 8);
-        }
-        assert!(a.events().iter().any(|event| event.permanent));
-        assert!(a.events().iter().any(|event| !event.permanent));
-    }
-
-    #[test]
     fn take_due_delivers_each_event_exactly_once() {
         let events = vec![
             ScheduledFault {
@@ -586,16 +501,6 @@ mod tests {
         assert_eq!((due[1].row, due[1].column), (0, 1));
         assert_eq!(schedule.pending(), 0);
         assert!(schedule.take_due(u64::MAX).is_empty());
-    }
-
-    #[test]
-    fn invalid_schedule_parameters_rejected() {
-        let model = FaultModel::new(0.3, 0.5).unwrap();
-        let mut rng = VariationModel::seeded_rng(1);
-        assert!(model.draw_schedule(2, 2, 0, 10, -0.1, &mut rng).is_err());
-        assert!(model.draw_schedule(2, 2, 0, 10, 1.5, &mut rng).is_err());
-        assert!(model.draw_schedule(2, 2, 10, 10, 0.5, &mut rng).is_err());
-        assert!(model.draw_schedule(2, 2, 20, 10, 0.5, &mut rng).is_err());
     }
 
     #[test]

@@ -101,16 +101,6 @@ impl TileShape {
         self
     }
 
-    /// The 64×64 macro used for the fabric-scale studies (a 64-wordline
-    /// tile matching the Fig. 6 scalability sweep's tallest array).
-    pub fn febim_macro() -> Self {
-        Self {
-            rows: 64,
-            columns: 64,
-            spare_rows: 0,
-        }
-    }
-
     /// Logical (program-visible) cells per tile; spare rows excluded.
     pub fn cells(&self) -> usize {
         self.rows * self.columns
@@ -258,29 +248,17 @@ impl TilePlan {
     }
 }
 
-/// Cost of one region-scoped write ([`TileGrid::program_region`] /
-/// [`TileGrid::erase_region`]): the pulse trains applied and their energy,
-/// priced through the Preisach programming model like every other write.
+/// Cost of one region-scoped erase ([`TileGrid::erase_region`]): the
+/// pulses applied and their energy, priced through the Preisach programming
+/// model like every other write.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct RegionWriteOutcome {
-    /// Cells driven to a target level.
-    pub cells_programmed: u64,
     /// Cells erased (programmed level forgotten, polarization reset).
     pub cells_erased: u64,
     /// Total program/erase pulses applied.
     pub pulses_applied: u64,
     /// Energy of those pulses, in joules.
     pub energy_joules: f64,
-}
-
-impl RegionWriteOutcome {
-    /// Accumulates another outcome into this one.
-    pub fn absorb(&mut self, other: &RegionWriteOutcome) {
-        self.cells_programmed += other.cells_programmed;
-        self.cells_erased += other.cells_erased;
-        self.pulses_applied += other.pulses_applied;
-        self.energy_joules += other.energy_joules;
-    }
 }
 
 /// One physical tile: its occupied cell bank in local row-major order, the
@@ -486,20 +464,6 @@ impl TileGrid {
     /// The configured non-ideality stack.
     pub fn non_idealities(&self) -> &NonIdealityStack {
         &self.stack
-    }
-
-    /// Replaces the non-ideality stack; every cached conductance is stale
-    /// afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::Device`] when the stack parameters are
-    /// unphysical.
-    pub fn set_non_idealities(&mut self, stack: NonIdealityStack) -> Result<()> {
-        stack.validate()?;
-        self.stack = stack;
-        self.mark_all();
-        Ok(())
     }
 
     /// Current fabric clock, in retention ticks.
@@ -898,56 +862,13 @@ impl TileGrid {
         Ok(())
     }
 
-    /// Programs a rectangular **region** of the fabric from a level block
-    /// whose top-left corner lands on logical `(row0, col0)`, pricing the
-    /// Preisach pulse trains, and returns the accumulated write cost.
-    ///
-    /// Only the written cells are invalidated; the cached conductances of
-    /// every other cell survive the reprogramming.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::IndexOutOfBounds`] when the block (at its
-    /// offset) does not fit the layout, and propagates programming errors.
-    pub fn program_region(
-        &mut self,
-        row0: usize,
-        col0: usize,
-        levels: &[Vec<Option<usize>>],
-        mode: ProgrammingMode,
-    ) -> Result<RegionWriteOutcome> {
-        let layout = *self.plan.layout();
-        let energy_before = self.write_energy;
-        let mut outcome = RegionWriteOutcome::default();
-        for (block_row, row_levels) in levels.iter().enumerate() {
-            let row = row0 + block_row;
-            for (block_col, level) in row_levels.iter().enumerate() {
-                let column = col0 + block_col;
-                if row >= layout.rows() || column >= layout.columns() {
-                    return Err(CrossbarError::IndexOutOfBounds {
-                        row,
-                        column,
-                        rows: layout.rows(),
-                        columns: layout.columns(),
-                    });
-                }
-                if let Some(level) = level {
-                    outcome.pulses_applied += self.program_cell(row, column, *level, mode)?;
-                    outcome.cells_programmed += 1;
-                }
-            }
-        }
-        outcome.energy_joules = self.write_energy - energy_before;
-        Ok(outcome)
-    }
-
     /// Erases every cell of a rectangular **region** (logical coordinate
     /// ranges): one nominal Preisach erase pulse per non-stuck cell, the
     /// programmed level forgotten either way. Erase pulses are priced like
     /// write pulses and accumulated into [`TileGrid::write_energy`].
     ///
-    /// Invalidation is scoped to the erased cells, exactly like
-    /// [`TileGrid::program_region`].
+    /// Invalidation is scoped to the erased cells: the cached conductances
+    /// of every other cell survive the erase.
     ///
     /// # Errors
     ///
@@ -1774,10 +1695,9 @@ mod tests {
     fn single_tile_plan_when_the_model_fits() {
         let layout = CrossbarLayout::new(3, 4, 16, false).unwrap();
         assert!(layout.fits_within(64, 64));
-        let macro_tile = TileShape::febim_macro();
-        assert_eq!((macro_tile.rows, macro_tile.columns), (64, 64));
-        assert_eq!(macro_tile.cells(), 4096);
-        let plan = TilePlan::new(layout, macro_tile).unwrap();
+        let tile = TileShape::new(64, 64).unwrap();
+        assert_eq!(tile.cells(), 4096);
+        let plan = TilePlan::new(layout, tile).unwrap();
         assert_eq!(plan.tile_count(), 1);
         assert!(!plan.is_multi_tile());
     }
@@ -1986,46 +1906,6 @@ mod tests {
     }
 
     #[test]
-    fn region_program_prices_pulses_and_scopes_invalidation() {
-        let (mut grid, _) = grid_and_array();
-        let activation = Activation::all_columns(grid.layout());
-        grid.wordline_currents(&activation).unwrap();
-        let stats_before = grid.rebuild_stats();
-        let energy_before = grid.write_energy();
-
-        // A 2×3 block inside tile (0, 0).
-        let block = vec![
-            vec![Some(1), None, Some(3)],
-            vec![Some(4), Some(5), Some(6)],
-        ];
-        let outcome = grid
-            .program_region(0, 2, &block, ProgrammingMode::PulseTrain)
-            .unwrap();
-        assert_eq!(outcome.cells_programmed, 5);
-        assert_eq!(outcome.cells_erased, 0);
-        assert!(outcome.pulses_applied >= 5, "at least one pulse per cell");
-        assert!(outcome.energy_joules > 0.0);
-        assert!((grid.write_energy() - energy_before - outcome.energy_joules).abs() < 1e-24);
-
-        grid.wordline_currents(&activation).unwrap();
-        let stats_after = grid.rebuild_stats();
-        assert_eq!(stats_after.full_rebuilds, stats_before.full_rebuilds);
-        assert_eq!(
-            stats_after.partial_refreshes,
-            stats_before.partial_refreshes + 1
-        );
-        assert_eq!(
-            grid.wordline_currents(&activation).unwrap(),
-            grid.wordline_currents_reference(&activation).unwrap()
-        );
-
-        // A block hanging off the layout is rejected.
-        assert!(grid
-            .program_region(2, 14, &block, ProgrammingMode::Ideal)
-            .is_err());
-    }
-
-    #[test]
     fn region_erase_forgets_levels_and_prices_one_pulse_per_cell() {
         let (mut grid, _) = grid_and_array();
         let activation = Activation::all_columns(grid.layout());
@@ -2035,7 +1915,6 @@ mod tests {
         // Erase the row-2 span of tile (1, 0) only (9 cells).
         let outcome = grid.erase_region(2..3, 0..9).unwrap();
         assert_eq!(outcome.cells_erased, 9);
-        assert_eq!(outcome.cells_programmed, 0);
         assert_eq!(outcome.pulses_applied, 9);
         assert!(outcome.energy_joules > 0.0);
         for column in 0..9 {

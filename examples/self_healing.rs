@@ -130,9 +130,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  survivor served {} post-quarantine answers; stats: {} scrub(s), \
          {} defect(s) detected, {} health transition(s), {} quarantined\n",
         answers.len(),
-        stats.scrubs,
-        stats.faults_detected,
-        stats.health_transitions,
+        stats.maintenance.faulty_scrubs,
+        stats.maintenance.repair.reports.len(),
+        stats.maintenance.transitions,
         stats.quarantined_workers,
     );
 

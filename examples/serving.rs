@@ -103,10 +103,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.delay_ratio(),
         stats.energy_ratio(),
     );
-    for report in &stats.workers {
+    for (worker, report) in stats.workers.iter().enumerate() {
         println!(
-            "  worker {}: {} requests over {} batches",
-            report.worker, report.requests, report.batches,
+            "  worker {worker}: {} requests over {} batches",
+            report.requests, report.batches,
         );
     }
     Ok(())

@@ -64,7 +64,7 @@ pub mod prelude {
         BackendKind, BatchTelemetry, CrossbarBackend, EngineConfig, FebimEngine, InferenceBackend,
         Maintenance, MaintenancePolicy, MaintenanceReport, MetricsConfig, MonteCarlo, NoisePoint,
         NoiseScenario, PoolStats, ReplicaHealth, ServeOutcome, ServingConfig, ServingError,
-        ServingPool, SoftwareBackend, Ticket, TiledFabricBackend, WorkerReport,
+        ServingPool, SoftwareBackend, Ticket, TiledFabricBackend,
     };
     pub use febim_crossbar::{FaultKind, FaultSchedule, ScheduledFault, ScrubOutcome, TileShape};
     pub use febim_data::rng::seeded_rng;

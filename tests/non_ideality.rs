@@ -184,13 +184,13 @@ fn serving_pool_survives_forced_recalibration_without_losing_tickets() {
     let stats = pool.shutdown();
     assert_eq!(stats.requests, served, "dropped or phantom tickets");
     assert_eq!(
-        stats.recalibration_failures, 0,
+        stats.maintenance.drift_failures, 0,
         "recalibration must never fail mid-serving"
     );
     assert!(
-        stats.recalibrations > 0,
+        stats.maintenance.recalibrations > 0,
         "the drifting pool never recalibrated"
     );
-    assert!(stats.recalibration_pulses > 0);
-    assert!(stats.recalibration_energy_j > 0.0);
+    assert!(stats.maintenance.refresh.pulses_applied > 0);
+    assert!(stats.maintenance.refresh.energy_joules > 0.0);
 }

@@ -248,9 +248,12 @@ fn quarantine_under_load_answers_every_ticket_exactly_once() {
     assert_eq!(stats.failed_requests, 0);
     assert_eq!(stats.crashed_workers, 0);
     assert_eq!(stats.quarantined_workers, 1);
-    assert!(stats.scrubs >= 1, "the quarantine came from a real scrub");
-    assert!(stats.faults_detected >= 1);
-    assert!(stats.health_transitions >= 1);
+    assert!(
+        stats.maintenance.faulty_scrubs >= 1,
+        "the quarantine came from a real scrub"
+    );
+    assert!(!stats.maintenance.repair.reports.is_empty());
+    assert!(stats.maintenance.transitions >= 1);
 }
 
 /// Chaos takes out every replica of a tiled-fabric pool (no spare rows, a

@@ -404,10 +404,13 @@ fn chaos_quarantine_under_load_resolves_every_ticket_exactly_once() {
     assert_eq!(stats.shutdown_rejected, 0);
     assert_eq!(stats.crashed_workers, 0);
     assert_eq!(stats.quarantined_workers, 1);
-    assert!(stats.scrubs >= 1, "quarantine must come from a real scrub");
-    assert!(stats.faults_detected >= 1);
-    assert!(stats.health_transitions >= 1);
-    assert!(stats.workers[0].quarantined);
+    assert!(
+        stats.maintenance.faulty_scrubs >= 1,
+        "quarantine must come from a real scrub"
+    );
+    assert!(!stats.maintenance.repair.reports.is_empty());
+    assert!(stats.maintenance.transitions >= 1);
+    assert_eq!(stats.workers[0].quarantined_workers, 1);
     assert_eq!(stats.fallback_served, 0, "survivors carried the load");
 }
 
@@ -455,7 +458,11 @@ fn worker_panic_under_load_never_hangs_a_ticket() {
     let stats = pool.shutdown();
     assert_eq!(stats.crashed_workers, 1);
     assert_eq!(
-        stats.workers.iter().filter(|report| report.crashed).count(),
+        stats
+            .workers
+            .iter()
+            .filter(|report| report.crashed_workers == 1)
+            .count(),
         1
     );
     // The crashed worker's report (its served count) is lost, so the pool
