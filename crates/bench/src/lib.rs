@@ -1,7 +1,7 @@
 //! # febim-bench
 //!
-//! Figure/table regeneration binaries, record binaries and Criterion
-//! micro-benchmarks for the FeBiM reproduction.
+//! Figure/table regeneration binaries and record binaries for the FeBiM
+//! reproduction.
 //!
 //! Every data figure and table of the paper's evaluation section has a
 //! dedicated binary that regenerates it, prints the series to the console and

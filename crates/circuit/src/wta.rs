@@ -137,46 +137,42 @@ impl WtaCircuit {
         &self.params
     }
 
-    fn validate_inputs(inputs: &[f64]) -> Result<()> {
+    /// Validates the inputs and finds the winner and its margin in one
+    /// pass, tracking the first maximum, a tie flag and the runner-up.
+    ///
+    /// The first invalid input is reported before any tie. Only a tie
+    /// scans again, to list the tied indices (the winner first, then the
+    /// others ascending). The margin is `best - runner_up`, or `best` for a
+    /// single input.
+    fn winner_and_margin(inputs: &[f64]) -> Result<(usize, f64)> {
         if inputs.is_empty() {
             return Err(CircuitError::EmptyInput);
         }
+        let (mut winner, mut best, mut runner_up) = (0, f64::NEG_INFINITY, f64::NEG_INFINITY);
+        let mut tied = false;
         for (index, &value) in inputs.iter().enumerate() {
             if !(value >= 0.0 && value.is_finite()) {
                 return Err(CircuitError::InvalidCurrent { index, value });
             }
-        }
-        Ok(())
-    }
-
-    fn winner_and_margin(inputs: &[f64]) -> Result<(usize, f64)> {
-        let mut winner = 0usize;
-        for (index, &value) in inputs.iter().enumerate() {
-            if value > inputs[winner] {
-                winner = index;
+            if value > best {
+                (winner, best, runner_up, tied) = (index, value, best, false);
+            } else if value == best {
+                tied = true;
+            } else if value > runner_up {
+                runner_up = value;
             }
         }
-        let ties: Vec<usize> = inputs
-            .iter()
-            .enumerate()
-            .filter(|(index, &value)| *index != winner && value == inputs[winner])
-            .map(|(index, _)| index)
-            .collect();
-        if !ties.is_empty() {
+        if tied {
             let mut indices = vec![winner];
-            indices.extend(ties);
+            indices.extend(
+                (0..inputs.len()).filter(|&index| index != winner && inputs[index] == best),
+            );
             return Err(CircuitError::AmbiguousWinner { indices });
         }
         let margin = if inputs.len() == 1 {
-            inputs[winner]
+            best
         } else {
-            let runner_up = inputs
-                .iter()
-                .enumerate()
-                .filter(|(index, _)| *index != winner)
-                .map(|(_, &value)| value)
-                .fold(f64::NEG_INFINITY, f64::max);
-            inputs[winner] - runner_up
+            best - runner_up
         };
         Ok((winner, margin))
     }
@@ -205,7 +201,6 @@ impl WtaCircuit {
     /// [`CircuitError::InvalidCurrent`] for negative or non-finite inputs and
     /// [`CircuitError::AmbiguousWinner`] when the maximum is not unique.
     pub fn resolve(&self, inputs: &[f64]) -> Result<WtaDecision> {
-        Self::validate_inputs(inputs)?;
         let (winner, margin) = Self::winner_and_margin(inputs)?;
         let settling_time = self.settling_time(inputs.len(), margin);
         let energy = self.energy(inputs, settling_time);
@@ -257,6 +252,7 @@ impl WtaCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn wta() -> WtaCircuit {
         WtaCircuit::febim_calibrated()
@@ -377,5 +373,88 @@ mod tests {
             .unwrap();
         assert_eq!(resolve.winner, transient.decision.winner);
         assert_eq!(transient.outputs.len(), inputs.len());
+    }
+    /// The three-pass resolver the one-pass `winner_and_margin` replaced:
+    /// validate every input, take the first maximum, then collect ties and
+    /// the runner-up.
+    fn three_pass(inputs: &[f64]) -> Result<(usize, f64)> {
+        if inputs.is_empty() {
+            return Err(CircuitError::EmptyInput);
+        }
+        for (index, &value) in inputs.iter().enumerate() {
+            if !(value >= 0.0 && value.is_finite()) {
+                return Err(CircuitError::InvalidCurrent { index, value });
+            }
+        }
+        let mut winner = 0usize;
+        for (index, &value) in inputs.iter().enumerate() {
+            if value > inputs[winner] {
+                winner = index;
+            }
+        }
+        let ties: Vec<usize> = inputs
+            .iter()
+            .enumerate()
+            .filter(|(index, &value)| *index != winner && value == inputs[winner])
+            .map(|(index, _)| index)
+            .collect();
+        if !ties.is_empty() {
+            let mut indices = vec![winner];
+            indices.extend(ties);
+            return Err(CircuitError::AmbiguousWinner { indices });
+        }
+        let margin = if inputs.len() == 1 {
+            inputs[winner]
+        } else {
+            let runner_up = inputs
+                .iter()
+                .enumerate()
+                .filter(|(index, _)| *index != winner)
+                .map(|(_, &value)| value)
+                .fold(f64::NEG_INFINITY, f64::max);
+            inputs[winner] - runner_up
+        };
+        Ok((winner, margin))
+    }
+
+    /// One drawn input: mostly values from a small pool (so ties, ties a
+    /// later larger value breaks, and `0.0` against `-0.0` are common),
+    /// otherwise a fresh value, and now and then an invalid one (negative,
+    /// NaN or ±inf).
+    fn drawn_input((kind, pick, fresh): (u32, usize, f64)) -> f64 {
+        const POOL: [f64; 5] = [0.0, -0.0, 0.5e-6, 1.0e-6, 1.5e-6];
+        const INVALID: [f64; 4] = [-1.0e-6, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        match kind {
+            0..=59 => POOL[pick % POOL.len()],
+            60..=97 => fresh,
+            _ => INVALID[pick % INVALID.len()],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The one-pass resolver returns exactly what the three-pass one
+        /// did: the same error (first invalid index, then the tied indices
+        /// in the same order) or the same winner and a bit-identical margin.
+        #[test]
+        fn one_pass_matches_three_pass(
+            drawn in proptest::collection::vec((0u32..100, 0usize..20, 0.0f64..2.0e-6), 0..12),
+        ) {
+            let inputs: Vec<f64> = drawn.into_iter().map(drawn_input).collect();
+            let circuit = wta();
+            let expected = three_pass(&inputs).map(|(winner, margin)| {
+                let settling_time = circuit.settling_time(inputs.len(), margin);
+                let energy = circuit.energy(&inputs, settling_time);
+                WtaDecision { winner, margin, settling_time, energy }
+            });
+            let resolved = circuit.resolve(&inputs);
+            // Debug prints every float exactly (shortest round trip, signed
+            // zeros); the margin is compared by its bits as well.
+            prop_assert_eq!(format!("{resolved:?}"), format!("{expected:?}"));
+            if let (Ok(resolved), Ok(expected)) = (&resolved, &expected) {
+                prop_assert_eq!(resolved.margin.to_bits(), expected.margin.to_bits());
+            }
+        }
     }
 }

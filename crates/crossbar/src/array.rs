@@ -244,6 +244,10 @@ mod tests {
             .program_cell(0, 0, 99, ProgrammingMode::Ideal)
             .unwrap_err();
         assert!(matches!(err, CrossbarError::Device(_)));
+        let err = array
+            .program_cell(0, 0, usize::MAX, ProgrammingMode::Ideal)
+            .unwrap_err();
+        assert!(matches!(err, CrossbarError::Device(_)));
     }
 
     #[test]

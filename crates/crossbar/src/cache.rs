@@ -20,9 +20,8 @@
 //!
 //! ## The committed summation order
 //!
-//! The delta sum is evaluated by [`lane_delta_sum`]: four independent
-//! accumulator lanes striped over the activation order in chunks of four
-//! (an autovectorizable f64x4 shape on stable Rust), a scalar tail for the
+//! A wordline's delta sum runs four independent accumulator lanes striped
+//! over the activation order in chunks of four, plus a scalar tail for the
 //! remainder, combined as
 //!
 //! ```text
@@ -30,44 +29,68 @@
 //! ```
 //!
 //! and finally added onto `row_off_sum`. Floating-point addition is not
-//! associative, so this order **is** the bit-exactness contract: the cached
-//! kernel and the uncached reference oracles evaluate it identically on
-//! every tile plan, and the crate's property tests pin every remainder case
-//! (0–3 trailing columns).
+//! associative, so this order **is** the bit-exactness contract.
+//!
+//! ## Bitline-major deltas
+//!
+//! The deltas are stored bitline-major (`delta[column * rows + row]`), the
+//! way the hardware reads: one activated bitline drives its current into
+//! every wordline at once. [`ConductanceCache::wordline_currents_into`]
+//! reads all wordlines of a read together, adding whole activated columns
+//! into fixed-size blocks of per-row lane accumulators. A single wordline,
+//! and each row past the last full block (every row of a layout shorter
+//! than one block), gathers its deltas with a stride through
+//! [`lane_delta_sum`], which the uncached reference oracles also call. The
+//! two loop orders perform the same additions in the same order for every
+//! row, and the crate's property tests tie both to the one order above on
+//! layouts shorter than a block, exactly one block and several blocks with
+//! a partial last one, across every remainder case (0–3 trailing columns).
 
 use crate::read::{Activation, LevelLadder};
 
-/// On/off delta sum over the activated columns in the committed 4-lane
-/// order (see the module docs): lanes striped over activation order,
-/// combined as `((lane0 + lane1) + (lane2 + lane3)) + tail`.
-///
-/// `deltas` is indexed by column; every fast and reference read path in
-/// this crate funnels through this one function so the floating-point
-/// accumulation order can never silently diverge.
+/// Wordlines per block of the all-rows read kernel: a block's four lane
+/// accumulators and its tail live on the stack. Eight rows keep them small
+/// enough for the compiler to hold most of them in registers; 16-row
+/// blocks read 64×512 about 1.5x slower.
+pub(crate) const BLOCK_ROWS: usize = 8;
+
+/// One wordline's on/off delta sum over the activated columns in the
+/// committed 4-lane order (see the module docs): lanes striped over
+/// activation order, combined as `((lane0 + lane1) + (lane2 + lane3)) +
+/// tail`. `delta(column)` reads the wordline's delta at one column.
 #[inline]
-pub(crate) fn lane_delta_sum(deltas: &[f64], active_columns: &[usize]) -> f64 {
+pub(crate) fn lane_delta_sum(active_columns: &[usize], delta: impl Fn(usize) -> f64) -> f64 {
     let mut lanes = [0.0f64; 4];
     let mut chunks = active_columns.chunks_exact(4);
     for chunk in &mut chunks {
-        lanes[0] += deltas[chunk[0]];
-        lanes[1] += deltas[chunk[1]];
-        lanes[2] += deltas[chunk[2]];
-        lanes[3] += deltas[chunk[3]];
+        lanes[0] += delta(chunk[0]);
+        lanes[1] += delta(chunk[1]);
+        lanes[2] += delta(chunk[2]);
+        lanes[3] += delta(chunk[3]);
     }
     let mut tail = 0.0;
     for &column in chunks.remainder() {
-        tail += deltas[column];
+        tail += delta(column);
     }
     ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
+}
+
+/// Adds one column slice of a row block into one accumulator lane.
+#[inline]
+fn add_column(lane: &mut [f64; BLOCK_ROWS], deltas: &[f64]) {
+    for (sum, &delta) in lane.iter_mut().zip(deltas) {
+        *sum += delta;
+    }
 }
 
 /// Bit-plane variant of [`lane_delta_sum`]: sums `bit(slot)` for slots
 /// `0..count` in the committed 4-lane striping and
 /// `((lane0 + lane1) + (lane2 + lane3)) + tail` combine. The closure lets
 /// the cached kernel and the uncached oracle plug in their own per-slot
-/// bit extraction while guaranteeing the identical summation structure — the same contract [`lane_delta_sum`]
-/// pins for analog reads. The summands are exact 0.0/1.0 values, so the
-/// partial sums are exact integers in `f64`.
+/// bit extraction while guaranteeing the identical summation structure —
+/// the same contract [`lane_delta_sum`] pins for analog reads. The
+/// summands are exact 0.0/1.0 values, so the partial sums are exact
+/// integers in `f64`.
 #[inline]
 pub(crate) fn lane_bit_sum(count: usize, mut bit: impl FnMut(usize) -> f64) -> f64 {
     let mut lanes = [0.0f64; 4];
@@ -121,12 +144,14 @@ pub(crate) fn row_plane_partials(
 
 /// Struct-of-arrays conductance snapshot of a programmed crossbar.
 ///
-/// All vectors are row-major; `on`/`off`/`delta` hold one entry per cell
-/// (`delta = on - off`, precomputed so the read kernel is a pure gather-sum)
-/// and `row_off_sums` one entry per row (the accumulated leakage of a fully
-/// inhibited wordline, summed in column order).
+/// `on`/`off` hold one entry per cell, row-major; `delta = on - off` holds
+/// one entry per cell too, precomputed so the read kernel is a pure sum,
+/// and stored bitline-major (`delta[column * rows + row]`, see the module
+/// docs); `row_off_sums` holds one entry per row (the accumulated leakage
+/// of a fully inhibited wordline, summed in column order).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ConductanceCache {
+    rows: usize,
     columns: usize,
     on: Vec<f64>,
     off: Vec<f64>,
@@ -150,13 +175,13 @@ impl ConductanceCache {
         let cells = rows * columns;
         let mut on = Vec::with_capacity(cells);
         let mut off = Vec::with_capacity(cells);
-        let mut delta = Vec::with_capacity(cells);
+        let mut delta = vec![0.0; cells];
         for row in 0..rows {
             for column in 0..columns {
                 let (cell_on, cell_off) = eval(row, column);
                 on.push(cell_on);
                 off.push(cell_off);
-                delta.push(cell_on - cell_off);
+                delta[column * rows + row] = cell_on - cell_off;
             }
         }
         let mut row_off_sums = Vec::with_capacity(rows);
@@ -169,6 +194,7 @@ impl ConductanceCache {
             row_off_sums.push(sum);
         }
         Self {
+            rows,
             columns,
             on,
             off,
@@ -186,7 +212,7 @@ impl ConductanceCache {
         let index = row * self.columns + column;
         self.on[index] = on;
         self.off[index] = off;
-        self.delta[index] = on - off;
+        self.delta[column * self.rows + row] = on - off;
     }
 
     /// Recomputes one row's off-state leakage sum from the stored per-cell
@@ -212,18 +238,51 @@ impl ConductanceCache {
         &self.on
     }
 
-    /// The precomputed on/off deltas of one row, indexed by column — the
-    /// contiguous slice the 4-lane kernel gathers from.
-    pub(crate) fn row_deltas(&self, row: usize) -> &[f64] {
-        let base = row * self.columns;
-        &self.delta[base..base + self.columns]
+    /// Accumulated current of one wordline: the row's full off-state leakage
+    /// plus the activated columns' on/off deltas, gathered with a stride in
+    /// the committed 4-lane order (see [`lane_delta_sum`]).
+    pub(crate) fn wordline_current(&self, row: usize, activation: &Activation) -> f64 {
+        self.row_off_sums[row]
+            + lane_delta_sum(activation.active_columns(), |column| {
+                self.delta[column * self.rows + row]
+            })
     }
 
-    /// Accumulated current of one wordline: the row's full off-state leakage
-    /// plus the activated columns' on/off deltas in the committed 4-lane
-    /// order (see [`lane_delta_sum`]).
-    pub(crate) fn wordline_current(&self, row: usize, activation: &Activation) -> f64 {
-        self.row_off_sums[row] + lane_delta_sum(self.row_deltas(row), activation.active_columns())
+    /// Accumulated currents of every wordline for one activation, appended
+    /// to `out` in row order.
+    ///
+    /// Rows are read in full blocks of [`BLOCK_ROWS`]: each chunk of four
+    /// activated columns adds four contiguous column slices of the block,
+    /// one into each lane accumulator, and the leftover columns add into
+    /// the tail, so every row sees the additions of [`lane_delta_sum`] in
+    /// its order. The rows past the last full block — all of them on a
+    /// layout shorter than one block — gather one by one
+    /// ([`ConductanceCache::wordline_current`]), which is cheaper for short
+    /// columns.
+    pub(crate) fn wordline_currents_into(&self, activation: &Activation, out: &mut Vec<f64>) {
+        let rows = self.rows;
+        let active_columns = activation.active_columns();
+        let blocked = rows / BLOCK_ROWS * BLOCK_ROWS;
+        for first in (0..blocked).step_by(BLOCK_ROWS) {
+            let block = |column: usize| &self.delta[column * rows + first..][..BLOCK_ROWS];
+            let mut lanes = [[0.0f64; BLOCK_ROWS]; 4];
+            let mut tail = [0.0f64; BLOCK_ROWS];
+            let mut chunks = active_columns.chunks_exact(4);
+            for chunk in &mut chunks {
+                for (lane, &column) in lanes.iter_mut().zip(chunk) {
+                    add_column(lane, block(column));
+                }
+            }
+            for &column in chunks.remainder() {
+                add_column(&mut tail, block(column));
+            }
+            let off_sums = &self.row_off_sums[first..first + BLOCK_ROWS];
+            for (row, &off_sum) in off_sums.iter().enumerate() {
+                let lanes_sum = (lanes[0][row] + lanes[1][row]) + (lanes[2][row] + lanes[3][row]);
+                out.push(off_sum + (lanes_sum + tail[row]));
+            }
+        }
+        out.extend((blocked..rows).map(|row| self.wordline_current(row, activation)));
     }
 }
 
@@ -258,8 +317,9 @@ mod tests {
             let column = index % layout.columns();
             assert_eq!(cache.on_current(row, column), cell.read_current_on());
             assert_eq!(cache.off[index], cell.read_current_off());
+            // Deltas are stored bitline-major.
             assert_eq!(
-                cache.delta[index],
+                cache.delta[column * layout.rows() + row],
                 cell.read_current_on() - cell.read_current_off()
             );
         }
@@ -368,7 +428,7 @@ mod tests {
             .collect();
         for active in 0..=deltas.len() {
             let columns: Vec<usize> = (0..active).collect();
-            let measured = lane_delta_sum(&deltas, &columns);
+            let measured = lane_delta_sum(&columns, |column| deltas[column]);
             let mut lanes = [0.0f64; 4];
             let full = active / 4 * 4;
             for (slot, &column) in columns[..full].iter().enumerate() {

@@ -99,6 +99,18 @@ mod proptests {
             .expect("in-range levels");
     }
 
+    /// A wordline count on each path of the all-rows read kernel, picked by
+    /// `case`: fewer rows than one block, exactly one block, or two blocks
+    /// and a partial one (`spare` sizes the short layout or partial block).
+    fn rows_around_block(case: usize, spare: usize) -> usize {
+        let partial = 1 + spare % (cache::BLOCK_ROWS - 1);
+        match case {
+            0 => partial,
+            1 => cache::BLOCK_ROWS,
+            _ => 2 * cache::BLOCK_ROWS + partial,
+        }
+    }
+
     /// Asserts the cached sparse read equals the uncached reference path
     /// bit-for-bit: for a sparse observation, for the all-columns stress
     /// pattern, and for every activation prefix length up to nine columns —
@@ -196,11 +208,13 @@ mod proptests {
         }
 
         /// The conductance-cached sparse read path is bit-for-bit identical to
-        /// the uncached dense reference path across random layouts, programs,
+        /// the uncached dense reference path across random layouts (shorter
+        /// than one kernel block, one block, several blocks), programs,
         /// variations, reprogramming cycles and direct cell mutations.
         #[test]
         fn cached_sparse_reads_match_reference_path(
-            events in 1usize..5,
+            rows_case in 0usize..3,
+            rows_spare in 0usize..64,
             nodes in 1usize..5,
             levels_per_node in 1usize..6,
             has_prior in proptest::bool::ANY,
@@ -208,6 +222,7 @@ mod proptests {
             sigma_mv in 0.0f64..60.0,
             variation_seed in 0u64..1_000_000,
         ) {
+            let events = rows_around_block(rows_case, rows_spare);
             let layout = CrossbarLayout::new(events, nodes, levels_per_node, has_prior).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
             let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);
@@ -241,17 +256,21 @@ mod proptests {
         /// order, then four delta lanes striped over the activation order,
         /// combined `((l0+l1)+(l2+l3)) + tail`. Swept over every activation
         /// length up to the full layout so all `chunks_exact(4)` remainder
-        /// cases are exercised; this keeps the fast path and the reference
-        /// oracle from ever drifting together.
+        /// cases are exercised, on layouts that put the all-rows kernel on
+        /// its row-by-row path, one block and several blocks; this keeps
+        /// both loop orders and the reference oracle from ever drifting
+        /// together.
         #[test]
         fn kernel_summation_order_is_pinned(
-            events in 1usize..5,
+            rows_case in 0usize..3,
+            rows_spare in 0usize..64,
             nodes in 1usize..4,
             levels_per_node in 1usize..5,
             has_prior in proptest::bool::ANY,
             program_seed in 0u64..1_000_000,
             sigma_mv in 0.0f64..60.0,
         ) {
+            let events = rows_around_block(rows_case, rows_spare);
             let layout = CrossbarLayout::new(events, nodes, levels_per_node, has_prior).unwrap();
             let programmer = LevelProgrammer::febim_default(10).unwrap();
             let mut array = TileGrid::new(TilePlan::monolithic(layout), programmer);

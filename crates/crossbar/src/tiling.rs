@@ -20,10 +20,12 @@
 //! identically (so per-cell on/off currents match), non-idealities are
 //! evaluated in logical coordinates (a cell's IR-drop position, retention
 //! age and wordline read count are the same whether the model sits on one
-//! tile or many), and the conductance cache is kept in logical row-major
-//! order, so a wordline's off-sum accumulates in global column order and
-//! the activated deltas go through the committed 4-lane reduction (see the
-//! `cache` module docs) whatever the tile boundaries.
+//! tile or many), and the conductance cache is kept in logical
+//! coordinates — on/off currents row-major, deltas bitline-major — so a
+//! wordline's off-sum accumulates in global column order and its activated
+//! deltas are summed in the committed 4-lane order (see the `cache` module
+//! docs) whatever the tile boundaries: every plan reads all wordlines
+//! through the same cache kernel.
 //! Equivalence is proptest-enforced in this crate and at engine level.
 //!
 //! ## Cell-granular cache epochs
@@ -363,7 +365,7 @@ pub struct TileGrid {
     /// Cache maintenance counters.
     #[serde(skip)]
     stats: std::cell::Cell<RebuildStats>,
-    /// Derived state in logical row-major order: `None` means never built.
+    /// Derived state in logical coordinates: `None` means never built.
     /// Skipped by serialization and ignored by equality.
     #[serde(skip)]
     cache: RefCell<Option<ConductanceCache>>,
@@ -1016,9 +1018,7 @@ impl TileGrid {
         out.clear();
         out.reserve(rows * activations.len());
         self.read_group(activations.len(), |cache, read| {
-            for row in 0..rows {
-                out.push(cache.wordline_current(row, &activations[read]));
-            }
+            cache.wordline_currents_into(&activations[read], out);
         });
         Ok(())
     }
@@ -1058,7 +1058,7 @@ impl TileGrid {
             current += off;
             deltas.push(on - off);
         }
-        Ok(current + lane_delta_sum(&deltas, activation.active_columns()))
+        Ok(current + lane_delta_sum(activation.active_columns(), |column| deltas[column]))
     }
 
     /// Uncached all-wordline read (see

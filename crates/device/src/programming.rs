@@ -146,7 +146,7 @@ impl LevelProgrammer {
     pub fn target_current(&self, level: usize) -> Result<f64> {
         if level >= self.levels {
             return Err(DeviceError::TooManyLevels {
-                requested: level + 1,
+                requested: level.saturating_add(1),
                 supported: self.levels,
             });
         }
@@ -332,6 +332,16 @@ mod tests {
         let p = programmer();
         assert!(p.target_current(10).is_err());
         assert!(p.state_for_level(99).is_err());
+        // The largest level is an error too, not an overflow panic.
+        assert!(matches!(
+            p.target_current(usize::MAX),
+            Err(DeviceError::TooManyLevels {
+                requested: usize::MAX,
+                supported: 10
+            })
+        ));
+        assert!(p.state_for_level(usize::MAX).is_err());
+        assert!(p.write_energy(usize::MAX).is_err());
     }
 
     #[test]
