@@ -24,7 +24,7 @@ pub struct ClassGaussians {
 }
 
 /// A trained Gaussian naive Bayes classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GaussianNaiveBayes {
     classes: Vec<ClassGaussians>,
     n_features: usize,
@@ -53,11 +53,6 @@ impl GaussianNaiveBayes {
     /// Returns [`BayesError::InvalidTrainingData`] when a class has no
     /// samples or the smoothing value is negative.
     pub fn fit_with_smoothing(dataset: &Dataset, var_smoothing: f64) -> Result<Self> {
-        if var_smoothing < 0.0 || !var_smoothing.is_finite() {
-            return Err(BayesError::InvalidTrainingData {
-                reason: format!("variance smoothing {var_smoothing} must be non-negative"),
-            });
-        }
         let n_features = dataset.n_features();
         let n_samples = dataset.n_samples() as f64;
 
@@ -112,6 +107,41 @@ impl GaussianNaiveBayes {
                 variances,
                 prior: count / n_samples,
             });
+        }
+        Self::from_classes(classes, var_smoothing)
+    }
+
+    /// Rebuilds a trained GNBC from its per-class Gaussian parameters and
+    /// the smoothing fraction it was fitted with (e.g. a model loaded from
+    /// bytes). The feature count is the length of the class vectors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BayesError::InvalidTrainingData`] when there is no class,
+    /// when a class's means and variances do not all have the first class's
+    /// feature count, or when the smoothing value is negative or not finite.
+    pub fn from_classes(classes: Vec<ClassGaussians>, var_smoothing: f64) -> Result<Self> {
+        if var_smoothing < 0.0 || !var_smoothing.is_finite() {
+            return Err(BayesError::InvalidTrainingData {
+                reason: format!("variance smoothing {var_smoothing} must be non-negative"),
+            });
+        }
+        let Some(first) = classes.first() else {
+            return Err(BayesError::InvalidTrainingData {
+                reason: "a model needs at least one class".to_string(),
+            });
+        };
+        let n_features = first.means.len();
+        for (class, params) in classes.iter().enumerate() {
+            if params.means.len() != n_features || params.variances.len() != n_features {
+                return Err(BayesError::InvalidTrainingData {
+                    reason: format!(
+                        "class {class} has {} means and {} variances, expected {n_features} of each",
+                        params.means.len(),
+                        params.variances.len()
+                    ),
+                });
+            }
         }
         Ok(Self {
             classes,
@@ -342,6 +372,27 @@ mod tests {
             GaussianNaiveBayes::fit(&dataset),
             Err(BayesError::InvalidTrainingData { .. })
         ));
+    }
+
+    #[test]
+    fn from_classes_rebuilds_a_fitted_model_and_checks_its_shape() {
+        let model = GaussianNaiveBayes::fit(&toy_dataset()).unwrap();
+        let rebuilt =
+            GaussianNaiveBayes::from_classes(model.classes().to_vec(), model.var_smoothing())
+                .unwrap();
+        assert_eq!(rebuilt, model);
+        assert!(GaussianNaiveBayes::from_classes(Vec::new(), 1e-9).is_err());
+        assert!(GaussianNaiveBayes::from_classes(model.classes().to_vec(), -1.0).is_err());
+        let mut short = model.classes().to_vec();
+        short[1].variances.pop();
+        assert!(matches!(
+            GaussianNaiveBayes::from_classes(short, 1e-9),
+            Err(BayesError::InvalidTrainingData { .. })
+        ));
+        let mut long = model.classes().to_vec();
+        long[1].means.push(0.0);
+        long[1].variances.push(1.0);
+        assert!(GaussianNaiveBayes::from_classes(long, 1e-9).is_err());
     }
 
     #[test]

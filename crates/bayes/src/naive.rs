@@ -5,7 +5,7 @@
 //! what the crossbar computes. It is also the model used by the spam-filter
 //! example, where evidence values are inherently categorical.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{BayesError, Result};
 use crate::prob::argmax;
@@ -14,7 +14,7 @@ use crate::prob::argmax;
 ///
 /// Feature `i` takes values in `0..cardinalities[i]`; likelihoods are
 /// estimated with Laplace (add-alpha) smoothing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CategoricalNaiveBayes {
     /// `log_likelihoods[class][feature][value]`.
     log_likelihoods: Vec<Vec<Vec<f64>>>,

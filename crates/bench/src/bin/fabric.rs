@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
-use febim_bench::{eng, measure_min_ns as measure, staggered_fig6_grid, Header, Record};
+use febim_bench::{eng, measure_pair_ns, staggered_fig6_grid, Header, Record};
 use febim_core::{variation_sweep, EngineConfig, EvaluationReport, FebimEngine, MonteCarlo};
 use febim_crossbar::{Activation, TilePlan, TileShape};
 use febim_data::rng::seeded_rng;
@@ -42,7 +42,8 @@ struct Workload {
 }
 
 impl Workload {
-    fn new(name: &str, monolithic_ns: f64, tiled_ns: f64) -> Self {
+    /// A workload from its `(monolithic_ns, tiled_ns)` pair.
+    fn new(name: &str, (monolithic_ns, tiled_ns): (f64, f64)) -> Self {
         Self {
             name: name.to_string(),
             monolithic_ns,
@@ -128,7 +129,7 @@ fn main() {
     let mut tiled_scratch = tiled.make_scratch();
     let mut workloads = vec![Workload::new(
         "iris_inference_3x64/infer_into",
-        measure(
+        measure_pair_ns(
             || {
                 black_box(
                     monolithic
@@ -136,9 +137,6 @@ fn main() {
                         .expect("infer"),
                 );
             },
-            target,
-        ),
-        measure(
             || {
                 black_box(
                     tiled
@@ -164,7 +162,7 @@ fn main() {
     let fig6_sparse =
         Activation::from_observation(fig6_array.layout(), &fig6_evidence).expect("activation");
     let fig6_all = Activation::all_columns(fig6_array.layout());
-    let mut currents = Vec::new();
+    let (mut currents, mut grid_currents) = (Vec::new(), Vec::new());
     for (name, array, grid, activation) in [
         (
             "iris_read_3x64/sparse_observation",
@@ -198,20 +196,17 @@ fn main() {
         );
         workloads.push(Workload::new(
             name,
-            measure(
+            measure_pair_ns(
                 || {
                     array
                         .wordline_currents_into(black_box(activation), &mut currents)
                         .expect("read");
                     black_box(&currents);
                 },
-                target,
-            ),
-            measure(
                 || {
-                    grid.wordline_currents_into(black_box(activation), &mut currents)
+                    grid.wordline_currents_into(black_box(activation), &mut grid_currents)
                         .expect("read");
-                    black_box(&currents);
+                    black_box(&grid_currents);
                 },
                 target,
             ),

@@ -4,7 +4,9 @@
 //! ("after") against the uncached dense reference path that re-evaluates the
 //! FeFET I-V model per cell ("before" — the pre-cache implementation), and
 //! writes the results to a JSON record so the repository's perf trajectory
-//! accumulates over time.
+//! accumulates over time. Each workload times its two paths in alternating
+//! batches of one window (`measure_pair_ns`), so a change of host speed
+//! lands on both sides of its speedup.
 //!
 //! Usage:
 //!
@@ -21,7 +23,7 @@ use std::time::Duration;
 
 use serde::Serialize;
 
-use febim_bench::{eng, measure_min_ns as measure, staggered_fig6_grid, Header, Record};
+use febim_bench::{eng, measure_pair_ns, staggered_fig6_grid, Header, Record};
 use febim_core::{EngineConfig, FebimEngine};
 use febim_crossbar::Activation;
 use febim_data::rng::seeded_rng;
@@ -38,7 +40,8 @@ struct Workload {
 }
 
 impl Workload {
-    fn new(name: &'static str, before_ns: f64, after_ns: f64) -> Self {
+    /// A workload from its `(before_ns, after_ns)` pair.
+    fn new(name: &'static str, (before_ns, after_ns): (f64, f64)) -> Self {
         Self {
             name,
             before_ns,
@@ -100,13 +103,10 @@ fn main() {
 
     let single = Workload::new(
         "inference_single_sample/in_memory_engine",
-        measure(
+        measure_pair_ns(
             || {
                 black_box(infer_reference(black_box(&sample)));
             },
-            target,
-        ),
-        measure(
             || {
                 black_box(
                     engine
@@ -120,7 +120,7 @@ fn main() {
 
     let full_set = Workload::new(
         "inference_full_test_set/in_memory_engine",
-        measure(
+        measure_pair_ns(
             || {
                 let mut correct = 0usize;
                 for (sample, label) in split.test.iter() {
@@ -130,9 +130,6 @@ fn main() {
                 }
                 black_box(correct);
             },
-            target,
-        ),
-        measure(
             || {
                 black_box(engine.evaluate(black_box(&split.test)).expect("evaluate"));
             },
@@ -153,7 +150,7 @@ fn main() {
 
     let fig6_sparse = Workload::new(
         "fig6_read_64x512/sparse_observation",
-        measure(
+        measure_pair_ns(
             || {
                 black_box(
                     array
@@ -161,9 +158,6 @@ fn main() {
                         .expect("read"),
                 );
             },
-            target,
-        ),
-        measure(
             || {
                 array
                     .wordline_currents_into(black_box(&sparse), &mut currents)
@@ -176,7 +170,7 @@ fn main() {
 
     let fig6_all = Workload::new(
         "fig6_read_64x512/all_columns",
-        measure(
+        measure_pair_ns(
             || {
                 black_box(
                     array
@@ -184,9 +178,6 @@ fn main() {
                         .expect("read"),
                 );
             },
-            target,
-        ),
-        measure(
             || {
                 array
                     .wordline_currents_into(black_box(&all), &mut currents)

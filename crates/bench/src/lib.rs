@@ -317,37 +317,50 @@ pub fn staggered_fig6_grid(tile: Option<TileShape>) -> TileGrid {
     grid
 }
 
-/// Minimum per-iteration wall time of `routine` in nanoseconds, measured in
-/// calibrated batches until `target` total time has elapsed. The minimum
-/// over batches is robust against scheduler noise. Shared by the `perf` and
-/// `fabric` record binaries.
-pub fn measure_min_ns<F: FnMut()>(mut routine: F, target: Duration) -> f64 {
-    routine(); // warm-up (also warms any conductance caches)
-    let mut iters = 1u64;
-    let mut elapsed;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            routine();
-        }
-        elapsed = start.elapsed();
-        if elapsed >= Duration::from_millis(5) || iters >= 1 << 22 {
-            break;
-        }
-        iters *= 2;
-    }
-    let mut best = elapsed.as_nanos() as f64 / iters as f64;
-    let mut total = elapsed;
-    while total < target {
-        let start = Instant::now();
-        for _ in 0..iters {
-            routine();
-        }
-        let batch = start.elapsed();
-        best = best.min(batch.as_nanos() as f64 / iters as f64);
-        total += batch;
+/// Minimum per-iteration wall time, in nanoseconds, of `before` and of
+/// `after`, measured in one window: calibrated batches of the two routines
+/// alternate until each side has run for `target`, and each side keeps its
+/// fastest batch. Alternating lands a change of host speed on both sides of
+/// the comparison instead of on one, and the minimum over batches is robust
+/// against scheduler noise. Shared by the `perf` and `fabric` record
+/// binaries.
+pub fn measure_pair_ns(
+    mut before: impl FnMut(),
+    mut after: impl FnMut(),
+    target: Duration,
+) -> (f64, f64) {
+    let iters = (batch_iterations(&mut before), batch_iterations(&mut after));
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    let mut total = (Duration::ZERO, Duration::ZERO);
+    while total.0 < target || total.1 < target {
+        let batch = time_batch(&mut before, iters.0);
+        best.0 = best.0.min(batch.as_nanos() as f64 / iters.0 as f64);
+        total.0 += batch;
+        let batch = time_batch(&mut after, iters.1);
+        best.1 = best.1.min(batch.as_nanos() as f64 / iters.1 as f64);
+        total.1 += batch;
     }
     best
+}
+
+/// Iterations of `routine` in one batch of at least 5 ms (at most 2^22),
+/// found after a warm-up call that also warms any conductance caches.
+fn batch_iterations(routine: &mut impl FnMut()) -> u64 {
+    routine();
+    let mut iters = 1u64;
+    while iters < 1 << 22 && time_batch(routine, iters) < Duration::from_millis(5) {
+        iters *= 2;
+    }
+    iters
+}
+
+/// Wall time of `iters` back-to-back calls of `routine`.
+fn time_batch(routine: &mut impl FnMut(), iters: u64) -> Duration {
+    let start = Instant::now();
+    for _ in 0..iters {
+        routine();
+    }
+    start.elapsed()
 }
 
 /// Prints a table to the console and persists it as CSV under the default

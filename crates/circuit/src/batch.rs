@@ -24,7 +24,7 @@
 //! wordline-driver share the group refunds on repeats, from the same
 //! [`crate::ReadGeometry`] the read was priced on.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::delay::DelayBreakdown;
 use crate::energy::InferenceEnergy;
@@ -32,7 +32,7 @@ use crate::errors::{CircuitError, Result};
 
 /// Accumulated amortized cost of a group of reads issued back to back
 /// against the same programmed wordlines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ReadGroup {
     reads: usize,
     /// Slowest array settling across the group, paid once.

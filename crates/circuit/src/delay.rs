@@ -8,13 +8,13 @@
 //! resolution time, which grows with the number of competing rows and shrinks
 //! with the current gap (Fig. 6(a)/(c)).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{CircuitError, Result};
 use crate::wta::WtaCircuit;
 
 /// Parameters of the array-settling part of the delay model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DelayParams {
     /// Fixed array settling time (drivers, clocking), in seconds.
     pub array_base: f64,
@@ -67,7 +67,7 @@ impl Default for DelayParams {
 }
 
 /// Breakdown of one inference delay estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DelayBreakdown {
     /// Array (wordline/bitline) settling time, in seconds.
     pub array: f64,
@@ -83,7 +83,7 @@ impl DelayBreakdown {
 }
 
 /// Inference-delay model combining array settling and WTA resolution.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct DelayModel {
     params: DelayParams,
 }

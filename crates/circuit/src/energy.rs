@@ -4,14 +4,14 @@
 //! bitline drivers plus the conduction of the activated cells) and the
 //! sensing part (current mirrors and the WTA circuit), see Fig. 6(b)/(d).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{CircuitError, Result};
 use crate::mirror::CurrentMirror;
 use crate::wta::WtaCircuit;
 
 /// Parameters of the energy model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EnergyParams {
     /// Switching energy of one activated bitline driver, in joules.
     pub bitline_driver_energy: f64,
@@ -22,7 +22,6 @@ pub struct EnergyParams {
     /// Energy of one multi-level sensing refinement step, in joules: one
     /// SAR/ladder comparison resolving the next stored bit of a multi-bit
     /// cell during a packed read. One-hot reads never pay it.
-    #[serde(default)]
     pub level_refine_energy: f64,
 }
 
@@ -71,7 +70,7 @@ impl Default for EnergyParams {
 }
 
 /// Breakdown of one inference-energy estimate, in joules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct InferenceEnergy {
     /// Bitline/wordline driver plus cell-conduction energy.
     pub array: f64,
@@ -87,7 +86,7 @@ impl InferenceEnergy {
 }
 
 /// Inference-energy model of the crossbar plus sensing module.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct EnergyModel {
     params: EnergyParams,
 }

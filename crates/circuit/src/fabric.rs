@@ -18,13 +18,13 @@
 //! whose merged currents are bit-identical to a monolithic array's produces
 //! bit-identical winners; only delay and energy reflect the tiling.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{CircuitError, Result};
 use crate::sense::{ReadGeometry, SenseReadout, SensingChain};
 
 /// Occupied geometry of one fabric tile during a read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TileGeometry {
     /// Occupied wordlines of the tile.
     pub rows: usize,

@@ -1,7 +1,7 @@
 //! Behavioural current mirror used to feed the wordline currents into the
 //! winner-take-all sensing stage.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{CircuitError, Result};
 
@@ -10,7 +10,7 @@ use crate::errors::{CircuitError, Result};
 /// The FeBiM sensing module copies (and in our calibration attenuates) every
 /// wordline current `I_WL` into a WTA input current `I_CM`. Attenuation keeps
 /// the sensing power low when many bitlines are activated simultaneously.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CurrentMirror {
     /// Nominal current gain `I_out / I_in` (dimensionless, > 0).
     pub gain: f64,

@@ -6,7 +6,7 @@
 //! base read of the paper's monolithic array or of a tiled fabric, plus the
 //! shift-add surcharge of a bit-plane read on either geometry.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::delay::{DelayBreakdown, DelayModel};
 use crate::energy::{EnergyModel, InferenceEnergy};
@@ -48,7 +48,7 @@ impl ReadGeometry<'_> {
 }
 
 /// Outcome of pushing one set of wordline currents through the sensing module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SenseOutcome {
     /// Index of the wordline identified as carrying the maximum current.
     pub winner: usize,
@@ -65,7 +65,7 @@ pub struct SenseOutcome {
 /// Outcome of one sensing operation when the mirrored currents stay in a
 /// caller-owned scratch buffer (the allocation-free variant of
 /// [`SenseOutcome`], returned by [`SensingChain::sense_into`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SenseReadout {
     /// Index of the wordline identified as carrying the maximum current.
     pub winner: usize,
@@ -78,7 +78,7 @@ pub struct SenseReadout {
 }
 
 /// The sensing chain: current mirrors, WTA, plus the delay and energy models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SensingChain {
     mirror: CurrentMirror,
     wta: WtaCircuit,

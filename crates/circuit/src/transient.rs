@@ -4,12 +4,12 @@
 //! Euler scheme, which is sufficient for the single-pole settling behaviour
 //! of the wordlines and the WTA output branches that FeBiM relies on.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{CircuitError, Result};
 
 /// One sampled point of a transient waveform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WaveformPoint {
     /// Simulation time in seconds.
     pub time: f64,
@@ -18,7 +18,7 @@ pub struct WaveformPoint {
 }
 
 /// A sampled transient waveform for one circuit node.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct Waveform {
     /// Sampled points in increasing time order.
     pub points: Vec<WaveformPoint>,
@@ -56,7 +56,7 @@ impl Waveform {
 }
 
 /// Configuration of a fixed-step transient run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TransientConfig {
     /// Integration time step in seconds.
     pub time_step: f64,

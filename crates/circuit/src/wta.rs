@@ -8,13 +8,13 @@
 //! collapse to (near) zero, with a settling time set by the load capacitance,
 //! the output swing and the gap between the two largest input currents.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{CircuitError, Result};
 use crate::transient::{first_order_settling, TransientConfig, Waveform};
 
 /// Parameters of the behavioural WTA model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WtaParams {
     /// Output bias current delivered by the winning branch, in amperes
     /// (Fig. 5(c) shows winner output currents of a few µA).
@@ -87,7 +87,7 @@ impl Default for WtaParams {
 }
 
 /// Result of one WTA competition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WtaDecision {
     /// Index of the winning input (the wordline with the maximum current).
     pub winner: usize,
@@ -100,7 +100,7 @@ pub struct WtaDecision {
 }
 
 /// Transient waveforms of one WTA competition (Fig. 5(c)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WtaTransient {
     /// The decision summary.
     pub decision: WtaDecision,
@@ -109,7 +109,7 @@ pub struct WtaTransient {
 }
 
 /// Behavioural winner-take-all circuit.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct WtaCircuit {
     params: WtaParams,
 }

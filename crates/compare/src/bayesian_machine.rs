@@ -15,14 +15,14 @@
 //! AND, majority read-out) so the accuracy-vs-cycles and cycles-per-inference
 //! trade-off behind Table 1 can be measured rather than quoted.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_bayes::{argmax, GaussianNaiveBayes};
 use febim_data::Dataset;
 use febim_quant::{FeatureDiscretizer, QuantError};
 
 /// 8-bit Galois linear-feedback shift register (maximal length, period 255).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Lfsr {
     state: u8,
 }
@@ -49,7 +49,7 @@ impl Lfsr {
 }
 
 /// Configuration of the stochastic-computing Bayesian machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BayesianMachineConfig {
     /// Feature quantization precision in bits (the published design uses
     /// 8-bit quantized likelihoods addressed by discretized observations).
@@ -88,7 +88,7 @@ impl Default for BayesianMachineConfig {
 }
 
 /// Result of one stochastic inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StochasticInference {
     /// Predicted class.
     pub prediction: usize,
@@ -102,7 +102,7 @@ pub struct StochasticInference {
 }
 
 /// Behavioural stochastic-computing Bayesian machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BayesianMachine {
     config: BayesianMachineConfig,
     discretizer: FeatureDiscretizer,

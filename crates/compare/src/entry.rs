@@ -1,11 +1,11 @@
 //! Per-technology cost-model entries for the Table 1 comparison.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_core::PerformanceMetrics;
 
 /// How a technology stores the model probabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DeviceUsage {
     /// The device is used as a random number generator; probabilities are
     /// generated on demand rather than stored.
@@ -15,7 +15,7 @@ pub enum DeviceUsage {
 }
 
 /// Cell configuration of the probability storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CellConfiguration {
     /// Single-level cells.
     SingleLevel,
@@ -24,7 +24,7 @@ pub enum CellConfiguration {
 }
 
 /// One row of the Table 1 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TechnologyEntry {
     /// Reference label (e.g. `"MTJ RNG [13]"`).
     pub name: String,

@@ -1,14 +1,14 @@
 //! Assembly of the full Table 1 comparison and the headline improvement
 //! ratios.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_core::PerformanceMetrics;
 
 use crate::entry::TechnologyEntry;
 
 /// The complete cross-technology comparison (Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ComparisonTable {
     /// All rows, prior work first and FeBiM last.
     pub entries: Vec<TechnologyEntry>,
@@ -85,7 +85,7 @@ fn ratio(numerator: Option<f64>, denominator: Option<f64>) -> Option<f64> {
 }
 
 /// The paper's headline improvement claims derived from the table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ImprovementSummary {
     /// Storage-density improvement over the memristor Bayesian machine
     /// (paper: 10.7×).

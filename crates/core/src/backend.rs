@@ -34,12 +34,12 @@ use febim_circuit::{
     SensingChain, TileGeometry,
 };
 use febim_crossbar::{
-    apply_scheduled_fault, Activation, FaultSchedule, LevelLadder, ProgrammingMode, RefreshOutcome,
-    ScrubOutcome, TileGrid, TilePlan, TileShape,
+    apply_scheduled_fault, Activation, CrossbarError, FaultSchedule, LevelLadder, ProgrammingMode,
+    RefreshOutcome, ScrubOutcome, TileGrid, TilePlan, TileShape,
 };
 use febim_device::{LevelProgrammer, VariationModel};
 use febim_quant::{bit_offset_of, packed_column_of, QuantizedGnbc};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::compiler::{compile, compile_tiled, CrossbarProgram, TiledProgram};
 use crate::config::EngineConfig;
@@ -47,7 +47,7 @@ use crate::engine::{EvalScratch, InferenceStep};
 use crate::errors::{CoreError, Result};
 
 /// Which family of physics a backend implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BackendKind {
     /// Exact FP64 software evaluation (no devices).
     Software,
@@ -84,7 +84,7 @@ pub struct BackendInfo {
 /// and hold the wordline bias across the group, so `delay`/`energy` price
 /// below the `sequential_*` baselines; the default implementation simply
 /// sums the per-read figures (`amortized == false`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BatchTelemetry {
     /// Number of inferences in the batch.
     pub reads: usize,
@@ -157,7 +157,7 @@ impl BatchTelemetry {
 /// programming a compiled model onto erased cells
 /// ([`InferenceBackend::program_cost`]) or erasing its region back to the
 /// blank state ([`InferenceBackend::decommission`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct SwapCost {
     /// Σ write/erase pulses applied (or required).
     pub pulses: u64,
@@ -338,6 +338,33 @@ pub trait InferenceBackend {
     fn decommission(&mut self) -> Result<Option<SwapCost>> {
         Ok(None)
     }
+}
+
+/// The most cells one engine build may allocate: the entries of a quantized
+/// table (one per one-hot cell) and the cells of a grid, spare rows
+/// included. 32 times the paper's largest array (64×512). A registry
+/// snapshot names both sizes, so this bounds what a restore allocates.
+pub(crate) const MAX_CELLS: usize = 1 << 20;
+
+/// Rejects a plan whose grid, spare rows included, would hold more than
+/// [`MAX_CELLS`] cells. Every tile row provisions its spare rows across the
+/// full layout width.
+fn check_grid_size(plan: &TilePlan) -> Result<()> {
+    let (layout, spare_rows) = (plan.layout(), plan.shape().spare_rows);
+    let cells = plan
+        .row_tiles()
+        .checked_mul(spare_rows)
+        .and_then(|spares| spares.checked_add(layout.rows()))
+        .and_then(|rows| rows.checked_mul(layout.columns()));
+    if cells.is_some_and(|cells| cells <= MAX_CELLS) {
+        return Ok(());
+    }
+    let reason = format!(
+        "{}x{} cells with {spare_rows} spare rows per tile row exceed the {MAX_CELLS}-cell cap",
+        layout.rows(),
+        layout.columns()
+    );
+    Err(CrossbarError::InvalidLayout { reason }.into())
 }
 
 /// Builds the level programmer shared by the physical backends.
@@ -687,20 +714,23 @@ impl TiledFabricBackend {
 }
 
 impl<P: ReadPricing> FabricBackend<P> {
-    /// Builds the backend around an **already compiled** program and plan —
-    /// the snapshot-restore path: a program deserialized from bytes is
-    /// programmed straight onto a fresh grid, no recompilation (and no
-    /// training data) required. The caller owns the contract that `tiled`
-    /// was compiled from `quantized` under the same encoding as `config`.
+    /// Builds the backend around an **already compiled** program and plan
+    /// and programs it onto a fresh grid. Only this crate compiles programs,
+    /// so `tiled` was always compiled from `quantized` under `config`'s
+    /// encoding: the two `new` constructors compile it, and the registry's
+    /// fault-in passes the program of an engine it catalogued, which saves
+    /// the recompile.
     ///
     /// # Errors
     ///
-    /// Propagates grid-construction and programming errors.
-    pub fn with_program(
+    /// Rejects a grid past [`MAX_CELLS`] cells before allocating it, and
+    /// propagates grid-construction and programming errors.
+    pub(crate) fn with_program(
         quantized: Arc<QuantizedGnbc>,
         config: &EngineConfig,
         tiled: TiledProgram,
     ) -> Result<Self> {
+        check_grid_size(tiled.plan())?;
         let programmer = level_programmer(config, tiled.state_count())?;
         let mut backend = Self {
             packed: PackedRead::for_config(config, tiled.state_count())?,
@@ -1077,6 +1107,24 @@ mod tests {
         let quantized =
             QuantizedGnbc::quantize(&model, &split.train, QuantConfig::febim_optimal()).unwrap();
         (Arc::new(model), Arc::new(quantized), split.test)
+    }
+
+    #[test]
+    fn grids_past_the_cell_cap_are_rejected_before_allocating() {
+        let (_, quantized, _) = trained();
+        let config = EngineConfig::febim_default();
+        let shape = TileShape::new(2, 24).unwrap();
+        // 3x64 iris cells on two tile rows: the cap leaves room for
+        // (MAX_CELLS / 64 - 3) / 2 spare rows per tile row.
+        let fits = (MAX_CELLS / 64 - 3) / 2;
+        assert!(TiledFabricBackend::new(Arc::clone(&quantized), &config, shape).is_ok());
+        for spare_rows in [fits + 1, 1 << 32, usize::MAX] {
+            let spared = shape.with_spare_rows(spare_rows);
+            assert!(matches!(
+                TiledFabricBackend::new(Arc::clone(&quantized), &config, spared),
+                Err(CoreError::Crossbar(CrossbarError::InvalidLayout { .. }))
+            ));
+        }
     }
 
     #[test]

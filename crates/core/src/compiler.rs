@@ -2,7 +2,7 @@
 //! monolithic (one array holds the whole model) or tiled (the model is
 //! sharded across a grid of fixed-size physical tiles).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_crossbar::{CrossbarLayout, TilePlan, TileShape};
 use febim_quant::{pack_feature_levels, Encoding, QuantizedGnbc};
@@ -11,7 +11,7 @@ use crate::errors::Result;
 
 /// A complete crossbar programming plan: the array geometry plus the target
 /// multi-level state of every cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CrossbarProgram {
     layout: CrossbarLayout,
     /// `levels[row][column]`: target level, or `None` for cells left erased.
@@ -20,7 +20,6 @@ pub struct CrossbarProgram {
     /// `2^bits` for bit-plane cells).
     state_count: usize,
     /// Column encoding the levels were emitted under.
-    #[serde(default)]
     encoding: Encoding,
 }
 
@@ -124,7 +123,7 @@ pub fn compile(
 /// same per-cell level matrix as the monolithic [`CrossbarProgram`], plus the
 /// [`TilePlan`] that shards it row-wise over event tiles and column-wise over
 /// evidence tiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TiledProgram {
     program: CrossbarProgram,
     plan: TilePlan,

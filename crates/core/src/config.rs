@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use febim_crossbar::ProgrammingMode;
-use febim_device::{FeFetParams, NonIdealityStack, VariationModel};
+use febim_device::{FeFetParams, NonIdealityStack, VariationModel, VthDistribution};
 use febim_quant::{Encoding, QuantConfig};
 
 use crate::errors::{CoreError, Result};
@@ -20,7 +20,6 @@ pub struct EngineConfig {
     /// Time-varying and spatial non-idealities of the physical arrays (wire
     /// IR drop, retention drift, read disturb). The default is the ideal
     /// stack, whose reads are bit-identical to a stack-free build.
-    #[serde(default)]
     pub non_idealities: NonIdealityStack,
     /// How cells are programmed (ideal polarization vs. full pulse trains).
     pub programming_mode: ProgrammingMode,
@@ -28,7 +27,6 @@ pub struct EngineConfig {
     /// one-hot layout (one column per bin), or bit-plane packing (several
     /// bin digits share one multi-level column, read back with a shift-add
     /// merge). The default is one-hot.
-    #[serde(default)]
     pub encoding: Encoding,
     /// Whether to emit a prior column even when the prior is uniform.
     pub force_prior_column: bool,
@@ -89,7 +87,9 @@ impl EngineConfig {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the quantization or device
-    /// parameters fail their own validation.
+    /// parameters fail their own validation, or the variation model is not
+    /// a finite, non-negative σ no wider than the device's threshold window
+    /// (with a finite, positive lognormal shape).
     pub fn validate(&self) -> Result<()> {
         self.quant
             .validate()
@@ -103,6 +103,7 @@ impl EngineConfig {
                 name: "device",
                 reason: err.to_string(),
             })?;
+        self.validate_variation()?;
         self.non_idealities
             .validate()
             .map_err(|err| CoreError::InvalidConfig {
@@ -115,6 +116,28 @@ impl EngineConfig {
                 name: "encoding",
                 reason: err.to_string(),
             })?;
+        Ok(())
+    }
+
+    /// The variation checks of [`EngineConfig::validate`]; the device
+    /// parameters are already valid, so the threshold window is finite.
+    fn validate_variation(&self) -> Result<()> {
+        let sigma = self.variation.sigma_vth;
+        let window = self.device.vth_window();
+        if !(0.0..=window).contains(&sigma) {
+            return Err(CoreError::InvalidConfig {
+                name: "variation",
+                reason: format!("sigma_vth {sigma} V must lie in [0, {window}] V"),
+            });
+        }
+        if let VthDistribution::Lognormal { shape } = self.variation.distribution {
+            if !(shape.is_finite() && shape > 0.0) {
+                return Err(CoreError::InvalidConfig {
+                    name: "variation",
+                    reason: format!("lognormal shape {shape} must be finite and positive"),
+                });
+            }
+        }
         Ok(())
     }
 }
@@ -215,12 +238,78 @@ mod tests {
     }
 
     #[test]
+    fn invalid_variation_rejected() {
+        let window = FeFetParams::febim_calibrated().vth_window();
+        let mut lognormal = VariationModel::lognormal(0.03, 0.5);
+        for (sigma, shape) in [
+            (f64::NAN, None),
+            (1e300, None),
+            (f64::INFINITY, None),
+            (-1e-3, None),
+            (window * 1.01, None),
+            (0.03, Some(f64::NAN)),
+            (0.03, Some(0.0)),
+            (0.03, Some(-0.5)),
+            (0.03, Some(f64::INFINITY)),
+        ] {
+            let variation = match shape {
+                Some(shape) => {
+                    lognormal.distribution = VthDistribution::Lognormal { shape };
+                    lognormal
+                }
+                None => VariationModel {
+                    sigma_vth: sigma,
+                    ..VariationModel::ideal()
+                },
+            };
+            let config = EngineConfig::febim_default().with_variation(variation, 1);
+            assert!(
+                matches!(
+                    config.validate(),
+                    Err(CoreError::InvalidConfig {
+                        name: "variation",
+                        ..
+                    })
+                ),
+                "sigma {sigma} shape {shape:?} passed"
+            );
+        }
+        // The whole threshold window, and a lognormal tail, are fine.
+        let wide = VariationModel::new(window);
+        EngineConfig::febim_default()
+            .with_variation(wide, 1)
+            .validate()
+            .unwrap();
+        lognormal.distribution = VthDistribution::Lognormal { shape: 0.5 };
+        EngineConfig::febim_default()
+            .with_variation(lognormal, 1)
+            .validate()
+            .unwrap();
+    }
+
+    #[test]
     fn invalid_device_rejected() {
-        let mut config = EngineConfig::febim_default();
-        config.device.k_sat = -1.0;
-        assert!(matches!(
-            config.validate(),
-            Err(CoreError::InvalidConfig { name: "device", .. })
-        ));
+        type Field = fn(&mut FeFetParams) -> &mut f64;
+        let k_sat: Field = |p| &mut p.k_sat;
+        let v_off: Field = |p| &mut p.v_off;
+        let ideality: Field = |p| &mut p.ideality;
+        let exponent: Field = |p| &mut p.switch_width_exponent;
+        let width: Field = |p| &mut p.write_width;
+        // A negative k_sat, and NaNs that passed `validate` and then failed
+        // every read.
+        for (field, value) in [
+            (k_sat, -1.0),
+            (v_off, f64::NAN),
+            (ideality, f64::NAN),
+            (exponent, f64::NAN),
+            (width, f64::NAN),
+        ] {
+            let mut config = EngineConfig::febim_default();
+            *field(&mut config.device) = value;
+            assert!(matches!(
+                config.validate(),
+                Err(CoreError::InvalidConfig { name: "device", .. })
+            ));
+        }
     }
 }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_circuit::{DelayBreakdown, InferenceEnergy, SensingChain, TileGeometry};
 use febim_crossbar::{
@@ -25,7 +25,7 @@ use crate::config::EngineConfig;
 use crate::errors::{CoreError, Result};
 
 /// Result of one in-memory inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InferenceOutcome {
     /// Predicted class (the wordline selected by the WTA circuit).
     pub prediction: usize,
@@ -44,7 +44,7 @@ pub struct InferenceOutcome {
 /// Result of one scratch-based inference (the allocation-free variant of
 /// [`InferenceOutcome`]): the wordline currents stay in the caller's
 /// [`EvalScratch`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct InferenceStep {
     /// Predicted class (the wordline selected by the WTA circuit).
     pub prediction: usize,
@@ -103,7 +103,7 @@ impl EvalScratch {
 }
 
 /// Aggregated evaluation of the engine on a labelled dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EvaluationReport {
     /// Classification accuracy.
     pub accuracy: f64,
@@ -278,12 +278,13 @@ impl<B: InferenceBackend> FebimEngine<B> {
         build_engine(Arc::new(model), train_data, config, build)
     }
 
-    /// Rebuilds an engine from **already materialized** parts — the
-    /// snapshot-restore path: a trained model and its quantized tables
-    /// (e.g. deserialized from a registry snapshot) are handed straight to
-    /// `build` without retraining or requantizing, so no training data is
-    /// needed. The caller owns the contract that `quantized` was produced
-    /// from `model` under `config.quant`.
+    /// Builds an engine from **already materialized** parts: a trained
+    /// model and its quantized tables are handed straight to `build`
+    /// without retraining or requantizing, so no training data is needed.
+    /// Registry restore passes tables it rebuilt with
+    /// [`QuantizedGnbc::with_discretizer`], and the registry's fault-in the
+    /// tables of an engine it catalogued. The caller owns the contract that
+    /// `quantized` was produced from `model` under `config.quant`.
     ///
     /// # Errors
     ///

@@ -29,7 +29,7 @@
 //! enough to interleave with serving. The same value drives a simulation
 //! loop and a serving worker alike.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_crossbar::{RefreshOutcome, ScrubOutcome};
 
@@ -38,7 +38,7 @@ use crate::engine::FebimEngine;
 use crate::errors::{CoreError, Result};
 
 /// Health of one serving replica, as decided by its scrub history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
 pub enum ReplicaHealth {
     /// No outstanding defects: the last scrub found nothing.
     #[default]
@@ -96,7 +96,7 @@ impl ReplicaHealth {
 }
 
 /// When and how strictly one maintenance pass runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MaintenancePolicy {
     /// Ticks between checks (the pass's countdown period).
     pub check_interval_ticks: u64,
@@ -144,7 +144,7 @@ impl MaintenancePolicy {
 
 /// Running totals of one engine's maintenance, or the merge of several
 /// engines' totals.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct MaintenanceReport {
     /// Drift checks that scanned the array (failed ones included).
     pub drift_checks: u64,

@@ -1,13 +1,13 @@
 //! Area, density and efficiency metrics (the FeBiM row of Table 1).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::compiler::CrossbarProgram;
 use crate::engine::EvaluationReport;
 use crate::errors::{CoreError, Result};
 
 /// Parameters of the analytical area/efficiency model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MetricsConfig {
     /// Area of one 1-FeFET cell at the 45 nm node, in µm² (the paper lays out
     /// a 2×2 array based on the 2-FeFET/cell design of \[41\] and estimates
@@ -68,7 +68,7 @@ impl Default for MetricsConfig {
 }
 
 /// The derived performance metrics of one FeBiM deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PerformanceMetrics {
     /// Total array area in mm².
     pub array_area_mm2: f64,

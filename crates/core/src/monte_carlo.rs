@@ -9,7 +9,7 @@
 //! epoch worker builds and caches its own fabric, so fabrics parallelize
 //! across the epoch grid) or the exact software reference.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_crossbar::RefreshOutcome;
 use febim_data::rng::seeded_rng;
@@ -24,7 +24,7 @@ use crate::engine::FebimEngine;
 use crate::errors::{CoreError, Result};
 
 /// Accuracy statistics of one variation level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VariationPoint {
     /// Threshold-voltage variation in millivolts.
     pub sigma_vth_mv: f64,
@@ -35,7 +35,7 @@ pub struct VariationPoint {
 }
 
 /// Accuracy statistics of one epoch-averaged evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EpochAccuracy {
     /// Mean FP64 software-baseline accuracy over the epochs.
     pub software: AccuracyStats,
@@ -48,7 +48,7 @@ pub struct EpochAccuracy {
 /// One non-ideality severity scenario of the noise campaign: a stack of
 /// physical non-idealities plus how long the array serves before the aged
 /// accuracy is measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NoiseScenario {
     /// Human-readable severity label (e.g. `"mild-drift"`).
     pub label: String,
@@ -73,7 +73,7 @@ impl NoiseScenario {
 /// Accuracy of one (array scale × severity) cell of the noise campaign:
 /// the accuracy floor before ageing, after ageing, and after an online
 /// recalibration pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NoisePoint {
     /// Severity label of the scenario.
     pub label: String,

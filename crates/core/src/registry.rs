@@ -17,10 +17,13 @@
 //! answers through its exact software twin; an evicted tenant's
 //! maintenance report stays counted in its bank's statistics. Evicted
 //! models stay in the registry's catalog and fault back in transparently on
-//! their next request. [`ModelRegistry::snapshot`] / [`ModelRegistry::restore`]
-//! round-trip a tenant's compiled program (the trained model, the quantized
-//! tables and the tiled program) through JSON, so a model can be reloaded
-//! from bytes without its training data.
+//! their next request. [`ModelRegistry::snapshot`] writes what training
+//! produced and how the tenant is deployed (the per-class Gaussians, the
+//! feature ranges, the engine configuration and the tile shape) as JSON;
+//! [`ModelRegistry::restore`] rebuilds the quantized tables and the tiled
+//! program from those through the constructors the fit path uses, so a model
+//! reloads from bytes without its training data and no derived state is
+//! taken on trust.
 //!
 //! [`TileGrid`]: febim_crossbar::TileGrid
 
@@ -31,12 +34,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use serde::{json, Deserialize, Serialize};
 
-use febim_bayes::GaussianNaiveBayes;
+use febim_bayes::{ClassGaussians, GaussianNaiveBayes};
 use febim_crossbar::TileShape;
 use febim_data::Dataset;
-use febim_quant::QuantizedGnbc;
+use febim_quant::{FeatureDiscretizer, QuantizedGnbc};
 
-use crate::backend::TiledFabricBackend;
+use crate::backend::{TiledFabricBackend, MAX_CELLS};
 use crate::compiler::TiledProgram;
 use crate::config::EngineConfig;
 use crate::engine::FebimEngine;
@@ -85,7 +88,8 @@ pub enum RegistryError {
     Serving(ServingError),
     /// Building or programming an engine failed.
     Core(CoreError),
-    /// A snapshot could not be encoded or decoded.
+    /// A snapshot could not be decoded, or describes a model past the
+    /// table-size cap.
     Snapshot(String),
 }
 
@@ -140,7 +144,7 @@ impl From<CoreError> for RegistryError {
 
 /// Configuration of a [`ModelRegistry`]: the bank fleet and its serving
 /// knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RegistryConfig {
     /// Banks, each a one-worker pool hosting its own tile grids.
     pub banks: usize,
@@ -199,7 +203,8 @@ impl RegistryConfig {
 
 /// Everything needed to rebuild a tenant's engine without its training
 /// data: the trained model, the quantized tables, the engine configuration
-/// and the compiled tiled program.
+/// and the tiled program compiled from them (a fault-in clones it rather
+/// than recompiling).
 struct StoredModel {
     config: EngineConfig,
     model: Arc<GaussianNaiveBayes>,
@@ -266,15 +271,69 @@ pub struct RegistryReport {
     pub tiles_used: Vec<usize>,
 }
 
-/// A tenant's compiled program serialized for [`ModelRegistry::snapshot`] /
-/// [`ModelRegistry::restore`].
+/// A tenant as [`ModelRegistry::snapshot`] writes it and
+/// [`ModelRegistry::restore`] reads it: what training produced (the
+/// per-class Gaussians with their smoothing fraction, the per-feature
+/// ranges) and how the tenant is deployed (engine configuration and tile
+/// shape). Counts are not carried: the feature count is the length of the
+/// class vectors and the bin count comes from `config.quant.feature_bits`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ModelSnapshot {
     id: u64,
     config: EngineConfig,
-    model: GaussianNaiveBayes,
-    quantized: QuantizedGnbc,
-    program: TiledProgram,
+    classes: Vec<ClassGaussians>,
+    var_smoothing: f64,
+    minimums: Vec<f64>,
+    maximums: Vec<f64>,
+    shape: TileShape,
+}
+
+impl ModelSnapshot {
+    /// Rebuilds the tenant's engine through the constructors the fit path
+    /// uses, each with its own checks: the configuration, the Gaussian
+    /// model, the discretizer, the quantized tables, the tile shape, the
+    /// compiled program and the programmed grid. Nothing allocates past
+    /// [`MAX_CELLS`] cells.
+    fn build(self) -> Result<FebimEngine<TiledFabricBackend>, RegistryError> {
+        let Self {
+            config,
+            classes,
+            var_smoothing,
+            minimums,
+            maximums,
+            shape,
+            ..
+        } = self;
+        config.validate()?;
+        let model =
+            GaussianNaiveBayes::from_classes(classes, var_smoothing).map_err(CoreError::from)?;
+        let bins = config.quant.feature_levels();
+        let table = model
+            .n_classes()
+            .checked_mul(model.n_features())
+            .and_then(|entries| entries.checked_mul(bins));
+        if table.is_none_or(|entries| entries > MAX_CELLS) {
+            return Err(RegistryError::Snapshot(format!(
+                "{} classes x {} features x {bins} bins exceed the {MAX_CELLS}-entry table cap",
+                model.n_classes(),
+                model.n_features()
+            )));
+        }
+        let discretizer =
+            FeatureDiscretizer::from_ranges(minimums, maximums, config.quant.feature_bits)
+                .map_err(CoreError::from)?;
+        let quantized = QuantizedGnbc::with_discretizer(&model, discretizer, config.quant)
+            .map_err(CoreError::from)?;
+        let shape = TileShape::new(shape.rows, shape.columns)
+            .map_err(CoreError::from)?
+            .with_spare_rows(shape.spare_rows);
+        Ok(FebimEngine::from_parts(
+            Arc::new(model),
+            Arc::new(quantized),
+            config,
+            |quantized, config| TiledFabricBackend::new(quantized, config, shape),
+        )?)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -368,18 +427,6 @@ impl ModelRegistry {
             tiles: engine.tiled_program().plan().tile_count(),
             program: engine.tiled_program().clone(),
         };
-        self.admit(id, stored, Some(engine))
-    }
-
-    /// Catalogs a new model under `id` and places it. `engine` carries the
-    /// pre-built engine of a registration; a restore rebuilds it from the
-    /// catalog.
-    fn admit(
-        &self,
-        id: u64,
-        stored: StoredModel,
-        engine: Option<FebimEngine<TiledFabricBackend>>,
-    ) -> Result<TenantPlacement, RegistryError> {
         if stored.tiles > self.config.tiles_per_bank {
             return Err(RegistryError::Capacity {
                 tiles: stored.tiles,
@@ -391,7 +438,7 @@ impl ModelRegistry {
             return Err(RegistryError::DuplicateModel { model: id });
         }
         state.catalog.insert(id, stored);
-        let result = self.install(&mut state, id, engine);
+        let result = self.install(&mut state, id, Some(engine));
         if result.is_err() {
             // A model that never placed is not registered.
             state.catalog.remove(&id);
@@ -480,8 +527,9 @@ impl ModelRegistry {
         Ok(Some(ticket.wait()?))
     }
 
-    /// Serializes a registered model's compiled program (trained model,
-    /// quantized tables, engine config, tiled program) to JSON.
+    /// Serializes a registered model to JSON: its id, engine configuration,
+    /// per-class Gaussian parameters and smoothing fraction, per-feature
+    /// minimums and maximums, and tile shape.
     ///
     /// # Errors
     ///
@@ -492,36 +540,36 @@ impl ModelRegistry {
             .catalog
             .get(&model)
             .ok_or(RegistryError::UnknownModel { model })?;
+        let (minimums, maximums) = stored.quantized.discretizer().ranges();
         let snapshot = ModelSnapshot {
             id: model,
             config: stored.config.clone(),
-            model: (*stored.model).clone(),
-            quantized: (*stored.quantized).clone(),
-            program: stored.program.clone(),
+            classes: stored.model.classes().to_vec(),
+            var_smoothing: stored.model.var_smoothing(),
+            minimums: minimums.to_vec(),
+            maximums: maximums.to_vec(),
+            shape: stored.program.plan().shape(),
         };
         Ok(json::to_string(&snapshot))
     }
 
     /// Restores a model from a [`ModelRegistry::snapshot`] JSON string —
-    /// no training data needed — registering it under its embedded id and
-    /// placing it onto a bank.
+    /// no training data needed. The quantized tables and the tiled program
+    /// are rebuilt through the fit path's constructors before any registry
+    /// lock is taken, and the engine is registered under the embedded id
+    /// with [`ModelRegistry::register_engine`].
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Snapshot`] for undecodable bytes,
-    /// [`RegistryError::DuplicateModel`] when the embedded id is already
-    /// registered, plus placement errors.
+    /// [`RegistryError::Snapshot`] for undecodable bytes or a model past the
+    /// table cap, [`RegistryError::Core`] for a snapshot that fails a
+    /// constructor's checks, [`RegistryError::DuplicateModel`] when the
+    /// embedded id is already registered, plus placement errors.
     pub fn restore(&self, text: &str) -> Result<TenantPlacement, RegistryError> {
         let snapshot: ModelSnapshot =
             json::from_str(text).map_err(|err| RegistryError::Snapshot(err.to_string()))?;
-        let stored = StoredModel {
-            config: snapshot.config,
-            model: Arc::new(snapshot.model),
-            quantized: Arc::new(snapshot.quantized),
-            tiles: snapshot.program.plan().tile_count(),
-            program: snapshot.program,
-        };
-        self.admit(snapshot.id, stored, None)
+        let id = snapshot.id;
+        self.register_engine(id, snapshot.build()?)
     }
 
     /// Occupancy snapshot (banks, budgets, residents).
@@ -567,9 +615,8 @@ impl ModelRegistry {
     /// returning its ticket for the caller to await *after*
     /// releasing the state lock (see [`ModelRegistry::finish_install`]).
     /// `engine` carries the pre-built engine of a fresh registration; on a
-    /// fault-in it is rebuilt from the catalog through
-    /// [`TiledFabricBackend::with_program`] (the real model-load-from-parts
-    /// path).
+    /// fault-in it is rebuilt from the catalog around the catalogued
+    /// program, which this crate compiled.
     fn install(
         &self,
         state: &mut RegistryState,
@@ -602,10 +649,8 @@ impl ModelRegistry {
         let engine = match engine {
             Some(engine) => engine,
             None => {
-                // Fault-in: rebuild the engine from the catalog's compiled
-                // program (the snapshot/restore path exercises the same
-                // constructor, so a restored model is bit-identical to a
-                // freshly fitted one).
+                // Fault-in: rebuild the engine around the catalog's compiled
+                // program, programmed exactly as at registration.
                 let program = stored.program.clone();
                 FebimEngine::from_parts(
                     Arc::clone(&stored.model),
@@ -693,6 +738,7 @@ mod tests {
     use febim_data::rng::seeded_rng;
     use febim_data::split::stratified_split;
     use febim_data::synthetic::iris_like;
+    use febim_quant::{Encoding, QuantConfig};
     use proptest::prelude::*;
 
     fn split_for(seed: u64) -> (Dataset, Dataset) {
@@ -719,9 +765,21 @@ mod tests {
         Vec<Vec<f64>>,
         Vec<InferenceStep>,
     ) {
+        tenant_encoded(seed, Encoding::OneHot)
+    }
+
+    /// [`tenant`] under a chosen column encoding.
+    fn tenant_encoded(
+        seed: u64,
+        encoding: Encoding,
+    ) -> (
+        FebimEngine<TiledFabricBackend>,
+        Vec<Vec<f64>>,
+        Vec<InferenceStep>,
+    ) {
         let (train, test) = split_for(seed);
-        let engine =
-            FebimEngine::fit_tiled(&train, EngineConfig::febim_default(), shape()).unwrap();
+        let config = EngineConfig::febim_default().with_encoding(encoding);
+        let engine = FebimEngine::fit_tiled(&train, config, shape()).unwrap();
         let samples = samples_of(&test);
         let mut scratch = engine.make_scratch();
         let sequential = samples
@@ -873,35 +931,57 @@ mod tests {
         assert_bit_identical(&registry.serve_many(1, &samples), &reference);
     }
 
-    /// Satellite: a model snapshot round-trips through the JSON serde shim
-    /// — restore on a fresh registry rebuilds the engine from bytes (no
-    /// training data) and serves bit-identically to the original.
+    /// A model snapshot round-trips through the JSON serde shim under both
+    /// encodings: it carries the trained model, its feature ranges and its
+    /// tile shape but no derived tables, and restore on a fresh registry
+    /// rebuilds the engine from bytes (no training data) that serves
+    /// bit-identically to the original.
     #[test]
     fn snapshot_restore_round_trip_is_bit_identical() {
-        let (engine, samples, reference) = tenant(958);
-        let tiles = engine.tiled_program().plan().tile_count();
-        let registry = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
-        registry.register_engine(7, engine).unwrap();
-        let snapshot = registry.snapshot(7).unwrap();
-        assert!(snapshot.contains("\"program\""));
-        assert!(matches!(
-            registry.snapshot(8),
-            Err(RegistryError::UnknownModel { model: 8 })
-        ));
-        let restored = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
-        let placed = restored.restore(&snapshot).unwrap();
-        assert_eq!(placed.model, 7);
-        assert!(placed.swap.unwrap().program.pulses > 0);
-        assert_bit_identical(&restored.serve_many(7, &samples), &reference);
-        // A second restore of the same id is a duplicate; garbage is typed.
-        assert!(matches!(
-            restored.restore(&snapshot),
-            Err(RegistryError::DuplicateModel { model: 7 })
-        ));
-        assert!(matches!(
-            restored.restore("{not json"),
-            Err(RegistryError::Snapshot(_))
-        ));
+        for encoding in [Encoding::OneHot, Encoding::BitPlane { bits: 4 }] {
+            let (engine, samples, reference) = tenant_encoded(958, encoding);
+            let tiles = engine.tiled_program().plan().tile_count();
+            let registry = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
+            registry.register_engine(7, engine).unwrap();
+            let snapshot = registry.snapshot(7).unwrap();
+            let keys: Vec<String> = match json::parse(&snapshot).unwrap() {
+                json::Value::Object(fields) => fields.into_iter().map(|(key, _)| key).collect(),
+                other => panic!("snapshot is not an object: {other:?}"),
+            };
+            assert_eq!(
+                keys,
+                [
+                    "id",
+                    "config",
+                    "classes",
+                    "var_smoothing",
+                    "minimums",
+                    "maximums",
+                    "shape"
+                ]
+            );
+            assert!(!snapshot.contains("\"program\"") && !snapshot.contains("\"quantized\""));
+            assert!(matches!(
+                registry.snapshot(8),
+                Err(RegistryError::UnknownModel { model: 8 })
+            ));
+            let restored = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
+            let placed = restored.restore(&snapshot).unwrap();
+            assert_eq!(placed.model, 7);
+            assert!(placed.swap.unwrap().program.pulses > 0);
+            assert_bit_identical(&restored.serve_many(7, &samples), &reference);
+            // The restored tenant snapshots back to the same bytes.
+            assert_eq!(restored.snapshot(7).unwrap(), snapshot);
+            // A second restore of the same id is a duplicate; garbage is typed.
+            assert!(matches!(
+                restored.restore(&snapshot),
+                Err(RegistryError::DuplicateModel { model: 7 })
+            ));
+            assert!(matches!(
+                restored.restore("{not json"),
+                Err(RegistryError::Snapshot(_))
+            ));
+        }
     }
 
     /// A restore whose engine cannot be built leaves nothing behind: the id
@@ -913,8 +993,8 @@ mod tests {
         let registry = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
         registry.register_engine(1, engine).unwrap();
         let snapshot = registry.snapshot(1).unwrap();
-        // One FeFET state cannot hold the program's levels.
-        let broken = snapshot.replacen("\"state_count\":4", "\"state_count\":1", 1);
+        // A tile shape with no rows fails `TileShape::new`.
+        let broken = snapshot.replacen("\"shape\":{\"rows\":2", "\"shape\":{\"rows\":0", 1);
         assert_ne!(broken, snapshot);
         let restored = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
         assert!(matches!(
@@ -929,6 +1009,34 @@ mod tests {
         restored.restore(&snapshot).unwrap();
         assert_eq!(restored.report().registered, 1);
         assert_bit_identical(&restored.serve_many(1, &samples), &reference);
+    }
+
+    /// A snapshot whose quantized table would pass the cell cap is
+    /// rejected before anything is quantized or allocated for it.
+    #[test]
+    fn oversized_snapshot_tables_are_rejected_before_quantizing() {
+        let features = 16;
+        let class = ClassGaussians {
+            means: vec![0.0; features],
+            variances: vec![1.0; features],
+            prior: 0.5,
+        };
+        let snapshot = ModelSnapshot {
+            id: 3,
+            config: EngineConfig::febim_default().with_quant(QuantConfig::new(16, 2)),
+            classes: vec![class.clone(), class],
+            var_smoothing: 1e-9,
+            minimums: vec![0.0; features],
+            maximums: vec![1.0; features],
+            shape: shape(),
+        };
+        // 2 classes x 16 features x 2^16 bins = 2^21 table entries.
+        let registry = ModelRegistry::new(RegistryConfig::new(1, 4)).unwrap();
+        assert!(matches!(
+            registry.restore(&json::to_string(&snapshot)),
+            Err(RegistryError::Snapshot(reason)) if reason.contains("table cap")
+        ));
+        assert_eq!(registry.report().registered, 0);
     }
 
     proptest! {

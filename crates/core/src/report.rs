@@ -5,12 +5,12 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{CoreError, Result};
 
 /// A simple tabular experiment result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table {
     /// Table title (e.g. `"fig6a_delay_vs_columns"`).
     pub title: String,

@@ -1,7 +1,7 @@
 //! Array-scalability study: inference delay and energy as a function of the
 //! crossbar geometry (Fig. 6 of the paper).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_circuit::SensingChain;
 use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
@@ -10,7 +10,7 @@ use febim_device::{FeFetParams, LevelProgrammer};
 use crate::errors::Result;
 
 /// One point of the scalability sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ScalingPoint {
     /// Number of wordlines (rows).
     pub rows: usize,

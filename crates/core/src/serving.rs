@@ -105,7 +105,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_circuit::{DelayBreakdown, InferenceEnergy};
 
@@ -131,7 +131,7 @@ const CONTROL_SCRUB: u8 = 1 << 2;
 const MAX_PREALLOCATED: usize = 1 << 16;
 
 /// Knobs of the batch-coalescing serving pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ServingConfig {
     /// Largest number of requests a worker groups into one batched read.
     pub max_batch: usize,
@@ -148,14 +148,12 @@ pub struct ServingConfig {
     /// Physical ticks each dispatched batch advances the clock of every
     /// tenant on the worker's bank (ageing the cells under the configured
     /// retention-drift model). `0` — the default — freezes physical time.
-    #[serde(default)]
     pub ticks_per_batch: u64,
     /// Optional online recalibration: every tenant slot's [`Maintenance`]
     /// checks for drift between batches — never while a batch is in
     /// flight, so requests are answered through recalibration without a
     /// single drop or stall. [`ServingPool::request_recalibration`] forces
     /// a check out of band.
-    #[serde(default)]
     pub recalibration: Option<MaintenancePolicy>,
     /// Optional online fault scrubbing: every tenant slot's [`Maintenance`]
     /// scrubs between batches, after any drift check, detecting struck
@@ -165,7 +163,6 @@ pub struct ServingConfig {
     /// left, in which case its worker stops taking work and the survivors
     /// steal its queued requests. [`ServingPool::request_scrub`] forces a check
     /// out of band.
-    #[serde(default)]
     pub scrub: Option<MaintenancePolicy>,
 }
 
@@ -335,7 +332,7 @@ impl From<CoreError> for ServingError {
 /// One served inference: the per-sample decision (bit-identical to a
 /// sequential [`FebimEngine::infer_into`] call on the same backend) plus the
 /// telemetry of the batch it rode in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 #[must_use = "a served outcome carries the prediction and telemetry the request paid for"]
 pub struct ServeOutcome {
     /// Predicted class.
@@ -369,7 +366,7 @@ const HISTOGRAM_LINEAR_LIMIT: u64 = 16;
 /// (~12.5% mean) across the full `u64` range in 256 counters. Recording is
 /// two increments — cheap enough for the serving hot path — and worker
 /// histograms merge bucket-wise into pool-level percentiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -1273,7 +1270,7 @@ enum FillOutcome {
 /// and `quarantined_workers` are 0 or 1. A pool's (or a registry's) totals
 /// are the merge of its worker entries, listed in `workers` by worker
 /// index (a registry's by bank index).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct PoolStats {
     /// Requests answered.
     pub requests: u64,

@@ -54,7 +54,7 @@ pub struct RebuildStats {
 /// Outcome of one recalibration pass (see
 /// [`TileGrid::recalibrate`](crate::TileGrid::recalibrate)): how much was
 /// checked, refreshed, and what the refresh cost in pulses and energy.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 #[must_use = "maintenance outcomes carry repair counters and energy costs that must be merged into reports"]
 pub struct RefreshOutcome {
     /// Programmed cells whose effective threshold shift was evaluated.
@@ -94,15 +94,6 @@ pub(crate) enum DirtyState {
     },
     /// Everything is stale (or the sparse set overflowed its budget).
     All,
-}
-
-impl Default for DirtyState {
-    /// A deserialized fabric arrives without its conductance cache (the
-    /// cache fields are `#[serde(skip)]`), so the bookkeeping starts fully
-    /// stale.
-    fn default() -> Self {
-        DirtyState::All
-    }
 }
 
 impl DirtyState {

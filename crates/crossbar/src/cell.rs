@@ -1,11 +1,11 @@
 //! One crossbar cell: a single multi-level FeFET plus programming metadata.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_device::{FeFet, FeFetParams};
 
 /// One 1-FeFET crossbar cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Cell {
     device: FeFet,
     programmed_level: Option<usize>,
@@ -16,7 +16,6 @@ pub struct Cell {
     /// Whether the ferroelectric stack is permanently stuck: write pulses no
     /// longer move the polarization, so reprogramming cannot repair the cell
     /// (spare-row remapping can route around it).
-    #[serde(default)]
     stuck: bool,
 }
 

@@ -24,7 +24,7 @@
 //! [`ScrubOutcome`].
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_device::Polarization;
 
@@ -32,7 +32,7 @@ use crate::errors::{CrossbarError, Result};
 use crate::tiling::TileGrid;
 
 /// The kind of hard defect injected into a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FaultKind {
     /// The cell reads as fully erased (no current contribution).
     StuckErased,
@@ -42,7 +42,7 @@ pub enum FaultKind {
 }
 
 /// A fault injected at a specific cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct InjectedFault {
     /// Row (wordline) of the faulty cell.
     pub row: usize,
@@ -53,7 +53,7 @@ pub struct InjectedFault {
 }
 
 /// Random hard-fault model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultModel {
     /// Probability that any given cell is defective.
     pub cell_fault_rate: f64,
@@ -130,7 +130,7 @@ impl Default for FaultModel {
 }
 
 /// One fault scheduled to strike at a specific array-clock tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ScheduledFault {
     /// Array-clock tick at which the defect manifests.
     pub at_tick: u64,
@@ -148,12 +148,11 @@ pub struct ScheduledFault {
 /// A deterministic, time-ordered queue of faults to inject as the array
 /// clock advances — the chaos-injection surface of the self-healing tests
 /// and benches.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
 pub struct FaultSchedule {
     /// Faults sorted by [`ScheduledFault::at_tick`] (stable for equal ticks).
     events: Vec<ScheduledFault>,
     /// Index of the first not-yet-delivered event.
-    #[serde(default)]
     next: usize,
 }
 
@@ -192,7 +191,7 @@ impl FaultSchedule {
 }
 
 /// One defective cell found by a scrub pass, in logical coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FaultReport {
     /// Logical row (wordline) of the defective cell.
     pub row: usize,
@@ -209,7 +208,7 @@ pub struct FaultReport {
 }
 
 /// The result of one BIST-style scrub pass over an array or fabric.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 #[must_use = "maintenance outcomes carry repair counters and energy costs that must be merged into reports"]
 pub struct ScrubOutcome {
     /// Programmed cells whose read signature was checked.

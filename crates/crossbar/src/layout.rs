@@ -5,12 +5,12 @@
 //! first bitline holds the quantized priors; each evidence node then owns a
 //! block of `m` bitlines holding its quantized likelihoods (Fig. 3).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{CrossbarError, Result};
 
 /// Logical position of a crossbar column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ColumnRole {
     /// The single prior column (only present when the layout has a prior).
     Prior,
@@ -24,7 +24,7 @@ pub enum ColumnRole {
 }
 
 /// Geometry of a FeBiM crossbar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CrossbarLayout {
     /// Number of events / classes (wordlines).
     events: usize,

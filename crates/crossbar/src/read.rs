@@ -1,6 +1,6 @@
 //! Read operation: bitline activation patterns and wordline accumulation.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_device::DeviceError;
 
@@ -17,7 +17,7 @@ use crate::layout::CrossbarLayout;
 /// digitizes whatever effective current the epoch-versioned cache (or the
 /// uncached oracle — both funnel through the same per-cell evaluation)
 /// reports, so the cached and reference packed reads can never diverge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LevelLadder {
     min_current: f64,
     max_current: f64,
@@ -91,7 +91,7 @@ impl LevelLadder {
 /// [`Activation::is_active`] is O(1) instead of scanning the list). An
 /// `Activation` can be rebuilt in place with [`Activation::set_observation`],
 /// so batched inference reuses one allocation across samples.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Activation {
     active_columns: Vec<usize>,
     active_mask: Vec<bool>,

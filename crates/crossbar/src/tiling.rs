@@ -73,7 +73,6 @@ pub struct TileShape {
     /// logical row holding an unrepairable cell onto one (see
     /// [`TileGrid::scrub`]); they do not count towards [`TileShape::cells`]
     /// or the plan's utilization.
-    #[serde(default)]
     pub spare_rows: usize,
 }
 
@@ -111,7 +110,7 @@ impl TileShape {
 
 /// The mapping of one logical crossbar layout onto a grid of fixed-size
 /// tiles: `row_tiles × col_tiles` tiles, edge tiles partially filled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TilePlan {
     layout: CrossbarLayout,
     shape: TileShape,
@@ -266,7 +265,7 @@ pub struct RegionWriteOutcome {
 /// One physical tile: its occupied cell bank in local row-major order, the
 /// provisioned spare rows appended below the logical rows, and the
 /// logical-to-physical wordline remap table the self-repair path rewires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 struct Tile {
     rows: usize,
     columns: usize,
@@ -335,7 +334,7 @@ fn row_tiles(plan: &TilePlan, row: usize) -> (Range<usize>, usize) {
 /// device model — including the configured [`NonIdealityStack`] — on every
 /// call and serves as the equivalence oracle. See the module docs for the
 /// bit-exactness guarantee.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TileGrid {
     plan: TilePlan,
     programmer: LevelProgrammer,

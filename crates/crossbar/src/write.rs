@@ -6,14 +6,14 @@
 //! still causes a tiny amount of unwanted partial polarization switching.
 //! This module models that disturbance so robustness studies can quantify it.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_device::{Polarization, PreisachModel, Pulse};
 
 use crate::cell::Cell;
 
 /// Configuration of the half-bias write scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WriteScheme {
     /// Full write amplitude `V_w` in volts.
     pub write_voltage: f64,

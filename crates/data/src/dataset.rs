@@ -1,11 +1,11 @@
 //! In-memory tabular dataset with continuous features and integer class labels.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{DataError, Result};
 
 /// A labelled dataset of continuous feature vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dataset {
     /// Human-readable dataset name (e.g. `"iris-like"`).
     name: String,

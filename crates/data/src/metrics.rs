@@ -1,6 +1,6 @@
 //! Classification metrics.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{DataError, Result};
 
@@ -30,7 +30,7 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> Result<f64> {
 
 /// Summary statistics of a collection of accuracy measurements (one per
 /// train/inference epoch, as in the paper's 100-epoch evaluations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AccuracyStats {
     /// Mean accuracy.
     pub mean: f64,

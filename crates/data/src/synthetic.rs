@@ -10,7 +10,7 @@
 //! substitution is documented in `DESIGN.md`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::dataset::Dataset;
 use crate::errors::{DataError, Result};
@@ -18,7 +18,7 @@ use crate::rng::{normal, seeded_rng};
 
 /// Gaussian description of one class: per-feature means and standard
 /// deviations plus the number of samples to draw.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClassSpec {
     /// Per-feature means.
     pub means: Vec<f64>,
@@ -40,7 +40,7 @@ impl ClassSpec {
 }
 
 /// Full specification of a synthetic class-conditional Gaussian dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SyntheticSpec {
     /// Dataset name.
     pub name: String,

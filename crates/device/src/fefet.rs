@@ -6,7 +6,7 @@
 //! the model monotone and differentiable across the whole gate-voltage sweep
 //! used to reproduce Fig. 1(c).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::params::FeFetParams;
 use crate::preisach::{Polarization, PreisachModel, Pulse};
@@ -16,7 +16,7 @@ use crate::preisach::{Polarization, PreisachModel, Pulse};
 /// A device owns its polarization state and an additive threshold-voltage
 /// offset that models device-to-device variation (see
 /// [`crate::variation::VariationModel`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FeFet {
     params: FeFetParams,
     polarization: Polarization,

@@ -1,6 +1,6 @@
 //! I_D–V_G characterization sweeps used to regenerate Fig. 1(c).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{DeviceError, Result};
 use crate::fefet::FeFet;
@@ -8,7 +8,7 @@ use crate::params::FeFetParams;
 use crate::programming::LevelProgrammer;
 
 /// One point of an I_D–V_G curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct IvPoint {
     /// Gate voltage in volts.
     pub vg: f64,
@@ -17,7 +17,7 @@ pub struct IvPoint {
 }
 
 /// A complete I_D–V_G curve for one programmed multi-level state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IvCurve {
     /// Zero-based multi-level state index.
     pub level: usize,
@@ -43,7 +43,7 @@ impl IvCurve {
 }
 
 /// Configuration of an I_D–V_G sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SweepConfig {
     /// Sweep start gate voltage in volts (paper: −0.4 V).
     pub vg_start: f64,

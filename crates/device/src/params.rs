@@ -82,14 +82,30 @@ impl FeFetParams {
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::InvalidParameter`] if any value is outside its
-    /// physically meaningful range (for example `vth_high <= vth_low`, a
-    /// non-positive transconductance, or a switching rate outside `(0, 1)`).
+    /// Returns [`DeviceError::InvalidParameter`] if any value is not finite
+    /// or is outside its physically meaningful range (for example
+    /// `vth_high <= vth_low`, a non-positive transconductance, or a
+    /// switching rate outside `(0, 1)`).
     pub fn validate(&self) -> Result<()> {
-        if !self.vth_high.is_finite() || !self.vth_low.is_finite() {
+        let fields = [
+            ("vth_high", self.vth_high),
+            ("vth_low", self.vth_low),
+            ("k_sat", self.k_sat),
+            ("ideality", self.ideality),
+            ("v_on", self.v_on),
+            ("v_off", self.v_off),
+            ("write_amplitude", self.write_amplitude),
+            ("write_width", self.write_width),
+            ("switch_rate", self.switch_rate),
+            ("switch_voltage_slope", self.switch_voltage_slope),
+            ("switch_width_exponent", self.switch_width_exponent),
+            ("write_energy_per_pulse", self.write_energy_per_pulse),
+            ("v_drain_read", self.v_drain_read),
+        ];
+        if let Some((name, value)) = fields.into_iter().find(|(_, value)| !value.is_finite()) {
             return Err(DeviceError::InvalidParameter {
-                name: "vth_high/vth_low",
-                reason: "threshold voltages must be finite".to_string(),
+                name,
+                reason: format!("{value} is not finite"),
             });
         }
         if self.vth_high <= self.vth_low {
@@ -101,7 +117,7 @@ impl FeFetParams {
                 ),
             });
         }
-        if self.k_sat <= 0.0 || !self.k_sat.is_finite() {
+        if self.k_sat <= 0.0 {
             return Err(DeviceError::InvalidParameter {
                 name: "k_sat",
                 reason: "saturation transconductance must be positive".to_string(),
@@ -149,11 +165,11 @@ impl FeFetParams {
                 reason: "energy per pulse cannot be negative".to_string(),
             });
         }
-        if self.v_drain_read <= 0.0 || !self.v_drain_read.is_finite() {
+        if self.v_drain_read <= 0.0 {
             // Wire-resistance IR-drop models divide by the read drain bias.
             return Err(DeviceError::InvalidParameter {
                 name: "v_drain_read",
-                reason: "read drain bias must be positive and finite".to_string(),
+                reason: "read drain bias must be positive".to_string(),
             });
         }
         Ok(())
@@ -246,6 +262,36 @@ mod tests {
             ..FeFetParams::default()
         };
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn every_non_finite_field_rejected() {
+        type Field = fn(&mut FeFetParams) -> &mut f64;
+        let fields: [(&str, Field); 13] = [
+            ("vth_high", |p| &mut p.vth_high),
+            ("vth_low", |p| &mut p.vth_low),
+            ("k_sat", |p| &mut p.k_sat),
+            ("ideality", |p| &mut p.ideality),
+            ("v_on", |p| &mut p.v_on),
+            ("v_off", |p| &mut p.v_off),
+            ("write_amplitude", |p| &mut p.write_amplitude),
+            ("write_width", |p| &mut p.write_width),
+            ("switch_rate", |p| &mut p.switch_rate),
+            ("switch_voltage_slope", |p| &mut p.switch_voltage_slope),
+            ("switch_width_exponent", |p| &mut p.switch_width_exponent),
+            ("write_energy_per_pulse", |p| &mut p.write_energy_per_pulse),
+            ("v_drain_read", |p| &mut p.v_drain_read),
+        ];
+        for (field, value_of) in fields {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut p = FeFetParams::default();
+                *value_of(&mut p) = bad;
+                match p.validate() {
+                    Err(DeviceError::InvalidParameter { name, .. }) => assert_eq!(name, field),
+                    other => panic!("{field} = {bad} gave {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

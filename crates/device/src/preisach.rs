@@ -9,12 +9,12 @@
 //! the FeBiM paper. A sufficiently strong negative pulse erases the device
 //! back to the fully unswitched state.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::params::FeFetParams;
 
 /// One gate voltage pulse applied to the ferroelectric gate stack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Pulse {
     /// Pulse amplitude in volts. Positive values program (lower V_TH),
     /// negative values erase (raise V_TH).
@@ -53,7 +53,7 @@ impl Pulse {
 ///
 /// `0.0` corresponds to the fully erased (high-V_TH) state and `1.0` to the
 /// fully programmed (low-V_TH) state.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize)]
 pub struct Polarization(f64);
 
 impl Polarization {

@@ -1,7 +1,7 @@
 //! Multi-level programming: turning target read currents into write-pulse
 //! configurations (Fig. 4(b) of the paper) and applying them to devices.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{DeviceError, Result};
 use crate::fefet::FeFet;
@@ -9,7 +9,7 @@ use crate::params::FeFetParams;
 use crate::preisach::{Polarization, PreisachModel, Pulse};
 
 /// A write configuration: how many nominal pulses program one multi-level state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WriteConfig {
     /// Number of nominal write pulses applied after a full erase.
     pub pulse_count: u32,
@@ -24,7 +24,7 @@ impl WriteConfig {
 
 /// A discrete multi-level state of the device together with everything needed
 /// to program and read it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProgrammedState {
     /// Zero-based level index (0 = lowest read current).
     pub level: usize,
@@ -38,7 +38,7 @@ pub struct ProgrammedState {
 
 /// Programmer that maps discrete levels to target currents, polarizations and
 /// pulse counts for a given parameter set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LevelProgrammer {
     params: FeFetParams,
     /// Read current of the lowest level, in amperes (paper: 0.1 µA).

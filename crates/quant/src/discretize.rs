@@ -1,14 +1,14 @@
 //! Feature discretization: mapping continuous evidence values onto the
 //! `2^Q_f` bitlines of each likelihood block.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use febim_data::Dataset;
 
 use crate::errors::{QuantError, Result};
 
 /// Per-feature uniform binning fitted on training data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FeatureDiscretizer {
     minimums: Vec<f64>,
     maximums: Vec<f64>,
@@ -23,25 +23,48 @@ impl FeatureDiscretizer {
     ///
     /// Returns [`QuantError::InvalidPrecision`] for zero or more than 16 bits.
     pub fn fit(dataset: &Dataset, feature_bits: u32) -> Result<Self> {
+        let (minimums, maximums) = (0..dataset.n_features())
+            .map(|feature| dataset.feature_range(feature))
+            .unzip();
+        Self::from_ranges(minimums, maximums, feature_bits)
+    }
+
+    /// Rebuilds a discretizer from its per-feature minimums and maximums
+    /// (the ranges [`FeatureDiscretizer::fit`] reads off the training data),
+    /// using `2^feature_bits` uniform bins per feature.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidPrecision`] for zero or more than 16 bits
+    /// and [`QuantError::InvalidParameter`] when the two vectors differ in
+    /// length.
+    pub fn from_ranges(minimums: Vec<f64>, maximums: Vec<f64>, feature_bits: u32) -> Result<Self> {
         if feature_bits == 0 || feature_bits > 16 {
             return Err(QuantError::InvalidPrecision {
                 kind: "feature",
                 bits: feature_bits,
             });
         }
-        let bins = 1usize << feature_bits;
-        let mut minimums = Vec::with_capacity(dataset.n_features());
-        let mut maximums = Vec::with_capacity(dataset.n_features());
-        for feature in 0..dataset.n_features() {
-            let (min, max) = dataset.feature_range(feature);
-            minimums.push(min);
-            maximums.push(max);
+        if minimums.len() != maximums.len() {
+            return Err(QuantError::InvalidParameter {
+                name: "maximums",
+                reason: format!(
+                    "{} minimums but {} maximums",
+                    minimums.len(),
+                    maximums.len()
+                ),
+            });
         }
         Ok(Self {
             minimums,
             maximums,
-            bins,
+            bins: 1usize << feature_bits,
         })
+    }
+
+    /// The fitted per-feature `(minimums, maximums)`.
+    pub fn ranges(&self) -> (&[f64], &[f64]) {
+        (&self.minimums, &self.maximums)
     }
 
     /// Number of bins (bitlines) per feature.
@@ -195,6 +218,20 @@ mod tests {
         assert!(FeatureDiscretizer::fit(&toy(), 0).is_err());
         assert!(FeatureDiscretizer::fit(&toy(), 17).is_err());
         assert_eq!(FeatureDiscretizer::fit(&toy(), 4).unwrap().bins(), 16);
+    }
+
+    #[test]
+    fn from_ranges_rebuilds_a_fitted_discretizer() {
+        let fitted = FeatureDiscretizer::fit(&toy(), 3).unwrap();
+        let (minimums, maximums) = fitted.ranges();
+        let rebuilt =
+            FeatureDiscretizer::from_ranges(minimums.to_vec(), maximums.to_vec(), 3).unwrap();
+        assert_eq!(rebuilt, fitted);
+        assert!(FeatureDiscretizer::from_ranges(vec![0.0], vec![1.0], 0).is_err());
+        assert!(matches!(
+            FeatureDiscretizer::from_ranges(vec![0.0, 1.0], vec![1.0], 3),
+            Err(QuantError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

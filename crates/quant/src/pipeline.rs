@@ -118,7 +118,7 @@ impl Default for QuantConfig {
 }
 
 /// A Gaussian naive Bayes model quantized for in-memory deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuantizedGnbc {
     config: QuantConfig,
     discretizer: FeatureDiscretizer,
@@ -146,18 +146,48 @@ impl QuantizedGnbc {
         train_data: &Dataset,
         config: QuantConfig,
     ) -> Result<Self> {
+        let discretizer = FeatureDiscretizer::fit(train_data, config.feature_bits)?;
+        Self::with_discretizer(model, discretizer, config)
+    }
+
+    /// Quantizes a trained GNBC over an already fitted feature discretizer:
+    /// the deterministic remainder of [`QuantizedGnbc::quantize`], so a model
+    /// and its feature ranges rebuild exactly the tables the training data
+    /// produced.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration validation and Bayesian-model errors, and
+    /// returns [`QuantError::InvalidParameter`] when the model and the
+    /// discretizer disagree on the number of features, or the discretizer's
+    /// bin count is not `2^config.feature_bits`.
+    pub fn with_discretizer(
+        model: &GaussianNaiveBayes,
+        discretizer: FeatureDiscretizer,
+        config: QuantConfig,
+    ) -> Result<Self> {
         config.validate()?;
-        if model.n_features() != train_data.n_features() {
+        if model.n_features() != discretizer.n_features() {
             return Err(QuantError::InvalidParameter {
-                name: "train_data",
+                name: "discretizer",
                 reason: format!(
-                    "model has {} features but the dataset has {}",
+                    "model has {} features but the feature ranges cover {}",
                     model.n_features(),
-                    train_data.n_features()
+                    discretizer.n_features()
                 ),
             });
         }
-        let discretizer = FeatureDiscretizer::fit(train_data, config.feature_bits)?;
+        if discretizer.bins() != config.feature_levels() {
+            return Err(QuantError::InvalidParameter {
+                name: "discretizer",
+                reason: format!(
+                    "{} bins per feature, but Q_f = {} needs {}",
+                    discretizer.bins(),
+                    config.feature_bits,
+                    config.feature_levels()
+                ),
+            });
+        }
         let n_classes = model.n_classes();
         let n_features = model.n_features();
         let bins = discretizer.bins();
@@ -505,6 +535,37 @@ mod tests {
         let other = febim_data::synthetic::wine_like(3).unwrap();
         assert!(matches!(
             QuantizedGnbc::quantize(&model, &other, QuantConfig::febim_optimal()),
+            Err(QuantError::InvalidParameter { .. })
+        ));
+    }
+
+    #[test]
+    fn with_discretizer_rebuilds_the_quantized_tables_exactly() {
+        let (model, train, _) = trained_iris();
+        for config in [
+            QuantConfig::febim_optimal(),
+            QuantConfig::new(3, 4).without_column_normalization(),
+        ] {
+            let quantized = QuantizedGnbc::quantize(&model, &train, config).unwrap();
+            let (minimums, maximums) = quantized.discretizer().ranges();
+            let discretizer = FeatureDiscretizer::from_ranges(
+                minimums.to_vec(),
+                maximums.to_vec(),
+                config.feature_bits,
+            )
+            .unwrap();
+            let rebuilt = QuantizedGnbc::with_discretizer(&model, discretizer, config).unwrap();
+            assert_eq!(rebuilt, quantized);
+        }
+        // The discretizer must match the model's features and Q_f.
+        let narrow = FeatureDiscretizer::from_ranges(vec![0.0], vec![1.0], 4).unwrap();
+        assert!(matches!(
+            QuantizedGnbc::with_discretizer(&model, narrow, QuantConfig::febim_optimal()),
+            Err(QuantError::InvalidParameter { .. })
+        ));
+        let coarse = FeatureDiscretizer::fit(&train, 3).unwrap();
+        assert!(matches!(
+            QuantizedGnbc::with_discretizer(&model, coarse, QuantConfig::febim_optimal()),
             Err(QuantError::InvalidParameter { .. })
         ));
     }

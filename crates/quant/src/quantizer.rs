@@ -1,12 +1,12 @@
 //! Uniform scalar quantizer for normalized log-probabilities.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::errors::{QuantError, Result};
 
 /// Uniform quantizer mapping a real interval `[low, high]` onto
 /// `levels` discrete steps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct UniformQuantizer {
     low: f64,
     high: f64,
