@@ -51,7 +51,10 @@ impl GaussianNaiveBayes {
     /// # Errors
     ///
     /// Returns [`BayesError::InvalidTrainingData`] when a class has no
-    /// samples or the smoothing value is negative.
+    /// samples, the smoothing value is negative, or the fitted parameters
+    /// fail [`GaussianNaiveBayes::from_classes`]'s checks: training data
+    /// holding a NaN or an infinity (or values whose variance overflows)
+    /// fails here instead of fitting a NaN or infinite parameter.
     pub fn fit_with_smoothing(dataset: &Dataset, var_smoothing: f64) -> Result<Self> {
         let n_features = dataset.n_features();
         let n_samples = dataset.n_samples() as f64;
@@ -114,12 +117,17 @@ impl GaussianNaiveBayes {
     /// Rebuilds a trained GNBC from its per-class Gaussian parameters and
     /// the smoothing fraction it was fitted with (e.g. a model loaded from
     /// bytes). The feature count is the length of the class vectors.
+    /// [`GaussianNaiveBayes::fit`] ends here too, so a fitted model passes
+    /// the same checks as a loaded one.
     ///
     /// # Errors
     ///
     /// Returns [`BayesError::InvalidTrainingData`] when there is no class,
     /// when a class's means and variances do not all have the first class's
-    /// feature count, or when the smoothing value is negative or not finite.
+    /// feature count, when the smoothing value is negative or not finite,
+    /// or when a value is meaningless: every prior must lie in (0, 1], every
+    /// mean must be finite, and every variance finite and positive. Finite
+    /// extremes, such as a mean of ±1e300, are accepted.
     pub fn from_classes(classes: Vec<ClassGaussians>, var_smoothing: f64) -> Result<Self> {
         if var_smoothing < 0.0 || !var_smoothing.is_finite() {
             return Err(BayesError::InvalidTrainingData {
@@ -133,14 +141,30 @@ impl GaussianNaiveBayes {
         };
         let n_features = first.means.len();
         for (class, params) in classes.iter().enumerate() {
+            let invalid = |reason: String| {
+                Err(BayesError::InvalidTrainingData {
+                    reason: format!("class {class} {reason}"),
+                })
+            };
             if params.means.len() != n_features || params.variances.len() != n_features {
-                return Err(BayesError::InvalidTrainingData {
-                    reason: format!(
-                        "class {class} has {} means and {} variances, expected {n_features} of each",
-                        params.means.len(),
-                        params.variances.len()
-                    ),
-                });
+                return invalid(format!(
+                    "has {} means and {} variances, expected {n_features} of each",
+                    params.means.len(),
+                    params.variances.len()
+                ));
+            }
+            if !(params.prior > 0.0 && params.prior <= 1.0) {
+                return invalid(format!("has prior {}, outside (0, 1]", params.prior));
+            }
+            if let Some(mean) = params.means.iter().find(|mean| !mean.is_finite()) {
+                return invalid(format!("has a non-finite mean {mean}"));
+            }
+            if let Some(variance) = params
+                .variances
+                .iter()
+                .find(|variance| !(variance.is_finite() && **variance > 0.0))
+            {
+                return invalid(format!("has variance {variance}, not finite and positive"));
             }
         }
         Ok(Self {
@@ -393,6 +417,59 @@ mod tests {
         long[1].means.push(0.0);
         long[1].variances.push(1.0);
         assert!(GaussianNaiveBayes::from_classes(long, 1e-9).is_err());
+    }
+
+    #[test]
+    fn from_classes_rejects_meaningless_values() {
+        let model = GaussianNaiveBayes::fit(&toy_dataset()).unwrap();
+        type Edit = fn(&mut ClassGaussians);
+        let cases: [(&str, Edit); 11] = [
+            ("prior -1", |class| class.prior = -1.0),
+            ("prior 0", |class| class.prior = 0.0),
+            ("prior 1e300", |class| class.prior = 1e300),
+            ("prior NaN", |class| class.prior = f64::NAN),
+            ("mean NaN", |class| class.means[0] = f64::NAN),
+            ("mean -inf", |class| class.means[0] = f64::NEG_INFINITY),
+            ("variance -1", |class| class.variances[0] = -1.0),
+            ("variance 0", |class| class.variances[0] = 0.0),
+            ("variance -1e300", |class| class.variances[0] = -1e300),
+            ("variance inf", |class| class.variances[0] = f64::INFINITY),
+            ("variance NaN", |class| class.variances[0] = f64::NAN),
+        ];
+        for (label, edit) in cases {
+            let mut classes = model.classes().to_vec();
+            edit(&mut classes[1]);
+            assert!(
+                matches!(
+                    GaussianNaiveBayes::from_classes(classes, 1e-9),
+                    Err(BayesError::InvalidTrainingData { .. })
+                ),
+                "{label} was accepted"
+            );
+        }
+        // Finite extremes are meaningful and stay accepted.
+        let mut classes = model.classes().to_vec();
+        classes[0].means[0] = 1e300;
+        classes[1].means[0] = -1e300;
+        classes[1].variances[0] = 1e300;
+        classes[1].prior = 1.0;
+        assert!(GaussianNaiveBayes::from_classes(classes, 1e-9).is_ok());
+    }
+
+    #[test]
+    fn training_data_with_a_nan_fails_typed() {
+        let dataset = Dataset::new(
+            "nan",
+            vec!["x".to_string()],
+            2,
+            vec![vec![0.0], vec![f64::NAN], vec![5.0], vec![5.2]],
+            vec![0, 0, 1, 1],
+        )
+        .unwrap();
+        assert!(matches!(
+            GaussianNaiveBayes::fit(&dataset),
+            Err(BayesError::InvalidTrainingData { .. })
+        ));
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //! answers through its exact software twin; an evicted tenant's
 //! maintenance report stays counted in its bank's statistics. Evicted
 //! models stay in the registry's catalog and fault back in transparently on
-//! their next request. [`ModelRegistry::snapshot`] writes what training
-//! produced and how the tenant is deployed (the per-class Gaussians, the
-//! feature ranges, the engine configuration and the tile shape) as JSON;
+//! their next request; the fault-in rebuilds the engine with the registry
+//! lock released, so other tenants' requests do not wait behind the build.
+//! [`ModelRegistry::snapshot`] writes what training produced and how the
+//! tenant is deployed (the per-class Gaussians, the feature ranges, the
+//! engine configuration and the tile shape) as JSON;
 //! [`ModelRegistry::restore`] rebuilds the quantized tables and the tiled
 //! program from those through the constructors the fit path uses, so a model
 //! reloads from bytes without its training data and no derived state is
@@ -438,7 +440,7 @@ impl ModelRegistry {
             return Err(RegistryError::DuplicateModel { model: id });
         }
         state.catalog.insert(id, stored);
-        let result = self.install(&mut state, id, Some(engine));
+        let result = self.install(&mut state, id, engine);
         if result.is_err() {
             // A model that never placed is not registered.
             state.catalog.remove(&id);
@@ -601,42 +603,67 @@ impl ModelRegistry {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Makes `model` resident, faulting it in from the catalog (rebuilding
-    /// and reprogramming its engine) if it was evicted.
+    /// Makes `model` resident, faulting it in from the catalog if it was
+    /// evicted. A fault-in clones the catalogued parts under the state lock,
+    /// then rebuilds and reprograms the engine around the catalogued
+    /// program (which this crate compiled) with the lock released, so other
+    /// tenants' requests do not wait behind the build; it re-locks only to
+    /// place the engine.
     fn ensure_resident(&self, model: u64) -> Result<TenantPlacement, RegistryError> {
+        let (trained, quantized, config, program) = {
+            let mut state = self.lock_state();
+            if let Some(placement) = Self::touch(&mut state, model) {
+                return Ok(placement);
+            }
+            let stored = state
+                .catalog
+                .get(&model)
+                .ok_or(RegistryError::UnknownModel { model })?;
+            (
+                Arc::clone(&stored.model),
+                Arc::clone(&stored.quantized),
+                stored.config.clone(),
+                stored.program.clone(),
+            )
+        };
+        let engine = FebimEngine::from_parts(trained, quantized, config, |quantized, config| {
+            TiledFabricBackend::with_program(quantized, config, program)
+        })?;
         let mut state = self.lock_state();
-        let result = self.install(&mut state, model, None);
+        let result = self.install(&mut state, model, engine);
         Self::finish_install(state, result)
     }
 
-    /// Places `model` onto a bank — already-resident models just refresh
-    /// their LRU stamp — evicting least-recently-served tenants when the
-    /// chosen bank is over budget, and posts the hot swap to the bank,
-    /// returning its ticket for the caller to await *after*
-    /// releasing the state lock (see [`ModelRegistry::finish_install`]).
-    /// `engine` carries the pre-built engine of a fresh registration; on a
-    /// fault-in it is rebuilt from the catalog around the catalogued
-    /// program, which this crate compiled.
+    /// Refreshes a resident model's LRU stamp and returns its placement;
+    /// `None` when the model is not resident.
+    fn touch(state: &mut RegistryState, model: u64) -> Option<TenantPlacement> {
+        let placement = state.resident.get_mut(&model)?;
+        state.clock += 1;
+        placement.last_used = state.clock;
+        Some(TenantPlacement {
+            model,
+            bank: placement.bank,
+            tiles: placement.tiles,
+            evicted: Vec::new(),
+            swap: None,
+        })
+    }
+
+    /// Places `model`'s built `engine` onto a bank, evicting
+    /// least-recently-served tenants when the chosen bank is over budget,
+    /// and posts the hot swap to the bank, returning its ticket for the
+    /// caller to await *after* releasing the state lock (see
+    /// [`ModelRegistry::finish_install`]). When a racing fault-in placed
+    /// the model first, `engine` is dropped and the placement's LRU stamp
+    /// refreshed instead.
     fn install(
         &self,
         state: &mut RegistryState,
         model: u64,
-        engine: Option<FebimEngine<TiledFabricBackend>>,
+        engine: FebimEngine<TiledFabricBackend>,
     ) -> Result<(TenantPlacement, Option<SwapTicket>), RegistryError> {
-        let stamp = state.tick();
-        if let Some(placement) = state.resident.get_mut(&model) {
-            placement.last_used = stamp;
-            let placement = *placement;
-            return Ok((
-                TenantPlacement {
-                    model,
-                    bank: placement.bank,
-                    tiles: placement.tiles,
-                    evicted: Vec::new(),
-                    swap: None,
-                },
-                None,
-            ));
+        if let Some(placement) = Self::touch(state, model) {
+            return Ok((placement, None));
         }
         let Some(stored) = state.catalog.get(&model) else {
             return Err(RegistryError::UnknownModel { model });
@@ -646,22 +673,7 @@ impl ModelRegistry {
         if tiles > budget {
             return Err(RegistryError::Capacity { tiles, budget });
         }
-        let engine = match engine {
-            Some(engine) => engine,
-            None => {
-                // Fault-in: rebuild the engine around the catalog's compiled
-                // program, programmed exactly as at registration.
-                let program = stored.program.clone();
-                FebimEngine::from_parts(
-                    Arc::clone(&stored.model),
-                    Arc::clone(&stored.quantized),
-                    stored.config.clone(),
-                    |quantized, config| {
-                        TiledFabricBackend::with_program(quantized, config, program)
-                    },
-                )?
-            }
-        };
+        let stamp = state.tick();
         // Best fit: the serving bank with the least free budget that still
         // fits, so large future tenants keep a roomy bank available.
         let bank = (0..self.config.banks)
@@ -909,6 +921,43 @@ mod tests {
         assert!(stats.swaps >= 4, "3 installs + ≥1 fault-in, got {stats:?}");
         assert!(stats.swap_pulses > 0);
         assert!(stats.swap_energy_j > 0.0);
+        assert_eq!(stats.failed_requests, 0);
+    }
+
+    /// Two threads fault the same evicted tenant in at once. Both may
+    /// build an engine with the lock released, but the tenant is installed
+    /// once: a build that finds it already placed is dropped and only
+    /// refreshes the LRU stamp. Both threads' answers match the dedicated
+    /// engine.
+    #[test]
+    fn concurrent_fault_ins_of_one_evicted_tenant_install_it_once() {
+        let (engine, samples, reference) = tenant(958);
+        let tiles = engine.tiled_program().plan().tile_count();
+        let registry = ModelRegistry::new(RegistryConfig::new(1, tiles)).unwrap();
+        registry.register_engine(1, engine).unwrap();
+        registry.evict(1).unwrap().unwrap();
+        let start = std::sync::Barrier::new(2);
+        let answers: Vec<_> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        registry.serve_many(1, &samples)
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .map(|client| client.join().unwrap())
+                .collect()
+        });
+        for answer in &answers {
+            assert_bit_identical(answer, &reference);
+        }
+        assert!(registry.residence_of(1).is_some());
+        let stats = registry.shutdown();
+        // The registration, the eviction and one fault-in.
+        assert_eq!(stats.swaps, 3, "{stats:?}");
         assert_eq!(stats.failed_requests, 0);
     }
 

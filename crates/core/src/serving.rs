@@ -867,6 +867,23 @@ struct PoolShared {
     quarantine_cv: Condvar,
 }
 
+/// Wakes the threads parked on `cv` (one of them, or all): passes through
+/// `lock`, releases it, then notifies. Every waiter on the pool's condvars
+/// registers and rechecks its condition while holding the condvar's lock,
+/// and its `wait` releases the lock and parks in one step. A waker that published
+/// its state before taking the lock therefore either finds the waiter not
+/// yet registered (its recheck will see the state) or waits until it is
+/// parked (the notify reaches it). Notifying after the release keeps a
+/// woken thread from running into a lock its waker still holds.
+fn wake(lock: &Mutex<()>, cv: &Condvar, all: bool) {
+    drop(lock.lock().unwrap_or_else(PoisonError::into_inner));
+    if all {
+        cv.notify_all();
+    } else {
+        cv.notify_one();
+    }
+}
+
 impl PoolShared {
     fn new(workers: usize, capacity: usize) -> Self {
         let per_ring = capacity.div_ceil(workers).next_power_of_two().max(2);
@@ -944,11 +961,7 @@ impl PoolShared {
 
     /// Wakes every parked quarantined worker.
     fn wake_quarantined(&self) {
-        let _guard = self
-            .quarantine_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        self.quarantine_cv.notify_all();
+        wake(&self.quarantine_lock, &self.quarantine_cv, true);
     }
 
     /// Sets `bits` on one worker's control word (every worker's for `None`)
@@ -961,11 +974,7 @@ impl PoolShared {
         }
         fence(Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self
-                .idle_lock
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.idle_cv.notify_all();
+            wake(&self.idle_lock, &self.idle_cv, true);
         }
     }
 
@@ -1116,7 +1125,9 @@ impl PoolShared {
     /// Registers in `sleepers` first and rechecks under the lock (Dekker
     /// with the submitter's queued-then-sleepers order and the requester's
     /// bits-then-sleepers order), so neither a push nor a request can slip
-    /// between the empty sweep and the wait.
+    /// between the empty sweep and the wait. A waker that saw the
+    /// registration passes through the lock before it notifies (see
+    /// [`wake`]), so it cannot notify between this recheck and the wait.
     fn idle_wait(&self, worker: usize) {
         let guard = self
             .idle_lock
@@ -1144,25 +1155,22 @@ impl PoolShared {
     }
 
     /// Wakes one idle worker, if any is actually parked: every worker can
-    /// take every job.
+    /// take every job. The caller published its job before the `sleepers`
+    /// load (Dekker with `idle_wait`), and a parked worker registered and
+    /// rechecked under `idle_lock`, so passing through that lock is enough:
+    /// the notify that follows cannot fall between a worker's recheck and
+    /// its wait. It is sent after the lock is released (see [`wake`]), so
+    /// the woken worker does not block on a lock its waker still holds.
     fn wake_worker(&self) {
         if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self
-                .idle_lock
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.idle_cv.notify_one();
+            wake(&self.idle_lock, &self.idle_cv, false);
         }
     }
 
     /// Wakes blocked producers, if any is actually parked.
     fn signal_space(&self) {
         if self.blocked.load(Ordering::SeqCst) > 0 {
-            let _guard = self
-                .space_lock
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.space_cv.notify_all();
+            wake(&self.space_lock, &self.space_cv, true);
         }
     }
 
@@ -1174,20 +1182,8 @@ impl PoolShared {
         while self.pushing.load(Ordering::SeqCst) != 0 {
             std::thread::yield_now();
         }
-        {
-            let _guard = self
-                .idle_lock
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.idle_cv.notify_all();
-        }
-        {
-            let _guard = self
-                .space_lock
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            self.space_cv.notify_all();
-        }
+        wake(&self.idle_lock, &self.idle_cv, true);
+        wake(&self.space_lock, &self.space_cv, true);
         self.wake_quarantined();
     }
 
@@ -3148,6 +3144,38 @@ mod tests {
         let stats = aborter.join().unwrap();
         assert_eq!(stats.requests, 1);
         assert_eq!(stats.shutdown_rejected, 1);
+    }
+
+    /// One worker answers 20,000 sequential round trips. Each request is
+    /// submitted only after the previous answer, so the worker is often
+    /// parked, or about to park, when the next one arrives, and the request
+    /// is served only if the submitter's wake reaches it. Each answer is
+    /// polled for a bounded number of ticks, so a lost wake fails the test
+    /// instead of hanging it.
+    #[test]
+    fn ticket_round_trips_on_one_worker_never_lose_a_wake() {
+        const ROUND_TRIPS: usize = 20_000;
+        // Seconds of polls: far longer than a round trip, far shorter than
+        // a hang.
+        const POLLS: u64 = 10_000_000;
+        let (train, test) = split_for(917);
+        let engine = FebimEngine::fit(&train, EngineConfig::febim_default()).unwrap();
+        let samples = samples_of(&test);
+        let mut scratch = engine.make_scratch();
+        let expected: Vec<usize> = samples
+            .iter()
+            .map(|sample| engine.infer_into(sample, &mut scratch).unwrap().prediction)
+            .collect();
+        let pool = ServingPool::new(vec![engine], ServingConfig::default()).unwrap();
+        for round in 0..ROUND_TRIPS {
+            let index = round % samples.len();
+            let ticket = pool.submit_blocking(samples[index].clone()).unwrap();
+            let Ok(answer) = ticket.wait_timeout(POLLS) else {
+                panic!("round trip {round} was never answered");
+            };
+            assert_eq!(answer.unwrap().prediction, expected[index]);
+        }
+        assert_eq!(pool.shutdown().requests, ROUND_TRIPS as u64);
     }
 
     /// A crossbar engine whose replica already took a permanent hit: the

@@ -308,8 +308,14 @@ mod tests {
         pulsed
             .program_cell(0, 0, 6, ProgrammingMode::PulseTrain)
             .unwrap();
-        let a = ideal.cell(0, 0).unwrap().read_current_on();
-        let b = pulsed.cell(0, 0).unwrap().read_current_on();
+        let a = ideal
+            .cell(0, 0)
+            .unwrap()
+            .read_current_on(ideal.programmer().params());
+        let b = pulsed
+            .cell(0, 0)
+            .unwrap()
+            .read_current_on(pulsed.programmer().params());
         assert!((a - b).abs() / a < 0.1, "ideal {a:.3e} pulsed {b:.3e}");
     }
 
@@ -317,11 +323,17 @@ mod tests {
     fn variation_perturbs_read_currents() {
         let mut array = small_array();
         array.program_cell(0, 0, 5, ProgrammingMode::Ideal).unwrap();
-        let nominal = array.cell(0, 0).unwrap().read_current_on();
+        let nominal = array
+            .cell(0, 0)
+            .unwrap()
+            .read_current_on(array.programmer().params());
         let variation = VariationModel::from_millivolts(45.0);
         let mut rng = VariationModel::seeded_rng(3);
         array.apply_variation(&variation, &mut rng);
-        let perturbed = array.cell(0, 0).unwrap().read_current_on();
+        let perturbed = array
+            .cell(0, 0)
+            .unwrap()
+            .read_current_on(array.programmer().params());
         assert_ne!(nominal, perturbed);
     }
 

@@ -296,18 +296,21 @@ mod tests {
     /// Builds a cache straight from a cell bank (the ideal-stack evaluation
     /// the owning array uses when no non-ideality is configured).
     fn build(rows: usize, columns: usize, cells: &[Cell]) -> ConductanceCache {
+        let params = FeFetParams::febim_calibrated();
         ConductanceCache::build_with(rows, columns, |row, column| {
             let cell = &cells[row * columns + column];
-            (cell.read_current_on(), cell.read_current_off())
+            (
+                cell.read_current_on(&params),
+                cell.read_current_off(&params),
+            )
         })
     }
 
     #[test]
     fn cache_matches_fresh_device_evaluations() {
         let layout = CrossbarLayout::new(2, 3, 1, false).unwrap();
-        let mut cells: Vec<Cell> = (0..layout.cells())
-            .map(|_| Cell::new(FeFetParams::febim_calibrated()))
-            .collect();
+        let params = FeFetParams::febim_calibrated();
+        let mut cells = vec![Cell::default(); layout.cells()];
         cells[1]
             .device_mut()
             .set_polarization(febim_device::Polarization::new(0.6));
@@ -315,27 +318,25 @@ mod tests {
         for (index, cell) in cells.iter().enumerate() {
             let row = index / layout.columns();
             let column = index % layout.columns();
-            assert_eq!(cache.on_current(row, column), cell.read_current_on());
-            assert_eq!(cache.off[index], cell.read_current_off());
+            assert_eq!(cache.on_current(row, column), cell.read_current_on(&params));
+            assert_eq!(cache.off[index], cell.read_current_off(&params));
             // Deltas are stored bitline-major.
             assert_eq!(
                 cache.delta[column * layout.rows() + row],
-                cell.read_current_on() - cell.read_current_off()
+                cell.read_current_on(&params) - cell.read_current_off(&params)
             );
         }
         // The row off-sum accumulates in column order.
         let expected: f64 = cells[..layout.columns()]
             .iter()
-            .fold(0.0, |sum, cell| sum + cell.read_current_off());
+            .fold(0.0, |sum, cell| sum + cell.read_current_off(&params));
         assert_eq!(cache.row_off_sums[0], expected);
     }
 
     #[test]
     fn sparse_sum_visits_only_active_columns() {
         let layout = CrossbarLayout::new(1, 4, 1, false).unwrap();
-        let mut cells: Vec<Cell> = (0..layout.cells())
-            .map(|_| Cell::new(FeFetParams::febim_calibrated()))
-            .collect();
+        let mut cells = vec![Cell::default(); layout.cells()];
         for cell in &mut cells {
             cell.device_mut()
                 .set_polarization(febim_device::Polarization::new(0.7));
@@ -350,9 +351,8 @@ mod tests {
     #[test]
     fn partial_refresh_matches_full_rebuild_bit_for_bit() {
         let layout = CrossbarLayout::new(3, 2, 2, false).unwrap();
-        let mut cells: Vec<Cell> = (0..layout.cells())
-            .map(|_| Cell::new(FeFetParams::febim_calibrated()))
-            .collect();
+        let params = FeFetParams::febim_calibrated();
+        let mut cells = vec![Cell::default(); layout.cells()];
         for (index, cell) in cells.iter_mut().enumerate() {
             cell.device_mut()
                 .set_polarization(febim_device::Polarization::new(0.2 + 0.05 * (index as f64)));
@@ -367,8 +367,8 @@ mod tests {
             cache.refresh_cell(
                 1,
                 column,
-                cells[index].read_current_on(),
-                cells[index].read_current_off(),
+                cells[index].read_current_on(&params),
+                cells[index].read_current_off(&params),
             );
         }
         cache.recompute_row_off_sum(1);

@@ -1,13 +1,14 @@
-//! One crossbar cell: a single multi-level FeFET plus programming metadata.
+//! One crossbar cell: the state of a single multi-level FeFET plus
+//! programming metadata. A cell holds no device parameters: its grid
+//! evaluates every cell against its programmer's one [`FeFetParams`].
 
-use serde::Serialize;
+use febim_device::{FeFetParams, FeFetState};
 
-use febim_device::{FeFet, FeFetParams};
-
-/// One 1-FeFET crossbar cell.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// One 1-FeFET crossbar cell. The default is an erased, never-programmed
+/// cell.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cell {
-    device: FeFet,
+    device: FeFetState,
     programmed_level: Option<usize>,
     disturb_pulses: u64,
     /// Array clock tick at which the cell was last (re)programmed; retention
@@ -20,24 +21,13 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Creates an erased cell with the given device parameters.
-    pub fn new(params: FeFetParams) -> Self {
-        Self {
-            device: FeFet::new(params),
-            programmed_level: None,
-            disturb_pulses: 0,
-            programmed_at: 0,
-            stuck: false,
-        }
-    }
-
-    /// Borrow the underlying device.
-    pub fn device(&self) -> &FeFet {
+    /// Borrow the device state.
+    pub fn device(&self) -> &FeFetState {
         &self.device
     }
 
-    /// Mutably borrow the underlying device.
-    pub fn device_mut(&mut self) -> &mut FeFet {
+    /// Mutably borrow the device state.
+    pub fn device_mut(&mut self) -> &mut FeFetState {
         &mut self.device
     }
 
@@ -96,13 +86,13 @@ impl Cell {
     }
 
     /// Read current of the cell when its bitline is activated with `V_on`.
-    pub fn read_current_on(&self) -> f64 {
-        self.device.read_current_on()
+    pub fn read_current_on(&self, params: &FeFetParams) -> f64 {
+        self.device.read_current_on(params)
     }
 
     /// Leakage current of the cell when its bitline is inhibited with `V_off`.
-    pub fn read_current_off(&self) -> f64 {
-        self.device.read_current_off()
+    pub fn read_current_off(&self, params: &FeFetParams) -> f64 {
+        self.device.read_current_off(params)
     }
 }
 
@@ -112,22 +102,28 @@ mod tests {
 
     #[test]
     fn fresh_cell_is_erased_and_unprogrammed() {
-        let cell = Cell::new(FeFetParams::febim_calibrated());
+        let cell = Cell::default();
         assert_eq!(cell.programmed_level(), None);
         assert_eq!(cell.disturb_pulses(), 0);
-        assert!(cell.read_current_on() < 1e-9);
+        assert!(cell.read_current_on(&FeFetParams::febim_calibrated()) < 1e-9);
+    }
+
+    #[test]
+    fn a_cell_holds_state_not_parameters() {
+        // A per-cell copy of the grid's `FeFetParams` alone is 104 bytes.
+        assert!(std::mem::size_of::<Cell>() <= 56);
     }
 
     #[test]
     fn programmed_level_bookkeeping() {
-        let mut cell = Cell::new(FeFetParams::febim_calibrated());
+        let mut cell = Cell::default();
         cell.set_programmed_level(5);
         assert_eq!(cell.programmed_level(), Some(5));
     }
 
     #[test]
     fn disturb_counter_accumulates_and_resets() {
-        let mut cell = Cell::new(FeFetParams::febim_calibrated());
+        let mut cell = Cell::default();
         cell.add_disturb_pulses(10);
         cell.add_disturb_pulses(7);
         assert_eq!(cell.disturb_pulses(), 17);
@@ -137,7 +133,7 @@ mod tests {
 
     #[test]
     fn disturb_counter_saturates() {
-        let mut cell = Cell::new(FeFetParams::febim_calibrated());
+        let mut cell = Cell::default();
         cell.add_disturb_pulses(u64::MAX);
         cell.add_disturb_pulses(5);
         assert_eq!(cell.disturb_pulses(), u64::MAX);
@@ -145,7 +141,7 @@ mod tests {
 
     #[test]
     fn programmed_at_round_trips() {
-        let mut cell = Cell::new(FeFetParams::febim_calibrated());
+        let mut cell = Cell::default();
         assert_eq!(cell.programmed_at(), 0);
         cell.set_programmed_at(1234);
         assert_eq!(cell.programmed_at(), 1234);
@@ -153,7 +149,7 @@ mod tests {
 
     #[test]
     fn stuck_flag_round_trips() {
-        let mut cell = Cell::new(FeFetParams::febim_calibrated());
+        let mut cell = Cell::default();
         assert!(!cell.is_stuck());
         cell.set_stuck(true);
         assert!(cell.is_stuck());
@@ -163,7 +159,8 @@ mod tests {
 
     #[test]
     fn off_current_is_negligible() {
-        let cell = Cell::new(FeFetParams::febim_calibrated());
-        assert!(cell.read_current_off() < cell.read_current_on() + 1e-12);
+        let params = FeFetParams::febim_calibrated();
+        let cell = Cell::default();
+        assert!(cell.read_current_off(&params) < cell.read_current_on(&params) + 1e-12);
     }
 }

@@ -359,7 +359,10 @@ mod tests {
     fn stuck_programmed_cells_read_above_the_mapped_window() {
         let mut array = programmed_array();
         apply_fault(&mut array, 0, 3, FaultKind::StuckProgrammed).unwrap();
-        let current = array.cell(0, 3).unwrap().read_current_on();
+        let current = array
+            .cell(0, 3)
+            .unwrap()
+            .read_current_on(array.programmer().params());
         // Fully saturated polarization exceeds the 1.0 uA top of the window.
         assert!(current > 1.0e-6);
     }
@@ -367,10 +370,19 @@ mod tests {
     #[test]
     fn stuck_erased_cells_stop_conducting() {
         let mut array = programmed_array();
-        let before = array.cell(1, 5).unwrap().read_current_on();
+        let before = array
+            .cell(1, 5)
+            .unwrap()
+            .read_current_on(array.programmer().params());
         assert!(before > 1e-7);
         apply_fault(&mut array, 1, 5, FaultKind::StuckErased).unwrap();
-        assert!(array.cell(1, 5).unwrap().read_current_on() < 1e-9);
+        assert!(
+            array
+                .cell(1, 5)
+                .unwrap()
+                .read_current_on(array.programmer().params())
+                < 1e-9
+        );
     }
 
     #[test]

@@ -200,7 +200,7 @@ mod proptests {
             let mut expected = 0.0;
             for (column, &level) in levels.iter().enumerate() {
                 array.program_cell(0, column, level, ProgrammingMode::Ideal).unwrap();
-                expected += array.cell(0, column).unwrap().read_current_on();
+                expected += array.cell(0, column).unwrap().read_current_on(array.programmer().params());
             }
             let activation = Activation::all_columns(array.layout());
             let measured = array.wordline_current(0, &activation).unwrap();
@@ -285,16 +285,17 @@ mod proptests {
                 let picks: Vec<usize> = (0..active).map(|index| columns - 1 - index).collect();
                 let activation = Activation::from_columns(&layout, &picks).unwrap();
                 let measured = array.wordline_currents(&activation).unwrap();
+                let params = array.programmer().params();
                 for (row, &value) in measured.iter().enumerate() {
                     let mut off_sum = 0.0;
                     for column in 0..columns {
-                        off_sum += array.cell(row, column).unwrap().read_current_off();
+                        off_sum += array.cell(row, column).unwrap().read_current_off(params);
                     }
                     let deltas: Vec<f64> = picks
                         .iter()
                         .map(|&column| {
                             let cell = array.cell(row, column).unwrap();
-                            cell.read_current_on() - cell.read_current_off()
+                            cell.read_current_on(params) - cell.read_current_off(params)
                         })
                         .collect();
                     let mut lanes = [0.0f64; 4];
@@ -692,7 +693,7 @@ mod proptests {
                         let mut count = 0.0;
                         for (slot, &column) in activation.active_columns().iter().enumerate() {
                             let level = ladder.level_for_current(
-                                ideal.cell(row, column).unwrap().read_current_on(),
+                                ideal.cell(row, column).unwrap().read_current_on(ideal.programmer().params()),
                             );
                             count +=
                                 f64::from(((level >> (offsets[slot] as usize + plane)) & 1) as u32);

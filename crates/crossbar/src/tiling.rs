@@ -48,9 +48,7 @@ use std::ops::Range;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use febim_device::{
-    CellContext, DeviceError, LevelProgrammer, NonIdealityStack, ProgrammedState, VariationModel,
-};
+use febim_device::{CellContext, DeviceError, LevelProgrammer, NonIdealityStack, VariationModel};
 
 use crate::array::{DirtyState, ProgrammingMode, RebuildStats, RefreshOutcome};
 use crate::cache::{lane_delta_sum, row_plane_partials, ConductanceCache};
@@ -265,7 +263,7 @@ pub struct RegionWriteOutcome {
 /// One physical tile: its occupied cell bank in local row-major order, the
 /// provisioned spare rows appended below the logical rows, and the
 /// logical-to-physical wordline remap table the self-repair path rewires.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Tile {
     rows: usize,
     columns: usize,
@@ -334,7 +332,12 @@ fn row_tiles(plan: &TilePlan, row: usize) -> (Range<usize>, usize) {
 /// device model — including the configured [`NonIdealityStack`] — on every
 /// call and serves as the equivalence oracle. See the module docs for the
 /// bit-exactness guarantee.
-#[derive(Debug, Clone, Serialize)]
+///
+/// Cells hold device state only: every cell is evaluated, programmed,
+/// disturbed, erased and refreshed against the one
+/// [`febim_device::FeFetParams`] of the grid's programmer, and clones of
+/// the grid share that programmer's level table.
+#[derive(Debug, Clone)]
 pub struct TileGrid {
     plan: TilePlan,
     programmer: LevelProgrammer,
@@ -348,25 +351,19 @@ pub struct TileGrid {
     /// Fabric clock in retention ticks.
     clock: u64,
     /// Per-logical-wordline read counters (read history is physical state
-    /// once a disturb model is configured). Skipped by serialization.
-    #[serde(skip)]
+    /// once a disturb model is configured).
     row_reads: ReadCounters,
     /// Monotonic version of the physical state; bumped by every mutation
     /// that can change a read current.
-    #[serde(skip)]
     state_epoch: std::cell::Cell<u64>,
     /// The state epoch the cache was last brought up to date with.
-    #[serde(skip)]
     cache_epoch: std::cell::Cell<u64>,
     /// Which cells changed between `cache_epoch` and `state_epoch`.
-    #[serde(skip)]
     dirty: RefCell<DirtyState>,
     /// Cache maintenance counters.
-    #[serde(skip)]
     stats: std::cell::Cell<RebuildStats>,
     /// Derived state in logical coordinates: `None` means never built.
-    /// Skipped by serialization and ignored by equality.
-    #[serde(skip)]
+    /// Ignored by equality.
     cache: RefCell<Option<ConductanceCache>>,
 }
 
@@ -390,9 +387,6 @@ impl TileGrid {
     /// Creates an erased, ideal (no non-idealities) fabric for the given
     /// plan and level programmer.
     pub fn new(plan: TilePlan, programmer: LevelProgrammer) -> Self {
-        // Build one template cell and clone it, instead of cloning the
-        // device parameter struct once per cell.
-        let template = Cell::new(programmer.params().clone());
         let tiles = (0..plan.row_tiles())
             .flat_map(|tile_row| (0..plan.col_tiles()).map(move |tile_col| (tile_row, tile_col)))
             .map(|(tile_row, tile_col)| {
@@ -404,7 +398,7 @@ impl TileGrid {
                     spare_rows,
                     remap: (0..rows).collect(),
                     spares_used: 0,
-                    cells: vec![template.clone(); (rows + spare_rows) * columns],
+                    cells: vec![Cell::default(); (rows + spare_rows) * columns],
                 }
             })
             .collect();
@@ -574,14 +568,17 @@ impl TileGrid {
     /// path, which is bit-identical to evaluating with a zero shift and a
     /// unit current factor.
     fn evaluate(&self, row: usize, column: usize, cell: &Cell) -> (f64, f64) {
+        let params = self.programmer.params();
         if self.stack.is_ideal() {
-            return (cell.read_current_on(), cell.read_current_off());
+            return (cell.read_current_on(params), cell.read_current_off(params));
         }
         let ctx = self.cell_context(row, column, cell);
         let shift = self.stack.vth_shift(&ctx);
-        let v_drain = self.programmer.params().v_drain_read;
-        let on = cell.device().read_current_on_shifted(shift);
-        let off = cell.device().read_current_off_shifted(shift);
+        let on = cell.device().ids_with_vth_shift(params, params.v_on, shift);
+        let off = cell
+            .device()
+            .ids_with_vth_shift(params, params.v_off, shift);
+        let v_drain = params.v_drain_read;
         (
             on * self.stack.current_factor(&ctx, on, v_drain),
             off * self.stack.current_factor(&ctx, off, v_drain),
@@ -771,6 +768,7 @@ impl TileGrid {
     ) -> Result<u64> {
         let clock = self.clock;
         let scheme = self.write_scheme;
+        let params = self.programmer.params();
         let tile = &mut self.tiles[tile_index];
         let local = tile.index(local_row, local_col);
         let state = if tile.cells[local].is_stuck() {
@@ -796,7 +794,7 @@ impl TileGrid {
         // when the selected stack is stuck and does not move.
         for other_row in disturbed.clone().filter(|&other| other != local_row) {
             let other = tile.index(other_row, local_col);
-            scheme.apply_disturb(&mut tile.cells[other], pulses);
+            scheme.apply_disturb(params, &mut tile.cells[other], pulses);
         }
         let cell = &mut tile.cells[local];
         cell.set_programmed_level(level);
@@ -902,7 +900,7 @@ impl TileGrid {
                     continue;
                 }
                 if !cell.is_stuck() {
-                    cell.device_mut().erase();
+                    cell.device_mut().erase(self.programmer.params());
                 }
                 cell.clear_programmed_level();
                 cell.reset_disturb();
@@ -1219,35 +1217,16 @@ impl TileGrid {
         )
     }
 
-    fn level_state<'a>(
-        programmer: &LevelProgrammer,
-        states: &'a mut Vec<Option<ProgrammedState>>,
-        level: usize,
-    ) -> Result<&'a ProgrammedState> {
-        if level >= states.len() {
-            states.resize(level + 1, None);
-        }
-        if states[level].is_none() {
-            states[level] = Some(programmer.state_for_level(level)?);
-        }
-        Ok(states[level].as_ref().expect("just filled"))
-    }
-
-    /// Effective threshold error of one programmed cell, in volts: the
-    /// stack's time/history-dependent shift plus the polarization deviation
-    /// from the level target expressed through the threshold window.
-    fn effective_shift(
-        &self,
-        row: usize,
-        column: usize,
-        cell: &Cell,
-        target: &ProgrammedState,
-        window: f64,
-    ) -> f64 {
+    /// Effective threshold error of one cell programmed to `level`, in
+    /// volts: the stack's time/history-dependent shift plus the
+    /// polarization deviation from the level's target expressed through the
+    /// threshold window.
+    fn effective_shift(&self, row: usize, column: usize, cell: &Cell, level: usize) -> Result<f64> {
+        let target = self.programmer.state_for_level(level)?.polarization;
+        let window = self.programmer.params().vth_window();
         let ctx = self.cell_context(row, column, cell);
-        let pol_error =
-            (target.polarization.value() - cell.device().polarization().value()) * window;
-        self.stack.vth_shift(&ctx) + pol_error
+        let pol_error = (target.value() - cell.device().polarization().value()) * window;
+        Ok(self.stack.vth_shift(&ctx) + pol_error)
     }
 
     /// Rewrites one drifted or faulted cell — `(tile index, physical cell
@@ -1261,13 +1240,11 @@ impl TileGrid {
         (tile, local): (usize, usize),
         level: usize,
         mode: ProgrammingMode,
-        states: &mut Vec<Option<ProgrammedState>>,
     ) -> Result<(u64, f64)> {
         let cell = &mut self.tiles[tile].cells[local];
         let pulses = match mode {
             ProgrammingMode::Ideal => {
-                let target = Self::level_state(&self.programmer, states, level)?;
-                cell.device_mut().set_polarization(target.polarization);
+                let target = self.programmer.program_ideal(cell.device_mut(), level)?;
                 u64::from(target.write_config.pulse_count) + 1
             }
             ProgrammingMode::PulseTrain => u64::from(
@@ -1288,8 +1265,6 @@ impl TileGrid {
     /// error is permanent by definition and belongs to the scrub/repair
     /// subsystem ([`TileGrid::scrub`]), not to drift recalibration.
     pub fn worst_effective_shift(&self) -> f64 {
-        let window = self.programmer.params().vth_window();
-        let mut states: Vec<Option<ProgrammedState>> = Vec::new();
         let mut worst = 0.0f64;
         for row in 0..self.plan.layout().rows() {
             for (column, cell) in self.row_cells(row).enumerate() {
@@ -1299,12 +1274,10 @@ impl TileGrid {
                 let Some(level) = cell.programmed_level() else {
                     continue;
                 };
-                let target = Self::level_state(&self.programmer, &mut states, level)
+                let shift = self
+                    .effective_shift(row, column, cell, level)
                     .expect("programmed level was validated at program time");
-                worst = worst.max(
-                    self.effective_shift(row, column, cell, target, window)
-                        .abs(),
-                );
+                worst = worst.max(shift.abs());
             }
         }
         worst
@@ -1336,8 +1309,6 @@ impl TileGrid {
         check_tolerance(max_vth_shift, "recalibration")?;
         let layout = *self.plan.layout();
         let shape = self.plan.shape();
-        let window = self.programmer.params().vth_window();
-        let mut states: Vec<Option<ProgrammedState>> = Vec::new();
         let mut outcome = RefreshOutcome::default();
         for row in 0..layout.rows() {
             let mut refresh_row = false;
@@ -1349,12 +1320,7 @@ impl TileGrid {
                     continue;
                 };
                 outcome.cells_checked += 1;
-                let target = Self::level_state(&self.programmer, &mut states, level)?;
-                if self
-                    .effective_shift(row, column, cell, target, window)
-                    .abs()
-                    > max_vth_shift
-                {
+                if self.effective_shift(row, column, cell, level)?.abs() > max_vth_shift {
                     refresh_row = true;
                     break;
                 }
@@ -1374,8 +1340,7 @@ impl TileGrid {
                 let Some(level) = cell.programmed_level() else {
                     continue;
                 };
-                let (pulses, energy) =
-                    self.rewrite_in_place((tile_index, local), level, mode, &mut states)?;
+                let (pulses, energy) = self.rewrite_in_place((tile_index, local), level, mode)?;
                 outcome.cells_refreshed += 1;
                 outcome.pulses_applied += pulses;
                 outcome.energy_joules += energy;
@@ -1440,9 +1405,7 @@ impl TileGrid {
         check_tolerance(max_vth_shift, "scrub")?;
         let layout = *self.plan.layout();
         let shape = self.plan.shape();
-        let window = self.programmer.params().vth_window();
         let energy_per_pulse = self.programmer.params().write_energy_per_pulse;
-        let mut states: Vec<Option<ProgrammedState>> = Vec::new();
         let mut outcome = ScrubOutcome::default();
         for row in 0..layout.rows() {
             let (tiles, local_row) = row_tiles(&self.plan, row);
@@ -1459,12 +1422,7 @@ impl TileGrid {
                     continue;
                 };
                 outcome.cells_checked += 1;
-                let target = Self::level_state(&self.programmer, &mut states, level)?;
-                if self
-                    .effective_shift(row, column, cell, target, window)
-                    .abs()
-                    <= max_vth_shift
-                {
+                if self.effective_shift(row, column, cell, level)?.abs() <= max_vth_shift {
                     continue;
                 }
                 // Out of signature: classify the observed state, then try
@@ -1478,7 +1436,7 @@ impl TileGrid {
                 };
                 if !cell.is_stuck() {
                     let (pulses, energy) =
-                        self.rewrite_in_place((tile_index, local), level, mode, &mut states)?;
+                        self.rewrite_in_place((tile_index, local), level, mode)?;
                     outcome.pulses_applied += pulses;
                     outcome.energy_joules += energy;
                     // A rewrite re-settles the wordline's read history the
@@ -1488,12 +1446,7 @@ impl TileGrid {
                 }
                 // Re-read after the repair attempt.
                 let cell = &self.tiles[tile_index].cells[local];
-                let target = Self::level_state(&self.programmer, &mut states, level)?;
-                if self
-                    .effective_shift(row, column, cell, target, window)
-                    .abs()
-                    <= max_vth_shift
-                {
+                if self.effective_shift(row, column, cell, level)?.abs() <= max_vth_shift {
                     outcome.cells_repaired += 1;
                     outcome.reports.push(FaultReport {
                         row,
@@ -2017,7 +1970,12 @@ mod tests {
         for (index, value) in flat.iter().enumerate() {
             let row = index / grid.layout().columns();
             let column = index % grid.layout().columns();
-            assert_eq!(*value, grid.cell(row, column).unwrap().read_current_on());
+            assert_eq!(
+                *value,
+                grid.cell(row, column)
+                    .unwrap()
+                    .read_current_on(grid.programmer().params())
+            );
         }
     }
 

@@ -8,7 +8,7 @@
 
 use serde::Serialize;
 
-use febim_device::{Polarization, PreisachModel, Pulse};
+use febim_device::{FeFetParams, Polarization, PreisachModel, Pulse};
 
 use crate::cell::Cell;
 
@@ -44,22 +44,22 @@ impl WriteScheme {
         Pulse::new(self.half_bias(), self.pulse_width)
     }
 
-    /// Applies `pulses` half-bias disturb pulses to a cell (bookkeeping plus
-    /// the corresponding tiny polarization drift).
-    pub fn apply_disturb(&self, cell: &mut Cell, pulses: u64) {
+    /// Applies `pulses` half-bias disturb pulses to a cell of a grid whose
+    /// devices follow `params` (bookkeeping plus the corresponding tiny
+    /// polarization drift).
+    pub fn apply_disturb(&self, params: &FeFetParams, cell: &mut Cell, pulses: u64) {
         if !self.model_disturb || pulses == 0 {
             return;
         }
         cell.add_disturb_pulses(pulses);
-        let pulse = self.disturb_pulse();
-        let mut polarization: Polarization = cell.device().polarization();
         // The per-pulse disturbance is tiny; apply the closed-form compound
         // update instead of iterating potentially millions of pulses.
-        let alpha = PreisachModel::switching_fraction(cell.device().params(), pulse);
+        let alpha = PreisachModel::switching_fraction(params, self.disturb_pulse());
         if alpha > 0.0 {
+            let polarization = cell.device().polarization();
             let remaining = (1.0 - polarization.value()) * (1.0 - alpha).powf(pulses as f64);
-            polarization = Polarization::new(1.0 - remaining);
-            cell.device_mut().set_polarization(polarization);
+            cell.device_mut()
+                .set_polarization(Polarization::new(1.0 - remaining));
         }
     }
 }
@@ -73,7 +73,6 @@ impl Default for WriteScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use febim_device::FeFetParams;
 
     #[test]
     fn half_bias_is_half_the_write_voltage() {
@@ -97,10 +96,11 @@ mod tests {
     #[test]
     fn disturb_accumulates_polarization_slowly() {
         let scheme = WriteScheme::febim_default();
-        let mut cell = Cell::new(FeFetParams::febim_calibrated());
+        let params = FeFetParams::febim_calibrated();
+        let mut cell = Cell::default();
         cell.device_mut().set_polarization(Polarization::new(0.5));
         let before = cell.device().polarization().value();
-        scheme.apply_disturb(&mut cell, 100);
+        scheme.apply_disturb(&params, &mut cell, 100);
         let after = cell.device().polarization().value();
         assert!(after >= before);
         assert!(after - before < 0.05, "disturb drift {}", after - before);
@@ -111,9 +111,10 @@ mod tests {
     fn disturb_can_be_disabled() {
         let mut scheme = WriteScheme::febim_default();
         scheme.model_disturb = false;
-        let mut cell = Cell::new(FeFetParams::febim_calibrated());
+        let params = FeFetParams::febim_calibrated();
+        let mut cell = Cell::default();
         cell.device_mut().set_polarization(Polarization::new(0.5));
-        scheme.apply_disturb(&mut cell, 1_000_000);
+        scheme.apply_disturb(&params, &mut cell, 1_000_000);
         assert_eq!(cell.disturb_pulses(), 0);
         assert!((cell.device().polarization().value() - 0.5).abs() < 1e-12);
     }
@@ -121,8 +122,9 @@ mod tests {
     #[test]
     fn zero_pulses_is_a_no_op() {
         let scheme = WriteScheme::febim_default();
-        let mut cell = Cell::new(FeFetParams::febim_calibrated());
-        scheme.apply_disturb(&mut cell, 0);
+        let params = FeFetParams::febim_calibrated();
+        let mut cell = Cell::default();
+        scheme.apply_disturb(&params, &mut cell, 0);
         assert_eq!(cell.disturb_pulses(), 0);
     }
 
@@ -131,9 +133,10 @@ mod tests {
         // Sanity check that the model is not a no-op: an absurd number of
         // disturb pulses visibly moves the state.
         let scheme = WriteScheme::febim_default();
-        let mut cell = Cell::new(FeFetParams::febim_calibrated());
+        let params = FeFetParams::febim_calibrated();
+        let mut cell = Cell::default();
         cell.device_mut().set_polarization(Polarization::new(0.2));
-        scheme.apply_disturb(&mut cell, 10_000_000);
+        scheme.apply_disturb(&params, &mut cell, 10_000_000);
         assert!(cell.device().polarization().value() > 0.25);
     }
 }

@@ -5,55 +5,33 @@
 //! subthreshold exponential and the square-law saturation region, which keeps
 //! the model monotone and differentiable across the whole gate-voltage sweep
 //! used to reproduce Fig. 1(c).
-
-use serde::Serialize;
+//!
+//! A device's parameters are the same for every device of an array, while
+//! its state is its own. [`FeFetState`] is the state alone, evaluated
+//! against a borrowed [`FeFetParams`], so an array stores one parameter set
+//! for all its cells. [`FeFet`] is one standalone device: a parameter set
+//! and a state.
 
 use crate::params::FeFetParams;
 use crate::preisach::{Polarization, PreisachModel, Pulse};
 
-/// One FeFET storage device.
-///
-/// A device owns its polarization state and an additive threshold-voltage
-/// offset that models device-to-device variation (see
-/// [`crate::variation::VariationModel`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FeFet {
-    params: FeFetParams,
+/// The state of one FeFET: its polarization and an additive
+/// threshold-voltage offset that models device-to-device variation (see
+/// [`crate::variation::VariationModel`]). The default is a freshly erased
+/// device with no offset.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FeFetState {
     polarization: Polarization,
     vth_offset: f64,
 }
 
-impl FeFet {
-    /// Creates a freshly erased device with the given parameters.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use febim_device::{FeFet, FeFetParams};
-    ///
-    /// let device = FeFet::new(FeFetParams::febim_calibrated());
-    /// assert!(device.vth() > 1.0); // erased devices sit at the high-V_TH state
-    /// ```
-    pub fn new(params: FeFetParams) -> Self {
+impl FeFetState {
+    /// A device with an explicit polarization state and no offset.
+    pub fn with_polarization(polarization: Polarization) -> Self {
         Self {
-            params,
-            polarization: Polarization::ERASED,
-            vth_offset: 0.0,
-        }
-    }
-
-    /// Creates a device with an explicit polarization state.
-    pub fn with_polarization(params: FeFetParams, polarization: Polarization) -> Self {
-        Self {
-            params,
             polarization,
             vth_offset: 0.0,
         }
-    }
-
-    /// Borrow the device parameters.
-    pub fn params(&self) -> &FeFetParams {
-        &self.params
     }
 
     /// Current normalized polarization state.
@@ -82,9 +60,8 @@ impl FeFet {
     ///
     /// The threshold moves linearly from `vth_high` (erased) to `vth_low`
     /// (fully programmed) as polarization accumulates.
-    pub fn vth(&self) -> f64 {
-        let p = &self.params;
-        p.vth_high - self.polarization.value() * p.vth_window() + self.vth_offset
+    pub fn vth(&self, params: &FeFetParams) -> f64 {
+        params.vth_high - self.polarization.value() * params.vth_window() + self.vth_offset
     }
 
     /// Drain-source current for a gate voltage `vg`, in amperes.
@@ -92,8 +69,8 @@ impl FeFet {
     /// Uses a smooth interpolation `I = k (n V_T ln(1 + e^{(vg - vth)/(n V_T)}))²`
     /// which reduces to the square law `k (vg - vth)²` far above threshold and
     /// to an exponential subthreshold current below threshold.
-    pub fn ids(&self, vg: f64) -> f64 {
-        self.ids_with_vth_shift(vg, 0.0)
+    pub fn ids(&self, params: &FeFetParams, vg: f64) -> f64 {
+        self.ids_with_vth_shift(params, vg, 0.0)
     }
 
     /// Drain-source current with an additional threshold-voltage shift, in
@@ -102,11 +79,10 @@ impl FeFet {
     /// The shift is added on top of the polarization-derived threshold and
     /// the static variation offset; time-varying non-ideality models
     /// (retention drift, read disturb) evaluate the device through this
-    /// entry point. A zero shift is bit-identical to [`FeFet::ids`].
-    pub fn ids_with_vth_shift(&self, vg: f64, vth_shift: f64) -> f64 {
-        let p = &self.params;
-        let slope = p.thermal_slope();
-        let overdrive = (vg - (self.vth() + vth_shift)) / slope;
+    /// entry point. A zero shift is bit-identical to [`FeFetState::ids`].
+    pub fn ids_with_vth_shift(&self, params: &FeFetParams, vg: f64, vth_shift: f64) -> f64 {
+        let slope = params.thermal_slope();
+        let overdrive = (vg - (self.vth(params) + vth_shift)) / slope;
         // Numerically stable softplus.
         let softplus = if overdrive > 30.0 {
             overdrive
@@ -114,45 +90,133 @@ impl FeFet {
             overdrive.exp().ln_1p()
         };
         let v_eff = slope * softplus;
-        p.k_sat * v_eff * v_eff
+        params.k_sat * v_eff * v_eff
+    }
+
+    /// Read current with the activation voltage `V_on` applied to the gate.
+    pub fn read_current_on(&self, params: &FeFetParams) -> f64 {
+        self.ids(params, params.v_on)
+    }
+
+    /// Leakage current with the inhibit voltage `V_off` applied to the gate.
+    pub fn read_current_off(&self, params: &FeFetParams) -> f64 {
+        self.ids(params, params.v_off)
+    }
+
+    /// Applies a train of identical gate pulses through the Preisach
+    /// switching model.
+    pub fn apply_pulse_train(&mut self, params: &FeFetParams, pulse: Pulse, count: u32) {
+        self.polarization =
+            PreisachModel::apply_pulse_train(params, self.polarization, pulse, count);
+    }
+
+    /// Fully erases the device (one nominal negative pulse).
+    pub fn erase(&mut self, params: &FeFetParams) {
+        self.polarization =
+            PreisachModel::apply_pulse(params, self.polarization, Pulse::nominal_erase(params));
+    }
+}
+
+/// One standalone FeFET storage device: its parameters and its
+/// [`FeFetState`]. Every method evaluates the state against the device's
+/// own parameters.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FeFet {
+    params: FeFetParams,
+    state: FeFetState,
+}
+
+impl FeFet {
+    /// Creates a freshly erased device with the given parameters.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use febim_device::{FeFet, FeFetParams};
+    ///
+    /// let device = FeFet::new(FeFetParams::febim_calibrated());
+    /// assert!(device.vth() > 1.0); // erased devices sit at the high-V_TH state
+    /// ```
+    pub fn new(params: FeFetParams) -> Self {
+        Self {
+            params,
+            state: FeFetState::default(),
+        }
+    }
+
+    /// Creates a device with an explicit polarization state.
+    pub fn with_polarization(params: FeFetParams, polarization: Polarization) -> Self {
+        Self {
+            params,
+            state: FeFetState::with_polarization(polarization),
+        }
+    }
+
+    /// Borrow the device parameters.
+    pub fn params(&self) -> &FeFetParams {
+        &self.params
+    }
+
+    /// Borrow the device state.
+    pub fn state(&self) -> &FeFetState {
+        &self.state
+    }
+
+    /// Mutably borrow the device state, e.g. to program it with a
+    /// [`crate::LevelProgrammer`] built from the same parameters.
+    pub fn state_mut(&mut self) -> &mut FeFetState {
+        &mut self.state
+    }
+
+    /// Current normalized polarization state.
+    pub fn polarization(&self) -> Polarization {
+        self.state.polarization()
+    }
+
+    /// Overwrites the polarization state directly.
+    pub fn set_polarization(&mut self, polarization: Polarization) {
+        self.state.set_polarization(polarization);
+    }
+
+    /// Additive threshold-voltage offset in volts (variation model).
+    pub fn vth_offset(&self) -> f64 {
+        self.state.vth_offset()
+    }
+
+    /// Sets the additive threshold-voltage offset in volts.
+    pub fn set_vth_offset(&mut self, offset_volts: f64) {
+        self.state.set_vth_offset(offset_volts);
+    }
+
+    /// Effective threshold voltage in volts (see [`FeFetState::vth`]).
+    pub fn vth(&self) -> f64 {
+        self.state.vth(&self.params)
+    }
+
+    /// Drain-source current for a gate voltage `vg`, in amperes (see
+    /// [`FeFetState::ids`]).
+    pub fn ids(&self, vg: f64) -> f64 {
+        self.state.ids(&self.params, vg)
     }
 
     /// Read current with the activation voltage `V_on` applied to the gate.
     pub fn read_current_on(&self) -> f64 {
-        self.ids(self.params.v_on)
+        self.state.read_current_on(&self.params)
     }
 
     /// Leakage current with the inhibit voltage `V_off` applied to the gate.
     pub fn read_current_off(&self) -> f64 {
-        self.ids(self.params.v_off)
-    }
-
-    /// Read current at `V_on` under an additional threshold shift (see
-    /// [`FeFet::ids_with_vth_shift`]).
-    pub fn read_current_on_shifted(&self, vth_shift: f64) -> f64 {
-        self.ids_with_vth_shift(self.params.v_on, vth_shift)
-    }
-
-    /// Leakage current at `V_off` under an additional threshold shift (see
-    /// [`FeFet::ids_with_vth_shift`]).
-    pub fn read_current_off_shifted(&self, vth_shift: f64) -> f64 {
-        self.ids_with_vth_shift(self.params.v_off, vth_shift)
-    }
-
-    /// Applies one gate pulse through the Preisach switching model.
-    pub fn apply_pulse(&mut self, pulse: Pulse) {
-        self.polarization = PreisachModel::apply_pulse(&self.params, self.polarization, pulse);
+        self.state.read_current_off(&self.params)
     }
 
     /// Applies a train of identical gate pulses.
     pub fn apply_pulse_train(&mut self, pulse: Pulse, count: u32) {
-        self.polarization =
-            PreisachModel::apply_pulse_train(&self.params, self.polarization, pulse, count);
+        self.state.apply_pulse_train(&self.params, pulse, count);
     }
 
     /// Fully erases the device (nominal negative pulse).
     pub fn erase(&mut self) {
-        self.apply_pulse(Pulse::nominal_erase(&self.params));
+        self.state.erase(&self.params);
     }
 
     /// The threshold voltage (volts) that yields the requested read current at
@@ -291,15 +355,27 @@ mod tests {
     #[test]
     fn zero_shift_is_bit_identical() {
         let params = FeFetParams::febim_calibrated();
-        let d = FeFet::with_polarization(params, Polarization::new(0.6));
+        let d = FeFetState::with_polarization(Polarization::new(0.6));
         for vg in [-0.5, 0.0, 0.5, 1.2] {
-            assert_eq!(d.ids(vg), d.ids_with_vth_shift(vg, 0.0));
+            assert_eq!(d.ids(&params, vg), d.ids_with_vth_shift(&params, vg, 0.0));
         }
-        assert_eq!(d.read_current_on(), d.read_current_on_shifted(0.0));
-        assert_eq!(d.read_current_off(), d.read_current_off_shifted(0.0));
+        let on = d.read_current_on(&params);
         // A positive shift lowers the read current like raising V_TH does.
-        assert!(d.read_current_on_shifted(0.05) < d.read_current_on());
-        assert!(d.read_current_on_shifted(-0.05) > d.read_current_on());
+        assert!(d.ids_with_vth_shift(&params, params.v_on, 0.05) < on);
+        assert!(d.ids_with_vth_shift(&params, params.v_on, -0.05) > on);
+    }
+
+    #[test]
+    fn a_device_evaluates_its_state_against_its_params() {
+        let params = FeFetParams::febim_calibrated();
+        let mut d = FeFet::with_polarization(params.clone(), Polarization::new(0.4));
+        d.set_vth_offset(0.01);
+        let state = *d.state();
+        assert_eq!(d.vth(), state.vth(&params));
+        assert_eq!(d.read_current_on(), state.read_current_on(&params));
+        assert_eq!(d.read_current_off(), state.read_current_off(&params));
+        d.state_mut().erase(&params);
+        assert_eq!(d.polarization(), Polarization::ERASED);
     }
 
     #[test]

@@ -143,7 +143,7 @@ pub fn multilevel_iv_curves(
     let mut curves = Vec::with_capacity(levels);
     for level in 0..levels {
         let mut device = FeFet::new(params.clone());
-        programmer.program_ideal(&mut device, level)?;
+        programmer.program_ideal(device.state_mut(), level)?;
         let points = sweep_device(&device, config)?;
         curves.push(IvCurve {
             level,

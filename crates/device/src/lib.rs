@@ -12,7 +12,8 @@
 //!   trajectory of the paper's Fig. 1(b) and Fig. 4(b);
 //! * the FeFET device itself ([`FeFet`]) with a smooth, monotone
 //!   I_D-V_G model used to regenerate the multi-level transfer curves of
-//!   Fig. 1(c);
+//!   Fig. 1(c), and its state alone ([`FeFetState`]), which an array of
+//!   devices evaluates against one shared parameter set;
 //! * the level programmer ([`LevelProgrammer`]) that maps discrete states to
 //!   target read currents (0.1 uA - 1.0 uA at `V_on = 0.5 V`) and the write
 //!   pulse counts needed to reach them;
@@ -28,7 +29,7 @@
 //! // Ten-level programming across the paper's 0.1 uA - 1.0 uA read window.
 //! let programmer = LevelProgrammer::febim_default(10)?;
 //! let mut device = FeFet::new(FeFetParams::febim_calibrated());
-//! let state = programmer.program_with_pulses(&mut device, 7)?;
+//! let state = programmer.program_with_pulses(device.state_mut(), 7)?;
 //! assert!(state.write_config.pulse_count > 0);
 //! assert!(device.read_current_on() > 1e-7);
 //! # Ok(())
@@ -47,7 +48,7 @@ pub mod programming;
 pub mod variation;
 
 pub use errors::{DeviceError, Result};
-pub use fefet::FeFet;
+pub use fefet::{FeFet, FeFetState};
 pub use iv::{multilevel_iv_curves, IvCurve, IvPoint, SweepConfig};
 pub use nonideality::{
     CellContext, NonIdeality, NonIdealityStack, ReadDisturb, RetentionDrift, WireResistance,
@@ -116,8 +117,8 @@ mod proptests {
             let programmer = LevelProgrammer::febim_default(10).unwrap();
             let mut low = FeFet::new(programmer.params().clone());
             let mut high = FeFet::new(programmer.params().clone());
-            programmer.program_ideal(&mut low, level).unwrap();
-            programmer.program_ideal(&mut high, level + 1).unwrap();
+            programmer.program_ideal(low.state_mut(), level).unwrap();
+            programmer.program_ideal(high.state_mut(), level + 1).unwrap();
             prop_assert!(high.read_current_on() > low.read_current_on());
         }
 
