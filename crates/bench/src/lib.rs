@@ -17,16 +17,14 @@
 //! | `fig8`   | Quantization heat map, crossbar state map, variation Monte-Carlo |
 //! | `table1` | Cross-technology comparison |
 //!
-//! Seven record binaries measure the system beyond the paper and write a
+//! Five record binaries measure the system beyond the paper and write a
 //! JSON record (default path in the current directory). Each takes `--quick`
-//! (the short run CI uses) and `--out PATH`; the five gated ones also take
-//! `--budget PATH` and panic when a gate misses its limit. A limit is a key
-//! of the budget file or a constant:
+//! (the short run CI uses), `--out PATH` and `--budget PATH`, and panics
+//! when a gate misses its limit. A limit is a key of the budget file or a
+//! constant:
 //!
 //! | Binary      | Record                 | Budget                  | Gates |
 //! |-------------|------------------------|-------------------------|-------|
-//! | `perf`      | `BENCH_inference.json` | —                       | — |
-//! | `fabric`    | `BENCH_fabric.json`    | —                       | — |
 //! | `serving`   | `BENCH_serving.json`   | `SERVING_BUDGET.json`   | tiled grouped-read speedup ≥ 1 at batch ≥ 8; pool within 2x of sequential inference at batch ≥ 8; iris pool floor ≤ `pool_ns_per_request_budget` |
 //! | `noise`     | `BENCH_noise.json`     | `NOISE_BUDGET.json`     | ideal read ≤ `ideal_ns_per_inference_budget`; exact accuracy recovery after recalibration; refresh work in every drifted scenario |
 //! | `faults`    | `BENCH_faults.json`    | `FAULT_BUDGET.json`     | detection ≤ `max_detection_periods`; repair ≤ `max_repair_pulses_per_cell`; healed retention ≥ `min_healed_retention` |
@@ -41,15 +39,13 @@
 
 #![warn(missing_docs)]
 
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde::json::Value;
 use serde::Serialize;
 
 use febim_core::{default_experiment_dir, FebimEngine, InferenceBackend, Table};
-use febim_crossbar::{CrossbarLayout, ProgrammingMode, TileGrid, TilePlan, TileShape};
 use febim_data::Dataset;
-use febim_device::LevelProgrammer;
 
 /// The command line of one record binary and the record it writes.
 #[derive(Debug)]
@@ -57,13 +53,13 @@ pub struct Record {
     bench: &'static str,
     quick: bool,
     out: String,
-    budget: Option<String>,
+    budget: String,
 }
 
 /// The stamp at the head of every record.
 #[derive(Debug, Serialize)]
 pub struct Header {
-    /// Which record this is (`inference`, `fabric`, `serving`, ...).
+    /// Which record this is (`serving`, `noise`, ...).
     bench: &'static str,
     /// When the record was written, in seconds since the Unix epoch.
     generated_unix_s: u64,
@@ -72,18 +68,13 @@ pub struct Header {
 }
 
 impl Record {
-    /// Parses `--quick` and `--out PATH` (default `BENCH_<bench>.json`).
-    pub fn parse(bench: &'static str) -> Self {
-        Self::from_args(bench, None, std::env::args().skip(1).collect())
-    }
-
-    /// Parses the flags of a gated binary: those of [`Record::parse`] plus
-    /// `--budget PATH` (default `budget`).
+    /// Parses the flags of a gated binary: `--quick`, `--out PATH` (default
+    /// `BENCH_<bench>.json`) and `--budget PATH` (default `budget`).
     pub fn gated(bench: &'static str, budget: &str) -> Self {
-        Self::from_args(bench, Some(budget), std::env::args().skip(1).collect())
+        Self::from_args(bench, budget, std::env::args().skip(1).collect())
     }
 
-    fn from_args(bench: &'static str, budget: Option<&str>, args: Vec<String>) -> Self {
+    fn from_args(bench: &'static str, budget: &str, args: Vec<String>) -> Self {
         let value = |flag: &str| {
             let at = args.iter().position(|arg| arg == flag)?;
             args.get(at + 1).cloned()
@@ -92,7 +83,7 @@ impl Record {
             bench,
             quick: args.iter().any(|arg| arg == "--quick"),
             out: value("--out").unwrap_or_else(|| format!("BENCH_{bench}.json")),
-            budget: budget.map(|default| value("--budget").unwrap_or_else(|| default.to_string())),
+            budget: value("--budget").unwrap_or_else(|| budget.to_string()),
         }
     }
 
@@ -112,16 +103,8 @@ impl Record {
 
     /// Reads `key` from the budget file. A read that fails prints what went
     /// wrong, naming the file and the key, and exits 1.
-    ///
-    /// # Panics
-    ///
-    /// When called from a binary built with [`Record::parse`], which has no
-    /// budget file.
     pub fn budget(&self, key: &str) -> f64 {
-        let path = self
-            .budget
-            .as_deref()
-            .expect("only gated binaries read a budget");
+        let path = &self.budget;
         load_budget(path, key).unwrap_or_else(|err| {
             eprintln!("{err}; regenerate {path} or pass --budget PATH");
             std::process::exit(1);
@@ -293,76 +276,6 @@ pub fn measure_reads<B: InferenceBackend>(
     best_ns
 }
 
-/// The Fig. 6-scale stress model — 64 wordlines, 32 evidence nodes of 16
-/// levels each (512 bitlines) — programmed with the staggered level pattern
-/// `(row + column) % 10` of the scalability sweeps, on one monolithic array
-/// (`tile == None`) or on a grid of `tile`-sized tiles.
-pub fn staggered_fig6_grid(tile: Option<TileShape>) -> TileGrid {
-    let layout = CrossbarLayout::new(64, 32, 16, false).expect("layout");
-    let plan = match tile {
-        Some(shape) => TilePlan::new(layout, shape).expect("plan"),
-        None => TilePlan::monolithic(layout),
-    };
-    let levels: Vec<Vec<Option<usize>>> = (0..layout.rows())
-        .map(|row| {
-            (0..layout.columns())
-                .map(|column| Some((row + column) % 10))
-                .collect()
-        })
-        .collect();
-    let programmer = LevelProgrammer::febim_default(10).expect("programmer");
-    let mut grid = TileGrid::new(plan, programmer);
-    grid.program_matrix(&levels, ProgrammingMode::Ideal)
-        .expect("program");
-    grid
-}
-
-/// Minimum per-iteration wall time, in nanoseconds, of `before` and of
-/// `after`, measured in one window: calibrated batches of the two routines
-/// alternate until each side has run for `target`, and each side keeps its
-/// fastest batch. Alternating lands a change of host speed on both sides of
-/// the comparison instead of on one, and the minimum over batches is robust
-/// against scheduler noise. Shared by the `perf` and `fabric` record
-/// binaries.
-pub fn measure_pair_ns(
-    mut before: impl FnMut(),
-    mut after: impl FnMut(),
-    target: Duration,
-) -> (f64, f64) {
-    let iters = (batch_iterations(&mut before), batch_iterations(&mut after));
-    let mut best = (f64::INFINITY, f64::INFINITY);
-    let mut total = (Duration::ZERO, Duration::ZERO);
-    while total.0 < target || total.1 < target {
-        let batch = time_batch(&mut before, iters.0);
-        best.0 = best.0.min(batch.as_nanos() as f64 / iters.0 as f64);
-        total.0 += batch;
-        let batch = time_batch(&mut after, iters.1);
-        best.1 = best.1.min(batch.as_nanos() as f64 / iters.1 as f64);
-        total.1 += batch;
-    }
-    best
-}
-
-/// Iterations of `routine` in one batch of at least 5 ms (at most 2^22),
-/// found after a warm-up call that also warms any conductance caches.
-fn batch_iterations(routine: &mut impl FnMut()) -> u64 {
-    routine();
-    let mut iters = 1u64;
-    while iters < 1 << 22 && time_batch(routine, iters) < Duration::from_millis(5) {
-        iters *= 2;
-    }
-    iters
-}
-
-/// Wall time of `iters` back-to-back calls of `routine`.
-fn time_batch(routine: &mut impl FnMut(), iters: u64) -> Duration {
-    let start = Instant::now();
-    for _ in 0..iters {
-        routine();
-    }
-    start.elapsed()
-}
-
 /// Prints a table to the console and persists it as CSV under the default
 /// experiment directory, reporting where it was written.
 pub fn emit(table: &Table) {
@@ -426,30 +339,27 @@ mod tests {
 
     #[test]
     fn record_flags_default_to_the_bench_files() {
-        let record = Record::from_args("inference", None, args(""));
+        let record = Record::from_args("serving", "SERVING_BUDGET.json", args(""));
         assert!(!record.quick);
-        assert_eq!(record.out, "BENCH_inference.json");
-        assert_eq!(record.budget, None);
+        assert_eq!(record.out, "BENCH_serving.json");
+        assert_eq!(record.budget, "SERVING_BUDGET.json");
         assert_eq!((record.pick(1, 2), record.mode()), (2, "full"));
-        let gated = Record::from_args("noise", Some("NOISE_BUDGET.json"), args("--out"));
+        let gated = Record::from_args("noise", "NOISE_BUDGET.json", args("--out"));
         assert_eq!(
             gated.out, "BENCH_noise.json",
             "a flag without a value keeps the default"
         );
-        assert_eq!(gated.budget.as_deref(), Some("NOISE_BUDGET.json"));
+        assert_eq!(gated.budget, "NOISE_BUDGET.json");
     }
 
     #[test]
     fn record_flags_override_the_defaults() {
         let line = "--budget b.json --quick --out o.json";
-        let gated = Record::from_args("faults", Some("FAULT_BUDGET.json"), args(line));
+        let gated = Record::from_args("faults", "FAULT_BUDGET.json", args(line));
         assert!(gated.quick);
         assert_eq!((gated.pick(1, 2), gated.mode()), (1, "quick"));
         assert_eq!(gated.out, "o.json");
-        assert_eq!(gated.budget.as_deref(), Some("b.json"));
-        // An ungated binary takes no budget file, whatever the command line.
-        let ungated = Record::from_args("fabric", None, args(line));
-        assert_eq!(ungated.budget, None);
+        assert_eq!(gated.budget, "b.json");
     }
 
     #[test]
@@ -461,7 +371,11 @@ mod tests {
         }
         let out = std::env::temp_dir().join("febim_bench_record.json");
         let out = out.to_string_lossy().into_owned();
-        let record = Record::from_args("smoke", None, args(&format!("--quick --out {out}")));
+        let record = Record::from_args(
+            "smoke",
+            "SMOKE_BUDGET.json",
+            args(&format!("--quick --out {out}")),
+        );
         record.write(&Body {
             header: record.header(),
             rows: vec![1, 2],
@@ -482,19 +396,6 @@ mod tests {
         assert_eq!(stream.len(), dataset.n_samples() + 2);
         assert_eq!(stream[dataset.n_samples() + 1], stream[1]);
         assert_eq!(stream[1], dataset.sample(1).unwrap());
-    }
-
-    #[test]
-    fn the_staggered_grid_reads_alike_on_one_array_and_on_tiles() {
-        let array = staggered_fig6_grid(None);
-        let grid = staggered_fig6_grid(Some(TileShape::new(32, 128).unwrap()));
-        assert!(!array.plan().is_multi_tile());
-        assert_eq!((grid.plan().row_tiles(), grid.plan().col_tiles()), (2, 4));
-        let all = febim_crossbar::Activation::all_columns(array.layout());
-        assert_eq!(
-            array.wordline_currents(&all).unwrap(),
-            grid.wordline_currents(&all).unwrap()
-        );
     }
 
     /// Writes `text` to a budget file in the temp directory and returns its

@@ -206,13 +206,17 @@ pub trait InferenceBackend {
     /// may only change *how the group is priced*, never what it decides.
     ///
     /// The default implementation loops `infer_into` and sums the per-read
-    /// telemetry; backends with grouped-read support specialize it to
-    /// amortize array settling and wordline drivers across the batch.
+    /// telemetry. The physical backends run `infer_into` and this call on
+    /// one read path, a sequential read being a group of one, and price the
+    /// batch as one [`ReadGroup`] that amortizes array settling and
+    /// wordline drivers across its reads.
     ///
     /// # Errors
     ///
     /// Propagates per-sample inference errors (the batch stops at the first
-    /// failing sample; `steps` holds the completed prefix).
+    /// failing sample; `steps` holds the completed prefix, which is empty
+    /// on the physical backends when a sample fails to discretize, since
+    /// they observe every sample before the first read).
     fn infer_batch_into(
         &self,
         samples: &[Vec<f64>],
@@ -423,28 +427,6 @@ impl PackedRead {
     /// activated cell needs during a packed read.
     fn cell_bits(&self) -> usize {
         self.digits_per_cell * self.digit_bits as usize
-    }
-
-    /// Maps one read's discretized per-feature bins onto packed columns
-    /// (written into `packed_evidence`, cleared first) and appends the
-    /// activated columns' digit bit offsets to `bit_offsets` in activation
-    /// order: the prior column first (offset zero) when the layout has one,
-    /// then one packed column per feature.
-    fn fill_observation(
-        &self,
-        evidence: &[usize],
-        has_prior: bool,
-        packed_evidence: &mut Vec<usize>,
-        bit_offsets: &mut Vec<u8>,
-    ) {
-        packed_evidence.clear();
-        if has_prior {
-            bit_offsets.push(0);
-        }
-        for &bin in evidence {
-            packed_evidence.push(packed_column_of(bin, self.digits_per_cell));
-            bit_offsets.push(bit_offset_of(bin, self.digits_per_cell, self.digit_bits) as u8);
-        }
     }
 }
 
@@ -687,7 +669,13 @@ impl CrossbarBackend {
     /// Propagates compilation and programming errors.
     pub fn new(quantized: Arc<QuantizedGnbc>, config: &EngineConfig) -> Result<Self> {
         let program = compile(&quantized, config.force_prior_column, config.encoding)?;
-        Self::with_program(quantized, config, TiledProgram::monolithic(program))
+        let programmer = level_programmer(config, program.state_count())?;
+        Self::with_program(
+            quantized,
+            config,
+            TiledProgram::monolithic(program),
+            programmer,
+        )
     }
 }
 
@@ -709,17 +697,20 @@ impl TiledFabricBackend {
             shape,
             config.encoding,
         )?;
-        Self::with_program(quantized, config, tiled)
+        let programmer = level_programmer(config, tiled.state_count())?;
+        Self::with_program(quantized, config, tiled, programmer)
     }
 }
 
 impl<P: ReadPricing> FabricBackend<P> {
     /// Builds the backend around an **already compiled** program and plan
-    /// and programs it onto a fresh grid. Only this crate compiles programs,
-    /// so `tiled` was always compiled from `quantized` under `config`'s
-    /// encoding: the two `new` constructors compile it, and the registry's
-    /// fault-in passes the program of an engine it catalogued, which saves
-    /// the recompile.
+    /// and programs it onto a fresh grid through `programmer`. Only this
+    /// crate compiles programs, so `tiled` was always compiled from
+    /// `quantized` under `config`'s encoding, and `programmer` is the
+    /// [`level_programmer`] of `config` for its state count: the two `new`
+    /// constructors build both, and the registry's fault-in passes those of
+    /// an engine it catalogued, which saves the recompile and the level
+    /// table.
     ///
     /// # Errors
     ///
@@ -729,9 +720,9 @@ impl<P: ReadPricing> FabricBackend<P> {
         quantized: Arc<QuantizedGnbc>,
         config: &EngineConfig,
         tiled: TiledProgram,
+        programmer: LevelProgrammer,
     ) -> Result<Self> {
         check_grid_size(tiled.plan())?;
-        let programmer = level_programmer(config, tiled.state_count())?;
         let mut backend = Self {
             packed: PackedRead::for_config(config, tiled.state_count())?,
             pricing: P::for_plan(tiled.plan())?,
@@ -773,48 +764,84 @@ impl<P: ReadPricing> FabricBackend<P> {
         self.sensing = sensing;
     }
 
-    /// Decides and prices one read of `activation` whose wordline currents
-    /// are in `currents` — or, for a packed read, whose plane partial sums
-    /// are in `plane_sums` and get merged on the shift-add bus into
-    /// `currents` first, so [`EvalScratch::wordline_currents`] reports the
-    /// merged scores exactly like a one-hot read. A read of a `group` is
-    /// added to it with its wordline-driver share. The shared tail of the
-    /// sequential and grouped inference paths.
+    /// Drives `sample` onto the bitlines of read `index`: discretizes it
+    /// and sets the observation of `scratch.activations[index]`. A
+    /// bit-plane program observes each bin's packed column instead, and
+    /// appends the activated columns' digit bit offsets to
+    /// `scratch.bit_offsets` in activation order: the prior column first
+    /// (offset zero) when the layout has one, then one per feature.
+    fn observe(&self, sample: &[f64], index: usize, scratch: &mut EvalScratch) -> Result<()> {
+        self.quantized
+            .discretize_sample_into(sample, &mut scratch.evidence)?;
+        let layout = self.grid.layout();
+        let EvalScratch {
+            evidence,
+            activations,
+            packed_evidence,
+            bit_offsets,
+            ..
+        } = scratch;
+        let observation = match &self.packed {
+            Some(packed) => {
+                let (digits, bits) = (packed.digits_per_cell, packed.digit_bits);
+                packed_evidence.clear();
+                if layout.has_prior() {
+                    bit_offsets.push(0);
+                }
+                for &bin in evidence.iter() {
+                    packed_evidence.push(packed_column_of(bin, digits));
+                    bit_offsets.push(bit_offset_of(bin, digits, bits) as u8);
+                }
+                packed_evidence
+            }
+            None => evidence,
+        };
+        activations[index].set_observation(layout, observation)?;
+        Ok(())
+    }
+
+    /// Decides and prices one read of `activation` straight from `read`,
+    /// its slice of the kernel output: its wordline currents, or for a
+    /// packed read its plane partial sums, which the shift-add bus first
+    /// merges into `currents`. A read of a `group` is added to it with its
+    /// wordline-driver share.
     fn sense(
         &self,
         activation: &Activation,
-        plane_sums: &[f64],
+        read: &[f64],
         currents: &mut Vec<f64>,
         mirrored: &mut Vec<f64>,
         tiles: &mut Vec<TileGeometry>,
         group: Option<&mut ReadGroup>,
     ) -> Result<InferenceStep> {
-        let mut planes = None;
-        if let Some(packed) = &self.packed {
-            merge_plane_sums_into(
-                plane_sums,
-                packed.planes,
-                packed.lsb_current,
-                packed.floor_current,
-                currents,
-            )?;
-            planes = Some((packed.planes, packed.cell_bits()));
-        }
-        self.sensing.mirror().copy_all_into(currents, mirrored)?;
+        let (scores, planes) = match &self.packed {
+            Some(packed) => {
+                merge_plane_sums_into(
+                    read,
+                    packed.planes,
+                    packed.lsb_current,
+                    packed.floor_current,
+                    currents,
+                )?;
+                (&currents[..], Some((packed.planes, packed.cell_bits())))
+            }
+            None => (read, None),
+        };
+        self.sensing.mirror().copy_all_into(scores, mirrored)?;
         let (prediction, tie_broken) = match self.sensing.wta().resolve(mirrored) {
             Ok(decision) => (decision.winner, false),
             // Quantized posteriors can tie exactly (integer packed scores
             // far more often than analog sums); physical mismatch would
             // break the tie, we do it deterministically instead.
             Err(CircuitError::AmbiguousWinner { .. }) => {
-                (argmax(currents).expect("at least one wordline"), true)
+                (argmax(scores).expect("at least one wordline"), true)
             }
             Err(err) => return Err(err.into()),
         };
         let geometry = self.pricing.geometry(activation, tiles);
-        let (delay, energy) = self.sensing.price(geometry, planes, currents, mirrored)?;
+        let (delay, energy) = self.sensing.price(geometry, planes, scores, mirrored)?;
         if let Some(group) = group {
-            let share = self.sensing.wordline_share(geometry, currents.len());
+            let share = self.sensing.wordline_share(geometry, scores.len());
             group.add(&delay, &energy, share)?;
         }
         Ok(InferenceStep {
@@ -825,50 +852,74 @@ impl<P: ReadPricing> FabricBackend<P> {
         })
     }
 
-    /// One sequential read of `sample`, added to `group` when it is part of
-    /// one: the body of [`InferenceBackend::infer_into`].
-    fn read(
+    /// The one read path, for a sequential read (one sample, no `group`)
+    /// and a grouped one alike: observes every sample, reads them all in
+    /// one kernel call, then senses each read from its slice of the kernel
+    /// output and hands its step to `step`, in sample order. Afterwards
+    /// [`EvalScratch::wordline_currents`] holds the last read's scores.
+    fn read<S: AsRef<[f64]>>(
         &self,
-        sample: &[f64],
+        samples: &[S],
         scratch: &mut EvalScratch,
-        group: Option<&mut ReadGroup>,
-    ) -> Result<InferenceStep> {
-        self.quantized
-            .discretize_sample_into(sample, &mut scratch.evidence)?;
+        mut group: Option<&mut ReadGroup>,
+        mut step: impl FnMut(InferenceStep),
+    ) -> Result<()> {
         let layout = self.grid.layout();
+        if scratch.activations.len() < samples.len() {
+            let template = Activation::empty(layout);
+            scratch.activations.resize(samples.len(), template);
+        }
+        scratch.bit_offsets.clear();
+        for (index, sample) in samples.iter().enumerate() {
+            self.observe(sample.as_ref(), index, scratch)?;
+        }
         let EvalScratch {
-            evidence,
-            activation,
+            activations,
+            kernel_out,
+            bit_offsets,
+            level_scratch,
             currents,
             mirrored,
             tiles,
-            packed_evidence,
-            bit_offsets,
-            plane_sums,
-            level_scratch,
             ..
         } = scratch;
-        let activation = activation.get_or_insert_with(|| Activation::empty(layout));
-        match &self.packed {
+        let activations = &activations[..samples.len()];
+        let stride = match &self.packed {
             Some(packed) => {
-                bit_offsets.clear();
-                packed.fill_observation(evidence, layout.has_prior(), packed_evidence, bit_offsets);
-                activation.set_observation(layout, packed_evidence)?;
-                self.grid.plane_partial_sums_into(
-                    activation,
+                self.grid.plane_partial_sums_batch_into(
+                    activations,
                     bit_offsets,
                     packed.planes,
                     &packed.ladder,
                     level_scratch,
-                    plane_sums,
+                    kernel_out,
                 )?;
+                layout.rows() * packed.planes
             }
             None => {
-                activation.set_observation(layout, evidence)?;
-                self.grid.wordline_currents_into(activation, currents)?;
+                self.grid
+                    .wordline_currents_batch_into(activations, kernel_out)?;
+                layout.rows()
             }
+        };
+        for (activation, read) in activations.iter().zip(kernel_out.chunks(stride)) {
+            step(self.sense(
+                activation,
+                read,
+                currents,
+                mirrored,
+                tiles,
+                group.as_deref_mut(),
+            )?);
         }
-        self.sense(activation, plane_sums, currents, mirrored, tiles, group)
+        // One-hot reads were sensed in place, so the scores kept are the
+        // last read's currents; a packed read merged its own into
+        // `currents` already.
+        if let (None, Some(last)) = (&self.packed, kernel_out.rchunks(stride).next()) {
+            currents.clear();
+            currents.extend_from_slice(last);
+        }
+        Ok(())
     }
 }
 
@@ -887,7 +938,8 @@ impl<P: ReadPricing> InferenceBackend for FabricBackend<P> {
         let rows = self.grid.layout().rows();
         EvalScratch {
             evidence: Vec::with_capacity(self.quantized.n_features()),
-            activation: Some(Activation::empty(self.grid.layout())),
+            activations: vec![Activation::empty(self.grid.layout())],
+            kernel_out: Vec::with_capacity(rows),
             currents: Vec::with_capacity(rows),
             mirrored: Vec::with_capacity(rows),
             tiles: Vec::with_capacity(self.tiled.plan().tile_count()),
@@ -896,7 +948,9 @@ impl<P: ReadPricing> InferenceBackend for FabricBackend<P> {
     }
 
     fn infer_into(&self, sample: &[f64], scratch: &mut EvalScratch) -> Result<InferenceStep> {
-        self.read(sample, scratch, None)
+        let mut last = None;
+        self.read(&[sample], scratch, None, |step| last = Some(step))?;
+        Ok(last.expect("one sample makes one read"))
     }
 
     fn infer_batch_into(
@@ -909,92 +963,8 @@ impl<P: ReadPricing> InferenceBackend for FabricBackend<P> {
         if samples.is_empty() {
             return Ok(BatchTelemetry::empty(true));
         }
-        let layout = self.grid.layout();
         let mut group = ReadGroup::new();
-        if let [sample] = samples {
-            // Singleton fall-through: skip the batch scratch machinery and
-            // price the plain sequential read as a group of one, so batching
-            // is never slower than sequential at `max_batch == 1`.
-            steps.push(self.read(sample, scratch, Some(&mut group))?);
-            return Ok(BatchTelemetry::from_group(&group));
-        }
-        if scratch.batch_activations.len() < samples.len() {
-            let template = Activation::empty(layout);
-            scratch.batch_activations.resize(samples.len(), template);
-        }
-        scratch.bit_offsets.clear();
-        for (index, sample) in samples.iter().enumerate() {
-            self.quantized
-                .discretize_sample_into(sample, &mut scratch.evidence)?;
-            let EvalScratch {
-                evidence,
-                packed_evidence,
-                bit_offsets,
-                batch_activations,
-                ..
-            } = scratch;
-            let observation = match &self.packed {
-                Some(packed) => {
-                    packed.fill_observation(
-                        evidence,
-                        layout.has_prior(),
-                        packed_evidence,
-                        bit_offsets,
-                    );
-                    packed_evidence
-                }
-                None => evidence,
-            };
-            batch_activations[index].set_observation(layout, observation)?;
-        }
-        let EvalScratch {
-            batch_activations,
-            batch_currents,
-            bit_offsets,
-            level_scratch,
-            currents,
-            mirrored,
-            tiles,
-            ..
-        } = scratch;
-        let activations = &batch_activations[..samples.len()];
-        // One grouped kernel pass, then per-read sensing — bit-identical to
-        // sequential reads, priced as one amortized group.
-        let stride = match &self.packed {
-            Some(packed) => {
-                self.grid.plane_partial_sums_batch_into(
-                    activations,
-                    bit_offsets,
-                    packed.planes,
-                    &packed.ladder,
-                    level_scratch,
-                    batch_currents,
-                )?;
-                layout.rows() * packed.planes
-            }
-            None => {
-                self.grid
-                    .wordline_currents_batch_into(activations, batch_currents)?;
-                layout.rows()
-            }
-        };
-        // `read` is one read's wordline currents, or its plane partial sums
-        // for a packed program (which `sense` merges into `currents`).
-        for (activation, read) in activations.iter().zip(batch_currents.chunks(stride)) {
-            if self.packed.is_none() {
-                currents.clear();
-                currents.extend_from_slice(read);
-            }
-            let step = self.sense(
-                activation,
-                read,
-                currents,
-                mirrored,
-                tiles,
-                Some(&mut group),
-            )?;
-            steps.push(step);
-        }
+        self.read(samples, scratch, Some(&mut group), |step| steps.push(step))?;
         Ok(BatchTelemetry::from_group(&group))
     }
 
@@ -1246,35 +1216,61 @@ mod tests {
     /// Batched inference must be bit-identical to sequential inference —
     /// same steps (prediction, tie, delay, energy) and same final wordline
     /// currents — on every backend; only the batch telemetry may improve.
-    fn assert_batch_matches_sequential<B: InferenceBackend>(backend: &B, batch: &[Vec<f64>]) {
-        let mut sequential_scratch = backend.make_scratch();
-        let sequential: Vec<InferenceStep> = batch
-            .iter()
-            .map(|sample| backend.infer_into(sample, &mut sequential_scratch).unwrap())
-            .collect();
-        let mut scratch = backend.make_scratch();
+    /// Streams `samples` in batches of `size` through one twin of `backend`
+    /// and one by one through another, so a stack that counts reads (read
+    /// disturb) gives both paths the same read history. A batch of one is
+    /// priced exactly as its step.
+    fn assert_batch_matches_sequential<B: InferenceBackend + Clone>(
+        backend: &B,
+        samples: &[Vec<f64>],
+        size: usize,
+    ) {
+        let (twin, batched) = (backend.clone(), backend.clone());
+        let mut sequential_scratch = twin.make_scratch();
+        let mut scratch = batched.make_scratch();
         let mut steps = Vec::new();
-        let telemetry = backend
-            .infer_batch_into(batch, &mut scratch, &mut steps)
-            .unwrap();
-        assert_eq!(steps, sequential);
-        assert_eq!(
-            scratch.wordline_currents(),
-            sequential_scratch.wordline_currents()
-        );
-        assert_eq!(telemetry.reads, batch.len());
-        let sequential_delay: f64 = sequential.iter().map(|s| s.delay.total()).sum();
-        let sequential_energy: f64 = sequential.iter().map(|s| s.energy.total()).sum();
-        assert!((telemetry.sequential_delay - sequential_delay).abs() <= sequential_delay * 1e-12);
-        assert!(
-            (telemetry.sequential_energy - sequential_energy).abs() <= sequential_energy * 1e-12
-        );
-        if telemetry.amortized && batch.len() > 1 && sequential_delay > 0.0 {
-            assert!(telemetry.delay.total() < telemetry.sequential_delay);
-            assert!(telemetry.energy.total() < telemetry.sequential_energy);
-            assert!(telemetry.delay_ratio() < 1.0);
-            assert!(telemetry.energy_ratio() < 1.0);
+        for batch in samples.chunks(size) {
+            let sequential: Vec<InferenceStep> = batch
+                .iter()
+                .map(|sample| twin.infer_into(sample, &mut sequential_scratch).unwrap())
+                .collect();
+            let telemetry = batched
+                .infer_batch_into(batch, &mut scratch, &mut steps)
+                .unwrap();
+            assert_eq!(steps, sequential);
+            assert_eq!(
+                scratch.wordline_currents(),
+                sequential_scratch.wordline_currents()
+            );
+            assert_eq!(telemetry.reads, batch.len());
+            let sequential_delay: f64 = sequential.iter().map(|s| s.delay.total()).sum();
+            let sequential_energy: f64 = sequential.iter().map(|s| s.energy.total()).sum();
+            assert!(
+                (telemetry.sequential_delay - sequential_delay).abs() <= sequential_delay * 1e-12
+            );
+            assert!(
+                (telemetry.sequential_energy - sequential_energy).abs()
+                    <= sequential_energy * 1e-12
+            );
+            if let [step] = sequential[..] {
+                assert_eq!(
+                    (telemetry.delay, telemetry.energy),
+                    (step.delay, step.energy)
+                );
+            }
+            if telemetry.amortized && batch.len() > 1 && sequential_delay > 0.0 {
+                assert!(telemetry.delay.total() < telemetry.sequential_delay);
+                assert!(telemetry.energy.total() < telemetry.sequential_energy);
+                assert!(telemetry.delay_ratio() < 1.0);
+                assert!(telemetry.energy_ratio() < 1.0);
+            }
         }
+    }
+
+    /// The batch sizes every backend is checked at: one, two and the whole
+    /// split.
+    fn batch_sizes(samples: &[Vec<f64>]) -> [usize; 3] {
+        [1, 2, samples.len()]
     }
 
     #[test]
@@ -1282,12 +1278,15 @@ mod tests {
         let (model, quantized, test) = trained();
         let config = EngineConfig::febim_default();
         let batch = batch_of(&test);
-        assert_batch_matches_sequential(&SoftwareBackend::new(model), &batch);
+        let software = SoftwareBackend::new(model);
         let crossbar = CrossbarBackend::new(Arc::clone(&quantized), &config).unwrap();
-        assert_batch_matches_sequential(&crossbar, &batch);
         let fabric =
             TiledFabricBackend::new(quantized, &config, TileShape::new(2, 24).unwrap()).unwrap();
-        assert_batch_matches_sequential(&fabric, &batch);
+        for size in batch_sizes(&batch) {
+            assert_batch_matches_sequential(&software, &batch, size);
+            assert_batch_matches_sequential(&crossbar, &batch, size);
+            assert_batch_matches_sequential(&fabric, &batch, size);
+        }
         // The physical backends amortize; the software default path does not.
         let mut scratch = crossbar.make_scratch();
         let mut steps = Vec::new();
@@ -1396,10 +1395,48 @@ mod tests {
         let config = EngineConfig::febim_default().with_encoding(Encoding::BitPlane { bits: 4 });
         let batch = batch_of(&test);
         let crossbar = CrossbarBackend::new(Arc::clone(&quantized), &config).unwrap();
-        assert_batch_matches_sequential(&crossbar, &batch);
         let fabric =
             TiledFabricBackend::new(quantized, &config, TileShape::new(2, 12).unwrap()).unwrap();
-        assert_batch_matches_sequential(&fabric, &batch);
+        for size in batch_sizes(&batch) {
+            assert_batch_matches_sequential(&crossbar, &batch, size);
+            assert_batch_matches_sequential(&fabric, &batch, size);
+        }
+    }
+
+    /// Under read disturb every tier crossing moves the cached currents, so
+    /// a grouped read matches sequential reads only if each read of the
+    /// group registers its disturb before the next one is read. A tier of
+    /// three reads puts crossings inside every batch of the split, one-hot
+    /// and bit-plane, on the array and the fabric.
+    #[test]
+    fn batched_inference_matches_sequential_under_read_disturb() {
+        let (_, quantized, test) = trained();
+        let batch = batch_of(&test);
+        let stack =
+            NonIdealityStack::ideal().with_disturb(febim_device::ReadDisturb::new(3, 0.002));
+        for encoding in [Encoding::OneHot, Encoding::BitPlane { bits: 4 }] {
+            let config = EngineConfig::febim_default()
+                .with_encoding(encoding)
+                .with_non_idealities(stack);
+            let crossbar = CrossbarBackend::new(Arc::clone(&quantized), &config).unwrap();
+            let fabric = TiledFabricBackend::new(
+                Arc::clone(&quantized),
+                &config,
+                TileShape::new(2, 12).unwrap(),
+            )
+            .unwrap();
+            let probe = crossbar.clone();
+            let mut scratch = probe.make_scratch();
+            let epoch = probe.state_epoch();
+            for sample in &batch[..3] {
+                probe.infer_into(sample, &mut scratch).unwrap();
+            }
+            assert!(probe.state_epoch() > epoch, "three reads cross a tier");
+            for size in batch_sizes(&batch) {
+                assert_batch_matches_sequential(&crossbar, &batch, size);
+                assert_batch_matches_sequential(&fabric, &batch, size);
+            }
+        }
     }
 
     #[test]
@@ -1747,7 +1784,7 @@ mod tests {
             let [array, grid, plane] = &mut scratches;
             let step = crossbar.infer_into(sample, array).unwrap();
             if !step.tie_broken {
-                let activated = array.activation.as_ref().unwrap().len();
+                let activated = array.activations[0].len();
                 let readout = crossbar
                     .sensing()
                     .sense_into(array.wordline_currents(), activated, &mut mirrored)
@@ -1761,7 +1798,7 @@ mod tests {
             let step = fabric.infer_into(sample, grid).unwrap();
             if !step.tie_broken {
                 let plan = fabric.tiled_program().plan();
-                let tiles = plan_tiles(plan, grid.activation.as_ref().unwrap());
+                let tiles = plan_tiles(plan, &grid.activations[0]);
                 let readout = fabric
                     .sensing()
                     .sense_fabric_into(
@@ -1780,11 +1817,11 @@ mod tests {
             let step = packed_fabric.infer_into(sample, plane).unwrap();
             if !step.tie_broken {
                 let plan = packed_fabric.tiled_program().plan();
-                let tiles = plan_tiles(plan, plane.activation.as_ref().unwrap());
+                let tiles = plan_tiles(plan, &plane.activations[0]);
                 let readout = packed_fabric
                     .sensing()
                     .sense_shift_add_fabric_into(
-                        &plane.plane_sums,
+                        &plane.kernel_out,
                         planes,
                         cell_bits,
                         lsb,

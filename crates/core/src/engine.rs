@@ -56,11 +56,13 @@ pub struct InferenceStep {
     pub tie_broken: bool,
 }
 
-/// Reusable buffers for the batched inference path: discretized evidence,
-/// the activation pattern, the accumulated wordline currents, the mirrored
-/// currents of the sensing chain, and (for fabric pricing) the per-tile read
-/// geometries. One scratch serves any number of sequential
-/// [`FebimEngine::infer_into`] calls without allocating.
+/// Reusable buffers of the inference path: discretized evidence, one
+/// activation pattern per read, the read kernel's output, the last read's
+/// scores, the mirrored currents of the sensing chain, and (for fabric
+/// pricing) the per-tile read geometries. A sequential read is a group of
+/// one, so one scratch serves any number of [`FebimEngine::infer_into`] and
+/// [`FebimEngine::infer_batch_into`] calls without allocating once its
+/// buffers have grown to the largest batch.
 ///
 /// Create with [`FebimEngine::make_scratch`]; a scratch can be reused across
 /// engines and backends that share a geometry (buffers are resized on
@@ -68,35 +70,34 @@ pub struct InferenceStep {
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     pub(crate) evidence: Vec<usize>,
-    pub(crate) activation: Option<Activation>,
+    /// One activation per read of a call (physical backends only).
+    pub(crate) activations: Vec<Activation>,
+    /// The read kernel's output for every read of a call, read-major: each
+    /// read's wordline currents, or for a bit-plane program its per-plane
+    /// integer partial sums (`[(read * rows + row) * planes + plane]`).
+    pub(crate) kernel_out: Vec<f64>,
+    /// The scores of the call's last read.
     pub(crate) currents: Vec<f64>,
     pub(crate) mirrored: Vec<f64>,
     /// Per-tile occupied geometry + activated-bitline count of the current
     /// read (fabric pricing only, grid row-major).
     pub(crate) tiles: Vec<TileGeometry>,
-    /// One activation per in-flight read of a batched inference (physical
-    /// backends only).
-    pub(crate) batch_activations: Vec<Activation>,
-    /// Wordline currents of a whole batched read group, read-major
-    /// (`batch_currents[read * rows + row]`).
-    pub(crate) batch_currents: Vec<f64>,
     /// Packed-column evidence of the current read (bit-plane encoding only):
     /// the discretized bin of each feature mapped to its packed column.
     pub(crate) packed_evidence: Vec<usize>,
     /// Per-activated-column digit bit offsets of a packed read (bit-plane
-    /// encoding only; concatenated read-major for batched reads).
+    /// encoding only), concatenated read after read.
     pub(crate) bit_offsets: Vec<u8>,
-    /// Per-plane integer partial sums of a packed read, row-major
-    /// (`plane_sums[row * planes + plane]`; read-major on top for batches).
-    pub(crate) plane_sums: Vec<f64>,
     /// Digitized per-column cell levels of one packed wordline read.
     pub(crate) level_scratch: Vec<usize>,
 }
 
 impl EvalScratch {
-    /// The per-class scores of the most recent [`FebimEngine::infer_into`]
-    /// call: accumulated wordline currents in amperes for the physical
-    /// backends, unnormalized log posteriors for the software backend.
+    /// The per-class scores of the most recent read — of a
+    /// [`FebimEngine::infer_into`] call, or the last sample of a
+    /// [`FebimEngine::infer_batch_into`] call: accumulated wordline
+    /// currents in amperes for the physical backends, unnormalized log
+    /// posteriors for the software backend.
     pub fn wordline_currents(&self) -> &[f64] {
         &self.currents
     }

@@ -39,6 +39,7 @@ use serde::{json, Deserialize, Serialize};
 use febim_bayes::{ClassGaussians, GaussianNaiveBayes};
 use febim_crossbar::TileShape;
 use febim_data::Dataset;
+use febim_device::LevelProgrammer;
 use febim_quant::{FeatureDiscretizer, QuantizedGnbc};
 
 use crate::backend::{TiledFabricBackend, MAX_CELLS};
@@ -204,14 +205,16 @@ impl RegistryConfig {
 // ---------------------------------------------------------------------------
 
 /// Everything needed to rebuild a tenant's engine without its training
-/// data: the trained model, the quantized tables, the engine configuration
-/// and the tiled program compiled from them (a fault-in clones it rather
-/// than recompiling).
+/// data: the trained model, the quantized tables, the engine configuration,
+/// the tiled program compiled from them and the level programmer that
+/// programs it (a fault-in clones both rather than recompiling the program
+/// and re-deriving the programmer's level table, which clones share).
 struct StoredModel {
     config: EngineConfig,
     model: Arc<GaussianNaiveBayes>,
     quantized: Arc<QuantizedGnbc>,
     program: TiledProgram,
+    programmer: LevelProgrammer,
     tiles: usize,
 }
 
@@ -428,6 +431,7 @@ impl ModelRegistry {
             quantized: engine.shared_quantized(),
             tiles: engine.tiled_program().plan().tile_count(),
             program: engine.tiled_program().clone(),
+            programmer: engine.grid().programmer().clone(),
         };
         if stored.tiles > self.config.tiles_per_bank {
             return Err(RegistryError::Capacity {
@@ -606,11 +610,11 @@ impl ModelRegistry {
     /// Makes `model` resident, faulting it in from the catalog if it was
     /// evicted. A fault-in clones the catalogued parts under the state lock,
     /// then rebuilds and reprograms the engine around the catalogued
-    /// program (which this crate compiled) with the lock released, so other
-    /// tenants' requests do not wait behind the build; it re-locks only to
-    /// place the engine.
+    /// program (which this crate compiled) and programmer with the lock
+    /// released, so other tenants' requests do not wait behind the build;
+    /// it re-locks only to place the engine.
     fn ensure_resident(&self, model: u64) -> Result<TenantPlacement, RegistryError> {
-        let (trained, quantized, config, program) = {
+        let (trained, quantized, config, program, programmer) = {
             let mut state = self.lock_state();
             if let Some(placement) = Self::touch(&mut state, model) {
                 return Ok(placement);
@@ -624,10 +628,11 @@ impl ModelRegistry {
                 Arc::clone(&stored.quantized),
                 stored.config.clone(),
                 stored.program.clone(),
+                stored.programmer.clone(),
             )
         };
         let engine = FebimEngine::from_parts(trained, quantized, config, |quantized, config| {
-            TiledFabricBackend::with_program(quantized, config, program)
+            TiledFabricBackend::with_program(quantized, config, program, programmer)
         })?;
         let mut state = self.lock_state();
         let result = self.install(&mut state, model, engine);

@@ -3,7 +3,7 @@
 
 use serde::Serialize;
 
-use febim_circuit::SensingChain;
+use febim_circuit::{ReadGeometry, SensingChain};
 use febim_crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
 use febim_device::{FeFetParams, LevelProgrammer};
 
@@ -69,17 +69,9 @@ pub fn measure_geometry(
     }
     let activation = Activation::all_columns(array.layout());
     let currents = array.wordline_currents(&activation)?;
-    let delay =
-        sensing
-            .delay_model()
-            .worst_case(rows, columns, sensing.wta(), sensing.mirror().gain)?;
-    let energy = sensing.energy_model().inference(
-        &currents,
-        columns,
-        delay.total(),
-        sensing.mirror(),
-        sensing.wta(),
-    )?;
+    let mirrored = sensing.mirror().copy_all(&currents)?;
+    let geometry = ReadGeometry::Array { activated: columns };
+    let (delay, energy) = sensing.price(geometry, None, &currents, &mirrored)?;
     Ok(ScalingPoint {
         rows,
         columns,

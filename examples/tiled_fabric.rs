@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 6. The tile plan serializes through the serde JSON emitters — the
-    //    same machinery the `fabric` bench uses for BENCH_fabric.json.
+    //    same machinery the record bins write their BENCH_*.json with.
     println!(
         "tile plan as JSON: {}",
         febim_suite::core::json::to_string(plan)

@@ -138,3 +138,45 @@ fn tile_plan_and_report_serialize_to_json() {
     assert!(report_json.contains("\"accuracy\""));
     assert!(report_json.contains("\"predictions\""));
 }
+
+/// The Fig. 6-scale stress layout — 64 wordlines, 32 evidence nodes of 16
+/// levels each (512 bitlines), programmed with the scalability sweeps'
+/// staggered level pattern `(row + column) % 10` — reads the same currents
+/// on one array and on a 2×4 grid of 32×128 tiles, which it exceeds in both
+/// dimensions, for a sparse observation and for every column.
+#[test]
+fn the_staggered_grid_reads_alike_on_one_array_and_on_tiles() {
+    use febim_suite::crossbar::{Activation, CrossbarLayout, ProgrammingMode, TileGrid, TilePlan};
+    use febim_suite::device::LevelProgrammer;
+
+    let layout = CrossbarLayout::new(64, 32, 16, false).expect("layout");
+    let levels: Vec<Vec<Option<usize>>> = (0..layout.rows())
+        .map(|row| {
+            (0..layout.columns())
+                .map(|column| Some((row + column) % 10))
+                .collect()
+        })
+        .collect();
+    let programmed = |plan: TilePlan| {
+        let programmer = LevelProgrammer::febim_default(10).expect("programmer");
+        let mut grid = TileGrid::new(plan, programmer);
+        grid.program_matrix(&levels, ProgrammingMode::Ideal)
+            .expect("program");
+        grid
+    };
+    let array = programmed(TilePlan::monolithic(layout));
+    let grid =
+        programmed(TilePlan::new(layout, TileShape::new(32, 128).expect("shape")).expect("plan"));
+    assert!(!array.plan().is_multi_tile());
+    assert_eq!((grid.plan().row_tiles(), grid.plan().col_tiles()), (2, 4));
+    let evidence: Vec<usize> = (0..32).map(|node| node % 16).collect();
+    for activation in [
+        Activation::from_observation(&layout, &evidence).expect("activation"),
+        Activation::all_columns(&layout),
+    ] {
+        assert_eq!(
+            array.wordline_currents(&activation).expect("array read"),
+            grid.wordline_currents(&activation).expect("grid read")
+        );
+    }
+}
