@@ -9,7 +9,8 @@
 //! amortization charge-domain FeFET fabrics exploit for grouped reads.
 //!
 //! [`ReadGroup`] accumulates that pricing from per-read [`DelayBreakdown`] /
-//! [`InferenceEnergy`] figures (the exact ones the sequential path reports),
+//! [`InferenceEnergy`] figures (the exact ones
+//! [`crate::SensingChain::decide_and_price`] reports for a sequential read),
 //! so a batched read group is priced consistently with — and never cheaper
 //! than the physics allows relative to — the sequential baseline:
 //!

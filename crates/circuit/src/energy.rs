@@ -3,12 +3,12 @@
 //! The paper splits the inference energy into the array part (wordline and
 //! bitline drivers plus the conduction of the activated cells) and the
 //! sensing part (current mirrors and the WTA circuit), see Fig. 6(b)/(d).
+//! [`crate::SensingChain::decide_and_price`] prices every read with these
+//! parameters, in the same pass that decides it.
 
 use serde::Serialize;
 
 use crate::errors::{CircuitError, Result};
-use crate::mirror::CurrentMirror;
-use crate::wta::WtaCircuit;
 
 /// Parameters of the energy model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -85,7 +85,8 @@ impl InferenceEnergy {
     }
 }
 
-/// Inference-energy model of the crossbar plus sensing module.
+/// Inference-energy model of the crossbar plus sensing module: the
+/// calibrated [`EnergyParams`] a [`crate::SensingChain`] prices reads with.
 #[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct EnergyModel {
     params: EnergyParams,
@@ -113,119 +114,18 @@ impl EnergyModel {
     pub fn params(&self) -> &EnergyParams {
         &self.params
     }
-
-    /// Energy of one inference.
-    ///
-    /// * `wordline_currents` — accumulated current per wordline, in amperes;
-    /// * `activated_columns` — number of bitlines driven during the read;
-    /// * `duration` — inference delay in seconds;
-    /// * `mirror` / `wta` — the sensing stage models.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::EmptyInput`] when no wordline currents are
-    /// given and [`CircuitError::InvalidCurrent`] for negative or non-finite
-    /// currents.
-    pub fn inference(
-        &self,
-        wordline_currents: &[f64],
-        activated_columns: usize,
-        duration: f64,
-        mirror: &CurrentMirror,
-        wta: &WtaCircuit,
-    ) -> Result<InferenceEnergy> {
-        let mirrored = mirror.copy_all(wordline_currents)?;
-        self.inference_with_mirrored(
-            wordline_currents,
-            &mirrored,
-            activated_columns,
-            duration,
-            mirror,
-            wta,
-        )
-    }
-
-    /// Energy of one inference when the mirrored currents have already been
-    /// computed (the allocation-free path used by
-    /// [`crate::SensingChain::price`], whose callers mirror the currents once
-    /// into a scratch buffer). `mirrored_currents` must be the output of
-    /// `mirror.copy_all(wordline_currents)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EnergyModel::inference`].
-    pub fn inference_with_mirrored(
-        &self,
-        wordline_currents: &[f64],
-        mirrored_currents: &[f64],
-        activated_columns: usize,
-        duration: f64,
-        mirror: &CurrentMirror,
-        wta: &WtaCircuit,
-    ) -> Result<InferenceEnergy> {
-        let drivers = activated_columns as f64 * self.params.bitline_driver_energy
-            + wordline_currents.len() as f64 * self.params.wordline_driver_energy;
-        self.with_drivers(
-            drivers,
-            wordline_currents,
-            mirrored_currents,
-            duration,
-            mirror,
-            wta,
-        )
-    }
-
-    /// Energy of one inference whose driver energy, `drivers` joules, the
-    /// caller has already summed for its geometry: adds the conduction of the
-    /// wordline currents to the array part and the mirror and WTA energy as
-    /// the sensing part.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EnergyModel::inference`].
-    pub(crate) fn with_drivers(
-        &self,
-        drivers: f64,
-        wordline_currents: &[f64],
-        mirrored_currents: &[f64],
-        duration: f64,
-        mirror: &CurrentMirror,
-        wta: &WtaCircuit,
-    ) -> Result<InferenceEnergy> {
-        if wordline_currents.is_empty() {
-            return Err(CircuitError::EmptyInput);
-        }
-        for (index, &value) in wordline_currents.iter().enumerate() {
-            if !(value >= 0.0 && value.is_finite()) {
-                return Err(CircuitError::InvalidCurrent { index, value });
-            }
-        }
-        let duration = duration.max(0.0);
-        let total_current: f64 = wordline_currents.iter().sum();
-        let conduction = total_current * self.params.read_drain_bias * duration;
-        let array = drivers + conduction;
-
-        let mirror_energy: f64 = wordline_currents
-            .iter()
-            .map(|&current| mirror.energy(current, duration))
-            .sum();
-        let wta_energy = wta.energy(mirrored_currents, duration);
-        let sensing = mirror_energy + wta_energy;
-
-        Ok(InferenceEnergy { array, sensing })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sense::{ReadGeometry, SensedRead, SensingChain};
 
-    fn setup() -> (EnergyModel, CurrentMirror, WtaCircuit) {
-        (
-            EnergyModel::febim_calibrated(),
-            CurrentMirror::febim_sensing(),
-            WtaCircuit::febim_calibrated(),
-        )
+    /// Senses one read of `currents` on a monolithic array driving
+    /// `activated` bitlines.
+    fn read(currents: &[f64], activated: usize) -> Result<SensedRead> {
+        let geometry = ReadGeometry::Array { activated };
+        SensingChain::febim_calibrated().decide_and_price(geometry, None, currents, &mut Vec::new())
     }
 
     #[test]
@@ -244,30 +144,23 @@ mod tests {
 
     #[test]
     fn empty_input_rejected() {
-        let (model, mirror, wta) = setup();
-        assert!(matches!(
-            model.inference(&[], 4, 1e-9, &mirror, &wta),
-            Err(CircuitError::EmptyInput)
-        ));
+        assert!(matches!(read(&[], 4), Err(CircuitError::EmptyInput)));
     }
 
     #[test]
     fn negative_current_rejected() {
-        let (model, mirror, wta) = setup();
-        assert!(model
-            .inference(&[1e-6, -1e-6], 4, 1e-9, &mirror, &wta)
-            .is_err());
+        assert!(matches!(
+            read(&[1e-6, -1e-6], 4),
+            Err(CircuitError::InvalidCurrent { index: 1, .. })
+        ));
     }
 
     #[test]
     fn wide_shallow_array_is_array_dominated() {
         // Fig. 6(b): with only 2 rows the array (bitline-driver) energy
         // exceeds the sensing energy even at 256 columns.
-        let (model, mirror, wta) = setup();
         let currents = vec![256.0 * 0.5e-6; 2];
-        let energy = model
-            .inference(&currents, 256, 800e-12, &mirror, &wta)
-            .unwrap();
+        let energy = read(&currents, 256).unwrap().energy;
         assert!(energy.array > energy.sensing, "{energy:?}");
         assert!(
             energy.total() > 10e-15 && energy.total() < 200e-15,
@@ -278,11 +171,8 @@ mod tests {
     #[test]
     fn tall_array_is_sensing_dominated() {
         // Fig. 6(d): with 32 rows the per-row mirrors and WTA cells dominate.
-        let (model, mirror, wta) = setup();
         let currents = vec![32.0 * 0.5e-6; 32];
-        let energy = model
-            .inference(&currents, 32, 1000e-12, &mirror, &wta)
-            .unwrap();
+        let energy = read(&currents, 32).unwrap().energy;
         assert!(energy.sensing > energy.array, "{energy:?}");
         assert!(
             energy.total() > 50e-15 && energy.total() < 500e-15,
@@ -292,14 +182,10 @@ mod tests {
 
     #[test]
     fn energy_grows_with_columns() {
-        let (model, mirror, wta) = setup();
         let mut previous = 0.0;
         for columns in [2usize, 8, 32, 128, 256] {
             let currents = vec![columns as f64 * 0.5e-6; 2];
-            let total = model
-                .inference(&currents, columns, 500e-12, &mirror, &wta)
-                .unwrap()
-                .total();
+            let total = read(&currents, columns).unwrap().energy.total();
             assert!(total > previous);
             previous = total;
         }
@@ -307,29 +193,26 @@ mod tests {
 
     #[test]
     fn energy_grows_with_rows() {
-        let (model, mirror, wta) = setup();
         let mut previous = 0.0;
         for rows in [2usize, 4, 8, 16, 32] {
             let currents = vec![32.0 * 0.5e-6; rows];
-            let total = model
-                .inference(&currents, 32, 500e-12, &mirror, &wta)
-                .unwrap()
-                .total();
+            let total = read(&currents, 32).unwrap().energy.total();
             assert!(total > previous);
             previous = total;
         }
     }
 
     #[test]
-    fn zero_duration_leaves_only_driver_energy() {
-        let (model, mirror, wta) = setup();
-        let energy = model
-            .inference(&[1e-6, 2e-6], 4, 0.0, &mirror, &wta)
-            .unwrap();
-        let expected_drivers = 4.0 * model.params().bitline_driver_energy
-            + 2.0 * model.params().wordline_driver_energy;
-        assert!((energy.array - expected_drivers).abs() < 1e-24);
-        assert_eq!(energy.sensing, 0.0);
+    fn zero_currents_leave_only_driver_and_wta_energy() {
+        // No conduction and no mirror current: the array part is exactly
+        // the drivers, the sensing part exactly the WTA bias.
+        let chain = SensingChain::febim_calibrated();
+        let sensed = read(&[0.0, 0.0], 4).unwrap();
+        let params = chain.energy_model().params();
+        let drivers = 4.0 * params.bitline_driver_energy + 2.0 * params.wordline_driver_energy;
+        assert_eq!(sensed.energy.array, drivers);
+        let wta = chain.wta().energy(&[0.0, 0.0], sensed.delay.total());
+        assert_eq!(sensed.energy.sensing, wta);
     }
 
     #[test]
@@ -337,10 +220,8 @@ mod tests {
         // The paper reports 17.2 fJ per inference for the 3×64 iris crossbar
         // with 5 activated bitlines (4 features + prior); our calibrated
         // model should land in the same order of magnitude.
-        let (model, mirror, wta) = setup();
         let currents = vec![5.0 * 0.5e-6; 3];
-        let delay = 300e-12;
-        let energy = model.inference(&currents, 5, delay, &mirror, &wta).unwrap();
+        let energy = read(&currents, 5).unwrap().energy;
         assert!(
             energy.total() > 1e-15 && energy.total() < 60e-15,
             "total {}",

@@ -9,7 +9,8 @@
 //!
 //! * [`TileGeometry`] describes one tile's occupied geometry and how many of
 //!   its bitlines a given read activates; a read's tiles form a
-//!   [`ReadGeometry::Fabric`], which [`SensingChain::price`] prices;
+//!   [`ReadGeometry::Fabric`], which [`SensingChain::decide_and_price`]
+//!   senses and prices;
 //! * [`SensingChain::sense_fabric_into`] is the allocation-free composed
 //!   read, the tiled counterpart of [`SensingChain::sense_into`].
 //!
@@ -84,9 +85,9 @@ impl SensingChain {
     ///
     /// # Errors
     ///
-    /// Propagates mirror, WTA (including
-    /// [`CircuitError::AmbiguousWinner`] for exact ties), delay and energy
-    /// errors.
+    /// The errors of [`SensingChain::decide_and_price`] on a
+    /// [`ReadGeometry::Fabric`], in its order; then
+    /// [`CircuitError::AmbiguousWinner`] when the mirror copies tie.
     pub fn sense_fabric_into(
         &self,
         merged_currents: &[f64],
@@ -95,13 +96,15 @@ impl SensingChain {
         mirrored_scratch: &mut Vec<f64>,
     ) -> Result<SenseReadout> {
         let geometry = ReadGeometry::Fabric { tiles, col_tiles };
-        self.read_into(geometry, None, merged_currents, mirrored_scratch)
+        let read = self.decide_and_price(geometry, None, merged_currents, mirrored_scratch)?;
+        self.readout(read, mirrored_scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sense::{reference, SensedRead};
 
     fn chain() -> SensingChain {
         SensingChain::febim_calibrated()
@@ -134,34 +137,29 @@ mod tests {
 
     const MERGED: [f64; 3] = [1.0e-6, 1.4e-6, 0.8e-6];
 
-    /// Prices a one-hot read of [`MERGED`] on `tiles`.
-    fn price_grid(
-        tiles: &[TileGeometry],
-        col_tiles: usize,
-    ) -> Result<(crate::DelayBreakdown, crate::InferenceEnergy)> {
-        let chain = chain();
-        let mirrored = chain.mirror().copy_all(&MERGED).unwrap();
+    /// Senses a one-hot read of [`MERGED`] on `tiles`.
+    fn sense_grid(tiles: &[TileGeometry], col_tiles: usize) -> Result<SensedRead> {
         let geometry = ReadGeometry::Fabric { tiles, col_tiles };
-        chain.price(geometry, None, &MERGED, &mirrored)
+        chain().decide_and_price(geometry, None, &MERGED, &mut Vec::new())
     }
 
     #[test]
     fn tile_validation_rejects_degenerate_grids() {
-        assert!(matches!(price_grid(&[], 1), Err(CircuitError::EmptyInput)));
-        assert!(price_grid(&grid_2x2(), 3).is_err());
-        assert!(price_grid(&grid_2x2(), 0).is_err());
+        assert!(matches!(sense_grid(&[], 1), Err(CircuitError::EmptyInput)));
+        assert!(sense_grid(&grid_2x2(), 3).is_err());
+        assert!(sense_grid(&grid_2x2(), 0).is_err());
         let mut zero = grid_2x2();
         zero[1].rows = 0;
-        assert!(price_grid(&zero, 2).is_err());
+        assert!(sense_grid(&zero, 2).is_err());
         let mut over = grid_2x2();
         over[0].activated_columns = 99;
-        assert!(price_grid(&over, 2).is_err());
+        assert!(sense_grid(&over, 2).is_err());
     }
 
     #[test]
     fn fabric_delay_tracks_the_slowest_tile_not_the_sum() {
         let chain = chain();
-        let (tiled, _) = price_grid(&grid_2x2(), 2).unwrap();
+        let tiled = sense_grid(&grid_2x2(), 2).unwrap().delay;
         // The widest tile has 9 columns; the monolithic equivalent has 16.
         let monolithic = chain
             .delay_model()
@@ -175,12 +173,9 @@ mod tests {
     #[test]
     fn fabric_energy_charges_every_tile_row_for_its_drivers() {
         let chain = chain();
-        let (delay, energy) = price_grid(&grid_2x2(), 2).unwrap();
+        let SensedRead { delay, energy, .. } = sense_grid(&grid_2x2(), 2).unwrap();
         let params = chain.energy_model().params();
-        let monolithic = chain
-            .energy_model()
-            .inference(&MERGED, 4, delay.total(), chain.mirror(), chain.wta())
-            .unwrap();
+        let monolithic = reference::inference(&chain, &MERGED, 4, delay.total()).unwrap();
         // The grid drives 3+1+3+1 = 8 bitlines across 2+2+1+1 = 6 tile rows;
         // the monolithic array drives 4 bitlines across 3 rows. Conduction is
         // identical, so the gap is exactly the extra driver energy.
@@ -219,13 +214,19 @@ mod tests {
     #[test]
     fn invalid_merged_currents_rejected() {
         let chain = chain();
-        let mirrored = [0.1e-6];
+        let mut mirrored = Vec::new();
         let tiles = grid_2x2();
         let geometry = ReadGeometry::Fabric {
             tiles: &tiles,
             col_tiles: 2,
         };
-        assert!(chain.price(geometry, None, &[], &mirrored).is_err());
-        assert!(chain.price(geometry, None, &[f64::NAN], &mirrored).is_err());
+        assert!(matches!(
+            chain.decide_and_price(geometry, None, &[], &mut mirrored),
+            Err(CircuitError::EmptyInput)
+        ));
+        assert!(matches!(
+            chain.decide_and_price(geometry, None, &[1e-6, f64::NAN], &mut mirrored),
+            Err(CircuitError::InvalidCurrent { index: 1, .. })
+        ));
     }
 }

@@ -85,30 +85,16 @@ impl CurrentMirror {
     /// Returns [`CircuitError::InvalidCurrent`] identifying the first
     /// offending entry.
     pub fn copy_all(&self, inputs: &[f64]) -> Result<Vec<f64>> {
-        let mut outputs = Vec::with_capacity(inputs.len());
-        self.copy_all_into(inputs, &mut outputs)?;
-        Ok(outputs)
-    }
-
-    /// Mirrors a whole vector of wordline currents into `out` (cleared
-    /// first), reusing the caller's allocation. On error the contents of
-    /// `out` are unspecified.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidCurrent`] identifying the first
-    /// offending entry.
-    pub fn copy_all_into(&self, inputs: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        out.clear();
-        out.reserve(inputs.len());
-        for (index, &input) in inputs.iter().enumerate() {
-            let mirrored = self.copy(input).map_err(|_| CircuitError::InvalidCurrent {
-                index,
-                value: input,
-            })?;
-            out.push(mirrored);
-        }
-        Ok(())
+        inputs
+            .iter()
+            .enumerate()
+            .map(|(index, &input)| {
+                self.copy(input).map_err(|_| CircuitError::InvalidCurrent {
+                    index,
+                    value: input,
+                })
+            })
+            .collect()
     }
 
     /// Static power dissipated by the mirror output branch while conducting

@@ -2,15 +2,19 @@
 //! winner-take-all circuit (the right-hand side of Fig. 3 in the paper),
 //! and the one cost model every read is priced by.
 //!
-//! [`SensingChain::price`] prices one read on its [`ReadGeometry`]: the
-//! base read of the paper's monolithic array or of a tiled fabric, plus the
-//! shift-add surcharge of a bit-plane read on either geometry.
+//! [`SensingChain::decide_and_price`] senses one read in one pass over its
+//! wordline currents: it mirrors them, resolves the WTA over the copies and
+//! prices the read on its [`ReadGeometry`] — the base read of the paper's
+//! monolithic array or of a tiled fabric, plus the shift-add surcharge of a
+//! bit-plane read on either geometry. The engine senses every read through
+//! it, and so do the composite reads ([`SensingChain::sense`] and its
+//! allocation-free and fabric variants).
 
 use serde::Serialize;
 
 use crate::delay::{DelayBreakdown, DelayModel};
 use crate::energy::{EnergyModel, InferenceEnergy};
-use crate::errors::Result;
+use crate::errors::{CircuitError, Result};
 use crate::fabric::{validate_tiles, TileGeometry};
 use crate::mirror::CurrentMirror;
 use crate::shift_add::{check_cell_bits, check_planes};
@@ -37,14 +41,22 @@ pub enum ReadGeometry<'a> {
     },
 }
 
-impl ReadGeometry<'_> {
-    /// Bitlines driven by the read, summed over every tile.
-    fn activated(&self) -> usize {
-        match *self {
-            Self::Array { activated } => activated,
-            Self::Fabric { tiles, .. } => tiles.iter().map(|tile| tile.activated_columns).sum(),
-        }
-    }
+/// One read decided and priced by [`SensingChain::decide_and_price`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct SensedRead {
+    /// Index of the winning wordline.
+    pub winner: usize,
+    /// Whether the mirror copies tied at the maximum. The winner is then the
+    /// first maximum of the unmirrored currents: physical mismatch would
+    /// break the tie, the model breaks it deterministically.
+    pub tie_broken: bool,
+    /// WTA margin in amperes: the winner's mirror copy minus the runner-up's
+    /// (the copy itself for a single row, zero for a tie).
+    pub margin: f64,
+    /// Worst-case delay of the read.
+    pub delay: DelayBreakdown,
+    /// Energy of the read.
+    pub energy: InferenceEnergy,
 }
 
 /// Outcome of pushing one set of wordline currents through the sensing module.
@@ -139,8 +151,7 @@ impl SensingChain {
     ///
     /// # Errors
     ///
-    /// Propagates mirror, WTA, delay-model and energy-model errors
-    /// (empty/invalid currents, degenerate geometries, exact ties).
+    /// Same as [`SensingChain::sense_into`].
     pub fn sense(
         &self,
         wordline_currents: &[f64],
@@ -165,7 +176,9 @@ impl SensingChain {
     ///
     /// # Errors
     ///
-    /// Same as [`SensingChain::sense`].
+    /// The errors of [`SensingChain::decide_and_price`] on a
+    /// [`ReadGeometry::Array`], in its order; then
+    /// [`CircuitError::AmbiguousWinner`] when the mirror copies tie.
     pub fn sense_into(
         &self,
         wordline_currents: &[f64],
@@ -175,129 +188,187 @@ impl SensingChain {
         let geometry = ReadGeometry::Array {
             activated: activated_columns,
         };
-        self.read_into(geometry, None, wordline_currents, mirrored_scratch)
+        let read = self.decide_and_price(geometry, None, wordline_currents, mirrored_scratch)?;
+        self.readout(read, mirrored_scratch)
     }
 
-    /// The step behind every composite read: mirrors `currents` into
-    /// `mirrored_scratch` (cleared first), resolves the WTA over the mirror
-    /// copies and prices the read with [`SensingChain::price`].
-    pub(crate) fn read_into(
+    /// A composite read's view of `read`, whose copies are `mirrored`: the
+    /// WTA decision with the settling time and energy that
+    /// [`WtaCircuit::resolve`] derives from the margin.
+    ///
+    /// # Errors
+    ///
+    /// A tie is [`CircuitError::AmbiguousWinner`], listing the tied copies
+    /// in ascending order, as [`WtaCircuit::resolve`] does.
+    pub(crate) fn readout(&self, read: SensedRead, mirrored: &[f64]) -> Result<SenseReadout> {
+        if read.tie_broken {
+            let best = mirrored.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let indices = (0..mirrored.len())
+                .filter(|&index| mirrored[index] == best)
+                .collect();
+            return Err(CircuitError::AmbiguousWinner { indices });
+        }
+        let settling_time = self.wta.settling_time(mirrored.len(), read.margin);
+        Ok(SenseReadout {
+            winner: read.winner,
+            decision: WtaDecision {
+                winner: read.winner,
+                margin: read.margin,
+                settling_time,
+                energy: self.wta.energy(mirrored, settling_time),
+            },
+            delay: read.delay,
+            energy: read.energy,
+        })
+    }
+
+    /// Decides and prices one read of the merged wordline `currents` on
+    /// `geometry` in one pass: the paper's mirror bank and WTA, and its cost
+    /// model (array settling plus WTA resolution, array plus sensing
+    /// energy). The mirror copies go into `mirrored` (cleared first; on
+    /// error its contents are unspecified).
+    ///
+    /// A read's worst-case delay depends on its geometry alone, so that is
+    /// priced first: a [`ReadGeometry::Array`] settles over its driven
+    /// bitlines ([`DelayModel::worst_case`]) and drives each bitline and
+    /// wordline once; a [`ReadGeometry::Fabric`] settles over its widest
+    /// tile plus one merge-bus load per tile column, and every tile row
+    /// re-drives its activated bitlines and occupied wordlines. A bit-plane
+    /// read (`planes` = `Some((planes, cell_bits))`) adds one merge-bus pass
+    /// per plane to the array delay, one bitline-driver switch per merged
+    /// row per plane, and `cell_bits` ladder comparisons
+    /// ([`crate::EnergyParams::level_refine_energy`]) per driven bitline.
+    /// One loop over the currents then validates and mirrors them, runs the
+    /// WTA over the copies and sums the conduction and mirror energy.
+    ///
+    /// The copies decide. When they tie at the maximum, the winner is the
+    /// first maximum of the unmirrored currents, which need not be the
+    /// first maximal copy: the mirror can merge two distinct currents.
+    ///
+    /// # Errors
+    ///
+    /// Checked in this order, as [`CircuitError`]s:
+    /// [`CircuitError::EmptyInput`] for no rows; a zero plane count; the
+    /// geometry (an empty tile list, an inconsistent grid, a degenerate
+    /// tile, a mirror gain [`DelayModel::worst_case`] rejects); a zero
+    /// cell-bit count; then [`CircuitError::InvalidCurrent`] at the first
+    /// row whose current or mirror copy is negative or not finite.
+    pub fn decide_and_price(
         &self,
         geometry: ReadGeometry<'_>,
         planes: Option<(usize, usize)>,
         currents: &[f64],
-        mirrored_scratch: &mut Vec<f64>,
-    ) -> Result<SenseReadout> {
-        self.mirror.copy_all_into(currents, mirrored_scratch)?;
-        let decision = self.wta.resolve(mirrored_scratch)?;
-        let (delay, energy) = self.price(geometry, planes, currents, mirrored_scratch)?;
-        Ok(SenseReadout {
-            winner: decision.winner,
-            decision,
+        mirrored: &mut Vec<f64>,
+    ) -> Result<SensedRead> {
+        if currents.is_empty() {
+            return Err(CircuitError::EmptyInput);
+        }
+        let (delay, drivers, surcharge) = self.price_geometry(geometry, planes, currents.len())?;
+        let duration = delay.total();
+        mirrored.clear();
+        mirrored.reserve(currents.len());
+        // The WTA over the copies, as `WtaCircuit::resolve` runs it, and
+        // the first maximum of the currents, which breaks a tie.
+        let (mut winner, mut best, mut runner_up) = (0, f64::NEG_INFINITY, f64::NEG_INFINITY);
+        let mut tied = false;
+        let (mut first_max, mut max_current) = (0, f64::NEG_INFINITY);
+        let (mut total_current, mut mirror_energy) = (0.0, 0.0);
+        for (index, &current) in currents.iter().enumerate() {
+            // An invalid current fails `copy` and stands in for its copy,
+            // so the check reports whichever of the two is invalid.
+            let copy = self.mirror.copy(current).unwrap_or(current);
+            if !(copy >= 0.0 && copy.is_finite()) {
+                return Err(CircuitError::InvalidCurrent { index, value: copy });
+            }
+            mirrored.push(copy);
+            total_current += current;
+            mirror_energy += self.mirror.energy(current, duration);
+            if copy > best {
+                (winner, best, runner_up, tied) = (index, copy, best, false);
+            } else if copy == best {
+                tied = true;
+            } else if copy > runner_up {
+                runner_up = copy;
+            }
+            if current > max_current {
+                (first_max, max_current) = (index, current);
+            }
+        }
+        let margin = match (tied, currents.len()) {
+            (true, _) => 0.0,
+            (false, 1) => best,
+            (false, _) => best - runner_up,
+        };
+        let conduction = total_current * self.energy_model.params().read_drain_bias * duration;
+        let mut energy = InferenceEnergy {
+            array: drivers + conduction,
+            sensing: mirror_energy + self.wta.energy(mirrored, duration),
+        };
+        if let Some(surcharge) = surcharge {
+            energy.array += surcharge.array;
+            energy.sensing += surcharge.sensing;
+        }
+        Ok(SensedRead {
+            winner: if tied { first_max } else { winner },
+            tie_broken: tied,
+            margin,
             delay,
             energy,
         })
     }
 
-    /// Worst-case delay and energy of one read of the merged wordline
-    /// `currents` (`mirrored` holds their mirror copies) on `geometry`: the
-    /// paper's cost model, array settling plus WTA resolution and array plus
-    /// sensing energy.
-    ///
-    /// A [`ReadGeometry::Array`] settles every wordline over its driven
-    /// bitlines ([`DelayModel::worst_case`]) and drives each bitline and
-    /// wordline once ([`EnergyModel::inference_with_mirrored`]). A
-    /// [`ReadGeometry::Fabric`] settles as slowly as its widest tile plus one
-    /// merge-bus load per tile column, and every tile row re-drives its
-    /// activated bitlines and occupied wordlines. Either way the WTA
-    /// resolves the merged rows, and conduction, mirror and WTA energy are
-    /// priced on the merged currents.
-    ///
-    /// A bit-plane read (`planes` = `Some((planes, cell_bits))`) adds the
-    /// shift-add surcharge on either geometry: one merge-bus pass per plane
-    /// on the array delay, one bitline-driver switch per merged row per
-    /// plane, and `cell_bits` ladder comparisons
-    /// ([`crate::EnergyParams::level_refine_energy`]) per driven bitline.
-    ///
-    /// # Errors
-    ///
-    /// Checked in this order, as [`crate::CircuitError`]s: a zero plane
-    /// count; the geometry (an empty tile list, an inconsistent grid, a
-    /// degenerate tile, no wordline on an array); a zero cell-bit count;
-    /// then empty or invalid currents.
-    pub fn price(
+    /// Prices what `geometry` fixes for a read of `rows` (at least one)
+    /// merged wordlines: its delay, its driver energy and, for a bit-plane
+    /// read, the shift-add energy surcharge. Checks a zero plane count, then
+    /// the geometry, then a zero cell-bit count.
+    fn price_geometry(
         &self,
         geometry: ReadGeometry<'_>,
         planes: Option<(usize, usize)>,
-        currents: &[f64],
-        mirrored: &[f64],
-    ) -> Result<(DelayBreakdown, InferenceEnergy)> {
+        rows: usize,
+    ) -> Result<(DelayBreakdown, f64, Option<InferenceEnergy>)> {
         if let Some((planes, _)) = planes {
             check_planes(planes)?;
         }
-        let delay_params = self.delay_model.params();
-        let mut delay = match geometry {
-            ReadGeometry::Array { activated } => self.delay_model.worst_case(
-                currents.len(),
+        let params = self.energy_model.params();
+        let (columns, activated, drivers) = match geometry {
+            ReadGeometry::Array { activated } => (
                 activated.max(1),
-                &self.wta,
-                self.mirror.gain,
-            )?,
+                activated,
+                activated as f64 * params.bitline_driver_energy
+                    + rows as f64 * params.wordline_driver_energy,
+            ),
             ReadGeometry::Fabric { tiles, col_tiles } => {
                 validate_tiles(tiles, col_tiles)?;
-                let slowest_tile = tiles
-                    .iter()
-                    .map(|tile| {
-                        delay_params.array_base + delay_params.per_column * tile.columns as f64
-                    })
-                    .fold(f64::NEG_INFINITY, f64::max);
-                DelayBreakdown {
-                    array: slowest_tile + delay_params.per_column * col_tiles as f64,
-                    sensing: self.wta.settling_time(
-                        currents.len().max(1),
-                        delay_params.worst_case_gap * self.mirror.gain,
-                    ),
+                let (mut widest, mut activated, mut drivers) = (0, 0, 0.0);
+                for tile in tiles {
+                    widest = widest.max(tile.columns);
+                    activated += tile.activated_columns;
+                    drivers += tile.activated_columns as f64 * params.bitline_driver_energy
+                        + tile.rows as f64 * params.wordline_driver_energy;
                 }
+                (widest, activated, drivers)
             }
         };
-        if let Some((planes, cell_bits)) = planes {
-            delay.array += delay_params.per_column * planes as f64;
-            check_cell_bits(cell_bits)?;
+        let mut delay = self
+            .delay_model
+            .worst_case(rows, columns, &self.wta, self.mirror.gain)?;
+        let per_column = self.delay_model.params().per_column;
+        if let ReadGeometry::Fabric { col_tiles, .. } = geometry {
+            delay.array += per_column * col_tiles as f64;
         }
-        let energy_params = self.energy_model.params();
-        let mut energy = match geometry {
-            ReadGeometry::Array { activated } => self.energy_model.inference_with_mirrored(
-                currents,
-                mirrored,
-                activated,
-                delay.total(),
-                &self.mirror,
-                &self.wta,
-            )?,
-            ReadGeometry::Fabric { tiles, .. } => {
-                let drivers = tiles
-                    .iter()
-                    .map(|tile| {
-                        tile.activated_columns as f64 * energy_params.bitline_driver_energy
-                            + tile.rows as f64 * energy_params.wordline_driver_energy
-                    })
-                    .sum();
-                self.energy_model.with_drivers(
-                    drivers,
-                    currents,
-                    mirrored,
-                    delay.total(),
-                    &self.mirror,
-                    &self.wta,
-                )?
+        let surcharge = match planes {
+            Some((planes, cell_bits)) => {
+                delay.array += per_column * planes as f64;
+                check_cell_bits(cell_bits)?;
+                Some(InferenceEnergy {
+                    array: (planes * rows) as f64 * params.bitline_driver_energy,
+                    sensing: (cell_bits * activated) as f64 * params.level_refine_energy,
+                })
             }
+            None => None,
         };
-        if let Some((planes, cell_bits)) = planes {
-            energy.array += (planes * currents.len()) as f64 * energy_params.bitline_driver_energy;
-            energy.sensing +=
-                (cell_bits * geometry.activated()) as f64 * energy_params.level_refine_energy;
-        }
-        Ok((delay, energy))
+        Ok((delay, drivers, surcharge))
     }
 
     /// Wordline-driver energy of one read of `rows` merged wordlines on
@@ -338,8 +409,457 @@ impl Default for SensingChain {
 }
 
 #[cfg(test)]
+pub(crate) mod reference {
+    //! The sensing composition [`SensingChain::decide_and_price`] replaced,
+    //! kept as an independent oracle for it: mirror every current
+    //! ([`CurrentMirror::copy_all`]), resolve the WTA over the copies
+    //! ([`WtaCircuit::resolve`]) and break a tie on the first maximum of the
+    //! currents as the engine did, then price the read in passes of its own
+    //! (the arithmetic of the former `SensingChain::price` and
+    //! `EnergyModel::inference`).
+
+    use super::*;
+
+    /// What the reference makes of one read.
+    pub(crate) struct Reference {
+        /// The read as [`SensingChain::decide_and_price`] reports it.
+        pub(crate) read: SensedRead,
+        /// The WTA's own decision over the copies, which the composite
+        /// reads report.
+        pub(crate) decision: Result<WtaDecision>,
+        /// The mirror copies.
+        pub(crate) mirrored: Vec<f64>,
+    }
+
+    /// Senses one read the way every read was sensed before the one-pass
+    /// call. Errors come in the old order: an invalid current, then no
+    /// rows, then the pricing's own checks.
+    pub(crate) fn sense(
+        chain: &SensingChain,
+        geometry: ReadGeometry<'_>,
+        planes: Option<(usize, usize)>,
+        currents: &[f64],
+    ) -> Result<Reference> {
+        let mirrored = chain.mirror().copy_all(currents)?;
+        let decision = chain.wta().resolve(&mirrored);
+        let (winner, tie_broken, margin) = match &decision {
+            Ok(decision) => (decision.winner, false, decision.margin),
+            Err(CircuitError::AmbiguousWinner { .. }) => (first_maximum(currents), true, 0.0),
+            Err(err) => return Err(err.clone()),
+        };
+        let (delay, energy) = price(chain, geometry, planes, currents, &mirrored)?;
+        Ok(Reference {
+            read: SensedRead {
+                winner,
+                tie_broken,
+                margin,
+                delay,
+                energy,
+            },
+            decision,
+            mirrored,
+        })
+    }
+
+    /// The engine's tie-break, `febim_bayes::argmax`: the first maximum.
+    fn first_maximum(values: &[f64]) -> usize {
+        let mut best = 0;
+        for (index, &value) in values.iter().enumerate() {
+            if value > values[best] {
+                best = index;
+            }
+        }
+        best
+    }
+
+    /// Worst-case delay and energy of one read whose copies are `mirrored`.
+    fn price(
+        chain: &SensingChain,
+        geometry: ReadGeometry<'_>,
+        planes: Option<(usize, usize)>,
+        currents: &[f64],
+        mirrored: &[f64],
+    ) -> Result<(DelayBreakdown, InferenceEnergy)> {
+        if let Some((planes, _)) = planes {
+            check_planes(planes)?;
+        }
+        let (wta, gain) = (chain.wta(), chain.mirror().gain);
+        let delay_params = chain.delay_model().params();
+        let mut delay = match geometry {
+            ReadGeometry::Array { activated } => {
+                chain
+                    .delay_model()
+                    .worst_case(currents.len(), activated.max(1), wta, gain)?
+            }
+            ReadGeometry::Fabric { tiles, col_tiles } => {
+                validate_tiles(tiles, col_tiles)?;
+                let slowest_tile = tiles
+                    .iter()
+                    .map(|tile| {
+                        delay_params.array_base + delay_params.per_column * tile.columns as f64
+                    })
+                    .fold(f64::NEG_INFINITY, f64::max);
+                DelayBreakdown {
+                    array: slowest_tile + delay_params.per_column * col_tiles as f64,
+                    sensing: wta
+                        .settling_time(currents.len().max(1), delay_params.worst_case_gap * gain),
+                }
+            }
+        };
+        if let Some((planes, cell_bits)) = planes {
+            delay.array += delay_params.per_column * planes as f64;
+            check_cell_bits(cell_bits)?;
+        }
+        let params = chain.energy_model().params();
+        let drivers = match geometry {
+            ReadGeometry::Array { activated } => {
+                activated as f64 * params.bitline_driver_energy
+                    + currents.len() as f64 * params.wordline_driver_energy
+            }
+            ReadGeometry::Fabric { tiles, .. } => tiles
+                .iter()
+                .map(|tile| {
+                    tile.activated_columns as f64 * params.bitline_driver_energy
+                        + tile.rows as f64 * params.wordline_driver_energy
+                })
+                .sum(),
+        };
+        let mut energy = with_drivers(chain, drivers, currents, mirrored, delay.total())?;
+        if let Some((planes, cell_bits)) = planes {
+            let activated: usize = match geometry {
+                ReadGeometry::Array { activated } => activated,
+                ReadGeometry::Fabric { tiles, .. } => {
+                    tiles.iter().map(|tile| tile.activated_columns).sum()
+                }
+            };
+            energy.array += (planes * currents.len()) as f64 * params.bitline_driver_energy;
+            energy.sensing += (cell_bits * activated) as f64 * params.level_refine_energy;
+        }
+        Ok((delay, energy))
+    }
+
+    /// Energy of one monolithic read of `currents` over `activated`
+    /// bitlines that lasts `duration` seconds.
+    pub(crate) fn inference(
+        chain: &SensingChain,
+        currents: &[f64],
+        activated: usize,
+        duration: f64,
+    ) -> Result<InferenceEnergy> {
+        let mirrored = chain.mirror().copy_all(currents)?;
+        let params = chain.energy_model().params();
+        let drivers = activated as f64 * params.bitline_driver_energy
+            + currents.len() as f64 * params.wordline_driver_energy;
+        with_drivers(chain, drivers, currents, &mirrored, duration)
+    }
+
+    /// Adds the conduction of `currents` to `drivers` joules as the array
+    /// part, and the mirror and WTA energy as the sensing part.
+    fn with_drivers(
+        chain: &SensingChain,
+        drivers: f64,
+        currents: &[f64],
+        mirrored: &[f64],
+        duration: f64,
+    ) -> Result<InferenceEnergy> {
+        if currents.is_empty() {
+            return Err(CircuitError::EmptyInput);
+        }
+        for (index, &value) in currents.iter().enumerate() {
+            if !(value >= 0.0 && value.is_finite()) {
+                return Err(CircuitError::InvalidCurrent { index, value });
+            }
+        }
+        let duration = duration.max(0.0);
+        let total_current: f64 = currents.iter().sum();
+        let conduction = total_current * chain.energy_model().params().read_drain_bias * duration;
+        let mirror_energy: f64 = currents
+            .iter()
+            .map(|&current| chain.mirror().energy(current, duration))
+            .sum();
+        let wta_energy = chain.wta().energy(mirrored, duration);
+        Ok(InferenceEnergy {
+            array: drivers + conduction,
+            sensing: mirror_energy + wta_energy,
+        })
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A chain around `mirror` with every other component calibrated.
+    fn chain_with(mirror: CurrentMirror) -> SensingChain {
+        SensingChain::new(
+            mirror,
+            WtaCircuit::febim_calibrated(),
+            DelayModel::febim_calibrated(),
+            EnergyModel::febim_calibrated(),
+        )
+    }
+
+    /// Bit patterns of a read's margin and its delay and energy parts.
+    fn read_bits(read: &SensedRead) -> [u64; 5] {
+        [
+            read.margin,
+            read.delay.array,
+            read.delay.sensing,
+            read.energy.array,
+            read.energy.sensing,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// The currents of one drawn read: `rows` of `values` (all below
+    /// `candidates`), then by `case`
+    /// 1. an exact tie at the maximum,
+    /// 2. an adjacent pair `x`, `x.next_up()` the mirror merges, at the
+    ///    maximum, the lower one first,
+    /// 3. that pair the other way round,
+    /// 4. one negative or non-finite entry,
+    ///
+    /// at the drawn positions, and otherwise the values as they are.
+    fn drawn_currents(
+        mirror: &CurrentMirror,
+        case: u32,
+        values: &[f64],
+        candidates: &[f64],
+        (first, second, pick): (usize, usize, usize),
+    ) -> Vec<f64> {
+        let mut currents = values.to_vec();
+        let rows = currents.len();
+        let i = first % rows;
+        let j = (i + 1 + second % (rows - 1).max(1)) % rows;
+        match case {
+            1 => (currents[i], currents[j]) = (candidates[0], candidates[0]),
+            2 | 3 => {
+                let low = *candidates
+                    .iter()
+                    .find(|&&x| mirror.copy(x).unwrap() == mirror.copy(x.next_up()).unwrap())
+                    .expect("one candidate pair merges");
+                let pair = (low, low.next_up());
+                (currents[i], currents[j]) = if case == 2 { pair } else { (pair.1, pair.0) };
+            }
+            4 => currents[i] = [-1.0e-6, f64::NAN, f64::INFINITY, f64::NEG_INFINITY][pick % 4],
+            _ => {}
+        }
+        currents
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The one pass decides, prices and fails exactly as the reference
+        /// composition does (winner, tie flag, margin, every delay and
+        /// energy part and the mirror copies bit for bit, or the same
+        /// error), and the composite reads report what the reference's WTA
+        /// decides. Drawn: 1 to 70 rows, a tie case or an invalid entry
+        /// (see `drawn_currents`), an array driving 0 to 8 bitlines or a
+        /// valid grid of up to 3x3 tiles, no planes or 1 to 4 planes of 1
+        /// to 8 cell bits, and the calibrated mirror or one with a gain
+        /// error of up to 2%.
+        #[test]
+        fn decide_and_price_matches_the_reference(
+            read in (0u32..5, 1usize..=70, (0usize..70, 0usize..70, 0usize..4)),
+            values in proptest::collection::vec(1e-8f64..3e-6, 70),
+            candidates in proptest::collection::vec(3e-6f64..5e-6, 256),
+            shape in (proptest::bool::ANY, 0usize..=8, 1usize..=3, 1usize..=3),
+            tile_seeds in proptest::collection::vec((1usize..=8, 1usize..=32, 0usize..=32), 9),
+            sensing in (0usize..=4, 1usize..=8, proptest::bool::ANY, -0.02f64..0.02),
+        ) {
+            let (case, rows, positions) = read;
+            let (fabric, activated, row_tiles, col_tiles) = shape;
+            let (planes, cell_bits, skewed, gain_error) = sensing;
+            let mirror = if skewed {
+                CurrentMirror::febim_sensing().with_gain_error(gain_error)
+            } else {
+                CurrentMirror::febim_sensing()
+            };
+            let chain = chain_with(mirror);
+            let rows = if (1..=3).contains(&case) { rows.max(2) } else { rows };
+            let currents = drawn_currents(&mirror, case, &values[..rows], &candidates, positions);
+            let tiles: Vec<TileGeometry> = tile_seeds[..row_tiles * col_tiles]
+                .iter()
+                .map(|&(rows, columns, activated)| TileGeometry {
+                    rows,
+                    columns,
+                    activated_columns: activated % (columns + 1),
+                })
+                .collect();
+            let geometry = if fabric {
+                ReadGeometry::Fabric { tiles: &tiles, col_tiles }
+            } else {
+                ReadGeometry::Array { activated }
+            };
+            let planes = (planes > 0).then_some((planes, cell_bits));
+
+            let expected = reference::sense(&chain, geometry, planes, &currents);
+            let mut mirrored = vec![9.9];
+            let sensed = chain.decide_and_price(geometry, planes, &currents, &mut mirrored);
+            // Debug prints every float exactly (shortest round trip).
+            prop_assert_eq!(
+                format!("{sensed:?}"),
+                format!("{:?}", expected.as_ref().map(|reference| reference.read))
+            );
+            if let (Ok(sensed), Ok(expected)) = (&sensed, &expected) {
+                prop_assert_eq!(read_bits(sensed), read_bits(&expected.read));
+                let bits = |copies: &[f64]| copies.iter().map(|copy| copy.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&mirrored), bits(&expected.mirrored));
+            }
+
+            let expected = expected.and_then(|reference| {
+                reference.decision.map(|decision| SenseReadout {
+                    winner: decision.winner,
+                    decision,
+                    delay: reference.read.delay,
+                    energy: reference.read.energy,
+                })
+            });
+            let readout = sensed.and_then(|read| chain.readout(read, &mirrored));
+            prop_assert_eq!(format!("{readout:?}"), format!("{expected:?}"));
+            if planes.is_none() {
+                let composite = match geometry {
+                    ReadGeometry::Array { activated } => {
+                        chain.sense_into(&currents, activated, &mut mirrored)
+                    }
+                    ReadGeometry::Fabric { tiles, col_tiles } => {
+                        chain.sense_fabric_into(&currents, tiles, col_tiles, &mut mirrored)
+                    }
+                };
+                prop_assert_eq!(format!("{composite:?}"), format!("{expected:?}"));
+            }
+        }
+    }
+
+    /// One tile whose grid every geometry check accepts, unless it is
+    /// split into zero tile columns.
+    const TILE: [TileGeometry; 1] = [TileGeometry {
+        rows: 2,
+        columns: 4,
+        activated_columns: 2,
+    }];
+
+    #[test]
+    fn no_rows_is_reported_before_the_planes_and_the_geometry() {
+        let chain = SensingChain::febim_calibrated();
+        let bad_grid = ReadGeometry::Fabric {
+            tiles: &TILE,
+            col_tiles: 0,
+        };
+        assert_eq!(
+            chain.decide_and_price(bad_grid, Some((0, 0)), &[], &mut Vec::new()),
+            Err(CircuitError::EmptyInput)
+        );
+    }
+
+    #[test]
+    fn a_zero_plane_count_is_reported_before_the_geometry() {
+        let chain = SensingChain::febim_calibrated();
+        let bad_grid = ReadGeometry::Fabric {
+            tiles: &TILE,
+            col_tiles: 0,
+        };
+        assert!(matches!(
+            chain.decide_and_price(bad_grid, Some((0, 0)), &[f64::NAN], &mut Vec::new()),
+            Err(CircuitError::InvalidParameter { name: "planes", .. })
+        ));
+    }
+
+    #[test]
+    fn geometry_errors_are_reported_before_the_cell_bits_and_the_currents() {
+        let chain = SensingChain::febim_calibrated();
+        let degenerate = [TileGeometry { rows: 0, ..TILE[0] }];
+        let over_driven = [TileGeometry {
+            activated_columns: 5,
+            ..TILE[0]
+        }];
+        let fabric = |tiles, col_tiles| ReadGeometry::Fabric { tiles, col_tiles };
+        let currents = [1e-6, f64::NAN];
+        let mut mirrored = Vec::new();
+        let mut error = |chain: &SensingChain, geometry| {
+            chain
+                .decide_and_price(geometry, Some((2, 0)), &currents, &mut mirrored)
+                .unwrap_err()
+        };
+        assert_eq!(error(&chain, fabric(&[], 1)), CircuitError::EmptyInput);
+        for (geometry, name) in [
+            (fabric(&TILE, 0), "col_tiles"),
+            (fabric(&degenerate, 1), "tile_geometry"),
+            (fabric(&over_driven, 1), "tile_geometry"),
+        ] {
+            assert!(
+                matches!(
+                    error(&chain, geometry),
+                    CircuitError::InvalidParameter { name: found, .. } if found == name
+                ),
+                "{name}"
+            );
+        }
+        let dead_mirror = chain_with(CurrentMirror {
+            gain: 0.0,
+            ..CurrentMirror::febim_sensing()
+        });
+        assert!(matches!(
+            error(&dead_mirror, ReadGeometry::Array { activated: 2 }),
+            CircuitError::InvalidParameter {
+                name: "mirror_gain",
+                ..
+            }
+        ));
+        // The composites check in the same order.
+        assert!(matches!(
+            chain.sense_fabric_into(&currents, &TILE, 0, &mut mirrored),
+            Err(CircuitError::InvalidParameter {
+                name: "col_tiles",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn a_zero_cell_bit_count_is_reported_before_the_currents() {
+        let chain = SensingChain::febim_calibrated();
+        for geometry in [
+            ReadGeometry::Array { activated: 2 },
+            ReadGeometry::Fabric {
+                tiles: &TILE,
+                col_tiles: 1,
+            },
+        ] {
+            assert!(matches!(
+                chain.decide_and_price(geometry, Some((2, 0)), &[f64::NAN], &mut Vec::new()),
+                Err(CircuitError::InvalidParameter {
+                    name: "cell_bits",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn the_first_invalid_current_or_copy_is_reported_last() {
+        let geometry = ReadGeometry::Array { activated: 2 };
+        let chain = SensingChain::febim_calibrated();
+        assert_eq!(
+            chain.decide_and_price(geometry, None, &[1e-6, -1e-6, f64::NAN], &mut Vec::new()),
+            Err(CircuitError::InvalidCurrent {
+                index: 1,
+                value: -1e-6
+            })
+        );
+        // A valid current whose copy overflows is reported at its index,
+        // with the copy's value.
+        let amplifier = chain_with(CurrentMirror::new(1e300).unwrap());
+        assert_eq!(
+            amplifier.decide_and_price(geometry, None, &[1e-6, 1e10, -1e-6], &mut Vec::new()),
+            Err(CircuitError::InvalidCurrent {
+                index: 1,
+                value: f64::INFINITY
+            })
+        );
+    }
 
     #[test]
     fn senses_the_maximum_wordline() {

@@ -19,13 +19,13 @@
 //! footprint and the read telemetry.
 //!
 //! Pricing: shift-add is one step of any packed read, so
-//! [`SensingChain::price`] adds its surcharge on top of the base read of
-//! either geometry, the monolithic array or a tiled fabric. The merge bus
-//! re-uses the array's column-settling constant once per plane on top of
-//! the (much narrower) packed-column settling, charges one bitline-driver
-//! switch per merged row per plane for the shift-add accumulators, and
-//! digitizes every driven multi-bit cell with `cell_bits` ladder
-//! comparisons.
+//! [`SensingChain::decide_and_price`] adds its surcharge on top of the base
+//! read of either geometry, the monolithic array or a tiled fabric. The
+//! merge bus re-uses the array's column-settling constant once per plane on
+//! top of the (much narrower) packed-column settling, charges one
+//! bitline-driver switch per merged row per plane for the shift-add
+//! accumulators, and digitizes every driven multi-bit cell with `cell_bits`
+//! ladder comparisons.
 
 use crate::errors::{CircuitError, Result};
 use crate::fabric::TileGeometry;
@@ -131,14 +131,15 @@ impl SensingChain {
     /// The decision runs over the merged currents through the exact mirror
     /// and WTA a one-hot read uses. Packed integer scores tie far more often
     /// than analog sums, so callers should expect and handle
-    /// [`CircuitError::AmbiguousWinner`]; [`SensingChain::price`] lets a tie
-    /// fallback price the read identically.
+    /// [`CircuitError::AmbiguousWinner`]; [`SensingChain::decide_and_price`]
+    /// decides and prices a tied read all the same.
     ///
     /// # Errors
     ///
-    /// Propagates merge, mirror, WTA (including
-    /// [`CircuitError::AmbiguousWinner`] for tied integer scores), delay and
-    /// energy errors.
+    /// The errors of [`merge_plane_sums_into`] first; then those of
+    /// [`SensingChain::decide_and_price`] on a [`ReadGeometry::Fabric`], in
+    /// its order; then [`CircuitError::AmbiguousWinner`] when the mirror
+    /// copies of the merged scores tie.
     #[allow(clippy::too_many_arguments)]
     pub fn sense_shift_add_fabric_into(
         &self,
@@ -160,18 +161,20 @@ impl SensingChain {
             merged_scratch,
         )?;
         let geometry = ReadGeometry::Fabric { tiles, col_tiles };
-        self.read_into(
+        let read = self.decide_and_price(
             geometry,
             Some((planes, cell_bits)),
             merged_scratch,
             mirrored_scratch,
-        )
+        )?;
+        self.readout(read, mirrored_scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sense::{reference, SensedRead};
 
     fn chain() -> SensingChain {
         SensingChain::febim_calibrated()
@@ -266,35 +269,41 @@ mod tests {
             ),
             Err(CircuitError::AmbiguousWinner { .. })
         ));
-        // The tie fallback can still price the read.
-        let (delay, energy) = chain
-            .price(
+        // The one-pass call decides the tied read on the first maximum and
+        // prices it all the same.
+        let read = chain
+            .decide_and_price(
                 ReadGeometry::Array { activated: 4 },
                 Some((2, 2)),
                 &merged,
-                &mirrored,
+                &mut mirrored,
             )
             .unwrap();
-        assert!(delay.total() > 0.0 && energy.total() > 0.0);
+        assert!(read.tie_broken);
+        assert_eq!(read.winner, 0);
+        assert!(read.delay.total() > 0.0 && read.energy.total() > 0.0);
     }
 
     #[test]
     fn shift_add_pricing_adds_the_merge_pass_on_top_of_the_base_read() {
         let chain = chain();
         let merged = [0.5e-6, 1.4e-6, 0.9e-6];
-        let mirrored = chain.mirror().copy_all(&merged).unwrap();
         let planes = 2;
         let cell_bits = 4;
         let base_delay = chain
             .delay_model()
             .worst_case(3, 8, chain.wta(), chain.mirror().gain)
             .unwrap();
-        let (packed_delay, packed_energy) = chain
-            .price(
+        let SensedRead {
+            delay: packed_delay,
+            energy: packed_energy,
+            ..
+        } = chain
+            .decide_and_price(
                 ReadGeometry::Array { activated: 8 },
                 Some((planes, cell_bits)),
                 &merged,
-                &mirrored,
+                &mut Vec::new(),
             )
             .unwrap();
         let per_column = chain.delay_model().params().per_column;
@@ -302,10 +311,7 @@ mod tests {
         assert_eq!(packed_delay.sensing, base_delay.sensing);
 
         let duration = packed_delay.total();
-        let base_energy = chain
-            .energy_model()
-            .inference(&merged, 8, duration, chain.mirror(), chain.wta())
-            .unwrap();
+        let base_energy = reference::inference(&chain, &merged, 8, duration).unwrap();
         let per_driver = chain.energy_model().params().bitline_driver_energy;
         assert!(
             (packed_energy.array - base_energy.array - (planes * 3) as f64 * per_driver).abs()
@@ -363,9 +369,10 @@ mod tests {
             tiles: &tiles,
             col_tiles: 1,
         };
-        let (base, _) = chain
-            .price(fabric_geometry, None, &merged, &mirrored)
-            .unwrap();
+        let base = chain
+            .decide_and_price(fabric_geometry, None, &merged, &mut mirrored)
+            .unwrap()
+            .delay;
         assert!(
             (fabric.delay.array - base.array - chain.delay_model().params().per_column * 2.0).abs()
                 < 1e-24
@@ -373,10 +380,10 @@ mod tests {
         // Zero planes and zero cell bits are rejected on either geometry.
         for geometry in [ReadGeometry::Array { activated: 6 }, fabric_geometry] {
             assert!(chain
-                .price(geometry, Some((0, 2)), &merged, &mirrored)
+                .decide_and_price(geometry, Some((0, 2)), &merged, &mut mirrored)
                 .is_err());
             assert!(chain
-                .price(geometry, Some((2, 0)), &merged, &mirrored)
+                .decide_and_price(geometry, Some((2, 0)), &merged, &mut mirrored)
                 .is_err());
         }
     }
@@ -385,7 +392,6 @@ mod tests {
     fn fabric_refinement_charges_every_activated_tile_column() {
         let chain = chain();
         let merged = [0.5e-6, 1.4e-6, 0.9e-6];
-        let mirrored = chain.mirror().copy_all(&merged).unwrap();
         let tiles = vec![
             TileGeometry {
                 rows: 2,
@@ -403,16 +409,17 @@ mod tests {
             tiles: &tiles,
             col_tiles: 1,
         };
-        let (delay, packed) = chain
-            .price(geometry, Some((2, cell_bits)), &merged, &mirrored)
+        let SensedRead {
+            delay,
+            energy: packed,
+            ..
+        } = chain
+            .decide_and_price(geometry, Some((2, cell_bits)), &merged, &mut Vec::new())
             .unwrap();
         // Stacked in one tile column, the tiles drive 3 + 2 bitlines over
         // 2 + 1 wordlines, the drivers of a 3-row array driving 5 bitlines:
         // that array's energy at the packed duration is the one-hot base.
-        let base = chain
-            .energy_model()
-            .inference(&merged, 5, delay.total(), chain.mirror(), chain.wta())
-            .unwrap();
+        let base = reference::inference(&chain, &merged, 5, delay.total()).unwrap();
         let params = *chain.energy_model().params();
         // 5 activated cells across both tiles × 3 refinement comparisons.
         assert!(

@@ -30,8 +30,8 @@ use std::sync::Arc;
 
 use febim_bayes::{argmax, GaussianNaiveBayes};
 use febim_circuit::{
-    merge_plane_sums_into, CircuitError, DelayBreakdown, InferenceEnergy, ReadGeometry, ReadGroup,
-    SensingChain, TileGeometry,
+    merge_plane_sums_into, DelayBreakdown, InferenceEnergy, ReadGeometry, ReadGroup, SensingChain,
+    TileGeometry,
 };
 use febim_crossbar::{
     apply_scheduled_fault, Activation, CrossbarError, FaultSchedule, LevelLadder, ProgrammingMode,
@@ -513,9 +513,10 @@ impl InferenceBackend for SoftwareBackend {
 /// Decisions never depend on the rule — every read senses the same merged
 /// currents through the same mirror and WTA — only the modeled delay and
 /// energy do. A rule only builds the [`ReadGeometry`] a read is priced on;
-/// [`SensingChain::price`] does the pricing. The rule is a property of the
-/// backend, not of its tile plan: priced as a fabric, even a one-tile plan
-/// pays the merge bus that the paper's single array does not have.
+/// [`SensingChain::decide_and_price`] does the pricing. The rule is a
+/// property of the backend, not of its tile plan: priced as a fabric, even
+/// a one-tile plan pays the merge bus that the paper's single array does
+/// not have.
 pub trait ReadPricing: Clone + std::fmt::Debug {
     /// Backend family reported by [`InferenceBackend::info`].
     const KIND: BackendKind;
@@ -803,8 +804,10 @@ impl<P: ReadPricing> FabricBackend<P> {
     /// Decides and prices one read of `activation` straight from `read`,
     /// its slice of the kernel output: its wordline currents, or for a
     /// packed read its plane partial sums, which the shift-add bus first
-    /// merges into `currents`. A read of a `group` is added to it with its
-    /// wordline-driver share.
+    /// merges into `currents`. One [`SensingChain::decide_and_price`] pass
+    /// then decides the read (breaking an exact tie deterministically) and
+    /// prices it on the pricing rule's geometry. A read of a `group` is
+    /// added to it with its wordline-driver share.
     fn sense(
         &self,
         activation: &Activation,
@@ -827,28 +830,19 @@ impl<P: ReadPricing> FabricBackend<P> {
             }
             None => (read, None),
         };
-        self.sensing.mirror().copy_all_into(scores, mirrored)?;
-        let (prediction, tie_broken) = match self.sensing.wta().resolve(mirrored) {
-            Ok(decision) => (decision.winner, false),
-            // Quantized posteriors can tie exactly (integer packed scores
-            // far more often than analog sums); physical mismatch would
-            // break the tie, we do it deterministically instead.
-            Err(CircuitError::AmbiguousWinner { .. }) => {
-                (argmax(scores).expect("at least one wordline"), true)
-            }
-            Err(err) => return Err(err.into()),
-        };
         let geometry = self.pricing.geometry(activation, tiles);
-        let (delay, energy) = self.sensing.price(geometry, planes, scores, mirrored)?;
+        let read = self
+            .sensing
+            .decide_and_price(geometry, planes, scores, mirrored)?;
         if let Some(group) = group {
             let share = self.sensing.wordline_share(geometry, scores.len());
-            group.add(&delay, &energy, share)?;
+            group.add(&read.delay, &read.energy, share)?;
         }
         Ok(InferenceStep {
-            prediction,
-            delay,
-            energy,
-            tie_broken,
+            prediction: read.winner,
+            delay: read.delay,
+            energy: read.energy,
+            tie_broken: read.tie_broken,
         })
     }
 

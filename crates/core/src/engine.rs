@@ -36,8 +36,9 @@ pub struct InferenceOutcome {
     pub delay: DelayBreakdown,
     /// Energy estimate of this inference.
     pub energy: InferenceEnergy,
-    /// Whether two or more wordlines carried exactly the same current and the
-    /// tie was broken deterministically (lowest index wins).
+    /// Whether two or more wordlines tied for the maximum (on a physical
+    /// backend, their mirror copies did) and the tie was broken
+    /// deterministically: the first maximum of the scores wins.
     pub tie_broken: bool,
 }
 

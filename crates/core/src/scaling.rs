@@ -69,17 +69,16 @@ pub fn measure_geometry(
     }
     let activation = Activation::all_columns(array.layout());
     let currents = array.wordline_currents(&activation)?;
-    let mirrored = sensing.mirror().copy_all(&currents)?;
     let geometry = ReadGeometry::Array { activated: columns };
-    let (delay, energy) = sensing.price(geometry, None, &currents, &mirrored)?;
+    let read = sensing.decide_and_price(geometry, None, &currents, &mut Vec::new())?;
     Ok(ScalingPoint {
         rows,
         columns,
-        delay: delay.total(),
-        delay_array: delay.array,
-        delay_sensing: delay.sensing,
-        energy_array: energy.array,
-        energy_sensing: energy.sensing,
+        delay: read.delay.total(),
+        delay_array: read.delay.array,
+        delay_sensing: read.delay.sensing,
+        energy_array: read.energy.array,
+        energy_sensing: read.energy.sensing,
     })
 }
 
